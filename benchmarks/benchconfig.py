@@ -14,7 +14,8 @@ the harness is parameterised through environment variables:
     Comma-separated circuit list (default: all twelve Table 3 circuits).
 
 The default configuration finishes in a few minutes and preserves the
-qualitative shape of every experiment; EXPERIMENTS.md records a larger run.
+qualitative shape of every experiment.  The campaign wall-time benchmark
+declared in ``BENCHMARK.json`` records the Table 3 rows of its workloads.
 
 Every CI-gated benchmark additionally records its measured wall clock and
 speedups machine-readably: :func:`write_bench_results` writes

@@ -23,8 +23,8 @@ settings under which the prefix honestly pays end-to-end:
   confirmation rejects most gross-delay candidates, so under the robust
   model the prefix buys mostly *coverage* (it detects faults the
   deterministic search aborts on) rather than wall clock;
-* the ``bigint`` kernel tier, whose whole-universe grading keeps the
-  prefix's own cost small (see ``BENCH_kernels.json``).
+* the default compiled backend, whose whole-universe grading in one
+  unbounded-width sweep per frame keeps the prefix's own cost small.
 
 The hybrid leg runs *first*, so the global search/implication memo caches
 are cold for it and warm for the deterministic leg — the bias runs against
@@ -44,7 +44,7 @@ from repro.faults.model import enumerate_delay_faults
 #: Benchmark workload: the complete fault universe of a random-testable
 #: s838 surrogate at half scale, under the non-robust model.
 CIRCUIT, SCALE, SURROGATE_SEED = "s838", 0.5, 53
-BACKEND = "bigint"
+BACKEND = "packed"
 ROBUST = False
 #: Prefix settings of the hybrid leg (campaign seed doubles as prefix seed).
 BUDGET, WINDOW, LENGTH = 512, 64, 8

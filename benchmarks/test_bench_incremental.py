@@ -12,7 +12,7 @@ of two primary inputs, observed at a new primary output) the incremental
 re-run must finish at least **3x** faster than the from-scratch run with
 the same settings, while producing the bit-identical campaign.  The
 workload reuses the hybrid benchmark's pinned settings (surrogate
-``seed=53``, non-robust, the ``bigint`` backend, backtrack limits 20/20 —
+``seed=53``, non-robust, the default ``packed`` backend, backtrack limits 20/20 —
 see ``test_bench_hybrid.py`` for why this instance) because the gate
 measures *reuse*, not search strength: the ECO's influence cone is the new
 gate plus its two PI fanin cones, a few signals out of ~450, so nearly
@@ -39,7 +39,7 @@ from repro.store import CampaignStore, run_incremental
 #: Benchmark workload: a random-testable s838 surrogate at half scale under
 #: the non-robust model (same instance the hybrid benchmark pins).
 CIRCUIT, SCALE, SURROGATE_SEED = "s838", 0.5, 53
-BACKEND = "bigint"
+BACKEND = "packed"
 ROBUST = False
 BACKTRACK_LIMIT = 20
 GATE = 3.0

@@ -2,7 +2,7 @@
 
 The observability contract (``docs/OBSERVABILITY.md``) has two halves, and
 this benchmark gates both on the same workload as the hybrid benchmark — a
-full-universe s838@0.5 surrogate campaign on the ``bigint`` tier under the
+full-universe s838@0.5 surrogate campaign on the default backend under the
 non-robust model:
 
 * **no perturbation** — the metrics-on campaign must be fingerprint-
@@ -27,9 +27,9 @@ from repro.faults.model import enumerate_delay_faults
 from repro.obs.metrics import MetricsRegistry
 
 #: Same workload as ``test_bench_hybrid``: a random-testable s838 surrogate
-#: at half scale, full fault universe, non-robust model, bigint tier.
+#: at half scale, full fault universe, non-robust model, default backend.
 CIRCUIT, SCALE, SURROGATE_SEED = "s838", 0.5, 53
-BACKEND = "bigint"
+BACKEND = "packed"
 ROBUST = False
 #: Interleaved repetitions per leg; minima are compared.
 REPS = 3

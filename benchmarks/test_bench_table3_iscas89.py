@@ -85,7 +85,7 @@ def test_bench_table3_row(benchmark, name, campaign_cache):
         # The real netlist: the tested count reproduces the paper (39) — the
         # extra inter-phase backtracking may add one more — and the
         # untestable+aborted total is at most the paper's 13 (the split
-        # depends on the search order, see EXPERIMENTS.md).
+        # depends on the search order).
         assert campaign.tested >= PAPER_TABLE3["s27"][0]
         assert campaign.untestable + campaign.aborted <= (
             PAPER_TABLE3["s27"][1] + PAPER_TABLE3["s27"][2]

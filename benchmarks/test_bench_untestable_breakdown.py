@@ -8,10 +8,9 @@ The benchmark runs campaigns on a subset of circuits and splits the untestable
 faults into *locally* untestable (TDgen proves no robust two-pattern test
 exists within the two local frames) and *sequentially* untestable (a local
 test exists, but propagation or initialisation is impossible).  The split is
-printed next to the aborted counts; how it compares with the paper's
-qualitative claim is discussed in EXPERIMENTS.md (E7) — in this
-reimplementation a large share of the hard sequential cases ends up in the
-aborted column because both engines stop at 100 backtracks.
+printed next to the aborted counts.  Compared with the paper's qualitative
+claim, in this reimplementation a large share of the hard sequential cases
+ends up in the aborted column because both engines stop at 100 backtracks.
 """
 
 import pytest

@@ -10,11 +10,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    # The core package is dependency-free.  numpy unlocks the levelized
-    # uint64 kernel behind --backend numpy; without it the backend degrades
-    # to the bit-identical bigint tier (see docs/ARCHITECTURE.md).
+    # The core package is dependency-free.
     extras_require={
-        "numpy": ["numpy"],
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
 )

@@ -31,8 +31,9 @@ import logging
 import sys
 from typing import List, Optional
 
-from repro.circuit.bench import parse_bench_file
+from repro.circuit.bench import BenchParseError, parse_bench_file
 from repro.circuit.gates import GateType
+from repro.circuit.levelize import CombinationalLoopError, combinational_order
 from repro.algebra.tables import format_truth_table
 from repro.core.flow import SequentialDelayATPG
 from repro.core.reporting import (
@@ -48,6 +49,10 @@ from repro.obs.export import metrics_document
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.orchestrate import CampaignOrchestrator, OrchestratorConfig
 from repro.orchestrate.partition import PARTITION_MODES
+
+#: Exit code of a campaign whose netlist is malformed (a ``.bench`` syntax
+#: error or a combinational loop); 2 stays the usage/configuration error.
+EXIT_BAD_NETLIST = 3
 
 
 def _logging_parser() -> argparse.ArgumentParser:
@@ -118,12 +123,10 @@ def _add_campaign_parser(subparsers, parents) -> None:
         default=None,
         help=(
             "simulation and implication backend (default: packed, the "
-            "compiled bit-parallel evaluators used for fault simulation AND "
-            "the search-side forward implication of TDgen/SEMILET; 'bigint' "
-            "runs the same evaluators on one unbounded-width integer plane; "
-            "'numpy' uses the levelized uint64 array kernel and degrades to "
-            "the bit-identical bigint tier when numpy is absent; pass "
-            "'reference' for the per-gate interpreter oracles)"
+            "compiled bit-parallel evaluators on unbounded-width integer "
+            "planes, used for fault simulation AND the search-side forward "
+            "implication of TDgen/SEMILET; pass 'reference' for the per-gate "
+            "interpreter oracles)"
         ),
     )
     parser.add_argument(
@@ -275,12 +278,22 @@ def _run_campaign(args: argparse.Namespace) -> int:
     profiles = []
     names = [name.strip() for name in args.circuits.split(",") if name.strip()]
     max_faults = args.max_faults if args.max_faults > 0 else None
+    # Load and levelize every netlist before any campaign runs, so a
+    # malformed one fails the command up front with a one-line error.
+    circuits = []
     for name in names:
+        try:
+            if name.endswith(".bench"):
+                circuit = parse_bench_file(name)
+            else:
+                circuit = load_circuit(name, scale=args.scale)
+            combinational_order(circuit)
+        except (BenchParseError, CombinationalLoopError) as error:
+            print(f"error: {name}: {error}", file=sys.stderr)
+            return EXIT_BAD_NETLIST
+        circuits.append(circuit)
+    for circuit in circuits:
         registry = MetricsRegistry() if collect else None
-        if name.endswith(".bench"):
-            circuit = parse_bench_file(name)
-        else:
-            circuit = load_circuit(name, scale=args.scale)
         config = OrchestratorConfig(
             jobs=args.jobs,
             partition=args.partition,

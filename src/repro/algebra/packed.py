@@ -23,10 +23,10 @@ planes::
 
     out[table[a][b]] |= a_planes[a] & b_planes[b]
 
-which is at most 64 mask operations per machine word of patterns — but in the
-fault-parallel workloads that dominate the flow almost every signal holds one
-or two distinct values across the word, so the loop usually degenerates to a
-handful of operations.  Multi-input gates fold pairwise over the AND/OR/XOR
+which is at most 64 mask operations per gate for the whole batch of patterns
+— but in the fault-parallel workloads that dominate the flow almost every
+signal holds one or two distinct values across the batch, so the loop usually
+degenerates to a handful of operations.  Multi-input gates fold pairwise over the AND/OR/XOR
 core and apply the inverter permutation afterwards, exactly mirroring
 :func:`~repro.algebra.tables.evaluate_delay_gate`.
 """

@@ -15,7 +15,7 @@ already implements exact set propagation under this reading::
 
 unions the gate image over every *member pair* of the two input sets, which
 is precisely :func:`repro.algebra.sets.evaluate_gate_sets`'s pairwise image —
-for all word slots at once.  Emptiness propagates for free: a slot empty in
+for all pattern slots at once.  Emptiness propagates for free: a slot empty in
 either input is empty in the output, matching the reference's empty-set
 short-circuit.
 
@@ -140,7 +140,7 @@ class PackedSetResult:
 
 
 class PackedSetSimulator:
-    """Set propagation over one compiled circuit, one candidate per word slot.
+    """Set propagation over one compiled circuit, one candidate per pattern slot.
 
     Args:
         compiled: the compiled gate program to run (see

@@ -8,7 +8,7 @@ verification of :mod:`repro.core.verify`.  It provides the classic
 
 Grading dispatches through the ``backend`` parameter (the shared
 :mod:`repro.fausim.backends` registry): the default ``packed`` backend
-grades one faulty machine per word slot, ``reference`` interprets.
+grades one faulty machine per pattern slot, ``reference`` interprets.
 """
 
 from __future__ import annotations

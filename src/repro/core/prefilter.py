@@ -29,10 +29,10 @@ Everything here is a pure function of (circuit, universe, config): Phase A
 runs single-threaded before any sharding, which is what lets the orchestrator
 keep the hybrid campaign bit-identical across worker counts, partition modes
 and interrupt/resume cycles.  :class:`RandomPrefixEngine` accepts the usual
-``backend`` parameter for its grading/confirmation simulators (``reference``,
-``packed``, ``bigint``, ``numpy``); all backends are bit-identical by
-contract, so the choice is purely a wall-clock knob — ``bigint`` grades the
-whole universe fastest (see ``BENCH_kernels.json``).
+``backend`` parameter for its grading/confirmation simulators (``reference``
+or ``packed``); both are bit-identical by contract, so the choice is purely a
+wall-clock knob — ``packed`` grades the whole universe in one bit-parallel
+sweep per frame.
 """
 
 from __future__ import annotations

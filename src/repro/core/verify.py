@@ -21,10 +21,10 @@ Two entry points share the machinery:
 :func:`grade_test_sequence`
     Grade one sequence against *many* faults at once.  With the packed
     backend the good machine occupies pattern slot 0 and one faulty machine
-    occupies each remaining slot of the word, so a whole fault list is graded
-    in ``ceil(faults / 63)`` bit-parallel sweeps instead of one full
-    interpreter replay per fault — this is what the random baseline and the
-    grading benchmarks run.  With the reference backend the faults are
+    occupies each further slot of the unbounded-width planes, so a whole
+    fault list is graded in one bit-parallel sweep per frame instead of one
+    full interpreter replay per fault — this is what the random baseline
+    and the grading benchmarks run.  With the reference backend the faults are
     replayed one at a time; the two paths are differentially tested to be
     identical.
 """
@@ -244,7 +244,7 @@ def _grade_packed(
     faults: Sequence[GateDelayFault],
     collect_traces: bool = False,
 ) -> Tuple[List[FaultGrade], List[SignalValues], List[SignalValues]]:
-    """Grade one word of faults in lockstep: good machine in slot 0.
+    """Grade a batch of faults in lockstep: good machine in slot 0.
 
     All machines are identical until the fast frame, so every slot shares the
     broadcast primary inputs and the carried state planes; the fast frame
@@ -306,15 +306,19 @@ def _grade_packed(
                 fresh = diff & undetected
                 if not fresh:
                     continue
-                for position in range(count):
-                    if fresh & (1 << (position + 1)):
-                        grades[position] = FaultGrade(
-                            fault=faults[position],
-                            detected=True,
-                            detection_frame=index,
-                            primary_output=po,
-                        )
                 undetected &= ~fresh
+                # Walk only the set bits: the word is as wide as the fault
+                # list, so probing every position would cost O(faults).
+                while fresh:
+                    low = fresh & -fresh
+                    position = low.bit_length() - 2
+                    grades[position] = FaultGrade(
+                        fault=faults[position],
+                        detected=True,
+                        detection_frame=index,
+                        primary_output=po,
+                    )
+                    fresh ^= low
             detected_everything = not undetected
         if detected_everything:
             # Every fault (and the single-fault verification) stops at its
@@ -360,17 +364,14 @@ def grade_test_sequence(
         faults: the fault universe to grade.
         backend: good-machine simulation backend (see
             :mod:`repro.fausim.backends`); the packed backend grades one
-            faulty machine per word slot, the reference backend replays one
+            faulty machine per pattern slot, the reference backend replays one
             fault at a time.
     """
+    if not faults:
+        return []
     simulator = create_simulator(circuit, backend)
     if isinstance(simulator, PackedLogicSimulator):
-        grades: List[FaultGrade] = []
-        chunk_width = max(1, simulator.word_bits - 1)
-        for start in range(0, len(faults), chunk_width):
-            chunk = list(faults[start : start + chunk_width])
-            grades.extend(_grade_packed(circuit, simulator, sequence, chunk)[0])
-        return grades
+        return _grade_packed(circuit, simulator, sequence, list(faults))[0]
     order = combinational_order(circuit)
     return [
         _grade_scalar(circuit, simulator, order, sequence, fault, collect_traces=False)[0]

@@ -12,15 +12,13 @@ the first two:
 The third phase (delay fault critical path tracing in the fast frame) lives in
 :mod:`repro.tdsim`.
 
-Good-machine simulation is available through four interchangeable backends
-(see :mod:`repro.fausim.backends`): the compiled bit-parallel ``packed``
-evaluator (the process default), the unbounded-width ``bigint`` tier, the
-levelized vectorised ``numpy`` tier (optional dependency, degrading to
-``bigint``) and the ``reference`` per-gate interpreter (the
-differential-testing oracle).  The compiled substrate also hosts the
-eight-valued fault-parallel two-frame simulator
-(:mod:`repro.fausim.packed_two_frame`) that TDsim's exact injection checks
-run on.
+Good-machine simulation runs on one of two backends (see
+:mod:`repro.fausim.backends`): the compiled bit-parallel ``packed``
+evaluator on unbounded-width integer planes (the process default) and the
+``reference`` per-gate interpreter (the differential-testing oracle).  The
+compiled substrate also hosts the eight-valued fault-parallel two-frame
+simulator (:mod:`repro.fausim.packed_two_frame`) that TDsim's exact
+injection checks run on.
 """
 
 from repro.fausim.logic_sim import (
@@ -35,30 +33,16 @@ from repro.fausim.backends import (
     create_simulator,
     create_two_frame_simulator,
     default_backend,
-    register_backend,
     resolve_backend,
     set_default_backend,
 )
-from repro.fausim.bigint_sim import BigintLogicSimulator, BigintTwoFrameSimulator
 from repro.fausim.compile import CompiledCircuit, compile_circuit
-from repro.fausim.numpy_sim import (
-    HAVE_NUMPY,
-    LevelizedProgram,
-    NumpyLogicSimulator,
-    levelize_program,
-)
 from repro.fausim.packed_sim import PackedLogicSimulator
 from repro.fausim.packed_two_frame import PackedTwoFrameResult, PackedTwoFrameSimulator
 
 __all__ = [
     "LogicSimulator",
     "PackedLogicSimulator",
-    "BigintLogicSimulator",
-    "BigintTwoFrameSimulator",
-    "NumpyLogicSimulator",
-    "LevelizedProgram",
-    "levelize_program",
-    "HAVE_NUMPY",
     "PackedTwoFrameSimulator",
     "PackedTwoFrameResult",
     "CompiledCircuit",
@@ -72,7 +56,6 @@ __all__ = [
     "create_simulator",
     "create_two_frame_simulator",
     "default_backend",
-    "register_backend",
     "resolve_backend",
     "set_default_backend",
 ]

@@ -1,106 +1,68 @@
-"""Registry of interchangeable good-machine simulation backends.
+"""The backend registry: the compiled ``packed`` backend and its oracle.
 
-Four backends ship with the library:
+Two backends ship with the library:
 
 ``reference``
     :class:`~repro.fausim.logic_sim.LogicSimulator` — the per-gate
     interpreter.  Slow but transparent; it is the oracle the differential
-    test harness checks every other backend against.
+    test harness checks the compiled backend against.
 
 ``packed``
     :class:`~repro.fausim.packed_sim.PackedLogicSimulator` — the compiled
-    bit-parallel evaluator (64 patterns per word).
+    bit-parallel evaluator.  Every signal plane is one unbounded-width Python
+    integer, so one gate evaluation covers a whole pattern/fault/candidate
+    batch in a single big-integer operation.
 
-``bigint``
-    :class:`~repro.fausim.bigint_sim.BigintLogicSimulator` — the packed
-    evaluator on unbounded-width Python integer planes: one gate evaluation
-    covers the entire pattern/fault batch in a single big-integer operation
-    instead of one Python loop iteration per 64-bit word.
-
-``numpy``
-    :class:`~repro.fausim.numpy_sim.NumpyLogicSimulator` — the levelized
-    vectorised kernel: each topological level of the compiled netlist
-    evaluates as uint64 array operations across all gates of the level at
-    once.  numpy is optional; without it the factory silently degrades to
-    the bit-identical ``bigint`` tier.
-
-All consumers (:class:`~repro.fausim.fault_sim.PropagationFaultSimulator`,
-:func:`~repro.core.verify.verify_test_sequence`, the flow and the baselines)
-take a ``backend`` argument and resolve it here, so selecting a backend is
-uniform across the code base::
+This is the one registry of the code base: fault simulation
+(:func:`create_simulator`, :func:`create_two_frame_simulator`), the
+search-side implication engines
+(:func:`repro.tdgen.implication.create_implication_engine`) and, through
+each engine, its search kernels all resolve a backend name here, so one
+choice — per call, via :func:`set_default_backend`, or via the CLI
+``--backend`` flag — governs the whole flow::
 
     simulator = create_simulator(circuit, backend="packed")
 
-``backend=None`` resolves to the process-wide default.  The default is
-``packed``: the compiled backend is differentially tested to be bit-exact
-against the reference interpreter (``tests/fausim``, ``tests/core``,
-``tests/tdsim``), so the fast path is safe to use everywhere.  Pass
-``backend="reference"`` (or call ``set_default_backend("reference")``) to
-fall back to the transparent per-gate interpreter — the escape hatch when
-debugging the packed evaluator itself.
-
-The search-side *implication engines* (:mod:`repro.tdgen.implication`) are
-registered under the same names and resolve ``backend=None`` through
-:func:`default_backend` as well, so one backend choice — per call, via
-:func:`set_default_backend`, or via the CLI ``--backend`` flag — governs
-fault simulation and forward implication together.
+``backend=None`` resolves to the process-wide default, ``packed``.  The
+compiled backend is differentially tested to be bit-exact against the
+reference interpreter (``tests/fausim``, ``tests/core``, ``tests/tdsim``,
+``tests/fuzz``); pass ``backend="reference"`` (or call
+``set_default_backend("reference")``) for the transparent interpreter — the
+escape hatch when debugging the compiled evaluators themselves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.fausim.bigint_sim import (
-    BigintLogicSimulator,
-    BigintTwoFrameSimulator,
-)
 from repro.fausim.logic_sim import LogicSimulator
-from repro.fausim.numpy_sim import HAVE_NUMPY, create_numpy_simulator
 from repro.fausim.packed_sim import PackedLogicSimulator
 from repro.fausim.packed_two_frame import PackedTwoFrameSimulator
 
-#: A backend factory builds a simulator bound to one circuit.  The returned
-#: object must implement the scalar ``LogicSimulator`` interface
-#: (``combinational`` / ``next_state`` / ``clock`` / ``outputs``); batch
-#: methods (``clock_batch`` …) are optional accelerations.
-BackendFactory = Callable[[Circuit], object]
-
 REFERENCE_BACKEND = "reference"
 PACKED_BACKEND = "packed"
-BIGINT_BACKEND = "bigint"
-NUMPY_BACKEND = "numpy"
 
-#: Backends whose planes live on the compiled netlist; they share the packed
-#: data model and differ only in word width / evaluation strategy.
-COMPILED_BACKENDS = (PACKED_BACKEND, BIGINT_BACKEND, NUMPY_BACKEND)
-
-_REGISTRY: Dict[str, BackendFactory] = {}
+#: Backend name -> good-machine simulator class.  Every simulator implements
+#: the scalar ``LogicSimulator`` interface (``combinational`` /
+#: ``next_state`` / ``clock`` / ``outputs``); the packed one adds the batch
+#: methods (``clock_batch`` …).
+_SIMULATORS: Dict[str, type] = {
+    REFERENCE_BACKEND: LogicSimulator,
+    PACKED_BACKEND: PackedLogicSimulator,
+}
 _default_backend = PACKED_BACKEND
 
 
-def register_backend(name: str, factory: BackendFactory, overwrite: bool = False) -> None:
-    """Register a simulation backend under ``name``.
-
-    Args:
-        name: registry key used in every ``backend=`` argument.
-        factory: callable building a simulator for a circuit.
-        overwrite: allow replacing an existing registration.
-    """
-    if not overwrite and name in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Names of all backends, sorted."""
+    return tuple(sorted(_SIMULATORS))
 
 
 def resolve_backend(name: "str | None" = None) -> str:
     """Resolve ``None`` to the default backend and validate the name."""
     resolved = name if name is not None else _default_backend
-    if resolved not in _REGISTRY:
+    if resolved not in _SIMULATORS:
         raise ValueError(
             f"unknown simulation backend {resolved!r}; available: {', '.join(available_backends())}"
         )
@@ -123,31 +85,19 @@ def set_default_backend(name: str) -> str:
 
 def create_simulator(circuit: Circuit, backend: "str | None" = None):
     """Build a simulator for ``circuit`` using the selected backend."""
-    return _REGISTRY[resolve_backend(backend)](circuit)
+    return _SIMULATORS[resolve_backend(backend)](circuit)
 
 
 def create_two_frame_simulator(
     circuit: Circuit, robust: bool = True, backend: "str | None" = None
 ):
-    """Build the eight-valued two-frame simulator matching a backend tier.
+    """Build the eight-valued fault-parallel two-frame simulator of a backend.
 
     Returns ``None`` for the ``reference`` backend (its consumers route the
     exact injection checks through the interpreted implication engine
-    instead).  The ``packed`` tier chunks injections at 64 per word; the
-    ``bigint`` and ``numpy`` tiers run the whole injection batch through one
-    unbounded-width pass (the eight-valued set planes are plane-count bound,
-    not level bound, so the vectorised tier shares the bigint substrate
-    here).
+    instead); the ``packed`` backend runs a whole injection batch in one
+    pass.
     """
-    resolved = resolve_backend(backend)
-    if resolved == PACKED_BACKEND:
+    if resolve_backend(backend) == PACKED_BACKEND:
         return PackedTwoFrameSimulator(circuit, robust=robust)
-    if resolved in (BIGINT_BACKEND, NUMPY_BACKEND):
-        return BigintTwoFrameSimulator(circuit, robust=robust)
     return None
-
-
-register_backend(REFERENCE_BACKEND, LogicSimulator)
-register_backend(PACKED_BACKEND, PackedLogicSimulator)
-register_backend(BIGINT_BACKEND, BigintLogicSimulator)
-register_backend(NUMPY_BACKEND, create_numpy_simulator)

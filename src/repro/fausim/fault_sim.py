@@ -147,16 +147,6 @@ class PropagationFaultSimulator:
         simulator = self._simulator
         ppis = self.circuit.pseudo_primary_inputs
         width = len(slots)
-        # The good machine occupies one extra slot, so chunk one below the
-        # word width to keep every plane on single-word integers.
-        chunk_width = max(1, simulator.word_bits - 1)
-        if width > chunk_width:
-            for start in range(0, width, chunk_width):
-                results.update(
-                    self._observability_map_packed(good_state, slots[start : start + chunk_width])
-                )
-            return results
-
         # The good machine rides in pattern slot 0 of the same planes, so one
         # evaluation pass per frame simulates it together with all faulty
         # machines; faulty machine j (good state with its candidate bit

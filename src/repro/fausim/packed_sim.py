@@ -3,9 +3,10 @@
 Every signal is represented by two bit planes (the standard two-plane
 {0, 1, X} encoding): bit ``j`` of ``zero`` is set when pattern ``j`` carries a
 hard 0, bit ``j`` of ``one`` when it carries a hard 1, and a clear bit in both
-planes encodes the unknown value X.  One pass over the gate program therefore
-simulates one machine word worth of patterns (64 by default) at once, and all
-gate evaluations reduce to a handful of bitwise operations:
+planes encodes the unknown value X.  A plane is one unbounded-width Python
+integer, so one pass over the gate program simulates a whole batch of
+patterns at once, and all gate evaluations reduce to a handful of bitwise
+operations:
 
 =========  =============================================================
 AND        ``one = AND(one_i)``, ``zero = OR(zero_i)``
@@ -48,14 +49,10 @@ from repro.fausim.compile import (
 from repro.fausim.logic_sim import FrameResult, SequenceResult, SignalValues
 from repro.obs.metrics import NULL_REGISTRY
 
-#: Patterns simulated per machine word; batches are chunked at this width so
-#: every bitwise operation stays on single-word integers.
-WORD_BITS = 64
-
 
 @dataclasses.dataclass
 class PackedPlanes:
-    """Bit planes of every signal for one chunk of patterns.
+    """Bit planes of every signal for one batch of patterns.
 
     ``zero[slot]`` / ``one[slot]`` hold the 0-plane and 1-plane of the signal
     in that slot (see :class:`~repro.fausim.compile.CompiledCircuit` for the
@@ -89,24 +86,22 @@ def pack_column(values: Sequence[Optional[int]]) -> Tuple[int, int]:
 
 
 class PackedLogicSimulator:
-    """Word-packed three-valued simulator bound to one compiled circuit.
+    """Bit-parallel three-valued simulator bound to one compiled circuit.
 
     The batch entry points (:meth:`combinational_batch`, :meth:`clock_batch`,
-    :meth:`sequence_batch`) simulate up to ``word_bits`` patterns per pass and
-    transparently chunk larger batches.  The scalar entry points mirror
+    :meth:`sequence_batch`) simulate the whole batch in one pass over the
+    gate program per frame.  The scalar entry points mirror
     :class:`~repro.fausim.logic_sim.LogicSimulator` exactly and run as a
     batch of one.
     """
 
-    #: Metrics registry counting gate-word evaluations: one registry call per
-    #: evaluation *pass*, never per gate (no-op by default).
+    #: Metrics registry counting gate-word evaluations (in 64-bit word
+    #: units): one registry call per evaluation *pass*, never per gate
+    #: (no-op by default).
     metrics = NULL_REGISTRY
 
-    def __init__(self, circuit: Circuit, word_bits: int = WORD_BITS) -> None:
-        if word_bits < 1:
-            raise ValueError("word_bits must be positive")
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.word_bits = word_bits
         self.compiled: CompiledCircuit = compile_circuit(circuit)
 
     # ------------------------------------------------------------------ #
@@ -290,13 +285,11 @@ class PackedLogicSimulator:
         pi_vectors: Sequence[SignalValues],
         states: Sequence[SignalValues],
     ) -> PackedPlanes:
-        """Pack one chunk of (PI vector, state) pairs into source planes.
+        """Pack a batch of (PI vector, state) pairs into source planes.
 
         Missing entries default to X, matching the reference simulator.
         """
         width = len(pi_vectors)
-        if width > self.word_bits:
-            raise ValueError(f"chunk of {width} patterns exceeds word width {self.word_bits}")
         compiled = self.compiled
         zero = [0] * compiled.num_signals
         one = [0] * compiled.num_signals
@@ -317,7 +310,7 @@ class PackedLogicSimulator:
 
         The fault-parallel workloads (gross-delay grading, the packed
         ``observability_map``) apply the *same* input vector to every machine
-        in the word while each slot carries its own state; this loads exactly
+        in the batch while each slot carries its own state; this loads exactly
         that shape — broadcast primary inputs plus externally carried per-PPI
         state planes (aligned with ``compiled.ppi_slots``).
         """
@@ -378,14 +371,9 @@ class PackedLogicSimulator:
             One full value dict per pattern, bit-exact with the reference
             :meth:`~repro.fausim.logic_sim.LogicSimulator.combinational`.
         """
-        states = self._default_states(pi_vectors, states)
-        results: List[SignalValues] = []
-        for start in range(0, len(pi_vectors), self.word_bits):
-            chunk = slice(start, start + self.word_bits)
-            planes = self.load_planes(pi_vectors[chunk], states[chunk])
-            self.evaluate_planes(planes)
-            results.extend(self.unpack(planes))
-        return results
+        planes = self.load_planes(pi_vectors, self._default_states(pi_vectors, states))
+        self.evaluate_planes(planes)
+        return self.unpack(planes)
 
     def clock_batch(
         self,
@@ -393,25 +381,22 @@ class PackedLogicSimulator:
         states: Optional[Sequence[SignalValues]] = None,
     ) -> List[FrameResult]:
         """Simulate one clock cycle for a batch of patterns."""
-        states = self._default_states(pi_vectors, states)
+        planes = self.load_planes(pi_vectors, self._default_states(pi_vectors, states))
+        self.evaluate_planes(planes)
+        next_zero, next_one = self.next_state_planes(planes)
         ppis = self.circuit.pseudo_primary_inputs
         frames: List[FrameResult] = []
-        for start in range(0, len(pi_vectors), self.word_bits):
-            chunk = slice(start, start + self.word_bits)
-            planes = self.load_planes(pi_vectors[chunk], states[chunk])
-            self.evaluate_planes(planes)
-            next_zero, next_one = self.next_state_planes(planes)
-            for pattern, values in enumerate(self.unpack(planes)):
-                bit = 1 << pattern
-                next_state: SignalValues = {}
-                for position, ppi in enumerate(ppis):
-                    if next_one[position] & bit:
-                        next_state[ppi] = 1
-                    elif next_zero[position] & bit:
-                        next_state[ppi] = 0
-                    else:
-                        next_state[ppi] = None
-                frames.append(FrameResult(values=values, next_state=next_state))
+        for pattern, values in enumerate(self.unpack(planes)):
+            bit = 1 << pattern
+            next_state: SignalValues = {}
+            for position, ppi in enumerate(ppis):
+                if next_one[position] & bit:
+                    next_state[ppi] = 1
+                elif next_zero[position] & bit:
+                    next_state[ppi] = 0
+                else:
+                    next_state[ppi] = None
+            frames.append(FrameResult(values=values, next_state=next_state))
         return frames
 
     def sequence_batch(
@@ -424,8 +409,8 @@ class PackedLogicSimulator:
 
         Pattern ``j`` of every frame pass is sequence ``j``; the per-sequence
         state is carried between frames *inside* the bit planes (it is never
-        unpacked), so a batch of ``N`` sequences costs ``ceil(N / word_bits)``
-        evaluation passes per frame instead of ``N``.
+        unpacked), so a batch of ``N`` sequences costs one evaluation pass
+        per frame instead of ``N``.
 
         Args:
             vector_sequences: one input-vector sequence per pattern; all
@@ -461,61 +446,53 @@ class PackedLogicSimulator:
         )
         observed_slots = [compiled.slot_of[name] for name in observed]
 
-        results: List[SequenceResult] = []
-        for chunk_start in range(0, len(vector_sequences), self.word_bits):
-            chunk = vector_sequences[chunk_start : chunk_start + self.word_bits]
-            width = len(chunk)
-            state_zero: List[int] = []
-            state_one: List[int] = []
-            for ppi in ppis:
-                zero, one = pack_column(
-                    [states[chunk_start + pattern].get(ppi) for pattern in range(width)]
+        width = len(vector_sequences)
+        state_zero: List[int] = []
+        state_one: List[int] = []
+        for ppi in ppis:
+            zero, one = pack_column([state.get(ppi) for state in states])
+            state_zero.append(zero)
+            state_one.append(one)
+
+        per_sequence_frames: List[List[FrameResult]] = [[] for _ in range(width)]
+        for frame_index in range(length):
+            vectors = [sequence[frame_index] for sequence in vector_sequences]
+            zero = [0] * compiled.num_signals
+            one = [0] * compiled.num_signals
+            for slot, name in zip(compiled.pi_slots, self.circuit.primary_inputs):
+                zero[slot], one[slot] = pack_column([vector.get(name) for vector in vectors])
+            for position, slot in enumerate(compiled.ppi_slots):
+                zero[slot] = state_zero[position]
+                one[slot] = state_one[position]
+            planes = PackedPlanes(zero=zero, one=one, width=width)
+            self.evaluate_planes(planes)
+            state_zero, state_one = self.next_state_planes(planes)
+
+            for pattern in range(width):
+                bit = 1 << pattern
+                values: SignalValues = {}
+                for slot, name in zip(observed_slots, observed):
+                    if one[slot] & bit:
+                        values[name] = 1
+                    elif zero[slot] & bit:
+                        values[name] = 0
+                    else:
+                        values[name] = None
+                next_state: SignalValues = {}
+                for position, ppi in enumerate(ppis):
+                    if state_one[position] & bit:
+                        next_state[ppi] = 1
+                    elif state_zero[position] & bit:
+                        next_state[ppi] = 0
+                    else:
+                        next_state[ppi] = None
+                per_sequence_frames[pattern].append(
+                    FrameResult(values=values, next_state=next_state)
                 )
-                state_zero.append(zero)
-                state_one.append(one)
-
-            per_sequence_frames: List[List[FrameResult]] = [[] for _ in range(width)]
-            for frame_index in range(length):
-                vectors = [sequence[frame_index] for sequence in chunk]
-                zero = [0] * compiled.num_signals
-                one = [0] * compiled.num_signals
-                for slot, name in zip(compiled.pi_slots, self.circuit.primary_inputs):
-                    zero[slot], one[slot] = pack_column(
-                        [vector.get(name) for vector in vectors]
-                    )
-                for position, slot in enumerate(compiled.ppi_slots):
-                    zero[slot] = state_zero[position]
-                    one[slot] = state_one[position]
-                planes = PackedPlanes(zero=zero, one=one, width=width)
-                self.evaluate_planes(planes)
-                state_zero, state_one = self.next_state_planes(planes)
-
-                for pattern in range(width):
-                    bit = 1 << pattern
-                    values: SignalValues = {}
-                    for slot, name in zip(observed_slots, observed):
-                        if one[slot] & bit:
-                            values[name] = 1
-                        elif zero[slot] & bit:
-                            values[name] = 0
-                        else:
-                            values[name] = None
-                    next_state: SignalValues = {}
-                    for position, ppi in enumerate(ppis):
-                        if state_one[position] & bit:
-                            next_state[ppi] = 1
-                        elif state_zero[position] & bit:
-                            next_state[ppi] = 0
-                        else:
-                            next_state[ppi] = None
-                    per_sequence_frames[pattern].append(
-                        FrameResult(values=values, next_state=next_state)
-                    )
-            results.extend(
-                SequenceResult(frames=frames, final_state=dict(frames[-1].next_state))
-                for frames in per_sequence_frames
-            )
-        return results
+        return [
+            SequenceResult(frames=frames, final_state=dict(frames[-1].next_state))
+            for frames in per_sequence_frames
+        ]
 
     def _default_states(
         self,

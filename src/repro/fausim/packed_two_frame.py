@@ -5,7 +5,7 @@ This is the packed counterpart of the fully-specified path through
 exact stem analysis and PPO confirmation, which the reference implementation
 runs as one interpreted set-propagation pass *per injected fault*.
 
-:class:`PackedTwoFrameSimulator` instead simulates one machine word of fault
+:class:`PackedTwoFrameSimulator` instead simulates a whole batch of fault
 injections in a single pass over the compiled gate program
 (:mod:`repro.fausim.compile`):
 
@@ -52,7 +52,6 @@ from repro.fausim.compile import (
     CompiledCircuit,
     compile_circuit,
 )
-from repro.fausim.packed_sim import WORD_BITS
 from repro.obs.metrics import NULL_REGISTRY
 
 #: Opcode -> (two-input core gate type, apply inverter permutation afterwards),
@@ -112,13 +111,12 @@ class PackedTwoFrameResult:
 
 
 class PackedTwoFrameSimulator:
-    """Word-packed eight-valued two-frame simulator bound to one circuit.
+    """Bit-parallel eight-valued two-frame simulator bound to one circuit.
 
     Args:
         circuit: circuit under test.
         robust: evaluate the robust (paper Table 1) or relaxed non-robust
             truth tables.
-        word_bits: maximum number of injections per :meth:`simulate` call.
     """
 
     #: Metrics sink — assigned by owners that instrument this simulator; the
@@ -126,12 +124,9 @@ class PackedTwoFrameSimulator:
     #: path free of any per-gate overhead.
     metrics = NULL_REGISTRY
 
-    def __init__(self, circuit: Circuit, robust: bool = True, word_bits: int = WORD_BITS) -> None:
-        if word_bits < 1:
-            raise ValueError("word_bits must be positive")
+    def __init__(self, circuit: Circuit, robust: bool = True) -> None:
         self.circuit = circuit
         self.robust = robust
-        self.word_bits = word_bits
         self.compiled: CompiledCircuit = compile_circuit(circuit)
         # Core truth tables are resolved once; packed_table is memoised, so
         # this only costs dictionary lookups.
@@ -228,17 +223,13 @@ class PackedTwoFrameSimulator:
             pi_values: complete pair value per primary input.
             ppi_initial: complete initial-frame value per pseudo primary input.
             faults: the injection of each pattern slot; ``None`` slots carry
-                the fault-free (good) machine.  At most ``word_bits`` slots.
+                the fault-free (good) machine.
 
         Returns:
             The packed planes of every signal plus the shared initial frame.
         """
         if not faults:
             raise ValueError("need at least one pattern slot")
-        if len(faults) > self.word_bits:
-            raise ValueError(
-                f"{len(faults)} injections exceed the word width {self.word_bits}"
-            )
         compiled = self.compiled
         width = len(faults)
         broadcast = (1 << width) - 1
@@ -274,7 +265,7 @@ class PackedTwoFrameSimulator:
                     continue  # pin does not exist / does not read the fault stem
                 branch_moves.setdefault(position, []).append((fault, bit))
 
-        # Source planes: each signal holds one broadcast value per word.
+        # Source planes: each signal holds one value broadcast to every slot.
         planes: List[List[int]] = [[0] * NUM_PLANES for _ in range(compiled.num_signals)]
         for slot, name in zip(compiled.pi_slots, self.circuit.primary_inputs):
             planes[slot][pi_values[name].index] = broadcast
@@ -332,7 +323,8 @@ class PackedTwoFrameSimulator:
 
         if self.metrics.enabled:
             # Frame 1 evaluates every gate once over a single binary word;
-            # frame 2 evaluates every gate over the packed injection word.
+            # frame 2 evaluates every gate over the injection batch, counted
+            # in 64-bit word units.
             self.metrics.inc(
                 "repro_sim_gate_words_total",
                 len(compiled.ops) * (1 + (width + 63) // 64),

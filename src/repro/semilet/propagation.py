@@ -17,7 +17,7 @@ The pair simulation itself goes through the backend-dispatched implication
 engine (:mod:`repro.tdgen.implication`): when a frame decision is opened,
 both alternatives are submitted as one candidate batch, which the packed
 engine evaluates in a single word-parallel pass over the compiled netlist
-(good and faulty machine in adjacent word slots).  The per-decision search
+(good and faulty machine in adjacent pattern slots).  The per-decision search
 residue — the potential-difference scan of the X-path check and the
 D-frontier decision backtrace — goes through the engine's search kernels
 (:mod:`repro.tdgen.search`), so the ``backend`` choice also selects between

@@ -44,6 +44,7 @@ import traceback
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.circuit.bench import BenchParseError
+from repro.circuit.levelize import combinational_order
 from repro.core.flow import SequentialDelayATPG
 from repro.faults.model import enumerate_delay_faults
 from repro.fausim.compile import compile_count
@@ -449,7 +450,9 @@ class AtpgService:
         try:
             spec = JobSpec.from_request(request.json())
             if spec.bench is not None:
-                spec.build_circuit()  # surface syntax errors as a 400 now
+                # Surface syntax errors and combinational loops as a 400 now,
+                # not as a job that fails once it runs.
+                combinational_order(spec.build_circuit())
         except (ValueError, BenchParseError) as exc:
             raise ApiError(400, str(exc)) from None
         job = self.store.create(spec)

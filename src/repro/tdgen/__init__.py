@@ -14,8 +14,9 @@ frame value of the corresponding PPO) built into the forward implication.
 The package also hosts the two backend-dispatched layers shared with SEMILET
 and TDsim: the implication engines (:mod:`repro.tdgen.implication`) and the
 search kernels (:mod:`repro.tdgen.search` — objective selection, multiple
-backtrace, potential-difference scan).  Both registries mirror the
-simulation backend names, so one ``backend`` choice governs the whole flow.
+backtrace, potential-difference scan).  Engines resolve their backend name
+through :mod:`repro.fausim.backends` and each builds its own kernels, so one
+``backend`` choice governs the whole flow.
 """
 
 from repro.tdgen.context import TDgenContext
@@ -24,19 +25,12 @@ from repro.tdgen.implication import (
     ImplicationEngine,
     PackedImplicationEngine,
     ReferenceImplicationEngine,
-    available_implication_engines,
     create_implication_engine,
-    register_implication_engine,
-    resolve_implication_backend,
 )
 from repro.tdgen.search import (
     PackedSearchKernels,
     ReferenceSearchKernels,
     SearchKernels,
-    available_search_kernels,
-    create_search_kernels,
-    register_search_kernels,
-    set_default_search_kernels,
 )
 from repro.tdgen.result import LocalTest, LocalTestStatus
 from repro.tdgen.engine import TDgen
@@ -45,20 +39,13 @@ __all__ = [
     "SearchKernels",
     "ReferenceSearchKernels",
     "PackedSearchKernels",
-    "available_search_kernels",
-    "create_search_kernels",
-    "register_search_kernels",
-    "set_default_search_kernels",
     "TDgenContext",
     "TwoFrameState",
     "simulate_two_frame",
     "ImplicationEngine",
     "ReferenceImplicationEngine",
     "PackedImplicationEngine",
-    "available_implication_engines",
     "create_implication_engine",
-    "register_implication_engine",
-    "resolve_implication_backend",
     "LocalTest",
     "LocalTestStatus",
     "TDgen",

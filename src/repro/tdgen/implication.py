@@ -19,15 +19,17 @@ batch takes the current partial assignment plus one override per candidate
 candidate.  The ``reference`` engine computes batch entries lazily with the
 interpreted oracles, so its cost profile is exactly the historical
 one-call-per-alternative behaviour; the ``packed`` engine evaluates the whole
-batch in one word-parallel pass over the compiled netlist
+batch in one bit-parallel pass over the compiled netlist
 (:mod:`repro.algebra.packed_sets` for the eight-valued set planes,
 :mod:`repro.fausim.packed_sim` for the three-valued planes), one candidate
-per word slot, and unpacks only the candidates that are actually consumed.
+per pattern slot of the unbounded-width planes, and unpacks only the
+candidates that are actually consumed.
 
-Engines are registered under the same backend names as the simulation
-backends (:mod:`repro.fausim.backends`) and ``backend=None`` resolves to the
-same process-wide default, so one ``--backend`` choice governs both fault
-simulation and search-side implication::
+:func:`create_implication_engine` resolves its ``backend`` through the one
+registry of :mod:`repro.fausim.backends`, and ``backend=None`` resolves to
+the same process-wide default, so one ``--backend`` choice governs fault
+simulation, search-side implication and (through
+:meth:`ImplicationEngine.search_kernels`) the search heuristics::
 
     engine = create_implication_engine(circuit, backend="packed")
     state = engine.implicate(pi_values, ppi_initial, fault)
@@ -36,7 +38,7 @@ simulation and search-side implication::
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.algebra.packed import NUM_PLANES
 from repro.algebra.packed_sets import Move, PackedSetSimulator, apply_move
@@ -45,14 +47,13 @@ from repro.algebra.values import DelayValue, PI_VALUES
 from repro.circuit.gates import evaluate_gate
 from repro.circuit.netlist import Circuit, LineKind
 from repro.faults.model import GateDelayFault
-from repro.fausim import backends as _sim_backends
-from repro.fausim.bigint_sim import BIGINT_WORD_BITS
+from repro.fausim.backends import PACKED_BACKEND, resolve_backend
 from repro.fausim.compile import CompiledCircuit, compile_circuit
 from repro.fausim.logic_sim import LogicSimulator, SignalValues
-from repro.fausim.numpy_sim import HAVE_NUMPY, NumpyLogicSimulator
-from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes, WORD_BITS
+from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes
 from repro.obs.metrics import NULL_REGISTRY
 from repro.tdgen.context import TDgenContext
+from repro.tdgen.search import PackedSearchKernels, ReferenceSearchKernels, SearchKernels
 from repro.tdgen.simulation import (
     TwoFrameState,
     _inject,
@@ -130,6 +131,8 @@ class ImplicationEngine:
     """
 
     name = "abstract"
+    #: The search kernels class matching this engine's planes.
+    kernels_class: Type[SearchKernels] = SearchKernels
     #: Metrics registry of the owning search engine (no-op by default).
     metrics = NULL_REGISTRY
     #: Sweep-counter label of the owning search engine ("" = unowned).
@@ -151,29 +154,24 @@ class ImplicationEngine:
 
         ``site`` names the owner (``tdgen``/``propagation``/``justification``/
         ``tdsim``) and labels the owner's sweep counters.  The engine itself
-        only forwards the registry to its event-driven set simulator (when
-        the backend has one) so wavefront evaluated/skipped gate counts are
-        collected; attaching a registry never changes implication results.
+        only forwards the registry to its internal simulators, when the
+        backend has them: the event-driven set simulator (wavefront
+        evaluated/skipped gate counts) and the three-valued logic simulator
+        (gate words of the initial-frame, pair-frame and justification
+        passes).  Attaching a registry never changes implication results.
         """
         self.metrics = metrics
         self.metrics_site = site
-        sets = getattr(self, "_sets", None)
-        if sets is not None:
-            sets.metrics = metrics
 
-    def search_kernels(self):
+    def search_kernels(self) -> SearchKernels:
         """The search kernels matching this engine's backend (cached).
 
         Objective selection, multiple backtrace and the potential-difference
-        scan dispatch through the same registry names as the engines (see
-        :mod:`repro.tdgen.search`), so the ``--backend`` choice governs the
-        search heuristics too; :func:`repro.tdgen.search.
-        set_default_search_kernels` overrides the coupling process-wide.
+        scan read this engine's own states and frames, so the ``--backend``
+        choice governs the search heuristics too.
         """
         if self._search_kernels is None:
-            from repro.tdgen.search import create_search_kernels
-
-            self._search_kernels = create_search_kernels(self)
+            self._search_kernels = self.kernels_class(self)
         return self._search_kernels
 
     @property
@@ -212,7 +210,7 @@ class ImplicationEngine:
             pi_values: base primary-input pair assignment.
             ppi_initial: base initial-frame PPI assignment.
             fault: the targeted fault shared by every candidate.
-            candidates: one ``(kind, name, value)`` override per word slot
+            candidates: one ``(kind, name, value)`` override per pattern slot
                 (``None`` entries evaluate the base assignment itself).
             base: the implication of the *base assignment*, if the caller
                 already holds it (the parent decision's state).  Engines may
@@ -384,6 +382,7 @@ class ReferenceImplicationEngine(ImplicationEngine):
     """
 
     name = "reference"
+    kernels_class = ReferenceSearchKernels
 
     def __init__(
         self,
@@ -453,10 +452,10 @@ class ReferenceImplicationEngine(ImplicationEngine):
 
 
 # --------------------------------------------------------------------------- #
-# packed engine — one candidate per word slot on the compiled netlist
+# packed engine — one candidate per pattern slot on the compiled netlist
 # --------------------------------------------------------------------------- #
 class _LazyColumn(dict):
-    """Per-signal dict view of one word slot, unpacked on first access.
+    """Per-signal dict view of one pattern slot, unpacked on first access.
 
     A conflict-classified decision alternative only ever reads a handful of
     signals (the fault line, the observation points), so unpacking all of a
@@ -582,7 +581,7 @@ class _PackedStates(CandidateStates):
 
     # -- per-slot column extraction (base of incremental child sweeps) ---- #
     def column_sets(self, index: int) -> List[ValueSet]:
-        """Per-signal-slot possibility sets of one word slot."""
+        """Per-signal-slot possibility sets of one pattern slot."""
         cached = self._set_columns.get(index)
         if cached is not None:
             return cached
@@ -613,7 +612,7 @@ class _PackedStates(CandidateStates):
         return column
 
     def column_frame1(self, index: int) -> List[Optional[int]]:
-        """Per-signal-slot initial-frame values of one word slot."""
+        """Per-signal-slot initial-frame values of one pattern slot."""
         cached = self._frame1_columns.get(index)
         if cached is not None:
             return cached
@@ -637,7 +636,7 @@ class _PackedStates(CandidateStates):
         return column
 
     def state(self, index: int) -> TwoFrameState:
-        """View word slot ``index`` as a (lazily unpacked) state."""
+        """View pattern slot ``index`` as a (lazily unpacked) state."""
         cached = self._cache.get(index)
         if cached is not None:
             return cached
@@ -693,11 +692,11 @@ class _PackedStates(CandidateStates):
 
 
 class _PackedPairFrames(CandidatePairFrames):
-    """Packed pair frames: good/faulty machines in adjacent word slots.
+    """Packed pair frames: good/faulty machines in adjacent pattern slots.
 
     ``pairs`` unpacks lazily (most consumers read a handful of signals — the
     targets, the state register) and :meth:`potential_planes` computes the
-    propagation PODEM's potential-difference scan word-parallel for every
+    propagation PODEM's potential-difference scan bit-parallel for every
     candidate of the batch in one pass over the gate program.
     """
 
@@ -752,7 +751,7 @@ class _PackedPairFrames(CandidatePairFrames):
         both machine values are binary and differ, over-approximated through
         the fanin union where either machine is still X — exactly the
         reference scan of :meth:`repro.tdgen.search.ReferenceSearchKernels.
-        potential_difference`, evaluated word-parallel and cached for the
+        potential_difference`, evaluated bit-parallel and cached for the
         whole batch.
         """
         if self._potential is None:
@@ -786,7 +785,7 @@ class _PackedPairFrames(CandidatePairFrames):
 
 
 class _PackedFrames(CandidateFrames):
-    """Packed three-valued frames: one candidate per word slot."""
+    """Packed three-valued frames: one candidate per pattern slot."""
 
     def __init__(self, compiled: CompiledCircuit, planes: PackedPlanes, width: int) -> None:
         self._compiled = compiled
@@ -802,7 +801,7 @@ class _PackedFrames(CandidateFrames):
         return self._planes
 
     def frame(self, index: int) -> SignalValues:
-        """View word slot ``index`` as a lazily unpacked per-signal dict."""
+        """View pattern slot ``index`` as a lazily unpacked per-signal dict."""
         cached = self._cache.get(index)
         if cached is not None:
             return cached
@@ -820,21 +819,6 @@ class _PackedFrames(CandidateFrames):
         values = _LazyColumn(self._compiled.slot_of, unpack_value)
         self._cache[index] = values
         return values
-
-
-class _ChunkedStates(CandidateStates):
-    """Concatenation view over per-word chunks of candidate results."""
-
-    def __init__(self, chunks: Sequence[CandidateStates], chunk_size: int) -> None:
-        self._chunks = list(chunks)
-        self._chunk_size = chunk_size
-
-    def __len__(self) -> int:
-        return sum(len(chunk) for chunk in self._chunks)
-
-    def state(self, index: int) -> TwoFrameState:
-        """Route the flat index into the owning chunk."""
-        return self._chunks[index // self._chunk_size].state(index % self._chunk_size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -859,9 +843,9 @@ class _InfluenceCone(object):
 
 
 class PackedImplicationEngine(ImplicationEngine):
-    """Word-parallel implication on the compiled netlist.
+    """Bit-parallel implication on the compiled netlist.
 
-    Each word slot carries one independent candidate assignment; one pass
+    Each pattern slot carries one independent candidate assignment; one pass
     over the compiled gate program implies the whole batch.  The initial
     (slow clock) frame runs in the two-plane three-valued encoding of
     :mod:`repro.fausim.packed_sim`; the test frame runs in the eight-plane
@@ -877,22 +861,19 @@ class PackedImplicationEngine(ImplicationEngine):
     other signal resolves to the parent's column.
     """
 
-    name = "packed"
+    name = PACKED_BACKEND
+    kernels_class = PackedSearchKernels
 
     def __init__(
         self,
         circuit: Circuit,
         robust: bool = True,
         context: Optional[TDgenContext] = None,
-        word_bits: int = WORD_BITS,
     ) -> None:
         super().__init__(circuit, robust=robust, context=context)
-        if word_bits < 2:
-            raise ValueError("word_bits must be at least 2 (pair frames need 2 slots)")
-        self.word_bits = word_bits
         self.compiled: CompiledCircuit = compile_circuit(circuit)
         self._sets = PackedSetSimulator(self.compiled, robust=robust)
-        self._logic = PackedLogicSimulator(circuit, word_bits=word_bits)
+        self._logic = PackedLogicSimulator(circuit)
         compiled = self.compiled
         self._pi_items: List[Tuple[int, str]] = list(
             zip(compiled.pi_slots, circuit.primary_inputs)
@@ -904,28 +885,25 @@ class PackedImplicationEngine(ImplicationEngine):
         ]
         self._cones: Dict[str, _InfluenceCone] = {}
 
+    def set_metrics(self, metrics: object, site: str) -> None:
+        """Attach a metrics registry and forward it to the internal simulators."""
+        super().set_metrics(metrics, site)
+        self._sets.metrics = metrics
+        self._logic.metrics = metrics
+
     # ------------------------------------------------------------------ #
     def implicate_candidates(
         self, pi_values, ppi_initial, fault, candidates, base=None
     ) -> CandidateStates:
-        """One packed set-propagation sweep, one candidate per word slot."""
+        """One packed set-propagation sweep, one candidate per pattern slot."""
         if not candidates:
             raise ValueError("need at least one candidate")
-        if len(candidates) <= self.word_bits:
-            incremental = self._try_incremental(
-                pi_values, ppi_initial, fault, candidates, base
-            )
-            if incremental is not None:
-                return incremental
-            return self._implicate_chunk(pi_values, ppi_initial, fault, candidates)
-        chunks = [
-            self._implicate_chunk(
-                pi_values, ppi_initial, fault,
-                candidates[start : start + self.word_bits],
-            )
-            for start in range(0, len(candidates), self.word_bits)
-        ]
-        return _ChunkedStates(chunks, self.word_bits)
+        incremental = self._try_incremental(
+            pi_values, ppi_initial, fault, candidates, base
+        )
+        if incremental is not None:
+            return incremental
+        return self._implicate_full(pi_values, ppi_initial, fault, candidates)
 
     def _try_incremental(
         self, pi_values, ppi_initial, fault, candidates, base
@@ -1192,8 +1170,8 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_slots=frame1_slots,
         )
 
-    def _implicate_chunk(self, pi_values, ppi_initial, fault, candidates) -> _PackedStates:
-        """Evaluate one word's worth of two-frame candidates."""
+    def _implicate_full(self, pi_values, ppi_initial, fault, candidates) -> _PackedStates:
+        """Evaluate a batch of two-frame candidates over the whole netlist."""
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
@@ -1346,11 +1324,6 @@ class PackedImplicationEngine(ImplicationEngine):
         """One packed pass; candidate ``i`` occupies slots ``2i`` / ``2i + 1``."""
         if not candidates:
             raise ValueError("need at least one candidate")
-        per_word = self.word_bits // 2
-        if len(candidates) > per_word:
-            raise ValueError(
-                f"{len(candidates)} pair candidates exceed {per_word} per word"
-            )
         compiled = self.compiled
         width = 2 * len(candidates)
         full = (1 << width) - 1
@@ -1456,13 +1429,9 @@ class PackedImplicationEngine(ImplicationEngine):
 
     # ------------------------------------------------------------------ #
     def frame_candidates(self, pi_values, ppi_values, candidates) -> CandidateFrames:
-        """One packed three-valued pass, one candidate per word slot."""
+        """One packed three-valued pass, one candidate per pattern slot."""
         if not candidates:
             raise ValueError("need at least one candidate")
-        if len(candidates) > self.word_bits:
-            raise ValueError(
-                f"{len(candidates)} frame candidates exceed the word width {self.word_bits}"
-            )
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
@@ -1511,144 +1480,21 @@ class PackedImplicationEngine(ImplicationEngine):
         return _PackedFrames(compiled, planes, width)
 
 
-class BigintImplicationEngine(PackedImplicationEngine):
-    """The packed implication engine on unbounded-width integer planes.
-
-    Identical algorithms, one effectively infinite word: a candidate batch of
-    any size (every decision alternative, every justification frame) runs as
-    a single sweep over the compiled gate program instead of one sweep per
-    64-slot chunk.  Registered under ``"bigint"``, matching the simulation
-    backend of the same substrate (:mod:`repro.fausim.bigint_sim`).
-    """
-
-    name = "bigint"
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        robust: bool = True,
-        context: Optional[TDgenContext] = None,
-    ) -> None:
-        super().__init__(
-            circuit, robust=robust, context=context, word_bits=BIGINT_WORD_BITS
-        )
-
-
-class NumpyImplicationEngine(BigintImplicationEngine):
-    """The ``numpy``-tier implication engine.
-
-    The three-valued passes (frame justification candidates, SEMILET pair
-    frames) run on the levelized vectorised simulator when numpy is
-    available; the eight-valued *set*-plane sweeps keep the unbounded-width
-    integer substrate of the bigint tier — their cost is bound by the
-    occupied plane pairs per gate, not by the word count, so there is no
-    per-word loop for vectorisation to remove.  Without numpy the engine is
-    exactly the bigint engine (graceful degradation).
-    """
-
-    name = "numpy"
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        robust: bool = True,
-        context: Optional[TDgenContext] = None,
-    ) -> None:
-        super().__init__(circuit, robust=robust, context=context)
-        if HAVE_NUMPY:
-            self._logic = NumpyLogicSimulator(circuit)
-
-
-# --------------------------------------------------------------------------- #
-# registry — same names and same default as the simulation backends
-# --------------------------------------------------------------------------- #
-#: An engine factory builds an :class:`ImplicationEngine` bound to a circuit.
-ImplicationEngineFactory = Callable[..., ImplicationEngine]
-
-_REGISTRY: Dict[str, ImplicationEngineFactory] = {}
-
-
-def register_implication_engine(
-    name: str, factory: ImplicationEngineFactory, overwrite: bool = False
-) -> None:
-    """Register an implication engine backend under ``name``.
-
-    Args:
-        name: registry key; align it with the simulation backend of the same
-            substrate so one ``backend=`` choice selects both.
-        factory: ``factory(circuit, robust=..., context=...)`` builder.
-        overwrite: allow replacing an existing registration.
-    """
-    if not overwrite and name in _REGISTRY:
-        raise ValueError(f"implication engine {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
-def available_implication_engines() -> Tuple[str, ...]:
-    """Names of all registered implication engines, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-#: Process-wide force; ``None`` means "follow the requested / default name".
-_FORCED_BACKEND: Optional[str] = None
-
-
-def force_implication_backend(name: "str | None") -> None:
-    """Force one implication backend process-wide, decoupled from simulation.
-
-    ``None`` (the initial state) restores the normal coupling where one
-    ``--backend`` choice governs fault simulation and search-side
-    implication together.  Setting a name makes every *subsequently built*
-    engine use that backend — even when a consumer asked for another name —
-    which is the ablation escape hatch the search-side benchmark uses to
-    time an interpreted search against packed fault simulation.  Always
-    reset to ``None`` (``try``/``finally``) after the measurement.
-    """
-    global _FORCED_BACKEND
-    if name is not None and name not in _REGISTRY:
-        raise ValueError(
-            f"unknown implication engine {name!r}; "
-            f"available: {', '.join(available_implication_engines())}"
-        )
-    _FORCED_BACKEND = name
-
-
-def resolve_implication_backend(name: "str | None" = None) -> str:
-    """Resolve ``None`` to the process-wide simulation default and validate.
-
-    The default deliberately delegates to
-    :func:`repro.fausim.backends.default_backend`, so
-    ``set_default_backend(...)`` and the CLI ``--backend`` flag govern fault
-    simulation and search-side implication together.  An active
-    :func:`force_implication_backend` override wins over both the default
-    and an explicitly requested name.
-    """
-    if _FORCED_BACKEND is not None:
-        resolved = _FORCED_BACKEND
-    elif name is not None:
-        resolved = name
-    else:
-        resolved = _sim_backends.default_backend()
-    if resolved not in _REGISTRY:
-        raise ValueError(
-            f"unknown implication engine {resolved!r}; "
-            f"available: {', '.join(available_implication_engines())}"
-        )
-    return resolved
-
-
 def create_implication_engine(
     circuit: Circuit,
     backend: "str | None" = None,
     robust: bool = True,
     context: Optional[TDgenContext] = None,
 ) -> ImplicationEngine:
-    """Build the implication engine for ``circuit`` on the selected backend."""
-    name = resolve_implication_backend(backend)
-    return _REGISTRY[name](circuit, robust=robust, context=context)
+    """Build the implication engine for ``circuit`` on the selected backend.
 
-
-register_implication_engine(ReferenceImplicationEngine.name, ReferenceImplicationEngine)
-register_implication_engine(PackedImplicationEngine.name, PackedImplicationEngine)
-register_implication_engine(BigintImplicationEngine.name, BigintImplicationEngine)
-register_implication_engine(NumpyImplicationEngine.name, NumpyImplicationEngine)
+    ``backend`` resolves through :func:`repro.fausim.backends.resolve_backend`
+    (``None`` = the process-wide default), so the engine always matches the
+    fault simulation backend of the same name.
+    """
+    engine_class = (
+        PackedImplicationEngine
+        if resolve_backend(backend) == PACKED_BACKEND
+        else ReferenceImplicationEngine
+    )
+    return engine_class(circuit, robust=robust, context=context)

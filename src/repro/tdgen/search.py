@@ -18,18 +18,20 @@ loop runs between two implications:
   plus the pair-frame D-frontier decision built on it
   (:meth:`SearchKernels.pair_frame_decision`).
 
-A :class:`SearchKernels` object bundles those five queries behind the same
-backend names as the implication engines: ``reference`` keeps the historical
+A :class:`SearchKernels` object bundles those five queries for one
+implication engine, and each engine builds its own kernels class: the
+``reference`` engine's :class:`ReferenceSearchKernels` keep the historical
 interpreted walks (moved here verbatim from ``tdgen/engine.py``,
 ``semilet/propagation.py`` and ``semilet/justification.py``) as the
-differential-testing oracle; ``packed`` reruns them as compiled kernels over
+differential-testing oracle; the ``packed`` engine's
+:class:`PackedSearchKernels` rerun them as compiled kernels over
 the flat arrays of :mod:`repro.fausim.compile` and the packed planes of
 :mod:`repro.algebra.packed_sets` / :mod:`repro.fausim.packed_sim` — the
 objective scan works on a state's extracted slot column, the backtraces are
 iterative worklists over the flat fanin arrays with memoised
 observability-distance weights (frontier ranking) and the memoised backward
 implication of :mod:`repro.algebra.sets` as the controllability store, and
-the potential-difference scan is a word-parallel sweep computed once per
+the potential-difference scan is a bit-parallel sweep computed once per
 candidate batch (all frame pairs of the batch at once).
 
 Both implementations are **bit-identical by contract** — same frontier
@@ -39,15 +41,12 @@ changing any campaign outcome (``tests/tdgen/test_search_backends.py``
 enforces this, and the campaign-equivalence harness re-checks end to end).
 
 Kernels are obtained from an engine via
-:meth:`repro.tdgen.implication.ImplicationEngine.search_kernels`, which
-resolves through the registry below.  :func:`set_default_search_kernels`
-overrides the backend-following default process-wide — the escape hatch the
-search-kernel ablation benchmark uses to time the interpreted residue.
+:meth:`repro.tdgen.implication.ImplicationEngine.search_kernels`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algebra.sets import (
     ValueSet,
@@ -72,7 +71,7 @@ from repro.circuit.gates import GateType, controlling_value, inversion_parity
 from repro.circuit.levelize import combinational_order
 from repro.circuit.netlist import LineKind
 from repro.faults.model import GateDelayFault
-from repro.fausim.compile import _OPCODES, OP_BUF, OP_NOT, compile_circuit
+from repro.fausim.compile import _OPCODES, OP_BUF, OP_NOT
 from repro.tdgen.simulation import (
     FAULT_MASK,
     TwoFrameState,
@@ -232,11 +231,8 @@ class SearchKernels:
     never dispatch on the backend themselves.
 
     Attributes:
-        name: registry name of the kernel backend.
         engine: the implication engine the kernels are bound to.
     """
-
-    name = "abstract"
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -324,8 +320,6 @@ class ReferenceSearchKernels(SearchKernels):
     dictionaries those loops used.  It is the oracle the packed kernels are
     differential-tested against, and the `backend="reference"` search path.
     """
-
-    name = "reference"
 
     def __init__(self, engine) -> None:
         super().__init__(engine)
@@ -650,39 +644,25 @@ class PackedSearchKernels(SearchKernels):
     objective scan reads a packed state's extracted slot column (cached on
     the state, shared with the incremental implication sweeps), the
     backtraces walk ``fanin_flat`` with memoised observability-distance
-    ranks, and the potential-difference scan is computed word-parallel for
+    ranks, and the potential-difference scan is computed bit-parallel for
     a whole candidate batch in one pass and cached on the batch.  Every
     result is bit-identical to :class:`ReferenceSearchKernels` — same
     frontier order, same pin preferences — which the differential suite
-    enforces; inputs that did not come from the packed engine (no packed
-    handle) fall back to the reference walks.
+    enforces.  The kernels read only the states and frames of their own
+    :class:`~repro.tdgen.implication.PackedImplicationEngine`.
     """
-
-    name = "packed"
 
     def __init__(self, engine) -> None:
         super().__init__(engine)
-        # Engines without a compiled netlist (the reference engine, when
-        # these kernels are forced onto it) get one from the per-circuit
-        # cache; their states carry no packed handle, so every query then
-        # takes the reference fallback path.
-        self.compiled = getattr(engine, "compiled", None) or compile_circuit(
-            engine.circuit
-        )
+        self.compiled = engine.compiled
         compiled = self.compiled
         self._n_pi = len(compiled.pi_slots)
         self._n_ppi = len(compiled.ppi_slots)
         #: GateType per gate-program index (for the backward implication).
         self._gate_types: List[GateType] = [_TYPE_OF_OP[op] for op in compiled.ops]
         self._rank_cache: Dict[bool, List[int]] = {}
-        self._fallback: Optional[ReferenceSearchKernels] = None
 
     # -- shared helpers -------------------------------------------------- #
-    def _reference(self) -> ReferenceSearchKernels:
-        if self._fallback is None:
-            self._fallback = ReferenceSearchKernels(self.engine)
-        return self._fallback
-
     def _ranks(self, prefer_po_observation: bool) -> List[int]:
         """Memoised observability-distance rank per signal slot."""
         cached = self._rank_cache.get(prefer_po_observation)
@@ -726,22 +706,15 @@ class PackedSearchKernels(SearchKernels):
         return None
 
     @staticmethod
-    def _state_column(state: TwoFrameState) -> Optional[List[ValueSet]]:
-        """The packed slot column behind a state, or ``None`` for reference states."""
-        handle = state.packed_handle
-        if handle is None:
-            return None
-        states, index = handle
+    def _state_column(state: TwoFrameState) -> List[ValueSet]:
+        """The packed slot column behind a state."""
+        states, index = state.packed_handle
         return states.column_sets(index)
 
     # -- TDgen ----------------------------------------------------------- #
     def propagation_objective(self, state, fault, prefer_po_observation):
         """Compiled D-frontier scan over the state's slot column."""
         column = self._state_column(state)
-        if column is None:
-            return self._reference().propagation_objective(
-                state, fault, prefer_po_observation
-            )
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat
@@ -816,10 +789,6 @@ class PackedSearchKernels(SearchKernels):
     def backtrace(self, state, fault, objective, pi_values, ppi_initial):
         """Compiled eight-valued backtrace over the flat fanin arrays."""
         column = self._state_column(state)
-        if column is None:
-            return self._reference().backtrace(
-                state, fault, objective, pi_values, ppi_initial
-            )
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat
@@ -875,18 +844,11 @@ class PackedSearchKernels(SearchKernels):
 
     # -- SEMILET propagation --------------------------------------------- #
     def potential_difference(self, frames, index):
-        """Word-parallel scan, computed once per candidate batch."""
-        planes = getattr(frames, "potential_planes", None)
-        if planes is None:
-            return self._reference().potential_difference(frames, index)
-        return _PotentialView(planes(), self.compiled.slot_of, index)
+        """Bit-parallel scan, computed once per candidate batch."""
+        return _PotentialView(frames.potential_planes(), self.compiled.slot_of, index)
 
     def pair_frame_decision(self, frames, index, pi_values, free_ppi_values):
         """Compiled pair-frame D-frontier scan plus backtrace."""
-        if getattr(frames, "packed_planes", None) is None:
-            return self._reference().pair_frame_decision(
-                frames, index, pi_values, free_ppi_values
-            )
         planes = frames.packed_planes()
         zero = planes.zero
         one = planes.one
@@ -1000,10 +962,6 @@ class PackedSearchKernels(SearchKernels):
         self, frames, index, signal, target, pi_values, ppi_values, decide_ppis
     ):
         """Iterative worklist form of the controlling-value backtrace."""
-        if getattr(frames, "packed_planes", None) is None:
-            return self._reference().justification_backtrace(
-                frames, index, signal, target, pi_values, ppi_values, decide_ppis
-            )
         planes = frames.packed_planes()
         zero = planes.zero
         one = planes.one
@@ -1069,109 +1027,3 @@ class PackedSearchKernels(SearchKernels):
             for source in reversed(x_slots):
                 stack.append((source, branch_target, depth + 1))
         return best_ppi
-
-
-# --------------------------------------------------------------------------- #
-# registry — same backend names as the implication engines
-# --------------------------------------------------------------------------- #
-#: A kernel factory builds :class:`SearchKernels` bound to an engine.
-SearchKernelsFactory = Callable[[object], SearchKernels]
-
-_REGISTRY: Dict[str, SearchKernelsFactory] = {}
-
-#: Process-wide override; ``None`` means "follow the engine's backend".
-_DEFAULT_OVERRIDE: Optional[str] = None
-
-
-def register_search_kernels(
-    name: str, factory: SearchKernelsFactory, overwrite: bool = False
-) -> None:
-    """Register a search-kernel backend under ``name``.
-
-    Args:
-        name: registry key; align it with the implication engine of the same
-            substrate so one ``backend=`` choice selects both.
-        factory: ``factory(engine)`` builder.
-        overwrite: allow replacing an existing registration.
-    """
-    if not overwrite and name in _REGISTRY:
-        raise ValueError(f"search kernels {name!r} are already registered")
-    _REGISTRY[name] = factory
-
-
-def available_search_kernels() -> Tuple[str, ...]:
-    """Names of all registered search-kernel backends, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def set_default_search_kernels(name: Optional[str]) -> None:
-    """Override which kernels newly built engines hand out.
-
-    ``None`` (the initial state) means every engine uses the kernels of its
-    own backend — the normal coupling where ``--backend`` governs simulation,
-    implication and the search heuristics together.  Setting a name forces
-    that kernel backend regardless of the engine, which is how the ablation
-    benchmark times the interpreted search residue under the packed engine.
-    Only engines whose kernels have not been created yet are affected.
-    """
-    global _DEFAULT_OVERRIDE
-    if name is not None and name not in _REGISTRY:
-        raise ValueError(
-            f"unknown search kernels {name!r}; "
-            f"available: {', '.join(available_search_kernels())}"
-        )
-    _DEFAULT_OVERRIDE = name
-
-
-def default_search_kernels() -> Optional[str]:
-    """The current process-wide override (``None`` = follow the backend)."""
-    return _DEFAULT_OVERRIDE
-
-
-def create_search_kernels(engine, name: Optional[str] = None) -> SearchKernels:
-    """Build the search kernels for ``engine`` on the selected backend.
-
-    Resolution order: explicit ``name``, then the process-wide override of
-    :func:`set_default_search_kernels`, then the engine's own backend name
-    (unknown engine names fall back to the reference kernels, so third-party
-    engines work out of the box).
-    """
-    resolved = name if name is not None else _DEFAULT_OVERRIDE
-    if resolved is None:
-        resolved = engine.name if engine.name in _REGISTRY else ReferenceSearchKernels.name
-    if resolved not in _REGISTRY:
-        raise ValueError(
-            f"unknown search kernels {resolved!r}; "
-            f"available: {', '.join(available_search_kernels())}"
-        )
-    return _REGISTRY[resolved](engine)
-
-
-class BigintSearchKernels(PackedSearchKernels):
-    """The compiled search walks for the unbounded-width ``bigint`` engine.
-
-    The kernels themselves are width-agnostic — they read extracted slot
-    columns and walk the flat arrays — so the bigint tier reuses the packed
-    kernels verbatim; the registration only keeps the name coupling intact
-    (``engine.name`` resolves to the kernels of the same substrate).
-    """
-
-    name = "bigint"
-
-
-class NumpySearchKernels(PackedSearchKernels):
-    """The compiled search walks for the levelized ``numpy`` engine.
-
-    Search queries are per-decision scalar walks (frontier scans, pin-order
-    backtraces) with no per-word loop to vectorise, so the numpy tier shares
-    the packed kernels; the potential-difference scan it inherits is already
-    computed once per candidate batch.
-    """
-
-    name = "numpy"
-
-
-register_search_kernels(ReferenceSearchKernels.name, ReferenceSearchKernels)
-register_search_kernels(PackedSearchKernels.name, PackedSearchKernels)
-register_search_kernels(BigintSearchKernels.name, BigintSearchKernels)
-register_search_kernels(NumpySearchKernels.name, NumpySearchKernels)

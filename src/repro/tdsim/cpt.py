@@ -21,8 +21,8 @@ With ``backend="packed"`` (the process default, see
 machine pass, the per-stem analysis and the PPO confirmation checks — run on
 the compiled netlist through the fault-parallel eight-valued simulator
 (:mod:`repro.fausim.packed_two_frame`): both transition directions of a stem
-share one pass, and all PPO confirmation candidates of a pattern are batched
-into word slots.  The remaining single-injection simulations (and the whole
+share one pass, and all PPO confirmation candidates of a pattern share
+another.  The remaining single-injection simulations (and the whole
 ``backend="reference"`` oracle path of the differential test-suite) route
 through the shared implication engine (:mod:`repro.tdgen.implication`)
 instead of calling the interpreter directly.
@@ -84,9 +84,8 @@ class DelayFaultSimulator:
         self.context = context or TDgenContext(circuit)
         self.metrics = resolve_metrics(metrics)
         self.backend = resolve_backend(backend)
-        # Every compiled tier gets a fault-parallel two-frame simulator; the
-        # bigint/numpy tiers use one unbounded word so a whole candidate
-        # batch is a single pass (see create_two_frame_simulator).
+        # The compiled backend gets a fault-parallel two-frame simulator, so
+        # a whole candidate batch is a single pass.
         self._packed: Optional[PackedTwoFrameSimulator] = create_two_frame_simulator(
             circuit, robust=robust, backend=self.backend
         )
@@ -161,8 +160,8 @@ class DelayFaultSimulator:
 
         # Phase B: CPT from observable pseudo primary outputs; every candidate
         # must survive the exact injection + invalidation check.  Candidates
-        # are collected first so the packed backend can confirm a whole word
-        # of injections per simulation pass; crediting in collection order
+        # are collected first so the packed backend can confirm all of them
+        # in one simulation pass; crediting in collection order
         # keeps the result identical to the one-by-one reference loop.
         candidates: List[Tuple[GateDelayFault, str]] = []
         seen: Set[Tuple[GateDelayFault, str]] = set()
@@ -306,8 +305,8 @@ class DelayFaultSimulator:
     ) -> List[bool]:
         """Run the injection + invalidation check for every (fault, PPO) pair.
 
-        With the packed backend one word of injections shares a single
-        simulation pass; the reference backend checks one candidate at a
+        With the packed backend all injections share a single simulation
+        pass; the reference backend checks one candidate at a
         time.  Both return one verdict per candidate, in order.
         """
         if not candidates:
@@ -323,27 +322,25 @@ class DelayFaultSimulator:
             ]
         verdicts: List[bool] = []
         slot_of = self._packed.compiled.slot_of
-        for start in range(0, len(candidates), self._packed.word_bits):
-            chunk = candidates[start : start + self._packed.word_bits]
-            result = self._packed.simulate(
-                pi_values, ppi_initial, [fault for fault, _ in chunk]
-            )
-            for pattern, (fault, ppo) in enumerate(chunk):
-                passed = bool(result.fault_effect_mask(ppo) & (1 << pattern))
-                if passed:
-                    # Invalidation check: the fault must not disturb any PPO
-                    # value the propagation phase depends on.
-                    for other_ppo, required in required_ppo_values.items():
-                        if other_ppo == ppo:
-                            continue
-                        if other_ppo not in slot_of:
-                            passed = False
-                            break
-                        value = result.value(other_ppo, pattern)
-                        if value.fault or value.final != required:
-                            passed = False
-                            break
-                verdicts.append(passed)
+        result = self._packed.simulate(
+            pi_values, ppi_initial, [fault for fault, _ in candidates]
+        )
+        for pattern, (fault, ppo) in enumerate(candidates):
+            passed = bool(result.fault_effect_mask(ppo) & (1 << pattern))
+            if passed:
+                # Invalidation check: the fault must not disturb any PPO
+                # value the propagation phase depends on.
+                for other_ppo, required in required_ppo_values.items():
+                    if other_ppo == ppo:
+                        continue
+                    if other_ppo not in slot_of:
+                        passed = False
+                        break
+                    value = result.value(other_ppo, pattern)
+                    if value.fault or value.final != required:
+                        passed = False
+                        break
+            verdicts.append(passed)
         return verdicts
 
     def _confirmed_through_ppo(

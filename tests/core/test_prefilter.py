@@ -150,11 +150,15 @@ def test_replay_out_of_order_is_rejected(s344_small, prefix_outcome):
         )
 
 
-def test_backends_agree(s344_small, prefix_outcome):
+def test_backends_agree(s27):
     """The prefix phase is backend-independent like every other layer."""
-    engine = RandomPrefixEngine(s344_small, CONFIG, backend="bigint")
-    outcome = engine.run(enumerate_delay_faults(s344_small))
-    assert _journal_form(outcome) == _journal_form(prefix_outcome)
+    universe = enumerate_delay_faults(s27)
+    packed, reference = (
+        RandomPrefixEngine(s27, CONFIG, backend=backend).run(universe)
+        for backend in ("packed", "reference")
+    )
+    assert packed.detected, "the prefix must credit faults to be a meaningful check"
+    assert _journal_form(packed) == _journal_form(reference)
 
 
 # --------------------------------------------------------------------------- #

@@ -191,15 +191,15 @@ def test_exhaustive_three_valued_s27(s27):
         assert got == reference.combinational(vector, state)
 
 
-def test_word_boundary_chunking(s27):
-    """Batches straddling the word width split and reassemble correctly."""
+def test_wide_batch_bit_exact(s27):
+    """Batches wider than a 64-bit machine word run in one unbounded pass."""
     rng = random.Random(99)
     reference = LogicSimulator(s27)
-    narrow = PackedLogicSimulator(s27, word_bits=8)
-    for batch_size in (7, 8, 9, 17):
+    packed = PackedLogicSimulator(s27)
+    for batch_size in (63, 64, 65, 130):
         vectors = [random_vector(rng, s27.primary_inputs) for _ in range(batch_size)]
         states = [random_state(rng, s27) for _ in range(batch_size)]
-        results = narrow.combinational_batch(vectors, states)
+        results = packed.combinational_batch(vectors, states)
         assert len(results) == batch_size
         for vector, state, got in zip(vectors, states, results):
             assert got == reference.combinational(vector, state)

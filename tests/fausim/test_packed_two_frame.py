@@ -64,7 +64,7 @@ def test_fault_slots_bit_exact(seed, robust):
     pi_values, ppi_initial = full_pattern(rng, circuit)
 
     universe = enumerate_delay_faults(circuit)
-    sample = rng.sample(universe, min(len(universe), packed.word_bits - 1))
+    sample = rng.sample(universe, min(len(universe), 63))
     faults: List[Optional[GateDelayFault]] = [None] + sample
 
     result = packed.simulate(pi_values, ppi_initial, faults)
@@ -131,12 +131,10 @@ def test_requires_fully_specified_pattern(s27):
 
 
 def test_slot_count_validation(s27):
-    packed = PackedTwoFrameSimulator(s27, word_bits=4)
+    packed = PackedTwoFrameSimulator(s27)
     rng = random.Random(14)
     pi_values, ppi_initial = full_pattern(rng, s27)
     with pytest.raises(ValueError):
         packed.simulate(pi_values, ppi_initial, ())
-    with pytest.raises(ValueError):
-        packed.simulate(pi_values, ppi_initial, [None] * 5)
-    with pytest.raises(ValueError):
-        PackedTwoFrameSimulator(s27, word_bits=0)
+    # Any number of slots fits the unbounded-width planes.
+    assert packed.simulate(pi_values, ppi_initial, [None] * 100).width == 100

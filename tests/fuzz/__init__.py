@@ -1,8 +1,7 @@
 """Cross-backend differential fuzzing.
 
-Every registered backend — ``reference``, ``packed``, ``bigint`` and
-``numpy`` — must agree *bit for bit* at all four dispatch layers of the
-code base: good-machine simulation (:mod:`repro.fausim.backends`), forward
+The compiled ``packed`` backend must agree *bit for bit* with the
+``reference`` oracle at all four dispatch layers of the code base: good-machine simulation (:mod:`repro.fausim.backends`), forward
 implication (:mod:`repro.tdgen.implication`), compiled search kernels
 (:mod:`repro.tdgen.search`) and fault grading (:mod:`repro.core.verify`).
 

@@ -39,10 +39,7 @@ from repro.faults.model import GateDelayFault, enumerate_delay_faults, sample_fa
 from repro.fausim.backends import available_backends, create_simulator
 from repro.fausim.logic_sim import simulate_sequence
 from repro.tdgen.context import TDgenContext
-from repro.tdgen.implication import (
-    available_implication_engines,
-    create_implication_engine,
-)
+from repro.tdgen.implication import create_implication_engine
 
 #: Where minimised failing cases are persisted; every file in here is
 #: replayed as a deterministic tier-1 regression by ``test_corpus.py``.
@@ -302,7 +299,7 @@ def _check_simulation(case: FuzzCase, circuit: Circuit, failures: List[str]) -> 
                 failures.append(f"simulation[{backend}]: scalar frame {index} differs")
                 break
             state = frame.next_state
-        # the batched plane path (the packed/bigint/numpy fast pass)
+        # the batched plane path (the packed fast pass)
         batch = simulator.sequence_batch(
             case.sequences,
             initial_states=[dict(case.initial_state) for _ in case.sequences],
@@ -337,7 +334,7 @@ def _check_implication_and_kernels(
         name: create_implication_engine(
             circuit, name, robust=case.robust, context=context
         )
-        for name in available_implication_engines()
+        for name in available_backends()
     }
     oracle = engines.pop("reference")
     oracle_kernels = oracle.search_kernels()

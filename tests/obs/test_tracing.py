@@ -21,7 +21,7 @@ def test_fault_cost_json_round_trip():
         fault="G10 StF", status="aborted", phase="local test generation",
         seconds=0.125, attempts=3, local_backtracks=7, sequential_backtracks=2,
         decisions=19, implication_sweeps=20, wavefront_skipped=5,
-        words_simulated=64, engine="bigint",
+        words_simulated=64, engine="packed",
     )
     payload = json.loads(json.dumps(cost.to_json()))
     assert FaultCost.from_json(payload) == cost
@@ -63,6 +63,28 @@ def test_fold_cost_round_trips_through_json(s27):
     for cost in atpg.cost_log:
         fold_cost(folded, FaultCost.from_json(cost.to_json()))
     assert deterministic_counters(folded) == deterministic_counters(registry)
+
+
+def test_propagation_work_is_counted_in_gate_words(s27):
+    """Faults that reach SEMILET propagation never report zero gate words.
+
+    The implication engines' internal simulators receive the registry, so
+    the pair-frame and justification passes count toward the fault's
+    ``words_simulated``.
+    """
+    from repro.faults.model import enumerate_delay_faults
+
+    registry = MetricsRegistry()
+    atpg = SequentialDelayATPG(s27, metrics=registry)
+    reached = 0
+    for fault in enumerate_delay_faults(s27):
+        before = registry.counter_value("repro_implication_sweeps_total", site="propagation")
+        atpg.target_fault(fault)
+        after = registry.counter_value("repro_implication_sweeps_total", site="propagation")
+        if after > before:
+            reached += 1
+            assert atpg.cost_log[-1].words_simulated > 0, fault
+    assert reached > 0, "the campaign must reach propagation to be a meaningful check"
 
 
 def test_deterministic_counters_collapse_labels():

@@ -103,7 +103,7 @@ def test_digest_tracks_circuit_config_and_universe(s27):
 
 
 def test_digest_ignores_backend():
-    """Backends are bit-exact, so the digest must not pin one.
+    """Both backends are bit-exact, so the digest must not pin one.
 
     Regression test: ``OrchestratorConfig.digest_payload`` used to include
     the resolved backend, wrongly blocking a cross-backend ``--resume`` even
@@ -113,7 +113,7 @@ def test_digest_ignores_backend():
 
     payloads = {
         backend: OrchestratorConfig(backend=backend).digest_payload()
-        for backend in (None, "packed", "bigint", "numpy", "reference")
+        for backend in (None, "packed", "reference")
     }
     reference = payloads[None]
     for backend, payload in payloads.items():

@@ -206,16 +206,16 @@ def test_worker_failure_is_reported(s27):
         orchestrator.run(faults=faults[:4])
 
 
-def test_resume_under_different_backend(tmp_path, s344_small, s344_serial):
+def test_resume_under_different_backend(tmp_path, s27):
     """A campaign journaled under one backend resumes under another.
 
-    The digest deliberately excludes the backend (all backends are pinned
+    The digest deliberately excludes the backend (both backends are pinned
     bit-exact), so the finished per-fault records of a ``packed`` campaign
-    must be accepted — and completed identically — by a ``bigint`` resume.
+    must be accepted — and completed identically — by a ``reference`` resume.
     """
     path = str(tmp_path / "journal.jsonl")
     CampaignOrchestrator(
-        s344_small,
+        s27,
         config=OrchestratorConfig(jobs=2, backend="packed"),
         journal_path=path,
     ).run()
@@ -233,9 +233,9 @@ def test_resume_under_different_backend(tmp_path, s344_small, s344_serial):
             handle.write(json.dumps(record) + "\n")
 
     resumed = CampaignOrchestrator(
-        s344_small,
-        config=OrchestratorConfig(jobs=2, backend="bigint"),
+        s27,
+        config=OrchestratorConfig(jobs=2, backend="reference"),
         journal_path=path,
         resume=True,
     ).run()
-    assert _fingerprint(resumed) == _fingerprint(s344_serial)
+    assert _fingerprint(resumed) == _fingerprint(SequentialDelayATPG(s27).run())

@@ -274,6 +274,11 @@ def test_event_stream_delivers_all_records(daemon):
         ({"circuit": "s27", "frobnicate": True}, "unknown field"),
         ({"bench": "this is not bench syntax ("}, ""),
         ([1, 2, 3], "JSON object"),
+        ({"circuit": "s27", "backend": "numpy"}, "unknown backend 'numpy'"),
+        (
+            {"bench": "INPUT(a)\nOUTPUT(y)\nx = AND(a, y)\ny = NOT(x)\n"},
+            "combinational loop",
+        ),
     ],
 )
 def test_bad_submissions_are_400(daemon, payload, fragment):

@@ -77,7 +77,7 @@ def test_unchanged_circuit_reuses_everything(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [_with_observer, _with_type_flip])
-@pytest.mark.parametrize("backend", [None, "bigint"])
+@pytest.mark.parametrize("backend", [None, "reference"])
 def test_incremental_matches_scratch(tmp_path, edit, backend):
     """Fingerprint identity with from-scratch for both edit shapes."""
     circuit = load_circuit("s27")

@@ -258,9 +258,9 @@ def test_analytics_views(tmp_path, s27_run):
     circuit, config, result, costs = s27_run
     with CampaignStore(str(tmp_path / "s.sqlite")) as store:
         store.ingest_result(result, circuit=circuit, config=config, costs=costs)
-        bigint = _config(backend="bigint")
-        bigint_result, _ = _run_serial(circuit, bigint)
-        store.ingest_result(bigint_result, circuit=circuit, config=bigint)
+        reference = _config(backend="reference")
+        reference_result, _ = _run_serial(circuit, reference)
+        store.ingest_result(reference_result, circuit=circuit, config=reference)
         trend = store.coverage_trend("s27")
         outliers = store.cost_outliers(limit=3)
         ablation = store.backend_ablation()
@@ -270,7 +270,7 @@ def test_analytics_views(tmp_path, s27_run):
     assert trend[0]["tested"] == trend[1]["tested"]
     assert len(outliers) == 3
     assert outliers[0]["seconds"] >= outliers[-1]["seconds"]
-    assert {row["backend"] for row in ablation} == {"default", "bigint"}
+    assert {row["backend"] for row in ablation} == {"default", "reference"}
 
 
 def test_ingest_without_circuit_is_analytics_only(tmp_path, s27_run):

@@ -24,13 +24,9 @@ from repro.algebra.values import DelayValue, PI_VALUES
 from repro.core.flow import SequentialDelayATPG
 from repro.data import load_circuit
 from repro.faults.model import enumerate_delay_faults, sample_faults
-from repro.fausim.backends import default_backend, set_default_backend
+from repro.fausim.backends import available_backends, default_backend, set_default_backend
 from repro.tdgen.context import TDgenContext
-from repro.tdgen.implication import (
-    available_implication_engines,
-    create_implication_engine,
-    resolve_implication_backend,
-)
+from repro.tdgen.implication import create_implication_engine
 
 from tests.fausim.test_packed_differential import random_circuit
 
@@ -76,22 +72,28 @@ def _assert_states_equal(reference_state, packed_state, context_message):
 # registry
 # --------------------------------------------------------------------------- #
 def test_registry_names():
-    assert set(available_implication_engines()) >= {"reference", "packed"}
+    """Every simulation backend has the implication engine of its name."""
+    circuit = random_circuit(0)
+    names = {create_implication_engine(circuit, name).name for name in available_backends()}
+    assert names == set(available_backends())
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown implication engine"):
-        resolve_implication_backend("no-such-engine")
+    circuit = random_circuit(0)
+    for name in ("no-such-engine", "bigint", "numpy"):
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            create_implication_engine(circuit, name)
 
 
 def test_default_follows_simulation_backend():
     """One ``--backend`` choice governs simulation and implication alike."""
+    circuit = random_circuit(0)
     previous = default_backend()
     try:
         set_default_backend("reference")
-        assert resolve_implication_backend() == "reference"
+        assert create_implication_engine(circuit).name == "reference"
         set_default_backend("packed")
-        assert resolve_implication_backend() == "packed"
+        assert create_implication_engine(circuit).name == "packed"
     finally:
         set_default_backend(previous)
 

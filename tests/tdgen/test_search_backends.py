@@ -14,9 +14,9 @@ the interpreted walks they replace, query for query:
   historical combination-enumerating oracle kept in
   :func:`repro.tdgen.search.exhaustive_backward_input_sets`,
 
-and whole campaigns must come out identical whichever kernel backend is
-forced.  Any mismatch prints the failing seed, so a reproduction is one
-``random_circuit(seed)`` call away.
+Whole-campaign equivalence of the two backends is pinned in
+``tests/tdgen/test_implication_backends.py``.  Any mismatch prints the
+failing seed, so a reproduction is one ``random_circuit(seed)`` call away.
 """
 
 from __future__ import annotations
@@ -29,22 +29,14 @@ import pytest
 from repro.algebra.sets import FULL_SET, backward_input_sets
 from repro.algebra.values import ALL_VALUES, DelayValue, PI_VALUES
 from repro.circuit.gates import GateType
-from repro.core.flow import SequentialDelayATPG
-from repro.data import load_circuit
-from repro.faults.model import enumerate_delay_faults, sample_faults
+from repro.faults.model import enumerate_delay_faults
+from repro.fausim.backends import available_backends
 from repro.tdgen.context import TDgenContext
-from repro.tdgen.implication import (
-    create_implication_engine,
-    force_implication_backend,
-)
+from repro.tdgen.implication import create_implication_engine
 from repro.tdgen.search import (
     PackedSearchKernels,
     ReferenceSearchKernels,
-    available_search_kernels,
-    create_search_kernels,
-    default_search_kernels,
     exhaustive_backward_input_sets,
-    set_default_search_kernels,
 )
 
 from tests.fausim.test_packed_differential import random_circuit
@@ -93,7 +85,13 @@ def _random_states(rng, circuit):
 # registry and dispatch
 # --------------------------------------------------------------------------- #
 def test_registry_names():
-    assert set(available_search_kernels()) >= {"reference", "packed"}
+    """Every backend name yields the kernels of its own engine."""
+    circuit = random_circuit(0)
+    kernels = {
+        type(create_implication_engine(circuit, name).search_kernels())
+        for name in available_backends()
+    }
+    assert kernels == {ReferenceSearchKernels, PackedSearchKernels}
 
 
 def test_kernels_follow_engine_backend():
@@ -104,66 +102,6 @@ def test_kernels_follow_engine_backend():
     # Cached per engine.
     assert reference.search_kernels() is reference_kernels
     assert packed.search_kernels() is packed_kernels
-
-
-def test_default_override():
-    """``set_default_search_kernels`` forces the kernels of new engines."""
-    circuit = random_circuit(0)
-    assert default_search_kernels() is None
-    set_default_search_kernels("reference")
-    try:
-        engine = create_implication_engine(circuit, "packed")
-        assert isinstance(engine.search_kernels(), ReferenceSearchKernels)
-    finally:
-        set_default_search_kernels(None)
-    engine = create_implication_engine(circuit, "packed")
-    assert isinstance(engine.search_kernels(), PackedSearchKernels)
-
-
-def test_unknown_kernels_rejected():
-    circuit = random_circuit(0)
-    engine = create_implication_engine(circuit, "packed")
-    with pytest.raises(ValueError, match="unknown search kernels"):
-        create_search_kernels(engine, "no-such-kernels")
-    with pytest.raises(ValueError, match="unknown search kernels"):
-        set_default_search_kernels("no-such-kernels")
-
-
-def test_packed_kernels_on_reference_engine():
-    """Forcing ``packed`` kernels onto the reference engine is harmless.
-
-    The kernels compile the netlist themselves (per-circuit cache) and
-    every query takes the reference fallback because reference states carry
-    no packed handle.
-    """
-    circuit = random_circuit(5)
-    set_default_search_kernels("packed")
-    try:
-        engine = create_implication_engine(circuit, "reference")
-        kernels = engine.search_kernels()
-        assert isinstance(kernels, PackedSearchKernels)
-    finally:
-        set_default_search_kernels(None)
-    rng = random.Random(5)
-    pi_values, ppi_initial = _partial_assignment(rng, circuit)
-    fault = enumerate_delay_faults(circuit)[0]
-    state = engine.implicate(pi_values, ppi_initial, fault)
-    want = ReferenceSearchKernels(engine).propagation_objective(state, fault, True)
-    assert kernels.propagation_objective(state, fault, True) == want
-
-
-def test_packed_kernels_fall_back_on_reference_states():
-    """A reference state (no packed handle) still answers packed queries."""
-    circuit = random_circuit(3)
-    (reference, reference_kernels), (_, packed_kernels) = _kernel_pairs(circuit)
-    rng = random.Random(3)
-    pi_values, ppi_initial = _partial_assignment(rng, circuit)
-    fault = enumerate_delay_faults(circuit)[0]
-    state = reference.implicate(pi_values, ppi_initial, fault)
-    assert state.packed_handle is None
-    want = reference_kernels.propagation_objective(state, fault, True)
-    got = packed_kernels.propagation_objective(state, fault, True)
-    assert got == want
 
 
 # --------------------------------------------------------------------------- #
@@ -393,51 +331,3 @@ def test_justification_backtrace_bit_exact(seed):
                         f"seed {seed} trial {trial} justification backtrace differs "
                         f"({signal} -> {target}, decide_ppis={decide_ppis})"
                     )
-
-
-# --------------------------------------------------------------------------- #
-# campaign equivalence under forced kernel / implication ablations
-# --------------------------------------------------------------------------- #
-def _campaign_fingerprint(campaign):
-    """Everything each fault decision produced, via the JSON round-trip."""
-    return [result.to_json() for result in campaign.fault_results]
-
-
-def _run_s27(force_kernels=None, force_implication=None):
-    set_default_search_kernels(force_kernels)
-    force_implication_backend(force_implication)
-    try:
-        circuit = load_circuit("s27")
-        atpg = SequentialDelayATPG(circuit, backend="packed")
-        return atpg.run(enumerate_delay_faults(circuit))
-    finally:
-        set_default_search_kernels(None)
-        force_implication_backend(None)
-
-
-def test_campaign_equivalence_under_kernel_ablation_s27():
-    """Forcing the interpreted kernels changes nothing about the campaign."""
-    compiled = _run_s27()
-    interpreted = _run_s27(force_kernels="reference")
-    assert _campaign_fingerprint(compiled) == _campaign_fingerprint(interpreted)
-
-
-def test_campaign_equivalence_under_search_ablation_s27():
-    """Forcing the whole search side interpreted changes nothing either."""
-    compiled = _run_s27()
-    interpreted = _run_s27(force_implication="reference")
-    assert _campaign_fingerprint(compiled) == _campaign_fingerprint(interpreted)
-
-
-def test_campaign_equivalence_under_kernel_ablation_surrogate():
-    """Sampled s838-surrogate campaign, compiled vs interpreted kernels."""
-    def run(kernels):
-        set_default_search_kernels(kernels)
-        try:
-            circuit = load_circuit("s838", scale=0.25, seed=0)
-            faults = sample_faults(enumerate_delay_faults(circuit), 16)
-            return SequentialDelayATPG(circuit, backend="packed").run(faults)
-        finally:
-            set_default_search_kernels(None)
-
-    assert _campaign_fingerprint(run(None)) == _campaign_fingerprint(run("reference"))

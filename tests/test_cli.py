@@ -163,6 +163,34 @@ def test_rejects_unknown_backend(capsys):
         main(["campaign", "--circuits", "s27", "--backend", "warp-drive"])
 
 
+def test_rejects_removed_backend(capsys):
+    """The former ``bigint`` tier is not a valid choice any more."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", "--circuits", "s27", "--backend", "bigint"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bigint'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bench, message",
+    [
+        ("INPUT(a)\nOUTPUT(y)\nx = AND(a, y)\ny = NOT(x)\n", "combinational loop"),
+        ("INPUT(a)\nOUTPUT(y)\ny = AND a\n", "unrecognised statement"),
+    ],
+    ids=["loop", "syntax"],
+)
+def test_malformed_netlist_fails_cleanly(tmp_path, capsys, bench, message):
+    """A bad ``.bench`` file is one line on stderr and exit code 3."""
+    path = tmp_path / "bad.bench"
+    path.write_text(bench)
+    code = main(["campaign", "--circuits", f"s27,{path}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""  # nothing ran, not even the valid s27
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: ") and message in captured.err
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
