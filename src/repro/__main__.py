@@ -93,6 +93,102 @@ def _configure_logging(args: argparse.Namespace, default_level: int = logging.WA
     )
 
 
+def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
+    """The campaign settings shared by ``campaign`` and ``store ingest``.
+
+    Both commands map them through :func:`_orchestrator_config`, so a
+    journal written by ``campaign`` validates under ``store ingest`` with
+    the same flags: the settings that change per-fault results are exactly
+    the journal digest's (:meth:`OrchestratorConfig.digest_payload`).
+    """
+    group = parser.add_argument_group(
+        "campaign settings",
+        "settings recorded with every journal and stored campaign; store "
+        "ingest must be given the ones the journaled campaign ran under",
+    )
+    group.add_argument(
+        "--backtrack-limit", type=int, default=100, help="abort limit (paper: 100)"
+    )
+    group.add_argument("--non-robust", action="store_true", help="use the non-robust model")
+    group.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help=(
+            "campaign seed from which every worker and the random prefix "
+            "derive their RNG seeds"
+        ),
+    )
+    group.add_argument(
+        "--backend",
+        choices=sorted(available_backends()),
+        default=None,
+        help=(
+            "simulation and implication backend (default: packed, the "
+            "compiled bit-parallel evaluators on unbounded-width integer "
+            "planes, used for fault simulation AND the search-side forward "
+            "implication of TDgen/SEMILET; pass 'reference' for the per-gate "
+            "interpreter oracles)"
+        ),
+    )
+    group.add_argument(
+        "--rpg-prefix",
+        action="store_true",
+        help=(
+            "hybrid campaign: run a random-pattern prefix phase first — "
+            "seeded random sequences are graded fault-parallel against the "
+            "whole remaining universe and TDsim-confirmed detections are "
+            "dropped before the deterministic flow targets the residue; "
+            "the result stays bit-identical across --jobs/--partition and "
+            "across --resume for a fixed --seed"
+        ),
+    )
+    group.add_argument(
+        "--rpg-budget",
+        type=int,
+        default=256,
+        metavar="N",
+        help="max random sequences of the prefix phase (default: 256)",
+    )
+    group.add_argument(
+        "--rpg-window",
+        type=int,
+        default=16,
+        metavar="W",
+        help=(
+            "adaptive stopping window: hand over to the deterministic flow "
+            "once the last W random sequences credited no new detection "
+            "(default: 16)"
+        ),
+    )
+
+
+def _orchestrator_config(args: argparse.Namespace, **orchestration) -> OrchestratorConfig:
+    """The :class:`OrchestratorConfig` of :func:`_add_settings_arguments`' flags.
+
+    ``orchestration`` carries the fields only ``campaign`` has (``jobs``,
+    ``partition``).
+    """
+    return OrchestratorConfig(
+        campaign_seed=args.seed,
+        robust=not args.non_robust,
+        local_backtrack_limit=args.backtrack_limit,
+        sequential_backtrack_limit=args.backtrack_limit,
+        backend=args.backend,
+        rpg_prefix=args.rpg_prefix,
+        rpg_budget=args.rpg_budget,
+        rpg_window=args.rpg_window,
+        **orchestration,
+    )
+
+
+def _load_circuit(name: str, scale: float):
+    """A ``.bench`` file path or a registry circuit name, loaded."""
+    if name.endswith(".bench"):
+        return parse_bench_file(name)
+    return load_circuit(name, scale=scale)
+
+
 def _add_campaign_parser(subparsers, parents) -> None:
     parser = subparsers.add_parser(
         "campaign",
@@ -112,23 +208,8 @@ def _add_campaign_parser(subparsers, parents) -> None:
     parser.add_argument(
         "--max-faults", type=int, default=0, help="cap on targeted faults (0 = no cap)"
     )
-    parser.add_argument(
-        "--backtrack-limit", type=int, default=100, help="abort limit (paper: 100)"
-    )
-    parser.add_argument("--non-robust", action="store_true", help="use the non-robust model")
     parser.add_argument("--time-limit", type=float, default=None, help="seconds per circuit")
-    parser.add_argument(
-        "--backend",
-        choices=sorted(available_backends()),
-        default=None,
-        help=(
-            "simulation and implication backend (default: packed, the "
-            "compiled bit-parallel evaluators on unbounded-width integer "
-            "planes, used for fault simulation AND the search-side forward "
-            "implication of TDgen/SEMILET; pass 'reference' for the per-gate "
-            "interpreter oracles)"
-        ),
-    )
+    _add_settings_arguments(parser)
     parser.add_argument(
         "--jobs",
         type=int,
@@ -143,42 +224,6 @@ def _add_campaign_parser(subparsers, parents) -> None:
         choices=PARTITION_MODES,
         default="size-aware",
         help="fault sharding mode for --jobs > 1 (default: size-aware)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="campaign seed from which every worker derives its RNG seed",
-    )
-    parser.add_argument(
-        "--rpg-prefix",
-        action="store_true",
-        help=(
-            "hybrid campaign: run a random-pattern prefix phase first — "
-            "seeded random sequences are graded fault-parallel against the "
-            "whole remaining universe and TDsim-confirmed detections are "
-            "dropped before the deterministic flow targets the residue; "
-            "the result stays bit-identical across --jobs/--partition and "
-            "across --resume for a fixed --seed"
-        ),
-    )
-    parser.add_argument(
-        "--rpg-budget",
-        type=int,
-        default=256,
-        metavar="N",
-        help="max random sequences of the prefix phase (default: 256)",
-    )
-    parser.add_argument(
-        "--rpg-window",
-        type=int,
-        default=16,
-        metavar="W",
-        help=(
-            "adaptive stopping window: hand over to the deterministic flow "
-            "once the last W random sequences credited no new detection "
-            "(default: 16)"
-        ),
     )
     parser.add_argument(
         "--journal",
@@ -233,9 +278,9 @@ def _add_campaign_parser(subparsers, parents) -> None:
             "same circuit name and settings in this store, re-target only "
             "the faults inside the netlist edit's influence cone and reuse "
             "every other stored outcome — the result is bit-identical to a "
-            "from-scratch run on the edited netlist (serial only; not "
-            "compatible with --jobs > 1, --rpg-prefix, --journal/--resume "
-            "or --time-limit)"
+            "from-scratch run on the edited netlist, --rpg-prefix included "
+            "(the prefix reruns; only the deterministic phase is reused). "
+            "Serial only: not compatible with --jobs > 1 or --journal/--resume"
         ),
     )
 
@@ -249,23 +294,15 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if orchestrated and args.time_limit is not None:
         print("error: --time-limit is not supported with --jobs/--journal", file=sys.stderr)
         return 2
-    if args.incremental_from is not None:
-        # The incremental engine *is* the serial campaign loop with a memo;
-        # every knob that changes which faults the loop visits (sharding,
-        # the random prefix, journal replay, wall-clock cuts) is rejected
-        # instead of silently breaking the bit-identity contract.
-        for flag, active in (
-            ("--jobs > 1", args.jobs > 1),
-            ("--rpg-prefix", args.rpg_prefix),
-            ("--journal/--resume", journal_path is not None),
-            ("--time-limit", args.time_limit is not None),
-        ):
-            if active:
-                print(
-                    f"error: --incremental-from is not supported with {flag}",
-                    file=sys.stderr,
-                )
-                return 2
+    if args.incremental_from is not None and orchestrated:
+        # The incremental engine is the serial campaign loop with a store
+        # memo; sharding and journal replay need the orchestrator's memo.
+        print(
+            "error: --incremental-from is not supported with --jobs > 1 or "
+            "--journal/--resume",
+            file=sys.stderr,
+        )
+        return 2
 
     collect = args.profile or args.metrics_out is not None
     campaigns = []
@@ -283,10 +320,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
     circuits = []
     for name in names:
         try:
-            if name.endswith(".bench"):
-                circuit = parse_bench_file(name)
-            else:
-                circuit = load_circuit(name, scale=args.scale)
+            circuit = _load_circuit(name, args.scale)
             combinational_order(circuit)
         except (BenchParseError, CombinationalLoopError) as error:
             print(f"error: {name}: {error}", file=sys.stderr)
@@ -294,18 +328,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         circuits.append(circuit)
     for circuit in circuits:
         registry = MetricsRegistry() if collect else None
-        config = OrchestratorConfig(
-            jobs=args.jobs,
-            partition=args.partition,
-            campaign_seed=args.seed,
-            robust=not args.non_robust,
-            local_backtrack_limit=args.backtrack_limit,
-            sequential_backtrack_limit=args.backtrack_limit,
-            backend=args.backend,
-            rpg_prefix=args.rpg_prefix,
-            rpg_budget=args.rpg_budget,
-            rpg_window=args.rpg_window,
-        )
+        config = _orchestrator_config(args, jobs=args.jobs, partition=args.partition)
         if args.incremental_from is not None:
             from repro.store import CampaignStore, run_incremental
 
@@ -316,6 +339,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
                         base_store,
                         config,
                         max_target_faults=max_faults,
+                        time_limit_s=args.time_limit,
                         metrics=registry,
                     )
             except (LookupError, ValueError) as error:
@@ -503,18 +527,7 @@ def _add_store_parser(subparsers, parents) -> None:
         ),
     )
     ingest.add_argument("--scale", type=float, default=1.0, help="surrogate size scale")
-    ingest.add_argument(
-        "--backtrack-limit", type=int, default=100,
-        help="abort limit the journaled campaign ran under (for the digest)",
-    )
-    ingest.add_argument(
-        "--non-robust", action="store_true",
-        help="the journaled campaign used the non-robust model (for the digest)",
-    )
-    ingest.add_argument(
-        "--seed", type=int, default=0,
-        help="campaign seed the journaled campaign ran under (for the digest)",
-    )
+    _add_settings_arguments(ingest)
 
     query = store_sub.add_parser(
         "query",
@@ -556,17 +569,8 @@ def _run_store(args: argparse.Namespace) -> int:
         circuit = None
         config = None
         if args.circuits:
-            if args.circuits.endswith(".bench"):
-                circuit = parse_bench_file(args.circuits)
-            else:
-                circuit = load_circuit(args.circuits, scale=args.scale)
-            config = OrchestratorConfig(
-                jobs=1,
-                campaign_seed=args.seed,
-                robust=not args.non_robust,
-                local_backtrack_limit=args.backtrack_limit,
-                sequential_backtrack_limit=args.backtrack_limit,
-            )
+            circuit = _load_circuit(args.circuits, args.scale)
+            config = _orchestrator_config(args, jobs=1)
         try:
             with CampaignStore(args.store) as store:
                 ids = store.ingest_journal(args.journal, circuit=circuit, config=config)

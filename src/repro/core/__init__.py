@@ -13,7 +13,7 @@ from repro.core.results import (
     TestSequence,
     CampaignResult,
 )
-from repro.core.flow import SequentialDelayATPG, credit_fault_result
+from repro.core.flow import SequentialDelayATPG, credit_fault_result, run_campaign_loop
 from repro.core.verify import (
     FaultGrade,
     VerificationReport,
@@ -36,6 +36,7 @@ __all__ = [
     "CampaignResult",
     "SequentialDelayATPG",
     "credit_fault_result",
+    "run_campaign_loop",
     "verify_test_sequence",
     "grade_test_sequence",
     "VerificationReport",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.values import DelayValue, V0, V1
 from repro.circuit.netlist import Circuit
@@ -183,51 +183,56 @@ class SequentialDelayATPG:
                 deterministic flow targets only the residue.  ``max_target_faults``
                 counts residue targets only.
         """
-        from repro.core.prefilter import RandomPrefixEngine, apply_prefix_outcome
-
         fault_universe = list(faults) if faults is not None else enumerate_delay_faults(self.circuit)
-        fault_list = FaultList(fault_universe)
         logger.info(
             "campaign start: circuit=%s faults=%d backend=%s robust=%s",
-            self.circuit.name, len(fault_list), self.backend, self.robust,
+            self.circuit.name, len(fault_universe), self.backend, self.robust,
         )
-        campaign = CampaignResult(circuit_name=self.circuit.name, total_faults=len(fault_list))
         start = time.perf_counter()
         deadline = start + time_limit_s if time_limit_s is not None else None
 
         with self.metrics.timed("repro_phase_seconds", phase="campaign"):
-            if prefix is not None:
-                engine = RandomPrefixEngine(
-                    self.circuit,
-                    prefix,
-                    robust=self.robust,
-                    fill_value=self.fill_value,
-                    metrics=self.metrics,
-                    backend=self.backend,
-                )
-                with self.metrics.timed("repro_phase_seconds", phase="prefix"):
-                    outcome = engine.run(fault_universe, deadline=deadline)
-                apply_prefix_outcome(campaign, fault_list, outcome)
-
-            for fault in fault_universe:
-                if fault_list.status(fault) is not FaultStatus.UNTARGETED:
-                    continue
-                if max_target_faults is not None and campaign.targeted >= max_target_faults:
-                    break
-                if deadline is not None and time.perf_counter() > deadline:
-                    break
-
-                result = self.target_fault(fault, deadline=deadline)
-                newly_detected = credit_fault_result(result, fault_list)
-                campaign.record(result, newly_detected)
-
-        campaign.finalize(fault_list.counts(), time.perf_counter() - start)
+            outcome = (
+                self.run_prefix(fault_universe, prefix, deadline=deadline)
+                if prefix is not None
+                else None
+            )
+            campaign = run_campaign_loop(
+                self.circuit.name,
+                fault_universe,
+                # Looked up per call, so a patched ``target_fault`` is honoured.
+                lambda _index, fault: self.target_fault(fault, deadline=deadline),
+                prefix_outcome=outcome,
+                max_target_faults=max_target_faults,
+                deadline=deadline,
+                started=start,
+            )
         logger.info(
             "campaign done: circuit=%s tested=%d untestable=%d aborted=%d time=%.3fs",
             campaign.circuit_name, campaign.tested, campaign.untestable,
             campaign.aborted, campaign.cpu_seconds,
         )
         return campaign
+
+    def run_prefix(
+        self,
+        faults: Sequence[GateDelayFault],
+        prefix: "PrefixConfig",
+        deadline: Optional[float] = None,
+    ) -> "PrefixOutcome":
+        """Phase A of the hybrid campaign under this flow's settings."""
+        from repro.core.prefilter import RandomPrefixEngine
+
+        engine = RandomPrefixEngine(
+            self.circuit,
+            prefix,
+            robust=self.robust,
+            fill_value=self.fill_value,
+            metrics=self.metrics,
+            backend=self.backend,
+        )
+        with self.metrics.timed("repro_phase_seconds", phase="prefix"):
+            return engine.run(faults, deadline=deadline)
 
     # ------------------------------------------------------------------ #
     # single-fault campaign step
@@ -391,11 +396,6 @@ class SequentialDelayATPG:
                     if propagation.aborted
                     else FaultResultStatus.UNTESTABLE
                 )
-                observed_ppos = {
-                    signal
-                    for signal in local.observation_points
-                    if not self.circuit.is_primary_output(signal)
-                }
                 return (
                     _AttemptFailure(
                         status,
@@ -403,7 +403,7 @@ class SequentialDelayATPG:
                         local.backtracks,
                         sequential_backtracks,
                     ),
-                    observed_ppos,
+                    self._observed_ppos(local),
                 )
 
             # --- propagation justification --------------------------------- #
@@ -427,11 +427,6 @@ class SequentialDelayATPG:
                         if revised.status is LocalTestStatus.ABORTED
                         else FaultResultStatus.UNTESTABLE
                     )
-                    observed_ppos = {
-                        signal
-                        for signal in local.observation_points
-                        if not self.circuit.is_primary_output(signal)
-                    }
                     return (
                         _AttemptFailure(
                             status,
@@ -439,15 +434,10 @@ class SequentialDelayATPG:
                             local.backtracks + revised.backtracks,
                             sequential_backtracks,
                         ),
-                        observed_ppos,
+                        self._observed_ppos(local),
                     )
                 local = revised
                 if not self._propagation_still_valid(local, propagation.vectors):
-                    observed_ppos = {
-                        signal
-                        for signal in local.observation_points
-                        if not self.circuit.is_primary_output(signal)
-                    }
                     return (
                         _AttemptFailure(
                             FaultResultStatus.UNTESTABLE,
@@ -455,7 +445,7 @@ class SequentialDelayATPG:
                             local.backtracks,
                             sequential_backtracks,
                         ),
-                        observed_ppos,
+                        self._observed_ppos(local),
                     )
             propagation_vectors = [dict(vector) for vector in propagation.vectors]
             observation_point = propagation.observed_po or observation_point
@@ -471,11 +461,6 @@ class SequentialDelayATPG:
                 if synchronization.aborted
                 else FaultResultStatus.UNTESTABLE
             )
-            observed_ppos = {
-                signal
-                for signal in local.observation_points
-                if not self.circuit.is_primary_output(signal)
-            }
             return (
                 _AttemptFailure(
                     status,
@@ -484,7 +469,7 @@ class SequentialDelayATPG:
                     sequential_backtracks,
                     unsynchronizable_state=dict(required_state) if required_state else None,
                 ),
-                observed_ppos,
+                self._observed_ppos(local),
             )
 
         # --- assemble and (optionally) verify the sequence ------------------ #
@@ -495,11 +480,6 @@ class SequentialDelayATPG:
             with self.metrics.timed("repro_phase_seconds", phase="verify"):
                 report = verify_test_sequence(self.circuit, sequence, backend=self.backend)
             if not report.detected:
-                observed_ppos = {
-                    signal
-                    for signal in local.observation_points
-                    if not self.circuit.is_primary_output(signal)
-                }
                 return (
                     _AttemptFailure(
                         FaultResultStatus.ABORTED,
@@ -507,7 +487,7 @@ class SequentialDelayATPG:
                         local.backtracks,
                         sequential_backtracks,
                     ),
-                    observed_ppos,
+                    self._observed_ppos(local),
                 )
 
         return FaultResult(
@@ -545,6 +525,14 @@ class SequentialDelayATPG:
             good_state[ppi] = effect.final
             faulty_state[ppi] = effect.initial
         return good_state, faulty_state
+
+    def _observed_ppos(self, local: LocalTest) -> Set[str]:
+        """The pseudo primary outputs a local test observes its effect at."""
+        return {
+            signal
+            for signal in local.observation_points
+            if not self.circuit.is_primary_output(signal)
+        }
 
     def _propagation_still_valid(
         self, local: LocalTest, propagation_vectors: Sequence[Dict[str, int]]
@@ -693,13 +681,11 @@ def simulate_sequence_detections(
 def credit_fault_result(result: FaultResult, fault_list: FaultList) -> int:
     """Fold one per-fault result into a campaign's fault-list bookkeeping.
 
-    This is the serial-order crediting step shared by
-    :meth:`SequentialDelayATPG.run` and the orchestrator's deterministic
-    replay merge (:mod:`repro.orchestrate.coordinator`): the targeted fault is
-    marked with its verdict, ``result.additionally_detected`` (the raw
-    detection list produced by :meth:`SequentialDelayATPG.target_fault`) is
-    filtered in place down to faults of this campaign's universe, and every
-    detection is credited.  Returns how many faults were *newly* marked
+    This is the crediting step of :func:`run_campaign_loop`: the targeted
+    fault is marked with its verdict, ``result.additionally_detected`` (the
+    raw detection list produced by :meth:`SequentialDelayATPG.target_fault`)
+    is filtered in place down to faults of this campaign's universe, and
+    every detection is credited.  Returns how many faults were *newly* marked
     tested.
     """
     if result.status is FaultResultStatus.TESTED:
@@ -714,6 +700,53 @@ def credit_fault_result(result: FaultResult, fault_list: FaultList) -> int:
     else:
         fault_list.mark(result.fault, FaultStatus.ABORTED)
     return 0
+
+
+def run_campaign_loop(
+    circuit_name: str,
+    universe: Sequence[GateDelayFault],
+    target: Callable[[int, GateDelayFault], Optional[FaultResult]],
+    *,
+    prefix_outcome: Optional["PrefixOutcome"] = None,
+    max_target_faults: Optional[int] = None,
+    deadline: Optional[float] = None,
+    started: Optional[float] = None,
+) -> CampaignResult:
+    """The one serial campaign loop (paper Figure 4): target, credit, drop.
+
+    A finished random prefix is credited first.  Then, in enumeration order,
+    a fault an earlier sequence already detected is skipped, the loop stops
+    at ``max_target_faults`` targets or at the ``deadline`` (a
+    :func:`time.perf_counter` timestamp), and every other fault gets
+    ``target(index, fault)``, credited via :func:`credit_fault_result`.  A
+    ``None`` outcome (unknown, e.g. a torn journal) leaves it untargeted.
+    :meth:`SequentialDelayATPG.run`, the orchestrator's replay merge and the
+    incremental re-run differ only in ``target``.  ``cpu_seconds`` counts
+    from ``started`` (default: the call).
+    """
+    if started is None:
+        started = time.perf_counter()
+    fault_list = FaultList(universe)
+    campaign = CampaignResult(circuit_name=circuit_name, total_faults=len(fault_list))
+    if prefix_outcome is not None:
+        fault_list.mark_tested(prefix_outcome.detected)
+        campaign.prefix_applied = prefix_outcome.applied
+        campaign.prefix_detected = len(prefix_outcome.detected)
+        campaign.prefix_stop_reason = prefix_outcome.stop_reason
+        campaign.prefix_sequences = prefix_outcome.kept_sequences
+        campaign.pattern_count = sum(seq.pattern_count for seq in campaign.prefix_sequences)
+    for index, fault in enumerate(universe):
+        if fault_list.status(fault) is not FaultStatus.UNTARGETED:
+            continue
+        if max_target_faults is not None and campaign.targeted >= max_target_faults:
+            break
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        result = target(index, fault)
+        if result is not None:
+            campaign.record(result, credit_fault_result(result, fault_list))
+    campaign.finalize(fault_list.counts(), time.perf_counter() - started)
+    return campaign
 
 
 def simulate_state_after_fast(

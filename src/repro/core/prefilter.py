@@ -49,9 +49,9 @@ from repro.algebra.values import pi_value
 from repro.circuit.netlist import Circuit
 from repro.core.flow import simulate_sequence_detections
 from repro.core.randseq import random_test_sequence
-from repro.core.results import CampaignResult, TestSequence
+from repro.core.results import TestSequence
 from repro.core.verify import grade_test_sequence
-from repro.faults.model import FaultList, GateDelayFault
+from repro.faults.model import GateDelayFault
 from repro.fausim.backends import create_simulator, resolve_backend
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
@@ -158,6 +158,23 @@ class PrefixOutcome:
     records: List[PrefixRecord]
     detected: List[GateDelayFault]
     stop_reason: str
+
+    @classmethod
+    def from_journal(
+        cls,
+        prefix_records: Dict[int, Dict[str, object]],
+        prefix_done: Optional[Dict[str, object]],
+    ) -> "PrefixOutcome":
+        """Rebuild the phase from its journal records, in sequence order.
+
+        ``prefix_done`` is the phase's closing record; without it (an
+        interrupted phase) the stop reason is ``None``.
+        """
+        records = [
+            PrefixRecord.from_journal(prefix_records[seq]) for seq in sorted(prefix_records)
+        ]
+        detected = [fault for record in records for fault in record.detections]
+        return cls(records, detected, (prefix_done or {}).get("reason"))
 
     @property
     def applied(self) -> int:
@@ -312,32 +329,27 @@ class RandomPrefixEngine:
                 journals and streams them from here.
         """
         remaining: List[GateDelayFault] = list(faults)
-        remaining_set = set(remaining)
         records: List[PrefixRecord] = []
         detected: List[GateDelayFault] = []
         window: collections.deque = collections.deque(maxlen=self.config.window)
-        next_seq = 0
 
-        for record in replay:
-            if record.seq != next_seq:
-                raise ValueError(
-                    f"prefix records out of order: expected seq {next_seq}, "
-                    f"got {record.seq}"
-                )
-            next_seq += 1
+        def apply(record: PrefixRecord) -> None:
+            nonlocal remaining
             window.append(len(record.detections))
             records.append(record)
-            if self.metrics.enabled:
-                self.metrics.inc("repro_prefix_sequences_total")
-                self.metrics.inc("repro_prefix_candidates_total", record.candidates)
-                self.metrics.inc(
-                    "repro_prefix_detections_total", len(record.detections)
-                )
+            count_prefix_record(self.metrics, record)
             if record.detections:
                 detected.extend(record.detections)
                 dropped = set(record.detections)
-                remaining_set -= dropped
                 remaining = [fault for fault in remaining if fault not in dropped]
+
+        for record in replay:
+            if record.seq != len(records):
+                raise ValueError(
+                    f"prefix records out of order: expected seq {len(records)}, "
+                    f"got {record.seq}"
+                )
+            apply(record)
 
         def _finish(reason: str) -> PrefixOutcome:
             logger.info(
@@ -349,7 +361,7 @@ class RandomPrefixEngine:
         while True:
             if not remaining:
                 return _finish(STOP_EXHAUSTED)
-            if next_seq >= self.config.budget:
+            if len(records) >= self.config.budget:
                 return _finish(STOP_BUDGET)
             if (
                 len(window) == self.config.window
@@ -359,45 +371,22 @@ class RandomPrefixEngine:
             if deadline is not None and time.perf_counter() > deadline:
                 return _finish(STOP_DEADLINE)
 
-            sequence = self.generate_sequence(next_seq, remaining[0])
+            sequence = self.generate_sequence(len(records), remaining[0])
             credited, candidates = self.evaluate(sequence, remaining)
             record = PrefixRecord(
-                seq=next_seq,
+                seq=len(records),
                 candidates=candidates,
                 detections=credited,
                 sequence=sequence if credited else None,
             )
-            next_seq += 1
-            window.append(len(credited))
-            records.append(record)
-            if self.metrics.enabled:
-                self.metrics.inc("repro_prefix_sequences_total")
-                self.metrics.inc("repro_prefix_candidates_total", candidates)
-                self.metrics.inc("repro_prefix_detections_total", len(credited))
-            if credited:
-                detected.extend(credited)
-                dropped = set(credited)
-                remaining_set -= dropped
-                remaining = [fault for fault in remaining if fault not in dropped]
+            apply(record)
             if on_record is not None:
                 on_record(record)
 
 
-def apply_prefix_outcome(
-    campaign: CampaignResult, fault_list: FaultList, outcome: PrefixOutcome
-) -> None:
-    """Fold a finished prefix phase into the campaign bookkeeping.
-
-    Marks every credited fault tested, seeds the campaign's prefix counters
-    and counts the kept sequences' patterns — the one crediting path shared
-    by the serial hybrid flow (:meth:`~repro.core.flow.SequentialDelayATPG.run`)
-    and the orchestrator's replay merge, which is what keeps hybrid results
-    bit-identical across worker counts and resumes.
-    """
-    fault_list.mark_tested(outcome.detected)
-    campaign.prefix_applied = outcome.applied
-    campaign.prefix_detected = len(outcome.detected)
-    campaign.prefix_stop_reason = outcome.stop_reason
-    for sequence in outcome.kept_sequences:
-        campaign.prefix_sequences.append(sequence)
-        campaign.pattern_count += sequence.pattern_count
+def count_prefix_record(metrics, record: PrefixRecord) -> None:
+    """Count one applied prefix sequence on a metrics registry."""
+    if metrics.enabled:
+        metrics.inc("repro_prefix_sequences_total")
+        metrics.inc("repro_prefix_candidates_total", record.candidates)
+        metrics.inc("repro_prefix_detections_total", len(record.detections))

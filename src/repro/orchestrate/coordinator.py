@@ -24,14 +24,15 @@ same circuit and fault universe.  Three mechanisms combine to get there:
    order could do.
 
 3. **Deterministic replay merge.**  After the workers finish, the
-   coordinator replays the serial campaign loop over the fault universe in
-   enumeration order, using the recorded results as a memo table: recorded
-   detections (from the serial TDsim criterion) decide fault dropping exactly
-   as ``run()`` would, speculative records the serial order never reaches are
-   discarded, and the rare fault a worker over-dropped (its gross-delay
-   pre-filter fired where TDsim's detections would not) is recomputed
-   serially on the spot.  The merged Table 3 row is therefore independent of
-   worker count and scheduling by construction.
+   coordinator runs the serial campaign loop itself,
+   :func:`~repro.core.flow.run_campaign_loop`, with a ``target`` that reads
+   the recorded results: recorded detections (from the serial TDsim
+   criterion) decide fault dropping exactly as ``run()`` would, speculative
+   records the serial order never reaches are never read, and the rare
+   fault no worker computed (dropped on the strength of a discarded
+   speculative record, or capped out) is recomputed serially on the spot.
+   The merged Table 3 row is therefore independent of worker count and
+   scheduling by construction.
 
 Every record is journaled (JSONL, see :mod:`repro.orchestrate.journal`), so a
 killed campaign resumes: already-recorded faults are not re-targeted, their
@@ -50,16 +51,18 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.core.flow import SequentialDelayATPG, credit_fault_result
+from repro.core.flow import SequentialDelayATPG, run_campaign_loop
 from repro.core.results import CampaignResult, FaultResult
-from repro.faults.model import FaultList, FaultStatus, GateDelayFault, enumerate_delay_faults
+from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, resolve_metrics
 from repro.obs.tracing import FaultCost, fold_cost
 from repro.orchestrate.journal import (
     CampaignJournal,
     JournalSegment,
     campaign_digest,
+    fault_record,
     load_segments,
+    record_result,
 )
 from repro.orchestrate.partition import PARTITION_MODES, derive_shard_seed, plan_shards
 from repro.orchestrate.worker import worker_main
@@ -419,31 +422,21 @@ class CampaignOrchestrator:
         prefix_cfg = self.config.prefix_config()
         if prefix_cfg is None:
             return None
-        from repro.core.prefilter import PrefixOutcome, PrefixRecord, RandomPrefixEngine
+        from repro.core.prefilter import (
+            PrefixOutcome,
+            PrefixRecord,
+            RandomPrefixEngine,
+            count_prefix_record,
+        )
 
-        replay = [
-            PrefixRecord.from_journal(prefix_records[seq])
-            for seq in sorted(prefix_records)
-        ]
+        journaled = PrefixOutcome.from_journal(prefix_records, prefix_done)
         if prefix_done is not None:
-            # Phase A already finished in an earlier run: rebuild its outcome
+            # Phase A already finished in an earlier run: its outcome comes
             # from the journal alone.  The prefix counters are replayed too,
             # so a resumed campaign's aggregates match an uninterrupted one.
-            if self.metrics.enabled:
-                for record in replay:
-                    self.metrics.inc("repro_prefix_sequences_total")
-                    self.metrics.inc(
-                        "repro_prefix_candidates_total", record.candidates
-                    )
-                    self.metrics.inc(
-                        "repro_prefix_detections_total", len(record.detections)
-                    )
-            detected = [fault for record in replay for fault in record.detections]
-            return PrefixOutcome(
-                records=replay,
-                detected=detected,
-                stop_reason=str(prefix_done["reason"]),
-            )
+            for record in journaled.records:
+                count_prefix_record(self.metrics, record)
+            return journaled
 
         engine = RandomPrefixEngine(
             self.circuit,
@@ -460,7 +453,7 @@ class CampaignOrchestrator:
                 raise CampaignInterrupted(self.circuit.name, record.seq + 1)
 
         with self.metrics.timed("repro_phase_seconds", phase="prefix"):
-            outcome = engine.run(universe, replay=replay, on_record=on_record)
+            outcome = engine.run(universe, replay=journaled.records, on_record=on_record)
         self._emit(
             journal,
             {
@@ -648,60 +641,19 @@ class CampaignOrchestrator:
     ) -> CampaignResult:
         """Replay the serial campaign loop over the recorded per-fault results.
 
-        This *is* ``SequentialDelayATPG.run`` with ``target_fault`` memoised
-        by the records: same enumeration order, same skip rule (a fault
-        already credited by an earlier sequence's detections is never
-        targeted), same crediting via
-        :func:`~repro.core.flow.credit_fault_result`.  A fault the serial
-        order needs but no worker computed (over-dropped) is recomputed here.
+        This is :func:`~repro.core.flow.run_campaign_loop` with a ``target``
+        that reads the records: speculative records the serial order never
+        reaches are never read, and a fault the serial order needs but no
+        worker computed (over-dropped or capped out) is recomputed here.
         """
-        fault_list = FaultList(universe)
-        campaign = CampaignResult(
-            circuit_name=self.circuit.name, total_faults=len(universe)
-        )
-        if prefix_outcome is not None:
-            # The same crediting path the serial hybrid flow uses: prefix
-            # detections are marked tested before the loop, so Phase B's
-            # enumeration skips them exactly as ``run(prefix=...)`` would.
-            from repro.core.prefilter import apply_prefix_outcome
-
-            apply_prefix_outcome(campaign, fault_list, prefix_outcome)
         self.recomputed = 0
-        for index, fault in enumerate(universe):
-            if fault_list.status(fault) is not FaultStatus.UNTARGETED:
-                continue
-            if max_target_faults is not None and campaign.targeted >= max_target_faults:
-                break
+
+        def target(index: int, fault: GateDelayFault) -> FaultResult:
             record = records.get(index)
-            cost_payload: Optional[Dict[str, object]] = None
             if record is None:
-                if self._stop_requested():
-                    raise CampaignInterrupted(self.circuit.name, len(records))
-                result = self._fallback(fault)
-                self.recomputed += 1
-                fallback_atpg = self._fallback_atpg
-                if fallback_atpg is not None and fallback_atpg.cost_log:
-                    cost_payload = fallback_atpg.cost_log.pop().to_json()
-                fallback_record = {
-                    "type": "fault",
-                    "index": index,
-                    "worker": -1,  # recomputed by the coordinator
-                    "result": _result_payload(result),
-                    "detections": [
-                        detection.to_json()
-                        for detection in result.additionally_detected
-                    ],
-                }
-                if cost_payload is not None:
-                    fallback_record["cost"] = cost_payload
-                self._emit(journal, fallback_record)
-            else:
-                result = FaultResult.from_json(record["result"])
-                result.additionally_detected = [
-                    GateDelayFault.from_json(payload)
-                    for payload in record["detections"]
-                ]
-                cost_payload = record.get("cost")
+                record = self._recompute(index, fault, journal, len(records))
+            result = record_result(record)
+            cost_payload = record.get("cost")
             if self.metrics.enabled and cost_payload is not None:
                 # Only the records the serial order actually reaches are
                 # folded — speculative worker records are discarded with
@@ -710,9 +662,16 @@ class CampaignOrchestrator:
                 cost = FaultCost.from_json(cost_payload)
                 fold_cost(self.metrics, cost)
                 self.fault_costs.append(cost)
-            newly = credit_fault_result(result, fault_list)
-            campaign.record(result, newly)
-        campaign.finalize(fault_list.counts(), time.perf_counter() - started)
+            return result
+
+        campaign = run_campaign_loop(
+            self.circuit.name,
+            universe,
+            target,
+            prefix_outcome=prefix_outcome,
+            max_target_faults=max_target_faults,
+            started=started,
+        )
         logger.info(
             "replay merge done: circuit=%s tested=%d untestable=%d aborted=%d recomputed=%d",
             campaign.circuit_name, campaign.tested, campaign.untestable,
@@ -720,8 +679,16 @@ class CampaignOrchestrator:
         )
         return campaign
 
-    def _fallback(self, fault: GateDelayFault) -> FaultResult:
-        """Serially recompute one fault the optimistic execution skipped."""
+    def _recompute(
+        self,
+        index: int,
+        fault: GateDelayFault,
+        journal: Optional[CampaignJournal],
+        recorded: int,
+    ) -> Dict[str, object]:
+        """Serially target a fault no worker computed; returns its journal record."""
+        if self._stop_requested():
+            raise CampaignInterrupted(self.circuit.name, recorded)
         if self._fallback_atpg is None:
             # A *private* registry: the recomputed fault's cost record is
             # folded into the campaign aggregates exactly like a worker's, so
@@ -732,7 +699,13 @@ class CampaignOrchestrator:
                 metrics=MetricsRegistry() if self.metrics.enabled else None,
                 **self.config.atpg_kwargs(),
             )
-        return self._fallback_atpg.target_fault(fault)
+        atpg = self._fallback_atpg
+        result = atpg.target_fault(fault)
+        self.recomputed += 1
+        cost = atpg.cost_log.pop() if atpg.cost_log else None
+        record = fault_record(index, -1, result, cost)  # worker -1: the coordinator
+        self._emit(journal, record)
+        return record
 
     # ------------------------------------------------------------------ #
     def _load_resume_segment(self, digest: str) -> Optional[JournalSegment]:
@@ -751,16 +724,6 @@ class CampaignOrchestrator:
                 "the settings or the fault universe changed"
             )
         return segment
-
-
-def _result_payload(result: FaultResult) -> Dict[str, object]:
-    """Serialise a result with its raw detections stripped (stored separately)."""
-    detections = result.additionally_detected
-    result.additionally_detected = []
-    try:
-        return result.to_json()
-    finally:
-        result.additionally_detected = detections
 
 
 def run_parallel_campaign(

@@ -49,7 +49,38 @@ import json
 from pathlib import Path
 from typing import Dict, IO, List, Optional, Sequence
 
+from repro.core.results import FaultResult
 from repro.faults.model import GateDelayFault
+
+
+def fault_record(
+    index: int, worker: int, result: FaultResult, cost=None
+) -> Dict[str, object]:
+    """The ``fault`` record of one targeted result (read back by :func:`record_result`).
+
+    The raw detection list travels as a sibling key, and so does the optional
+    :class:`~repro.obs.tracing.FaultCost`, so ``FaultResult.from_json`` stays
+    strict and the replayed results remain bit-identical to a serial campaign.
+    """
+    record: Dict[str, object] = {
+        "type": "fault",
+        "index": index,
+        "worker": worker,
+        "result": dataclasses.replace(result, additionally_detected=[]).to_json(),
+        "detections": [fault.to_json() for fault in result.additionally_detected],
+    }
+    if cost is not None:
+        record["cost"] = cost.to_json()
+    return record
+
+
+def record_result(record: Dict[str, object]) -> FaultResult:
+    """The :class:`FaultResult` of a ``fault`` record, raw detections restored."""
+    result = FaultResult.from_json(record["result"])
+    result.additionally_detected = [
+        GateDelayFault.from_json(payload) for payload in record["detections"]
+    ]
+    return result
 
 
 def campaign_digest(

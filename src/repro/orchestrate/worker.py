@@ -37,6 +37,7 @@ from repro.core.flow import SequentialDelayATPG
 from repro.core.results import FaultResultStatus
 from repro.faults.model import GateDelayFault
 from repro.obs.metrics import MetricsRegistry
+from repro.orchestrate.journal import fault_record
 
 
 class _ShardState:
@@ -120,29 +121,17 @@ def _process_fault(
         return
 
     result = atpg.target_fault(state.faults[index])
-    detections = result.additionally_detected
-    result.additionally_detected = []
     stats["targeted"] += 1
     if result.status is FaultResultStatus.TESTED:
         stats["tested"] += 1
-        state.absorb_detections(index, detections)
+        state.absorb_detections(index, result.additionally_detected)
     elif result.status is FaultResultStatus.UNTESTABLE:
         stats["untestable"] += 1
     else:
         stats["aborted"] += 1
-    record = {
-        "type": "fault",
-        "index": index,
-        "worker": state.worker_id,
-        "result": result.to_json(),
-        "detections": [fault.to_json() for fault in detections],
-    }
-    if atpg.cost_log:
-        # One FaultCost per targeted fault when instrumentation is on; ship
-        # it as a sibling key so FaultResult.from_json stays strict and the
-        # replayed results remain bit-identical to a serial campaign.
-        record["cost"] = atpg.cost_log.pop().to_json()
-    result_queue.put(record)
+    # One FaultCost per targeted fault when instrumentation is on.
+    cost = atpg.cost_log.pop() if atpg.cost_log else None
+    result_queue.put(fault_record(index, state.worker_id, result, cost))
 
 
 def _reset_inherited_signals() -> None:

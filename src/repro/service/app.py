@@ -202,59 +202,16 @@ class AtpgService:
                 job.result_json = cached
                 job.total_faults = cached.get("total_faults")
                 job.add_event({"type": "cache-hit", "key": cache_key})
-            elif spec.incremental_from is not None:
-                # Store-backed incremental re-run: bit-identical to a
-                # from-scratch campaign on the submitted netlist, so the
-                # result is cacheable under the ordinary campaign key.
-                # Always serial — 'jobs' is orchestration-only and absent
-                # from the config digest, so it is ignored here.
-                outcome = await self._in_executor(
-                    self._run_incremental, spec, circuit, config, job_registry
-                )
-                result = outcome.result
-                job.result_json = result.to_json()
-                job.total_faults = result.total_faults
-                job.add_event({"type": "incremental", **outcome.summary()})
-                job.metrics_json = metrics_document(
-                    job_registry.snapshot(),
-                    fault_costs=outcome.costs,
-                    context={"job_id": job.id},
-                )
-                self.results.put(cache_key, job.result_json)
-            elif spec.time_limit_s is not None:
-                # Time-limited jobs run the serial flow (the partial result
-                # depends on wall time, so it is neither journaled for
-                # resume nor inserted into the result cache).
-                result = await self._in_executor(
-                    self._run_serial, spec, circuit, job_registry
-                )
-                job.result_json = result.to_json()
-                job.total_faults = result.total_faults
-                job.metrics_json = metrics_document(
-                    job_registry.snapshot(), context={"job_id": job.id}
-                )
             else:
-                journal_path = self.store.journal_path(job)
-                orchestrator = CampaignOrchestrator(
-                    circuit,
-                    config=config,
-                    journal_path=journal_path,
-                    resume=os.path.exists(journal_path),
-                    on_record=functools.partial(self._on_record, job),
-                    should_stop=lambda: self.shutdown.stopping or job.cancel_requested,
-                    metrics=job_registry,
-                )
-                result = await self._in_executor(
-                    orchestrator.run, None, spec.max_target_faults
-                )
+                result, costs = await self._run_campaign(job, circuit, config, job_registry)
                 job.result_json = result.to_json()
                 job.total_faults = result.total_faults
                 job.metrics_json = metrics_document(
-                    job_registry.snapshot(),
-                    fault_costs=orchestrator.fault_costs,
-                    context={"job_id": job.id},
+                    job_registry.snapshot(), fault_costs=costs, context={"job_id": job.id}
                 )
-                self.results.put(cache_key, job.result_json)
+                if spec.time_limit_s is None:
+                    # A time-limited result depends on wall time: never cached.
+                    self.results.put(cache_key, job.result_json)
             job.status = "done"
             self.store.save_result(job)
         except CampaignInterrupted:
@@ -280,6 +237,35 @@ class AtpgService:
         circuit, net_digest, _ = self.netlists.warm(spec.build_circuit())
         return circuit, net_digest
 
+    async def _run_campaign(self, job: Job, circuit, config, metrics):
+        """Run one uncached campaign; returns ``(result, per-fault costs)``."""
+        spec = job.spec
+        if spec.incremental_from is not None:
+            # Store-backed incremental re-run, bit-identical to a from-scratch
+            # campaign on the submitted netlist.  Always serial: 'jobs' is
+            # orchestration-only and absent from the config digest.
+            outcome = await self._in_executor(
+                self._run_incremental, spec, circuit, config, metrics
+            )
+            job.add_event({"type": "incremental", **outcome.summary()})
+            return outcome.result, outcome.costs
+        if spec.time_limit_s is not None:
+            # Time-limited jobs run the serial flow; the partial result
+            # depends on wall time, so it is not journaled for resume.
+            return await self._in_executor(self._run_serial, spec, circuit, config, metrics)
+        journal_path = self.store.journal_path(job)
+        orchestrator = CampaignOrchestrator(
+            circuit,
+            config=config,
+            journal_path=journal_path,
+            resume=os.path.exists(journal_path),
+            on_record=functools.partial(self._on_record, job),
+            should_stop=lambda: self.shutdown.stopping or job.cancel_requested,
+            metrics=metrics,
+        )
+        result = await self._in_executor(orchestrator.run, None, spec.max_target_faults)
+        return result, orchestrator.fault_costs
+
     @staticmethod
     def _run_incremental(spec: JobSpec, circuit, config, metrics=None) -> object:
         """The store-backed incremental campaign path (runs in the executor)."""
@@ -291,32 +277,20 @@ class AtpgService:
                 store,
                 config,
                 max_target_faults=spec.max_target_faults,
+                time_limit_s=spec.time_limit_s,
                 metrics=metrics,
             )
 
     @staticmethod
-    def _run_serial(spec: JobSpec, circuit, metrics=None) -> object:
+    def _run_serial(spec: JobSpec, circuit, config, metrics=None):
         """The serial time-limited campaign path (runs in the executor)."""
-        atpg = SequentialDelayATPG(
-            circuit,
-            robust=spec.robust,
-            local_backtrack_limit=spec.backtrack_limit,
-            sequential_backtrack_limit=spec.backtrack_limit,
-            metrics=metrics,
-            backend=spec.backend,
-        )
-        prefix = None
-        if spec.rpg_prefix:
-            from repro.core.prefilter import PrefixConfig
-
-            prefix = PrefixConfig(
-                budget=spec.rpg_budget, window=spec.rpg_window, seed=spec.seed
-            )
-        return atpg.run(
+        atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
+        result = atpg.run(
             max_target_faults=spec.max_target_faults,
             time_limit_s=spec.time_limit_s,
-            prefix=prefix,
+            prefix=config.prefix_config(),
         )
+        return result, atpg.cost_log
 
     async def _in_executor(self, fn, *args):
         return await self._loop.run_in_executor(None, functools.partial(fn, *args))

@@ -146,10 +146,11 @@ class JobSpec:
         if self.time_limit_s is not None:
             if self.time_limit_s <= 0:
                 raise ValueError("'time_limit_s' must be > 0")
-            if self.jobs != 1:
+            if self.jobs != 1 and self.incremental_from is None:
                 raise ValueError(
                     "'time_limit_s' requires 'jobs' == 1 (mirrors the CLI: a "
-                    "time-limited campaign runs serially and is not resumable)"
+                    "time-limited campaign runs serially and is not resumable; "
+                    "incremental jobs always run serially)"
                 )
         if self.backend is not None:
             from repro.fausim.backends import available_backends
@@ -159,14 +160,6 @@ class JobSpec:
                     f"unknown backend {self.backend!r}; known: "
                     f"{', '.join(sorted(available_backends()))}"
                 )
-        if self.incremental_from is not None:
-            # The incremental engine is the serial loop with a store-backed
-            # memo; anything that reshapes the loop breaks the bit-identity
-            # contract (mirrors the CLI's --incremental-from conflicts).
-            if self.rpg_prefix:
-                raise ValueError("'incremental_from' does not support 'rpg_prefix'")
-            if self.time_limit_s is not None:
-                raise ValueError("'incremental_from' does not support 'time_limit_s'")
 
     def build_circuit(self) -> Circuit:
         """Materialise the submitted circuit (registry load or bench parse)."""

@@ -8,11 +8,15 @@ The contract is deliberately stronger than "the unchanged cone matches": the
 incremental campaign's :meth:`~repro.core.results.CampaignResult.fingerprint`
 must be **bit-identical to a from-scratch serial campaign on the new
 circuit**.  That works because the incremental run *is* the serial campaign
-loop of :meth:`~repro.core.flow.SequentialDelayATPG.run` — same enumeration
-order, same skip rule, same crediting — with
-:meth:`~repro.core.flow.SequentialDelayATPG.target_fault` memoised from the
-store for the kept faults (the property-based harness in
-``tests/fuzz/test_incremental_fuzz.py`` pins this for random perturbations).
+loop, :func:`~repro.core.flow.run_campaign_loop` — same enumeration order,
+same skip rule, same crediting — with a ``target`` that reads the store for
+the kept faults and calls
+:meth:`~repro.core.flow.SequentialDelayATPG.target_fault` for the rest (the
+property-based harness in ``tests/fuzz/test_incremental_fuzz.py`` pins this
+for random perturbations).  A hybrid campaign's random prefix is not
+memoised: it grades the whole universe, so it runs afresh on the edited
+circuit before the loop, exactly as in a from-scratch run.  A time limit
+cuts the loop like it cuts ``run(time_limit_s=...)``.
 
 Invalidation rule (the correctness argument lives in ``docs/STORE.md``):
 
@@ -54,12 +58,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.circuit.netlist import Circuit
 from repro.core.flow import (
     SequentialDelayATPG,
-    credit_fault_result,
+    run_campaign_loop,
     simulate_sequence_detections,
 )
-from repro.core.results import CampaignResult
+from repro.core.results import CampaignResult, FaultResult
 from repro.core.verify import grade_test_sequence
-from repro.faults.model import FaultList, FaultStatus, GateDelayFault, enumerate_delay_faults
+from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.fausim.compile import NetlistDelta, compile_circuit, diff_compiled
 from repro.obs.tracing import fold_cost
 from repro.store.store import BaseCampaign, CampaignStore
@@ -202,6 +206,7 @@ def run_incremental(
     config,
     *,
     max_target_faults: Optional[int] = None,
+    time_limit_s: Optional[float] = None,
     metrics=None,
     base: Optional[BaseCampaign] = None,
 ) -> IncrementalOutcome:
@@ -211,16 +216,12 @@ def run_incremental(
     carrying the generation settings and the simulation ``backend``; the
     base campaign is located (and digest-validated) in the store by circuit
     name and config payload.  The returned campaign is fingerprint-identical
-    to ``SequentialDelayATPG(circuit, **config.atpg_kwargs()).run(...)`` on
-    the new circuit.
-
-    Random-prefix campaigns are not supported: the prefix phase is seeded
-    over the *whole* universe, so there is no cone argument for reusing it —
-    re-run those from scratch.
+    to ``SequentialDelayATPG(circuit, **config.atpg_kwargs()).run(
+    prefix=config.prefix_config(), time_limit_s=...)`` on the new circuit
+    (a time-limited run only up to where the wall clock cuts it).
     """
-    if getattr(config, "rpg_prefix", False):
-        raise ValueError("incremental re-runs do not support --rpg-prefix campaigns")
     started = time.perf_counter()
+    deadline = started + time_limit_s if time_limit_s is not None else None
     if base is None:
         base = store.find_base(circuit.name, config)
     delta = diff_compiled(compile_circuit(base.circuit), compile_circuit(circuit))
@@ -236,45 +237,48 @@ def run_incremental(
     residue_gross_covered = regrade_residue(
         circuit, records, kept_order, residue, atpg.backend
     )
+    prefix = config.prefix_config()
+    prefix_outcome = (
+        atpg.run_prefix(universe, prefix, deadline=deadline) if prefix is not None else None
+    )
 
-    fault_list = FaultList(universe)
-    campaign = CampaignResult(circuit_name=circuit.name, total_faults=len(universe))
     reused = retargeted = 0
-    for fault in universe:
-        if fault_list.status(fault) is not FaultStatus.UNTARGETED:
-            continue
-        if max_target_faults is not None and campaign.targeted >= max_target_faults:
-            break
+
+    def target(_index: int, fault: GateDelayFault) -> FaultResult:
+        nonlocal reused, retargeted
         name = str(fault)
         record = records.get(name) if name in kept_names else None
-        if record is not None:
-            result = record.build_result()
-            if (
-                result.tested
-                and result.sequence is not None
-                and atpg.enable_fault_simulation
-            ):
-                # Detections range over the whole circuit, so the stored
-                # list is recomputed on the edited netlist — content *and*
-                # order then match the from-scratch run by construction.
-                _refit_sequence(result.sequence, circuit, atpg.fill_value)
-                with registry.timed("repro_phase_seconds", phase="tdsim"):
-                    result.additionally_detected = simulate_sequence_detections(
-                        circuit, atpg.context, atpg.fault_simulator,
-                        result.sequence, atpg.backend,
-                    )
-            reused += 1
-            if registry.enabled:
-                cost = record.build_cost()
-                if cost is not None:
-                    fold_cost(registry, cost)
-                    atpg.cost_log.append(cost)
-        else:
-            result = atpg.target_fault(fault)
+        if record is None:
             retargeted += 1
-        newly = credit_fault_result(result, fault_list)
-        campaign.record(result, newly)
-    campaign.finalize(fault_list.counts(), time.perf_counter() - started)
+            return atpg.target_fault(fault, deadline=deadline)
+        result = record.build_result()
+        if result.tested and result.sequence is not None and atpg.enable_fault_simulation:
+            # Detections range over the whole circuit, so the stored list is
+            # recomputed on the edited netlist — content *and* order then
+            # match the from-scratch run by construction.
+            _refit_sequence(result.sequence, circuit, atpg.fill_value)
+            with registry.timed("repro_phase_seconds", phase="tdsim"):
+                result.additionally_detected = simulate_sequence_detections(
+                    circuit, atpg.context, atpg.fault_simulator,
+                    result.sequence, atpg.backend,
+                )
+        reused += 1
+        if registry.enabled:
+            cost = record.build_cost()
+            if cost is not None:
+                fold_cost(registry, cost)
+                atpg.cost_log.append(cost)
+        return result
+
+    campaign = run_campaign_loop(
+        circuit.name,
+        universe,
+        target,
+        prefix_outcome=prefix_outcome,
+        max_target_faults=max_target_faults,
+        deadline=deadline,
+        started=started,
+    )
     return IncrementalOutcome(
         result=campaign,
         base_campaign_id=base.campaign_id,

@@ -39,10 +39,16 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.bench import netlist_digest, parse_bench, write_bench
 from repro.circuit.netlist import Circuit
-from repro.core.results import CampaignResult, FaultResult, TestSequence
+from repro.core.flow import run_campaign_loop
+from repro.core.results import CampaignResult, FaultResult, FaultResultStatus, TestSequence
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.obs.tracing import FaultCost
-from repro.orchestrate.journal import JournalSegment, campaign_digest, load_segments
+from repro.orchestrate.journal import (
+    JournalSegment,
+    campaign_digest,
+    load_segments,
+    record_result,
+)
 from repro.store.schema import connect
 
 
@@ -386,16 +392,8 @@ class CampaignStore:
         }
         fault_results = []
         for r in result_rows:
-            payload = {
-                "fault": json.loads(r["fault_json"]),
-                "status": r["status"],
-                "phase": r["phase"],
-                "sequence": None,
-                "additionally_detected": json.loads(r["detections_json"]),
-                "local_backtracks": r["local_backtracks"],
-                "sequential_backtracks": r["sequential_backtracks"],
-                "attempts": r["attempts"],
-            }
+            payload = _result_row_payload(r)
+            payload["additionally_detected"] = json.loads(r["detections_json"])
             result = FaultResult.from_json(payload)
             if r["sequence_id"] is not None:
                 result.sequence = sequences[r["sequence_id"]]
@@ -476,19 +474,9 @@ class CampaignStore:
         memo: Dict[str, StoredFaultRecord] = {}
         for r in result_rows:
             cost = cost_by_fault.get(r["fault"])
-            payload = {
-                "fault": json.loads(r["fault_json"]),
-                "status": r["status"],
-                "phase": r["phase"],
-                "sequence": None,
-                "additionally_detected": [],
-                "local_backtracks": r["local_backtracks"],
-                "sequential_backtracks": r["sequential_backtracks"],
-                "attempts": r["attempts"],
-            }
             memo[r["fault"]] = StoredFaultRecord(
                 fault=r["fault"],
-                result_json=json.dumps(payload, sort_keys=True),
+                result_json=json.dumps(_result_row_payload(r), sort_keys=True),
                 sequence_json=sequences.get(r["sequence_id"]),
                 detections_json=r["detections_json"],
                 cost_json=json.dumps(cost.to_json(), sort_keys=True) if cost else None,
@@ -645,47 +633,64 @@ class CampaignStore:
         return [dict(row) for row in rows]
 
 
+def _result_row_payload(row) -> Dict[str, object]:
+    """A ``results`` row in ``FaultResult.to_json`` form, without sequence or detections."""
+    return {
+        "fault": json.loads(row["fault_json"]),
+        "status": row["status"],
+        "phase": row["phase"],
+        "sequence": None,
+        "additionally_detected": [],
+        "local_backtracks": row["local_backtracks"],
+        "sequential_backtracks": row["sequential_backtracks"],
+        "attempts": row["attempts"],
+    }
+
+
 def _segment_result(segment: JournalSegment) -> "tuple[CampaignResult, bool]":
     """Materialise a journal segment as ``(CampaignResult, partial)``.
 
     A finished segment returns its recorded final campaign verbatim.  An
     unfinished one (interrupted or torn before the ``result`` record) is
-    reconstructed from the per-fault and prefix records; its ``tested``/
-    ``untestable``/``aborted`` counters are lower bounds over the recorded
-    outcomes only, which is why the row is flagged partial.
+    rebuilt by the campaign loop itself
+    (:func:`~repro.core.flow.run_campaign_loop`) over the recorded outcomes,
+    in enumeration order: a speculative record for a fault an earlier
+    sequence already detected is skipped, so every fault lands in exactly one
+    column.  Faults without a record stay out of every column, so the
+    ``tested``/``untestable``/``aborted`` counters are lower bounds, which is
+    why the row is flagged partial.
     """
     if segment.final is not None:
         return CampaignResult.from_json(segment.final["campaign"]), False
+    from repro.core.prefilter import PrefixOutcome
+
     total = int(segment.header.get("total_faults", 0))
-    campaign = CampaignResult(circuit_name=segment.circuit, total_faults=total)
-    detected = set()
-    for seq_index in sorted(segment.prefix_records):
-        record = segment.prefix_records[seq_index]
-        campaign.prefix_applied += 1
-        for payload in record.get("detections", []):
-            detected.add(str(GateDelayFault.from_json(payload)))
-        sequence = record.get("sequence")
-        if sequence is not None:
-            sequence = TestSequence.from_json(sequence)
-            campaign.prefix_sequences.append(sequence)
-            campaign.pattern_count += sequence.pattern_count
-    campaign.prefix_detected = len(detected)
-    if segment.prefix_done is not None:
-        campaign.prefix_stop_reason = segment.prefix_done.get("reason")
+    prefix = PrefixOutcome.from_journal(segment.prefix_records, segment.prefix_done)
+    recorded: Dict[GateDelayFault, Dict[str, object]] = {}
     for index in sorted(segment.fault_records):
         record = segment.fault_records[index]
-        result = FaultResult.from_json(record["result"])
-        result.additionally_detected = [
-            GateDelayFault.from_json(payload) for payload in record["detections"]
-        ]
-        if result.tested:
-            detected.add(str(result.fault))
-            for fault in result.additionally_detected:
-                detected.add(str(fault))
-        elif result.status.value == "untestable":
-            campaign.untestable += 1
-        else:
-            campaign.aborted += 1
-        campaign.record(result, 0)
-    campaign.tested = len(detected)
+        recorded.setdefault(GateDelayFault.from_json(record["result"]["fault"]), record)
+    detections = [f for r in recorded.values() for f in record_result(r).additionally_detected]
+    # Recorded faults keep their enumeration order; a fault known only as a
+    # detection is never targeted here, so where it sits does not matter.
+    universe = list(dict.fromkeys([*recorded, *prefix.detected, *detections]))
+    if not universe:  # torn before any detection or outcome was recorded
+        campaign = CampaignResult(circuit_name=segment.circuit, total_faults=total)
+        campaign.prefix_applied, campaign.prefix_stop_reason = prefix.applied, prefix.stop_reason
+        return campaign, True
+
+    def target(_index: int, fault: GateDelayFault) -> Optional[FaultResult]:
+        record = recorded.get(fault)
+        return None if record is None else record_result(record)
+
+    campaign = run_campaign_loop(segment.circuit, universe, target, prefix_outcome=prefix)
+    # The loop counts untargeted faults as aborted; here only recorded aborts
+    # count (a reached abort may still have been detected by a later record).
+    results = campaign.fault_results
+    tested = {f for r in results if r.tested for f in (r.fault, *r.additionally_detected)}
+    campaign.aborted = sum(
+        r.status is FaultResultStatus.ABORTED and r.fault not in tested for r in results
+    )
+    campaign.total_faults = total
+    campaign.cpu_seconds = 0.0
     return campaign, True

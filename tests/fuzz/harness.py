@@ -835,10 +835,11 @@ class IncrementalFuzzCase:
     """One serialisable incremental-equivalence check.
 
     A base circuit, a single-edit perturbation and the campaign settings
-    (robustness mode, simulation ``backend``, optional base-campaign cap).
-    :func:`check_incremental_case` runs the base campaign, ingests it into a
-    throwaway store, and asserts the incremental re-run on the perturbed
-    circuit is fingerprint-identical to a from-scratch campaign.
+    (robustness mode, simulation ``backend``, optional base-campaign cap,
+    optional random prefix).  :func:`check_incremental_case` runs the base
+    campaign, ingests it into a throwaway store, and asserts the incremental
+    re-run on the perturbed circuit is fingerprint-identical to a
+    from-scratch campaign.
     """
 
     seed: int
@@ -849,6 +850,10 @@ class IncrementalFuzzCase:
     #: Optional ``max_target_faults`` cap on the *base* campaign, so the
     #: incremental loop's retarget-on-missing-record path is fuzzed too.
     base_cap: Optional[int] = None
+    #: Hybrid campaigns: a small random prefix runs before the deterministic
+    #: phase of all three campaigns.  Off by default, so corpus cases written
+    #: before the field existed replay unchanged.
+    rpg: bool = False
 
     def to_json(self) -> Dict[str, object]:
         """JSON representation (see :meth:`from_json`)."""
@@ -860,6 +865,7 @@ class IncrementalFuzzCase:
             "robust": self.robust,
             "backend": self.backend,
             "base_cap": self.base_cap,
+            "rpg": self.rpg,
         }
 
     @classmethod
@@ -872,6 +878,7 @@ class IncrementalFuzzCase:
             robust=payload.get("robust", True),
             backend=payload.get("backend"),
             base_cap=payload.get("base_cap"),
+            rpg=payload.get("rpg", False),
         )
 
 
@@ -887,6 +894,8 @@ def generate_incremental_case(seed: int) -> IncrementalFuzzCase:
         robust=rng.random() < 0.6,
         backend=rng.choice(list(available_backends())),
         base_cap=rng.randint(3, 12) if rng.random() < 0.25 else None,
+        # Drawn last, so every earlier field of a seed's case is unchanged.
+        rpg=rng.random() < 0.3,
     )
 
 
@@ -895,6 +904,7 @@ def _incremental_config(case: IncrementalFuzzCase):
 
     Tight backtrack limits keep each of the three campaigns per check cheap;
     they are part of the config digest, so base and re-run agree on them.
+    A hybrid case adds a short random prefix (budget 16, window 4).
     """
     from repro.orchestrate.coordinator import OrchestratorConfig
 
@@ -905,6 +915,9 @@ def _incremental_config(case: IncrementalFuzzCase):
         local_backtrack_limit=8,
         sequential_backtrack_limit=8,
         max_local_retries=2,
+        rpg_prefix=case.rpg,
+        rpg_budget=16,
+        rpg_window=4,
     )
 
 
@@ -937,10 +950,11 @@ def check_incremental_case(case: IncrementalFuzzCase) -> List[str]:
     old = case.circuit.build()
     new = case.perturb.apply(case.circuit).build()
 
+    prefix = config.prefix_config()
     base_result = SequentialDelayATPG(old, **config.atpg_kwargs()).run(
-        max_target_faults=case.base_cap
+        max_target_faults=case.base_cap, prefix=prefix
     )
-    scratch = SequentialDelayATPG(new, **config.atpg_kwargs()).run()
+    scratch = SequentialDelayATPG(new, **config.atpg_kwargs()).run(prefix=prefix)
 
     with tempfile.TemporaryDirectory() as tmp:
         store = CampaignStore(os.path.join(tmp, "store.sqlite"))
@@ -1024,6 +1038,10 @@ def _shrink_incremental_candidates(
     if case.base_cap is not None:
         variant = clone()
         variant.base_cap = None
+        variants.append(variant)
+    if case.rpg:
+        variant = clone()
+        variant.rpg = False
         variants.append(variant)
     return variants
 

@@ -4,10 +4,10 @@ Each seed deterministically generates one
 :class:`tests.fuzz.harness.IncrementalFuzzCase` — a random synchronous
 circuit, a random single-edit perturbation (gate type flip, fanin rewire,
 added or removed gate) and random campaign settings (robustness mode,
-simulation backend, optional base-campaign cap) — and asserts the
-store-backed incremental re-run is fingerprint-identical to a from-scratch
-campaign on the perturbed circuit, with the residue exactly the
-influence-cone intersection.
+simulation backend, optional base-campaign cap, optional random prefix) —
+and asserts the store-backed incremental re-run is fingerprint-identical to
+a from-scratch campaign on the perturbed circuit, with the residue exactly
+the influence-cone intersection.
 
 The default budget keeps the suite inside tier-1 time (each case runs three
 small campaigns); CI pushes and the nightly cron extend it via
@@ -71,6 +71,11 @@ def test_incremental_shrinker_preserves_validity():
     variants = _shrink_incremental_candidates(case)
     assert variants, "generator produced an unshrinkable case"
     assert any(_is_valid_incremental(variant) for variant in variants)
+
+
+def test_hybrid_cases_reachable():
+    """The default seed budget includes hybrid (random-prefix) cases."""
+    assert any(generate_incremental_case(seed).rpg for seed in range(FUZZ_BUDGET))
 
 
 def test_perturbation_kinds_all_reachable():

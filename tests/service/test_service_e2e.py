@@ -424,18 +424,57 @@ def test_incremental_job_mismatched_store_fails_cleanly(daemon, s27_store):
     assert client.get("/status")[0] == 200
 
 
-def test_incremental_job_rejects_conflicting_flags(daemon, s27_store):
-    store_path, _ = s27_store
+def _eco_s27():
+    """s27 with the ECO observer edit: AND of the first two PIs at a new PO."""
+    from repro.circuit.gates import GateType
+
+    edited = load_circuit("s27")
+    edited.add_gate("eco_obs", GateType.AND, list(edited.primary_inputs[:2]))
+    edited.add_output("eco_obs")
+    return edited
+
+
+def test_incremental_job_accepts_prefix_and_time_limit(daemon, tmp_path, s27_store):
+    """rpg_prefix and time_limit_s combine with incremental_from.
+
+    The hybrid job matches a from-scratch hybrid campaign; the time-limited
+    job (any 'jobs' value: incremental jobs run serially) is not cached.
+    """
+    import dataclasses
+
+    from repro.circuit.bench import write_bench
+    from repro.core.flow import SequentialDelayATPG
+    from repro.store import CampaignStore
+
+    store_path, config = s27_store
+    hybrid = dataclasses.replace(config, rpg_prefix=True, rpg_budget=32, rpg_window=8)
+    hybrid_store = str(tmp_path / "hybrid.sqlite")
+    base = SequentialDelayATPG(load_circuit("s27"), **hybrid.atpg_kwargs()).run(
+        prefix=hybrid.prefix_config()
+    )
+    with CampaignStore(hybrid_store) as store:
+        store.ingest_result(base, circuit=load_circuit("s27"), config=hybrid)
+    scratch = SequentialDelayATPG(_eco_s27(), **hybrid.atpg_kwargs()).run(
+        prefix=hybrid.prefix_config()
+    )
+
     _, client = daemon
-    status, body = client.post(
-        "/jobs",
-        {"circuit": "s27", "incremental_from": store_path, "rpg_prefix": True},
+    bench = write_bench(_eco_s27())
+    job_id = client.submit(
+        {
+            "bench": bench, "name": "s27", "incremental_from": hybrid_store,
+            "rpg_prefix": True, "rpg_budget": 32, "rpg_window": 8,
+        }
     )
-    assert status == 400
-    assert "rpg_prefix" in body["error"]
-    status, body = client.post(
-        "/jobs",
-        {"circuit": "s27", "incremental_from": store_path, "time_limit_s": 1},
+    assert client.wait(job_id)["status"] == "done"
+    campaign = client.result(job_id)["campaign"]
+    assert campaign["prefix_applied"] > 0
+    assert result_fingerprint(campaign) == result_fingerprint(scratch.to_json())
+
+    job_id = client.submit(
+        {"bench": bench, "name": "s27", "incremental_from": store_path, "time_limit_s": 600}
     )
-    assert status == 400
-    assert "time_limit_s" in body["error"]
+    assert client.wait(job_id)["status"] == "done"
+    rerun = client.submit({"bench": bench, "name": "s27"})
+    client.wait(rerun)
+    assert client.result(rerun)["cache_hit"] is False

@@ -13,9 +13,12 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.circuit.bench import write_bench
+from repro.circuit.bench import parse_bench_file, write_bench
 from repro.circuit.gates import GateType
+from repro.core.flow import SequentialDelayATPG
 from repro.data import load_circuit
+from repro.orchestrate import OrchestratorConfig
+from repro.store import CampaignStore
 
 
 def run_cli(capsys, *argv):
@@ -89,20 +92,74 @@ def test_incremental_matches_direct_run_output(tmp_path, capsys):
     "extra",
     [
         ("--jobs", "2"),
-        ("--rpg-prefix",),
         ("--journal", "j.jsonl"),
         ("--resume", "j.jsonl"),
-        ("--time-limit", "1"),
     ],
 )
 def test_incremental_conflicts_rejected(tmp_path, capsys, extra):
-    """--incremental-from refuses every loop-reshaping flag."""
+    """--incremental-from refuses sharding and journal replay."""
     code, _, err = run_cli(
         capsys, "campaign", "--circuits", "s27",
         "--incremental-from", str(tmp_path / "s.sqlite"), *extra,
     )
     assert code == 2
     assert "--incremental-from is not supported with" in err
+
+
+HYBRID = ("--rpg-prefix", "--rpg-budget", "8", "--rpg-window", "4")
+
+
+def _scratch_fingerprint(bench, extra):
+    """Fingerprint of a from-scratch serial campaign under the CLI ``extra`` flags."""
+    prefix = "--rpg-prefix" in extra
+    config = OrchestratorConfig(jobs=1, rpg_prefix=prefix, rpg_budget=8, rpg_window=4)
+    atpg = SequentialDelayATPG(parse_bench_file(bench), **config.atpg_kwargs())
+    return atpg.run(prefix=config.prefix_config()).fingerprint()
+
+
+def _stored_fingerprint(path, campaign_id=1):
+    """Fingerprint of one campaign as reloaded from a store file."""
+    with CampaignStore(path) as store:
+        return store.load_result(campaign_id).fingerprint()
+
+
+@pytest.mark.parametrize("extra", [HYBRID, ("--time-limit", "600")])
+def test_incremental_accepts_prefix_and_time_limit(tmp_path, capsys, extra):
+    """--rpg-prefix and --time-limit combine with --incremental-from."""
+    store = str(tmp_path / "s.sqlite")
+    rerun_store = str(tmp_path / "rerun.sqlite")
+    assert run_cli(capsys, "campaign", "--circuits", "s27", *extra, "--store", store)[0] == 0
+    bench = _edited_bench(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "campaign", "--circuits", bench, *extra,
+        "--incremental-from", store, "--store", rerun_store,
+    )
+    assert code == 0
+    assert "Incremental re-run — s27" in out
+    assert _stored_fingerprint(rerun_store) == _scratch_fingerprint(bench, extra)
+
+
+def test_hybrid_journal_ingests_and_seeds_incremental(tmp_path, capsys):
+    """A hybrid journal validates under store ingest and seeds a hybrid re-run."""
+    journal = str(tmp_path / "h.jsonl")
+    store = str(tmp_path / "s.sqlite")
+    rerun_store = str(tmp_path / "rerun.sqlite")
+    assert run_cli(
+        capsys, "campaign", "--circuits", "s27", *HYBRID, "--journal", journal
+    )[0] == 0
+    code, out, err = run_cli(
+        capsys, "store", "ingest", "--store", store,
+        "--journal", journal, "--circuits", "s27", *HYBRID,
+    )
+    assert code == 0, err
+    bench = _edited_bench(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "campaign", "--circuits", bench, *HYBRID,
+        "--incremental-from", store, "--store", rerun_store,
+    )
+    assert code == 0
+    assert "Incremental re-run — s27: base campaign #1" in out
+    assert _stored_fingerprint(rerun_store) == _scratch_fingerprint(bench, HYBRID)
 
 
 def test_incremental_rejects_cross_config_store(tmp_path, capsys):

@@ -32,7 +32,8 @@ def _config(**overrides) -> OrchestratorConfig:
 
 def _scratch(circuit, config, metrics=None):
     """From-scratch serial campaign on ``circuit`` under ``config``."""
-    return SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs()).run()
+    atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
+    return atpg.run(prefix=config.prefix_config())
 
 
 def _store_with_base(tmp_path, circuit, config, **ingest_kwargs):
@@ -130,13 +131,33 @@ def test_capped_base_retargets_missing_records(tmp_path):
     assert outcome.result.fingerprint() == base_result.fingerprint()
 
 
-def test_incremental_rejects_rpg_prefix(tmp_path):
-    """Random-prefix campaigns have no cone argument and are refused."""
+@pytest.mark.parametrize("robust", [True, False])
+def test_incremental_hybrid_matches_scratch(tmp_path, robust):
+    """A hybrid re-run runs the prefix afresh and memoises only Phase B."""
+    config = _config(
+        robust=robust, rpg_prefix=True, rpg_budget=32, rpg_window=8, campaign_seed=5
+    )
+    store, _ = _store_with_base(tmp_path, load_circuit("s27"), config)
+    with store:
+        outcome = run_incremental(_with_observer(load_circuit("s27")), store, config)
+    scratch = _scratch(_with_observer(load_circuit("s27")), config)
+    assert outcome.result.fingerprint() == scratch.fingerprint()
+    assert outcome.result.prefix_applied > 0
+    assert outcome.reused > 0
+
+
+def test_incremental_time_limit_cuts_the_loop(tmp_path):
+    """A generous limit changes nothing; an expired one targets nothing."""
     circuit = load_circuit("s27")
-    config = _config(rpg_prefix=True)
-    with CampaignStore(str(tmp_path / "base.sqlite")) as store:
-        with pytest.raises(ValueError, match="rpg-prefix"):
-            run_incremental(circuit, store, config)
+    config = _config()
+    store, _ = _store_with_base(tmp_path, circuit, config)
+    edited = _with_observer(load_circuit("s27"))
+    with store:
+        roomy = run_incremental(edited, store, config, time_limit_s=600.0)
+        expired = run_incremental(edited, store, config, time_limit_s=1e-9)
+    assert roomy.result.fingerprint() == _scratch(edited.copy(), config).fingerprint()
+    assert expired.result.targeted == 0
+    assert expired.result.aborted == expired.result.total_faults
 
 
 def test_incremental_requires_matching_base(tmp_path):

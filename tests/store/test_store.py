@@ -141,6 +141,52 @@ def test_torn_journal_ingests_as_partial(tmp_path, s27_run):
     assert records, "the surviving fault records must still import"
 
 
+def test_partial_journal_counts_each_fault_once(tmp_path):
+    """A speculative record for an already-detected fault is skipped.
+
+    Record 0 (``G0 StR``, tested) detects ``G17 StR``; a worker's
+    speculative aborted record for ``G17 StR`` is never reached in serial
+    order, so the partial row counts two tested faults and nothing aborted.
+    Unrecorded faults stay out of every column.
+    """
+    import json
+
+    from repro.core.results import FaultResult, FaultResultStatus, FlowPhase
+    from repro.faults.model import enumerate_delay_faults
+
+    universe = enumerate_delay_faults(load_circuit("s27"))
+    by_name = {str(fault): fault for fault in universe}
+    g0, g17 = by_name["G0 StR"], by_name["G17 StR"]
+
+    def fault_record(index, fault, status, phase, detections):
+        result = FaultResult(fault=fault, status=status, phase=phase)
+        return {
+            "type": "fault", "index": index, "worker": 0,
+            "result": result.to_json(),
+            "detections": [detection.to_json() for detection in detections],
+        }
+
+    records = [
+        {"type": "campaign", "circuit": "s27", "digest": "synthetic",
+         "total_faults": len(universe)},
+        fault_record(0, g0, FaultResultStatus.TESTED, FlowPhase.COMPLETE, [g0, g17]),
+        fault_record(
+            universe.index(g17), g17, FaultResultStatus.ABORTED, FlowPhase.LOCAL, []
+        ),
+    ]
+    journal = tmp_path / "partial.jsonl"
+    journal.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with CampaignStore(str(tmp_path / "s.sqlite")) as store:
+        (campaign_id,) = store.ingest_journal(str(journal))
+        row = store.campaigns()[0]
+        loaded = store.load_result(campaign_id)
+    assert row["partial"] == 1
+    assert (row["tested"], row["untestable"], row["aborted"]) == (2, 0, 0)
+    assert row["total_faults"] == len(universe)
+    assert [str(result.fault) for result in loaded.fault_results] == ["G0 StR"]
+    assert loaded.targeted == 1
+
+
 def test_journal_ingest_rejects_wrong_settings(tmp_path, s27_run):
     """A journal cannot be imported under a different config digest."""
     circuit, config, result, _ = s27_run
