@@ -92,6 +92,7 @@ def test_incremental_matches_direct_run_output(tmp_path, capsys):
     "extra",
     [
         ("--jobs", "2"),
+        ("--rpg-prefix", "--jobs", "2"),
         ("--journal", "j.jsonl"),
         ("--resume", "j.jsonl"),
     ],
