@@ -128,7 +128,9 @@ def format_profile(
     Three tables: wall time per flow phase (from the
     ``repro_phase_seconds`` timers), the top-N most expensive faults with
     their search-effort attribution, and the abort-reason histogram (from
-    ``repro_fault_aborts_total``).
+    ``repro_fault_aborts_total``).  A line between the first two gives the
+    time spent generating straight-line kernels
+    (``repro_kernel_generate_seconds``), when any kernel tiered up.
     """
     lines: List[str] = [title, ""]
 
@@ -149,6 +151,18 @@ def format_profile(
     if phase_rows:
         lines.extend(_render_table(_PHASE_COLUMNS, phase_rows, title="Time per phase"))
         lines.append("")
+
+    generated = []
+    for key in sorted(snapshot.timers):
+        name, labels = split_metric_key(key)
+        if name == "repro_kernel_generate_seconds":
+            timer = snapshot.timers[key]
+            generated.append(
+                f"{dict(labels).get('kernel', '-')} {timer['sum']:.3f} s"
+                f" (tier-ups {int(timer['count'])})"
+            )
+    if generated:
+        lines.extend([f"Kernel generation: {', '.join(generated)}", ""])
 
     costs = sorted(fault_costs, key=lambda cost: cost.seconds, reverse=True)
     if costs and top_n > 0:

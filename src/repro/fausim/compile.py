@@ -97,6 +97,17 @@ class CompiledCircuit:
         """Number of compiled gate evaluations."""
         return len(self.ops)
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the flat arrays only.
+
+        The generated kernels of :mod:`repro.fausim.kernels` hang off the
+        instance as ``_kernels``; they are per process and are dropped here,
+        so an unpickled circuit starts with cold kernels.
+        """
+        state = dict(self.__dict__)
+        state.pop("_kernels", None)
+        return state
+
 
 #: Process-wide count of actual (cache-missing) netlist lowerings.  The
 #: service layer's cache tests read it to prove that a same-netlist

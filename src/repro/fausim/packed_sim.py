@@ -46,6 +46,7 @@ from repro.fausim.compile import (
     CompiledCircuit,
     compile_circuit,
 )
+from repro.fausim.kernels import kernels_for
 from repro.fausim.logic_sim import FrameResult, SequenceResult, SignalValues
 from repro.obs.metrics import NULL_REGISTRY
 
@@ -103,6 +104,7 @@ class PackedLogicSimulator:
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
         self.compiled: CompiledCircuit = compile_circuit(circuit)
+        self._kernels = kernels_for(self.compiled)
 
     # ------------------------------------------------------------------ #
     # packed core
@@ -113,7 +115,10 @@ class PackedLogicSimulator:
         """Run the gate program in place on pre-loaded source planes.
 
         ``planes`` must carry the PI and PPI planes; every gate output plane
-        is (re)computed.  This is the single hot loop of the backend.
+        is (re)computed.  This is the single hot loop of the backend.  A
+        full-program pass runs the circuit's ``evaluate`` kernel once it has
+        tiered up (:mod:`repro.fausim.kernels`); a cone subset always runs
+        the interpreted loop below.
 
         Args:
             planes: pre-loaded source planes, evaluated in place.
@@ -126,6 +131,16 @@ class PackedLogicSimulator:
         one = planes.one
         mask = (1 << planes.width) - 1
         compiled = self.compiled
+        if self.metrics.enabled:
+            count = compiled.num_gates if gate_indices is None else len(gate_indices)
+            self.metrics.inc(
+                "repro_sim_gate_words_total", count * ((planes.width + 63) // 64)
+            )
+        if gate_indices is None:
+            kernel = self._kernels.select("evaluate", self.metrics)
+            if kernel is not None:
+                kernel(zero, one, mask)
+                return
         fanin_flat = compiled.fanin_flat
         offsets = compiled.fanin_offsets
         outputs = compiled.outputs
@@ -174,11 +189,6 @@ class PackedLogicSimulator:
             out = outputs[index]
             zero[out] = acc_zero
             one[out] = acc_one
-        if self.metrics.enabled:
-            self.metrics.inc(
-                "repro_sim_gate_words_total",
-                len(indices) * ((planes.width + 63) // 64),
-            )
 
     def evaluate_planes_forced(
         self,

@@ -47,6 +47,7 @@ METRIC_HELP: Dict[str, str] = {
     "repro_wavefront_gates_evaluated_total": "Gates evaluated by event-driven set sweeps.",
     "repro_wavefront_gates_skipped_total": "Gates skipped (off the change wavefront) by event-driven set sweeps.",
     "repro_sim_gate_words_total": "Gate evaluations of the packed simulators, in 64-bit word units.",
+    "repro_kernel_generate_seconds": "Straight-line kernel generation time per kernel; the count is the tier-ups.",
     "repro_tdsim_passes_total": "TDsim critical-path-tracing simulation passes.",
     "repro_tdsim_stem_analyses_total": "TDsim exact stem analyses (injection re-simulations).",
     "repro_tdsim_ppo_confirmations_total": "TDsim PPO candidate confirmations (injection + invalidation checks).",

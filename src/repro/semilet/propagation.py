@@ -18,25 +18,24 @@ engine (:mod:`repro.tdgen.implication`): when a frame decision is opened,
 both alternatives are submitted as one candidate batch, which the packed
 engine evaluates in a single word-parallel pass over the compiled netlist
 (good and faulty machine in adjacent pattern slots).  The per-decision search
-residue — the potential-difference scan of the X-path check and the
-D-frontier decision backtrace — goes through the engine's search kernels
-(:mod:`repro.tdgen.search`), so the ``backend`` choice also selects between
-the interpreted walks (``reference``) and the compiled word-parallel scan
-over the packed planes (``packed``, computed once per candidate batch).
+residue — classifying a frame against its goal's observation points (the
+X-path check) and the D-frontier decision backtrace — goes through the
+engine's search kernels (:mod:`repro.tdgen.search`), so the ``backend``
+choice also selects between the interpreted per-name walks (``reference``)
+and one word-parallel analysis pass per candidate batch over the packed
+planes (``packed``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.circuit.netlist import Circuit
 from repro.fausim.logic_sim import SignalValues
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.implication import CandidatePairFrames, create_implication_engine
-
-PairValue = Tuple[Optional[int], Optional[int]]  # (good, faulty)
 
 
 @dataclasses.dataclass
@@ -244,24 +243,24 @@ class PropagationEngine:
 
         stack: List[_FrameDecision] = []
         backtracks = 0
+        targets = self._kernels.pair_frame_targets(goal, blocked_targets)
 
         # Pair simulation of the empty assignment; later frames come from the
-        # decision nodes' candidate batches (one engine sweep per node).  The
-        # (batch, cursor) handle travels alongside the pairs view so the
-        # search kernels can read the packed planes directly.
+        # decision nodes' candidate batches (one engine sweep per node).  A
+        # frame is the (batch, cursor) handle, which the search kernels read.
         root_frames = self._implication.pair_frame_candidates(
             pi_values, good_state, faulty_state, free_ppi_values, (None,)
         )
         if self.metrics.enabled:
             self.metrics.inc("repro_implication_sweeps_total", site="propagation")
         frames, cursor = root_frames, 0
-        pairs = root_frames.pairs(0)
 
         while True:
             if self._expired():
                 return None
-            status = self._classify_frame(pairs, frames, cursor, goal, blocked_targets)
+            status = self._kernels.classify_pair_frame(frames, cursor, targets)
             if status == "success":
+                pairs = frames.pairs(cursor)
                 next_good = {}
                 next_faulty = {}
                 for dff in self.circuit.flip_flops:
@@ -299,7 +298,6 @@ class PropagationEngine:
                         )
                         decision.cursor += 1
                         frames, cursor = decision.frames, decision.cursor
-                        pairs = frames.pairs(cursor)
                         backtracks += 1
                         flipped = True
                         break
@@ -325,7 +323,6 @@ class PropagationEngine:
                     )
                     decision.cursor += 1
                     frames, cursor = decision.frames, decision.cursor
-                    pairs = frames.pairs(cursor)
                     backtracks += 1
                     if backtracks > self.backtrack_limit:
                         return None
@@ -338,7 +335,6 @@ class PropagationEngine:
                         if stack
                         else (root_frames, 0)
                     )
-                    pairs = frames.pairs(cursor)
                 continue
             name, is_pi, preferred = decision_key
             # Evaluate both alternatives of the new decision in one batch.
@@ -353,38 +349,6 @@ class PropagationEngine:
             )
             self._set_frame_var(name, is_pi, preferred, pi_values, free_ppi_values)
             frames, cursor = batch, 0
-            pairs = batch.pairs(0)
-
-    def _classify_frame(
-        self,
-        pairs: Dict[str, PairValue],
-        frames: CandidatePairFrames,
-        cursor: int,
-        goal: str,
-        blocked_targets: Set[str],
-    ) -> str:
-        targets = (
-            self.circuit.primary_outputs
-            if goal == "po"
-            else [ppi for ppi in self.circuit.pseudo_primary_inputs if ppi not in blocked_targets]
-        )
-        achieved = False
-        for target in targets:
-            signal = target if goal == "po" else self.circuit.ppo_of_ppi(target)
-            if _differs(*pairs[signal]):
-                achieved = True
-                break
-        if achieved:
-            return "success"
-        # X-path style check: the difference must still be able to reach a
-        # target.  The potential-difference scan runs through the search
-        # kernels (word-parallel over the whole batch on ``packed``).
-        potential = self._kernels.potential_difference(frames, cursor)
-        for target in targets:
-            signal = target if goal == "po" else self.circuit.ppo_of_ppi(target)
-            if potential.get(signal):
-                return "continue"
-        return "conflict"
 
     @staticmethod
     def _set_frame_var(

@@ -347,10 +347,17 @@ class CampaignStore:
                         "(robust, backtrack limits, seed, ...) changed"
                     )
             result, partial = _segment_result(segment)
+            # Cost rows of the credited faults only, in campaign order, as
+            # ingest_result stores them for a live campaign: a speculative
+            # worker record the serial order never reached keeps its cost out.
+            records: Dict[GateDelayFault, Dict[str, object]] = {}
+            for index in sorted(segment.fault_records):
+                record = segment.fault_records[index]
+                records.setdefault(GateDelayFault.from_json(record["result"]["fault"]), record)
             costs = [
-                FaultCost.from_json(segment.fault_records[index]["cost"])
-                for index in sorted(segment.fault_records)
-                if "cost" in segment.fault_records[index]
+                FaultCost.from_json(records[r.fault]["cost"])
+                for r in result.fault_results
+                if "cost" in records.get(r.fault, {})
             ]
             ids.append(
                 self.ingest_result(

@@ -49,6 +49,7 @@ from repro.circuit.netlist import Circuit, LineKind
 from repro.faults.model import GateDelayFault
 from repro.fausim.backends import PACKED_BACKEND, resolve_backend
 from repro.fausim.compile import CompiledCircuit, compile_circuit
+from repro.fausim.kernels import PairAnalysis, pair_analysis
 from repro.fausim.logic_sim import LogicSimulator, SignalValues
 from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes
 from repro.obs.metrics import NULL_REGISTRY
@@ -695,17 +696,21 @@ class _PackedPairFrames(CandidatePairFrames):
     """Packed pair frames: good/faulty machines in adjacent pattern slots.
 
     ``pairs`` unpacks lazily (most consumers read a handful of signals — the
-    targets, the state register) and :meth:`potential_planes` computes the
-    propagation PODEM's potential-difference scan bit-parallel for every
-    candidate of the batch in one pass over the gate program.
+    targets, the state register) and :meth:`pair_analysis` runs the one
+    analysis pass of the batch (:func:`repro.fausim.kernels.pair_analysis`):
+    the potential-difference, provable-difference and D-frontier columns of
+    every candidate at once, which the packed search kernels read.
     """
 
-    def __init__(self, compiled: CompiledCircuit, planes: PackedPlanes, width: int) -> None:
+    def __init__(
+        self, compiled: CompiledCircuit, planes: PackedPlanes, width: int, metrics
+    ) -> None:
         self._compiled = compiled
         self._planes = planes
         self._width = width
+        self._metrics = metrics
         self._cache: Dict[int, Dict[str, PairValue]] = {}
-        self._potential: Optional[List[int]] = None
+        self._analysis: Optional[PairAnalysis] = None
 
     def __len__(self) -> int:
         return self._width
@@ -743,45 +748,20 @@ class _PackedPairFrames(CandidatePairFrames):
         self._cache[index] = pairs
         return pairs
 
-    def potential_planes(self) -> List[int]:
-        """Per-slot potential-difference column, all candidates at once.
+    def pair_analysis(self) -> PairAnalysis:
+        """The batch's analysis columns, computed on first use and cached.
 
-        Bit ``2i`` of entry ``slot`` says the good and the faulty machine of
-        candidate ``i`` could still disagree on that signal: provably where
-        both machine values are binary and differ, over-approximated through
-        the fanin union where either machine is still X — exactly the
-        reference scan of :meth:`repro.tdgen.search.ReferenceSearchKernels.
-        potential_difference`, evaluated bit-parallel and cached for the
-        whole batch.
+        Bit ``2i`` of each column belongs to candidate ``i``; the potential
+        column is exactly the reference scan of
+        :meth:`repro.tdgen.search.ReferenceSearchKernels.potential_difference`,
+        evaluated bit-parallel for the whole batch.
         """
-        if self._potential is None:
-            compiled = self._compiled
-            zero = self._planes.zero
-            one = self._planes.one
-            full = (1 << self._planes.width) - 1
-            good_mask = full // 3  # bits 0, 2, 4, ...  (0b01 repeated)
-            potential = [0] * compiled.num_signals
-            for slot in compiled.ppi_slots:
-                defined = zero[slot] | one[slot]
-                defined_good = defined & good_mask
-                defined_faulty = (defined >> 1) & good_mask
-                both = defined_good & defined_faulty
-                differs = both & ((one[slot] ^ (one[slot] >> 1)) & good_mask)
-                # Binary/binary pairs differ provably; a binary/X mix could
-                # differ; an X/X pair is the same unknown in both machines.
-                potential[slot] = differs | (defined_good ^ defined_faulty)
-            offsets = compiled.fanin_offsets
-            fanin_flat = compiled.fanin_flat
-            for gate_index, out in enumerate(compiled.outputs):
-                defined = zero[out] | one[out]
-                both = (defined & good_mask) & ((defined >> 1) & good_mask)
-                differs = both & ((one[out] ^ (one[out] >> 1)) & good_mask)
-                acc = 0
-                for position in range(offsets[gate_index], offsets[gate_index + 1]):
-                    acc |= potential[fanin_flat[position]]
-                potential[out] = differs | (acc & ~both & good_mask)
-            self._potential = potential
-        return self._potential
+        if self._analysis is None:
+            self._analysis = pair_analysis(
+                self._compiled, self._planes.zero, self._planes.one,
+                self._planes.width, self._metrics,
+            )
+        return self._analysis
 
 
 class _PackedFrames(CandidateFrames):
@@ -1425,7 +1405,7 @@ class PackedImplicationEngine(ImplicationEngine):
 
         planes = PackedPlanes(zero=zero, one=one, width=width)
         self._logic.evaluate_planes(planes)
-        return _PackedPairFrames(compiled, planes, len(candidates))
+        return _PackedPairFrames(compiled, planes, len(candidates), self.metrics)
 
     # ------------------------------------------------------------------ #
     def frame_candidates(self, pi_values, ppi_values, candidates) -> CandidateFrames:

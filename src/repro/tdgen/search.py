@@ -12,13 +12,15 @@ loop runs between two implications:
   (:meth:`SearchKernels.backtrace`) and in the three-valued form of
   SEMILET's frame justification
   (:meth:`SearchKernels.justification_backtrace`),
-* **the potential-difference scan** — SEMILET propagation's X-path
+* **the pair-frame queries** — SEMILET propagation's X-path
   over-approximation of which signals could still differ between the good
-  and the faulty machine (:meth:`SearchKernels.potential_difference`),
-  plus the pair-frame D-frontier decision built on it
-  (:meth:`SearchKernels.pair_frame_decision`).
+  and the faulty machine (:meth:`SearchKernels.potential_difference`), the
+  frame classification against the goal's observation points
+  (:meth:`SearchKernels.pair_frame_targets`,
+  :meth:`SearchKernels.classify_pair_frame`) and the pair-frame D-frontier
+  decision (:meth:`SearchKernels.pair_frame_decision`).
 
-A :class:`SearchKernels` object bundles those five queries for one
+A :class:`SearchKernels` object bundles those queries for one
 implication engine, and each engine builds its own kernels class: the
 ``reference`` engine's :class:`ReferenceSearchKernels` keep the historical
 interpreted walks (moved here verbatim from ``tdgen/engine.py``,
@@ -31,8 +33,9 @@ objective scan works on a state's extracted slot column, the backtraces are
 iterative worklists over the flat fanin arrays with memoised
 observability-distance weights (frontier ranking) and the memoised backward
 implication of :mod:`repro.algebra.sets` as the controllability store, and
-the potential-difference scan is a bit-parallel sweep computed once per
-candidate batch (all frame pairs of the batch at once).
+the pair-frame queries read the one analysis pass of their candidate batch
+(:func:`repro.fausim.kernels.pair_analysis`: potential, provable-difference
+and D-frontier columns of every frame pair of the batch at once).
 
 Both implementations are **bit-identical by contract** — same frontier
 order, same pin order, same value preferences — so one ``--backend`` choice
@@ -286,6 +289,25 @@ class SearchKernels:
         """Choose the next pair-frame input assignment (D-frontier backtrace)."""
         raise NotImplementedError
 
+    def pair_frame_targets(self, goal: str, blocked_targets: Set[str]) -> Sequence:
+        """The observation points of one frame goal, for :meth:`classify_pair_frame`.
+
+        ``goal`` is ``"po"`` (the primary outputs) or ``"ppo"`` (the data
+        input of every flip-flop whose PPI is not in ``blocked_targets``).
+        The result is opaque to the caller: it is computed once per frame
+        search and handed back to every classification of that search.
+        """
+        raise NotImplementedError
+
+    def classify_pair_frame(self, frames, index: int, targets: Sequence) -> str:
+        """Classify one pair frame against its targets.
+
+        Returns ``"success"`` when the machines provably differ at a target,
+        ``"continue"`` when they could still come to differ at one (the
+        X-path check over :meth:`potential_difference`), else ``"conflict"``.
+        """
+        raise NotImplementedError
+
     # -- SEMILET frame justification (three-valued frames) -------------- #
     def justification_backtrace(
         self,
@@ -490,6 +512,27 @@ class ReferenceSearchKernels(SearchKernels):
                 return (ppi, False, 0)
         return None
 
+    def pair_frame_targets(self, goal, blocked_targets):
+        """Target signal names, mapped through ``ppo_of_ppi`` for PPO goals."""
+        circuit = self.circuit
+        if goal == "po":
+            return list(circuit.primary_outputs)
+        return [
+            circuit.ppo_of_ppi(ppi)
+            for ppi in circuit.pseudo_primary_inputs
+            if ppi not in blocked_targets
+        ]
+
+    def classify_pair_frame(self, frames, index, targets):
+        """Per-name check of the pair values, then of the potential scan."""
+        pairs = frames.pairs(index)
+        if any(_differs(*pairs[signal]) for signal in targets):
+            return "success"
+        potential = self.potential_difference(frames, index)
+        if any(potential.get(signal) for signal in targets):
+            return "continue"
+        return "conflict"
+
     def _pair_d_frontier(self, pairs: Mapping[str, PairValue]) -> List[str]:
         frontier = []
         for name, fanin in self._rows():
@@ -644,8 +687,8 @@ class PackedSearchKernels(SearchKernels):
     objective scan reads a packed state's extracted slot column (cached on
     the state, shared with the incremental implication sweeps), the
     backtraces walk ``fanin_flat`` with memoised observability-distance
-    ranks, and the potential-difference scan is computed bit-parallel for
-    a whole candidate batch in one pass and cached on the batch.  Every
+    ranks, and the pair-frame queries read the batch's pair analysis
+    (computed bit-parallel in one pass and cached on the batch).  Every
     result is bit-identical to :class:`ReferenceSearchKernels` — same
     frontier order, same pin preferences — which the differential suite
     enforces.  The kernels read only the states and frames of their own
@@ -660,7 +703,15 @@ class PackedSearchKernels(SearchKernels):
         self._n_ppi = len(compiled.ppi_slots)
         #: GateType per gate-program index (for the backward implication).
         self._gate_types: List[GateType] = [_TYPE_OF_OP[op] for op in compiled.ops]
+        #: Controlling value and inversion parity per gate-program index.
+        self._controlling = [controlling_value(kind) for kind in self._gate_types]
+        self._parity = [inversion_parity(kind) for kind in self._gate_types]
         self._rank_cache: Dict[bool, List[int]] = {}
+        #: (PPI name, PPO data slot) per flip-flop: the ``"ppo"`` goal targets.
+        self._ppo_targets: Tuple[Tuple[str, int], ...] = tuple(
+            (compiled.signal_names[ppi_slot], data_slot)
+            for ppi_slot, data_slot in zip(compiled.ppi_slots, compiled.dff_data_slots)
+        )
 
     # -- shared helpers -------------------------------------------------- #
     def _ranks(self, prefer_po_observation: bool) -> List[int]:
@@ -844,46 +895,48 @@ class PackedSearchKernels(SearchKernels):
 
     # -- SEMILET propagation --------------------------------------------- #
     def potential_difference(self, frames, index):
-        """Bit-parallel scan, computed once per candidate batch."""
-        return _PotentialView(frames.potential_planes(), self.compiled.slot_of, index)
+        """The potential column of the batch's pair analysis."""
+        return _PotentialView(frames.pair_analysis().potential, self.compiled.slot_of, index)
+
+    def pair_frame_targets(self, goal, blocked_targets):
+        """Target slots: the PO slots, or the PPO data slots left unblocked."""
+        if goal == "po":
+            return self.compiled.po_slots
+        return tuple(
+            slot for ppi, slot in self._ppo_targets if ppi not in blocked_targets
+        )
+
+    def classify_pair_frame(self, frames, index, targets):
+        """OR of the provable, then the potential column over the target slots."""
+        analysis = frames.pair_analysis()
+        bit = 1 << (2 * index)
+        provable = analysis.provable
+        for slot in targets:
+            if provable[slot] & bit:
+                return "success"
+        potential = analysis.potential
+        for slot in targets:
+            if potential[slot] & bit:
+                return "continue"
+        return "conflict"
 
     def pair_frame_decision(self, frames, index, pi_values, free_ppi_values):
-        """Compiled pair-frame D-frontier scan plus backtrace."""
+        """Backtrace from the candidate's D-frontier gates of the pair analysis."""
         planes = frames.packed_planes()
         zero = planes.zero
         one = planes.one
         good_bit = 1 << (2 * index)
-        faulty_bit = good_bit << 1
-        both_bits = good_bit | faulty_bit
+        both_bits = good_bit | (good_bit << 1)
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat
-        outputs = compiled.outputs
 
-        for gate_index in range(len(outputs)):
-            out = outputs[gate_index]
-            defined = zero[out] | one[out]
-            if defined & good_bit and defined & faulty_bit:
+        for gate_index, mask in frames.pair_analysis().frontier:
+            if not mask & good_bit:
                 continue
-            start = offsets[gate_index]
-            end = offsets[gate_index + 1]
-            on_frontier = False
-            for position in range(start, end):
-                slot = fanin_flat[position]
-                defined_in = zero[slot] | one[slot]
-                if (
-                    defined_in & good_bit
-                    and defined_in & faulty_bit
-                    and bool(one[slot] & good_bit) != bool(one[slot] & faulty_bit)
-                ):
-                    on_frontier = True
-                    break
-            if not on_frontier:
-                continue
-            gate_type = self._gate_types[gate_index]
-            ctrl = controlling_value(gate_type)
+            ctrl = self._controlling[gate_index]
             non_ctrl = 1 - ctrl if ctrl is not None else 1
-            for position in range(start, end):
+            for position in range(offsets[gate_index], offsets[gate_index + 1]):
                 slot = fanin_flat[position]
                 if (zero[slot] | one[slot]) & both_bits:
                     continue  # not an X/X pair
@@ -916,6 +969,8 @@ class PackedSearchKernels(SearchKernels):
         fanin_flat = compiled.fanin_flat
         signal_names = compiled.signal_names
         ops = compiled.ops
+        controlling = self._controlling
+        parity = self._parity
         n_pi = self._n_pi
         n_sources = n_pi + self._n_ppi
         desired = target
@@ -931,10 +986,9 @@ class PackedSearchKernels(SearchKernels):
                     return (name, False, desired)
                 return None
             gate_index = compiled.gate_index_of[slot]
-            gate_type = self._gate_types[gate_index]
             start = offsets[gate_index]
             if ops[gate_index] in (OP_NOT, OP_BUF):
-                desired ^= inversion_parity(gate_type)
+                desired ^= parity[gate_index]
                 slot = fanin_flat[start]
                 continue
             end = offsets[gate_index + 1]
@@ -946,8 +1000,8 @@ class PackedSearchKernels(SearchKernels):
                     break
             if first_x < 0:
                 return None
-            ctrl = controlling_value(gate_type)
-            desired_core = desired ^ inversion_parity(gate_type)
+            ctrl = controlling[gate_index]
+            desired_core = desired ^ parity[gate_index]
             slot = first_x
             if ctrl is None:
                 desired = desired_core

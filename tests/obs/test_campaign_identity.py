@@ -133,3 +133,47 @@ def test_fold_of_shard_costs_equals_orchestrator_registry(s27):
     assert deterministic_counters(folded) == deterministic_counters(
         orchestrator.metrics
     )
+
+
+def test_kernel_tier_ups_are_observed_without_perturbing_results(monkeypatch):
+    """Generated passes count the same gate words; each tier-up is timed.
+
+    The same s27 campaign runs once with every kernel kept cold and once
+    with every kernel generated on its first pass: the results and the
+    deterministic counters (gate words included) agree, the generated run
+    records one generation timing per kernel, and ``--profile`` prints them
+    on one line.
+    """
+    from repro.core.reporting import format_profile
+    from repro.data import load_circuit
+    from repro.fausim import kernels
+
+    runs = []
+    for tier_up in (10**9, 0):
+        monkeypatch.setattr(kernels, "TIER_UP_PASSES", tier_up)
+        registry = MetricsRegistry()
+        campaign = SequentialDelayATPG(load_circuit("s27"), metrics=registry).run()
+        runs.append((_fingerprint(campaign), registry))
+    (cold_fingerprint, cold), (generated_fingerprint, generated) = runs
+    assert generated_fingerprint == cold_fingerprint
+    assert deterministic_counters(generated) == deterministic_counters(cold)
+    assert generated.counter_sum("repro_sim_gate_words_total") > 0
+
+    timers = {
+        key: timer
+        for key, timer in generated.snapshot().timers.items()
+        if key.startswith("repro_kernel_generate_seconds")
+    }
+    assert sorted(timers) == [
+        'repro_kernel_generate_seconds{kernel="evaluate"}',
+        'repro_kernel_generate_seconds{kernel="pair_analysis"}',
+    ]
+    assert all(timer["count"] == 1 and timer["sum"] > 0 for timer in timers.values())
+    assert not any(
+        key.startswith("repro_kernel_generate_seconds") for key in cold.snapshot().timers
+    )
+
+    report = format_profile(generated.snapshot())
+    (line,) = [line for line in report.splitlines() if line.startswith("Kernel generation:")]
+    assert "evaluate" in line and "pair_analysis" in line
+    assert "Kernel generation" not in format_profile(cold.snapshot())

@@ -146,13 +146,15 @@ def test_partial_journal_counts_each_fault_once(tmp_path):
 
     Record 0 (``G0 StR``, tested) detects ``G17 StR``; a worker's
     speculative aborted record for ``G17 StR`` is never reached in serial
-    order, so the partial row counts two tested faults and nothing aborted.
-    Unrecorded faults stay out of every column.
+    order, so the partial row counts two tested faults and nothing aborted,
+    and only ``G0 StR``'s cost record is stored.  Unrecorded faults stay out
+    of every column.
     """
     import json
 
     from repro.core.results import FaultResult, FaultResultStatus, FlowPhase
     from repro.faults.model import enumerate_delay_faults
+    from repro.obs.tracing import FaultCost
 
     universe = enumerate_delay_faults(load_circuit("s27"))
     by_name = {str(fault): fault for fault in universe}
@@ -160,10 +162,17 @@ def test_partial_journal_counts_each_fault_once(tmp_path):
 
     def fault_record(index, fault, status, phase, detections):
         result = FaultResult(fault=fault, status=status, phase=phase)
+        cost = FaultCost(
+            fault=str(fault), status=status.value, phase=phase.name, seconds=0.5,
+            attempts=1, local_backtracks=0, sequential_backtracks=0, decisions=3,
+            implication_sweeps=4, wavefront_skipped=0, words_simulated=9,
+            engine="packed",
+        )
         return {
             "type": "fault", "index": index, "worker": 0,
             "result": result.to_json(),
             "detections": [detection.to_json() for detection in detections],
+            "cost": cost.to_json(),
         }
 
     records = [
@@ -180,6 +189,8 @@ def test_partial_journal_counts_each_fault_once(tmp_path):
         (campaign_id,) = store.ingest_journal(str(journal))
         row = store.campaigns()[0]
         loaded = store.load_result(campaign_id)
+        costs = store.load_costs(campaign_id)
+    assert [cost.fault for cost in costs] == ["G0 StR"]
     assert row["partial"] == 1
     assert (row["tested"], row["untestable"], row["aborted"]) == (2, 0, 0)
     assert row["total_faults"] == len(universe)

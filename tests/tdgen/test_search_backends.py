@@ -30,12 +30,15 @@ from repro.algebra.sets import FULL_SET, backward_input_sets
 from repro.algebra.values import ALL_VALUES, DelayValue, PI_VALUES
 from repro.circuit.gates import GateType
 from repro.faults.model import enumerate_delay_faults
+from repro.fausim import kernels
 from repro.fausim.backends import available_backends
+from repro.fausim.kernels import kernels_for
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
 from repro.tdgen.search import (
     PackedSearchKernels,
     ReferenceSearchKernels,
+    _differs,
     exhaustive_backward_input_sets,
 )
 
@@ -288,6 +291,68 @@ def test_potential_difference_bit_exact(seed):
                 packed_frames, index, pi_values, free
             )
             assert got_key == want_key, f"seed {seed} trial {trial} decision differs"
+
+
+@pytest.mark.parametrize("tier_up", [10**9, 0], ids=["cold", "generated"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pair_analysis_bit_exact(seed, tier_up, monkeypatch):
+    """Both tiers of the pair analysis equal the reference per-name walks.
+
+    Potential and provable difference per signal, the D-frontier per
+    candidate, and the frame classification for both goals.
+    """
+    monkeypatch.setattr(kernels, "TIER_UP_PASSES", tier_up)
+    monkeypatch.setattr(kernels, "CHUNK_GATES", 4)
+    circuit = random_circuit(seed)
+    (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(circuit)
+    compiled = packed.compiled
+    rng = random.Random(4242 + seed)
+
+    for trial in range(4):
+        good, faulty = _random_states(rng, circuit)
+        pi_values = {
+            pi: (rng.randint(0, 1) if rng.random() < 0.5 else None)
+            for pi in circuit.primary_inputs
+        }
+        free = {ppi: None for ppi in circuit.pseudo_primary_inputs if rng.random() < 0.4}
+        decisions = [None]
+        if free and rng.random() < 0.5:
+            name = rng.choice(sorted(free))
+            decisions = [(name, False, 0), (name, False, 1), None]
+        elif circuit.primary_inputs:
+            name = rng.choice(circuit.primary_inputs)
+            decisions = [(name, True, 0), (name, True, 1)]
+        reference_frames = reference.pair_frame_candidates(
+            pi_values, good, faulty, free, decisions
+        )
+        packed_frames = packed.pair_frame_candidates(pi_values, good, faulty, free, decisions)
+        analysis = packed_frames.pair_analysis()
+        generated = "pair_analysis" in kernels_for(compiled).generated
+        assert generated == (tier_up == 0)
+        blocked = {ppi for ppi in circuit.pseudo_primary_inputs if rng.random() < 0.3}
+        context = f"seed {seed} trial {trial}"
+        for index in range(len(decisions)):
+            bit = 1 << (2 * index)
+            pairs = reference_frames.pairs(index)
+            want = reference_kernels.potential_difference(reference_frames, index)
+            assert {
+                name: bool(analysis.potential[compiled.slot_of[name]] & bit) for name in want
+            } == want, context
+            assert {
+                name: bool(analysis.provable[slot] & bit)
+                for name, slot in compiled.slot_of.items()
+            } == {name: _differs(*pairs[name]) for name in compiled.slot_of}, context
+            assert [
+                compiled.signal_names[compiled.outputs[gate_index]]
+                for gate_index, mask in analysis.frontier
+                if mask & bit
+            ] == reference_kernels._pair_d_frontier(pairs), context
+            for goal in ("po", "ppo"):
+                assert packed_kernels.classify_pair_frame(
+                    packed_frames, index, packed_kernels.pair_frame_targets(goal, blocked)
+                ) == reference_kernels.classify_pair_frame(
+                    reference_frames, index, reference_kernels.pair_frame_targets(goal, blocked)
+                ), f"{context} goal {goal}"
 
 
 # --------------------------------------------------------------------------- #
