@@ -23,10 +23,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import SequentialDelayATPG, format_campaign_table, list_circuits, load_circuit
+from repro import format_campaign_table, list_circuits, load_circuit
 from repro.core.reporting import format_untestable_breakdown
 from repro.faults import enumerate_delay_faults, sample_faults
-from repro.orchestrate import run_parallel_campaign
+from repro.orchestrate import PARTITION_MODES, OrchestratorConfig, run_campaign
 
 
 def parse_args() -> argparse.Namespace:
@@ -75,7 +75,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--partition",
         default="size-aware",
-        choices=("round-robin", "size-aware", "dynamic"),
+        choices=PARTITION_MODES,
         help="fault sharding mode for --jobs > 1 (default: size-aware)",
     )
     return parser.parse_args()
@@ -83,8 +83,16 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    if args.jobs > 1 and args.time_limit is not None:
-        sys.exit("error: --time-limit is not supported with --jobs > 1")
+    try:
+        config = OrchestratorConfig(
+            jobs=args.jobs,
+            partition=args.partition,
+            robust=not args.non_robust,
+            local_backtrack_limit=args.backtrack_limit,
+            sequential_backtrack_limit=args.backtrack_limit,
+        )
+    except ValueError as error:
+        sys.exit(f"error: {error}")
     names = [name.strip() for name in args.circuits.split(",") if name.strip()]
     max_faults = args.max_faults if args.max_faults > 0 else None
 
@@ -97,24 +105,12 @@ def main() -> None:
         # A capped run targets a uniform-stride sample of the fault universe so
         # the reported shape stays representative of the whole circuit.
         faults = sample_faults(enumerate_delay_faults(circuit), max_faults)
-        if args.jobs > 1:
-            campaign = run_parallel_campaign(
-                circuit,
-                jobs=args.jobs,
-                faults=faults,
-                partition=args.partition,
-                robust=not args.non_robust,
-                local_backtrack_limit=args.backtrack_limit,
-                sequential_backtrack_limit=args.backtrack_limit,
-            )
-        else:
-            atpg = SequentialDelayATPG(
-                circuit,
-                robust=not args.non_robust,
-                local_backtrack_limit=args.backtrack_limit,
-                sequential_backtrack_limit=args.backtrack_limit,
-            )
-            campaign = atpg.run(faults=faults, time_limit_s=args.time_limit)
+        try:
+            campaign = run_campaign(
+                circuit, config, faults=faults, time_limit_s=args.time_limit
+            ).result
+        except ValueError as error:  # e.g. --time-limit with --jobs > 1
+            sys.exit(f"error: {error}")
         campaign.circuit_name = name
         campaigns.append(campaign)
         row = campaign.as_table3_row()

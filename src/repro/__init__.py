@@ -79,7 +79,7 @@ from repro.baselines import EnhancedScanATPG, RandomSequenceATPG
 from repro.orchestrate import (
     CampaignOrchestrator,
     OrchestratorConfig,
-    run_parallel_campaign,
+    run_campaign,
 )
 
 __version__ = "1.0.0"
@@ -134,6 +134,6 @@ __all__ = [
     "RandomSequenceATPG",
     "CampaignOrchestrator",
     "OrchestratorConfig",
-    "run_parallel_campaign",
+    "run_campaign",
     "__version__",
 ]

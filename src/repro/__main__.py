@@ -35,7 +35,6 @@ from repro.circuit.bench import BenchParseError, parse_bench_file
 from repro.circuit.gates import GateType
 from repro.circuit.levelize import CombinationalLoopError, combinational_order
 from repro.algebra.tables import format_truth_table
-from repro.core.flow import SequentialDelayATPG
 from repro.core.reporting import (
     format_campaign_table,
     format_prefix_summary,
@@ -47,7 +46,7 @@ from repro.data import circuit_spec, list_circuits, load_circuit
 from repro.fausim.backends import available_backends
 from repro.obs.export import metrics_document
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.orchestrate import CampaignOrchestrator, OrchestratorConfig
+from repro.orchestrate import OrchestratorConfig, run_campaign
 from repro.orchestrate.partition import PARTITION_MODES
 
 #: Exit code of a campaign whose netlist is malformed (a ``.bench`` syntax
@@ -107,13 +106,14 @@ def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
         "ingest must be given the ones the journaled campaign ran under",
     )
     group.add_argument(
-        "--backtrack-limit", type=int, default=100, help="abort limit (paper: 100)"
+        "--backtrack-limit", type=int, default=OrchestratorConfig.local_backtrack_limit,
+        help="abort limit (paper: 100)",
     )
     group.add_argument("--non-robust", action="store_true", help="use the non-robust model")
     group.add_argument(
         "--seed",
         type=int,
-        default=0,
+        default=OrchestratorConfig.campaign_seed,
         help=(
             "campaign seed from which every worker and the random prefix "
             "derive their RNG seeds"
@@ -146,19 +146,19 @@ def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--rpg-budget",
         type=int,
-        default=256,
+        default=OrchestratorConfig.rpg_budget,
         metavar="N",
-        help="max random sequences of the prefix phase (default: 256)",
+        help="max random sequences of the prefix phase (default: %(default)s)",
     )
     group.add_argument(
         "--rpg-window",
         type=int,
-        default=16,
+        default=OrchestratorConfig.rpg_window,
         metavar="W",
         help=(
             "adaptive stopping window: hand over to the deterministic flow "
             "once the last W random sequences credited no new detection "
-            "(default: 16)"
+            "(default: %(default)s)"
         ),
     )
 
@@ -222,8 +222,8 @@ def _add_campaign_parser(subparsers, parents) -> None:
     parser.add_argument(
         "--partition",
         choices=PARTITION_MODES,
-        default="size-aware",
-        help="fault sharding mode for --jobs > 1 (default: size-aware)",
+        default=OrchestratorConfig.partition,
+        help="fault sharding mode for --jobs > 1 (default: %(default)s)",
     )
     parser.add_argument(
         "--journal",
@@ -285,23 +285,17 @@ def _add_campaign_parser(subparsers, parents) -> None:
     )
 
 
+def _usage_error(error: Exception) -> int:
+    """Print one ``error:`` line for a bad setting or input; exit code 2."""
+    message = error.args[0] if isinstance(error, KeyError) and error.args else error
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _run_campaign(args: argparse.Namespace) -> int:
     journal_path = args.resume or args.journal
     if args.resume and args.journal and args.resume != args.journal:
         print("error: --journal and --resume point at different files", file=sys.stderr)
-        return 2
-    orchestrated = args.jobs > 1 or journal_path is not None
-    if orchestrated and args.time_limit is not None:
-        print("error: --time-limit is not supported with --jobs/--journal", file=sys.stderr)
-        return 2
-    if args.incremental_from is not None and orchestrated:
-        # The incremental engine is the serial campaign loop with a store
-        # memo; sharding and journal replay need the orchestrator's memo.
-        print(
-            "error: --incremental-from is not supported with --jobs > 1 or "
-            "--journal/--resume",
-            file=sys.stderr,
-        )
         return 2
 
     collect = args.profile or args.metrics_out is not None
@@ -314,9 +308,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
     #: instrumentation is on.
     profiles = []
     names = [name.strip() for name in args.circuits.split(",") if name.strip()]
-    max_faults = args.max_faults if args.max_faults > 0 else None
-    # Load and levelize every netlist before any campaign runs, so a
-    # malformed one fails the command up front with a one-line error.
+    # Check the settings and load and levelize every netlist before any
+    # campaign runs, so a bad setting or a malformed netlist fails the
+    # command up front with a one-line error.
+    try:
+        config = _orchestrator_config(args, jobs=args.jobs, partition=args.partition)
+    except ValueError as error:
+        return _usage_error(error)
     circuits = []
     for name in names:
         try:
@@ -325,59 +323,35 @@ def _run_campaign(args: argparse.Namespace) -> int:
         except (BenchParseError, CombinationalLoopError) as error:
             print(f"error: {name}: {error}", file=sys.stderr)
             return EXIT_BAD_NETLIST
+        except (LookupError, ValueError, OSError) as error:
+            return _usage_error(error)
         circuits.append(circuit)
     for circuit in circuits:
         registry = MetricsRegistry() if collect else None
-        config = _orchestrator_config(args, jobs=args.jobs, partition=args.partition)
-        if args.incremental_from is not None:
-            from repro.store import CampaignStore, run_incremental
-
-            try:
-                with CampaignStore(args.incremental_from) as base_store:
-                    outcome = run_incremental(
-                        circuit,
-                        base_store,
-                        config,
-                        max_target_faults=max_faults,
-                        time_limit_s=args.time_limit,
-                        metrics=registry,
-                    )
-            except (LookupError, ValueError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            campaign = outcome.result
-            costs = list(outcome.costs)
-            incremental_reports.append((campaign.circuit_name, outcome.summary()))
-        elif orchestrated:
-            orchestrator = CampaignOrchestrator(
+        try:
+            run = run_campaign(
                 circuit,
-                config=config,
+                config,
+                max_target_faults=args.max_faults or None,
+                time_limit_s=args.time_limit,
                 journal_path=journal_path,
                 resume=args.resume is not None,
+                incremental_from=args.incremental_from,
                 metrics=registry,
             )
-            campaign = orchestrator.run(max_target_faults=max_faults)
-            costs = list(orchestrator.fault_costs)
-            if orchestrator.shard_stats:
-                shard_reports.append(
-                    format_shard_summary(
-                        orchestrator.shard_stats,
-                        recomputed=orchestrator.recomputed,
-                        title=f"Shard summary — {campaign.circuit_name}",
-                    )
+        except (LookupError, ValueError, OSError) as error:
+            return _usage_error(error)
+        campaign = run.result
+        if run.incremental is not None:
+            incremental_reports.append((campaign.circuit_name, run.incremental))
+        if run.shard_stats:
+            shard_reports.append(
+                format_shard_summary(
+                    run.shard_stats,
+                    recomputed=run.recomputed,
+                    title=f"Shard summary — {campaign.circuit_name}",
                 )
-        else:
-            atpg = SequentialDelayATPG(
-                circuit,
-                metrics=registry,
-                **config.atpg_kwargs(),
             )
-            campaign = atpg.run(
-                max_target_faults=max_faults,
-                time_limit_s=args.time_limit,
-                prefix=config.prefix_config(),
-            )
-            costs = list(atpg.cost_log)
         if args.store is not None:
             from repro.store import CampaignStore
 
@@ -386,7 +360,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
                     campaign,
                     circuit=circuit,
                     config=config,
-                    costs=costs,
+                    costs=run.costs,
                     source="cli",
                 )
             store_notes.append(
@@ -394,7 +368,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             )
         campaigns.append(campaign)
         if registry is not None:
-            profiles.append((campaign.circuit_name, registry.snapshot(), costs))
+            profiles.append((campaign.circuit_name, registry.snapshot(), run.costs))
     print(format_campaign_table(campaigns, title="Gate delay fault ATPG results"))
     print()
     print(format_untestable_breakdown(campaigns))
@@ -568,15 +542,14 @@ def _run_store(args: argparse.Namespace) -> int:
     if args.store_command == "ingest":
         circuit = None
         config = None
-        if args.circuits:
-            circuit = _load_circuit(args.circuits, args.scale)
-            config = _orchestrator_config(args, jobs=1)
         try:
+            if args.circuits:
+                circuit = _load_circuit(args.circuits, args.scale)
+                config = _orchestrator_config(args, jobs=1)
             with CampaignStore(args.store) as store:
                 ids = store.ingest_journal(args.journal, circuit=circuit, config=config)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        except (LookupError, ValueError, OSError) as error:
+            return _usage_error(error)
         listed = ", ".join(f"#{campaign_id}" for campaign_id in ids)
         print(f"ingested {len(ids)} campaign(s) from {args.journal} into {args.store}: {listed}")
         return 0

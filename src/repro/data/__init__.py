@@ -11,6 +11,7 @@ substitution preserves the behaviour the experiments exercise.
 from repro.data.iscas89 import (
     BenchmarkSpec,
     ISCAS89_SPECS,
+    check_scale,
     list_circuits,
     load_circuit,
     circuit_spec,
@@ -20,6 +21,7 @@ from repro.data.surrogate import generate_surrogate
 __all__ = [
     "BenchmarkSpec",
     "ISCAS89_SPECS",
+    "check_scale",
     "list_circuits",
     "load_circuit",
     "circuit_spec",

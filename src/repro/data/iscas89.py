@@ -108,7 +108,15 @@ def circuit_spec(name: str) -> BenchmarkSpec:
     try:
         return ISCAS89_SPECS[_normalize_name(name)]
     except KeyError as exc:
-        raise KeyError(f"unknown benchmark circuit {name!r}; known: {list_circuits()}") from exc
+        raise KeyError(
+            f"unknown circuit {name!r}; known: {', '.join(list_circuits())}"
+        ) from exc
+
+
+def check_scale(scale: float) -> None:
+    """Reject a surrogate scale that is not positive (raises ValueError)."""
+    if scale <= 0:
+        raise ValueError("'scale' must be > 0")
 
 
 def load_circuit(name: str, scale: float = 1.0, seed: int = 0) -> Circuit:
@@ -122,6 +130,7 @@ def load_circuit(name: str, scale: float = 1.0, seed: int = 0) -> Circuit:
             ``s27`` is always returned verbatim).
         seed: surrogate generator seed.
     """
+    check_scale(scale)
     name = _normalize_name(name)
     spec = circuit_spec(name)
     if not spec.surrogate:

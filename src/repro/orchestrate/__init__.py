@@ -12,18 +12,20 @@ serial campaign regardless of worker count or scheduling
 Quickstart::
 
     from repro import load_circuit
-    from repro.orchestrate import run_parallel_campaign
+    from repro.orchestrate import OrchestratorConfig, run_campaign
 
     circuit = load_circuit("s838", scale=0.5)
-    campaign = run_parallel_campaign(circuit, jobs=4)
-    print(campaign.as_table3_row())
+    run = run_campaign(circuit, OrchestratorConfig(jobs=4))
+    print(run.result.as_table3_row())
 """
 
 from repro.orchestrate.coordinator import (
     CampaignInterrupted,
     CampaignOrchestrator,
+    CampaignRun,
     OrchestratorConfig,
-    run_parallel_campaign,
+    campaign_mode,
+    run_campaign,
 )
 from repro.orchestrate.journal import (
     CampaignJournal,
@@ -46,8 +48,10 @@ from repro.orchestrate.partition import (
 __all__ = [
     "CampaignInterrupted",
     "CampaignOrchestrator",
+    "CampaignRun",
     "OrchestratorConfig",
-    "run_parallel_campaign",
+    "campaign_mode",
+    "run_campaign",
     "CampaignJournal",
     "JournalSegment",
     "campaign_digest",

@@ -43,6 +43,7 @@ replay runs over old and new records together.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import logging
 import multiprocessing
 import os
@@ -54,6 +55,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.flow import SequentialDelayATPG, run_campaign_loop
 from repro.core.results import CampaignResult, FaultResult
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
+from repro.fausim.backends import available_backends
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, resolve_metrics
 from repro.obs.tracing import FaultCost, fold_cost
 from repro.orchestrate.journal import (
@@ -87,12 +89,23 @@ class CampaignInterrupted(RuntimeError):
         self.recorded = recorded
 
 
+#: Settings of :class:`~repro.core.flow.SequentialDelayATPG` the config does
+#: not expose: the engine's defaults always apply.  The digest still records
+#: them, so journals and stores written while the config carried them keep
+#: their identity.
+_ENGINE_DEFAULTS = ("fill_value", "verify_sequences", "enable_fault_simulation")
+
+
 @dataclasses.dataclass
 class OrchestratorConfig:
-    """Settings of a sharded campaign.
+    """The settings of one campaign, whichever mode runs it.
 
-    The ATPG knobs mirror :class:`~repro.core.flow.SequentialDelayATPG`; the
-    orchestration knobs are the worker count, the partitioning mode
+    The only settings object: the CLI flags, the service's
+    :class:`~repro.service.jobs.JobSpec`, the journal digest and the store's
+    config payload all map onto it, and :meth:`__post_init__` owns every
+    range and choice check.  The ATPG knobs are passed on to
+    :class:`~repro.core.flow.SequentialDelayATPG`; the orchestration knobs
+    are the worker count, the partitioning mode
     (:data:`~repro.orchestrate.partition.PARTITION_MODES`) and the campaign
     seed from which every worker derives its own RNG seed
     (:func:`~repro.orchestrate.partition.derive_shard_seed`).
@@ -105,9 +118,6 @@ class OrchestratorConfig:
     local_backtrack_limit: int = 100
     sequential_backtrack_limit: int = 100
     max_local_retries: int = 3
-    fill_value: int = 0
-    verify_sequences: bool = True
-    enable_fault_simulation: bool = True
     backend: Optional[str] = None
     #: Hybrid campaign: run the random-pattern prefix (Phase A, see
     #: :mod:`repro.core.prefilter`) before partitioning, so the shards are
@@ -115,7 +125,6 @@ class OrchestratorConfig:
     rpg_prefix: bool = False
     rpg_budget: int = 256
     rpg_window: int = 16
-    rpg_length: int = 8
     #: Give every shard its own :class:`~repro.obs.metrics.MetricsRegistry`
     #: and collect per-fault cost records.  Observability only: deliberately
     #: absent from :meth:`digest_payload` (and from :meth:`atpg_kwargs` —
@@ -123,18 +132,33 @@ class OrchestratorConfig:
     #: never changes per-fault results.
     collect_metrics: bool = False
 
+    #: The fields that change per-fault results: the engine's keyword
+    #: arguments and, with the campaign seed, the journal digest.
+    _RESULT_FIELDS = (
+        "robust", "local_backtrack_limit", "sequential_backtrack_limit", "max_local_retries",
+    )
+
+    def __post_init__(self) -> None:
+        if self.partition not in PARTITION_MODES:
+            raise ValueError(
+                f"unknown partition mode {self.partition!r}; known: {PARTITION_MODES}"
+            )
+        if self.backend is not None and self.backend not in available_backends():
+            raise ValueError(
+                f"unknown backend {self.backend!r}; known: {', '.join(available_backends())}"
+            )
+        for name in (
+            "jobs", "local_backtrack_limit", "sequential_backtrack_limit",
+            "max_local_retries", "rpg_budget", "rpg_window",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name!r} must be >= 1")
+
     def atpg_kwargs(self) -> Dict[str, object]:
         """Keyword arguments for building a worker's ``SequentialDelayATPG``."""
-        return {
-            "robust": self.robust,
-            "local_backtrack_limit": self.local_backtrack_limit,
-            "sequential_backtrack_limit": self.sequential_backtrack_limit,
-            "max_local_retries": self.max_local_retries,
-            "fill_value": self.fill_value,
-            "verify_sequences": self.verify_sequences,
-            "enable_fault_simulation": self.enable_fault_simulation,
-            "backend": self.backend,
-        }
+        kwargs = {name: getattr(self, name) for name in self._RESULT_FIELDS}
+        kwargs["backend"] = self.backend
+        return kwargs
 
     def digest_payload(self) -> Dict[str, object]:
         """The settings that affect per-fault results, for the journal digest.
@@ -147,24 +171,19 @@ class OrchestratorConfig:
         ``tests/core``), so a campaign journaled under one backend may be
         resumed under another without invalidating the finished faults.
         """
-        payload: Dict[str, object] = {
-            "robust": self.robust,
-            "local_backtrack_limit": self.local_backtrack_limit,
-            "sequential_backtrack_limit": self.sequential_backtrack_limit,
-            "max_local_retries": self.max_local_retries,
-            "fill_value": self.fill_value,
-            "verify_sequences": self.verify_sequences,
-            "enable_fault_simulation": self.enable_fault_simulation,
-            "campaign_seed": self.campaign_seed,
-        }
-        if self.rpg_prefix:
+        engine = inspect.signature(SequentialDelayATPG).parameters
+        payload: Dict[str, object] = {name: getattr(self, name) for name in self._RESULT_FIELDS}
+        payload.update({name: engine[name].default for name in _ENGINE_DEFAULTS})
+        payload["campaign_seed"] = self.campaign_seed
+        prefix = self.prefix_config()
+        if prefix is not None:
             # The prefix settings change which faults Phase B ever targets, so
             # they are part of a hybrid campaign's identity.  Deterministic-only
             # campaigns keep their pre-hybrid digests (no new keys).
-            payload["rpg_prefix"] = True
-            payload["rpg_budget"] = self.rpg_budget
-            payload["rpg_window"] = self.rpg_window
-            payload["rpg_length"] = self.rpg_length
+            payload.update(
+                rpg_prefix=True, rpg_budget=prefix.budget, rpg_window=prefix.window,
+                rpg_length=prefix.sequence_length,
+            )
         return payload
 
     def prefix_config(self):
@@ -180,10 +199,7 @@ class OrchestratorConfig:
         from repro.core.prefilter import PrefixConfig
 
         return PrefixConfig(
-            budget=self.rpg_budget,
-            window=self.rpg_window,
-            sequence_length=self.rpg_length,
-            seed=self.campaign_seed,
+            budget=self.rpg_budget, window=self.rpg_window, seed=self.campaign_seed
         )
 
 
@@ -241,12 +257,6 @@ class CampaignOrchestrator:
         if metrics is None and self.config.collect_metrics:
             metrics = MetricsRegistry()
         self.metrics = resolve_metrics(metrics)
-        if self.config.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.config.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.config.partition!r}; known: {PARTITION_MODES}"
-            )
         if resume and journal_path is None:
             raise ValueError("resume requires a journal path")
         self.journal_path = journal_path
@@ -442,7 +452,6 @@ class CampaignOrchestrator:
             self.circuit,
             prefix_cfg,
             robust=self.config.robust,
-            fill_value=self.config.fill_value,
             metrics=self.metrics,
             backend=self.config.backend,
         )
@@ -726,30 +735,118 @@ class CampaignOrchestrator:
         return segment
 
 
-def run_parallel_campaign(
+@dataclasses.dataclass
+class CampaignRun:
+    """What :func:`run_campaign` returns.
+
+    The result and its cost records, plus an orchestrated run's shard stats
+    and recompute count (see :class:`CampaignOrchestrator`) and an
+    incremental re-run's reuse summary.
+    """
+
+    result: CampaignResult
+    costs: List[FaultCost]
+    shard_stats: List[Dict[str, object]] = dataclasses.field(default_factory=list)
+    recomputed: int = 0
+    incremental: Optional[Dict[str, object]] = None
+
+
+def campaign_mode(
+    config: OrchestratorConfig,
+    *,
+    max_target_faults: Optional[int] = None,
+    time_limit_s: Optional[float] = None,
+    journaled: bool = False,
+    resume: bool = False,
+    incremental: bool = False,
+    fault_subset: bool = False,
+) -> str:
+    """Check a campaign's run arguments and name the mode that runs it.
+
+    ``"incremental"`` when a base store is given, ``"orchestrated"`` when
+    ``config.jobs > 1`` or a journal is kept, ``"serial"`` otherwise.
+    Raises ``ValueError`` for an out-of-range cap or time limit and for what
+    no mode supports: a time limit with sharding or a journal (the result
+    depends on wall time, so it is not resumable), and an incremental
+    re-run with sharding, a journal or a fault subset.
+    """
+    if max_target_faults is not None and max_target_faults < 1:
+        raise ValueError("'max_target_faults' must be >= 1")
+    if time_limit_s is not None and time_limit_s <= 0:
+        raise ValueError("'time_limit_s' must be > 0")
+    if resume and not journaled:
+        raise ValueError("resume requires a journal path")
+    if incremental:
+        if config.jobs > 1 or journaled or fault_subset:
+            raise ValueError(
+                "--incremental-from is not supported with --jobs > 1, "
+                "--journal/--resume or a fault subset: an incremental re-run is "
+                "the serial campaign loop over the whole fault universe"
+            )
+        return "incremental"
+    if config.jobs == 1 and not journaled:
+        return "serial"
+    if time_limit_s is not None:
+        raise ValueError(
+            "'time_limit_s' requires 'jobs' == 1 and no journal: a time-limited "
+            "campaign runs serially and is not resumable"
+        )
+    return "orchestrated"
+
+
+def run_campaign(
     circuit: Circuit,
-    jobs: Optional[int] = None,
+    config: OrchestratorConfig,
+    *,
     faults: Optional[Sequence[GateDelayFault]] = None,
     max_target_faults: Optional[int] = None,
+    time_limit_s: Optional[float] = None,
     journal_path: Optional[str] = None,
     resume: bool = False,
-    config: Optional[OrchestratorConfig] = None,
-    **config_overrides: object,
-) -> CampaignResult:
-    """Convenience wrapper: orchestrate one campaign and return the merge.
+    incremental_from: Optional[str] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    on_record=None,
+    should_stop=None,
+) -> CampaignRun:
+    """Run one circuit's campaign in the mode :func:`campaign_mode` picks.
 
-    ``config_overrides`` are :class:`OrchestratorConfig` field values (e.g.
-    ``partition="dynamic"``, ``backend="reference"``); ``jobs`` is a plain
-    argument because it is the one everyone sets.  When ``config`` is given,
-    an omitted ``jobs`` keeps the config's worker count.
+    The one campaign entry point of the CLI, the service and the examples:
+    **serial** runs :meth:`~repro.core.flow.SequentialDelayATPG.run`,
+    **orchestrated** a :class:`CampaignOrchestrator` (the only mode that
+    uses ``on_record`` and ``should_stop``), **incremental**
+    :func:`~repro.store.incremental.run_incremental` against the store at
+    ``incremental_from``.  All three give the same result for the same
+    settings; pass ``metrics`` to collect the aggregates and cost records.
     """
-    if jobs is not None:
-        config_overrides["jobs"] = jobs
-    if config is None:
-        config = OrchestratorConfig(**config_overrides)  # type: ignore[arg-type]
-    elif config_overrides:
-        config = dataclasses.replace(config, **config_overrides)  # type: ignore[arg-type]
-    orchestrator = CampaignOrchestrator(
-        circuit, config=config, journal_path=journal_path, resume=resume
+    mode = campaign_mode(
+        config, max_target_faults=max_target_faults, time_limit_s=time_limit_s,
+        journaled=journal_path is not None, resume=resume,
+        incremental=incremental_from is not None, fault_subset=faults is not None,
     )
-    return orchestrator.run(faults=faults, max_target_faults=max_target_faults)
+    if mode == "incremental":
+        from repro.store import CampaignStore, run_incremental
+
+        with CampaignStore(incremental_from) as store:
+            outcome = run_incremental(
+                circuit, store, config,
+                max_target_faults=max_target_faults,
+                time_limit_s=time_limit_s,
+                metrics=metrics,
+            )
+        return CampaignRun(outcome.result, list(outcome.costs), incremental=outcome.summary())
+    if mode == "orchestrated":
+        orchestrator = CampaignOrchestrator(
+            circuit, config, journal_path=journal_path, resume=resume,
+            on_record=on_record, should_stop=should_stop, metrics=metrics,
+        )
+        result = orchestrator.run(faults=faults, max_target_faults=max_target_faults)
+        return CampaignRun(
+            result, list(orchestrator.fault_costs),
+            orchestrator.shard_stats, orchestrator.recomputed,
+        )
+    atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
+    result = atpg.run(
+        faults=faults, max_target_faults=max_target_faults,
+        time_limit_s=time_limit_s, prefix=config.prefix_config(),
+    )
+    return CampaignRun(result, list(atpg.cost_log))

@@ -45,12 +45,11 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.circuit.bench import BenchParseError
 from repro.circuit.levelize import combinational_order
-from repro.core.flow import SequentialDelayATPG
 from repro.faults.model import enumerate_delay_faults
 from repro.fausim.compile import compile_count
 from repro.obs.export import metrics_document, render_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.orchestrate import CampaignInterrupted, CampaignOrchestrator
+from repro.orchestrate import CampaignInterrupted, run_campaign
 from repro.service.api import (
     ApiError,
     Request,
@@ -238,62 +237,33 @@ class AtpgService:
         return circuit, net_digest
 
     async def _run_campaign(self, job: Job, circuit, config, metrics):
-        """Run one uncached campaign; returns ``(result, per-fault costs)``."""
+        """Run one uncached campaign; returns ``(result, per-fault costs)``.
+
+        The service's own policy is the journal: one per job, resumed when
+        it already exists, and none for the jobs :attr:`JobSpec.journaled`
+        excludes.  :func:`~repro.orchestrate.run_campaign` picks the mode.
+        """
         spec = job.spec
-        if spec.incremental_from is not None:
-            # Store-backed incremental re-run, bit-identical to a from-scratch
-            # campaign on the submitted netlist.  Always serial: 'jobs' is
-            # orchestration-only and absent from the config digest.
-            outcome = await self._in_executor(
-                self._run_incremental, spec, circuit, config, metrics
-            )
-            job.add_event({"type": "incremental", **outcome.summary()})
-            return outcome.result, outcome.costs
-        if spec.time_limit_s is not None:
-            # Time-limited jobs run the serial flow; the partial result
-            # depends on wall time, so it is not journaled for resume.
-            return await self._in_executor(self._run_serial, spec, circuit, config, metrics)
-        journal_path = self.store.journal_path(job)
-        orchestrator = CampaignOrchestrator(
+        journal_path = self.store.journal_path(job) if spec.journaled else None
+        run = await self._in_executor(
+            run_campaign,
             circuit,
-            config=config,
-            journal_path=journal_path,
-            resume=os.path.exists(journal_path),
-            on_record=functools.partial(self._on_record, job),
-            should_stop=lambda: self.shutdown.stopping or job.cancel_requested,
-            metrics=metrics,
-        )
-        result = await self._in_executor(orchestrator.run, None, spec.max_target_faults)
-        return result, orchestrator.fault_costs
-
-    @staticmethod
-    def _run_incremental(spec: JobSpec, circuit, config, metrics=None) -> object:
-        """The store-backed incremental campaign path (runs in the executor)."""
-        from repro.store import CampaignStore, run_incremental
-
-        with CampaignStore(spec.incremental_from) as store:
-            return run_incremental(
-                circuit,
-                store,
-                config,
-                max_target_faults=spec.max_target_faults,
-                time_limit_s=spec.time_limit_s,
-                metrics=metrics,
-            )
-
-    @staticmethod
-    def _run_serial(spec: JobSpec, circuit, config, metrics=None):
-        """The serial time-limited campaign path (runs in the executor)."""
-        atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
-        result = atpg.run(
+            config,
             max_target_faults=spec.max_target_faults,
             time_limit_s=spec.time_limit_s,
-            prefix=config.prefix_config(),
+            journal_path=journal_path,
+            resume=journal_path is not None and os.path.exists(journal_path),
+            incremental_from=spec.incremental_from,
+            metrics=metrics,
+            on_record=functools.partial(self._on_record, job),
+            should_stop=lambda: self.shutdown.stopping or job.cancel_requested,
         )
-        return result, atpg.cost_log
+        if run.incremental is not None:
+            job.add_event({"type": "incremental", **run.incremental})
+        return run.result, run.costs
 
-    async def _in_executor(self, fn, *args):
-        return await self._loop.run_in_executor(None, functools.partial(fn, *args))
+    async def _in_executor(self, fn, *args, **kwargs):
+        return await self._loop.run_in_executor(None, functools.partial(fn, *args, **kwargs))
 
     def _on_record(self, job: Job, record: Dict[str, object]) -> None:
         """Coordinator progress hook (called from the campaign thread)."""

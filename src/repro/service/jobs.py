@@ -34,15 +34,24 @@ from typing import Dict, List, Optional
 
 from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Circuit
-from repro.data import list_circuits, load_circuit
-from repro.orchestrate import OrchestratorConfig
-from repro.orchestrate.partition import PARTITION_MODES
+from repro.data import check_scale, circuit_spec, load_circuit
+from repro.orchestrate import OrchestratorConfig, campaign_mode
 
 #: Every state a job can be in; terminal states keep their result/error.
 JOB_STATES = ("queued", "running", "done", "failed", "interrupted", "cancelled")
 
 #: States in which the job will not run again in this daemon's lifetime.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+
+#: Request-body type check per field annotation: accepted types and the noun
+#: of the error message.
+_TYPES = {
+    "str": ((str,), "a string"),
+    "float": ((int, float), "a number"),
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "a boolean"),
+}
 
 
 @dataclasses.dataclass
@@ -54,112 +63,66 @@ class JobSpec:
     name: Optional[str] = None
     scale: float = 1.0
     priority: int = 0
-    jobs: int = 2
-    partition: str = "size-aware"
-    seed: int = 0
-    backend: Optional[str] = None
-    robust: bool = True
-    backtrack_limit: int = 100
+    jobs: int = OrchestratorConfig.jobs
+    partition: str = OrchestratorConfig.partition
+    seed: int = OrchestratorConfig.campaign_seed
+    backend: Optional[str] = OrchestratorConfig.backend
+    robust: bool = OrchestratorConfig.robust
+    backtrack_limit: int = OrchestratorConfig.local_backtrack_limit
     max_target_faults: Optional[int] = None
     time_limit_s: Optional[float] = None
-    rpg_prefix: bool = False
-    rpg_budget: int = 256
-    rpg_window: int = 16
+    rpg_prefix: bool = OrchestratorConfig.rpg_prefix
+    rpg_budget: int = OrchestratorConfig.rpg_budget
+    rpg_window: int = OrchestratorConfig.rpg_window
     #: Path to a persistent campaign store (``docs/STORE.md``) holding a
     #: finished campaign for the same circuit name and settings: the job
     #: then runs incrementally, re-targeting only the faults inside the
     #: netlist edit's influence cone (mirrors ``--incremental-from``).
     incremental_from: Optional[str] = None
 
-    _FIELDS = (
-        "circuit", "bench", "name", "scale", "priority", "jobs", "partition",
-        "seed", "backend", "robust", "backtrack_limit", "max_target_faults",
-        "time_limit_s", "rpg_prefix", "rpg_budget", "rpg_window",
-        "incremental_from",
-    )
-
     @classmethod
     def from_request(cls, payload: object) -> "JobSpec":
         """Build a spec from a request body, raising ValueError on bad input."""
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        unknown = sorted(set(payload) - set(cls._FIELDS))
+        types = {field.name: field.type for field in dataclasses.fields(cls)}
+        unknown = sorted(set(payload) - set(types))
         if unknown:
             raise ValueError(f"unknown field(s): {', '.join(unknown)}")
         spec = cls()
-        for field, caster in (
-            ("circuit", str), ("bench", str), ("name", str), ("partition", str),
-            ("backend", str), ("incremental_from", str),
-        ):
-            value = payload.get(field)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise ValueError(f"{field!r} must be a string")
-                setattr(spec, field, caster(value))
-        for field in ("scale", "time_limit_s"):
-            value = payload.get(field)
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{field!r} must be a number")
-                setattr(spec, field, float(value))
-        for field in (
-            "priority", "jobs", "seed", "backtrack_limit", "max_target_faults",
-            "rpg_budget", "rpg_window",
-        ):
-            value = payload.get(field)
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{field!r} must be an integer")
-                setattr(spec, field, value)
-        for field in ("robust", "rpg_prefix"):
-            if field in payload:
-                if not isinstance(payload[field], bool):
-                    raise ValueError(f"{field!r} must be a boolean")
-                setattr(spec, field, payload[field])
+        for name, value in payload.items():
+            kind = types[name].replace("Optional[", "").rstrip("]")
+            if value is None and kind != "bool":
+                continue  # null keeps the default
+            accepted, noun = _TYPES[kind]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
+                raise ValueError(f"{name!r} must be {noun}")
+            setattr(spec, name, float(value) if kind == "float" else value)
         spec.validate()
         return spec
 
+    @property
+    def journaled(self) -> bool:
+        """Whether the service journals the job (not when time-limited or incremental)."""
+        return self.time_limit_s is None and self.incremental_from is None
+
     def validate(self) -> None:
-        """Check the cross-field constraints; raises ValueError."""
+        """Check the job's own fields, then its settings and mode as the CLI does."""
         if (self.circuit is None) == (self.bench is None):
             raise ValueError("exactly one of 'circuit' and 'bench' is required")
-        if self.circuit is not None and self.circuit not in list_circuits():
-            raise ValueError(
-                f"unknown circuit {self.circuit!r}; known: {', '.join(list_circuits())}"
-            )
-        if self.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.partition!r}; known: {PARTITION_MODES}"
-            )
-        if self.jobs < 1:
-            raise ValueError("'jobs' must be >= 1")
-        if self.scale <= 0:
-            raise ValueError("'scale' must be > 0")
-        if self.backtrack_limit < 1:
-            raise ValueError("'backtrack_limit' must be >= 1")
-        if self.max_target_faults is not None and self.max_target_faults < 1:
-            raise ValueError("'max_target_faults' must be >= 1")
-        if self.rpg_budget < 1:
-            raise ValueError("'rpg_budget' must be >= 1")
-        if self.rpg_window < 1:
-            raise ValueError("'rpg_window' must be >= 1")
-        if self.time_limit_s is not None:
-            if self.time_limit_s <= 0:
-                raise ValueError("'time_limit_s' must be > 0")
-            if self.jobs != 1 and self.incremental_from is None:
-                raise ValueError(
-                    "'time_limit_s' requires 'jobs' == 1 (mirrors the CLI: a "
-                    "time-limited campaign runs serially and is not resumable; "
-                    "incremental jobs always run serially)"
-                )
-        if self.backend is not None:
-            from repro.fausim.backends import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; known: "
-                    f"{', '.join(sorted(available_backends()))}"
-                )
+        if self.circuit is not None:
+            try:
+                circuit_spec(self.circuit)
+            except KeyError as error:
+                raise ValueError(error.args[0]) from None
+        check_scale(self.scale)
+        campaign_mode(
+            self.orchestrator_config(),
+            max_target_faults=self.max_target_faults,
+            time_limit_s=self.time_limit_s,
+            journaled=self.journaled,
+            incremental=self.incremental_from is not None,
+        )
 
     def build_circuit(self) -> Circuit:
         """Materialise the submitted circuit (registry load or bench parse)."""
@@ -168,9 +131,13 @@ class JobSpec:
         return load_circuit(self.circuit, scale=self.scale)
 
     def orchestrator_config(self) -> OrchestratorConfig:
-        """The orchestrate-layer settings this spec maps to."""
+        """The campaign settings this spec maps to.
+
+        An incremental re-run is serial, so it ignores ``jobs`` (absent from
+        the config digest, so the result and its cache key are unchanged).
+        """
         return OrchestratorConfig(
-            jobs=self.jobs,
+            jobs=1 if self.incremental_from is not None else self.jobs,
             partition=self.partition,
             campaign_seed=self.seed,
             robust=self.robust,
@@ -184,16 +151,21 @@ class JobSpec:
 
     def to_json(self) -> Dict[str, object]:
         """JSON form used by the job table and the status endpoints."""
-        return {field: getattr(self, field) for field in self._FIELDS}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobSpec":
         """Rebuild a persisted spec (assumed already validated at submit)."""
-        spec = cls()
-        for field in cls._FIELDS:
-            if field in payload:
-                setattr(spec, field, payload[field])
-        return spec
+        names = {field.name for field in dataclasses.fields(cls)}
+        return cls(**{name: value for name, value in payload.items() if name in names})
+
+
+#: The :class:`Job` fields persisted to ``jobs.json``; the rest is the
+#: current process's live state.
+_STATE_FIELDS = (
+    "id", "seq", "spec", "status", "submitted_at", "started_at", "finished_at",
+    "cache_hit", "resumed", "error",
+)
 
 
 @dataclasses.dataclass
@@ -255,54 +227,29 @@ class Job:
 
     def to_public_json(self) -> Dict[str, object]:
         """The status payload of ``GET /jobs/<id>`` (result excluded)."""
-        return {
-            "id": self.id,
-            "status": self.status,
-            "priority": self.spec.priority,
-            "spec": self.spec.to_json(),
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "cache_hit": self.cache_hit,
-            "resumed": self.resumed,
-            "error": self.error,
-            "total_faults": self.total_faults,
-            "recorded": self.recorded,
-            "prefix_recorded": self.prefix_recorded,
-            "events": len(self.events),
-        }
+        payload = self.to_state_json()
+        del payload["seq"]
+        payload.update(
+            priority=self.spec.priority,
+            total_faults=self.total_faults,
+            recorded=self.recorded,
+            prefix_recorded=self.prefix_recorded,
+            events=len(self.events),
+        )
+        return payload
 
     def to_state_json(self) -> Dict[str, object]:
         """The persisted form written to ``jobs.json``."""
-        return {
-            "id": self.id,
-            "seq": self.seq,
-            "spec": self.spec.to_json(),
-            "status": self.status,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "cache_hit": self.cache_hit,
-            "resumed": self.resumed,
-            "error": self.error,
-        }
+        payload = {name: getattr(self, name) for name in _STATE_FIELDS}
+        payload["spec"] = self.spec.to_json()
+        return payload
 
     @classmethod
     def from_state_json(cls, payload: Dict[str, object]) -> "Job":
         """Rebuild a persisted job row."""
-        job = cls(
-            id=str(payload["id"]),
-            seq=int(payload["seq"]),
-            spec=JobSpec.from_json(payload["spec"]),
-            status=str(payload["status"]),
-            submitted_at=float(payload["submitted_at"]),
-            cache_hit=bool(payload.get("cache_hit", False)),
-            resumed=bool(payload.get("resumed", False)),
-        )
-        job.started_at = payload.get("started_at")
-        job.finished_at = payload.get("finished_at")
-        job.error = payload.get("error")
-        return job
+        fields = {name: payload[name] for name in _STATE_FIELDS if name in payload}
+        fields["spec"] = JobSpec.from_json(payload["spec"])
+        return cls(**fields)
 
 
 class JobStore:

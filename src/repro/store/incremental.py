@@ -66,7 +66,7 @@ from repro.core.verify import grade_test_sequence
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.fausim.compile import NetlistDelta, compile_circuit, diff_compiled
 from repro.obs.tracing import fold_cost
-from repro.store.store import BaseCampaign, CampaignStore
+from repro.store.store import CampaignStore
 
 
 def influence_cone(circuit: Circuit, delta: NetlistDelta) -> FrozenSet[str]:
@@ -208,7 +208,6 @@ def run_incremental(
     max_target_faults: Optional[int] = None,
     time_limit_s: Optional[float] = None,
     metrics=None,
-    base: Optional[BaseCampaign] = None,
 ) -> IncrementalOutcome:
     """Re-run a campaign incrementally against a stored base.
 
@@ -222,8 +221,7 @@ def run_incremental(
     """
     started = time.perf_counter()
     deadline = started + time_limit_s if time_limit_s is not None else None
-    if base is None:
-        base = store.find_base(circuit.name, config)
+    base = store.find_base(circuit.name, config)
     delta = diff_compiled(compile_circuit(base.circuit), compile_circuit(circuit))
     cone = influence_cone(circuit, delta)
     universe = enumerate_delay_faults(circuit)

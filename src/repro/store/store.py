@@ -170,11 +170,7 @@ class CampaignStore:
             "config_json": config_payload_json(payload) if payload is not None else None,
             "bench": write_bench(circuit) if circuit is not None else None,
             "backend": getattr(config, "backend", None),
-            "robust": (
-                int(bool(payload["robust"]))
-                if payload is not None and "robust" in payload
-                else None
-            ),
+            "robust": int(config.robust) if config is not None else None,
             "campaign_seed": getattr(config, "campaign_seed", None),
             "rpg_prefix": int(bool(getattr(config, "rpg_prefix", False))),
             "rpg_budget": getattr(config, "rpg_budget", None),

@@ -30,7 +30,6 @@ def _config(jobs, partition="round-robin"):
         rpg_prefix=True,
         rpg_budget=BUDGET,
         rpg_window=WINDOW,
-        rpg_length=LENGTH,
     )
 
 

@@ -119,3 +119,53 @@ def test_digest_ignores_backend():
     for backend, payload in payloads.items():
         assert payload == reference, f"digest payload differs for {backend}"
     assert "backend" not in reference
+
+
+@pytest.mark.parametrize(
+    "settings, digest, payload_json",
+    [
+        (
+            {},
+            "e4c44b1fc512be0d",
+            '{"campaign_seed": 0, "enable_fault_simulation": true, "fill_value": 0, '
+            '"local_backtrack_limit": 100, "max_local_retries": 3, "robust": true, '
+            '"sequential_backtrack_limit": 100, "verify_sequences": true}',
+        ),
+        (
+            {
+                "robust": False, "local_backtrack_limit": 8,
+                "sequential_backtrack_limit": 8, "campaign_seed": 3,
+            },
+            "091ca89691dc2a43",
+            '{"campaign_seed": 3, "enable_fault_simulation": true, "fill_value": 0, '
+            '"local_backtrack_limit": 8, "max_local_retries": 3, "robust": false, '
+            '"sequential_backtrack_limit": 8, "verify_sequences": true}',
+        ),
+        (
+            {"rpg_prefix": True, "rpg_budget": 32, "rpg_window": 8},
+            "bd77a6130ae201cf",
+            '{"campaign_seed": 0, "enable_fault_simulation": true, "fill_value": 0, '
+            '"local_backtrack_limit": 100, "max_local_retries": 3, "robust": true, '
+            '"rpg_budget": 32, "rpg_length": 8, "rpg_prefix": true, "rpg_window": 8, '
+            '"sequential_backtrack_limit": 100, "verify_sequences": true}',
+        ),
+    ],
+    ids=["defaults", "non-robust-limit8-seed3", "hybrid-32-8"],
+)
+def test_campaign_digest_golden(settings, digest, payload_json):
+    """Literal s27 digests: a changed settings payload would orphan every
+    journal and store written before the change.
+
+    The values were recorded before the config dropped its fixed engine
+    settings (fill value, sequence verification, fault simulation, prefix
+    sequence length); the digest still records them at their defaults.
+    """
+    from repro.data import load_circuit
+    from repro.faults.model import enumerate_delay_faults
+    from repro.orchestrate.coordinator import OrchestratorConfig
+    from repro.store.store import config_payload_json
+
+    payload = OrchestratorConfig(**settings).digest_payload()
+    assert config_payload_json(payload) == payload_json
+    universe = enumerate_delay_faults(load_circuit("s27"))
+    assert campaign_digest("s27", payload, universe) == digest

@@ -20,7 +20,7 @@ from repro.orchestrate import (
     CampaignOrchestrator,
     OrchestratorConfig,
     read_journal,
-    run_parallel_campaign,
+    run_campaign,
 )
 
 
@@ -60,7 +60,7 @@ def s344_serial(s344_small):
 
 def test_s27_jobs4_matches_serial(s27):
     serial = SequentialDelayATPG(s27).run()
-    parallel = run_parallel_campaign(s27, jobs=4)
+    parallel = run_campaign(s27, OrchestratorConfig(jobs=4)).result
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
@@ -100,7 +100,7 @@ def test_broadcast_detections_eliminate_merge_recompute(s344_small, s344_serial)
 
 
 def test_dynamic_work_queue_matches_serial(s344_small, s344_serial):
-    parallel = run_parallel_campaign(s344_small, jobs=3, partition="dynamic")
+    parallel = run_campaign(s344_small, OrchestratorConfig(jobs=3, partition="dynamic")).result
     assert _fingerprint(parallel) == _fingerprint(s344_serial)
 
 
@@ -109,13 +109,15 @@ def test_s838_surrogate_matches_serial():
     circuit = load_circuit("s838-surrogate", scale=0.12)
     serial = SequentialDelayATPG(circuit).run()
     assert serial.tested > 0, "campaign must generate sequences to be a meaningful check"
-    parallel = run_parallel_campaign(circuit, jobs=4)
+    parallel = run_campaign(circuit, OrchestratorConfig(jobs=4)).result
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
 def test_capped_campaign_matches_serial(s344_small):
     serial = SequentialDelayATPG(s344_small).run(max_target_faults=15)
-    parallel = run_parallel_campaign(s344_small, jobs=3, max_target_faults=15)
+    parallel = run_campaign(
+        s344_small, OrchestratorConfig(jobs=3), max_target_faults=15
+    ).result
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
@@ -123,7 +125,7 @@ def test_explicit_fault_subset_matches_serial(s344_small):
     faults = enumerate_delay_faults(s344_small)
     subset = faults[:60]
     serial = SequentialDelayATPG(s344_small).run(faults=subset)
-    parallel = run_parallel_campaign(s344_small, jobs=2, faults=subset)
+    parallel = run_campaign(s344_small, OrchestratorConfig(jobs=2), faults=subset).result
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 

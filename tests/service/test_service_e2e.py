@@ -27,16 +27,20 @@ import pytest
 from repro.data import load_circuit
 from repro.data.s27 import S27_BENCH
 from repro.fausim.compile import compile_count
-from repro.orchestrate import run_parallel_campaign
+from repro.orchestrate import OrchestratorConfig, run_campaign
 
 from tests.service.conftest import result_fingerprint
+
+
+def _direct(circuit, **settings):
+    """Direct ``run_campaign`` result (JSON) of the settings a test submits."""
+    return run_campaign(circuit, OrchestratorConfig(**settings)).result.to_json()
 
 
 @pytest.fixture(scope="module")
 def s27_direct():
     """Direct orchestrate-layer run of the spec the e2e tests submit."""
-    circuit = load_circuit("s27")
-    return run_parallel_campaign(circuit, jobs=2, campaign_seed=3).to_json()
+    return _direct(load_circuit("s27"), jobs=2, campaign_seed=3)
 
 
 # --------------------------------------------------------------------- #
@@ -61,9 +65,7 @@ def test_served_surrogate_matches_direct_run(daemon):
     assert client.wait(job_id)["status"] == "done"
     served = client.result(job_id)["campaign"]
 
-    direct = run_parallel_campaign(
-        load_circuit("s344", scale=0.25), jobs=2, campaign_seed=5
-    ).to_json()
+    direct = _direct(load_circuit("s344", scale=0.25), jobs=2, campaign_seed=5)
     assert result_fingerprint(served) == result_fingerprint(direct)
 
 
@@ -92,11 +94,11 @@ def test_served_hybrid_campaign_matches_direct_run(daemon):
     assert served["prefix_detected"] > 0
     assert served["prefix_stop_reason"] in ("window", "budget", "exhausted")
 
-    direct = run_parallel_campaign(
+    direct = _direct(
         load_circuit("s344", scale=0.3),
         jobs=2, campaign_seed=0,
         rpg_prefix=True, rpg_budget=64, rpg_window=8,
-    ).to_json()
+    )
     assert result_fingerprint(served) == result_fingerprint(direct)
 
     _, events = client.get(f"/jobs/{job_id}/events")
@@ -349,7 +351,6 @@ def test_index_and_status_endpoints(daemon):
 def s27_store(tmp_path):
     """A store holding one finished s27 base under JobSpec default settings."""
     from repro.core.flow import SequentialDelayATPG
-    from repro.orchestrate import OrchestratorConfig
     from repro.store import CampaignStore
 
     circuit = load_circuit("s27")

@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.data import load_circuit
-from repro.orchestrate import run_parallel_campaign
+from repro.orchestrate import OrchestratorConfig, run_campaign
 
 from tests.service.conftest import ServiceClient, result_fingerprint
 
@@ -44,9 +44,8 @@ SPEC = {"circuit": "s344", "scale": 0.3, "jobs": 2, "seed": 7}
 def uninterrupted():
     """The campaign the daemon should reproduce, run directly and once."""
     circuit = load_circuit("s344", scale=SPEC["scale"])
-    return run_parallel_campaign(
-        circuit, jobs=SPEC["jobs"], campaign_seed=SPEC["seed"]
-    ).to_json()
+    config = OrchestratorConfig(jobs=SPEC["jobs"], campaign_seed=SPEC["seed"])
+    return run_campaign(circuit, config).result.to_json()
 
 
 def _wait_for_events(client, job_id, minimum, timeout=120.0):

@@ -179,8 +179,11 @@ def test_journal_cross_resume_rejected(tmp_path, capsys):
     """A robust journal cannot be resumed under --non-robust settings."""
     journal = str(tmp_path / "s27.jsonl")
     assert run_cli(capsys, "campaign", "--circuits", "s27", "--journal", journal)[0] == 0
-    with pytest.raises(ValueError, match="digest"):
-        main(["campaign", "--circuits", "s27", "--resume", journal, "--non-robust"])
+    code, out, err = run_cli(
+        capsys, "campaign", "--circuits", "s27", "--resume", journal, "--non-robust"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "digest" in err
 
 
 def test_store_ingest_query_report(tmp_path, capsys):

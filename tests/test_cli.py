@@ -153,9 +153,51 @@ def test_campaign_rejects_conflicting_journal_paths(capsys):
     assert code == 2
 
 
-def test_unknown_circuit_raises():
-    with pytest.raises(KeyError):
-        main(["campaign", "--circuits", "s9999"])
+def test_unknown_circuit_raises(capsys):
+    """An unknown circuit name is a one-line usage error, not a traceback."""
+    code = main(["campaign", "--circuits", "s9999"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "unknown circuit 's9999'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("campaign", "--rpg-prefix", "--rpg-window", "0"), "'rpg_window' must be >= 1"),
+        (("campaign", "--rpg-prefix", "--rpg-budget", "0"), "'rpg_budget' must be >= 1"),
+        (("campaign", "--rpg-window", "0"), "'rpg_window' must be >= 1"),
+        (("campaign", "--backtrack-limit", "0"), "'local_backtrack_limit' must be >= 1"),
+        (("campaign", "--jobs", "0"), "'jobs' must be >= 1"),
+        (("campaign", "--time-limit", "-1"), "'time_limit_s' must be > 0"),
+        (("campaign", "--max-faults", "-3"), "'max_target_faults' must be >= 1"),
+        (("campaign", "--scale", "-1"), "'scale' must be > 0"),
+        (("campaign", "--circuits", "s208", "--scale", "0"), "'scale' must be > 0"),
+        (("campaign", "--resume", "{tmp}/missing.jsonl"), "missing.jsonl"),
+        (
+            ("store", "ingest", "--store", "{tmp}/s.sqlite", "--journal", "{tmp}/missing.jsonl"),
+            "missing.jsonl",
+        ),
+        (
+            ("store", "ingest", "--store", "{tmp}/s.sqlite", "--journal", "{tmp}/j.jsonl",
+             "--circuits", "s9999"),
+            "unknown circuit 's9999'",
+        ),
+    ],
+    ids=[
+        "rpg-window", "rpg-budget", "rpg-window-no-prefix", "backtrack-limit", "jobs",
+        "time-limit", "max-faults", "scale-negative", "scale-zero", "resume-missing",
+        "ingest-missing-journal", "ingest-unknown-circuit",
+    ],
+)
+def test_input_errors_are_one_line_exit_2(tmp_path, capsys, argv, fragment):
+    """A bad setting or input is one ``error:`` line on stderr and exit 2."""
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # nothing ran
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and fragment in captured.err
 
 
 def test_rejects_unknown_backend(capsys):
