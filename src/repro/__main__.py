@@ -278,9 +278,9 @@ def _add_campaign_parser(subparsers, parents) -> None:
             "same circuit name and settings in this store, re-target only "
             "the faults inside the netlist edit's influence cone and reuse "
             "every other stored outcome — the result is bit-identical to a "
-            "from-scratch run on the edited netlist, --rpg-prefix included "
-            "(the prefix reruns; only the deterministic phase is reused). "
-            "Serial only: not compatible with --jobs > 1 or --journal/--resume"
+            "from-scratch run on the edited netlist, with any --jobs, "
+            "--journal/--resume or --rpg-prefix (the prefix reruns; only the "
+            "deterministic phase is reused)"
         ),
     )
 

@@ -165,6 +165,7 @@ class SequentialDelayATPG:
         max_target_faults: Optional[int] = None,
         time_limit_s: Optional[float] = None,
         prefix: Optional["PrefixConfig"] = None,
+        reuse: Optional[Dict[int, Dict[str, object]]] = None,
     ) -> CampaignResult:
         """Run a full ATPG campaign.
 
@@ -182,6 +183,10 @@ class SequentialDelayATPG:
                 the cheaply detectable faults from the universe, then the
                 deterministic flow targets only the residue.  ``max_target_faults``
                 counts residue targets only.
+            reuse: journal-format ``fault`` records keyed by universe index
+                (:func:`repro.store.incremental.plan_reuse`): a mapped fault
+                reads its record instead of being targeted.  Each record must
+                be exactly what :meth:`target_fault` would return.
         """
         fault_universe = list(faults) if faults is not None else enumerate_delay_faults(self.circuit)
         logger.info(
@@ -190,6 +195,14 @@ class SequentialDelayATPG:
         )
         start = time.perf_counter()
         deadline = start + time_limit_s if time_limit_s is not None else None
+
+        def target(index: int, fault: GateDelayFault) -> FaultResult:
+            if reuse and index in reuse:
+                from repro.orchestrate.journal import replay_record
+
+                return replay_record(reuse[index], self.metrics, self.cost_log)
+            # Looked up per call, so a patched ``target_fault`` is honoured.
+            return self.target_fault(fault, deadline=deadline)
 
         with self.metrics.timed("repro_phase_seconds", phase="campaign"):
             outcome = (
@@ -200,8 +213,7 @@ class SequentialDelayATPG:
             campaign = run_campaign_loop(
                 self.circuit.name,
                 fault_universe,
-                # Looked up per call, so a patched ``target_fault`` is honoured.
-                lambda _index, fault: self.target_fault(fault, deadline=deadline),
+                target,
                 prefix_outcome=outcome,
                 max_target_faults=max_target_faults,
                 deadline=deadline,
@@ -720,9 +732,9 @@ def run_campaign_loop(
     :func:`time.perf_counter` timestamp), and every other fault gets
     ``target(index, fault)``, credited via :func:`credit_fault_result`.  A
     ``None`` outcome (unknown, e.g. a torn journal) leaves it untargeted.
-    :meth:`SequentialDelayATPG.run`, the orchestrator's replay merge and the
-    incremental re-run differ only in ``target``.  ``cpu_seconds`` counts
-    from ``started`` (default: the call).
+    :meth:`SequentialDelayATPG.run` and the orchestrator's replay merge
+    differ only in ``target``.  ``cpu_seconds`` counts from ``started``
+    (default: the call).
     """
     if started is None:
         started = time.perf_counter()

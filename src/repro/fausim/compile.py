@@ -209,6 +209,11 @@ class NetlistDelta:
         has a different fanin (``changed``), a source that lost the sink has
         a different fanout (``observability``).
 
+    ``interface_changed``
+        The ordered primary-input list or flip-flop list differs.  Searches
+        that range over every input or every state bit then differ for
+        *every* fault, so no local cone bounds the edit.
+
     The incremental engine (:mod:`repro.store.incremental`) grows these sets
     into a sequential influence cone to decide which stored fault results
     survive a netlist edit.
@@ -217,11 +222,14 @@ class NetlistDelta:
     changed: Tuple[str, ...]
     observability: Tuple[str, ...]
     removed: Tuple[str, ...]
+    interface_changed: bool = False
 
     @property
     def is_empty(self) -> bool:
         """True when the two netlists are structurally identical."""
-        return not self.changed and not self.observability and not self.removed
+        return not (
+            self.changed or self.observability or self.removed or self.interface_changed
+        )
 
 
 def diff_compiled(old: CompiledCircuit, new: CompiledCircuit) -> NetlistDelta:
@@ -257,4 +265,8 @@ def diff_compiled(old: CompiledCircuit, new: CompiledCircuit) -> NetlistDelta:
         changed=tuple(sorted(changed)),
         observability=tuple(sorted(observability)),
         removed=tuple(sorted(removed)),
+        interface_changed=(
+            old_circuit.primary_inputs != new_circuit.primary_inputs
+            or old_circuit.pseudo_primary_inputs != new_circuit.pseudo_primary_inputs
+        ),
     )

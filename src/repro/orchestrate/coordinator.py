@@ -37,7 +37,9 @@ same circuit and fault universe.  Three mechanisms combine to get there:
 Every record is journaled (JSONL, see :mod:`repro.orchestrate.journal`), so a
 killed campaign resumes: already-recorded faults are not re-targeted, their
 sequences are re-broadcast so the remaining faults still drop, and the final
-replay runs over old and new records together.
+replay runs over old and new records together.  The records an incremental
+re-run reuses from a campaign store (:mod:`repro.store.incremental`) enter
+the same way, and are journaled like any other record.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ from repro.core.results import CampaignResult, FaultResult
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.fausim.backends import available_backends
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, resolve_metrics
-from repro.obs.tracing import FaultCost, fold_cost
+from repro.obs.tracing import FaultCost
 from repro.orchestrate.journal import (
     CampaignJournal,
     JournalSegment,
     campaign_digest,
     fault_record,
     load_segments,
-    record_result,
+    replay_record,
 )
 from repro.orchestrate.partition import PARTITION_MODES, derive_shard_seed, plan_shards
 from repro.orchestrate.worker import worker_main
@@ -293,6 +295,7 @@ class CampaignOrchestrator:
         self,
         faults: Optional[Sequence[GateDelayFault]] = None,
         max_target_faults: Optional[int] = None,
+        reuse: Optional[Dict[int, Dict[str, object]]] = None,
     ) -> CampaignResult:
         """Run (or resume) the sharded campaign and return the merged result.
 
@@ -302,6 +305,10 @@ class CampaignOrchestrator:
             max_target_faults: cap on explicitly targeted faults, applied in
                 serial enumeration order during the replay merge (workers may
                 speculatively compute more; the surplus is discarded).
+            reuse: journal-format ``fault`` records keyed by universe index
+                (:func:`repro.store.incremental.plan_reuse`), merged like the
+                records of a resumed journal: journaled, re-broadcast to the
+                workers and read by the replay instead of being targeted.
         """
         started = time.perf_counter()
         self.fault_costs = []
@@ -347,7 +354,7 @@ class CampaignOrchestrator:
             with self.metrics.timed("repro_phase_seconds", phase="campaign"):
                 return self._run_campaign(
                     universe, records, prefix_records, prefix_done, digest,
-                    journal, max_target_faults, started,
+                    journal, max_target_faults, started, reuse or {},
                 )
         finally:
             if journal is not None:
@@ -363,6 +370,7 @@ class CampaignOrchestrator:
         journal: Optional[CampaignJournal],
         max_target_faults: Optional[int],
         started: float,
+        reuse: Dict[int, Dict[str, object]],
     ) -> CampaignResult:
         """The campaign body of :meth:`run` (split out for phase timing)."""
         self._emit(
@@ -389,6 +397,12 @@ class CampaignOrchestrator:
         prefix_detected = (
             set(prefix_outcome.detected) if prefix_outcome is not None else set()
         )
+        for index in sorted(reuse):
+            # Reused records join the resumed ones; a fault the prefix
+            # detected is never targeted, so its record is left out.
+            if index not in records and universe[index] not in prefix_detected:
+                records[index] = reuse[index]
+                self._emit(journal, reuse[index])
         remaining = [
             index
             for index in range(len(universe))
@@ -661,17 +675,11 @@ class CampaignOrchestrator:
             record = records.get(index)
             if record is None:
                 record = self._recompute(index, fault, journal, len(records))
-            result = record_result(record)
-            cost_payload = record.get("cost")
-            if self.metrics.enabled and cost_payload is not None:
-                # Only the records the serial order actually reaches are
-                # folded — speculative worker records are discarded with
-                # their costs, which is what makes the aggregates (and the
-                # cost log) independent of jobs and partitioning.
-                cost = FaultCost.from_json(cost_payload)
-                fold_cost(self.metrics, cost)
-                self.fault_costs.append(cost)
-            return result
+            # Only the records the serial order actually reaches fold their
+            # costs — speculative worker records are discarded with theirs,
+            # which is what makes the aggregates (and the cost log)
+            # independent of jobs and partitioning.
+            return replay_record(record, self.metrics, self.fault_costs)
 
         campaign = run_campaign_loop(
             self.circuit.name,
@@ -758,17 +766,13 @@ def campaign_mode(
     time_limit_s: Optional[float] = None,
     journaled: bool = False,
     resume: bool = False,
-    incremental: bool = False,
-    fault_subset: bool = False,
 ) -> str:
-    """Check a campaign's run arguments and name the mode that runs it.
+    """Check a campaign's run arguments and name the runner that runs it.
 
-    ``"incremental"`` when a base store is given, ``"orchestrated"`` when
-    ``config.jobs > 1`` or a journal is kept, ``"serial"`` otherwise.
-    Raises ``ValueError`` for an out-of-range cap or time limit and for what
-    no mode supports: a time limit with sharding or a journal (the result
-    depends on wall time, so it is not resumable), and an incremental
-    re-run with sharding, a journal or a fault subset.
+    ``"orchestrated"`` when ``config.jobs > 1`` or a journal is kept,
+    ``"serial"`` otherwise.  Raises ``ValueError`` for an out-of-range cap or
+    time limit and for a time limit with sharding or a journal (the result
+    depends on wall time, so it is not resumable).
     """
     if max_target_faults is not None and max_target_faults < 1:
         raise ValueError("'max_target_faults' must be >= 1")
@@ -776,14 +780,6 @@ def campaign_mode(
         raise ValueError("'time_limit_s' must be > 0")
     if resume and not journaled:
         raise ValueError("resume requires a journal path")
-    if incremental:
-        if config.jobs > 1 or journaled or fault_subset:
-            raise ValueError(
-                "--incremental-from is not supported with --jobs > 1, "
-                "--journal/--resume or a fault subset: an incremental re-run is "
-                "the serial campaign loop over the whole fault universe"
-            )
-        return "incremental"
     if config.jobs == 1 and not journaled:
         return "serial"
     if time_limit_s is not None:
@@ -808,45 +804,48 @@ def run_campaign(
     on_record=None,
     should_stop=None,
 ) -> CampaignRun:
-    """Run one circuit's campaign in the mode :func:`campaign_mode` picks.
+    """Run one circuit's campaign with the runner :func:`campaign_mode` picks.
 
     The one campaign entry point of the CLI, the service and the examples:
     **serial** runs :meth:`~repro.core.flow.SequentialDelayATPG.run`,
-    **orchestrated** a :class:`CampaignOrchestrator` (the only mode that
-    uses ``on_record`` and ``should_stop``), **incremental**
-    :func:`~repro.store.incremental.run_incremental` against the store at
-    ``incremental_from``.  All three give the same result for the same
-    settings; pass ``metrics`` to collect the aggregates and cost records.
+    **orchestrated** a :class:`CampaignOrchestrator` (the only runner that
+    uses ``on_record`` and ``should_stop``).  Both give the same result for
+    the same settings; pass ``metrics`` to collect the aggregates and cost
+    records.  With ``incremental_from`` (a campaign store path) the faults
+    :func:`~repro.store.incremental.plan_reuse` keeps read their stored
+    outcome instead of being targeted, in either runner.
     """
     mode = campaign_mode(
         config, max_target_faults=max_target_faults, time_limit_s=time_limit_s,
         journaled=journal_path is not None, resume=resume,
-        incremental=incremental_from is not None, fault_subset=faults is not None,
     )
-    if mode == "incremental":
-        from repro.store import CampaignStore, run_incremental
+    plan = None
+    if incremental_from is not None:
+        from repro.store import CampaignStore, plan_reuse
 
+        faults = list(faults) if faults is not None else enumerate_delay_faults(circuit)
         with CampaignStore(incremental_from) as store:
-            outcome = run_incremental(
-                circuit, store, config,
-                max_target_faults=max_target_faults,
-                time_limit_s=time_limit_s,
-                metrics=metrics,
-            )
-        return CampaignRun(outcome.result, list(outcome.costs), incremental=outcome.summary())
+            plan = plan_reuse(circuit, store, config, faults, metrics=metrics)
+    reuse = plan.records if plan is not None else None
     if mode == "orchestrated":
         orchestrator = CampaignOrchestrator(
             circuit, config, journal_path=journal_path, resume=resume,
             on_record=on_record, should_stop=should_stop, metrics=metrics,
         )
-        result = orchestrator.run(faults=faults, max_target_faults=max_target_faults)
-        return CampaignRun(
+        result = orchestrator.run(
+            faults=faults, max_target_faults=max_target_faults, reuse=reuse
+        )
+        run = CampaignRun(
             result, list(orchestrator.fault_costs),
             orchestrator.shard_stats, orchestrator.recomputed,
         )
-    atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
-    result = atpg.run(
-        faults=faults, max_target_faults=max_target_faults,
-        time_limit_s=time_limit_s, prefix=config.prefix_config(),
-    )
-    return CampaignRun(result, list(atpg.cost_log))
+    else:
+        atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
+        result = atpg.run(
+            faults=faults, max_target_faults=max_target_faults,
+            time_limit_s=time_limit_s, prefix=config.prefix_config(), reuse=reuse,
+        )
+        run = CampaignRun(result, list(atpg.cost_log))
+    if plan is not None:
+        run.incremental = plan.outcome(run.result, run.costs).summary()
+    return run

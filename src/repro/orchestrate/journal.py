@@ -51,6 +51,7 @@ from typing import Dict, IO, List, Optional, Sequence
 
 from repro.core.results import FaultResult
 from repro.faults.model import GateDelayFault
+from repro.obs.tracing import FaultCost, fold_cost
 
 
 def fault_record(
@@ -81,6 +82,21 @@ def record_result(record: Dict[str, object]) -> FaultResult:
         GateDelayFault.from_json(payload) for payload in record["detections"]
     ]
     return result
+
+
+def replay_record(record: Dict[str, object], metrics, costs: List[FaultCost]) -> FaultResult:
+    """:func:`record_result` for a campaign that reads a record instead of targeting.
+
+    With ``metrics`` enabled the record's stored cost is folded into it and
+    appended to ``costs``, so the aggregates and the cost log match a campaign
+    that targeted the fault itself.
+    """
+    cost_payload = record.get("cost")
+    if metrics.enabled and cost_payload is not None:
+        cost = FaultCost.from_json(cost_payload)
+        fold_cost(metrics, cost)
+        costs.append(cost)
+    return record_result(record)
 
 
 def campaign_digest(

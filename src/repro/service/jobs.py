@@ -76,8 +76,9 @@ class JobSpec:
     rpg_window: int = OrchestratorConfig.rpg_window
     #: Path to a persistent campaign store (``docs/STORE.md``) holding a
     #: finished campaign for the same circuit name and settings: the job
-    #: then runs incrementally, re-targeting only the faults inside the
-    #: netlist edit's influence cone (mirrors ``--incremental-from``).
+    #: then re-targets only the faults inside the netlist edit's influence
+    #: cone and reuses every other stored outcome (mirrors
+    #: ``--incremental-from``).
     incremental_from: Optional[str] = None
 
     @classmethod
@@ -103,8 +104,8 @@ class JobSpec:
 
     @property
     def journaled(self) -> bool:
-        """Whether the service journals the job (not when time-limited or incremental)."""
-        return self.time_limit_s is None and self.incremental_from is None
+        """Whether the service journals the job (not when time-limited)."""
+        return self.time_limit_s is None
 
     def validate(self) -> None:
         """Check the job's own fields, then its settings and mode as the CLI does."""
@@ -121,7 +122,6 @@ class JobSpec:
             max_target_faults=self.max_target_faults,
             time_limit_s=self.time_limit_s,
             journaled=self.journaled,
-            incremental=self.incremental_from is not None,
         )
 
     def build_circuit(self) -> Circuit:
@@ -131,13 +131,9 @@ class JobSpec:
         return load_circuit(self.circuit, scale=self.scale)
 
     def orchestrator_config(self) -> OrchestratorConfig:
-        """The campaign settings this spec maps to.
-
-        An incremental re-run is serial, so it ignores ``jobs`` (absent from
-        the config digest, so the result and its cache key are unchanged).
-        """
+        """The campaign settings this spec maps to."""
         return OrchestratorConfig(
-            jobs=1 if self.incremental_from is not None else self.jobs,
+            jobs=self.jobs,
             partition=self.partition,
             campaign_seed=self.seed,
             robust=self.robust,

@@ -1,72 +1,60 @@
 """Incremental ATPG on a netlist delta, memoised by the campaign store.
 
-The genuinely new capability the ROADMAP names: after an edit to a netlist
-whose campaign is already in the store, only the faults the edit can affect
-are re-targeted — everything else reuses its stored outcome.
+After an edit to a netlist whose campaign is already in the store, only the
+faults the edit can affect are re-targeted — everything else reuses its
+stored outcome.
 
-The contract is deliberately stronger than "the unchanged cone matches": the
-incremental campaign's :meth:`~repro.core.results.CampaignResult.fingerprint`
-must be **bit-identical to a from-scratch serial campaign on the new
-circuit**.  That works because the incremental run *is* the serial campaign
-loop, :func:`~repro.core.flow.run_campaign_loop` — same enumeration order,
-same skip rule, same crediting — with a ``target`` that reads the store for
-the kept faults and calls
-:meth:`~repro.core.flow.SequentialDelayATPG.target_fault` for the rest (the
-property-based harness in ``tests/fuzz/test_incremental_fuzz.py`` pins this
-for random perturbations).  A hybrid campaign's random prefix is not
-memoised: it grades the whole universe, so it runs afresh on the edited
-circuit before the loop, exactly as in a from-scratch run.  A time limit
-cuts the loop like it cuts ``run(time_limit_s=...)``.
+An incremental re-run is not a campaign mode of its own.  :func:`plan_reuse`
+turns the stored base campaign into a *reuse map*, ``{universe index:
+journal-format fault record}`` for the kept faults, and both campaign
+runners read it: :meth:`~repro.core.flow.SequentialDelayATPG.run` uses a
+mapped record instead of calling
+:meth:`~repro.core.flow.SequentialDelayATPG.target_fault`, and
+:meth:`~repro.orchestrate.coordinator.CampaignOrchestrator.run` merges the
+map like a resumed journal.  Per-fault targeting is a pure function of
+(circuit, settings, fault), and every mapped record is exactly what
+``target_fault`` returns on the edited circuit, so the re-run's
+:meth:`~repro.core.results.CampaignResult.fingerprint` is **bit-identical to
+a from-scratch serial campaign on the new circuit** — with any worker count,
+journal, resume, fault subset, random prefix or time limit the runners
+support (``tests/fuzz/test_incremental_fuzz.py`` pins this for random
+perturbations).  A hybrid campaign's random prefix is not memoised: it
+grades the whole universe, so it runs afresh on the edited circuit.
 
 Invalidation rule (the correctness argument lives in ``docs/STORE.md``):
+:func:`influence_cone` closes the value-changing and observability-only
+differences of :func:`~repro.fausim.compile.diff_compiled` over the
+sequential netlist, and :func:`invalidate` re-targets exactly the faults on
+the cone (the residue).  An edit of the primary-input or flip-flop list
+cones every signal: searches that range over every input or every state
+bit differ for every fault.
 
-1. :func:`~repro.fausim.compile.diff_compiled` splits the changed-gate set
-   into value-changing differences ``C`` (type, fanin, existence) and
-   observability-only differences ``O`` (fanout sink set, primary-output
-   membership — the driving function is identical).
-2. ``A = seqTFO*(C)``: the sequential forward closure over fanout edges
-   (flip-flops are ordinary sinks, so the closure crosses registers).  Every
-   signal whose *value* can differ between the two circuits under any input
-   sequence is in ``A``; signals in ``O`` keep their values, so they add
-   nothing forward.
-3. ``B = seqTFI*(A ∪ O)``: the sequential backward closure over fanin
-   edges.  A fault whose signal is outside ``B`` has activation cone,
-   observation cone and every side input of its propagation paths untouched
-   — its targeting search and its sequence's behaviour are identical on
-   both circuits.
-4. :func:`invalidate` re-targets exactly the faults on signals in ``B`` (the
-   residue); the rest reuse their stored outcome.
-
-For reused *tested* faults the stored sequence's TDsim detection list is
-always recomputed on the new circuit (``backend``-dispatched, bit-exact
-across backends) instead of patched from the store: detections range over
-the whole circuit, and recomputing reproduces the from-scratch list — order
-included — by construction.  The stored sequences are additionally re-graded
-word-parallel (:func:`~repro.core.verify.grade_test_sequence`) against the
-residue as a *diagnostic*: the gross-delay coverage bound tells how much of
-the residue existing patterns may still cover, but it never drops a residue
-fault (gross grading over-approximates the eight-valued TDsim rule, the
-standing PR-4 lesson).
+A reused *tested* fault's TDsim detection list is always recomputed on the
+new circuit under the config's ``backend`` (bit-exact across backends):
+detections range over the whole circuit, and recomputing reproduces the
+from-scratch list, order included.  The stored sequences are
+also re-graded word-parallel against the residue as a *diagnostic*
+(``residue_gross_covered``); gross grading over-approximates the
+eight-valued TDsim rule, so it never drops a residue fault.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.core.flow import (
-    SequentialDelayATPG,
-    run_campaign_loop,
-    simulate_sequence_detections,
-)
-from repro.core.results import CampaignResult, FaultResult
+from repro.core.flow import SequentialDelayATPG, simulate_sequence_detections
+from repro.core.results import CampaignResult
 from repro.core.verify import grade_test_sequence
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
+from repro.fausim.backends import resolve_backend
 from repro.fausim.compile import NetlistDelta, compile_circuit, diff_compiled
-from repro.obs.tracing import fold_cost
+from repro.obs.metrics import resolve_metrics
+from repro.orchestrate.journal import record_result
 from repro.store.store import CampaignStore
+from repro.tdgen.context import TDgenContext
+from repro.tdsim.cpt import DelayFaultSimulator
 
 
 def influence_cone(circuit: Circuit, delta: NetlistDelta) -> FrozenSet[str]:
@@ -82,8 +70,11 @@ def influence_cone(circuit: Circuit, delta: NetlistDelta) -> FrozenSet[str]:
 
     Both closures are reflexive and cross flip-flops (a flip-flop is a
     fanout sink like any gate, and its data input is its fanin), so the cone
-    covers multi-frame effects of the change in both directions.
+    covers multi-frame effects of the change in both directions.  An edit
+    of the primary-input or flip-flop list cones every signal.
     """
+    if delta.interface_changed:
+        return frozenset(circuit.gates)
     forward: Set[str] = {name for name in delta.changed if name in circuit.gates}
     work = list(forward)
     while work:
@@ -125,24 +116,45 @@ def invalidate(
 
 
 @dataclasses.dataclass
-class IncrementalOutcome:
-    """Result and bookkeeping of one incremental re-run."""
+class ReusePlan:
+    """What an incremental re-run takes over from its stored base campaign."""
 
-    result: CampaignResult
     base_campaign_id: int
     delta: NetlistDelta
     cone_size: int
     kept: int
     invalidated: int
+    #: Diagnostic: residue faults gross-covered by re-grading the stored
+    #: sequences word-parallel (an upper bound on surviving coverage — never
+    #: used to drop a fault).
+    residue_gross_covered: int
+    #: The reuse map: ``{universe index: journal-format fault record}`` for
+    #: every kept fault the base recorded, detections recomputed on the
+    #: edited circuit.
+    records: Dict[int, Dict[str, object]]
+    #: The faults of :attr:`records`.
+    reusable: FrozenSet[GateDelayFault]
+
+    def outcome(self, result: CampaignResult, costs: Sequence) -> "IncrementalOutcome":
+        """The bookkeeping of the campaign a runner ran with :attr:`records`."""
+        reused = sum(fault_result.fault in self.reusable for fault_result in result.fault_results)
+        plan = {field.name: getattr(self, field.name) for field in dataclasses.fields(ReusePlan)}
+        return IncrementalOutcome(
+            **plan, result=result, reused=reused,
+            retargeted=result.targeted - reused, costs=list(costs),
+        )
+
+
+@dataclasses.dataclass
+class IncrementalOutcome(ReusePlan):
+    """Result and bookkeeping of one incremental re-run."""
+
+    result: CampaignResult
     #: Memo hits: faults whose stored outcome was reused.
     reused: int
     #: Faults re-targeted through the full FOGBUSTER flow (residue plus any
     #: kept fault the base campaign never recorded, e.g. under a cap).
     retargeted: int
-    #: Diagnostic: residue faults gross-covered by re-grading the stored
-    #: sequences word-parallel (an upper bound on surviving coverage — never
-    #: used to drop a fault).
-    residue_gross_covered: int
     #: Per-fault :mod:`repro.obs` cost records when metrics were collected —
     #: stored costs folded back in for reused faults, fresh ones for the
     #: residue (empty with metrics off).
@@ -166,7 +178,7 @@ class IncrementalOutcome:
 
 def regrade_residue(
     circuit: Circuit,
-    records,
+    records: Dict[str, Dict[str, object]],
     kept_order: Sequence[str],
     residue: Sequence[GateDelayFault],
     backend: Optional[str],
@@ -187,10 +199,9 @@ def regrade_residue(
     for fault_name in kept_order:
         if not uncovered:
             break
-        record = records.get(fault_name)
-        if record is None or record.sequence_json is None:
+        sequence = record_result(records[fault_name]).sequence
+        if sequence is None:
             continue
-        sequence = record.build_result().sequence
         try:
             grades = grade_test_sequence(circuit, sequence, uncovered, backend=backend)
         except (KeyError, ValueError):
@@ -198,6 +209,66 @@ def regrade_residue(
         uncovered = [fault for fault, grade in zip(uncovered, grades) if not grade.detected]
         covered = len(residue) - len(uncovered)
     return covered
+
+
+def plan_reuse(
+    circuit: Circuit,
+    store: CampaignStore,
+    config,
+    universe: Sequence[GateDelayFault],
+    *,
+    metrics=None,
+) -> ReusePlan:
+    """Build the reuse map of a re-run of ``universe`` on the edited ``circuit``.
+
+    ``config`` is an :class:`~repro.orchestrate.coordinator.OrchestratorConfig`;
+    the base campaign is located (and digest-validated) in the store by
+    circuit name and config payload.  A kept tested fault's detection list is
+    recomputed on ``circuit`` (TDsim time and counters land on ``metrics``),
+    so every record is exactly what ``target_fault`` returns there.
+    """
+    base = store.find_base(circuit.name, config)
+    delta = diff_compiled(compile_circuit(base.circuit), compile_circuit(circuit))
+    cone = influence_cone(circuit, delta)
+    kept, residue = invalidate(universe, cone)
+    kept_names = {str(fault) for fault in kept}
+    stored = store.fault_records(base.campaign_id)
+    kept_order = [name for name in stored if name in kept_names]
+    backend = resolve_backend(config.backend)
+    residue_gross_covered = regrade_residue(circuit, stored, kept_order, residue, backend)
+
+    registry = resolve_metrics(metrics)
+    context = TDgenContext(circuit)
+    fault_simulator = DelayFaultSimulator(
+        circuit, robust=config.robust, context=context, metrics=registry, backend=backend
+    )
+    records: Dict[int, Dict[str, object]] = {}
+    for index, fault in enumerate(universe):
+        name = str(fault)
+        if name not in kept_names or name not in stored:
+            continue
+        record = dict(stored[name], index=index)
+        result = record_result(record)
+        if result.tested and result.sequence is not None:
+            # Detections range over the whole circuit, so the stored list is
+            # recomputed on the edited netlist — content *and* order then
+            # match the from-scratch run by construction.
+            with registry.timed("repro_phase_seconds", phase="tdsim"):
+                detections = simulate_sequence_detections(
+                    circuit, context, fault_simulator, result.sequence, backend
+                )
+            record["detections"] = [detection.to_json() for detection in detections]
+        records[index] = record
+    return ReusePlan(
+        base_campaign_id=base.campaign_id,
+        delta=delta,
+        cone_size=len(cone),
+        kept=len(kept),
+        invalidated=len(residue),
+        residue_gross_covered=residue_gross_covered,
+        records=records,
+        reusable=frozenset(universe[index] for index in records),
+    )
 
 
 def run_incremental(
@@ -209,102 +280,22 @@ def run_incremental(
     time_limit_s: Optional[float] = None,
     metrics=None,
 ) -> IncrementalOutcome:
-    """Re-run a campaign incrementally against a stored base.
+    """Re-run a campaign serially against a stored base.
 
-    ``config`` is an :class:`~repro.orchestrate.coordinator.OrchestratorConfig`
-    carrying the generation settings and the simulation ``backend``; the
-    base campaign is located (and digest-validated) in the store by circuit
-    name and config payload.  The returned campaign is fingerprint-identical
-    to ``SequentialDelayATPG(circuit, **config.atpg_kwargs()).run(
-    prefix=config.prefix_config(), time_limit_s=...)`` on the new circuit
-    (a time-limited run only up to where the wall clock cuts it).
+    :func:`plan_reuse` over the full fault universe, then
+    ``SequentialDelayATPG(circuit, **config.atpg_kwargs()).run(prefix=
+    config.prefix_config(), time_limit_s=..., reuse=...)`` — fingerprint-
+    identical to the same run without ``reuse`` (a time-limited run only up
+    to where the wall clock cuts it).
     """
-    started = time.perf_counter()
-    deadline = started + time_limit_s if time_limit_s is not None else None
-    base = store.find_base(circuit.name, config)
-    delta = diff_compiled(compile_circuit(base.circuit), compile_circuit(circuit))
-    cone = influence_cone(circuit, delta)
     universe = enumerate_delay_faults(circuit)
-    kept, residue = invalidate(universe, cone)
-    kept_names = {str(fault) for fault in kept}
-    records = store.fault_records(base.campaign_id)
-    kept_order = [name for name in records if name in kept_names]
-
+    plan = plan_reuse(circuit, store, config, universe, metrics=metrics)
     atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
-    registry = atpg.metrics
-    residue_gross_covered = regrade_residue(
-        circuit, records, kept_order, residue, atpg.backend
-    )
-    prefix = config.prefix_config()
-    prefix_outcome = (
-        atpg.run_prefix(universe, prefix, deadline=deadline) if prefix is not None else None
-    )
-
-    reused = retargeted = 0
-
-    def target(_index: int, fault: GateDelayFault) -> FaultResult:
-        nonlocal reused, retargeted
-        name = str(fault)
-        record = records.get(name) if name in kept_names else None
-        if record is None:
-            retargeted += 1
-            return atpg.target_fault(fault, deadline=deadline)
-        result = record.build_result()
-        if result.tested and result.sequence is not None and atpg.enable_fault_simulation:
-            # Detections range over the whole circuit, so the stored list is
-            # recomputed on the edited netlist — content *and* order then
-            # match the from-scratch run by construction.
-            _refit_sequence(result.sequence, circuit, atpg.fill_value)
-            with registry.timed("repro_phase_seconds", phase="tdsim"):
-                result.additionally_detected = simulate_sequence_detections(
-                    circuit, atpg.context, atpg.fault_simulator,
-                    result.sequence, atpg.backend,
-                )
-        reused += 1
-        if registry.enabled:
-            cost = record.build_cost()
-            if cost is not None:
-                fold_cost(registry, cost)
-                atpg.cost_log.append(cost)
-        return result
-
-    campaign = run_campaign_loop(
-        circuit.name,
+    result = atpg.run(
         universe,
-        target,
-        prefix_outcome=prefix_outcome,
         max_target_faults=max_target_faults,
-        deadline=deadline,
-        started=started,
+        time_limit_s=time_limit_s,
+        prefix=config.prefix_config(),
+        reuse=plan.records,
     )
-    return IncrementalOutcome(
-        result=campaign,
-        base_campaign_id=base.campaign_id,
-        delta=delta,
-        cone_size=len(cone),
-        kept=len(kept),
-        invalidated=len(residue),
-        reused=reused,
-        retargeted=retargeted,
-        residue_gross_covered=residue_gross_covered,
-        costs=list(atpg.cost_log),
-    )
-
-
-def _refit_sequence(sequence, circuit: Circuit, fill_value: int) -> None:
-    """Align a stored sequence's PPI map with the edited circuit's state.
-
-    Flip-flops added by the edit have no entry in the stored
-    ``ppi_initial_values`` (and removed ones leave stale entries behind).
-    For a *kept* fault the search never constrains those registers — they
-    live inside the influence cone — so the from-scratch flow would leave
-    them at the fill value; mirroring that keeps the reused sequence
-    identical to the regenerated one.  A no-op when the state set is
-    unchanged.
-    """
-    current = set(sequence.ppi_initial_values)
-    expected = circuit.pseudo_primary_inputs
-    if current != set(expected):
-        sequence.ppi_initial_values = {
-            ppi: sequence.ppi_initial_values.get(ppi, fill_value) for ppi in expected
-        }
+    return plan.outcome(result, atpg.cost_log)

@@ -11,9 +11,9 @@
   ``partial`` rows reconstructed from their per-fault records.
 * **Lossless reload** — :meth:`CampaignStore.load_result` rebuilds the exact
   ``CampaignResult`` (fingerprint-identical to the ingested one), and
-  :meth:`CampaignStore.fault_records` exposes the per-fault outcomes as a
-  memo table keyed by fault name — the raw material of the incremental
-  re-run engine (:mod:`repro.store.incremental`).
+  :meth:`CampaignStore.fault_records` returns the per-fault outcomes as
+  journal-format ``fault`` records keyed by fault name — the raw material of
+  incremental re-runs (:mod:`repro.store.incremental`).
 * **Analytics** — :meth:`CampaignStore.coverage_trend`,
   :meth:`CampaignStore.cost_outliers` and
   :meth:`CampaignStore.backend_ablation` answer the cross-campaign questions
@@ -46,6 +46,7 @@ from repro.obs.tracing import FaultCost
 from repro.orchestrate.journal import (
     JournalSegment,
     campaign_digest,
+    fault_record,
     load_segments,
     record_result,
 )
@@ -55,37 +56,6 @@ from repro.store.schema import connect
 def config_payload_json(payload: Dict[str, object]) -> str:
     """Canonical JSON form of a config digest payload (sorted, stable)."""
     return json.dumps(dict(sorted(payload.items())), sort_keys=True)
-
-
-@dataclasses.dataclass(frozen=True)
-class StoredFaultRecord:
-    """One per-fault outcome row, kept as raw JSON strings.
-
-    :meth:`build_result` materialises a *fresh* :class:`FaultResult` on every
-    call — the campaign crediting path mutates ``additionally_detected`` in
-    place, so handing out shared instances would corrupt the memo.
-    """
-
-    fault: str
-    result_json: str
-    sequence_json: Optional[str]
-    detections_json: str
-    cost_json: Optional[str]
-
-    def build_result(self) -> FaultResult:
-        """Materialise the stored outcome as a fresh :class:`FaultResult`."""
-        payload = json.loads(self.result_json)
-        payload["sequence"] = (
-            json.loads(self.sequence_json) if self.sequence_json is not None else None
-        )
-        payload["additionally_detected"] = json.loads(self.detections_json)
-        return FaultResult.from_json(payload)
-
-    def build_cost(self) -> Optional[FaultCost]:
-        """Materialise the stored :mod:`repro.obs` cost record, if any."""
-        if self.cost_json is None:
-            return None
-        return FaultCost.from_json(json.loads(self.cost_json))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -379,28 +349,14 @@ class CampaignStore:
             ).fetchone()
             if row is None:
                 raise LookupError(f"store has no campaign with id {campaign_id}")
-            sequence_rows = self._conn.execute(
-                "SELECT id, kind, ordinal, sequence_json FROM sequences"
-                " WHERE campaign_id = ? ORDER BY ordinal",
+            prefix_rows = self._conn.execute(
+                "SELECT sequence_json FROM sequences"
+                " WHERE campaign_id = ? AND kind = 'prefix' ORDER BY ordinal",
                 (campaign_id,),
             ).fetchall()
-            result_rows = self._conn.execute(
-                "SELECT * FROM results WHERE campaign_id = ? ORDER BY ordinal",
-                (campaign_id,),
-            ).fetchall()
-        sequences = {
-            r["id"]: TestSequence.from_json(json.loads(r["sequence_json"]))
-            for r in sequence_rows
-            if r["kind"] == "fault"
-        }
-        fault_results = []
-        for r in result_rows:
-            payload = _result_row_payload(r)
-            payload["additionally_detected"] = json.loads(r["detections_json"])
-            result = FaultResult.from_json(payload)
-            if r["sequence_id"] is not None:
-                result.sequence = sequences[r["sequence_id"]]
-            fault_results.append(result)
+        fault_results = [
+            record_result(record) for record in self.fault_records(campaign_id).values()
+        ]
         campaign = CampaignResult(
             circuit_name=row["circuit"],
             total_faults=row["total_faults"],
@@ -420,9 +376,7 @@ class CampaignStore:
             prefix_detected=row["prefix_detected"],
             prefix_stop_reason=row["prefix_stop_reason"],
             prefix_sequences=[
-                TestSequence.from_json(json.loads(r["sequence_json"]))
-                for r in sequence_rows
-                if r["kind"] == "prefix"
+                TestSequence.from_json(json.loads(r["sequence_json"])) for r in prefix_rows
             ],
         )
         campaign.sequences = [
@@ -455,8 +409,16 @@ class CampaignStore:
             for r in rows
         ]
 
-    def fault_records(self, campaign_id: int) -> Dict[str, StoredFaultRecord]:
-        """Per-fault memo table of one campaign, keyed by fault name."""
+    def fault_records(self, campaign_id: int) -> Dict[str, Dict[str, object]]:
+        """The per-fault outcomes of one campaign, keyed by fault name.
+
+        Each value is the journal-format ``fault`` record
+        (:func:`~repro.orchestrate.journal.fault_record`, read back by
+        :func:`~repro.orchestrate.journal.record_result`) with the stored
+        detection list and, when stored, the cost record.  Its ``index`` and
+        ``worker`` are ``-1``: a re-run keys each record by its own universe
+        index (:func:`~repro.store.incremental.plan_reuse`).
+        """
         with self._lock:
             result_rows = self._conn.execute(
                 "SELECT * FROM results WHERE campaign_id = ? ORDER BY ordinal",
@@ -467,24 +429,24 @@ class CampaignStore:
                 " WHERE campaign_id = ? AND kind = 'fault'",
                 (campaign_id,),
             ).fetchall()
-            cost_rows = self._conn.execute(
-                "SELECT fault, ordinal FROM costs WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchall()
-        sequences = {r["id"]: r["sequence_json"] for r in sequence_rows}
-        costs = self.load_costs(campaign_id) if cost_rows else []
-        cost_by_fault = {cost.fault: cost for cost in costs}
-        memo: Dict[str, StoredFaultRecord] = {}
+        sequences = {r["id"]: json.loads(r["sequence_json"]) for r in sequence_rows}
+        costs = {cost.fault: cost for cost in self.load_costs(campaign_id)}
+        records: Dict[str, Dict[str, object]] = {}
         for r in result_rows:
-            cost = cost_by_fault.get(r["fault"])
-            memo[r["fault"]] = StoredFaultRecord(
-                fault=r["fault"],
-                result_json=json.dumps(_result_row_payload(r), sort_keys=True),
-                sequence_json=sequences.get(r["sequence_id"]),
-                detections_json=r["detections_json"],
-                cost_json=json.dumps(cost.to_json(), sort_keys=True) if cost else None,
+            result = FaultResult.from_json(
+                {
+                    "fault": json.loads(r["fault_json"]),
+                    "status": r["status"],
+                    "phase": r["phase"],
+                    "sequence": sequences.get(r["sequence_id"]),
+                    "additionally_detected": json.loads(r["detections_json"]),
+                    "local_backtracks": r["local_backtracks"],
+                    "sequential_backtracks": r["sequential_backtracks"],
+                    "attempts": r["attempts"],
+                }
             )
-        return memo
+            records[r["fault"]] = fault_record(-1, -1, result, costs.get(r["fault"]))
+        return records
 
     # ------------------------------------------------------------------ #
     # incremental base lookup
@@ -634,20 +596,6 @@ class CampaignStore:
         with self._lock:
             rows = self._conn.execute(query, args).fetchall()
         return [dict(row) for row in rows]
-
-
-def _result_row_payload(row) -> Dict[str, object]:
-    """A ``results`` row in ``FaultResult.to_json`` form, without sequence or detections."""
-    return {
-        "fault": json.loads(row["fault_json"]),
-        "status": row["status"],
-        "phase": row["phase"],
-        "sequence": None,
-        "additionally_detected": [],
-        "local_backtracks": row["local_backtracks"],
-        "sequential_backtracks": row["sequential_backtracks"],
-        "attempts": row["attempts"],
-    }
 
 
 def _segment_result(segment: JournalSegment) -> "tuple[CampaignResult, bool]":

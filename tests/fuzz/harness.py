@@ -634,11 +634,10 @@ def load_corpus() -> List[Tuple[Path, FuzzCase]]:
 # --------------------------------------------------------------------------- #
 # incremental-equivalence fuzzing
 # --------------------------------------------------------------------------- #
-#: Perturbation kinds :class:`PerturbSpec` can describe.  Flip-flop
-#: additions/removals are deliberately excluded: they change the state set,
-#: which the store-side sequence refit already pins deterministically, and a
-#: register delta always lands its whole fanin/fanout in the cone anyway.
-PERTURB_KINDS = ("type_flip", "rewire", "add_gate", "remove_gate")
+#: Perturbation kinds :class:`PerturbSpec` can describe.  ``add_input`` and
+#: ``add_dff`` change the primary-input or flip-flop list, which invalidates
+#: the whole fault universe.
+PERTURB_KINDS = ("type_flip", "rewire", "add_gate", "remove_gate", "add_input", "add_dff")
 
 
 @dataclasses.dataclass
@@ -650,12 +649,16 @@ class PerturbSpec:
 
     Attributes:
         kind: one of :data:`PERTURB_KINDS`.
-        gate: the edited gate's output name (the *new* gate's name for
-            ``add_gate``).
-        gate_type: replacement/new gate type name (``type_flip``/``add_gate``).
+        gate: the edited gate's output name (the *new* gate's, primary
+            input's or flip-flop's name for ``add_gate``/``add_input``/
+            ``add_dff``).
+        gate_type: replacement/new gate type name (``type_flip``/``add_gate``;
+            for ``add_input`` the type of the gate observing the new input).
         pin: fanin pin index being rewired (``rewire``).
-        source: replacement fanin source (``rewire``).
-        fanins: the new gate's fanin list (``add_gate``).
+        source: replacement fanin source (``rewire``); the new flip-flop's
+            data input (``add_dff``).
+        fanins: the new gate's fanin list (``add_gate``); the observing
+            gate's other fanins (``add_input``).
         attach: how an added gate is observed — ``"po"`` (new primary
             output), ``"dff:<q>"`` (repoint that flip-flop's data input) or
             ``None`` (left dangling; still a structural delta).
@@ -749,6 +752,25 @@ class PerturbSpec:
             out.outputs = [o for o in out.outputs if o != self.gate]
             if not out.outputs:
                 raise ValueError("removal would leave no primary outputs")
+        elif self.kind in ("add_input", "add_dff"):
+            pool = set(out.inputs) | {q for q, _ in out.dffs}
+            pool.update(o for _, o, _ in out.gates)
+            if self.gate in pool:
+                raise ValueError(f"signal {self.gate!r} already exists")
+            if self.kind == "add_input":
+                # The new input is observed through a new gate at a new PO.
+                if not set(self.fanins) <= pool:
+                    raise ValueError("stale add_input fanins")
+                out.inputs.append(self.gate)
+                observer = f"{self.gate}_obs"
+                out.gates.append((self.gate_type, observer, [self.gate, *self.fanins]))
+                out.outputs.append(observer)
+            else:
+                # The new flip-flop registers an existing signal; a new PO reads it.
+                if self.source not in pool:
+                    raise ValueError("stale add_dff source")
+                out.dffs.append((self.gate, self.source))
+                out.outputs.append(self.gate)
         else:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         return out
@@ -794,9 +816,9 @@ class PerturbSpec:
             if not choices:
                 return None
             return cls(kind="rewire", gate=output, pin=pin, source=rng.choice(choices))
+        pool = list(spec.inputs) + [q for q, _ in spec.dffs]
+        pool += [o for _, o, _ in spec.gates]
         if kind == "add_gate":
-            pool = list(spec.inputs) + [q for q, _ in spec.dffs]
-            pool += [o for _, o, _ in spec.gates]
             if rng.random() < 0.25:
                 gate_type, fanins = rng.choice(_SINGLE_INPUT), [rng.choice(pool)]
             else:
@@ -816,6 +838,15 @@ class PerturbSpec:
                 fanins=fanins,
                 attach=attach,
             )
+        if kind == "add_input":
+            return cls(
+                kind="add_input",
+                gate="x0",
+                gate_type=rng.choice(_MULTI_INPUT).name,
+                fanins=[rng.choice(pool)],
+            )
+        if kind == "add_dff":
+            return cls(kind="add_dff", gate="r0", source=rng.choice(pool))
         # remove_gate
         removable = [o for _, o, _ in spec.gates if o not in spec.outputs or len(spec.outputs) > 1]
         if not removable:
@@ -854,6 +885,10 @@ class IncrementalFuzzCase:
     #: phase of all three campaigns.  Off by default, so corpus cases written
     #: before the field existed replay unchanged.
     rpg: bool = False
+    #: Worker count of the re-run: 1 runs :func:`run_incremental`, 2 runs
+    #: ``run_campaign(..., incremental_from=...)`` on two workers.  1 by
+    #: default, so older corpus cases replay unchanged.
+    jobs: int = 1
 
     def to_json(self) -> Dict[str, object]:
         """JSON representation (see :meth:`from_json`)."""
@@ -866,6 +901,7 @@ class IncrementalFuzzCase:
             "backend": self.backend,
             "base_cap": self.base_cap,
             "rpg": self.rpg,
+            "jobs": self.jobs,
         }
 
     @classmethod
@@ -879,6 +915,7 @@ class IncrementalFuzzCase:
             backend=payload.get("backend"),
             base_cap=payload.get("base_cap"),
             rpg=payload.get("rpg", False),
+            jobs=payload.get("jobs", 1),
         )
 
 
@@ -894,13 +931,14 @@ def generate_incremental_case(seed: int) -> IncrementalFuzzCase:
         robust=rng.random() < 0.6,
         backend=rng.choice(list(available_backends())),
         base_cap=rng.randint(3, 12) if rng.random() < 0.25 else None,
-        # Drawn last, so every earlier field of a seed's case is unchanged.
         rpg=rng.random() < 0.3,
+        # Drawn last, so every earlier field of a seed's case is unchanged.
+        jobs=2 if rng.random() < 0.25 else 1,
     )
 
 
 def _incremental_config(case: IncrementalFuzzCase):
-    """The (serial) campaign settings an incremental case runs under.
+    """The serial campaign settings an incremental case runs under.
 
     Tight backtrack limits keep each of the three campaigns per check cheap;
     they are part of the config digest, so base and re-run agree on them.
@@ -935,15 +973,17 @@ def check_incremental_case(case: IncrementalFuzzCase) -> List[str]:
        faults whose signal lies in the influence cone.
     3. **Accounting** — every recorded fault was either reused from the
        store or freshly re-targeted.
+
+    A ``jobs == 2`` case re-runs through the orchestrator on two workers.
     """
     import os
     import tempfile
 
+    from repro.core.flow import SequentialDelayATPG
     from repro.fausim.compile import compile_circuit, diff_compiled
+    from repro.orchestrate import run_campaign
     from repro.store.incremental import influence_cone, invalidate, run_incremental
     from repro.store.store import CampaignStore
-
-    from repro.core.flow import SequentialDelayATPG
 
     failures: List[str] = []
     config = _incremental_config(case)
@@ -957,15 +997,20 @@ def check_incremental_case(case: IncrementalFuzzCase) -> List[str]:
     scratch = SequentialDelayATPG(new, **config.atpg_kwargs()).run(prefix=prefix)
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = CampaignStore(os.path.join(tmp, "store.sqlite"))
-        try:
+        path = os.path.join(tmp, "store.sqlite")
+        with CampaignStore(path) as store:
             store.ingest_result(base_result, circuit=old, config=config)
-            outcome = run_incremental(new, store, config)
-        finally:
-            store.close()
+            if case.jobs == 1:
+                outcome = run_incremental(new, store, config)
+                result, summary = outcome.result, outcome.summary()
+        if case.jobs > 1:
+            run = run_campaign(
+                new, dataclasses.replace(config, jobs=case.jobs), incremental_from=path
+            )
+            result, summary = run.result, run.incremental
 
     want = scratch.fingerprint()
-    got = outcome.result.fingerprint()
+    got = result.fingerprint()
     if got != want:
         keys = [key for key in want if got.get(key) != want.get(key)]
         failures.append(f"equivalence: fingerprint differs in {keys}")
@@ -974,9 +1019,9 @@ def check_incremental_case(case: IncrementalFuzzCase) -> List[str]:
     delta = diff_compiled(compile_circuit(old), compile_circuit(new))
     cone = influence_cone(new, delta)
     kept, residue = invalidate(universe, cone)
-    if outcome.kept != len(kept) or outcome.invalidated != len(residue):
+    if summary["kept"] != len(kept) or summary["invalidated"] != len(residue):
         failures.append(
-            f"partition: outcome kept/invalidated {outcome.kept}/{outcome.invalidated} "
+            f"partition: outcome kept/invalidated {summary['kept']}/{summary['invalidated']} "
             f"!= recomputed {len(kept)}/{len(residue)}"
         )
     if len(kept) + len(residue) != len(universe):
@@ -986,11 +1031,13 @@ def check_incremental_case(case: IncrementalFuzzCase) -> List[str]:
     if misplaced:
         failures.append(f"partition: {misplaced[0]} on the wrong side of the cone")
 
-    if outcome.reused + outcome.retargeted != outcome.result.targeted:
+    if summary["reused"] + summary["retargeted"] != result.targeted:
         failures.append(
-            f"accounting: reused {outcome.reused} + retargeted {outcome.retargeted} "
-            f"!= targeted {outcome.result.targeted}"
+            f"accounting: reused {summary['reused']} + retargeted {summary['retargeted']} "
+            f"!= targeted {result.targeted}"
         )
+    if delta.interface_changed and summary["reused"]:
+        failures.append("partition: an interface edit reused stored records")
     return failures
 
 
@@ -1042,6 +1089,10 @@ def _shrink_incremental_candidates(
     if case.rpg:
         variant = clone()
         variant.rpg = False
+        variants.append(variant)
+    if case.jobs > 1:
+        variant = clone()
+        variant.jobs = 1
         variants.append(variant)
     return variants
 

@@ -3,11 +3,12 @@
 Each seed deterministically generates one
 :class:`tests.fuzz.harness.IncrementalFuzzCase` — a random synchronous
 circuit, a random single-edit perturbation (gate type flip, fanin rewire,
-added or removed gate) and random campaign settings (robustness mode,
-simulation backend, optional base-campaign cap, optional random prefix) —
-and asserts the store-backed incremental re-run is fingerprint-identical to
-a from-scratch campaign on the perturbed circuit, with the residue exactly
-the influence-cone intersection.
+added or removed gate, added primary input or flip-flop) and random campaign
+settings (robustness mode, simulation backend, optional base-campaign cap,
+optional random prefix, one or two workers) — and asserts the store-backed
+incremental re-run is fingerprint-identical to a from-scratch campaign on
+the perturbed circuit, with the residue exactly the influence-cone
+intersection.
 
 The default budget keeps the suite inside tier-1 time (each case runs three
 small campaigns); CI pushes and the nightly cron extend it via
@@ -78,9 +79,14 @@ def test_hybrid_cases_reachable():
     assert any(generate_incremental_case(seed).rpg for seed in range(FUZZ_BUDGET))
 
 
+def test_sharded_cases_reachable():
+    """The default seed budget includes a re-run on two workers."""
+    assert any(generate_incremental_case(seed).jobs == 2 for seed in range(FUZZ_BUDGET))
+
+
 def test_perturbation_kinds_all_reachable():
     """The generator exercises every perturbation kind within a seed window."""
     kinds = {generate_incremental_case(seed).perturb.kind for seed in range(80)}
     assert kinds == set(
-        ("type_flip", "rewire", "add_gate", "remove_gate")
+        ("type_flip", "rewire", "add_gate", "remove_gate", "add_input", "add_dff")
     ), f"unreachable perturbation kinds: {kinds}"

@@ -386,11 +386,13 @@ def test_incremental_job_matches_scratch(daemon, s27_store):
             "bench": write_bench(edited),
             "name": "s27",
             "incremental_from": store_path,
-            "jobs": 4,  # orchestration-only: ignored by the incremental path
+            "jobs": 4,  # a sharded, journaled run that reads the reused records
         }
     )
     job = client.wait(job_id)
     assert job["status"] == "done", job
+    # Reused records stream as fault events once, never also as resumed ones.
+    assert 0 < job["recorded"] <= job["total_faults"]
     body = client.result(job_id)
     assert body["cache_hit"] is False
     assert result_fingerprint(body["campaign"]) == result_fingerprint(
@@ -403,6 +405,11 @@ def test_incremental_job_matches_scratch(daemon, s27_store):
     (record,) = [e for e in events["events"] if e.get("type") == "incremental"]
     assert record["kept"] + record["invalidated"] == body["campaign"]["total_faults"]
     assert record["reused"] > 0
+    kinds = [e.get("type") for e in events["events"]]
+    assert kinds.count("fault") + kinds.count("drop") == job["recorded"]
+    assert kinds.count("fault") >= record["reused"]
+    (header,) = [e for e in events["events"] if e.get("type") == "campaign"]
+    assert header["resumed_records"] == 0
 
     # Bit-identity makes the result cacheable under the ordinary campaign
     # key: an equivalent from-scratch submission is a cache hit.
@@ -439,7 +446,7 @@ def test_incremental_job_accepts_prefix_and_time_limit(daemon, tmp_path, s27_sto
     """rpg_prefix and time_limit_s combine with incremental_from.
 
     The hybrid job matches a from-scratch hybrid campaign; the time-limited
-    job (any 'jobs' value: incremental jobs run serially) is not cached.
+    job (serial, like every time-limited job) is not cached.
     """
     import dataclasses
 
@@ -473,9 +480,40 @@ def test_incremental_job_accepts_prefix_and_time_limit(daemon, tmp_path, s27_sto
     assert result_fingerprint(campaign) == result_fingerprint(scratch.to_json())
 
     job_id = client.submit(
-        {"bench": bench, "name": "s27", "incremental_from": store_path, "time_limit_s": 600}
+        {
+            "bench": bench, "name": "s27", "incremental_from": store_path,
+            "time_limit_s": 600, "jobs": 1,
+        }
     )
     assert client.wait(job_id)["status"] == "done"
     rerun = client.submit({"bench": bench, "name": "s27"})
     client.wait(rerun)
     assert client.result(rerun)["cache_hit"] is False
+
+
+def test_cancel_running_incremental_job(daemon, tmp_path):
+    """Cancelling a running incremental job stops it as ``cancelled``."""
+    from repro.core.flow import SequentialDelayATPG
+    from repro.store import CampaignStore
+
+    # A base capped at three targets leaves the re-run minutes of work.
+    circuit = load_circuit("s838", scale=0.5)
+    config = OrchestratorConfig(jobs=1)
+    base = SequentialDelayATPG(circuit, **config.atpg_kwargs()).run(max_target_faults=3)
+    store_path = str(tmp_path / "capped.sqlite")
+    with CampaignStore(store_path) as store:
+        store.ingest_result(base, circuit=circuit, config=config)
+
+    _, client = daemon
+    job_id = client.submit(
+        {"circuit": "s838", "scale": 0.5, "jobs": 1, "incremental_from": store_path}
+    )
+    deadline = time.monotonic() + 120
+    while client.get(f"/jobs/{job_id}")[1]["job"]["recorded"] < 3:
+        assert time.monotonic() < deadline, "the incremental job never streamed records"
+        time.sleep(0.05)
+    status, body = client.post(f"/jobs/{job_id}/cancel")
+    assert status == 200
+    job = client.wait(job_id)
+    assert job["status"] == "cancelled", job
+    assert client.get(f"/jobs/{job_id}/result")[0] == 409

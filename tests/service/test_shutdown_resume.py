@@ -187,3 +187,57 @@ def test_sigterm_mid_campaign_resumes_fingerprint_identical(
         second.kill()
 
     assert result_fingerprint(served) == result_fingerprint(uninterrupted)
+
+
+def test_sigterm_mid_incremental_campaign_resumes_to_scratch(tmp_path):
+    """An incremental job SIGTERMed mid-run resumes from its journal.
+
+    The base is capped, so the re-run reuses a few records and re-targets
+    the rest; the resumed result equals a from-scratch run on the edited
+    netlist.
+    """
+    from repro.circuit.bench import write_bench
+    from repro.circuit.gates import GateType
+    from repro.core.flow import SequentialDelayATPG
+    from repro.store import CampaignStore
+
+    circuit = load_circuit("s344", scale=SPEC["scale"])
+    config = OrchestratorConfig(jobs=1, campaign_seed=SPEC["seed"])
+    base = SequentialDelayATPG(circuit, **config.atpg_kwargs()).run(max_target_faults=5)
+    store_path = str(tmp_path / "base.sqlite")
+    with CampaignStore(store_path) as store:
+        store.ingest_result(base, circuit=circuit, config=config)
+    edited = circuit.copy()
+    edited.add_gate("eco_obs", GateType.AND, list(edited.primary_inputs[:2]))
+    edited.add_output("eco_obs")
+    scratch = SequentialDelayATPG(edited.copy(), **config.atpg_kwargs()).run()
+    spec = {
+        "bench": write_bench(edited), "name": circuit.name, "jobs": SPEC["jobs"],
+        "seed": SPEC["seed"], "incremental_from": store_path,
+    }
+
+    state_dir = tmp_path / "state"
+    first = _Daemon(state_dir, tmp_path / "port-a")
+    try:
+        job_id = first.client.submit(spec)
+        _wait_for_events(first.client, job_id, minimum=12)
+        assert first.sigterm_and_wait() == 0
+    finally:
+        first.kill()
+    table = json.loads((state_dir / "jobs.json").read_text())
+    (row,) = [r for r in table["jobs"] if r["id"] == job_id]
+    assert row["status"] in ("interrupted", "done")
+
+    second = _Daemon(state_dir, tmp_path / "port-b")
+    try:
+        job = second.client.wait(job_id, timeout=300)
+        assert job["status"] == "done", job
+        assert job["recorded"] <= job["total_faults"]
+        if row["status"] == "interrupted":
+            assert job["resumed"] is True
+        served = second.client.result(job_id)["campaign"]
+        assert second.sigterm_and_wait() == 0
+    finally:
+        second.kill()
+
+    assert result_fingerprint(served) == result_fingerprint(scratch.to_json())

@@ -88,25 +88,6 @@ def test_incremental_matches_direct_run_output(tmp_path, capsys):
     assert table_row(incremental) == table_row(direct)
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [
-        ("--jobs", "2"),
-        ("--rpg-prefix", "--jobs", "2"),
-        ("--journal", "j.jsonl"),
-        ("--resume", "j.jsonl"),
-    ],
-)
-def test_incremental_conflicts_rejected(tmp_path, capsys, extra):
-    """--incremental-from refuses sharding and journal replay."""
-    code, _, err = run_cli(
-        capsys, "campaign", "--circuits", "s27",
-        "--incremental-from", str(tmp_path / "s.sqlite"), *extra,
-    )
-    assert code == 2
-    assert "--incremental-from is not supported with" in err
-
-
 HYBRID = ("--rpg-prefix", "--rpg-budget", "8", "--rpg-window", "4")
 
 
@@ -122,6 +103,87 @@ def _stored_fingerprint(path, campaign_id=1):
     """Fingerprint of one campaign as reloaded from a store file."""
     with CampaignStore(path) as store:
         return store.load_result(campaign_id).fingerprint()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--jobs", "2", "--partition", "size-aware"),
+        ("--jobs", "2", "--partition", "dynamic"),
+        (*HYBRID, "--jobs", "2"),
+        ("--journal", "j.jsonl"),
+    ],
+    ids=["jobs2-size-aware", "jobs2-dynamic", "rpg-prefix-jobs2", "journal"],
+)
+def test_incremental_combination_matches_scratch(tmp_path, capsys, extra):
+    """--incremental-from with sharding or a journal gives the serial scratch result."""
+    store = str(tmp_path / "s.sqlite")
+    rerun_store = str(tmp_path / "rerun.sqlite")
+    base_extra = HYBRID if "--rpg-prefix" in extra else ()
+    assert run_cli(capsys, "campaign", "--circuits", "s27", *base_extra, "--store", store)[0] == 0
+    bench = _edited_bench(tmp_path)
+    flags = [str(tmp_path / flag) if flag.endswith(".jsonl") else flag for flag in extra]
+    code, out, err = run_cli(
+        capsys, "campaign", "--circuits", bench, *flags,
+        "--incremental-from", store, "--store", rerun_store,
+    )
+    assert code == 0, err
+    assert "Incremental re-run — s27: base campaign #1" in out
+    assert _stored_fingerprint(rerun_store) == _scratch_fingerprint(bench, extra)
+
+
+def test_incremental_torn_journal_resumes_to_scratch(tmp_path, capsys):
+    """A journaled incremental run torn mid-file resumes to the scratch result."""
+    store = str(tmp_path / "s.sqlite")
+    rerun_store = str(tmp_path / "rerun.sqlite")
+    journal = tmp_path / "j.jsonl"
+    assert run_cli(capsys, "campaign", "--circuits", "s27", "--store", store)[0] == 0
+    bench = _edited_bench(tmp_path)
+    assert run_cli(
+        capsys, "campaign", "--circuits", bench,
+        "--incremental-from", store, "--journal", str(journal),
+    )[0] == 0
+    # What a kill mid-write leaves: the first half of the records and a
+    # torn one after them, no final result.
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = len(lines) // 2
+    journal.write_text("".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2], encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "campaign", "--circuits", bench, "--incremental-from", store,
+        "--resume", str(journal), "--store", rerun_store,
+    )
+    assert code == 0, err
+    assert "Incremental re-run — s27" in out
+    assert _stored_fingerprint(rerun_store) == _scratch_fingerprint(bench, ())
+
+
+def test_incremental_journal_ingests_to_scratch(tmp_path, capsys):
+    """The journal of an incremental run holds every reused record.
+
+    ``store ingest`` rebuilds the campaign from the journal alone, so the
+    ingested fingerprint equals the scratch one only if the reused records
+    were journaled like the re-targeted ones.
+    """
+    store = str(tmp_path / "s.sqlite")
+    ingested = str(tmp_path / "ingested.sqlite")
+    journal = str(tmp_path / "j.jsonl")
+    assert run_cli(capsys, "campaign", "--circuits", "s27", "--store", store)[0] == 0
+    bench = _edited_bench(tmp_path)
+    assert run_cli(
+        capsys, "campaign", "--circuits", bench,
+        "--incremental-from", store, "--journal", journal,
+    )[0] == 0
+    records = [json.loads(line) for line in open(journal, encoding="utf-8")]
+    header = records[0]
+    assert header["resumed_records"] == 0
+    faults = [record for record in records if record["type"] == "fault"]
+    assert len(faults) <= header["total_faults"]
+    code, _, err = run_cli(
+        capsys, "store", "ingest", "--store", ingested,
+        "--journal", journal, "--circuits", bench,
+    )
+    assert code == 0, err
+    assert _stored_fingerprint(ingested) == _scratch_fingerprint(bench, ())
 
 
 @pytest.mark.parametrize("extra", [HYBRID, ("--time-limit", "600")])

@@ -11,6 +11,8 @@ the named cases and the failure modes.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.circuit.gates import GateType
@@ -19,7 +21,7 @@ from repro.data import load_circuit
 from repro.faults.model import enumerate_delay_faults
 from repro.fausim.compile import compile_circuit, diff_compiled
 from repro.obs.metrics import MetricsRegistry
-from repro.orchestrate import OrchestratorConfig
+from repro.orchestrate import OrchestratorConfig, run_campaign
 from repro.store import CampaignStore, influence_cone, invalidate, run_incremental
 
 
@@ -61,6 +63,24 @@ def _with_type_flip(circuit):
             edited._invalidate()
             return edited
     raise AssertionError("s27 has no NAND gate to flip")
+
+
+def _with_new_input(circuit):
+    """Add a primary input, observed through an AND with the first PI."""
+    edited = circuit.copy()
+    edited.add_input("eco_in")
+    edited.add_gate("eco_pi", GateType.AND, ["eco_in", edited.primary_inputs[0]])
+    edited.add_output("eco_pi")
+    return edited
+
+
+def _with_new_flip_flop(circuit):
+    """Register the AND of the first two PIs in a new flip-flop read by a new PO."""
+    edited = circuit.copy()
+    edited.add_gate("eco_d", GateType.AND, list(edited.primary_inputs[:2]))
+    edited.add_gate("eco_q", GateType.DFF, ["eco_d"])
+    edited.add_output("eco_q")
+    return edited
 
 
 def test_unchanged_circuit_reuses_everything(tmp_path):
@@ -206,3 +226,39 @@ def test_observability_only_edit_keeps_disjoint_cones_intact(tmp_path):
     # from an observability-only change.
     assert outcome.cone_size == 3
     assert outcome.reused > outcome.retargeted
+
+
+@pytest.mark.parametrize("edit", [_with_new_input, _with_new_flip_flop])
+def test_interface_edit_invalidates_everything(tmp_path, edit):
+    """A new primary input or flip-flop re-targets the whole universe.
+
+    Searches that range over every input or state bit differ for every
+    fault, so nothing is reused and the run equals a scratch run.
+    """
+    circuit = load_circuit("s27")
+    config = _config()
+    store, _ = _store_with_base(tmp_path, circuit, config)
+    with store:
+        outcome = run_incremental(edit(load_circuit("s27")), store, config)
+    assert outcome.delta.interface_changed
+    assert outcome.kept == 0 and outcome.reused == 0
+    assert outcome.invalidated == outcome.result.total_faults
+    assert outcome.result.fingerprint() == _scratch(edit(load_circuit("s27")), config).fingerprint()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fault_subset_matches_scratch(tmp_path, jobs):
+    """A fault subset reuses by universe index and equals a scratch run of it."""
+    config = _config()
+    store, _ = _store_with_base(tmp_path, load_circuit("s27"), config)
+    store.close()
+    edited = _with_observer(load_circuit("s27"))
+    subset = enumerate_delay_faults(edited)[::2]
+    run = run_campaign(
+        edited, dataclasses.replace(config, jobs=jobs), faults=subset,
+        incremental_from=store.path,
+    )
+    scratch = SequentialDelayATPG(edited.copy(), **config.atpg_kwargs()).run(faults=subset)
+    assert run.result.fingerprint() == scratch.fingerprint()
+    assert run.incremental["reused"] > 0
+    assert run.incremental["kept"] + run.incremental["invalidated"] == len(subset)

@@ -19,6 +19,7 @@ from repro.core.flow import SequentialDelayATPG
 from repro.data import load_circuit
 from repro.obs.metrics import MetricsRegistry
 from repro.orchestrate import CampaignOrchestrator, OrchestratorConfig
+from repro.orchestrate.journal import record_result
 from repro.store import CampaignStore
 
 
@@ -96,7 +97,7 @@ def test_fault_records_memo_matches_results(tmp_path, s27_run):
         records = store.fault_records(campaign_id)
     assert set(records) == {str(r.fault) for r in result.fault_results}
     for fault_result in result.fault_results:
-        rebuilt = records[str(fault_result.fault)].build_result()
+        rebuilt = record_result(records[str(fault_result.fault)])
         assert rebuilt.status is fault_result.status
         assert rebuilt.phase is fault_result.phase
         assert rebuilt.attempts == fault_result.attempts
