@@ -85,9 +85,7 @@ def test_bench_orchestrate_speedup():
     recomputed = 0
     parallel_start = time.perf_counter()
     for circuit, faults in _workloads():
-        orchestrator = CampaignOrchestrator(
-            circuit, config=OrchestratorConfig(jobs=JOBS, partition="size-aware")
-        )
+        orchestrator = CampaignOrchestrator(circuit, config=OrchestratorConfig(jobs=JOBS))
         parallel_campaigns.append(orchestrator.run(faults=faults))
         recomputed += orchestrator.recomputed
     parallel_seconds = time.perf_counter() - parallel_start

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import format_campaign_table, list_circuits, load_circuit
 from repro.core.reporting import format_untestable_breakdown
 from repro.faults import enumerate_delay_faults, sample_faults
-from repro.orchestrate import PARTITION_MODES, OrchestratorConfig, run_campaign
+from repro.orchestrate import OrchestratorConfig, run_campaign
 
 
 def parse_args() -> argparse.Namespace:
@@ -72,12 +72,6 @@ def parse_args() -> argparse.Namespace:
         help="worker processes per circuit (default: 1 = serial); the merged "
              "result is bit-identical to the serial campaign",
     )
-    parser.add_argument(
-        "--partition",
-        default="size-aware",
-        choices=PARTITION_MODES,
-        help="fault sharding mode for --jobs > 1 (default: size-aware)",
-    )
     return parser.parse_args()
 
 
@@ -86,7 +80,6 @@ def main() -> None:
     try:
         config = OrchestratorConfig(
             jobs=args.jobs,
-            partition=args.partition,
             robust=not args.non_robust,
             local_backtrack_limit=args.backtrack_limit,
             sequential_backtrack_limit=args.backtrack_limit,

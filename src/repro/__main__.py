@@ -47,7 +47,6 @@ from repro.fausim.backends import available_backends
 from repro.obs.export import metrics_document
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.orchestrate import OrchestratorConfig, run_campaign
-from repro.orchestrate.partition import PARTITION_MODES
 
 #: Exit code of a campaign whose netlist is malformed (a ``.bench`` syntax
 #: error or a combinational loop); 2 stays the usage/configuration error.
@@ -115,8 +114,8 @@ def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=OrchestratorConfig.campaign_seed,
         help=(
-            "campaign seed from which every worker and the random prefix "
-            "derive their RNG seeds"
+            "campaign seed from which the random prefix sequences derive "
+            "their RNG seeds"
         ),
     )
     group.add_argument(
@@ -139,7 +138,7 @@ def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
             "seeded random sequences are graded fault-parallel against the "
             "whole remaining universe and TDsim-confirmed detections are "
             "dropped before the deterministic flow targets the residue; "
-            "the result stays bit-identical across --jobs/--partition and "
+            "the result stays bit-identical across --jobs and "
             "across --resume for a fixed --seed"
         ),
     )
@@ -163,11 +162,10 @@ def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _orchestrator_config(args: argparse.Namespace, **orchestration) -> OrchestratorConfig:
+def _orchestrator_config(args: argparse.Namespace, jobs: int) -> OrchestratorConfig:
     """The :class:`OrchestratorConfig` of :func:`_add_settings_arguments`' flags.
 
-    ``orchestration`` carries the fields only ``campaign`` has (``jobs``,
-    ``partition``).
+    ``jobs`` is the one field only ``campaign`` has.
     """
     return OrchestratorConfig(
         campaign_seed=args.seed,
@@ -178,7 +176,7 @@ def _orchestrator_config(args: argparse.Namespace, **orchestration) -> Orchestra
         rpg_prefix=args.rpg_prefix,
         rpg_budget=args.rpg_budget,
         rpg_window=args.rpg_window,
-        **orchestration,
+        jobs=jobs,
     )
 
 
@@ -218,12 +216,6 @@ def _add_campaign_parser(subparsers, parents) -> None:
             "worker processes per circuit (default: 1 = serial). The merged "
             "result is bit-identical to the serial campaign for any value."
         ),
-    )
-    parser.add_argument(
-        "--partition",
-        choices=PARTITION_MODES,
-        default=OrchestratorConfig.partition,
-        help="fault sharding mode for --jobs > 1 (default: %(default)s)",
     )
     parser.add_argument(
         "--journal",
@@ -312,7 +304,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
     # campaign runs, so a bad setting or a malformed netlist fails the
     # command up front with a one-line error.
     try:
-        config = _orchestrator_config(args, jobs=args.jobs, partition=args.partition)
+        config = _orchestrator_config(args, jobs=args.jobs)
     except ValueError as error:
         return _usage_error(error)
     circuits = []

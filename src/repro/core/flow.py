@@ -74,6 +74,24 @@ class _AttemptFailure:
     unsynchronizable_state: Optional[Dict[str, int]] = None
 
 
+class CampaignInterrupted(RuntimeError):
+    """A campaign was stopped before finishing.
+
+    Raised when a runner's ``should_stop`` hook fires (graceful daemon
+    shutdown, job cancellation): :meth:`SequentialDelayATPG.run` polls it
+    before every fault, the orchestrator between records.  An orchestrated
+    campaign has journaled every record received before the stop, so it
+    resumes from its journal with nothing lost but the faults in flight.
+    """
+
+    def __init__(self, circuit_name: str, recorded: int) -> None:
+        super().__init__(
+            f"campaign for {circuit_name!r} interrupted with {recorded} fault(s) recorded"
+        )
+        self.circuit_name = circuit_name
+        self.recorded = recorded
+
+
 class SequentialDelayATPG:
     """Robust gate delay fault ATPG for non-scan synchronous sequential circuits.
 
@@ -166,6 +184,7 @@ class SequentialDelayATPG:
         time_limit_s: Optional[float] = None,
         prefix: Optional["PrefixConfig"] = None,
         reuse: Optional[Dict[int, Dict[str, object]]] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
     ) -> CampaignResult:
         """Run a full ATPG campaign.
 
@@ -187,6 +206,8 @@ class SequentialDelayATPG:
                 (:func:`repro.store.incremental.plan_reuse`): a mapped fault
                 reads its record instead of being targeted.  Each record must
                 be exactly what :meth:`target_fault` would return.
+            should_stop: polled before every fault the loop targets;
+                returning True raises :class:`CampaignInterrupted`.
         """
         fault_universe = list(faults) if faults is not None else enumerate_delay_faults(self.circuit)
         logger.info(
@@ -195,8 +216,13 @@ class SequentialDelayATPG:
         )
         start = time.perf_counter()
         deadline = start + time_limit_s if time_limit_s is not None else None
+        recorded = 0
 
         def target(index: int, fault: GateDelayFault) -> FaultResult:
+            nonlocal recorded
+            if should_stop is not None and should_stop():
+                raise CampaignInterrupted(self.circuit.name, recorded)
+            recorded += 1
             if reuse and index in reuse:
                 from repro.orchestrate.journal import replay_record
 

@@ -27,8 +27,8 @@ split on top of the repo's fault-parallel machinery:
 
 Everything here is a pure function of (circuit, universe, config): Phase A
 runs single-threaded before any sharding, which is what lets the orchestrator
-keep the hybrid campaign bit-identical across worker counts, partition modes
-and interrupt/resume cycles.  :class:`RandomPrefixEngine` accepts the usual
+keep the hybrid campaign bit-identical across worker counts and
+interrupt/resume cycles.  :class:`RandomPrefixEngine` accepts the usual
 ``backend`` parameter for its grading/confirmation simulators (``reference``
 or ``packed``); both are bit-identical by contract, so the choice is purely a
 wall-clock knob — ``packed`` grades the whole universe in one bit-parallel
@@ -69,8 +69,7 @@ STOP_DEADLINE = "deadline"
 def derive_prefix_seed(campaign_seed: int, sequence_index: int) -> int:
     """Deterministic seed of prefix sequence ``sequence_index``.
 
-    Mirrors :func:`repro.orchestrate.partition.derive_shard_seed`: a
-    :func:`zlib.crc32` over an explicit token (never :func:`hash`, which is
+    A :func:`zlib.crc32` over an explicit token (never :func:`hash`, which is
     randomised per process) mixed with the campaign seed, so the prefix is
     reproducible run-to-run, across machines, and — because each sequence's
     seed depends only on its index — resumable mid-prefix without replaying

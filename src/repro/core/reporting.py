@@ -59,7 +59,7 @@ def format_campaign_table(results: Sequence[CampaignResult], title: str = "Bench
 
 
 _SHARD_COLUMNS = (
-    "shard", "assigned", "targeted", "dropped", "tested", "untstbl", "aborted",
+    "shard", "targeted", "dropped", "tested", "untstbl", "aborted",
     "absorbed", "time[s]",
 )
 
@@ -72,20 +72,17 @@ def format_shard_summary(
     """Per-shard progress summary of one orchestrated campaign.
 
     ``shard_stats`` is what :class:`repro.orchestrate.coordinator.
-    CampaignOrchestrator` collects from its workers: per shard the number of
-    assigned faults (``-`` in the dynamic work-queue mode), how many were
-    explicitly targeted vs. dropped by a broadcast detection set, the verdict
-    split, how many foreign detection broadcasts the shard absorbed and its
-    wall time.  ``recomputed`` is the coordinator's count of faults the
+    CampaignOrchestrator` collects from its workers: per shard how many
+    faults were explicitly targeted vs. dropped by a broadcast detection set,
+    the verdict split, how many foreign detection broadcasts the shard
+    absorbed and its wall time.  ``recomputed`` is the coordinator's count of faults the
     replay merge had to recompute serially.
     """
     rows: List[Dict[str, object]] = []
     for stats in shard_stats:
-        assigned = stats.get("assigned")
         rows.append(
             {
                 "shard": stats.get("worker", "?"),
-                "assigned": "-" if assigned is None else assigned,
                 "targeted": stats.get("targeted", 0),
                 "dropped": stats.get("dropped", 0),
                 "tested": stats.get("tested", 0),

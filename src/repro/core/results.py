@@ -320,44 +320,6 @@ class CampaignResult:
         ]
         return campaign
 
-    @classmethod
-    def merge(cls, parts: List["CampaignResult"]) -> "CampaignResult":
-        """Merge partial campaign results over disjoint fault sets.
-
-        Every counter is summed and the per-fault lists are concatenated in
-        input order; ``cpu_seconds`` adds up too (it is *CPU* time — for the
-        wall-clock time of a parallel campaign see the orchestrator, whose
-        merged result measures the coordinator's elapsed time instead).  All
-        parts must describe the same circuit.
-        """
-        if not parts:
-            raise ValueError("cannot merge an empty list of campaign results")
-        names = {part.circuit_name for part in parts}
-        if len(names) != 1:
-            raise ValueError(f"refusing to merge campaigns of different circuits: {sorted(names)}")
-        merged = cls(circuit_name=parts[0].circuit_name, total_faults=0)
-        for part in parts:
-            merged.total_faults += part.total_faults
-            merged.tested += part.tested
-            merged.untestable += part.untestable
-            merged.aborted += part.aborted
-            merged.pattern_count += part.pattern_count
-            merged.cpu_seconds += part.cpu_seconds
-            merged.sequences.extend(part.sequences)
-            merged.fault_results.extend(part.fault_results)
-            merged.untestable_local += part.untestable_local
-            merged.untestable_sequential += part.untestable_sequential
-            merged.aborted_local += part.aborted_local
-            merged.aborted_sequential += part.aborted_sequential
-            merged.targeted += part.targeted
-            merged.detected_by_simulation += part.detected_by_simulation
-            merged.prefix_applied += part.prefix_applied
-            merged.prefix_detected += part.prefix_detected
-            if merged.prefix_stop_reason is None:
-                merged.prefix_stop_reason = part.prefix_stop_reason
-            merged.prefix_sequences.extend(part.prefix_sequences)
-        return merged
-
     def finalize(self, fault_status_counts: Dict[str, int], cpu_seconds: float) -> None:
         """Fill in the Table 3 counters from the final fault-list status."""
         self.tested = fault_status_counts.get(FaultStatus.TESTED.value, 0)

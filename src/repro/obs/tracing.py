@@ -163,7 +163,7 @@ def fold_cost(registry: MetricsRegistry, cost: FaultCost) -> None:
     The orchestrator's replay merge calls this once per *credited* fault,
     in fault-enumeration order, so the merged registry carries exactly the
     integer counters a serial campaign over the same credited set would
-    have accumulated — independent of ``--jobs`` and partitioning.  Label
+    have accumulated — independent of ``--jobs`` and scheduling.  Label
     breakdowns (per-site sweeps, per-engine backtracks) are collapsed into
     the unlabelled total here because :class:`FaultCost` stores deltas of
     :meth:`~repro.obs.metrics.MetricsRegistry.counter_sum`.

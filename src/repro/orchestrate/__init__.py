@@ -1,8 +1,8 @@
 """Campaign orchestration: sharded multi-process ATPG.
 
-The subsystem splits one circuit's fault universe over worker processes
-(:mod:`~repro.orchestrate.partition`), runs the per-fault FOGBUSTER step in
-each worker while exchanging newly generated sequences for cross-shard fault
+The subsystem hands one circuit's fault universe to worker processes through
+a shared work queue, runs the per-fault FOGBUSTER step in each worker while
+exchanging newly generated sequences for cross-shard fault
 dropping (:mod:`~repro.orchestrate.worker`), checkpoints every outcome to a
 JSONL journal (:mod:`~repro.orchestrate.journal`) and merges a final
 :class:`~repro.core.results.CampaignResult` that is bit-identical to the
@@ -34,16 +34,6 @@ from repro.orchestrate.journal import (
     load_segments,
     read_journal,
 )
-from repro.orchestrate.partition import (
-    PARTITION_MODES,
-    ShardPlan,
-    derive_shard_seed,
-    fault_weight,
-    partition_round_robin,
-    partition_size_aware,
-    plan_shards,
-    signal_cone_sizes,
-)
 
 __all__ = [
     "CampaignInterrupted",
@@ -57,12 +47,4 @@ __all__ = [
     "campaign_digest",
     "load_segments",
     "read_journal",
-    "PARTITION_MODES",
-    "ShardPlan",
-    "derive_shard_seed",
-    "fault_weight",
-    "partition_round_robin",
-    "partition_size_aware",
-    "plan_shards",
-    "signal_cone_sizes",
 ]

@@ -1,13 +1,14 @@
 """Campaign coordinator: sharded ATPG with a deterministic replay merge.
 
 The orchestration contract is *serial equivalence*: whatever the worker
-count, partitioning mode or scheduling order, the merged
+count or scheduling order, the merged
 :class:`~repro.core.results.CampaignResult` is bit-identical (coverage,
 untestable breakdown, pattern counts) to ``SequentialDelayATPG.run`` on the
 same circuit and fault universe.  Three mechanisms combine to get there:
 
-1. **Optimistic parallel execution.**  Workers target their shard's faults in
-   global enumeration order.  Per-fault targeting
+1. **Optimistic parallel execution.**  Workers take the remaining faults from
+   one shared work queue, fed in global enumeration order, so an idle worker
+   always steals the next untargeted fault.  Per-fault targeting
    (:meth:`~repro.core.flow.SequentialDelayATPG.target_fault`) is a pure
    function of (circuit, settings, fault) — it has no campaign state — so a
    worker's record is exactly what the serial campaign would have computed.
@@ -54,7 +55,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.core.flow import SequentialDelayATPG, run_campaign_loop
+from repro.core.flow import CampaignInterrupted, SequentialDelayATPG, run_campaign_loop
 from repro.core.results import CampaignResult, FaultResult
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.fausim.backends import available_backends
@@ -68,27 +69,9 @@ from repro.orchestrate.journal import (
     load_segments,
     replay_record,
 )
-from repro.orchestrate.partition import PARTITION_MODES, derive_shard_seed, plan_shards
 from repro.orchestrate.worker import worker_main
 
 logger = logging.getLogger(__name__)
-
-
-class CampaignInterrupted(RuntimeError):
-    """An orchestrated campaign was stopped before finishing.
-
-    Raised when the orchestrator's ``should_stop`` hook fires (graceful
-    daemon shutdown, job cancellation).  Every record received before the
-    stop is already journaled, so a campaign interrupted this way resumes
-    from its journal with nothing lost but the faults that were in flight.
-    """
-
-    def __init__(self, circuit_name: str, recorded: int) -> None:
-        super().__init__(
-            f"campaign for {circuit_name!r} interrupted with {recorded} fault(s) recorded"
-        )
-        self.circuit_name = circuit_name
-        self.recorded = recorded
 
 
 #: Settings of :class:`~repro.core.flow.SequentialDelayATPG` the config does
@@ -106,15 +89,11 @@ class OrchestratorConfig:
     :class:`~repro.service.jobs.JobSpec`, the journal digest and the store's
     config payload all map onto it, and :meth:`__post_init__` owns every
     range and choice check.  The ATPG knobs are passed on to
-    :class:`~repro.core.flow.SequentialDelayATPG`; the orchestration knobs
-    are the worker count, the partitioning mode
-    (:data:`~repro.orchestrate.partition.PARTITION_MODES`) and the campaign
-    seed from which every worker derives its own RNG seed
-    (:func:`~repro.orchestrate.partition.derive_shard_seed`).
+    :class:`~repro.core.flow.SequentialDelayATPG`; the orchestration knob
+    is the worker count.  The campaign seed seeds the random-pattern prefix.
     """
 
     jobs: int = 2
-    partition: str = "size-aware"
     campaign_seed: int = 0
     robust: bool = True
     local_backtrack_limit: int = 100
@@ -122,8 +101,8 @@ class OrchestratorConfig:
     max_local_retries: int = 3
     backend: Optional[str] = None
     #: Hybrid campaign: run the random-pattern prefix (Phase A, see
-    #: :mod:`repro.core.prefilter`) before partitioning, so the shards are
-    #: cut from the residue the random sequences could not detect.
+    #: :mod:`repro.core.prefilter`) before the workers start, so they only
+    #: target the residue the random sequences could not detect.
     rpg_prefix: bool = False
     rpg_budget: int = 256
     rpg_window: int = 16
@@ -141,10 +120,6 @@ class OrchestratorConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.partition!r}; known: {PARTITION_MODES}"
-            )
         if self.backend is not None and self.backend not in available_backends():
             raise ValueError(
                 f"unknown backend {self.backend!r}; known: {', '.join(available_backends())}"
@@ -165,13 +140,13 @@ class OrchestratorConfig:
     def digest_payload(self) -> Dict[str, object]:
         """The settings that affect per-fault results, for the journal digest.
 
-        ``jobs`` and ``partition`` are deliberately absent: a journal may be
-        resumed with a different worker count or scheduling mode because the
-        replay merge makes them irrelevant to the outcome.  ``backend`` is
-        absent for the same reason — every registered backend is
-        differentially pinned to be bit-exact (``tests/fuzz``,
-        ``tests/core``), so a campaign journaled under one backend may be
-        resumed under another without invalidating the finished faults.
+        ``jobs`` is deliberately absent: a journal may be resumed with a
+        different worker count because the replay merge makes it irrelevant
+        to the outcome.  ``backend`` is absent for the same reason — every
+        registered backend is differentially pinned to be bit-exact
+        (``tests/fuzz``, ``tests/core``), so a campaign journaled under one
+        backend may be resumed under another without invalidating the
+        finished faults.
         """
         engine = inspect.signature(SequentialDelayATPG).parameters
         payload: Dict[str, object] = {name: getattr(self, name) for name in self._RESULT_FIELDS}
@@ -193,8 +168,7 @@ class OrchestratorConfig:
 
         The prefix seed is the campaign seed itself — each sequence then
         derives its own RNG seed via
-        :func:`~repro.core.prefilter.derive_prefix_seed`, mirroring how the
-        shard seeds are derived from the same campaign seed.
+        :func:`~repro.core.prefilter.derive_prefix_seed`.
         """
         if not self.rpg_prefix:
             return None
@@ -241,7 +215,7 @@ class CampaignOrchestrator:
             (read it back via :attr:`metrics`).  The deterministic counters
             are folded from the *credited* per-fault cost records during the
             replay merge, so the aggregates are identical for any worker
-            count or partition mode — and equal to a serial campaign's.
+            count — and equal to a serial campaign's.
     """
 
     def __init__(
@@ -381,16 +355,15 @@ class CampaignOrchestrator:
                 "digest": digest,
                 "total_faults": len(universe),
                 "jobs": self.config.jobs,
-                "partition": self.config.partition,
                 "campaign_seed": self.config.campaign_seed,
                 "resumed_records": len(records),
                 "resumed_prefix": len(prefix_records),
             },
         )
         # Phase A of a hybrid campaign runs once, single-threaded, before
-        # any partitioning: the shards are then cut from the residue the
-        # random prefix could not detect, and the serial/parallel results
-        # stay bit-identical because Phase A never depends on jobs.
+        # the workers start: they only target the residue the random prefix
+        # could not detect, and the serial/parallel results stay
+        # bit-identical because Phase A never depends on jobs.
         prefix_outcome = self._run_prefix(
             universe, prefix_records, prefix_done, journal
         )
@@ -499,34 +472,24 @@ class CampaignOrchestrator:
         journal: Optional[CampaignJournal],
         max_target_faults: Optional[int] = None,
     ) -> None:
-        """Spawn the shard workers and collect one record per remaining fault."""
+        """Spawn the workers and collect one record per queued fault."""
         config = self.config
-        jobs = max(1, min(config.jobs, len(remaining)))
-        ctx = _mp_context()
         if max_target_faults is not None:
             # Bound the speculative overshoot of a capped campaign: at most
-            # the cap per shard.  The replay merge recomputes any capped-out
+            # the cap per worker.  The replay merge recomputes any capped-out
             # fault the serial order does end up targeting.
-            remaining = remaining[: max(max_target_faults, 0) * jobs]
+            remaining = remaining[: max(max_target_faults, 0) * config.jobs]
             if not remaining:
                 return
-            jobs = max(1, min(jobs, len(remaining)))
-        plan = plan_shards(config.partition, remaining, universe, self.circuit, jobs)
-        if plan is not None and max_target_faults is not None:
-            plan = dataclasses.replace(
-                plan,
-                shards=tuple(shard[:max_target_faults] for shard in plan.shards),
-            )
-
+        jobs = min(config.jobs, len(remaining))
+        ctx = _mp_context()
         result_queue = ctx.Queue()
         broadcast_queues = [ctx.Queue() for _ in range(jobs)]
-        task_queue = None
-        if plan is None:  # dynamic work-queue mode
-            task_queue = ctx.Queue()
-            for index in remaining:
-                task_queue.put(index)
-            for _ in range(jobs):
-                task_queue.put(None)
+        task_queue = ctx.Queue()
+        for index in remaining:
+            task_queue.put(index)
+        for _ in range(jobs):
+            task_queue.put(None)
 
         # Re-broadcast the journaled detection sets of a resumed campaign so
         # the remaining faults can still be dropped by them.
@@ -536,25 +499,20 @@ class CampaignOrchestrator:
                 for inbox in broadcast_queues:
                     inbox.put({"index": index, "detections": detections})
 
-        logger.info(
-            "spawning %d worker(s): partition=%s remaining=%d",
-            jobs, config.partition, len(remaining),
-        )
+        logger.info("spawning %d worker(s): remaining=%d", jobs, len(remaining))
         processes = []
         for worker_id in range(jobs):
-            # Dynamic mode: the shared task queue assigns the work, but the
-            # worker still gets the remaining indices as its grading scope so
-            # broadcasts are never graded against already-recorded faults.
-            assigned = list(remaining) if plan is None else list(plan.shards[worker_id])
+            # The shared task queue hands out the work; the queued indices
+            # are each worker's scope, so broadcasts are never applied to
+            # already-recorded faults.
             process = ctx.Process(
                 target=worker_main,
                 name=f"repro-shard-{worker_id}",
                 args=(
                     worker_id,
-                    derive_shard_seed(config.campaign_seed, worker_id),
                     self.circuit,
                     universe,
-                    assigned,
+                    remaining,
                     task_queue,
                     result_queue,
                     broadcast_queues[worker_id],
@@ -569,9 +527,9 @@ class CampaignOrchestrator:
         done: set = set()
         #: Every completed (fault or drop) index in arrival order, plus a
         #: per-worker cursor: each broadcast piggy-backs the indices completed
-        #: since that worker's previous broadcast, so workers — the dynamic
-        #: mode in particular, whose scope is the whole universe — stop
-        #: grading sequences against faults that already have a record.
+        #: since that worker's previous broadcast, so workers — whose scope is
+        #: every queued fault — stop applying detection sets to faults that
+        #: already have a record.
         completed_log: List[int] = []
         sent_upto = [0] * jobs
         try:
@@ -627,9 +585,8 @@ class CampaignOrchestrator:
             for inbox in broadcast_queues:
                 inbox.cancel_join_thread()
                 inbox.close()
-            if task_queue is not None:
-                task_queue.cancel_join_thread()
-                task_queue.close()
+            task_queue.cancel_join_thread()
+            task_queue.close()
             result_queue.cancel_join_thread()
             result_queue.close()
         self.shard_stats.sort(key=lambda stats: stats["worker"])
@@ -678,7 +635,7 @@ class CampaignOrchestrator:
             # Only the records the serial order actually reaches fold their
             # costs — speculative worker records are discarded with theirs,
             # which is what makes the aggregates (and the cost log)
-            # independent of jobs and partitioning.
+            # independent of jobs and scheduling.
             return replay_record(record, self.metrics, self.fault_costs)
 
         campaign = run_campaign_loop(
@@ -809,8 +766,9 @@ def run_campaign(
     The one campaign entry point of the CLI, the service and the examples:
     **serial** runs :meth:`~repro.core.flow.SequentialDelayATPG.run`,
     **orchestrated** a :class:`CampaignOrchestrator` (the only runner that
-    uses ``on_record`` and ``should_stop``).  Both give the same result for
-    the same settings; pass ``metrics`` to collect the aggregates and cost
+    uses ``on_record``).  Both poll ``should_stop`` and raise
+    :class:`CampaignInterrupted` when it fires, and both give the same result
+    for the same settings; pass ``metrics`` to collect the aggregates and cost
     records.  With ``incremental_from`` (a campaign store path) the faults
     :func:`~repro.store.incremental.plan_reuse` keeps read their stored
     outcome instead of being targeted, in either runner.
@@ -844,6 +802,7 @@ def run_campaign(
         result = atpg.run(
             faults=faults, max_target_faults=max_target_faults,
             time_limit_s=time_limit_s, prefix=config.prefix_config(), reuse=reuse,
+            should_stop=should_stop,
         )
         run = CampaignRun(result, list(atpg.cost_log))
     if plan is not None:

@@ -1,10 +1,11 @@
 """Worker process entry for sharded ATPG campaigns.
 
 Each worker builds its own :class:`~repro.core.flow.SequentialDelayATPG`
-(compiling the packed netlist once per process) and streams one record per
-fault back to the coordinator over a ``multiprocessing`` queue.  Cross-shard
-fault dropping works through the detection broadcast: whenever any worker
-generates a test, the coordinator fans the sequence's TDsim detection set —
+(compiling the packed netlist once per process), takes fault indices from
+the coordinator's shared work queue and streams one record per fault back
+over a ``multiprocessing`` queue.  Cross-shard fault dropping works through
+the detection broadcast: whenever any worker generates a test, the
+coordinator fans the sequence's TDsim detection set —
 the exact list :func:`~repro.core.flow.credit_fault_result` will credit
 during the replay merge — out to every other worker, which drops the listed
 faults before ever targeting them.  (Earlier revisions broadcast the raw
@@ -26,11 +27,10 @@ from __future__ import annotations
 
 import os
 import queue as queue_module
-import random
 import signal
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.core.flow import SequentialDelayATPG
@@ -44,25 +44,18 @@ class _ShardState:
     """Book-keeping of one worker's view of the campaign."""
 
     def __init__(
-        self,
-        worker_id: int,
-        circuit: Circuit,
-        faults: Sequence[GateDelayFault],
-        scope: Set[int],
-        backend: Optional[str],
+        self, worker_id: int, faults: Sequence[GateDelayFault], scope: Sequence[int]
     ) -> None:
         self.worker_id = worker_id
-        self.circuit = circuit
         self.faults = list(faults)
         self.index_of: Dict[GateDelayFault, int] = {
             fault: index for index, fault in enumerate(self.faults)
         }
-        #: Indices this worker may still target (its shard in static modes,
-        #: the whole universe in dynamic mode); shrinks as faults complete.
+        #: Queued indices no worker has completed yet; shrinks as faults
+        #: complete.
         self.scope = set(scope)
         #: fault index -> index of the earlier fault whose sequence covers it.
         self.covered: Dict[int, int] = {}
-        self.backend = backend
         self.absorbed_broadcasts = 0
 
     def absorb_broadcast(
@@ -158,33 +151,25 @@ def _reset_inherited_signals() -> None:
 
 def worker_main(
     worker_id: int,
-    seed: int,
     circuit: Circuit,
     faults: Sequence[GateDelayFault],
-    assigned: Optional[Sequence[int]],
+    queued: Sequence[int],
     task_queue,
     result_queue,
     broadcast_queue,
     atpg_kwargs: Dict[str, object],
     collect_metrics: bool = False,
 ) -> None:
-    """Process entry: run one shard of an ATPG campaign.
+    """Process entry: run one worker of a sharded ATPG campaign.
 
     Args:
         worker_id: shard id, ``0 .. jobs-1``.
-        seed: per-shard RNG seed (see
-            :func:`repro.orchestrate.partition.derive_shard_seed`); seeds the
-            :mod:`random` module so any stochastic component inside the
-            worker is reproducible run-to-run.
         circuit: circuit under test (pickled into the process).
         faults: the full campaign fault universe in enumeration order.
-        assigned: the fault indices this worker may end up targeting — its
-            shard in the static modes, every still-untargeted index in the
-            dynamic mode (where the actual assignment happens via
-            ``task_queue``).
-        task_queue: shared index queue for dynamic mode (``None`` selects the
-            static loop over ``assigned``); a ``None`` entry is the shutdown
-            sentinel.
+        queued: every fault index on ``task_queue``, any of which this worker
+            may end up targeting.
+        task_queue: the index queue shared by all workers, fed in enumeration
+            order; a ``None`` entry is the shutdown sentinel.
         result_queue: stream of fault / drop / done / error records back to
             the coordinator.
         broadcast_queue: this worker's inbox of TDsim detection sets from
@@ -198,7 +183,6 @@ def worker_main(
             attached to the final ``done`` stats.
     """
     _reset_inherited_signals()
-    random.seed(seed)
     parent = os.getppid()
     start = time.perf_counter()
     stats: Dict[str, int] = {
@@ -211,36 +195,25 @@ def worker_main(
     try:
         registry = MetricsRegistry() if collect_metrics else None
         atpg = SequentialDelayATPG(circuit, metrics=registry, **atpg_kwargs)
-        backend = atpg.backend
-        scope = set(assigned) if assigned is not None else set(range(len(faults)))
-        state = _ShardState(worker_id, circuit, faults, scope, backend)
+        state = _ShardState(worker_id, faults, queued)
 
-        if task_queue is None:
-            for index in sorted(assigned):
-                if os.getppid() != parent:
-                    return  # orphaned by a killed coordinator: stop promptly
-                _drain_broadcasts(state, broadcast_queue)
-                _process_fault(state, atpg, index, result_queue, stats)
-        else:
-            while True:
-                if os.getppid() != parent:
-                    return  # orphaned by a killed coordinator: stop promptly
-                try:
-                    # A timeout (rather than a blocking get) keeps the orphan
-                    # check live even when the queue's feeder died with the
-                    # coordinator and no sentinel will ever arrive.
-                    index = task_queue.get(timeout=1.0)
-                except queue_module.Empty:
-                    continue
-                if index is None:
-                    break
-                _drain_broadcasts(state, broadcast_queue)
-                _process_fault(state, atpg, index, result_queue, stats)
+        while True:
+            if os.getppid() != parent:
+                return  # orphaned by a killed coordinator: stop promptly
+            try:
+                # A timeout (rather than a blocking get) keeps the orphan
+                # check live even when the queue's feeder died with the
+                # coordinator and no sentinel will ever arrive.
+                index = task_queue.get(timeout=1.0)
+            except queue_module.Empty:
+                continue
+            if index is None:
+                break
+            _drain_broadcasts(state, broadcast_queue)
+            _process_fault(state, atpg, index, result_queue, stats)
 
         shard_stats = {
             "worker": worker_id,
-            "seed": seed,
-            "assigned": len(assigned) if task_queue is None else None,
             "absorbed_broadcasts": state.absorbed_broadcasts,
             "seconds": round(time.perf_counter() - start, 3),
             **stats,

@@ -2,7 +2,7 @@
 
 A *job* is one submitted campaign: a circuit reference (registry name or
 inline ``.bench`` text) plus the campaign knobs the CLI exposes
-(``--jobs``, ``--partition``, ``--seed``, ``--backend``, ``--max-faults``,
+(``--jobs``, ``--seed``, ``--backend``, ``--max-faults``,
 ``--time-limit``, robustness, backtrack limits) and a scheduling priority.
 Jobs run strictly one at a time — campaign workers already saturate the
 machine — in priority order (higher first), FIFO within a priority.
@@ -64,7 +64,6 @@ class JobSpec:
     scale: float = 1.0
     priority: int = 0
     jobs: int = OrchestratorConfig.jobs
-    partition: str = OrchestratorConfig.partition
     seed: int = OrchestratorConfig.campaign_seed
     backend: Optional[str] = OrchestratorConfig.backend
     robust: bool = OrchestratorConfig.robust
@@ -134,7 +133,6 @@ class JobSpec:
         """The campaign settings this spec maps to."""
         return OrchestratorConfig(
             jobs=self.jobs,
-            partition=self.partition,
             campaign_seed=self.seed,
             robust=self.robust,
             local_backtrack_limit=self.backtrack_limit,

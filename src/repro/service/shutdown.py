@@ -3,14 +3,15 @@
 The contract: a SIGTERM or SIGINT must never cost finished work.  The
 :class:`ShutdownController` turns the first signal into a *graceful* stop —
 the HTTP listener closes, the queue runner stops pulling jobs, and the
-in-flight campaign's ``should_stop`` hook fires so the orchestrator raises
-:class:`~repro.orchestrate.coordinator.CampaignInterrupted` at the next
-record boundary.  Every record received up to that point is already flushed
-to the job's JSONL journal (see :mod:`repro.orchestrate.journal`), the job
-is marked ``interrupted`` in the persisted table, and the next daemon start
-re-queues it with ``--resume`` semantics: already-recorded faults are not
-re-targeted and the merged result is fingerprint-identical to an
-uninterrupted run.
+in-flight campaign's ``should_stop`` hook fires so the campaign raises
+:class:`~repro.core.flow.CampaignInterrupted` at the next record (or, in a
+serial run, fault) boundary.  Every record received up to that point is
+already flushed to the job's JSONL journal (see
+:mod:`repro.orchestrate.journal`), the job is marked ``interrupted`` in the
+persisted table, and the next daemon start re-queues it with ``--resume``
+semantics: already-recorded faults are not re-targeted and the merged result
+is fingerprint-identical to an uninterrupted run.  A time-limited job keeps
+no journal, so it starts over.
 
 A second signal while the graceful stop is draining escalates to an
 immediate ``os._exit`` — the journal's torn-tail tolerance makes even that
@@ -31,7 +32,7 @@ class ShutdownController:
 
     ``triggered`` is an :class:`asyncio.Event` the serve loop awaits;
     ``stopping`` is the flag the campaign executor thread polls through the
-    orchestrator's ``should_stop`` hook (a plain attribute read — safe from
+    campaign's ``should_stop`` hook (a plain attribute read — safe from
     any thread).
     """
 

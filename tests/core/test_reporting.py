@@ -87,14 +87,14 @@ def test_shard_summary_with_no_shards():
     assert text.splitlines()[0].split()[0] == "shard"
 
 
-def test_shard_summary_dynamic_mode_renders_dash_for_assigned():
+def test_shard_summary_row_starts_with_worker_and_targeted():
     text = format_shard_summary(
-        [{"worker": 0, "assigned": None, "targeted": 3, "seconds": 0.5}],
+        [{"worker": 0, "targeted": 3, "seconds": 0.5}],
         recomputed=2,
     )
+    assert text.splitlines()[0].split()[:2] == ["shard", "targeted"]
     row = text.splitlines()[2].split()
-    assert row[0] == "0"
-    assert row[1] == "-"
+    assert row[:3] == ["0", "3", "0"]  # missing counters render as 0
     assert "recomputed 2" in text
 
 

@@ -1,4 +1,4 @@
-"""JSON round-trip and merge tests for the result containers.
+"""JSON round-trip tests for the result containers.
 
 The campaign journal (``repro.orchestrate.journal``) persists every fault
 outcome as JSON and the coordinator rebuilds the merged campaign from those
@@ -14,7 +14,7 @@ import pytest
 from repro.circuit.netlist import Line, LineKind
 from repro.core.flow import SequentialDelayATPG
 from repro.core.results import CampaignResult, FaultResult, TestSequence
-from repro.faults.model import DelayFaultType, GateDelayFault, enumerate_delay_faults
+from repro.faults.model import DelayFaultType, GateDelayFault
 
 
 @pytest.fixture(scope="module")
@@ -77,28 +77,3 @@ def test_campaign_round_trip_preserves_table3_row(s27_campaign):
     assert [r.fault for r in rebuilt.fault_results] == [
         r.fault for r in s27_campaign.fault_results
     ]
-
-
-def test_merge_sums_disjoint_partial_campaigns(s27):
-    faults = enumerate_delay_faults(s27)
-    half = len(faults) // 2
-    first = SequentialDelayATPG(s27).run(faults=faults[:half])
-    second = SequentialDelayATPG(s27).run(faults=faults[half:])
-    merged = CampaignResult.merge([first, second])
-    assert merged.total_faults == len(faults)
-    assert merged.tested == first.tested + second.tested
-    assert merged.untestable == first.untestable + second.untestable
-    assert merged.aborted == first.aborted + second.aborted
-    assert merged.pattern_count == first.pattern_count + second.pattern_count
-    assert merged.targeted == first.targeted + second.targeted
-    assert len(merged.fault_results) == len(first.fault_results) + len(second.fault_results)
-    assert merged.cpu_seconds == pytest.approx(first.cpu_seconds + second.cpu_seconds)
-
-
-def test_merge_refuses_mixed_circuits(s27):
-    a = CampaignResult(circuit_name="a", total_faults=1)
-    b = CampaignResult(circuit_name="b", total_faults=1)
-    with pytest.raises(ValueError):
-        CampaignResult.merge([a, b])
-    with pytest.raises(ValueError):
-        CampaignResult.merge([])

@@ -212,12 +212,12 @@ def test_format_untestable_breakdown():
 def test_format_shard_summary_renders_worker_stats():
     stats = [
         {
-            "worker": 0, "assigned": 13, "targeted": 5, "dropped": 8,
+            "worker": 0, "targeted": 5, "dropped": 8,
             "tested": 1, "untestable": 2, "aborted": 2,
             "absorbed_broadcasts": 6, "seconds": 0.25,
         },
         {
-            "worker": 1, "assigned": None, "targeted": 4, "dropped": 9,
+            "worker": 1, "targeted": 4, "dropped": 9,
             "tested": 4, "untestable": 0, "aborted": 0,
             "absorbed_broadcasts": 3, "seconds": 0.5,
         },
@@ -225,7 +225,6 @@ def test_format_shard_summary_renders_worker_stats():
     text = format_shard_summary(stats, recomputed=2, title="Shard summary — s27")
     assert "Shard summary — s27" in text
     assert "shard" in text and "dropped" in text and "absorbed" in text
-    assert "-" in text  # dynamic-mode shard shows no assigned count
     assert "recomputed 2" in text
     lines = text.splitlines()
     assert len(lines) == 2 + 2 + len(stats) + 1  # title+blank, header+rule, rows, footer

@@ -4,10 +4,10 @@ Two contracts from the observability acceptance criteria:
 
 * **bit-identity** — a campaign run with a live registry produces a
   CampaignResult fingerprint-identical to the uninstrumented run, serially
-  and under ``--jobs 4`` for every partition mode;
+  and under ``--jobs 4``;
 * **jobs-invariant aggregates** — the deterministic counters and the cost
   log of an orchestrated campaign are identical to the serial campaign's
-  for any worker count and partitioning, and the shard snapshots merge
+  for any worker count, and the shard snapshots merge
   order-independently.
 """
 
@@ -19,7 +19,6 @@ from repro.core.flow import SequentialDelayATPG
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import deterministic_counters, fold_cost
 from repro.orchestrate import CampaignOrchestrator, OrchestratorConfig
-from repro.orchestrate.partition import PARTITION_MODES
 
 
 def _fingerprint(campaign):
@@ -68,14 +67,12 @@ def test_serial_campaign_identical_with_metrics_on(s27_plain, s27_serial_registr
     assert registry.counter_sum("repro_decisions_total") > 0
 
 
-@pytest.mark.parametrize("partition", PARTITION_MODES)
-def test_jobs4_campaign_identical_with_metrics_on(partition, s27, s27_plain):
+def test_jobs4_campaign_identical_with_metrics_on(s27, s27_plain):
     orchestrator = CampaignOrchestrator(
-        s27,
-        config=OrchestratorConfig(jobs=4, partition=partition, collect_metrics=True),
+        s27, config=OrchestratorConfig(jobs=4, collect_metrics=True)
     )
     campaign = orchestrator.run()
-    assert _fingerprint(campaign) == s27_plain, partition
+    assert _fingerprint(campaign) == s27_plain
 
 
 @pytest.mark.parametrize("jobs", (2, 3))

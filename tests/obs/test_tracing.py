@@ -4,7 +4,7 @@ The load-bearing property is *fold equivalence*: replaying a serial
 campaign's :class:`FaultCost` records into a fresh registry with
 :func:`fold_cost` must reproduce the serial registry's deterministic
 counters exactly — that is what makes the orchestrator's merged aggregates
-independent of ``--jobs`` and partitioning.
+independent of ``--jobs`` and scheduling.
 """
 
 from __future__ import annotations

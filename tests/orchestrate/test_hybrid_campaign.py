@@ -3,8 +3,8 @@
 The hybrid (random-prefix + deterministic-residue) campaign extends the
 orchestration contract: with a fixed campaign seed the merged result — prefix
 counters, kept prefix sequences, per-fault verdicts, sequences, coverage —
-must be identical to the serial hybrid flow across worker counts, partition
-modes, and interrupt/resume cycles, including a kill at a record boundary
+must be identical to the serial hybrid flow across worker counts and
+interrupt/resume cycles, including a kill at a record boundary
 *inside* the prefix phase.
 """
 
@@ -22,10 +22,9 @@ from repro.orchestrate import CampaignOrchestrator, OrchestratorConfig, read_jou
 BUDGET, WINDOW, LENGTH, SEED = 64, 8, 8, 0
 
 
-def _config(jobs, partition="round-robin"):
+def _config(jobs):
     return OrchestratorConfig(
         jobs=jobs,
-        partition=partition,
         campaign_seed=SEED,
         rpg_prefix=True,
         rpg_budget=BUDGET,
@@ -77,18 +76,12 @@ def test_hybrid_actually_strips_faults(serial_hybrid):
     assert serial_hybrid.prefix_sequences, "credited sequences must be kept"
 
 
-def test_hybrid_jobs_and_partitions_match_serial(s344_small, serial_hybrid):
-    """Bit-identical across --jobs 1/2/4 and every partition mode."""
-    for jobs, partition in (
-        (1, "round-robin"),
-        (2, "round-robin"),
-        (4, "round-robin"),
-        (4, "size-aware"),
-        (4, "dynamic"),
-    ):
-        orchestrator = CampaignOrchestrator(s344_small, config=_config(jobs, partition))
+def test_hybrid_jobs_match_serial(s344_small, serial_hybrid):
+    """Bit-identical across --jobs 1/2/4."""
+    for jobs in (1, 2, 4):
+        orchestrator = CampaignOrchestrator(s344_small, config=_config(jobs))
         parallel = orchestrator.run()
-        assert _fingerprint(parallel) == _fingerprint(serial_hybrid), (jobs, partition)
+        assert _fingerprint(parallel) == _fingerprint(serial_hybrid), jobs
 
 
 def test_hybrid_resume_at_prefix_record_boundary(tmp_path, s344_small, serial_hybrid):
@@ -97,7 +90,7 @@ def test_hybrid_resume_at_prefix_record_boundary(tmp_path, s344_small, serial_hy
     The journal is cut after the header plus the first eight ``prefix``
     records (before ``prefix-done``), plus a torn half-written line — the
     state a SIGKILL leaves while Phase A is still grading.  The resume (with
-    a different worker count and partition mode) must regenerate the
+    a different worker count) must regenerate the
     remaining prefix sequences from their derived seeds and produce the
     serial hybrid fingerprint.
     """
@@ -124,7 +117,7 @@ def test_hybrid_resume_at_prefix_record_boundary(tmp_path, s344_small, serial_hy
 
     resumed = CampaignOrchestrator(
         s344_small,
-        config=_config(4, "dynamic"),
+        config=_config(4),
         journal_path=path,
         resume=True,
     ).run()
@@ -149,7 +142,7 @@ def test_hybrid_resume_after_prefix_done(tmp_path, s344_small, serial_hybrid):
             handle.write(json.dumps(record) + "\n")
 
     resumed = CampaignOrchestrator(
-        s344_small, config=_config(3, "dynamic"), journal_path=path, resume=True
+        s344_small, config=_config(3), journal_path=path, resume=True
     ).run()
     assert _fingerprint(resumed) == _fingerprint(serial_hybrid)
 

@@ -3,8 +3,7 @@
 The orchestration contract (see :mod:`repro.orchestrate.coordinator`) is that
 the merged result is *bit-identical* to ``SequentialDelayATPG.run`` — same
 Table 3 row, same untestable breakdown, same per-fault verdicts, sequences
-and detection credits — independent of worker count, partitioning mode and
-scheduling order.  These tests enforce the contract on the embedded s27, on
+and detection credits — independent of worker count and scheduling order.  These tests enforce the contract on the embedded s27, on
 surrogates whose campaigns exercise heavy cross-shard fault dropping, and
 across a kill-and-resume cycle.
 """
@@ -64,18 +63,15 @@ def test_s27_jobs4_matches_serial(s27):
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
-def test_static_modes_match_serial_with_dropping(s344_small, s344_serial):
-    for mode in ("round-robin", "size-aware"):
-        orchestrator = CampaignOrchestrator(
-            s344_small, config=OrchestratorConfig(jobs=4, partition=mode)
-        )
-        parallel = orchestrator.run()
-        assert _fingerprint(parallel) == _fingerprint(s344_serial), mode
-        stats_total = sum(stats["targeted"] + stats["dropped"] for stats in orchestrator.shard_stats)
-        assert stats_total == s344_serial.total_faults
-        # The campaign must actually have exercised the broadcast exchange.
-        assert sum(stats["dropped"] for stats in orchestrator.shard_stats) > 0
-        assert sum(stats["absorbed_broadcasts"] for stats in orchestrator.shard_stats) > 0
+def _assert_shard_accounting(orchestrator, fed):
+    """Every fed fault is targeted or dropped once, and nothing is recomputed."""
+    shards = orchestrator.shard_stats
+    assert sum(stats["targeted"] + stats["dropped"] for stats in shards) == fed
+    assert orchestrator.recomputed == 0
+    # The campaign must actually have exercised the broadcast exchange;
+    # dropping mirrors the serial credit exactly.
+    assert sum(stats["dropped"] for stats in shards) > 0
+    assert sum(stats["absorbed_broadcasts"] for stats in shards) > 0
 
 
 def test_broadcast_detections_eliminate_merge_recompute(s344_small, s344_serial):
@@ -88,19 +84,14 @@ def test_broadcast_detections_eliminate_merge_recompute(s344_small, s344_serial)
     merge.  Broadcasting the source shard's TDsim detection set instead makes
     worker drops exactly the serial drops: zero recomputes.
     """
-    for mode in ("round-robin", "size-aware", "dynamic"):
-        orchestrator = CampaignOrchestrator(
-            s344_small, config=OrchestratorConfig(jobs=4, partition=mode)
-        )
-        parallel = orchestrator.run()
-        assert _fingerprint(parallel) == _fingerprint(s344_serial), mode
-        assert orchestrator.recomputed == 0, mode
-        # Dropping still happens — it just mirrors the serial credit exactly.
-        assert sum(stats["dropped"] for stats in orchestrator.shard_stats) > 0, mode
+    orchestrator = CampaignOrchestrator(s344_small, config=OrchestratorConfig(jobs=4))
+    parallel = orchestrator.run()
+    assert _fingerprint(parallel) == _fingerprint(s344_serial)
+    _assert_shard_accounting(orchestrator, s344_serial.total_faults)
 
 
 def test_dynamic_work_queue_matches_serial(s344_small, s344_serial):
-    parallel = run_campaign(s344_small, OrchestratorConfig(jobs=3, partition="dynamic")).result
+    parallel = run_campaign(s344_small, OrchestratorConfig(jobs=3)).result
     assert _fingerprint(parallel) == _fingerprint(s344_serial)
 
 
@@ -121,6 +112,16 @@ def test_capped_campaign_matches_serial(s344_small):
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
+def test_capped_jobs2_queue_accounting(s344_small):
+    """A capped campaign queues at most ``cap * jobs`` faults, each accounted once."""
+    cap = 20
+    serial = SequentialDelayATPG(s344_small).run(max_target_faults=cap)
+    orchestrator = CampaignOrchestrator(s344_small, config=OrchestratorConfig(jobs=2))
+    parallel = orchestrator.run(max_target_faults=cap)
+    assert _fingerprint(parallel) == _fingerprint(serial)
+    _assert_shard_accounting(orchestrator, cap * 2)
+
+
 def test_explicit_fault_subset_matches_serial(s344_small):
     faults = enumerate_delay_faults(s344_small)
     subset = faults[:60]
@@ -135,8 +136,8 @@ def test_kill_and_resume_reaches_identical_result(tmp_path, s344_small, s344_ser
     The 'kill' is simulated at the journal level: the complete journal is cut
     after the first 40 per-fault records plus a torn half-written line —
     exactly what a SIGKILL mid-campaign leaves behind.  The resume then runs
-    with a different worker count *and* partitioning mode and must still
-    produce the serial fingerprint.
+    with a different worker count and must still produce the serial
+    fingerprint.
     """
     path = str(tmp_path / "journal.jsonl")
     orchestrator = CampaignOrchestrator(
@@ -160,7 +161,7 @@ def test_kill_and_resume_reaches_identical_result(tmp_path, s344_small, s344_ser
 
     resumed_orchestrator = CampaignOrchestrator(
         s344_small,
-        config=OrchestratorConfig(jobs=3, partition="dynamic"),
+        config=OrchestratorConfig(jobs=3),
         journal_path=path,
         resume=True,
     )

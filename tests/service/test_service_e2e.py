@@ -517,3 +517,52 @@ def test_cancel_running_incremental_job(daemon, tmp_path):
     job = client.wait(job_id)
     assert job["status"] == "cancelled", job
     assert client.get(f"/jobs/{job_id}/result")[0] == 409
+
+
+def test_cancel_running_time_limited_job(daemon):
+    """Cancelling a running serial (time-limited) job stops it well inside its limit."""
+    _, client = daemon
+    submitted = time.monotonic()
+    job_id = client.submit(
+        {"circuit": "s838", "scale": 0.5, "jobs": 1, "time_limit_s": 600}
+    )
+    deadline = submitted + 120
+    while client.get(f"/jobs/{job_id}")[1]["job"]["status"] != "running":
+        assert time.monotonic() < deadline, "the time-limited job never started"
+        time.sleep(0.05)
+    status, _ = client.post(f"/jobs/{job_id}/cancel")
+    assert status == 200
+    job = client.wait(job_id, timeout=120)
+    assert job["status"] == "cancelled", job
+    assert time.monotonic() - submitted < 120
+    assert client.get(f"/jobs/{job_id}/result")[0] == 409
+
+
+def test_queued_job_with_removed_partition_field_runs(daemon_factory, tmp_path, s27_direct):
+    """A ``jobs.json`` from before ``partition`` was removed still loads and runs."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    spec = {
+        "backend": None, "backtrack_limit": 100, "bench": None, "circuit": "s27",
+        "incremental_from": None, "jobs": 2, "max_target_faults": None, "name": None,
+        "partition": "round-robin", "priority": 0, "robust": True, "rpg_budget": 256,
+        "rpg_prefix": False, "rpg_window": 16, "scale": 1.0, "seed": 3,
+        "time_limit_s": None,
+    }
+    table = {
+        "next_seq": 2,
+        "jobs": [
+            {
+                "cache_hit": False, "error": None, "finished_at": None,
+                "id": "job-000001", "resumed": False, "seq": 1, "spec": spec,
+                "started_at": None, "status": "queued", "submitted_at": 0.0,
+            }
+        ],
+    }
+    (state_dir / "jobs.json").write_text(json.dumps(table), encoding="utf-8")
+    _, client = daemon_factory(state_dir=state_dir)
+    job = client.wait("job-000001")
+    assert job["status"] == "done", job
+    assert "partition" not in job["spec"]
+    body = client.result("job-000001")
+    assert result_fingerprint(body["campaign"]) == result_fingerprint(s27_direct)

@@ -52,8 +52,8 @@ def test_campaign_cache_key_sensitivity():
 
     base = JobSpec(circuit="s27")
     assert key(base) == key(JobSpec(circuit="s27"))
-    # jobs/partition/priority do not change the merged result -> same key
-    assert key(base) == key(JobSpec(circuit="s27", jobs=4, partition="round-robin", priority=9))
+    # jobs/priority do not change the merged result -> same key
+    assert key(base) == key(JobSpec(circuit="s27", jobs=4, priority=9))
     # anything the campaign outcome depends on changes the key
     assert key(base) != key(JobSpec(circuit="s27", seed=1))
     assert key(base) != key(JobSpec(circuit="s27", robust=False))
@@ -101,7 +101,8 @@ def test_spec_from_request_roundtrip():
         ({}, "exactly one of 'circuit' and 'bench'"),
         ({"circuit": "s27", "bench": "INPUT(a)"}, "exactly one of"),
         ({"circuit": "nope"}, "unknown circuit"),
-        ({"circuit": "s27", "partition": "nope"}, "unknown partition"),
+        # The removed ``partition`` setting is an unknown field now.
+        ({"circuit": "s27", "partition": "dynamic"}, "unknown field(s): partition"),
         ({"circuit": "s27", "backend": "nope"}, "unknown backend"),
         ({"circuit": "s27", "jobs": 0}, "'jobs' must be >= 1"),
         ({"circuit": "s27", "jobs": "two"}, "must be an integer"),

@@ -108,12 +108,11 @@ def _stored_fingerprint(path, campaign_id=1):
 @pytest.mark.parametrize(
     "extra",
     [
-        ("--jobs", "2", "--partition", "size-aware"),
-        ("--jobs", "2", "--partition", "dynamic"),
+        ("--jobs", "2"),
         (*HYBRID, "--jobs", "2"),
         ("--journal", "j.jsonl"),
     ],
-    ids=["jobs2-size-aware", "jobs2-dynamic", "rpg-prefix-jobs2", "journal"],
+    ids=["jobs2", "rpg-prefix-jobs2", "journal"],
 )
 def test_incremental_combination_matches_scratch(tmp_path, capsys, extra):
     """--incremental-from with sharding or a journal gives the serial scratch result."""

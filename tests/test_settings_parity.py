@@ -26,7 +26,6 @@ INVALID = [
     (("--time-limit", "-1"), {"time_limit_s": -1}, "'time_limit_s'"),
     (("--time-limit", "5", "--jobs", "2"), {"time_limit_s": 5, "jobs": 2}, "'time_limit_s'"),
     (("--circuits", "s9999"), {"circuit": "s9999"}, "unknown circuit"),
-    (("--partition", "diagonal"), {"partition": "diagonal"}, "partition"),
     (("--backend", "numpy"), {"backend": "numpy"}, "backend"),
 ]
 
