@@ -134,10 +134,6 @@ class PackedSetResult:
     conflict_mask: int
     conflict_signals: Dict[int, str]
 
-    def slot_sets(self, slot: int, pattern: int) -> ValueSet:
-        """Possibility set of one signal slot in one pattern slot."""
-        return slot_set(self.planes[slot], pattern)
-
 
 class PackedSetSimulator:
     """Set propagation over one compiled circuit, one candidate per pattern slot.

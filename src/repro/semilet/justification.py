@@ -8,9 +8,11 @@ become the justification goal of the *previous* time frame, which is exactly
 how the reverse-time phases of FOGBUSTER (propagation justification and
 synchronisation) proceed.
 
-The search is a small PODEM: decisions only on inputs, forward implication by
-levelised three-valued simulation, objective-driven backtrace using
-controlling values, and a backtrack limit.  The frame simulation goes through
+The search is a small PODEM on the shared decision loop
+(:func:`repro.tdgen.decide.decision_search`): decisions only on inputs,
+forward implication by levelised three-valued simulation, objective-driven
+backtrace using controlling values, and a backtrack limit.  Only an
+exhausted search is a non-aborted failure.  The frame simulation goes through
 the backend-dispatched implication engine (:mod:`repro.tdgen.implication`):
 both alternatives of a decision are submitted as one candidate batch, which
 the packed engine evaluates in a single pass over the compiled netlist.  The
@@ -23,12 +25,12 @@ compiled flat arrays (``packed``).
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.circuit.netlist import Circuit
 from repro.fausim.logic_sim import SignalValues
 from repro.obs.metrics import resolve_metrics
+from repro.tdgen.decide import Stop, Variable, decision_search
 from repro.tdgen.implication import CandidateFrames, create_implication_engine
 
 
@@ -46,17 +48,6 @@ class JustificationResult:
         return self.success
 
 
-@dataclasses.dataclass
-class _Decision:
-    """One decision node with the batched frames of its candidate values."""
-
-    name: str
-    is_pi: bool
-    alternatives: List[int]
-    frames: CandidateFrames
-    cursor: int = 0
-
-
 class FrameJustifier:
     """Justify value requirements within one combinational time frame.
 
@@ -67,10 +58,6 @@ class FrameJustifier:
         decide_ppis: whether pseudo primary inputs may be assigned.  The
             synchronisation phase allows it (the assignments become the goal of
             the previous frame); a pure input-vector search does not.
-        prefer_few_ppi_assignments: accepted for API stability; the
-            backtrace always lands on primary inputs before pseudo primary
-            inputs (so the previous-frame goal stays as small as possible)
-            regardless of this flag.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             (defaults to the no-op null registry); counts frame implication
             sweeps.
@@ -83,14 +70,12 @@ class FrameJustifier:
         circuit: Circuit,
         backtrack_limit: int = 100,
         decide_ppis: bool = True,
-        prefer_few_ppi_assignments: bool = True,
         metrics: Optional[object] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self.decide_ppis = decide_ppis
-        self.prefer_few_ppi_assignments = prefer_few_ppi_assignments
         self.metrics = resolve_metrics(metrics)
         self._implication = create_implication_engine(circuit, backend=backend)
         self._implication.set_metrics(self.metrics, site="justification")
@@ -125,104 +110,48 @@ class FrameJustifier:
             ppi: fixed_ppis.get(ppi) for ppi in self.circuit.pseudo_primary_inputs
         }
 
-        stack: List[_Decision] = []
-        backtracks = 0
+        def classify(frames: CandidateFrames, cursor: int) -> str:
+            return self._classify(frames.frame(cursor), objectives)
 
-        # Frame of the initial (fixed-only) assignment; later frames come
-        # from the decision nodes' candidate batches.  The (batch, cursor)
-        # handle travels alongside the frame view so the search kernels can
-        # read the packed planes directly.
-        root_frames = self._implication.frame_candidates(pi_values, ppi_values, (None,))
-        if self.metrics.enabled:
-            self.metrics.inc("repro_implication_sweeps_total", site="justification")
-        frames, cursor = root_frames, 0
-        frame = root_frames.frame(0)
+        def decide(frames: CandidateFrames, cursor: int):
+            return self._next_decision(frames, cursor, objectives, pi_values, ppi_values)
 
-        while True:
-            if deadline is not None and time.perf_counter() > deadline:
-                return JustificationResult(success=False, backtracks=backtracks, aborted=True)
-            status = self._classify(frame, objectives)
-            if status == "success":
-                return JustificationResult(
-                    success=True,
-                    pi_assignment={
-                        pi: value for pi, value in pi_values.items()
-                        if value is not None and pi not in fixed_pis
-                    },
-                    ppi_assignment={
-                        ppi: value for ppi, value in ppi_values.items()
-                        if value is not None and ppi not in fixed_ppis
-                    },
-                    backtracks=backtracks,
-                )
-            if status == "conflict":
-                flipped = False
-                while stack:
-                    decision = stack[-1]
-                    self._unassign(decision, pi_values, ppi_values)
-                    if decision.alternatives:
-                        value = decision.alternatives.pop(0)
-                        self._assign(decision, value, pi_values, ppi_values)
-                        decision.cursor += 1
-                        frames, cursor = decision.frames, decision.cursor
-                        frame = frames.frame(cursor)
-                        backtracks += 1
-                        flipped = True
-                        break
-                    stack.pop()
-                if not flipped:
-                    return JustificationResult(success=False, backtracks=backtracks)
-                if backtracks > self.backtrack_limit:
-                    return JustificationResult(success=False, backtracks=backtracks, aborted=True)
-                continue
-
-            decision_key = self._next_decision(
-                frames, cursor, frame, objectives, pi_values, ppi_values
-            )
-            if decision_key is None:
-                # Nothing left to decide and objectives are still open: force a
-                # backtrack by treating this as a conflict.
-                if not stack:
-                    return JustificationResult(success=False, backtracks=backtracks)
-                decision = stack[-1]
-                self._unassign(decision, pi_values, ppi_values)
-                if decision.alternatives:
-                    self._assign(decision, decision.alternatives.pop(0), pi_values, ppi_values)
-                    decision.cursor += 1
-                    frames, cursor = decision.frames, decision.cursor
-                    frame = frames.frame(cursor)
-                    backtracks += 1
-                    if backtracks > self.backtrack_limit:
-                        return JustificationResult(
-                            success=False, backtracks=backtracks, aborted=True
-                        )
-                else:
-                    stack.pop()
-                    # Back to the popped node's prefix: its frame is the
-                    # parent's current candidate (or the root frame).
-                    frames, cursor = (
-                        (stack[-1].frames, stack[-1].cursor)
-                        if stack
-                        else (root_frames, 0)
-                    )
-                    frame = frames.frame(cursor)
-                continue
-
-            name, is_pi, preferred = decision_key
-            # Evaluate both alternatives of the new decision in one batch.
+        def imply(frames: CandidateFrames, cursor: int, assignment, name, values):
+            # Evaluate both values of the new decision in one batch.
+            is_pi = assignment is pi_values
             batch = self._implication.frame_candidates(
-                pi_values, ppi_values,
-                [(name, is_pi, preferred), (name, is_pi, 1 - preferred)],
+                pi_values, ppi_values, [(name, is_pi, value) for value in values]
             )
             if self.metrics.enabled:
                 self.metrics.inc("repro_implication_sweeps_total", site="justification")
-            decision = _Decision(
-                name=name, is_pi=is_pi, alternatives=[1 - preferred], frames=batch
+            return batch
+
+        # Frame of the initial (fixed-only) assignment; later frames come
+        # from the decision nodes' candidate batches.
+        root = self._implication.frame_candidates(pi_values, ppi_values, (None,))
+        if self.metrics.enabled:
+            self.metrics.inc("repro_implication_sweeps_total", site="justification")
+        outcome = decision_search(
+            root, classify, decide, imply, self.backtrack_limit, deadline=deadline
+        )
+        if outcome.stop is not Stop.SUCCESS:
+            return JustificationResult(
+                success=False,
+                backtracks=outcome.backtracks,
+                aborted=outcome.stop is not Stop.EXHAUSTED,
             )
-            self._assign(decision, preferred, pi_values, ppi_values)
-            frames, cursor = batch, 0
-            frame = batch.frame(0)
-            stack.append(decision)
+        return JustificationResult(
+            success=True,
+            pi_assignment={
+                pi: value for pi, value in pi_values.items()
+                if value is not None and pi not in fixed_pis
+            },
+            ppi_assignment={
+                ppi: value for ppi, value in ppi_values.items()
+                if value is not None and ppi not in fixed_ppis
+            },
+            backtracks=outcome.backtracks,
+        )
 
     @staticmethod
     def _classify(frame: SignalValues, objectives: Dict[str, int]) -> str:
@@ -239,11 +168,10 @@ class FrameJustifier:
         self,
         frames: CandidateFrames,
         cursor: int,
-        frame: SignalValues,
         objectives: Dict[str, int],
         pi_values: Dict[str, Optional[int]],
         ppi_values: Dict[str, Optional[int]],
-    ) -> Optional[Tuple[str, bool, int]]:
+    ) -> Optional[Variable]:
         """Backtrace the first open objective to an unassigned input.
 
         The controlling-value backtrace runs through the search kernels; it
@@ -252,6 +180,7 @@ class FrameJustifier:
         become requirements on the previous time frame, so the reverse-time
         phases want as few of them as possible).
         """
+        frame = frames.frame(cursor)
         for signal, target in objectives.items():
             if frame[signal] is None:
                 traced = self._kernels.justification_backtrace(
@@ -259,37 +188,16 @@ class FrameJustifier:
                     pi_values, ppi_values, self.decide_ppis,
                 )
                 if traced is not None:
-                    return traced
+                    name, is_pi, preferred = traced
+                    return (
+                        pi_values if is_pi else ppi_values, name, (preferred, 1 - preferred)
+                    )
         # Fall back to any free input.
         for pi, value in pi_values.items():
             if value is None:
-                return (pi, True, 0)
+                return pi_values, pi, (0, 1)
         if self.decide_ppis:
             for ppi, value in ppi_values.items():
                 if value is None:
-                    return (ppi, False, 0)
+                    return ppi_values, ppi, (0, 1)
         return None
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _assign(
-        decision: _Decision,
-        value: int,
-        pi_values: Dict[str, Optional[int]],
-        ppi_values: Dict[str, Optional[int]],
-    ) -> None:
-        if decision.is_pi:
-            pi_values[decision.name] = value
-        else:
-            ppi_values[decision.name] = value
-
-    @staticmethod
-    def _unassign(
-        decision: _Decision,
-        pi_values: Dict[str, Optional[int]],
-        ppi_values: Dict[str, Optional[int]],
-    ) -> None:
-        if decision.is_pi:
-            pi_values[decision.name] = None
-        else:
-            ppi_values[decision.name] = None

@@ -10,7 +10,9 @@ state.
 :class:`PropagationEngine` searches, frame by frame (forward time
 processing), for primary input vectors that steer the difference to a primary
 output.  Within a frame it runs a small PODEM over the pair logic
-(good value, faulty value); across frames it backtracks over the alternative
+(good value, faulty value) on the shared decision loop
+(:func:`repro.tdgen.decide.decision_search`), which fails the frame on any
+stop other than success; across frames it backtracks over the alternative
 pseudo primary outputs the difference was parked in.
 
 The pair simulation itself goes through the backend-dispatched implication
@@ -35,7 +37,12 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.circuit.netlist import Circuit
 from repro.fausim.logic_sim import SignalValues
 from repro.obs.metrics import resolve_metrics
+from repro.tdgen.decide import Stop, decision_search
 from repro.tdgen.implication import CandidatePairFrames, create_implication_engine
+
+#: How many alternative state bits a frame may park the difference in
+#: before the frame search gives up.
+FRAME_ALTERNATIVES = 3
 
 
 @dataclasses.dataclass
@@ -47,22 +54,6 @@ class FrameSolution:
     next_good_state: SignalValues
     next_faulty_state: SignalValues
     required_free_ppis: Dict[str, int] = dataclasses.field(default_factory=dict)
-
-
-@dataclasses.dataclass
-class _FrameDecision:
-    """One node of the frame PODEM's decision stack.
-
-    ``frames`` holds the pair simulation of every candidate value (computed
-    as one engine batch when the node was opened); ``cursor`` indexes the
-    currently assigned candidate.
-    """
-
-    name: str
-    is_pi: bool
-    alternatives: List[int]
-    frames: CandidatePairFrames
-    cursor: int = 0
 
 
 @dataclasses.dataclass
@@ -88,8 +79,6 @@ class PropagationEngine:
         circuit: circuit under test.
         max_frames: bound on the number of slow-clock propagation frames.
         backtrack_limit: per-propagation backtrack budget (paper: 100).
-        frame_alternatives: how many alternative state bits to park the
-            difference in before giving up on a frame.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             (defaults to the no-op null registry); counts pair-frame
             implication sweeps and SEMILET backtracks.
@@ -102,13 +91,11 @@ class PropagationEngine:
         circuit: Circuit,
         max_frames: Optional[int] = None,
         backtrack_limit: int = 100,
-        frame_alternatives: int = 3,
         metrics: Optional[object] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
-        self.frame_alternatives = frame_alternatives
         self.metrics = resolve_metrics(metrics)
         if max_frames is None:
             max_frames = max(2 * len(circuit.flip_flops) + 2, 4)
@@ -200,7 +187,7 @@ class PropagationEngine:
 
         # Goal 2: park the difference in the next state and recurse.
         blocked: Set[str] = set()
-        for _ in range(self.frame_alternatives):
+        for _ in range(FRAME_ALTERNATIVES):
             solution = self._solve_frame(
                 good_state, faulty_state, goal="ppo", blocked_targets=blocked,
                 assignable=first_frame_assignable,
@@ -240,128 +227,68 @@ class PropagationEngine:
     ) -> Optional[FrameSolution]:
         pi_values: Dict[str, Optional[int]] = {pi: None for pi in self.circuit.primary_inputs}
         free_ppi_values: Dict[str, Optional[int]] = {ppi: None for ppi in assignable}
+        kernels = self._kernels
+        targets = kernels.pair_frame_targets(goal, blocked_targets)
 
-        stack: List[_FrameDecision] = []
-        backtracks = 0
-        targets = self._kernels.pair_frame_targets(goal, blocked_targets)
+        def classify(frames: CandidatePairFrames, cursor: int) -> str:
+            return kernels.classify_pair_frame(frames, cursor, targets)
+
+        def decide(frames: CandidatePairFrames, cursor: int):
+            decision_key = kernels.pair_frame_decision(
+                frames, cursor, pi_values, free_ppi_values
+            )
+            if decision_key is None:
+                return None
+            name, is_pi, preferred = decision_key
+            return (
+                pi_values if is_pi else free_ppi_values, name, (preferred, 1 - preferred)
+            )
+
+        def imply(frames: CandidatePairFrames, cursor: int, assignment, name, values):
+            # Evaluate both values of the new decision in one batch.
+            is_pi = assignment is pi_values
+            batch = self._implication.pair_frame_candidates(
+                pi_values, good_state, faulty_state, free_ppi_values,
+                [(name, is_pi, value) for value in values],
+            )
+            if self.metrics.enabled:
+                self.metrics.inc("repro_implication_sweeps_total", site="propagation")
+            return batch
 
         # Pair simulation of the empty assignment; later frames come from the
-        # decision nodes' candidate batches (one engine sweep per node).  A
-        # frame is the (batch, cursor) handle, which the search kernels read.
-        root_frames = self._implication.pair_frame_candidates(
+        # decision nodes' candidate batches (one engine sweep per node).
+        root = self._implication.pair_frame_candidates(
             pi_values, good_state, faulty_state, free_ppi_values, (None,)
         )
         if self.metrics.enabled:
             self.metrics.inc("repro_implication_sweeps_total", site="propagation")
-        frames, cursor = root_frames, 0
-
-        while True:
-            if self._expired():
-                return None
-            status = self._kernels.classify_pair_frame(frames, cursor, targets)
-            if status == "success":
-                pairs = frames.pairs(cursor)
-                next_good = {}
-                next_faulty = {}
-                for dff in self.circuit.flip_flops:
-                    good_value, faulty_value = pairs[dff.fanin[0]]
-                    next_good[dff.name] = good_value
-                    next_faulty[dff.name] = faulty_value
-                observed = None
-                if goal == "po":
-                    for po in self.circuit.primary_outputs:
-                        if _differs(*pairs[po]):
-                            observed = po
-                            break
-                return FrameSolution(
-                    pi_assignment={
-                        pi: value for pi, value in pi_values.items() if value is not None
-                    },
-                    observed_po=observed,
-                    next_good_state=next_good,
-                    next_faulty_state=next_faulty,
-                    required_free_ppis={
-                        ppi: value for ppi, value in free_ppi_values.items() if value is not None
-                    },
-                )
-            if status == "conflict":
-                flipped = False
-                while stack:
-                    decision = stack[-1]
-                    self._set_frame_var(
-                        decision.name, decision.is_pi, None, pi_values, free_ppi_values
-                    )
-                    if decision.alternatives:
-                        self._set_frame_var(
-                            decision.name, decision.is_pi, decision.alternatives.pop(0),
-                            pi_values, free_ppi_values,
-                        )
-                        decision.cursor += 1
-                        frames, cursor = decision.frames, decision.cursor
-                        backtracks += 1
-                        flipped = True
-                        break
-                    stack.pop()
-                if not flipped or backtracks > self.backtrack_limit:
-                    return None
-                continue
-
-            decision_key = self._kernels.pair_frame_decision(
-                frames, cursor, pi_values, free_ppi_values
-            )
-            if decision_key is None:
-                if not stack:
-                    return None
-                decision = stack[-1]
-                self._set_frame_var(
-                    decision.name, decision.is_pi, None, pi_values, free_ppi_values
-                )
-                if decision.alternatives:
-                    self._set_frame_var(
-                        decision.name, decision.is_pi, decision.alternatives.pop(0),
-                        pi_values, free_ppi_values,
-                    )
-                    decision.cursor += 1
-                    frames, cursor = decision.frames, decision.cursor
-                    backtracks += 1
-                    if backtracks > self.backtrack_limit:
-                        return None
-                else:
-                    stack.pop()
-                    # Back to the popped node's prefix: its pair frame is the
-                    # parent's current candidate (or the root frame).
-                    frames, cursor = (
-                        (stack[-1].frames, stack[-1].cursor)
-                        if stack
-                        else (root_frames, 0)
-                    )
-                continue
-            name, is_pi, preferred = decision_key
-            # Evaluate both alternatives of the new decision in one batch.
-            batch = self._implication.pair_frame_candidates(
-                pi_values, good_state, faulty_state, free_ppi_values,
-                [(name, is_pi, preferred), (name, is_pi, 1 - preferred)],
-            )
-            if self.metrics.enabled:
-                self.metrics.inc("repro_implication_sweeps_total", site="propagation")
-            stack.append(
-                _FrameDecision(name=name, is_pi=is_pi, alternatives=[1 - preferred], frames=batch)
-            )
-            self._set_frame_var(name, is_pi, preferred, pi_values, free_ppi_values)
-            frames, cursor = batch, 0
-
-    @staticmethod
-    def _set_frame_var(
-        name: str,
-        is_pi: bool,
-        value: Optional[int],
-        pi_values: Dict[str, Optional[int]],
-        free_ppi_values: Dict[str, Optional[int]],
-    ) -> None:
-        if is_pi:
-            pi_values[name] = value
-        else:
-            free_ppi_values[name] = value
+        outcome = decision_search(
+            root, classify, decide, imply, self.backtrack_limit, deadline=self._deadline
+        )
+        if outcome.stop is not Stop.SUCCESS:
+            return None
+        pairs = outcome.batch.pairs(outcome.cursor)
+        next_good = {}
+        next_faulty = {}
+        for dff in self.circuit.flip_flops:
+            good_value, faulty_value = pairs[dff.fanin[0]]
+            next_good[dff.name] = good_value
+            next_faulty[dff.name] = faulty_value
+        observed = None
+        if goal == "po":
+            for po in self.circuit.primary_outputs:
+                if _differs(*pairs[po]):
+                    observed = po
+                    break
+        return FrameSolution(
+            pi_assignment={pi: value for pi, value in pi_values.items() if value is not None},
+            observed_po=observed,
+            next_good_state=next_good,
+            next_faulty_state=next_faulty,
+            required_free_ppis={
+                ppi: value for ppi, value in free_ppi_values.items() if value is not None
+            },
+        )
 
 
 def _differs(good_value: Optional[int], faulty_value: Optional[int]) -> bool:

@@ -7,7 +7,8 @@ fault effect robustly to a primary output or to a pseudo primary output,
 using the eight-valued algebra of :mod:`repro.algebra`.
 
 The decision procedure is a PODEM-style branch-and-bound over the primary
-input pairs and the initial-frame values of the pseudo primary inputs, with
+input pairs and the initial-frame values of the pseudo primary inputs, run
+by the decision loop it shares with SEMILET (:mod:`repro.tdgen.decide`), with
 the state-register coupling rule (the final value of a PPI equals the initial
 frame value of the corresponding PPO) built into the forward implication.
 

@@ -7,7 +7,7 @@ of the campaign dominated by the actual search.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.circuit.levelize import combinational_order, levelize
 from repro.circuit.netlist import Circuit
@@ -63,12 +63,3 @@ class TDgenContext:
         """Distance to the nearest observation point, or ``None`` if unreachable."""
         table = self.distance_to_po if pos_only else self.distance_to_observation
         return table.get(signal)
-
-    def sorted_by_observability(self, signals: List[str], pos_only: bool = False) -> List[str]:
-        """Sort signals by increasing distance to an observation point."""
-
-        def key(signal: str) -> Tuple[int, str]:
-            distance = self.observation_distance(signal, pos_only)
-            return (distance if distance is not None else 1_000_000, signal)
-
-        return sorted(signals, key=key)

@@ -1,8 +1,10 @@
 """TDgen decision procedure.
 
-A PODEM-style branch-and-bound: decisions are made only on primary input
-pairs (four possible values each: ``0``, ``1``, ``R``, ``F``) and on the
-initial-frame values of the pseudo primary inputs (two possible values each).
+A PODEM-style branch-and-bound, run by the decision loop shared with
+SEMILET (:func:`repro.tdgen.decide.decision_search`): decisions are made
+only on primary input pairs (four possible values each: ``0``, ``1``,
+``R``, ``F``) and on the initial-frame values of the pseudo primary inputs
+(two possible values each).
 Every other signal is derived by the forward implication of the
 backend-dispatched engine (:mod:`repro.tdgen.implication`): when a decision
 node is opened, *all* alternatives of its variable are submitted as one
@@ -14,15 +16,14 @@ multiple backtrace to an unassigned decision variable — goes through the
 engine's search kernels (:mod:`repro.tdgen.search`), so the ``backend``
 choice governs those walks too: ``packed`` scans the compiled slot column,
 ``reference`` keeps the interpreted walks.  Because each decision node
-enumerates the complete domain of its variable, exhausting the decision
-tree proves the fault robustly untestable in the combinational sense;
-hitting the backtrack limit aborts the fault (Table 3's "aborted" column).
+enumerates the complete domain of its variable, an exhausted search proves
+the fault robustly untestable in the combinational sense; any other stop
+(backtrack limit, deadline, decision bound) aborts the fault (Table 3's
+"aborted" column).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.sets import (
@@ -38,28 +39,12 @@ from repro.circuit.netlist import Circuit
 from repro.faults.model import GateDelayFault
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
+from repro.tdgen.decide import Stop, decision_search
 from repro.tdgen.implication import CandidateStates, create_implication_engine
 from repro.tdgen.result import LocalTest, LocalTestStatus
 from repro.tdgen.simulation import TwoFrameState
 
 _PI_VALUE_ORDER: Tuple[DelayValue, ...] = (V0, V1, R, F)
-
-
-@dataclasses.dataclass
-class _Decision:
-    """One node of the decision tree.
-
-    ``states`` holds the implication result of every candidate value of the
-    variable (computed in one batch when the node was opened); ``cursor`` is
-    the index of the currently assigned candidate.  Flipping to the next
-    alternative reuses ``states`` instead of re-running the forward pass.
-    """
-
-    kind: str  # "pi" or "ppi"
-    name: str
-    alternatives: List[object]
-    states: CandidateStates
-    cursor: int = 0
 
 
 class TDgen:
@@ -72,8 +57,6 @@ class TDgen:
         backtrack_limit: abort the fault after this many backtracks
             (paper: 100).
         max_decisions: hard safety bound on the number of decisions per fault.
-        prefer_po_observation: steer propagation towards primary outputs
-            before pseudo primary outputs.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             (defaults to the no-op null registry); counts decisions and
             implication sweeps per :meth:`generate` call.
@@ -88,7 +71,6 @@ class TDgen:
         robust: bool = True,
         backtrack_limit: int = 100,
         max_decisions: int = 20000,
-        prefer_po_observation: bool = True,
         context: Optional[TDgenContext] = None,
         metrics: Optional[object] = None,
         backend: Optional[str] = None,
@@ -98,7 +80,6 @@ class TDgen:
         self.robust = robust
         self.backtrack_limit = backtrack_limit
         self.max_decisions = max_decisions
-        self.prefer_po_observation = prefer_po_observation
         self.metrics = resolve_metrics(metrics)
         self.implication = create_implication_engine(
             circuit, backend=backend, robust=robust, context=self.context
@@ -109,48 +90,11 @@ class TDgen:
         self.search = self.implication.search_kernels()
         self._ppo_signals = list(dict.fromkeys(circuit.pseudo_primary_outputs))
         self._po_signals = list(dict.fromkeys(circuit.primary_outputs))
-        self._deadline: Optional[float] = None
-
-    def _expired(self) -> bool:
-        """True when the caller-supplied generation deadline has passed."""
-        return self._deadline is not None and time.perf_counter() > self._deadline
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def generate(
-        self,
-        fault: GateDelayFault,
-        required_ppo_values: Optional[Dict[str, int]] = None,
-        blocked_observation: Sequence[str] = (),
-        allow_ppo_observation: bool = True,
-        blocked_states: Sequence[Dict[str, int]] = (),
-        deadline: Optional[float] = None,
-    ) -> LocalTest:
-        """Generate a robust two-pattern test for ``fault`` (see :meth:`_generate`).
-
-        Thin metrics wrapper: with a live registry it counts the search's
-        decisions and implication sweeps (one batch sweep per opened
-        decision node plus the root sweep); the search itself is identical
-        either way.
-        """
-        result = self._generate(
-            fault,
-            required_ppo_values=required_ppo_values,
-            blocked_observation=blocked_observation,
-            allow_ppo_observation=allow_ppo_observation,
-            blocked_states=blocked_states,
-            deadline=deadline,
-        )
-        if self.metrics.enabled:
-            if result.decisions:
-                self.metrics.inc("repro_decisions_total", result.decisions)
-            self.metrics.inc(
-                "repro_implication_sweeps_total", result.decisions + 1, site="tdgen"
-            )
-        return result
-
-    def _generate(
         self,
         fault: GateDelayFault,
         required_ppo_values: Optional[Dict[str, int]] = None,
@@ -180,12 +124,14 @@ class TDgen:
             deadline: optional :func:`time.perf_counter` timestamp after which
                 the search aborts the fault (campaign time budgets are passed
                 down here so a single slow fault cannot blow the budget).
+
+        With a live metrics registry the call counts the search's decisions
+        and implication sweeps (one batch sweep per opened decision node
+        plus the root sweep); the search itself is identical either way.
         """
         constraints = dict(required_ppo_values or {})
         blocked: Set[str] = set(blocked_observation)
-        self._blocked_states = [dict(state) for state in blocked_states if state]
-        self._deadline = deadline
-
+        unreachable = [dict(state) for state in blocked_states if state]
         pi_values: Dict[str, Optional[DelayValue]] = {
             pi: None for pi in self.circuit.primary_inputs
         }
@@ -193,64 +139,15 @@ class TDgen:
             ppi: None for ppi in self.circuit.pseudo_primary_inputs
         }
 
-        stack: List[_Decision] = []
-        backtracks = 0
-        decisions = 0
+        def classify(states: CandidateStates, cursor: int) -> str:
+            return self._classify(
+                states.state(cursor), fault, constraints, blocked,
+                allow_ppo_observation, unreachable,
+            )
 
-        # The implication of the empty assignment; every later state comes
-        # from a decision node's candidate batch, so the forward pass runs
-        # once per *batch*, not once per loop iteration.
-        root_state = self.implication.implicate(pi_values, ppi_initial, fault)
-        state = root_state
-
-        while True:
-            if self._expired():
-                return LocalTest(
-                    fault=fault,
-                    status=LocalTestStatus.ABORTED,
-                    backtracks=backtracks,
-                    decisions=decisions,
-                )
-            outcome = self._classify(state, fault, constraints, blocked, allow_ppo_observation)
-
-            if outcome == "success":
-                return self._build_result(
-                    fault, state, pi_values, ppi_initial, blocked,
-                    allow_ppo_observation, backtracks, decisions,
-                )
-
-            if outcome == "conflict":
-                flipped = False
-                while stack:
-                    decision = stack[-1]
-                    self._unassign(decision, pi_values, ppi_initial)
-                    if decision.alternatives:
-                        value = decision.alternatives.pop(0)
-                        self._assign(decision, value, pi_values, ppi_initial)
-                        decision.cursor += 1
-                        state = decision.states.state(decision.cursor)
-                        backtracks += 1
-                        flipped = True
-                        break
-                    stack.pop()
-                if not flipped:
-                    return LocalTest(
-                        fault=fault,
-                        status=LocalTestStatus.UNTESTABLE,
-                        backtracks=backtracks,
-                        decisions=decisions,
-                    )
-                if backtracks > self.backtrack_limit:
-                    return LocalTest(
-                        fault=fault,
-                        status=LocalTestStatus.ABORTED,
-                        backtracks=backtracks,
-                        decisions=decisions,
-                    )
-                continue
-
-            # outcome == "continue": pick an objective and a new decision.
-            objective = self._objective(state, fault, constraints, blocked, allow_ppo_observation)
+        def decide(states: CandidateStates, cursor: int):
+            state = states.state(cursor)
+            objective = self._objective(state, fault, constraints)
             decision_key, preferred = (None, None)
             if objective is not None:
                 decision_key, preferred = self.search.backtrace(
@@ -259,67 +156,54 @@ class TDgen:
             if decision_key is None:
                 decision_key, preferred = self._fallback_decision(pi_values, ppi_initial)
             if decision_key is None:
-                # Everything is assigned yet neither success nor conflict was
-                # reported; treat as a conflict to force backtracking.
-                stackless_conflict = not stack
-                if stackless_conflict:
-                    return LocalTest(
-                        fault=fault,
-                        status=LocalTestStatus.UNTESTABLE,
-                        backtracks=backtracks,
-                        decisions=decisions,
-                    )
-                decision = stack[-1]
-                self._unassign(decision, pi_values, ppi_initial)
-                if decision.alternatives:
-                    self._assign(decision, decision.alternatives.pop(0), pi_values, ppi_initial)
-                    decision.cursor += 1
-                    state = decision.states.state(decision.cursor)
-                    backtracks += 1
-                else:
-                    stack.pop()
-                    # The assignment is now the popped node's prefix, whose
-                    # implication is the parent's current candidate state.
-                    state = (
-                        stack[-1].states.state(stack[-1].cursor)
-                        if stack
-                        else root_state
-                    )
-                if backtracks > self.backtrack_limit:
-                    return LocalTest(
-                        fault=fault,
-                        status=LocalTestStatus.ABORTED,
-                        backtracks=backtracks,
-                        decisions=decisions,
-                    )
-                continue
-
+                return None
             kind, name = decision_key
-            domain = list(_PI_VALUE_ORDER) if kind == "pi" else [0, 1]
-            ordered = [preferred] + [value for value in domain if value != preferred]
-            # Imply every alternative of the new decision variable in one
-            # batch.  Passing the current state lets the packed engine run
-            # the sweep incrementally over just the variable's influence
-            # cone instead of the whole circuit.
-            states = self.implication.implicate_candidates(
+            domain = _PI_VALUE_ORDER if kind == "pi" else (0, 1)
+            values = [preferred] + [value for value in domain if value != preferred]
+            return (pi_values if kind == "pi" else ppi_initial), name, values
+
+        def imply(states: CandidateStates, cursor: int, assignment, name, values):
+            # Imply every value of the new decision variable in one batch.
+            # Passing the current state lets the packed engine run the sweep
+            # incrementally over just the variable's influence cone instead
+            # of the whole circuit.
+            kind = "pi" if assignment is pi_values else "ppi"
+            return self.implication.implicate_candidates(
                 pi_values, ppi_initial, fault,
-                [(kind, name, value) for value in ordered],
-                base=state,
+                [(kind, name, value) for value in values],
+                base=states.state(cursor),
             )
-            decision = _Decision(
-                kind=kind, name=name, alternatives=ordered[1:], states=states
+
+        # The implication of the empty assignment; every later state comes
+        # from a decision node's candidate batch.
+        root = self.implication.implicate_candidates(pi_values, ppi_initial, fault, (None,))
+        outcome = decision_search(
+            root, classify, decide, imply, self.backtrack_limit,
+            deadline=deadline, max_decisions=self.max_decisions,
+        )
+        if outcome.stop is Stop.SUCCESS:
+            result = self._build_result(
+                fault, outcome.batch.state(outcome.cursor), pi_values, ppi_initial,
+                blocked, allow_ppo_observation, outcome.backtracks, outcome.decisions,
             )
-            self._assign_value(kind, name, ordered[0], pi_values, ppi_initial)
-            state = states.state(0)
-            stack.append(decision)
-            decisions += 1
-            if decisions > self.max_decisions:
-                return LocalTest(
-                    fault=fault,
-                    status=LocalTestStatus.ABORTED,
-                    backtracks=backtracks,
-                    decisions=decisions,
-                )
+        else:
+            result = LocalTest(
+                fault=fault,
+                status=(
+                    LocalTestStatus.UNTESTABLE
+                    if outcome.stop is Stop.EXHAUSTED
+                    else LocalTestStatus.ABORTED
+                ),
+                backtracks=outcome.backtracks,
+                decisions=outcome.decisions,
+            )
+        if self.metrics.enabled:
+            if result.decisions:
+                self.metrics.inc("repro_decisions_total", result.decisions)
+            self.metrics.inc(
+                "repro_implication_sweeps_total", result.decisions + 1, site="tdgen"
+            )
+        return result
 
     # ------------------------------------------------------------------ #
     # classification of a simulation state
@@ -339,13 +223,14 @@ class TDgen:
         constraints: Dict[str, int],
         blocked: Set[str],
         allow_ppo_observation: bool,
+        blocked_states: List[Dict[str, int]],
     ) -> str:
         if state.has_conflict():
             return "conflict"
 
         # Blocked (unsynchronisable) initial states: if the current decisions
         # already pin the state to one of them, force a backtrack.
-        for blocked_state in getattr(self, "_blocked_states", []):
+        for blocked_state in blocked_states:
             if all(
                 is_singleton(state.ppi_pair_sets.get(ppi, 0))
                 and single_value(state.ppi_pair_sets[ppi]).initial == value
@@ -416,8 +301,6 @@ class TDgen:
         state: TwoFrameState,
         fault: GateDelayFault,
         constraints: Dict[str, int],
-        blocked: Set[str],
-        allow_ppo_observation: bool,
     ) -> Optional[Tuple[str, DelayValue]]:
         # 1. Activate the fault: drive the fault site to the provoking transition.
         if not (
@@ -436,7 +319,7 @@ class TDgen:
 
         # 3. Propagate: pick a D-frontier gate and set an off-path input via
         #    the backend's search kernels (compiled scan on ``packed``).
-        return self.search.propagation_objective(state, fault, self.prefer_po_observation)
+        return self.search.propagation_objective(state, fault)
 
     def _fallback_decision(
         self,
@@ -450,42 +333,6 @@ class TDgen:
             if ppi_initial[ppi] is None:
                 return ("ppi", ppi), 0
         return None, None
-
-    # ------------------------------------------------------------------ #
-    # assignment bookkeeping
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _assign_value(
-        kind: str,
-        name: str,
-        value: object,
-        pi_values: Dict[str, Optional[DelayValue]],
-        ppi_initial: Dict[str, Optional[int]],
-    ) -> None:
-        if kind == "pi":
-            pi_values[name] = value  # type: ignore[assignment]
-        else:
-            ppi_initial[name] = value  # type: ignore[assignment]
-
-    def _assign(
-        self,
-        decision: _Decision,
-        value: object,
-        pi_values: Dict[str, Optional[DelayValue]],
-        ppi_initial: Dict[str, Optional[int]],
-    ) -> None:
-        self._assign_value(decision.kind, decision.name, value, pi_values, ppi_initial)
-
-    @staticmethod
-    def _unassign(
-        decision: _Decision,
-        pi_values: Dict[str, Optional[DelayValue]],
-        ppi_initial: Dict[str, Optional[int]],
-    ) -> None:
-        if decision.kind == "pi":
-            pi_values[decision.name] = None
-        else:
-            ppi_initial[decision.name] = None
 
     # ------------------------------------------------------------------ #
     # result construction

@@ -56,11 +56,6 @@ class LocalTest:
     backtracks: int = 0
     decisions: int = 0
 
-    @property
-    def succeeded(self) -> bool:
-        """True when local test generation found a two-pattern test."""
-        return self.status is LocalTestStatus.SUCCESS
-
     def required_state(self) -> Dict[str, int]:
         """The partial state required at the start of the initial frame.
 
@@ -96,10 +91,3 @@ class TestVectorPair:
 
     initial: Dict[str, int]
     final: Dict[str, int]
-
-    def as_tuple(self, inputs: List[str]) -> tuple:
-        """Render as two bit tuples in the given input order (for reporting)."""
-        return (
-            tuple(self.initial.get(pi, 0) for pi in inputs),
-            tuple(self.final.get(pi, 0) for pi in inputs),
-        )

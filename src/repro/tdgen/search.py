@@ -1,9 +1,10 @@
 """Backend-dispatched search kernels: objective selection, backtrace, scans.
 
-PR 3 routed every *forward implication* of the searching phases through the
-backend-dispatched engine of :mod:`repro.tdgen.implication`; what remained
-interpreted was the per-decision *search residue* — the walks each decision
-loop runs between two implications:
+Every *forward implication* of the searching phases goes through the
+backend-dispatched engine of :mod:`repro.tdgen.implication`; this module
+holds the per-decision *search residue* — the walks the callbacks of the
+shared decision loop (:mod:`repro.tdgen.decide`) run between two
+implications:
 
 * **objective selection** — TDgen's D-frontier scan plus the off-path
   objective choice (:meth:`SearchKernels.propagation_objective`),
@@ -22,10 +23,9 @@ loop runs between two implications:
 
 A :class:`SearchKernels` object bundles those queries for one
 implication engine, and each engine builds its own kernels class: the
-``reference`` engine's :class:`ReferenceSearchKernels` keep the historical
-interpreted walks (moved here verbatim from ``tdgen/engine.py``,
-``semilet/propagation.py`` and ``semilet/justification.py``) as the
-differential-testing oracle; the ``packed`` engine's
+``reference`` engine's :class:`ReferenceSearchKernels` keep the interpreted
+walks over name-keyed states and frames as the differential-testing
+oracle; the ``packed`` engine's
 :class:`PackedSearchKernels` rerun them as compiled kernels over
 the flat arrays of :mod:`repro.fausim.compile` and the packed planes of
 :mod:`repro.algebra.packed_sets` / :mod:`repro.fausim.packed_sim` — the
@@ -244,10 +244,7 @@ class SearchKernels:
 
     # -- TDgen two-frame search ---------------------------------------- #
     def propagation_objective(
-        self,
-        state: TwoFrameState,
-        fault: GateDelayFault,
-        prefer_po_observation: bool,
+        self, state: TwoFrameState, fault: GateDelayFault
     ) -> Optional[Objective]:
         """Pick a D-frontier propagation objective (step 3 of TDgen).
 
@@ -359,30 +356,26 @@ class ReferenceSearchKernels(SearchKernels):
         return self._gate_rows
 
     # -- TDgen ----------------------------------------------------------- #
-    def propagation_objective(self, state, fault, prefer_po_observation):
+    def propagation_objective(self, state, fault):
         """Interpreted D-frontier scan and off-path objective choice."""
         frontier = self._d_frontier(state, fault)
         if not frontier:
             return None
-        frontier.sort(key=lambda name: self._frontier_rank(name, prefer_po_observation))
+        frontier.sort(key=self._frontier_rank)
         for gate_name in frontier:
             objective = self._off_path_objective(state, fault, gate_name)
             if objective is not None:
                 return objective
         return None
 
-    def _frontier_rank(self, gate_name: str, prefer_po_observation: bool) -> Tuple[int, str]:
+    def _frontier_rank(self, gate_name: str) -> Tuple[int, str]:
+        """Primary outputs first, then pseudo primary outputs, by distance."""
         context = self.engine.context
-        if prefer_po_observation:
-            distance = context.observation_distance(gate_name, pos_only=True)
-            if distance is None:
-                distance = 500_000 + (
-                    context.observation_distance(gate_name, pos_only=False) or 500_000
-                )
-        else:
-            distance = context.observation_distance(gate_name, pos_only=False)
-            if distance is None:
-                distance = 1_000_000
+        distance = context.observation_distance(gate_name, pos_only=True)
+        if distance is None:
+            distance = 500_000 + (
+                context.observation_distance(gate_name, pos_only=False) or 500_000
+            )
         return (distance, gate_name)
 
     def _d_frontier(self, state: TwoFrameState, fault: GateDelayFault) -> List[str]:
@@ -675,10 +668,6 @@ class _PotentialView:
     def __contains__(self, name: str) -> bool:
         return name in self._slot_of
 
-    def to_dict(self) -> Dict[str, bool]:
-        """Materialise the full per-signal dictionary (test support)."""
-        return {name: self[name] for name in self._slot_of}
-
 
 class PackedSearchKernels(SearchKernels):
     """Compiled search walks over the flat gate program and packed planes.
@@ -706,7 +695,7 @@ class PackedSearchKernels(SearchKernels):
         #: Controlling value and inversion parity per gate-program index.
         self._controlling = [controlling_value(kind) for kind in self._gate_types]
         self._parity = [inversion_parity(kind) for kind in self._gate_types]
-        self._rank_cache: Dict[bool, List[int]] = {}
+        self._rank_cache: Optional[List[int]] = None
         #: (PPI name, PPO data slot) per flip-flop: the ``"ppo"`` goal targets.
         self._ppo_targets: Tuple[Tuple[str, int], ...] = tuple(
             (compiled.signal_names[ppi_slot], data_slot)
@@ -714,28 +703,22 @@ class PackedSearchKernels(SearchKernels):
         )
 
     # -- shared helpers -------------------------------------------------- #
-    def _ranks(self, prefer_po_observation: bool) -> List[int]:
+    def _ranks(self) -> List[int]:
         """Memoised observability-distance rank per signal slot."""
-        cached = self._rank_cache.get(prefer_po_observation)
-        if cached is not None:
-            return cached
+        if self._rank_cache is not None:
+            return self._rank_cache
         compiled = self.compiled
         context = self.engine.context
         ranks = [0] * compiled.num_signals
         for out in compiled.outputs:
             name = compiled.signal_names[out]
-            if prefer_po_observation:
-                distance = context.observation_distance(name, pos_only=True)
-                if distance is None:
-                    distance = 500_000 + (
-                        context.observation_distance(name, pos_only=False) or 500_000
-                    )
-            else:
-                distance = context.observation_distance(name, pos_only=False)
-                if distance is None:
-                    distance = 1_000_000
+            distance = context.observation_distance(name, pos_only=True)
+            if distance is None:
+                distance = 500_000 + (
+                    context.observation_distance(name, pos_only=False) or 500_000
+                )
             ranks[out] = distance
-        self._rank_cache[prefer_po_observation] = ranks
+        self._rank_cache = ranks
         return ranks
 
     def _branch_info(self, fault: Optional[GateDelayFault]):
@@ -763,7 +746,7 @@ class PackedSearchKernels(SearchKernels):
         return states.column_sets(index)
 
     # -- TDgen ----------------------------------------------------------- #
-    def propagation_objective(self, state, fault, prefer_po_observation):
+    def propagation_objective(self, state, fault):
         """Compiled D-frontier scan over the state's slot column."""
         column = self._state_column(state)
         compiled = self.compiled
@@ -771,7 +754,7 @@ class PackedSearchKernels(SearchKernels):
         fanin_flat = compiled.fanin_flat
         outputs = compiled.outputs
         signal_names = compiled.signal_names
-        ranks = self._ranks(prefer_po_observation)
+        ranks = self._ranks()
         branch_position = self._branch_info(fault)
         fault_type = fault.fault_type if branch_position is not None else None
         fault_set = FAULT_MASK

@@ -90,10 +90,6 @@ class TwoFrameState:
         default=None, compare=False, repr=False
     )
 
-    def observation_set(self, signal: str) -> ValueSet:
-        """Value set visible at an observation point (PO or PPO signal)."""
-        return self.signal_sets[signal]
-
     def definite_value(self, signal: str) -> Optional[DelayValue]:
         """The value of a signal if it is fully determined, else ``None``."""
         value_set = self.signal_sets[signal]

@@ -405,22 +405,16 @@ def _check_implication_and_kernels(
         # layer 3: the search kernels resolved for this engine
         kernels = engine.search_kernels()
         if fault is not None and not want_state.has_conflict():
-            for prefer_po in (True, False):
-                want = oracle_kernels.propagation_objective(
-                    want_state, fault, prefer_po
-                )
-                got = kernels.propagation_objective(got_state, fault, prefer_po)
-                if got != want:
-                    failures.append(f"kernels[{name}]: objective differs")
-                    continue
-                if want is None:
-                    continue
-                if kernels.backtrace(
-                    got_state, fault, want, pi_values, ppi_initial
-                ) != oracle_kernels.backtrace(
-                    want_state, fault, want, pi_values, ppi_initial
-                ):
-                    failures.append(f"kernels[{name}]: backtrace differs")
+            want = oracle_kernels.propagation_objective(want_state, fault)
+            got = kernels.propagation_objective(got_state, fault)
+            if got != want:
+                failures.append(f"kernels[{name}]: objective differs")
+            elif want is not None and kernels.backtrace(
+                got_state, fault, want, pi_values, ppi_initial
+            ) != oracle_kernels.backtrace(
+                want_state, fault, want, pi_values, ppi_initial
+            ):
+                failures.append(f"kernels[{name}]: backtrace differs")
         got_just_frames = engine.frame_candidates(just_pi, just_ppi, (None,))
         for signal in just_targets:
             for target in (0, 1):

@@ -180,21 +180,18 @@ def test_objective_and_backtrace_bit_exact(seed, robust):
         packed_state = packed.implicate(pi_values, ppi_initial, fault)
         if reference_state.has_conflict():
             continue
-        for prefer_po in (True, False):
-            want = reference_kernels.propagation_objective(
-                reference_state, fault, prefer_po
-            )
-            got = packed_kernels.propagation_objective(packed_state, fault, prefer_po)
-            assert got == want, f"seed {seed} trial {trial} objective differs"
-            if want is None:
-                continue
-            want_key = reference_kernels.backtrace(
-                reference_state, fault, want, pi_values, ppi_initial
-            )
-            got_key = packed_kernels.backtrace(
-                packed_state, fault, want, pi_values, ppi_initial
-            )
-            assert got_key == want_key, f"seed {seed} trial {trial} backtrace differs"
+        want = reference_kernels.propagation_objective(reference_state, fault)
+        got = packed_kernels.propagation_objective(packed_state, fault)
+        assert got == want, f"seed {seed} trial {trial} objective differs"
+        if want is None:
+            continue
+        want_key = reference_kernels.backtrace(
+            reference_state, fault, want, pi_values, ppi_initial
+        )
+        got_key = packed_kernels.backtrace(
+            packed_state, fault, want, pi_values, ppi_initial
+        )
+        assert got_key == want_key, f"seed {seed} trial {trial} backtrace differs"
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
@@ -231,20 +228,15 @@ def test_objective_bit_exact_on_incremental_states(seed):
         if reference_state.has_conflict():
             assert packed_state.has_conflict()
             break
-        for prefer_po in (True, False):
-            want = reference_kernels.propagation_objective(
-                reference_state, fault, prefer_po
+        want = reference_kernels.propagation_objective(reference_state, fault)
+        got = packed_kernels.propagation_objective(packed_state, fault)
+        assert got == want, f"seed {seed} incremental objective differs"
+        if want is not None:
+            assert packed_kernels.backtrace(
+                packed_state, fault, want, pi_values, ppi_initial
+            ) == reference_kernels.backtrace(
+                reference_state, fault, want, pi_values, ppi_initial
             )
-            got = packed_kernels.propagation_objective(
-                packed_state, fault, prefer_po
-            )
-            assert got == want, f"seed {seed} incremental objective differs"
-            if want is not None:
-                assert packed_kernels.backtrace(
-                    packed_state, fault, want, pi_values, ppi_initial
-                ) == reference_kernels.backtrace(
-                    reference_state, fault, want, pi_values, ppi_initial
-                )
 
 
 # --------------------------------------------------------------------------- #
