@@ -77,11 +77,12 @@ class _AttemptFailure:
 class CampaignInterrupted(RuntimeError):
     """A campaign was stopped before finishing.
 
-    Raised when a runner's ``should_stop`` hook fires (graceful daemon
-    shutdown, job cancellation): :meth:`SequentialDelayATPG.run` polls it
-    before every fault, the orchestrator between records.  An orchestrated
-    campaign has journaled every record received before the stop, so it
-    resumes from its journal with nothing lost but the faults in flight.
+    Raised when a campaign's ``should_stop`` hook fires (graceful daemon
+    shutdown, job cancellation): the flow polls it after every applied
+    prefix sequence and before every fault its loop reaches, the
+    orchestrator also between worker records.  A journaled campaign has
+    checkpointed every record produced before the stop, so it resumes from
+    its journal with nothing lost but the faults in flight.
     """
 
     def __init__(self, circuit_name: str, recorded: int) -> None:
@@ -186,7 +187,7 @@ class SequentialDelayATPG:
         reuse: Optional[Dict[int, Dict[str, object]]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> CampaignResult:
-        """Run a full ATPG campaign.
+        """Run a full ATPG campaign: :meth:`run_prefix`, then :meth:`run_loop`.
 
         Args:
             faults: explicit fault universe; defaults to every StR/StF fault on
@@ -206,8 +207,9 @@ class SequentialDelayATPG:
                 (:func:`repro.store.incremental.plan_reuse`): a mapped fault
                 reads its record instead of being targeted.  Each record must
                 be exactly what :meth:`target_fault` would return.
-            should_stop: polled before every fault the loop targets;
-                returning True raises :class:`CampaignInterrupted`.
+            should_stop: polled after every applied prefix sequence and before
+                every fault the loop reaches; returning True raises
+                :class:`CampaignInterrupted`.
         """
         fault_universe = list(faults) if faults is not None else enumerate_delay_faults(self.circuit)
         logger.info(
@@ -216,34 +218,22 @@ class SequentialDelayATPG:
         )
         start = time.perf_counter()
         deadline = start + time_limit_s if time_limit_s is not None else None
-        recorded = 0
-
-        def target(index: int, fault: GateDelayFault) -> FaultResult:
-            nonlocal recorded
-            if should_stop is not None and should_stop():
-                raise CampaignInterrupted(self.circuit.name, recorded)
-            recorded += 1
-            if reuse and index in reuse:
-                from repro.orchestrate.journal import replay_record
-
-                return replay_record(reuse[index], self.metrics, self.cost_log)
-            # Looked up per call, so a patched ``target_fault`` is honoured.
-            return self.target_fault(fault, deadline=deadline)
-
         with self.metrics.timed("repro_phase_seconds", phase="campaign"):
             outcome = (
-                self.run_prefix(fault_universe, prefix, deadline=deadline)
+                self.run_prefix(
+                    fault_universe, prefix, deadline=deadline, should_stop=should_stop
+                )
                 if prefix is not None
                 else None
             )
-            campaign = run_campaign_loop(
-                self.circuit.name,
+            campaign = self.run_loop(
                 fault_universe,
-                target,
-                prefix_outcome=outcome,
+                outcome,
+                records=reuse,
                 max_target_faults=max_target_faults,
                 deadline=deadline,
                 started=start,
+                should_stop=should_stop,
             )
         logger.info(
             "campaign done: circuit=%s tested=%d untestable=%d aborted=%d time=%.3fs",
@@ -257,9 +247,29 @@ class SequentialDelayATPG:
         faults: Sequence[GateDelayFault],
         prefix: "PrefixConfig",
         deadline: Optional[float] = None,
+        replay: Sequence["PrefixRecord"] = (),
+        on_record: Optional[Callable[[Dict[str, object]], None]] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
     ) -> "PrefixOutcome":
-        """Phase A of the hybrid campaign under this flow's settings."""
+        """Phase A of the hybrid campaign under this flow's settings.
+
+        Args:
+            replay: the phase's journaled sequence records, applied (and
+                counted) without re-grading; generation goes on at the next
+                sequence index, since every sequence's RNG seed depends only
+                on its index.  A finished phase stops again at once.
+            on_record: called with the journal record of every newly applied
+                sequence and with the closing ``prefix-done`` record.
+            should_stop: polled after every newly applied sequence; returning
+                True raises :class:`CampaignInterrupted`.
+        """
         from repro.core.prefilter import RandomPrefixEngine
+
+        def applied(record: "PrefixRecord") -> None:
+            if on_record is not None:
+                on_record(record.to_journal())
+            if should_stop is not None and should_stop():
+                raise CampaignInterrupted(self.circuit.name, record.seq + 1)
 
         engine = RandomPrefixEngine(
             self.circuit,
@@ -270,7 +280,74 @@ class SequentialDelayATPG:
             backend=self.backend,
         )
         with self.metrics.timed("repro_phase_seconds", phase="prefix"):
-            return engine.run(faults, deadline=deadline)
+            outcome = engine.run(
+                faults,
+                deadline=deadline,
+                replay=replay,
+                on_record=applied,
+            )
+        if on_record is not None:
+            on_record(
+                {
+                    "type": "prefix-done",
+                    "reason": outcome.stop_reason,
+                    "applied": outcome.applied,
+                    "detected": len(outcome.detected),
+                }
+            )
+        return outcome
+
+    def run_loop(
+        self,
+        universe: Sequence[GateDelayFault],
+        prefix_outcome: Optional["PrefixOutcome"] = None,
+        *,
+        records: Optional[Dict[int, Dict[str, object]]] = None,
+        max_target_faults: Optional[int] = None,
+        deadline: Optional[float] = None,
+        started: Optional[float] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
+        on_record: Optional[Callable[[Dict[str, object]], None]] = None,
+    ) -> CampaignResult:
+        """Phase B: :func:`run_campaign_loop` with the one per-fault rule.
+
+        A fault with a journal-format ``fault`` record in ``records`` reads
+        it, and its stored cost folds into :attr:`metrics` and
+        :attr:`cost_log`.  Any other fault is targeted here by
+        :meth:`target_fault`, its engine work counted live, and its record
+        (worker ``-1``: in-process) goes to ``on_record`` before the loop
+        credits it.  No record is built without a hook.  ``should_stop`` is
+        polled before every fault the loop reaches.
+        """
+        from repro.orchestrate.journal import fault_record, replay_record
+
+        records = records or {}
+        reached = 0
+
+        def target(index: int, fault: GateDelayFault) -> FaultResult:
+            nonlocal reached
+            if should_stop is not None and should_stop():
+                raise CampaignInterrupted(self.circuit.name, reached)
+            reached += 1
+            record = records.get(index)
+            if record is not None:
+                return replay_record(record, self.metrics, self.cost_log)
+            # Looked up per call, so a patched ``target_fault`` is honoured.
+            result = self.target_fault(fault, deadline=deadline)
+            if on_record is not None:
+                cost = self.cost_log[-1] if self.metrics.enabled else None
+                on_record(fault_record(index, -1, result, cost))
+            return result
+
+        return run_campaign_loop(
+            self.circuit.name,
+            universe,
+            target,
+            prefix_outcome=prefix_outcome,
+            max_target_faults=max_target_faults,
+            deadline=deadline,
+            started=started,
+        )
 
     # ------------------------------------------------------------------ #
     # single-fault campaign step
@@ -758,9 +835,10 @@ def run_campaign_loop(
     :func:`time.perf_counter` timestamp), and every other fault gets
     ``target(index, fault)``, credited via :func:`credit_fault_result`.  A
     ``None`` outcome (unknown, e.g. a torn journal) leaves it untargeted.
-    :meth:`SequentialDelayATPG.run` and the orchestrator's replay merge
-    differ only in ``target``.  ``cpu_seconds`` counts from ``started``
-    (default: the call).
+    Every campaign runs it through :meth:`SequentialDelayATPG.run_loop`,
+    whose ``target`` reads a stored record or targets the fault in-process;
+    the store's partial-journal import passes a ``target`` that only reads.
+    ``cpu_seconds`` counts from ``started`` (default: the call).
     """
     if started is None:
         started = time.perf_counter()

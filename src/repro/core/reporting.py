@@ -2,7 +2,7 @@
 
 Besides the Table 3 row itself this module renders the satellite reports the
 CLI prints next to it: the untestable breakdown, the random-prefix summary,
-the per-shard summary of an orchestrated campaign and — when ``--profile``
+the per-shard summary of a campaign whose workers ran and — when ``--profile``
 is on — the instrumentation cost breakdown (:func:`format_profile`).
 """
 
@@ -69,14 +69,15 @@ def format_shard_summary(
     recomputed: int = 0,
     title: Optional[str] = None,
 ) -> str:
-    """Per-shard progress summary of one orchestrated campaign.
+    """Per-shard progress summary of one campaign whose workers ran.
 
     ``shard_stats`` is what :class:`repro.orchestrate.coordinator.
     CampaignOrchestrator` collects from its workers: per shard how many
     faults were explicitly targeted vs. dropped by a broadcast detection set,
     the verdict split, how many foreign detection broadcasts the shard
-    absorbed and its wall time.  ``recomputed`` is the coordinator's count of faults the
-    replay merge had to recompute serially.
+    absorbed and its wall time.  ``recomputed`` counts the faults the
+    coordinator's campaign loop targeted itself because no worker recorded
+    them: over-dropped by a worker, or kept off the queue by the target cap.
     """
     rows: List[Dict[str, object]] = []
     for stats in shard_stats:

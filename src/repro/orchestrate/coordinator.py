@@ -1,10 +1,15 @@
-"""Campaign coordinator: sharded ATPG with a deterministic replay merge.
+"""Campaign coordinator: the one campaign runner, in-process or sharded.
 
-The orchestration contract is *serial equivalence*: whatever the worker
-count or scheduling order, the merged
-:class:`~repro.core.results.CampaignResult` is bit-identical (coverage,
-untestable breakdown, pattern counts) to ``SequentialDelayATPG.run`` on the
-same circuit and fault universe.  Three mechanisms combine to get there:
+Every campaign runs through :class:`CampaignOrchestrator`, whose body is one
+:class:`~repro.core.flow.SequentialDelayATPG`: the random prefix, then the
+serial campaign loop (:meth:`~repro.core.flow.SequentialDelayATPG.run_loop`)
+with one rule per fault — read its record when one exists, else target it
+in-process.  ``jobs=1`` does nothing else; journal or not, it starts no
+process.  With ``jobs > 1`` worker processes fill in the records before the
+loop reads them, and the result stays *serially equivalent*: whatever the
+worker count or scheduling order, it is bit-identical (coverage, untestable
+breakdown, pattern counts) to ``SequentialDelayATPG.run`` on the same
+circuit and fault universe.  Three mechanisms combine to get there:
 
 1. **Optimistic parallel execution.**  Workers take the remaining faults from
    one shared work queue, fed in global enumeration order, so an idle worker
@@ -24,21 +29,19 @@ same circuit and fault universe.  Three mechanisms combine to get there:
    :mod:`repro.orchestrate.worker`), keeping them inside what the serial
    order could do.
 
-3. **Deterministic replay merge.**  After the workers finish, the
-   coordinator runs the serial campaign loop itself,
-   :func:`~repro.core.flow.run_campaign_loop`, with a ``target`` that reads
-   the recorded results: recorded detections (from the serial TDsim
+3. **Deterministic replay merge.**  After the workers finish, the loop runs
+   over the recorded results: recorded detections (from the serial TDsim
    criterion) decide fault dropping exactly as ``run()`` would, speculative
    records the serial order never reaches are never read, and the rare
    fault no worker computed (dropped on the strength of a discarded
-   speculative record, or capped out) is recomputed serially on the spot.
+   speculative record, or capped out) is targeted in-process on the spot.
    The merged Table 3 row is therefore independent of worker count and
    scheduling by construction.
 
 Every record is journaled (JSONL, see :mod:`repro.orchestrate.journal`), so a
 killed campaign resumes: already-recorded faults are not re-targeted, their
-sequences are re-broadcast so the remaining faults still drop, and the final
-replay runs over old and new records together.  The records an incremental
+sequences are re-broadcast so the remaining faults still drop, and the loop
+runs over old and new records together.  The records an incremental
 re-run reuses from a campaign store (:mod:`repro.store.incremental`) enter
 the same way, and are journaled like any other record.
 """
@@ -55,8 +58,8 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.core.flow import CampaignInterrupted, SequentialDelayATPG, run_campaign_loop
-from repro.core.results import CampaignResult, FaultResult
+from repro.core.flow import CampaignInterrupted, SequentialDelayATPG
+from repro.core.results import CampaignResult
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.fausim.backends import available_backends
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, resolve_metrics
@@ -65,9 +68,7 @@ from repro.orchestrate.journal import (
     CampaignJournal,
     JournalSegment,
     campaign_digest,
-    fault_record,
     load_segments,
-    replay_record,
 )
 from repro.orchestrate.worker import worker_main
 
@@ -83,7 +84,7 @@ _ENGINE_DEFAULTS = ("fill_value", "verify_sequences", "enable_fault_simulation")
 
 @dataclasses.dataclass
 class OrchestratorConfig:
-    """The settings of one campaign, whichever mode runs it.
+    """The settings of one campaign, in-process or sharded.
 
     The only settings object: the CLI flags, the service's
     :class:`~repro.service.jobs.JobSpec`, the journal digest and the store's
@@ -186,12 +187,24 @@ def _mp_context():
 
 
 class CampaignOrchestrator:
-    """Run one circuit's ATPG campaign across worker processes.
+    """Run one circuit's ATPG campaign, in-process or across worker processes.
+
+    The campaign body is the coordinator's own
+    :class:`~repro.core.flow.SequentialDelayATPG` (:attr:`atpg`): Phase A
+    runs through its :meth:`~repro.core.flow.SequentialDelayATPG.run_prefix`
+    and Phase B through its
+    :meth:`~repro.core.flow.SequentialDelayATPG.run_loop`, which reads a
+    fault's record when one exists and otherwise targets the fault
+    in-process.  What the orchestrator adds is the journal (every record is
+    checkpointed, and ``resume`` reads them back) and, with
+    ``config.jobs > 1``, the worker processes that fill in the records
+    before the loop reads them.  A ``jobs=1`` campaign starts no process.
 
     After :meth:`run` returns, :attr:`shard_stats` holds one per-worker
-    summary dictionary (for :func:`repro.core.reporting.format_shard_summary`)
-    and :attr:`recomputed` counts the faults the replay merge had to
-    recompute serially because a worker over-dropped them.
+    summary dictionary (for :func:`repro.core.reporting.format_shard_summary`;
+    empty when no worker ran) and :attr:`recomputed` counts the faults the
+    coordinator targeted itself: every targeted fault at ``jobs=1``, and
+    with workers the faults they over-dropped or the cap left out.
 
     Args:
         circuit: circuit under test.
@@ -202,20 +215,23 @@ class CampaignOrchestrator:
         resume: continue from ``journal_path`` instead of starting over;
             requires the journal to exist and its digest to match.
         on_record: progress hook — called with every journal-format record
-            (``campaign`` header, ``fault``, ``drop``, final ``result``) as it
-            is produced, whether or not a journal file is attached.  Called
-            from the orchestrating thread; the service layer
-            (:mod:`repro.service`) uses it to stream per-fault progress.
-        should_stop: polled between records (and before every replay-merge
-            recompute); returning True terminates the workers and raises
-            :class:`CampaignInterrupted`, leaving the journal resumable.
+            (``campaign`` header, ``prefix``, ``fault``, ``drop``, final
+            ``result``) as it is produced, for every run, whether or not a
+            journal file is attached.  Called from the orchestrating thread;
+            the service layer (:mod:`repro.service`) uses it to stream
+            per-fault progress.
+        should_stop: polled after every prefix sequence, between worker
+            records and before every fault the loop reaches; returning True
+            terminates the workers and raises :class:`CampaignInterrupted`,
+            leaving the journal resumable.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` the
-            merged campaign aggregates land on.  When omitted but
+            campaign aggregates land on.  When omitted but
             ``config.collect_metrics`` is set, a fresh registry is created
-            (read it back via :attr:`metrics`).  The deterministic counters
-            are folded from the *credited* per-fault cost records during the
-            replay merge, so the aggregates are identical for any worker
-            count — and equal to a serial campaign's.
+            (read it back via :attr:`metrics`).  Faults targeted in-process
+            count live; a worker's or a resumed journal's record folds its
+            stored cost when the loop reads it, so the deterministic counters
+            are identical for any worker count, and equal to a serial
+            campaign's.
     """
 
     def __init__(
@@ -230,26 +246,30 @@ class CampaignOrchestrator:
     ) -> None:
         self.circuit = circuit
         self.config = config or OrchestratorConfig()
+        campaign_mode(self.config, journaled=journal_path is not None, resume=resume)
         if metrics is None and self.config.collect_metrics:
             metrics = MetricsRegistry()
         self.metrics = resolve_metrics(metrics)
-        if resume and journal_path is None:
-            raise ValueError("resume requires a journal path")
         self.journal_path = journal_path
         self.resume = resume
         self.on_record = on_record
         self.should_stop = should_stop
+        self.atpg = SequentialDelayATPG(
+            circuit, metrics=self.metrics, **self.config.atpg_kwargs()
+        )
         self.shard_stats: List[Dict[str, object]] = []
         self.recomputed = 0
-        self._fallback_atpg: Optional[SequentialDelayATPG] = None
-        #: Credited per-fault cost records, in enumeration order (replay
-        #: merge); empty when instrumentation is off.
-        self.fault_costs: List[FaultCost] = []
         #: Merged raw worker snapshots (speculative work included) — a
         #: diagnostic view; the deterministic aggregates live on
         #: :attr:`metrics`.
         self.shard_metrics: Optional[MetricsSnapshot] = None
         self._worker_snapshots: List[MetricsSnapshot] = []
+
+    @property
+    def fault_costs(self) -> List[FaultCost]:
+        """Credited per-fault cost records in enumeration order; empty when
+        instrumentation is off."""
+        return self.atpg.cost_log
 
     def _emit(self, journal: Optional[CampaignJournal], record: Dict[str, object]) -> None:
         """Checkpoint one record and forward it to the progress hook."""
@@ -270,22 +290,32 @@ class CampaignOrchestrator:
         faults: Optional[Sequence[GateDelayFault]] = None,
         max_target_faults: Optional[int] = None,
         reuse: Optional[Dict[int, Dict[str, object]]] = None,
+        time_limit_s: Optional[float] = None,
     ) -> CampaignResult:
-        """Run (or resume) the sharded campaign and return the merged result.
+        """Run (or resume) the campaign and return its result.
 
         Args:
             faults: explicit fault universe; defaults to
                 :func:`~repro.faults.model.enumerate_delay_faults`.
             max_target_faults: cap on explicitly targeted faults, applied in
-                serial enumeration order during the replay merge (workers may
+                serial enumeration order by the loop (workers may
                 speculatively compute more; the surplus is discarded).
             reuse: journal-format ``fault`` records keyed by universe index
                 (:func:`repro.store.incremental.plan_reuse`), merged like the
                 records of a resumed journal: journaled, re-broadcast to the
-                workers and read by the replay instead of being targeted.
+                workers and read by the loop instead of being targeted.
+            time_limit_s: wall-clock budget of an unjournaled ``jobs=1``
+                campaign (see :func:`campaign_mode`).
         """
+        campaign_mode(
+            self.config, max_target_faults=max_target_faults,
+            time_limit_s=time_limit_s, journaled=self.journal_path is not None,
+        )
         started = time.perf_counter()
-        self.fault_costs = []
+        deadline = started + time_limit_s if time_limit_s is not None else None
+        self.atpg.cost_log = []
+        self.shard_stats = []
+        self.recomputed = 0
         self._worker_snapshots = []
         self.shard_metrics = None
         universe = (
@@ -295,21 +325,9 @@ class CampaignOrchestrator:
             self.circuit.name, self.config.digest_payload(), universe
         )
 
-        records: Dict[int, Dict[str, object]] = {}
-        prefix_records: Dict[int, Dict[str, object]] = {}
-        prefix_done: Optional[Dict[str, object]] = None
+        segment: Optional[JournalSegment] = None
         if self.resume:
             segment = self._load_resume_segment(digest)
-            if segment is not None:
-                final = segment.final
-                if final is not None and final.get("max_target_faults") == max_target_faults:
-                    # Finished campaign with the same cap: reuse the stored
-                    # merge.  A different cap falls through to a fresh replay
-                    # over the recorded per-fault results instead.
-                    return CampaignResult.from_json(final["campaign"])
-                records.update(segment.fault_records)
-                prefix_records.update(segment.prefix_records)
-                prefix_done = segment.prefix_done
         elif self.journal_path is not None and os.path.exists(self.journal_path):
             # A fresh run must not append an incompatible header to an
             # existing journal: the digest clash would make *every* later
@@ -327,8 +345,8 @@ class CampaignOrchestrator:
         try:
             with self.metrics.timed("repro_phase_seconds", phase="campaign"):
                 return self._run_campaign(
-                    universe, records, prefix_records, prefix_done, digest,
-                    journal, max_target_faults, started, reuse or {},
+                    universe, digest, segment, journal, max_target_faults,
+                    started, deadline, reuse or {},
                 )
         finally:
             if journal is not None:
@@ -337,16 +355,20 @@ class CampaignOrchestrator:
     def _run_campaign(
         self,
         universe: List[GateDelayFault],
-        records: Dict[int, Dict[str, object]],
-        prefix_records: Dict[int, Dict[str, object]],
-        prefix_done: Optional[Dict[str, object]],
         digest: str,
+        segment: Optional[JournalSegment],
         journal: Optional[CampaignJournal],
         max_target_faults: Optional[int],
         started: float,
+        deadline: Optional[float],
         reuse: Dict[int, Dict[str, object]],
     ) -> CampaignResult:
         """The campaign body of :meth:`run` (split out for phase timing)."""
+        records = dict(segment.fault_records) if segment is not None else {}
+        logger.info(
+            "campaign start: circuit=%s faults=%d jobs=%d resumed=%d",
+            self.circuit.name, len(universe), self.config.jobs, len(records),
+        )
         self._emit(
             journal,
             {
@@ -357,16 +379,24 @@ class CampaignOrchestrator:
                 "jobs": self.config.jobs,
                 "campaign_seed": self.config.campaign_seed,
                 "resumed_records": len(records),
-                "resumed_prefix": len(prefix_records),
+                "resumed_prefix": len(segment.prefix_records) if segment is not None else 0,
             },
         )
-        # Phase A of a hybrid campaign runs once, single-threaded, before
-        # the workers start: they only target the residue the random prefix
-        # could not detect, and the serial/parallel results stay
-        # bit-identical because Phase A never depends on jobs.
-        prefix_outcome = self._run_prefix(
-            universe, prefix_records, prefix_done, journal
-        )
+        # Phase A of a hybrid campaign runs once, in-process, before any
+        # worker starts: the workers only target the residue the random
+        # prefix could not detect, and Phase A never depends on jobs.
+        prefix_cfg = self.config.prefix_config()
+        prefix_outcome = None
+        if prefix_cfg is not None:
+            from repro.core.prefilter import PrefixOutcome
+
+            journaled = segment.prefix_records if segment is not None else {}
+            prefix_outcome = self.atpg.run_prefix(
+                universe, prefix_cfg, deadline=deadline,
+                replay=PrefixOutcome.from_journal(journaled, None).records,
+                on_record=lambda record: self._emit(journal, record),
+                should_stop=self.should_stop,
+            )
         prefix_detected = (
             set(prefix_outcome.detected) if prefix_outcome is not None else set()
         )
@@ -376,15 +406,40 @@ class CampaignOrchestrator:
             if index not in records and universe[index] not in prefix_detected:
                 records[index] = reuse[index]
                 self._emit(journal, reuse[index])
-        remaining = [
-            index
-            for index in range(len(universe))
-            if index not in records and universe[index] not in prefix_detected
-        ]
-        if remaining:
-            self._run_workers(universe, remaining, records, journal, max_target_faults)
-        campaign = self._replay(
-            universe, records, max_target_faults, journal, started, prefix_outcome
+        # A finished segment resumed with the same cap needs no worker: the
+        # loop reaches only faults it already recorded.
+        finished = (
+            segment is not None
+            and segment.final is not None
+            and segment.final.get("max_target_faults") == max_target_faults
+        )
+        if self.config.jobs > 1 and not finished:
+            remaining = [
+                index
+                for index in range(len(universe))
+                if index not in records and universe[index] not in prefix_detected
+            ]
+            if remaining:
+                self._run_workers(universe, remaining, records, journal, max_target_faults)
+
+        def targeted(record: Dict[str, object]) -> None:
+            self.recomputed += 1
+            self._emit(journal, record)
+
+        campaign = self.atpg.run_loop(
+            universe,
+            prefix_outcome,
+            records=records,
+            max_target_faults=max_target_faults,
+            deadline=deadline,
+            started=started,
+            should_stop=self.should_stop,
+            on_record=targeted,
+        )
+        logger.info(
+            "campaign done: circuit=%s tested=%d untestable=%d aborted=%d recomputed=%d",
+            campaign.circuit_name, campaign.tested, campaign.untestable,
+            campaign.aborted, self.recomputed,
         )
         self._emit(
             journal,
@@ -397,69 +452,6 @@ class CampaignOrchestrator:
             },
         )
         return campaign
-
-    # ------------------------------------------------------------------ #
-    # random-pattern prefix (Phase A of a hybrid campaign)
-    # ------------------------------------------------------------------ #
-    def _run_prefix(
-        self,
-        universe: List[GateDelayFault],
-        prefix_records: Dict[int, Dict[str, object]],
-        prefix_done: Optional[Dict[str, object]],
-        journal: Optional[CampaignJournal],
-    ):
-        """Run, resume or reload Phase A; returns its outcome (or ``None``).
-
-        Already-journaled prefix records are replayed without re-grading; a
-        ``prefix-done`` record short-circuits the phase entirely.  Newly
-        applied sequences are journaled one record at a time, so a campaign
-        interrupted mid-prefix resumes at the exact sequence index it stopped
-        at (every sequence's RNG seed depends only on its index).
-        """
-        prefix_cfg = self.config.prefix_config()
-        if prefix_cfg is None:
-            return None
-        from repro.core.prefilter import (
-            PrefixOutcome,
-            PrefixRecord,
-            RandomPrefixEngine,
-            count_prefix_record,
-        )
-
-        journaled = PrefixOutcome.from_journal(prefix_records, prefix_done)
-        if prefix_done is not None:
-            # Phase A already finished in an earlier run: its outcome comes
-            # from the journal alone.  The prefix counters are replayed too,
-            # so a resumed campaign's aggregates match an uninterrupted one.
-            for record in journaled.records:
-                count_prefix_record(self.metrics, record)
-            return journaled
-
-        engine = RandomPrefixEngine(
-            self.circuit,
-            prefix_cfg,
-            robust=self.config.robust,
-            metrics=self.metrics,
-            backend=self.config.backend,
-        )
-
-        def on_record(record: PrefixRecord) -> None:
-            self._emit(journal, record.to_journal())
-            if self._stop_requested():
-                raise CampaignInterrupted(self.circuit.name, record.seq + 1)
-
-        with self.metrics.timed("repro_phase_seconds", phase="prefix"):
-            outcome = engine.run(universe, replay=journaled.records, on_record=on_record)
-        self._emit(
-            journal,
-            {
-                "type": "prefix-done",
-                "reason": outcome.stop_reason,
-                "applied": outcome.applied,
-                "detected": len(outcome.detected),
-            },
-        )
-        return outcome
 
     # ------------------------------------------------------------------ #
     # worker fan-out
@@ -476,11 +468,9 @@ class CampaignOrchestrator:
         config = self.config
         if max_target_faults is not None:
             # Bound the speculative overshoot of a capped campaign: at most
-            # the cap per worker.  The replay merge recomputes any capped-out
-            # fault the serial order does end up targeting.
-            remaining = remaining[: max(max_target_faults, 0) * config.jobs]
-            if not remaining:
-                return
+            # the cap per worker.  The loop targets in-process any capped-out
+            # fault the serial order does end up reaching.
+            remaining = remaining[: max_target_faults * config.jobs]
         jobs = min(config.jobs, len(remaining))
         ctx = _mp_context()
         result_queue = ctx.Queue()
@@ -523,7 +513,6 @@ class CampaignOrchestrator:
             process.start()
             processes.append(process)
 
-        self.shard_stats = []
         done: set = set()
         #: Every completed (fault or drop) index in arrival order, plus a
         #: per-worker cursor: each broadcast piggy-backs the indices completed
@@ -608,80 +597,6 @@ class CampaignOrchestrator:
                 )
 
     # ------------------------------------------------------------------ #
-    # deterministic merge
-    # ------------------------------------------------------------------ #
-    def _replay(
-        self,
-        universe: List[GateDelayFault],
-        records: Dict[int, Dict[str, object]],
-        max_target_faults: Optional[int],
-        journal: Optional[CampaignJournal],
-        started: float,
-        prefix_outcome=None,
-    ) -> CampaignResult:
-        """Replay the serial campaign loop over the recorded per-fault results.
-
-        This is :func:`~repro.core.flow.run_campaign_loop` with a ``target``
-        that reads the records: speculative records the serial order never
-        reaches are never read, and a fault the serial order needs but no
-        worker computed (over-dropped or capped out) is recomputed here.
-        """
-        self.recomputed = 0
-
-        def target(index: int, fault: GateDelayFault) -> FaultResult:
-            record = records.get(index)
-            if record is None:
-                record = self._recompute(index, fault, journal, len(records))
-            # Only the records the serial order actually reaches fold their
-            # costs — speculative worker records are discarded with theirs,
-            # which is what makes the aggregates (and the cost log)
-            # independent of jobs and scheduling.
-            return replay_record(record, self.metrics, self.fault_costs)
-
-        campaign = run_campaign_loop(
-            self.circuit.name,
-            universe,
-            target,
-            prefix_outcome=prefix_outcome,
-            max_target_faults=max_target_faults,
-            started=started,
-        )
-        logger.info(
-            "replay merge done: circuit=%s tested=%d untestable=%d aborted=%d recomputed=%d",
-            campaign.circuit_name, campaign.tested, campaign.untestable,
-            campaign.aborted, self.recomputed,
-        )
-        return campaign
-
-    def _recompute(
-        self,
-        index: int,
-        fault: GateDelayFault,
-        journal: Optional[CampaignJournal],
-        recorded: int,
-    ) -> Dict[str, object]:
-        """Serially target a fault no worker computed; returns its journal record."""
-        if self._stop_requested():
-            raise CampaignInterrupted(self.circuit.name, recorded)
-        if self._fallback_atpg is None:
-            # A *private* registry: the recomputed fault's cost record is
-            # folded into the campaign aggregates exactly like a worker's, so
-            # counting its engine work on the shared registry too would
-            # double-count it.
-            self._fallback_atpg = SequentialDelayATPG(
-                self.circuit,
-                metrics=MetricsRegistry() if self.metrics.enabled else None,
-                **self.config.atpg_kwargs(),
-            )
-        atpg = self._fallback_atpg
-        result = atpg.target_fault(fault)
-        self.recomputed += 1
-        cost = atpg.cost_log.pop() if atpg.cost_log else None
-        record = fault_record(index, -1, result, cost)  # worker -1: the coordinator
-        self._emit(journal, record)
-        return record
-
-    # ------------------------------------------------------------------ #
     def _load_resume_segment(self, digest: str) -> Optional[JournalSegment]:
         """Validate and fetch this circuit's journal segment for a resume."""
         if not os.path.exists(self.journal_path):
@@ -704,9 +619,9 @@ class CampaignOrchestrator:
 class CampaignRun:
     """What :func:`run_campaign` returns.
 
-    The result and its cost records, plus an orchestrated run's shard stats
-    and recompute count (see :class:`CampaignOrchestrator`) and an
-    incremental re-run's reuse summary.
+    The result and its cost records, plus the shard stats and recompute
+    count of :class:`CampaignOrchestrator` and an incremental re-run's
+    reuse summary.
     """
 
     result: CampaignResult
@@ -723,13 +638,12 @@ def campaign_mode(
     time_limit_s: Optional[float] = None,
     journaled: bool = False,
     resume: bool = False,
-) -> str:
-    """Check a campaign's run arguments and name the runner that runs it.
+) -> None:
+    """Check a campaign's run arguments against its settings.
 
-    ``"orchestrated"`` when ``config.jobs > 1`` or a journal is kept,
-    ``"serial"`` otherwise.  Raises ``ValueError`` for an out-of-range cap or
-    time limit and for a time limit with sharding or a journal (the result
-    depends on wall time, so it is not resumable).
+    Raises ``ValueError`` for an out-of-range cap or time limit, for
+    ``resume`` without a journal, and for a time limit with sharding or a
+    journal (the result depends on wall time, so it is not resumable).
     """
     if max_target_faults is not None and max_target_faults < 1:
         raise ValueError("'max_target_faults' must be >= 1")
@@ -737,14 +651,11 @@ def campaign_mode(
         raise ValueError("'time_limit_s' must be > 0")
     if resume and not journaled:
         raise ValueError("resume requires a journal path")
-    if config.jobs == 1 and not journaled:
-        return "serial"
-    if time_limit_s is not None:
+    if time_limit_s is not None and (config.jobs > 1 or journaled):
         raise ValueError(
             "'time_limit_s' requires 'jobs' == 1 and no journal: a time-limited "
             "campaign runs serially and is not resumable"
         )
-    return "orchestrated"
 
 
 def run_campaign(
@@ -761,21 +672,19 @@ def run_campaign(
     on_record=None,
     should_stop=None,
 ) -> CampaignRun:
-    """Run one circuit's campaign with the runner :func:`campaign_mode` picks.
+    """Run one circuit's campaign through a :class:`CampaignOrchestrator`.
 
-    The one campaign entry point of the CLI, the service and the examples:
-    **serial** runs :meth:`~repro.core.flow.SequentialDelayATPG.run`,
-    **orchestrated** a :class:`CampaignOrchestrator` (the only runner that
-    uses ``on_record``).  Both poll ``should_stop`` and raise
-    :class:`CampaignInterrupted` when it fires, and both give the same result
-    for the same settings; pass ``metrics`` to collect the aggregates and cost
-    records.  With ``incremental_from`` (a campaign store path) the faults
-    :func:`~repro.store.incremental.plan_reuse` keeps read their stored
-    outcome instead of being targeted, in either runner.
+    The one campaign entry point of the CLI, the service and the examples.
+    Every run, ``jobs=1`` or sharded, journaled or not, streams its records
+    to ``on_record``, polls ``should_stop`` and raises
+    :class:`CampaignInterrupted` when it fires; pass ``metrics`` to collect
+    the aggregates and cost records.  With ``incremental_from`` (a campaign
+    store path) the faults :func:`~repro.store.incremental.plan_reuse` keeps
+    read their stored outcome instead of being targeted.
     """
-    mode = campaign_mode(
-        config, max_target_faults=max_target_faults, time_limit_s=time_limit_s,
-        journaled=journal_path is not None, resume=resume,
+    orchestrator = CampaignOrchestrator(
+        circuit, config, journal_path=journal_path, resume=resume,
+        on_record=on_record, should_stop=should_stop, metrics=metrics,
     )
     plan = None
     if incremental_from is not None:
@@ -784,27 +693,14 @@ def run_campaign(
         faults = list(faults) if faults is not None else enumerate_delay_faults(circuit)
         with CampaignStore(incremental_from) as store:
             plan = plan_reuse(circuit, store, config, faults, metrics=metrics)
-    reuse = plan.records if plan is not None else None
-    if mode == "orchestrated":
-        orchestrator = CampaignOrchestrator(
-            circuit, config, journal_path=journal_path, resume=resume,
-            on_record=on_record, should_stop=should_stop, metrics=metrics,
-        )
-        result = orchestrator.run(
-            faults=faults, max_target_faults=max_target_faults, reuse=reuse
-        )
-        run = CampaignRun(
-            result, list(orchestrator.fault_costs),
-            orchestrator.shard_stats, orchestrator.recomputed,
-        )
-    else:
-        atpg = SequentialDelayATPG(circuit, metrics=metrics, **config.atpg_kwargs())
-        result = atpg.run(
-            faults=faults, max_target_faults=max_target_faults,
-            time_limit_s=time_limit_s, prefix=config.prefix_config(), reuse=reuse,
-            should_stop=should_stop,
-        )
-        run = CampaignRun(result, list(atpg.cost_log))
+    result = orchestrator.run(
+        faults=faults, max_target_faults=max_target_faults,
+        reuse=plan.records if plan is not None else None, time_limit_s=time_limit_s,
+    )
+    run = CampaignRun(
+        result, list(orchestrator.fault_costs),
+        orchestrator.shard_stats, orchestrator.recomputed,
+    )
     if plan is not None:
         run.incremental = plan.outcome(run.result, run.costs).summary()
     return run

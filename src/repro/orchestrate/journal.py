@@ -29,12 +29,13 @@ The coordinator appends one JSON record per line while a campaign runs:
 
 ``{"type": "prefix-done", "reason": ..., "applied": n, "detected": d}``
     The prefix phase finished (stop reason: ``window``/``budget``/
-    ``exhausted``).  A resume that finds this record skips Phase A entirely
-    and goes straight to the deterministic residue.
+    ``exhausted``).  Informational for a resume: replaying the ``prefix``
+    records meets the same stopping rule again, with nothing re-graded.
 
 ``{"type": "result", "campaign": ...}``
-    The final merged campaign.  A resume that finds this record returns it
-    directly instead of re-running anything.
+    The final merged campaign.  A resume that finds this record with the
+    same target cap starts no worker and targets nothing: the campaign loop
+    reads the recorded faults again, folding their costs.
 
 A process killed mid-write leaves a truncated last line; the reader tolerates
 exactly that (a malformed *final* line is ignored, a malformed interior line

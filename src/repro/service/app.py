@@ -171,7 +171,7 @@ class AtpgService:
                 return
 
     async def _execute(self, job: Job) -> None:
-        """Run one job: cache lookup, then orchestrated (or serial) campaign."""
+        """Run one job: cache lookup, then the campaign."""
         job.status = "running"
         job.started_at = time.time()
         self.current_job = job
@@ -241,7 +241,7 @@ class AtpgService:
 
         The service's own policy is the journal: one per job, resumed when
         it already exists, and none for the jobs :attr:`JobSpec.journaled`
-        excludes.  :func:`~repro.orchestrate.run_campaign` picks the mode.
+        excludes.
         """
         spec = job.spec
         journal_path = self.store.journal_path(job) if spec.journaled else None

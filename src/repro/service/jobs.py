@@ -107,7 +107,7 @@ class JobSpec:
         return self.time_limit_s is None
 
     def validate(self) -> None:
-        """Check the job's own fields, then its settings and mode as the CLI does."""
+        """Check the job's own fields, then its settings and their conflicts as the CLI does."""
         if (self.circuit is None) == (self.bench is None):
             raise ValueError("exactly one of 'circuit' and 'bench' is required")
         if self.circuit is not None:

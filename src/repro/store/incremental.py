@@ -6,18 +6,18 @@ stored outcome.
 
 An incremental re-run is not a campaign mode of its own.  :func:`plan_reuse`
 turns the stored base campaign into a *reuse map*, ``{universe index:
-journal-format fault record}`` for the kept faults, and both campaign
-runners read it: :meth:`~repro.core.flow.SequentialDelayATPG.run` uses a
-mapped record instead of calling
-:meth:`~repro.core.flow.SequentialDelayATPG.target_fault`, and
+journal-format fault record}`` for the kept faults, and the one campaign
+loop, :meth:`~repro.core.flow.SequentialDelayATPG.run_loop`, reads a mapped
+record instead of calling
+:meth:`~repro.core.flow.SequentialDelayATPG.target_fault`;
 :meth:`~repro.orchestrate.coordinator.CampaignOrchestrator.run` merges the
 map like a resumed journal.  Per-fault targeting is a pure function of
 (circuit, settings, fault), and every mapped record is exactly what
 ``target_fault`` returns on the edited circuit, so the re-run's
 :meth:`~repro.core.results.CampaignResult.fingerprint` is **bit-identical to
 a from-scratch serial campaign on the new circuit** — with any worker count,
-journal, resume, fault subset, random prefix or time limit the runners
-support (``tests/fuzz/test_incremental_fuzz.py`` pins this for random
+journal, resume, fault subset, random prefix or time limit a campaign
+supports (``tests/fuzz/test_incremental_fuzz.py`` pins this for random
 perturbations).  A hybrid campaign's random prefix is not memoised: it
 grades the whole universe, so it runs afresh on the edited circuit.
 

@@ -168,7 +168,8 @@ def test_kill_and_resume_reaches_identical_result(tmp_path, s344_small, s344_ser
     resumed = resumed_orchestrator.run()
     assert _fingerprint(resumed) == _fingerprint(s344_serial)
 
-    # A second resume finds the final result record and returns it directly.
+    # A second resume finds the final result record: no worker starts and
+    # the loop reads the journaled records again.
     final = CampaignOrchestrator(
         s344_small, config=OrchestratorConfig(jobs=2), journal_path=path, resume=True
     ).run()

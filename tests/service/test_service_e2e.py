@@ -218,6 +218,21 @@ def test_time_limited_job_runs_serial_and_is_not_cached(daemon):
     assert job["cache_hit"] is False  # time-limited results are never cached
 
 
+def test_time_limited_job_streams_progress(daemon):
+    """A time-limited job runs in-process and streams its records like any job."""
+    _, client = daemon
+    job_id = client.submit({"circuit": "s27", "jobs": 1, "time_limit_s": 600})
+    job = client.wait(job_id)
+    assert job["status"] == "done"
+    campaign = client.result(job_id)["campaign"]
+    assert campaign["targeted"] > 0
+    status, events = client.get(f"/jobs/{job_id}/events")
+    assert status == 200
+    kinds = [event.get("type") for event in events["events"]]
+    assert kinds.count("campaign") == 1
+    assert kinds.count("fault") == campaign["targeted"] == job["recorded"]
+
+
 # --------------------------------------------------------------------- #
 # events: offset polling and NDJSON streaming
 # --------------------------------------------------------------------- #
