@@ -341,6 +341,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
                 format_shard_summary(
                     run.shard_stats,
                     recomputed=run.recomputed,
+                    dropped=run.dropped,
                     title=f"Shard summary — {campaign.circuit_name}",
                 )
             )

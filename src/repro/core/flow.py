@@ -313,7 +313,9 @@ class SequentialDelayATPG:
 
         A fault with a journal-format ``fault`` record in ``records`` reads
         it, and its stored cost folds into :attr:`metrics` and
-        :attr:`cost_log`.  Any other fault is targeted here by
+        :attr:`cost_log`.  ``records`` is any source with a ``get(index)``:
+        a dictionary, or a sharded campaign's worker feed, which waits for
+        the record of a fault in flight.  Any other fault is targeted here by
         :meth:`target_fault`, its engine work counted live, and its record
         (worker ``-1``: in-process) goes to ``on_record`` before the loop
         credits it.  No record is built without a hook.  ``should_stop`` is

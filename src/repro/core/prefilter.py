@@ -119,22 +119,28 @@ class PrefixRecord:
     ``sequence`` is kept (and journaled) only when it credited at least one
     fault; sequences that detect nothing are recorded as bare counters so a
     resumed prefix can rebuild the stopping-rule window exactly.
+    ``gate_words`` is the simulation cost of generating and grading the
+    sequence, kept when metrics are on so a replay can count it.
     """
 
     seq: int
     candidates: int
     detections: List[GateDelayFault]
     sequence: Optional[TestSequence] = None
+    gate_words: Optional[int] = None
 
     def to_journal(self) -> Dict[str, object]:
         """The JSONL journal form of this record (``type: "prefix"``)."""
-        return {
+        record = {
             "type": "prefix",
             "seq": self.seq,
             "candidates": self.candidates,
             "detections": [fault.to_json() for fault in self.detections],
             "sequence": self.sequence.to_json() if self.sequence is not None else None,
         }
+        if self.gate_words is not None:
+            record["gate_words"] = self.gate_words
+        return record
 
     @classmethod
     def from_journal(cls, payload: Dict[str, object]) -> "PrefixRecord":
@@ -147,6 +153,7 @@ class PrefixRecord:
                 GateDelayFault.from_json(fault) for fault in payload["detections"]
             ],
             sequence=TestSequence.from_json(sequence) if sequence is not None else None,
+            gate_words=payload.get("gate_words"),
         )
 
 
@@ -319,10 +326,10 @@ class RandomPrefixEngine:
                 time-limited campaigns only — a deadline stop is wall-clock
                 dependent and therefore not bit-reproducible).
             replay: journaled records of an interrupted prefix, in sequence
-                order; their detections are applied without re-grading and
-                the stopping-rule window is rebuilt from their counters, so
-                generation continues exactly where the interrupted run left
-                off.
+                order; their detections are applied without re-grading, their
+                gate words are counted, and the stopping-rule window is
+                rebuilt from their counters, so generation continues exactly
+                where the interrupted run left off.
             on_record: called with every *newly applied* sequence's record
                 (replayed records are not re-emitted); the orchestrator
                 journals and streams them from here.
@@ -349,6 +356,8 @@ class RandomPrefixEngine:
                     f"got {record.seq}"
                 )
             apply(record)
+            if record.gate_words and self.metrics.enabled:
+                self.metrics.inc("repro_sim_gate_words_total", record.gate_words)
 
         def _finish(reason: str) -> PrefixOutcome:
             logger.info(
@@ -370,13 +379,16 @@ class RandomPrefixEngine:
             if deadline is not None and time.perf_counter() > deadline:
                 return _finish(STOP_DEADLINE)
 
+            words = self.metrics.counter_value("repro_sim_gate_words_total")
             sequence = self.generate_sequence(len(records), remaining[0])
             credited, candidates = self.evaluate(sequence, remaining)
+            words = self.metrics.counter_value("repro_sim_gate_words_total") - words
             record = PrefixRecord(
                 seq=len(records),
                 candidates=candidates,
                 detections=credited,
                 sequence=sequence if credited else None,
+                gate_words=int(words) if self.metrics.enabled else None,
             )
             apply(record)
             if on_record is not None:

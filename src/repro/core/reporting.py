@@ -58,26 +58,23 @@ def format_campaign_table(results: Sequence[CampaignResult], title: str = "Bench
     return "\n".join(_render_table(_TABLE3_COLUMNS, rows, title=title))
 
 
-_SHARD_COLUMNS = (
-    "shard", "targeted", "dropped", "tested", "untstbl", "aborted",
-    "absorbed", "time[s]",
-)
+_SHARD_COLUMNS = ("shard", "targeted", "tested", "untstbl", "aborted", "time[s]")
 
 
 def format_shard_summary(
     shard_stats: Sequence[Mapping[str, object]],
     recomputed: int = 0,
+    dropped: int = 0,
     title: Optional[str] = None,
 ) -> str:
     """Per-shard progress summary of one campaign whose workers ran.
 
     ``shard_stats`` is what :class:`repro.orchestrate.coordinator.
     CampaignOrchestrator` collects from its workers: per shard how many
-    faults were explicitly targeted vs. dropped by a broadcast detection set,
-    the verdict split, how many foreign detection broadcasts the shard
-    absorbed and its wall time.  ``recomputed`` counts the faults the
-    coordinator's campaign loop targeted itself because no worker recorded
-    them: over-dropped by a worker, or kept off the queue by the target cap.
+    faults it targeted, the verdict split and its wall time.  The footer
+    gives the coordinator's counts: ``dropped`` faults it never queued
+    because an earlier record detected them, and ``recomputed`` faults its
+    campaign loop targeted itself because no worker recorded them.
     """
     rows: List[Dict[str, object]] = []
     for stats in shard_stats:
@@ -85,16 +82,14 @@ def format_shard_summary(
             {
                 "shard": stats.get("worker", "?"),
                 "targeted": stats.get("targeted", 0),
-                "dropped": stats.get("dropped", 0),
                 "tested": stats.get("tested", 0),
                 "untstbl": stats.get("untestable", 0),
                 "aborted": stats.get("aborted", 0),
-                "absorbed": stats.get("absorbed_broadcasts", 0),
                 "time[s]": stats.get("seconds", 0),
             }
         )
     lines = _render_table(_SHARD_COLUMNS, rows, title=title)
-    lines.append(f"replay merge recomputed {recomputed} over-dropped fault(s)")
+    lines.append(f"coordinator dropped {dropped} fault(s), recomputed {recomputed}")
     return "\n".join(lines)
 
 

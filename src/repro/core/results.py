@@ -278,7 +278,7 @@ class CampaignResult:
         ``cpu_seconds`` is the only wall-clock-dependent field; everything
         else is a pure function of (circuit, settings, fault universe).  Two
         campaigns are *bit-identical* when their fingerprints compare equal —
-        the contract pinned by the orchestrator's replay merge, the backend
+        the contract pinned by the sharded campaign tests, the backend
         differential tests and the incremental re-run engine
         (:mod:`repro.store.incremental`).
         """

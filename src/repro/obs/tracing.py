@@ -160,7 +160,7 @@ class FaultSpan:
 def fold_cost(registry: MetricsRegistry, cost: FaultCost) -> None:
     """Replay one fault's deterministic cost deltas into ``registry``.
 
-    The orchestrator's replay merge calls this once per *credited* fault,
+    The campaign loop calls this once per *credited* fault it reads,
     in fault-enumeration order, so the merged registry carries exactly the
     integer counters a serial campaign over the same credited set would
     have accumulated — independent of ``--jobs`` and scheduling.  Label

@@ -1,13 +1,13 @@
 """Campaign orchestration: sharded multi-process ATPG.
 
 The subsystem hands one circuit's fault universe to worker processes through
-a shared work queue, runs the per-fault FOGBUSTER step in each worker while
-exchanging newly generated sequences for cross-shard fault
-dropping (:mod:`~repro.orchestrate.worker`), checkpoints every outcome to a
-JSONL journal (:mod:`~repro.orchestrate.journal`) and merges a final
-:class:`~repro.core.results.CampaignResult` that is bit-identical to the
-serial campaign regardless of worker count or scheduling
-(:mod:`~repro.orchestrate.coordinator`).
+a shared work queue, fed as the campaign loop reads the records; each worker
+only runs the per-fault FOGBUSTER step (:mod:`~repro.orchestrate.worker`).
+The coordinator checkpoints every outcome to a JSONL journal
+(:mod:`~repro.orchestrate.journal`), and its campaign loop — the only place
+that drops faults — builds a :class:`~repro.core.results.CampaignResult`
+that is bit-identical to the serial campaign regardless of worker count or
+scheduling (:mod:`~repro.orchestrate.coordinator`).
 
 Quickstart::
 

@@ -5,45 +5,34 @@ Every campaign runs through :class:`CampaignOrchestrator`, whose body is one
 serial campaign loop (:meth:`~repro.core.flow.SequentialDelayATPG.run_loop`)
 with one rule per fault — read its record when one exists, else target it
 in-process.  ``jobs=1`` does nothing else; journal or not, it starts no
-process.  With ``jobs > 1`` worker processes fill in the records before the
-loop reads them, and the result stays *serially equivalent*: whatever the
-worker count or scheduling order, it is bit-identical (coverage, untestable
-breakdown, pattern counts) to ``SequentialDelayATPG.run`` on the same
-circuit and fault universe.  Three mechanisms combine to get there:
+process.  With ``jobs > 1`` the loop reads its records from a
+:class:`_WorkerFeed`, which worker processes fill in ahead of the loop, and
+the result stays *serially equivalent*: whatever the worker count or
+scheduling order, it is bit-identical (coverage, untestable breakdown,
+pattern counts) to ``SequentialDelayATPG.run`` on the same circuit and fault
+universe, because
 
-1. **Optimistic parallel execution.**  Workers take the remaining faults from
-   one shared work queue, fed in global enumeration order, so an idle worker
-   always steals the next untargeted fault.  Per-fault targeting
+1. **workers only target.**  Per-fault targeting
    (:meth:`~repro.core.flow.SequentialDelayATPG.target_fault`) is a pure
    function of (circuit, settings, fault) — it has no campaign state — so a
-   worker's record is exactly what the serial campaign would have computed.
+   worker's record is exactly what the serial campaign would have computed;
+2. **the loop is the only place that drops faults.**  It reads the records
+   in enumeration order, as they arrive, and credits their TDsim detections
+   exactly as a serial run does; a record the serial order never reaches is
+   never read.
 
-2. **Cross-shard detection exchange.**  Every generated sequence's TDsim
-   detection set is broadcast to the other shards, which drop the listed
-   faults before targeting them — restoring the serial campaign's fault
-   dropping *exactly*: the broadcast carries the same detection list that
-   :func:`~repro.core.flow.credit_fault_result` later credits, so a worker
-   never over-drops a fault the serial order would have targeted (the
-   historical gross-delay re-grading pre-filter did, forcing the merge to
-   recompute).  Drops obey the *earlier sequences only* rule (see
-   :mod:`repro.orchestrate.worker`), keeping them inside what the serial
-   order could do.
-
-3. **Deterministic replay merge.**  After the workers finish, the loop runs
-   over the recorded results: recorded detections (from the serial TDsim
-   criterion) decide fault dropping exactly as ``run()`` would, speculative
-   records the serial order never reaches are never read, and the rare
-   fault no worker computed (dropped on the strength of a discarded
-   speculative record, or capped out) is targeted in-process on the spot.
-   The merged Table 3 row is therefore independent of worker count and
-   scheduling by construction.
+The feed decides only *which* faults the workers target: it applies the
+serial drop rule once, when an index would be queued, and keeps the queue
+short (see :class:`_WorkerFeed`).  A skip on the strength of a record the
+loop never credits leaves the loop a fault with no record, which it targets
+in-process (:attr:`CampaignOrchestrator.recomputed`).
 
 Every record is journaled (JSONL, see :mod:`repro.orchestrate.journal`), so a
-killed campaign resumes: already-recorded faults are not re-targeted, their
-sequences are re-broadcast so the remaining faults still drop, and the loop
-runs over old and new records together.  The records an incremental
-re-run reuses from a campaign store (:mod:`repro.store.incremental`) enter
-the same way, and are journaled like any other record.
+killed campaign resumes: already-recorded faults are read instead of
+targeted, and their detections feed the same drop rule.  The records an
+incremental re-run reuses from a campaign store
+(:mod:`repro.store.incremental`) enter the same way, and are journaled like
+any other record.
 """
 
 from __future__ import annotations
@@ -55,7 +44,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.circuit.netlist import Circuit
 from repro.core.flow import CampaignInterrupted, SequentialDelayATPG
@@ -142,7 +131,7 @@ class OrchestratorConfig:
         """The settings that affect per-fault results, for the journal digest.
 
         ``jobs`` is deliberately absent: a journal may be resumed with a
-        different worker count because the replay merge makes it irrelevant
+        different worker count because the campaign loop makes it irrelevant
         to the outcome.  ``backend`` is absent for the same reason — every
         registered backend is differentially pinned to be bit-exact
         (``tests/fuzz``, ``tests/core``), so a campaign journaled under one
@@ -186,6 +175,218 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+#: Indices a worker may have in flight at once (queued, no record yet): the
+#: one it targets and the next one waiting on the shared queue.
+_IN_FLIGHT_PER_WORKER = 2
+
+
+class _WorkerFeed:
+    """The record source of a sharded campaign's loop: workers fill it in.
+
+    :meth:`get` is what :meth:`~repro.core.flow.SequentialDelayATPG.run_loop`
+    calls for each fault it reaches, in enumeration order.  A lookup of index
+    ``i`` returns its record when one exists; when ``i`` is in flight it
+    processes worker messages (journal, ``on_record``, liveness,
+    ``should_stop``) until the record arrives; when the feed skipped ``i`` as
+    detected it returns ``None`` and the loop targets ``i`` in-process; when
+    the feed has not reached ``i`` yet it queues ``i`` first.
+
+    The feed queues index ``j`` only when no record of an earlier index lists
+    ``j`` among its detections (the serial drop rule), when fewer than
+    :data:`_IN_FLIGHT_PER_WORKER` indices per worker are in flight, and,
+    under a target cap, when fewer indices than the loop has targets left are
+    queued or recorded, and not yet detected, at or after the loop's current
+    index.  Resumed, reused and prefix-detected faults are never queued.  The
+    workers start with the first queued index, so a campaign whose loop only
+    reads records starts none.
+    """
+
+    def __init__(
+        self,
+        orchestrator: "CampaignOrchestrator",
+        universe: List[GateDelayFault],
+        records: Dict[int, Dict[str, object]],
+        prefix_detected: Set[GateDelayFault],
+        journal: Optional[CampaignJournal],
+        max_target_faults: Optional[int],
+    ) -> None:
+        self.orchestrator = orchestrator
+        self.universe = universe
+        self.records = records
+        self.journal = journal
+        self.cap = max_target_faults
+        self.index_of = {fault: index for index, fault in enumerate(universe)}
+        #: Indices some earlier index's record lists among its detections.
+        self.detected: Set[int] = set()
+        for index, record in records.items():
+            self._absorb(index, record)
+        self.never = {self.index_of[fault] for fault in prefix_detected}
+        self.cursor = 0  # the next index the feed considers
+        self.in_flight: Set[int] = set()
+        self.current = 0  # the index the loop is reading
+        self.reached = 0  # lookups before the current one
+        self.processes: list = []
+        self.done: Set[int] = set()
+
+    def _absorb(self, index: int, record: Dict[str, object]) -> None:
+        """Note the later indices a record's sequence detects."""
+        for payload in record.get("detections") or ():
+            detected = self.index_of.get(GateDelayFault.from_json(payload))
+            if detected is not None and detected > index:
+                self.detected.add(detected)
+
+    # ------------------------------------------------------------------ #
+    # the loop's side
+    # ------------------------------------------------------------------ #
+    def get(self, index: int) -> Optional[Dict[str, object]]:
+        """The record the loop reads for fault ``index``, or ``None``."""
+        self.current = index
+        self._feed()
+        if index not in self.records and index not in self.in_flight:
+            if index < self.cursor:
+                self.reached += 1
+                return None  # skipped as detected: the loop targets it
+            self.cursor = index + 1
+            self._queue(index)
+        while index not in self.records:
+            if self.orchestrator._stop_requested():
+                raise CampaignInterrupted(self.orchestrator.circuit.name, len(self.records))
+            self._receive()
+        self.reached += 1
+        return self.records[index]
+
+    def _feed(self) -> None:
+        """Queue indices in enumeration order while the feed rule allows."""
+        limit = _IN_FLIGHT_PER_WORKER * self.orchestrator.config.jobs
+        ahead = None
+        if self.cap is not None:
+            ahead = sum(
+                1
+                for index in self.in_flight | self.records.keys()
+                if index >= self.current and index not in self.detected
+            )
+        while self.cursor < len(self.universe) and len(self.in_flight) < limit:
+            if ahead is not None and ahead >= self.cap - self.reached:
+                return
+            index = self.cursor
+            self.cursor += 1
+            if index in self.records or index in self.never:
+                continue
+            if index in self.detected:
+                self.orchestrator.dropped += 1
+                continue
+            self._queue(index)
+            if ahead is not None:
+                ahead += 1
+
+    # ------------------------------------------------------------------ #
+    # the workers' side
+    # ------------------------------------------------------------------ #
+    def _queue(self, index: int) -> None:
+        """Hand one index to the workers, starting them first if needed."""
+        if not self.processes:
+            self._start()
+        self.tasks.put(index)
+        self.in_flight.add(index)
+
+    def _start(self) -> None:
+        """Spawn the workers on one shared task queue."""
+        ctx = _mp_context()
+        self.tasks = ctx.Queue()
+        self.results = ctx.Queue()
+        orchestrator = self.orchestrator
+        logger.info("spawning %d worker(s)", orchestrator.config.jobs)
+        for worker_id in range(orchestrator.config.jobs):
+            process = ctx.Process(
+                target=worker_main,
+                name=f"repro-shard-{worker_id}",
+                args=(
+                    worker_id,
+                    orchestrator.circuit,
+                    self.universe,
+                    self.tasks,
+                    self.results,
+                    orchestrator.config.atpg_kwargs(),
+                    orchestrator.metrics.enabled,
+                ),
+            )
+            process.start()
+            self.processes.append(process)
+
+    def _receive(self) -> None:
+        """Process one worker message, or check liveness after a quiet second."""
+        try:
+            message = self.results.get(timeout=1.0)
+        except queue_module.Empty:
+            self._check_liveness()
+            return
+        kind = message["type"]
+        if kind == "error":
+            raise RuntimeError(
+                f"campaign worker {message['worker']} failed:\n{message['error']}"
+            )
+        if kind == "done":
+            self.done.add(message["worker"])
+            stats = dict(message["stats"])
+            snapshot = stats.pop("metrics", None)
+            if snapshot is not None:
+                self.orchestrator._worker_snapshots.append(MetricsSnapshot.from_json(snapshot))
+            self.orchestrator.shard_stats.append(stats)
+            return
+        index = int(message["index"])
+        self.in_flight.discard(index)
+        self.records[index] = message
+        self._absorb(index, message)
+        self.orchestrator._emit(self.journal, message)
+        self._feed()
+
+    def _check_liveness(self) -> None:
+        """Raise if any worker died without reporting a result."""
+        for worker_id, process in enumerate(self.processes):
+            if worker_id in self.done or process.is_alive():
+                continue
+            if process.exitcode not in (0, None):
+                raise RuntimeError(
+                    f"campaign worker {worker_id} exited with code {process.exitcode} "
+                    "without reporting a result"
+                )
+
+    def finish(self) -> None:
+        """After the loop: stop feeding, let every worker exit on its
+        sentinel and collect the shard stats (late records are journaled)."""
+        self.cursor = len(self.universe)
+        for _ in self.processes:
+            self.tasks.put(None)
+        while len(self.done) < len(self.processes):
+            self._receive()
+        for process in self.processes:
+            process.join()
+        orchestrator = self.orchestrator
+        orchestrator.shard_stats.sort(key=lambda stats: stats["worker"])
+        if orchestrator._worker_snapshots:
+            # Key-wise sums: the merge is commutative and associative, so any
+            # arrival order (and any worker count) yields the same snapshot.
+            orchestrator.shard_metrics = MetricsSnapshot.merge_all(
+                orchestrator._worker_snapshots
+            )
+
+    def close(self) -> None:
+        """Terminate any worker still running and release the queues.
+
+        After :meth:`finish` every worker has exited.  On an interrupt or a
+        worker failure the in-flight work is speculative and only the
+        coordinator writes the journal, so the workers are not waited for.
+        """
+        for process in self.processes:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+        if self.processes:
+            for channel in (self.tasks, self.results):
+                channel.cancel_join_thread()
+                channel.close()
+
+
 class CampaignOrchestrator:
     """Run one circuit's ATPG campaign, in-process or across worker processes.
 
@@ -197,14 +398,17 @@ class CampaignOrchestrator:
     fault's record when one exists and otherwise targets the fault
     in-process.  What the orchestrator adds is the journal (every record is
     checkpointed, and ``resume`` reads them back) and, with
-    ``config.jobs > 1``, the worker processes that fill in the records
-    before the loop reads them.  A ``jobs=1`` campaign starts no process.
+    ``config.jobs > 1``, the worker processes that fill in the records as
+    the loop reads them (:class:`_WorkerFeed`).  A ``jobs=1`` campaign
+    starts no process.
 
     After :meth:`run` returns, :attr:`shard_stats` holds one per-worker
     summary dictionary (for :func:`repro.core.reporting.format_shard_summary`;
-    empty when no worker ran) and :attr:`recomputed` counts the faults the
-    coordinator targeted itself: every targeted fault at ``jobs=1``, and
-    with workers the faults they over-dropped or the cap left out.
+    empty when no worker ran), :attr:`dropped` counts the faults the feed
+    never queued because an earlier record detected them, and
+    :attr:`recomputed` counts the faults the coordinator targeted itself:
+    every targeted fault at ``jobs=1``, and with workers the faults the feed
+    dropped on the strength of a record the loop never credited.
 
     Args:
         circuit: circuit under test.
@@ -215,9 +419,9 @@ class CampaignOrchestrator:
         resume: continue from ``journal_path`` instead of starting over;
             requires the journal to exist and its digest to match.
         on_record: progress hook — called with every journal-format record
-            (``campaign`` header, ``prefix``, ``fault``, ``drop``, final
-            ``result``) as it is produced, for every run, whether or not a
-            journal file is attached.  Called from the orchestrating thread;
+            (``campaign`` header, ``prefix``, ``fault``, final ``result``) as
+            it is produced, for every run, whether or not a journal file is
+            attached.  Called from the orchestrating thread;
             the service layer (:mod:`repro.service`) uses it to stream
             per-fault progress.
         should_stop: polled after every prefix sequence, between worker
@@ -259,6 +463,7 @@ class CampaignOrchestrator:
         )
         self.shard_stats: List[Dict[str, object]] = []
         self.recomputed = 0
+        self.dropped = 0
         #: Merged raw worker snapshots (speculative work included) — a
         #: diagnostic view; the deterministic aggregates live on
         #: :attr:`metrics`.
@@ -298,12 +503,12 @@ class CampaignOrchestrator:
             faults: explicit fault universe; defaults to
                 :func:`~repro.faults.model.enumerate_delay_faults`.
             max_target_faults: cap on explicitly targeted faults, applied in
-                serial enumeration order by the loop (workers may
-                speculatively compute more; the surplus is discarded).
+                serial enumeration order by the loop (the feed queues no more
+                than the loop has targets left).
             reuse: journal-format ``fault`` records keyed by universe index
                 (:func:`repro.store.incremental.plan_reuse`), merged like the
-                records of a resumed journal: journaled, re-broadcast to the
-                workers and read by the loop instead of being targeted.
+                records of a resumed journal: journaled and read by the loop
+                instead of being targeted.
             time_limit_s: wall-clock budget of an unjournaled ``jobs=1``
                 campaign (see :func:`campaign_mode`).
         """
@@ -316,6 +521,7 @@ class CampaignOrchestrator:
         self.atpg.cost_log = []
         self.shard_stats = []
         self.recomputed = 0
+        self.dropped = 0
         self._worker_snapshots = []
         self.shard_metrics = None
         universe = (
@@ -406,36 +612,32 @@ class CampaignOrchestrator:
             if index not in records and universe[index] not in prefix_detected:
                 records[index] = reuse[index]
                 self._emit(journal, reuse[index])
-        # A finished segment resumed with the same cap needs no worker: the
-        # loop reaches only faults it already recorded.
-        finished = (
-            segment is not None
-            and segment.final is not None
-            and segment.final.get("max_target_faults") == max_target_faults
-        )
-        if self.config.jobs > 1 and not finished:
-            remaining = [
-                index
-                for index in range(len(universe))
-                if index not in records and universe[index] not in prefix_detected
-            ]
-            if remaining:
-                self._run_workers(universe, remaining, records, journal, max_target_faults)
 
         def targeted(record: Dict[str, object]) -> None:
             self.recomputed += 1
             self._emit(journal, record)
 
-        campaign = self.atpg.run_loop(
-            universe,
-            prefix_outcome,
-            records=records,
-            max_target_faults=max_target_faults,
-            deadline=deadline,
-            started=started,
-            should_stop=self.should_stop,
-            on_record=targeted,
+        feed = (
+            _WorkerFeed(self, universe, records, prefix_detected, journal, max_target_faults)
+            if self.config.jobs > 1
+            else None
         )
+        try:
+            campaign = self.atpg.run_loop(
+                universe,
+                prefix_outcome,
+                records=records if feed is None else feed,
+                max_target_faults=max_target_faults,
+                deadline=deadline,
+                started=started,
+                should_stop=self.should_stop,
+                on_record=targeted,
+            )
+            if feed is not None:
+                feed.finish()
+        finally:
+            if feed is not None:
+                feed.close()
         logger.info(
             "campaign done: circuit=%s tested=%d untestable=%d aborted=%d recomputed=%d",
             campaign.circuit_name, campaign.tested, campaign.untestable,
@@ -452,149 +654,6 @@ class CampaignOrchestrator:
             },
         )
         return campaign
-
-    # ------------------------------------------------------------------ #
-    # worker fan-out
-    # ------------------------------------------------------------------ #
-    def _run_workers(
-        self,
-        universe: List[GateDelayFault],
-        remaining: List[int],
-        records: Dict[int, Dict[str, object]],
-        journal: Optional[CampaignJournal],
-        max_target_faults: Optional[int] = None,
-    ) -> None:
-        """Spawn the workers and collect one record per queued fault."""
-        config = self.config
-        if max_target_faults is not None:
-            # Bound the speculative overshoot of a capped campaign: at most
-            # the cap per worker.  The loop targets in-process any capped-out
-            # fault the serial order does end up reaching.
-            remaining = remaining[: max_target_faults * config.jobs]
-        jobs = min(config.jobs, len(remaining))
-        ctx = _mp_context()
-        result_queue = ctx.Queue()
-        broadcast_queues = [ctx.Queue() for _ in range(jobs)]
-        task_queue = ctx.Queue()
-        for index in remaining:
-            task_queue.put(index)
-        for _ in range(jobs):
-            task_queue.put(None)
-
-        # Re-broadcast the journaled detection sets of a resumed campaign so
-        # the remaining faults can still be dropped by them.
-        for index in sorted(records):
-            detections = records[index].get("detections")
-            if detections:
-                for inbox in broadcast_queues:
-                    inbox.put({"index": index, "detections": detections})
-
-        logger.info("spawning %d worker(s): remaining=%d", jobs, len(remaining))
-        processes = []
-        for worker_id in range(jobs):
-            # The shared task queue hands out the work; the queued indices
-            # are each worker's scope, so broadcasts are never applied to
-            # already-recorded faults.
-            process = ctx.Process(
-                target=worker_main,
-                name=f"repro-shard-{worker_id}",
-                args=(
-                    worker_id,
-                    self.circuit,
-                    universe,
-                    remaining,
-                    task_queue,
-                    result_queue,
-                    broadcast_queues[worker_id],
-                    config.atpg_kwargs(),
-                    self.metrics.enabled,
-                ),
-            )
-            process.start()
-            processes.append(process)
-
-        done: set = set()
-        #: Every completed (fault or drop) index in arrival order, plus a
-        #: per-worker cursor: each broadcast piggy-backs the indices completed
-        #: since that worker's previous broadcast, so workers — whose scope is
-        #: every queued fault — stop applying detection sets to faults that
-        #: already have a record.
-        completed_log: List[int] = []
-        sent_upto = [0] * jobs
-        try:
-            while len(done) < jobs:
-                if self._stop_requested():
-                    raise CampaignInterrupted(self.circuit.name, len(records))
-                try:
-                    message = result_queue.get(timeout=1.0)
-                except queue_module.Empty:
-                    self._check_liveness(processes, done)
-                    continue
-                kind = message["type"]
-                if kind == "error":
-                    raise RuntimeError(
-                        f"campaign worker {message['worker']} failed:\n{message['error']}"
-                    )
-                if kind == "done":
-                    done.add(message["worker"])
-                    stats = dict(message["stats"])
-                    shard_snapshot = stats.pop("metrics", None)
-                    if shard_snapshot is not None:
-                        self._worker_snapshots.append(
-                            MetricsSnapshot.from_json(shard_snapshot)
-                        )
-                    self.shard_stats.append(stats)
-                    continue
-                self._emit(journal, message)
-                if kind in ("fault", "drop"):
-                    completed_log.append(int(message["index"]))
-                if kind == "fault":
-                    records[int(message["index"])] = message
-                    # Broadcast the TDsim detection set — the exact list the
-                    # replay merge credits — so other shards drop precisely
-                    # the faults the serial order would drop, no more.
-                    if message["detections"]:
-                        for worker_id, inbox in enumerate(broadcast_queues):
-                            if worker_id == message["worker"] or worker_id in done:
-                                continue
-                            inbox.put(
-                                {
-                                    "index": message["index"],
-                                    "detections": message["detections"],
-                                    "completed": completed_log[sent_upto[worker_id]:],
-                                }
-                            )
-                            sent_upto[worker_id] = len(completed_log)
-        finally:
-            for process in processes:
-                process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join()
-            for inbox in broadcast_queues:
-                inbox.cancel_join_thread()
-                inbox.close()
-            task_queue.cancel_join_thread()
-            task_queue.close()
-            result_queue.cancel_join_thread()
-            result_queue.close()
-        self.shard_stats.sort(key=lambda stats: stats["worker"])
-        if self._worker_snapshots:
-            # Key-wise sums: the merge is commutative and associative, so any
-            # arrival order (and any worker count) yields the same snapshot.
-            self.shard_metrics = MetricsSnapshot.merge_all(self._worker_snapshots)
-
-    @staticmethod
-    def _check_liveness(processes, done) -> None:
-        """Raise if any worker died without reporting a result."""
-        for worker_id, process in enumerate(processes):
-            if worker_id in done or process.is_alive():
-                continue
-            if process.exitcode not in (0, None):
-                raise RuntimeError(
-                    f"campaign worker {worker_id} exited with code {process.exitcode} "
-                    "without reporting a result"
-                )
 
     # ------------------------------------------------------------------ #
     def _load_resume_segment(self, digest: str) -> Optional[JournalSegment]:
@@ -619,15 +678,16 @@ class CampaignOrchestrator:
 class CampaignRun:
     """What :func:`run_campaign` returns.
 
-    The result and its cost records, plus the shard stats and recompute
-    count of :class:`CampaignOrchestrator` and an incremental re-run's
-    reuse summary.
+    The result and its cost records, plus the shard stats, drop and
+    recompute counts of :class:`CampaignOrchestrator` and an incremental
+    re-run's reuse summary.
     """
 
     result: CampaignResult
     costs: List[FaultCost]
     shard_stats: List[Dict[str, object]] = dataclasses.field(default_factory=list)
     recomputed: int = 0
+    dropped: int = 0
     incremental: Optional[Dict[str, object]] = None
 
 
@@ -699,7 +759,7 @@ def run_campaign(
     )
     run = CampaignRun(
         result, list(orchestrator.fault_costs),
-        orchestrator.shard_stats, orchestrator.recomputed,
+        orchestrator.shard_stats, orchestrator.recomputed, orchestrator.dropped,
     )
     if plan is not None:
         run.incremental = plan.outcome(run.result, run.costs).summary()

@@ -1,6 +1,8 @@
 """JSONL checkpoint journal for (sharded) ATPG campaigns.
 
-The coordinator appends one JSON record per line while a campaign runs:
+The coordinator is the only writer: it appends one JSON record per line
+while a campaign runs, workers included (their records reach it over a
+queue):
 
 ``{"type": "campaign", ...}``
     Segment header — circuit name, fault-universe digest, orchestration
@@ -11,13 +13,11 @@ The coordinator appends one JSON record per line while a campaign runs:
     One targeted fault outcome: the serialised :class:`~repro.core.results.
     FaultResult` (sequence included) plus the raw detection list of its
     sequence over the whole circuit.  These records are the campaign's
-    ground truth — the replay merge rebuilds the final
-    :class:`~repro.core.results.CampaignResult` from them alone.
-
-``{"type": "drop", "index": i, "worker": w, "by": j}``
-    Fault ``i`` was not targeted because the sequence generated for the
-    earlier fault ``j`` already covered it.  Informational: the replay
-    re-derives drops from the recorded detections.
+    ground truth — the campaign loop rebuilds the final
+    :class:`~repro.core.results.CampaignResult` from them alone, crediting
+    their detections and dropping the detected faults itself.  Journals
+    written before the loop became the only place that drops faults also
+    hold ``drop`` records; the reader ignores them.
 
 ``{"type": "prefix", "seq": k, "candidates": c, "detections": ..., "sequence": ...}``
     One applied random-prefix sequence of a hybrid campaign
@@ -25,7 +25,10 @@ The coordinator appends one JSON record per line while a campaign runs:
     TDsim rule, plus the sequence itself when it detected anything.  A
     campaign killed mid-prefix resumes from these records — the stopping-rule
     window is rebuilt from their detection counts and generation continues at
-    the next sequence index.
+    the next sequence index.  The optional ``gate_words`` key holds the
+    simulation gate words the sequence cost; a resumed campaign folds it into
+    ``repro_sim_gate_words_total`` so its counters equal an uninterrupted
+    run's.
 
 ``{"type": "prefix-done", "reason": ..., "applied": n, "detected": d}``
     The prefix phase finished (stop reason: ``window``/``budget``/
@@ -132,17 +135,11 @@ class JournalSegment:
     digest: str
     header: Dict[str, object]
     fault_records: Dict[int, Dict[str, object]] = dataclasses.field(default_factory=dict)
-    drops: List[Dict[str, object]] = dataclasses.field(default_factory=list)
     final: Optional[Dict[str, object]] = None
     #: Random-prefix records of a hybrid campaign, keyed by sequence index.
     prefix_records: Dict[int, Dict[str, object]] = dataclasses.field(default_factory=dict)
     #: The ``prefix-done`` record once Phase A finished, else ``None``.
     prefix_done: Optional[Dict[str, object]] = None
-
-    @property
-    def completed_indices(self) -> List[int]:
-        """Universe indices that already have a generation record."""
-        return sorted(self.fault_records)
 
 
 class CampaignJournal:
@@ -241,18 +238,17 @@ def load_segments(path: str) -> Dict[str, JournalSegment]:
                         f"different campaign (digest {existing.digest} != {digest})"
                     )
                 current = existing
-        elif kind in ("fault", "drop", "result", "prefix", "prefix-done"):
+        elif kind in ("fault", "result", "prefix", "prefix-done"):
             if current is None:
                 raise ValueError(f"journal {path!r} has a {kind!r} record before any header")
             if kind == "fault":
                 current.fault_records[int(record["index"])] = record
-            elif kind == "drop":
-                current.drops.append(record)
             elif kind == "prefix":
                 current.prefix_records[int(record["seq"])] = record
             elif kind == "prefix-done":
                 current.prefix_done = record
             else:
                 current.final = record
-        # Unknown record types are ignored so the format can grow.
+        # Unknown record types (and the retired ``drop``) are ignored so the
+        # format can grow.
     return segments

@@ -2,25 +2,11 @@
 
 Each worker builds its own :class:`~repro.core.flow.SequentialDelayATPG`
 (compiling the packed netlist once per process), takes fault indices from
-the coordinator's shared work queue and streams one record per fault back
-over a ``multiprocessing`` queue.  Cross-shard fault dropping works through
-the detection broadcast: whenever any worker generates a test, the
-coordinator fans the sequence's TDsim detection set —
-the exact list :func:`~repro.core.flow.credit_fault_result` will credit
-during the replay merge — out to every other worker, which drops the listed
-faults before ever targeting them.  (Earlier revisions broadcast the raw
-sequence and re-graded it with the gross-delay
-:func:`~repro.core.verify.grade_test_sequence` pre-filter, whose detections
-are a superset of TDsim's; every extra drop forced the merge to recompute
-the fault serially.)
-
-The drop rule is *earlier sequences only*: fault ``i`` may be dropped by the
-detections of a sequence generated for fault ``j`` only if ``j < i`` in the
-global enumeration order.  A serial campaign can only ever drop ``i`` that
-way, so the rule keeps the optimistic parallel execution within what the
-coordinator's replay merge can reproduce exactly (anything over-dropped is
-recomputed serially during the merge; anything under-dropped is merely
-wasted work that the merge discards).
+the coordinator's shared work queue, targets each one and streams its
+``fault`` record back over a ``multiprocessing`` queue.  Workers only
+target: which faults are worth targeting — the serial fault dropping — is
+decided by the coordinator when it queues an index
+(:mod:`repro.orchestrate.coordinator`).
 """
 
 from __future__ import annotations
@@ -34,98 +20,9 @@ from typing import Dict, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.core.flow import SequentialDelayATPG
-from repro.core.results import FaultResultStatus
 from repro.faults.model import GateDelayFault
 from repro.obs.metrics import MetricsRegistry
 from repro.orchestrate.journal import fault_record
-
-
-class _ShardState:
-    """Book-keeping of one worker's view of the campaign."""
-
-    def __init__(
-        self, worker_id: int, faults: Sequence[GateDelayFault], scope: Sequence[int]
-    ) -> None:
-        self.worker_id = worker_id
-        self.faults = list(faults)
-        self.index_of: Dict[GateDelayFault, int] = {
-            fault: index for index, fault in enumerate(self.faults)
-        }
-        #: Queued indices no worker has completed yet; shrinks as faults
-        #: complete.
-        self.scope = set(scope)
-        #: fault index -> index of the earlier fault whose sequence covers it.
-        self.covered: Dict[int, int] = {}
-        self.absorbed_broadcasts = 0
-
-    def absorb_broadcast(
-        self, source_index: int, detections: Sequence[Dict[str, object]]
-    ) -> None:
-        """Apply one broadcast TDsim detection set to this shard's faults."""
-        self.absorbed_broadcasts += 1
-        self.absorb_detections(
-            source_index,
-            [GateDelayFault.from_json(payload) for payload in detections],
-        )
-
-    def absorb_detections(
-        self, source_index: int, detections: Sequence[GateDelayFault]
-    ) -> None:
-        """Drop shard faults covered by this worker's own new sequence."""
-        for fault in detections:
-            index = self.index_of.get(fault)
-            if index is not None and index > source_index and index in self.scope:
-                self.covered.setdefault(index, source_index)
-
-
-def _drain_broadcasts(state: _ShardState, broadcast_queue) -> None:
-    """Apply every pending broadcast before deciding the next fault."""
-    while True:
-        try:
-            message = broadcast_queue.get_nowait()
-        except queue_module.Empty:
-            return
-        for index in message.get("completed", ()):
-            # Faults another worker already recorded can never be targeted
-            # here, so absorbing detections for them would be wasted work.
-            state.scope.discard(index)
-        state.absorb_broadcast(int(message["index"]), message["detections"])
-
-
-def _process_fault(
-    state: _ShardState,
-    atpg: SequentialDelayATPG,
-    index: int,
-    result_queue,
-    stats: Dict[str, int],
-) -> None:
-    """Target one fault (or record its drop) and stream the record back."""
-    state.scope.discard(index)
-    if index in state.covered:
-        stats["dropped"] += 1
-        result_queue.put(
-            {
-                "type": "drop",
-                "index": index,
-                "worker": state.worker_id,
-                "by": state.covered[index],
-            }
-        )
-        return
-
-    result = atpg.target_fault(state.faults[index])
-    stats["targeted"] += 1
-    if result.status is FaultResultStatus.TESTED:
-        stats["tested"] += 1
-        state.absorb_detections(index, result.additionally_detected)
-    elif result.status is FaultResultStatus.UNTESTABLE:
-        stats["untestable"] += 1
-    else:
-        stats["aborted"] += 1
-    # One FaultCost per targeted fault when instrumentation is on.
-    cost = atpg.cost_log.pop() if atpg.cost_log else None
-    result_queue.put(fault_record(index, state.worker_id, result, cost))
-
 
 def _reset_inherited_signals() -> None:
     """Detach a fork-started worker from the parent's signal machinery.
@@ -153,10 +50,8 @@ def worker_main(
     worker_id: int,
     circuit: Circuit,
     faults: Sequence[GateDelayFault],
-    queued: Sequence[int],
     task_queue,
     result_queue,
-    broadcast_queue,
     atpg_kwargs: Dict[str, object],
     collect_metrics: bool = False,
 ) -> None:
@@ -166,15 +61,10 @@ def worker_main(
         worker_id: shard id, ``0 .. jobs-1``.
         circuit: circuit under test (pickled into the process).
         faults: the full campaign fault universe in enumeration order.
-        queued: every fault index on ``task_queue``, any of which this worker
-            may end up targeting.
-        task_queue: the index queue shared by all workers, fed in enumeration
-            order; a ``None`` entry is the shutdown sentinel.
-        result_queue: stream of fault / drop / done / error records back to
-            the coordinator.
-        broadcast_queue: this worker's inbox of TDsim detection sets from
-            sequences generated by other shards (and, on resume, of
-            journaled detection sets).
+        task_queue: the index queue shared by all workers; a ``None`` entry
+            is the shutdown sentinel.
+        result_queue: stream of ``fault`` / ``done`` / ``error`` records
+            back to the coordinator.
         atpg_kwargs: keyword arguments for
             :class:`~repro.core.flow.SequentialDelayATPG`.
         collect_metrics: give the shard its own
@@ -185,17 +75,10 @@ def worker_main(
     _reset_inherited_signals()
     parent = os.getppid()
     start = time.perf_counter()
-    stats: Dict[str, int] = {
-        "targeted": 0,
-        "tested": 0,
-        "untestable": 0,
-        "aborted": 0,
-        "dropped": 0,
-    }
+    stats: Dict[str, int] = {"targeted": 0, "tested": 0, "untestable": 0, "aborted": 0}
     try:
         registry = MetricsRegistry() if collect_metrics else None
         atpg = SequentialDelayATPG(circuit, metrics=registry, **atpg_kwargs)
-        state = _ShardState(worker_id, faults, queued)
 
         while True:
             if os.getppid() != parent:
@@ -209,24 +92,21 @@ def worker_main(
                 continue
             if index is None:
                 break
-            _drain_broadcasts(state, broadcast_queue)
-            _process_fault(state, atpg, index, result_queue, stats)
+            result = atpg.target_fault(faults[index])
+            stats["targeted"] += 1
+            stats[result.status.value] += 1
+            # One FaultCost per targeted fault when instrumentation is on.
+            cost = atpg.cost_log.pop() if atpg.cost_log else None
+            result_queue.put(fault_record(index, worker_id, result, cost))
 
         shard_stats = {
             "worker": worker_id,
-            "absorbed_broadcasts": state.absorbed_broadcasts,
             "seconds": round(time.perf_counter() - start, 3),
             **stats,
         }
         if registry is not None:
             shard_stats["metrics"] = registry.snapshot().to_json()
-        result_queue.put(
-            {
-                "type": "done",
-                "worker": worker_id,
-                "stats": shard_stats,
-            }
-        )
+        result_queue.put({"type": "done", "worker": worker_id, "stats": shard_stats})
     except BaseException:  # noqa: BLE001 - the coordinator must hear about any death
         result_queue.put(
             {

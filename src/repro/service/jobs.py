@@ -209,7 +209,7 @@ class Job:
                 self.total_faults = record.get("total_faults")
                 self.recorded += int(record.get("resumed_records", 0))
                 self.prefix_recorded += int(record.get("resumed_prefix", 0))
-            elif record.get("type") in ("fault", "drop"):
+            elif record.get("type") == "fault":
                 self.recorded += 1
             elif record.get("type") == "prefix":
                 self.prefix_recorded += 1

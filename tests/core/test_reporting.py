@@ -83,7 +83,7 @@ def test_untestable_and_prefix_summaries_handle_empty_input():
 
 def test_shard_summary_with_no_shards():
     text = format_shard_summary([], recomputed=0)
-    assert "replay merge recomputed 0 over-dropped fault(s)" in text
+    assert "coordinator dropped 0 fault(s), recomputed 0" in text
     assert text.splitlines()[0].split()[0] == "shard"
 
 

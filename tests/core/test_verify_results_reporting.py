@@ -212,19 +212,20 @@ def test_format_untestable_breakdown():
 def test_format_shard_summary_renders_worker_stats():
     stats = [
         {
-            "worker": 0, "targeted": 5, "dropped": 8,
-            "tested": 1, "untestable": 2, "aborted": 2,
-            "absorbed_broadcasts": 6, "seconds": 0.25,
+            "worker": 0, "targeted": 5,
+            "tested": 1, "untestable": 2, "aborted": 2, "seconds": 0.25,
         },
         {
-            "worker": 1, "targeted": 4, "dropped": 9,
-            "tested": 4, "untestable": 0, "aborted": 0,
-            "absorbed_broadcasts": 3, "seconds": 0.5,
+            "worker": 1, "targeted": 4,
+            "tested": 4, "untestable": 0, "aborted": 0, "seconds": 0.5,
         },
     ]
-    text = format_shard_summary(stats, recomputed=2, title="Shard summary — s27")
+    text = format_shard_summary(
+        stats, recomputed=2, dropped=17, title="Shard summary — s27"
+    )
     assert "Shard summary — s27" in text
-    assert "shard" in text and "dropped" in text and "absorbed" in text
-    assert "recomputed 2" in text
+    header = text.splitlines()[2].split()
+    assert header == ["shard", "targeted", "tested", "untstbl", "aborted", "time[s]"]
+    assert text.splitlines()[-1] == "coordinator dropped 17 fault(s), recomputed 2"
     lines = text.splitlines()
     assert len(lines) == 2 + 2 + len(stats) + 1  # title+blank, header+rule, rows, footer

@@ -134,7 +134,7 @@ def test_hybrid_resume_after_prefix_done(tmp_path, s344_small, serial_hybrid):
     for record in records:
         if record["type"] in ("campaign", "prefix", "prefix-done"):
             kept.append(record)
-        elif record["type"] in ("fault", "drop") and per_fault < 20:
+        elif record["type"] == "fault" and per_fault < 20:
             kept.append(record)
             per_fault += 1
     with open(path, "w", encoding="utf-8") as handle:

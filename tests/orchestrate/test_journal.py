@@ -59,6 +59,9 @@ def test_segments_merge_resumed_runs(tmp_path):
     with CampaignJournal(path) as journal:
         journal.append(_header("s27", "d1"))
         journal.append({"type": "fault", "index": 0, "worker": 0, "result": {}, "detections": []})
+        # Journals written while workers dropped faults also hold ``drop``
+        # records; they load and are ignored.
+        journal.append({"type": "drop", "index": 2, "worker": 1, "by": 0})
         journal.append(_header("s386", "d2"))
         journal.append({"type": "fault", "index": 5, "worker": 0, "result": {}, "detections": []})
         # Resumed run of s27 appends a fresh header plus more records.
@@ -67,9 +70,9 @@ def test_segments_merge_resumed_runs(tmp_path):
         journal.append({"type": "result", "circuit": "s27", "campaign": {}})
     segments = load_segments(path)
     assert set(segments) == {"s27", "s386"}
-    assert segments["s27"].completed_indices == [0, 1]
+    assert sorted(segments["s27"].fault_records) == [0, 1]
     assert segments["s27"].final is not None
-    assert segments["s386"].completed_indices == [5]
+    assert sorted(segments["s386"].fault_records) == [5]
     assert segments["s386"].final is None
 
 

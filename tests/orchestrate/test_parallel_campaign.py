@@ -3,16 +3,19 @@
 The orchestration contract (see :mod:`repro.orchestrate.coordinator`) is that
 the merged result is *bit-identical* to ``SequentialDelayATPG.run`` — same
 Table 3 row, same untestable breakdown, same per-fault verdicts, sequences
-and detection credits — independent of worker count and scheduling order.  These tests enforce the contract on the embedded s27, on
-surrogates whose campaigns exercise heavy cross-shard fault dropping, and
-across a kill-and-resume cycle.
+and detection credits — independent of worker count and scheduling order.  These tests enforce the
+contract on the embedded s27, on surrogates whose campaigns exercise heavy
+fault dropping, and across a kill-and-resume cycle.  They also pin how much
+work the workers do: each queued fault is targeted once, and a capped
+campaign queues only the faults its loop targets.
 """
 
 import json
+import time
 
 import pytest
 
-from repro.core.flow import SequentialDelayATPG
+from repro.core.flow import CampaignInterrupted, SequentialDelayATPG
 from repro.data import load_circuit
 from repro.faults.model import enumerate_delay_faults
 from repro.orchestrate import (
@@ -63,31 +66,42 @@ def test_s27_jobs4_matches_serial(s27):
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
-def _assert_shard_accounting(orchestrator, fed):
-    """Every fed fault is targeted or dropped once, and nothing is recomputed."""
-    shards = orchestrator.shard_stats
-    assert sum(stats["targeted"] + stats["dropped"] for stats in shards) == fed
+def _sharded(circuit, jobs, **kwargs):
+    """A sharded campaign's orchestrator, result and streamed records."""
+    records = []
+    orchestrator = CampaignOrchestrator(
+        circuit, config=OrchestratorConfig(jobs=jobs), on_record=records.append
+    )
+    return orchestrator, orchestrator.run(**kwargs), records
+
+
+def _assert_shard_accounting(orchestrator, records):
+    """Every queued fault is targeted by exactly one worker, and the loop
+    targets nothing itself."""
+    worker_targets = [
+        record["index"]
+        for record in records
+        if record["type"] == "fault" and record["worker"] >= 0
+    ]
+    assert len(worker_targets) == len(set(worker_targets))
+    assert sum(stats["targeted"] for stats in orchestrator.shard_stats) == len(
+        worker_targets
+    )
     assert orchestrator.recomputed == 0
-    # The campaign must actually have exercised the broadcast exchange;
-    # dropping mirrors the serial credit exactly.
-    assert sum(stats["dropped"] for stats in shards) > 0
-    assert sum(stats["absorbed_broadcasts"] for stats in shards) > 0
 
 
-def test_broadcast_detections_eliminate_merge_recompute(s344_small, s344_serial):
-    """Regression: the merge must not recompute over-dropped faults.
+def test_coordinator_drops_eliminate_merge_recompute(s344_small, s344_serial):
+    """The coordinator drops detected faults when it queues, and the loop
+    recomputes nothing.
 
-    Broadcasts used to carry raw sequences that receiving shards re-graded
-    with the gross-delay pre-filter — a superset of the TDsim detections the
-    replay merge credits, so ~20 faults per s344@0.3 campaign were dropped in
-    parallel, missing from the records, and recomputed serially during the
-    merge.  Broadcasting the source shard's TDsim detection set instead makes
-    worker drops exactly the serial drops: zero recomputes.
+    The drop rule reads the TDsim detections of earlier records — the exact
+    lists the loop credits — so every fault the coordinator keeps off the
+    queue is one the serial order drops as well.
     """
-    orchestrator = CampaignOrchestrator(s344_small, config=OrchestratorConfig(jobs=4))
-    parallel = orchestrator.run()
+    orchestrator, parallel, records = _sharded(s344_small, 4)
     assert _fingerprint(parallel) == _fingerprint(s344_serial)
-    _assert_shard_accounting(orchestrator, s344_serial.total_faults)
+    _assert_shard_accounting(orchestrator, records)
+    assert orchestrator.dropped > 0
 
 
 def test_dynamic_work_queue_matches_serial(s344_small, s344_serial):
@@ -112,14 +126,43 @@ def test_capped_campaign_matches_serial(s344_small):
     assert _fingerprint(parallel) == _fingerprint(serial)
 
 
-def test_capped_jobs2_queue_accounting(s344_small):
-    """A capped campaign queues at most ``cap * jobs`` faults, each accounted once."""
-    cap = 20
-    serial = SequentialDelayATPG(s344_small).run(max_target_faults=cap)
-    orchestrator = CampaignOrchestrator(s344_small, config=OrchestratorConfig(jobs=2))
-    parallel = orchestrator.run(max_target_faults=cap)
+@pytest.fixture(scope="module")
+def s838_half():
+    return load_circuit("s838", scale=0.5)
+
+
+def test_capped_jobs2_queues_only_the_loop_targets(s838_half):
+    """Under a cap the workers target exactly the faults the loop reads.
+
+    None of the first ten s838@0.5 targets is tested, so nothing is dropped
+    and the count is deterministic.
+    """
+    cap = 10
+    serial = SequentialDelayATPG(s838_half).run(max_target_faults=cap)
+    assert serial.tested == 0
+    orchestrator, parallel, records = _sharded(s838_half, 2, max_target_faults=cap)
     assert _fingerprint(parallel) == _fingerprint(serial)
-    _assert_shard_accounting(orchestrator, cap * 2)
+    _assert_shard_accounting(orchestrator, records)
+    assert sum(stats["targeted"] for stats in orchestrator.shard_stats) == cap
+
+
+def test_stop_terminates_busy_workers_at_once(s838_half):
+    """A stop request does not wait for the workers' in-flight faults."""
+    seen = []
+    stop_requested = []
+
+    def should_stop():
+        if seen.count("fault") >= 3 and not stop_requested:
+            stop_requested.append(time.perf_counter())
+        return bool(stop_requested)
+
+    orchestrator = CampaignOrchestrator(
+        s838_half, config=OrchestratorConfig(jobs=2),
+        on_record=lambda record: seen.append(record["type"]), should_stop=should_stop,
+    )
+    with pytest.raises(CampaignInterrupted):
+        orchestrator.run()
+    assert time.perf_counter() - stop_requested[0] < 3.0
 
 
 def test_explicit_fault_subset_matches_serial(s344_small):
@@ -151,7 +194,7 @@ def test_kill_and_resume_reaches_identical_result(tmp_path, s344_small, s344_ser
     for record in records:
         if record["type"] == "campaign":
             kept.append(record)
-        elif record["type"] in ("fault", "drop") and per_fault < 40:
+        elif record["type"] == "fault" and per_fault < 40:
             kept.append(record)
             per_fault += 1
     with open(path, "w", encoding="utf-8") as handle:
@@ -229,7 +272,7 @@ def test_resume_under_different_backend(tmp_path, s27):
     for record in records:
         if record["type"] == "campaign":
             kept.append(record)
-        elif record["type"] in ("fault", "drop") and per_fault < 30:
+        elif record["type"] == "fault" and per_fault < 30:
             kept.append(record)
             per_fault += 1
     with open(path, "w", encoding="utf-8") as handle:

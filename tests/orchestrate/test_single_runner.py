@@ -8,6 +8,9 @@ live.  These tests pin that a ``jobs=1`` campaign with a journal starts no
 process and still stops and resumes to the unjournaled result, that a
 resumed finished journal folds its cost records, and that a fault no worker
 recorded is targeted by the coordinator with its counters counted once.
+A resumed prefix counts the simulation gate words its journal records carry,
+so every deterministic counter of a resumed campaign equals an uninterrupted
+one's.
 """
 
 import pytest
@@ -20,7 +23,6 @@ from repro.orchestrate import (
     coordinator,
     read_journal,
     run_campaign,
-    worker,
 )
 
 CONFIGS = {
@@ -79,11 +81,6 @@ def test_jobs1_journal_stops_and_resumes_in_process(name, s27, tmp_path, no_proc
     assert all(record["worker"] == -1 for record in journaled if record["type"] == "fault")
 
     resumed = _campaign(s27, config, journal_path=path, resume=True)
-    if config.rpg_prefix:
-        # A prefix record carries no cost, so the simulation gate words of
-        # the replayed sequences are not counted again; every other counter is.
-        for _, _, counters in (resumed, reference):
-            del counters["repro_sim_gate_words_total"]
     assert resumed == reference
 
 
@@ -102,18 +99,15 @@ def test_resumed_finished_journal_keeps_its_costs(s27, tmp_path, no_processes):
 
 
 def test_coordinator_targets_a_fault_no_worker_recorded(s27, monkeypatch):
-    """At ``jobs=2`` a fault the workers skip is targeted in-process and
-    counted live on the campaign registry, exactly once."""
-    skipped = 0  # the first fault: the serial order always reaches it
-    process_fault = worker._process_fault
+    """At ``jobs=2`` a fault the feed drops but the loop reaches is targeted
+    in-process and counted live on the campaign registry, exactly once."""
+    feed_init = coordinator._WorkerFeed.__init__
 
-    def skipping(state, atpg, index, result_queue, stats):
-        if index == skipped:
-            state.scope.discard(index)
-            return
-        process_fault(state, atpg, index, result_queue, stats)
+    def over_dropping(feed, *args, **kwargs):
+        feed_init(feed, *args, **kwargs)
+        feed.detected.add(0)  # the first fault: the serial order always reaches it
 
-    monkeypatch.setattr(worker, "_process_fault", skipping)
+    monkeypatch.setattr(coordinator._WorkerFeed, "__init__", over_dropping)
     reference = _campaign(s27, OrchestratorConfig(jobs=1))
     registry = MetricsRegistry()
     run = run_campaign(s27, OrchestratorConfig(jobs=2), metrics=registry)

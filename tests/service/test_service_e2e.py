@@ -244,7 +244,7 @@ def test_event_polling_pagination(daemon):
     assert first_page["done"] is True
     records = first_page["events"]
     assert records[0]["type"] == "campaign"
-    assert any(record["type"] in ("fault", "drop") for record in records)
+    assert any(record["type"] == "fault" for record in records)
     assert records[-1]["type"] == "result"
     assert first_page["next_offset"] == len(records)
 
@@ -421,7 +421,7 @@ def test_incremental_job_matches_scratch(daemon, s27_store):
     assert record["kept"] + record["invalidated"] == body["campaign"]["total_faults"]
     assert record["reused"] > 0
     kinds = [e.get("type") for e in events["events"]]
-    assert kinds.count("fault") + kinds.count("drop") == job["recorded"]
+    assert kinds.count("fault") == job["recorded"]
     assert kinds.count("fault") >= record["reused"]
     (header,) = [e for e in events["events"] if e.get("type") == "campaign"]
     assert header["resumed_records"] == 0

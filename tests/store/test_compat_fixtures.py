@@ -11,7 +11,6 @@ serially and sharded, and the journal resumes, each to the scratch result.
 
 from __future__ import annotations
 
-import shutil
 import sqlite3
 from pathlib import Path
 
@@ -56,15 +55,16 @@ def test_checked_in_store_seeds_incremental(tmp_path, jobs):
 
 @pytest.mark.parametrize("torn", [False, True], ids=["finished", "torn"])
 def test_checked_in_journal_resumes(tmp_path, torn):
-    """The old journal resumes to the scratch result, finished or torn mid-file."""
-    journal = tmp_path / "s27.jsonl"
-    shutil.copy(DATA / "s27_journal.jsonl", journal)
+    """The old journal resumes to the scratch result, finished or torn
+    mid-file, in-process and sharded; its ``drop`` records are ignored."""
+    lines = (DATA / "s27_journal.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert sum('"type": "drop"' in line for line in lines) == 27
     if torn:
-        lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
         cut = len(lines) // 2
-        journal.write_text(
-            "".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2], encoding="utf-8"
-        )
-    config = OrchestratorConfig(jobs=1)
-    run = run_campaign(load_circuit("s27"), config, journal_path=str(journal), resume=True)
-    assert run.result.fingerprint() == _scratch_fingerprint(load_circuit("s27"), config)
+        lines = lines[:cut] + [lines[cut][: len(lines[cut]) // 2]]
+    for jobs in (1, 2):
+        journal = tmp_path / f"s27-jobs{jobs}.jsonl"
+        journal.write_text("".join(lines), encoding="utf-8")
+        config = OrchestratorConfig(jobs=jobs)
+        run = run_campaign(load_circuit("s27"), config, journal_path=str(journal), resume=True)
+        assert run.result.fingerprint() == _scratch_fingerprint(load_circuit("s27"), config)
