@@ -61,11 +61,7 @@ from repro.algebra.packed import (
     pack_delay_values,
     unpack_delay_values,
 )
-from repro.algebra.packed_sets import (
-    PackedSetSimulator,
-    pack_value_sets,
-    unpack_value_sets,
-)
+from repro.algebra.packed_sets import PackedSetSimulator
 
 __all__ = [
     "DelayValue",
@@ -100,6 +96,4 @@ __all__ = [
     "pack_delay_values",
     "unpack_delay_values",
     "PackedSetSimulator",
-    "pack_value_sets",
-    "unpack_value_sets",
 ]

@@ -1,32 +1,32 @@
-"""Word-packed eight-plane *set* propagation on the compiled netlist.
+"""Set-word propagation of value *sets* on the compiled netlist.
 
 :mod:`repro.algebra.packed` evaluates one concrete eight-valued *value* per
 pattern slot; the search side of the flow (TDgen's forward implication,
 TDsim's reference fallbacks) instead propagates *sets of still-possible
-values* per signal.  This module extends the one-hot multi-plane encoding to
-sets: every signal carries eight bit planes and bit ``j`` of plane ``v`` is
-set when value index ``v`` is a member of pattern slot ``j``'s possibility
-set.  A slot with no plane bit set carries the empty set (a conflict).
+values* per signal.  This module packs those sets into one Python int per
+signal, a **set word**: byte ``j`` of the word holds pattern slot ``j``'s
+8-bit :data:`~repro.algebra.sets.ValueSet`.  A slot whose byte is zero
+carries the empty set (a conflict).
 
-The crucial observation is that :func:`repro.algebra.packed.packed_pair`
-already implements exact set propagation under this reading::
+Gates are evaluated one slot at a time through a memoised pairwise *set
+image*: ``image[(a << 8) | b]`` is :func:`repro.algebra.sets.evaluate_gate_sets`
+of the two input sets ``a`` and ``b`` (the union of the gate's table entry
+over every member pair).  The images are dict memos, one per (opcode,
+robust), shared by every simulator and filled from
+:func:`repro.algebra.packed.packed_table` on first use only — the searches
+touch a few thousand of the 65536 set pairs at most.  Multi-input gates fold
+each slot over the core image and take the last step through the image with
+the inverter pre-composed; ``NOT`` is a 256-entry permutation image.
+Emptiness propagates for free: the image of an empty set is empty.
 
-    out[table[a][b]] |= a_planes[a] & b_planes[b]
-
-unions the gate image over every *member pair* of the two input sets, which
-is precisely :func:`repro.algebra.sets.evaluate_gate_sets`'s pairwise image —
-for all pattern slots at once.  Emptiness propagates for free: a slot empty in
-either input is empty in the output, matching the reference's empty-set
-short-circuit.
-
-:class:`PackedSetSimulator` runs this set evaluation over the flat gate
-program of :mod:`repro.fausim.compile`, with fault-injection *moves* (convert
-the activating transition into its fault-carrying variant on selected slots)
+:class:`PackedSetSimulator` runs this evaluation over the flat gate program
+of :mod:`repro.fausim.compile`, with fault-injection *moves* (convert the
+activating transition into its fault-carrying variant on selected slots)
 applied at stem outputs and at single fanout-branch pins, mirroring the
-reference injection of :mod:`repro.tdgen.simulation`.  Each of the word's
-slots therefore carries one independent candidate assignment — a decision
-alternative, a candidate frame, or a fault-free/faulty pair — and one pass
-over the gate program implies all of them.
+reference injection of :mod:`repro.tdgen.simulation`.  Each slot carries one
+independent candidate assignment — a decision alternative, a candidate
+frame, or a fault-free/faulty pair — and one pass over the gate program
+implies all of them.
 """
 
 from __future__ import annotations
@@ -34,102 +34,121 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algebra.packed import (
-    NOT_PERMUTATION,
-    NUM_PLANES,
-    core_of,
-    packed_not,
-    packed_table,
-)
+from repro.algebra.packed import NOT_PERMUTATION, core_of, packed_table
 from repro.algebra.sets import ValueSet
 from repro.circuit.gates import GateType
-from repro.fausim.compile import _OPCODES, OP_BUF, OP_NOT, CompiledCircuit
+from repro.fausim.compile import _OPCODES, OP_NOT, CompiledCircuit
 from repro.obs.metrics import NULL_REGISTRY
 
-#: Plane list of one signal: ``planes[v]`` holds the slots whose possibility
-#: set contains the value with index ``v`` (multiple planes may carry the
-#: same slot bit — that is what makes it a *set* encoding).
-SetPlanes = List[int]
+#: Set word of one signal: byte ``j`` is slot ``j``'s possibility set.
+SetWord = int
 
-#: An injection move: convert value index ``source`` into value index
-#: ``target`` on the slots selected by ``mask`` (the reference ``_inject``
-#: with the activation/fault-value pair flattened to indices).
-Move = Tuple[int, int, int]
-
-#: Opcode -> (two-input core gate type, apply inverter permutation after the
-#: fold), shared with the fault-parallel value simulator so the compiled set
-#: evaluation cannot drift from the compiler's opcode map.
-OP_CORE: Dict[int, Tuple[GateType, bool]] = {
-    opcode: core_of(gate_type)
-    for gate_type, opcode in _OPCODES.items()
-    if gate_type not in (GateType.NOT, GateType.BUF)
-}
+#: An injection move ``(source, target, byte_mask)``: convert value index
+#: ``source`` into value index ``target`` on the slots whose byte in
+#: ``byte_mask`` is ``0x01`` (the reference ``_inject`` with the
+#: activation/fault-value pair flattened to indices).
+SetMove = Tuple[int, int, int]
 
 
-def pack_value_sets(sets: Sequence[ValueSet]) -> SetPlanes:
-    """Pack one signal's possibility set across slots into eight planes."""
-    planes = [0] * NUM_PLANES
-    for slot_index, value_set in enumerate(sets):
-        bit = 1 << slot_index
-        remaining = value_set
-        while remaining:
-            low = remaining & -remaining
-            planes[low.bit_length() - 1] |= bit
-            remaining ^= low
-    return planes
+def slot_mask(width: int) -> int:
+    """The word with byte ``0x01`` in each of ``width`` slots.
 
-
-def unpack_value_sets(planes: Sequence[int], width: int) -> List[ValueSet]:
-    """Expand packed set planes back into one :class:`ValueSet` per slot."""
-    sets = [0] * width
-    for index, plane in enumerate(planes):
-        plane &= (1 << width) - 1
-        mask = 1 << index
-        while plane:
-            low = plane & -plane
-            sets[low.bit_length() - 1] |= mask
-            plane ^= low
-    return sets
-
-
-def slot_set(planes: Sequence[int], pattern: int) -> ValueSet:
-    """The possibility set carried by one slot (column read of the planes)."""
-    mask = 0
-    for index in range(NUM_PLANES):
-        if (planes[index] >> pattern) & 1:
-            mask |= 1 << index
-    return mask
-
-
-def apply_move(planes: SetPlanes, move: Move) -> None:
-    """Apply one injection move in place.
-
-    On every slot selected by the move's mask that contains the source value,
-    the source value is removed and the target value added — exactly the
-    reference ``_inject`` (slots without the source value are untouched, and
-    other members of the set survive).
+    ``value_set * slot_mask(width)`` broadcasts one set to every slot, and it
+    is the ``byte_mask`` of a move that applies to every slot.
     """
-    source, target, mask = move
-    moved = planes[source] & mask
-    if moved:
-        planes[source] &= ~moved
-        planes[target] |= moved
+    return int.from_bytes(b"\x01" * width, "little")
+
+
+def apply_moves(word: SetWord, moves: Sequence[SetMove]) -> SetWord:
+    """Apply injection moves to a set word, word-parallel.
+
+    On every selected slot that contains the source value, the source value
+    is removed and the target value added — exactly the reference
+    ``_inject`` (slots without the source value are untouched, and other
+    members of the set survive).
+    """
+    for source, target, byte_mask in moves:
+        hit = (word >> source) & byte_mask
+        if hit:
+            word = (word & ~(hit << source)) | (hit << target)
+    return word
+
+
+#: ``NOT_IMAGE[s]`` is the inverter's image of value set ``s``.
+NOT_IMAGE: Tuple[ValueSet, ...] = tuple(
+    sum(1 << NOT_PERMUTATION[index] for index in range(8) if (value_set >> index) & 1)
+    for value_set in range(256)
+)
+
+
+class _SetImage(dict):
+    """Lazily filled pairwise set image of one gate opcode.
+
+    Keyed by ``(a << 8) | b`` for input sets ``a`` and ``b``; a missing key
+    is computed once from the core gate's value-index table, with the
+    inverter permutation applied after it for NAND/NOR/XNOR.
+    """
+
+    __slots__ = ("core", "invert", "robust")
+
+    def __init__(self, core: GateType, invert: bool, robust: bool) -> None:
+        super().__init__()
+        self.core = core
+        self.invert = invert
+        self.robust = robust
+
+    def __missing__(self, key: int) -> ValueSet:
+        table = packed_table(self.core, self.robust)
+        a, b = key >> 8, key & 255
+        result = 0
+        for a_index in range(8):
+            if (a >> a_index) & 1:
+                row = table[a_index]
+                for b_index in range(8):
+                    if (b >> b_index) & 1:
+                        result |= 1 << row[b_index]
+        if self.invert:
+            result = NOT_IMAGE[result]
+        self[key] = result
+        return result
+
+
+#: robust -> per opcode, the shared set image (``None`` for NOT/BUF).  Every
+#: simulator reads these memos; they start empty and fill on first use.
+_SET_IMAGES: Dict[bool, List[Optional[_SetImage]]] = {
+    True: [None] * len(_OPCODES),
+    False: [None] * len(_OPCODES),
+}
+#: Per opcode: the opcode of its associative core (itself for NOT/BUF).
+_CORE_OPCODE: List[int] = list(range(len(_OPCODES)))
+#: Per opcode: does a one-input gate of this opcode invert its input?
+_UNARY_INVERTS: List[bool] = [opcode == OP_NOT for opcode in range(len(_OPCODES))]
+# Derived from the compiler's opcode map, so the set evaluation cannot
+# drift from it.
+for _gate_type, _opcode in _OPCODES.items():
+    if _gate_type not in (GateType.NOT, GateType.BUF):
+        _core, _invert = core_of(_gate_type)
+        _CORE_OPCODE[_opcode] = _OPCODES[_core]
+        _UNARY_INVERTS[_opcode] = _invert
+        for _robust in (True, False):
+            _SET_IMAGES[_robust][_opcode] = _SetImage(_core, _invert, _robust)
 
 
 @dataclasses.dataclass
 class PackedSetResult:
-    """Outcome of one packed set-propagation pass.
+    """Outcome of one set-word propagation pass.
 
     Attributes:
-        planes: per signal slot, the eight set planes after propagation.
+        words: per signal slot, the set word after propagation (``None`` for
+            a slot an event-driven sweep left at the parent's broadcast).
         width: number of valid pattern slots.
         conflict_mask: slots in which some signal's set became empty, as a
-            bit mask.
+            bit mask (bit ``j`` for slot ``j``).
         conflict_signals: first signal (in evaluation order) whose set became
             empty, per conflicted slot index.
     """
 
-    planes: List[SetPlanes]
+    words: List[Optional[SetWord]]
     width: int
     conflict_mask: int
     conflict_signals: Dict[int, str]
@@ -151,35 +170,21 @@ class PackedSetSimulator:
     def __init__(self, compiled: CompiledCircuit, robust: bool = True) -> None:
         self.compiled = compiled
         self.robust = robust
-        # Per opcode: the core fold table and the table of the *final* fold
-        # step.  For inverting gates (NAND/NOR/XNOR) the inverter permutation
-        # is pre-composed into the final table, so the hot loop never runs a
-        # separate NOT pass over the folded planes.
-        self._tables: Dict[int, Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]] = {}
-        for opcode, (core, invert) in OP_CORE.items():
-            base = packed_table(core, robust)
-            if invert:
-                last = tuple(
-                    tuple(NOT_PERMUTATION[value] for value in row) for row in base
-                )
-            else:
-                last = base
-            self._tables[opcode] = (base, last)
 
     def propagate(
         self,
-        source_planes: List[SetPlanes],
+        source_words: List[Optional[SetWord]],
         width: int,
-        stem_moves: Optional[Mapping[int, Sequence[Move]]] = None,
-        branch_moves: Optional[Mapping[int, Sequence[Move]]] = None,
+        stem_moves: Optional[Mapping[int, Sequence[SetMove]]] = None,
+        branch_moves: Optional[Mapping[int, Sequence[SetMove]]] = None,
         gate_indices: Optional[Sequence[int]] = None,
         base_sets: Optional[Sequence[ValueSet]] = None,
         changed_slots: Optional[Sequence[int]] = None,
     ) -> PackedSetResult:
-        """Run the gate program over pre-loaded source set planes.
+        """Run the gate program over pre-loaded source set words.
 
         Args:
-            source_planes: one plane list per signal slot; the PI/PPI slots
+            source_words: one set word per signal slot; the PI/PPI slots
                 must be loaded (including any source-stem injection), gate
                 slots are overwritten.
             width: number of valid pattern slots.
@@ -192,87 +197,56 @@ class PackedSetSimulator:
             gate_indices: restrict the pass to these gate-program indices, in
                 ascending order (incremental cone evaluation); ``None`` runs
                 the full program.  Every fanin read outside the subset must
-                already hold valid planes.
+                already hold a valid word (or ``None`` with ``base_sets``).
             base_sets: per-slot sets of the conflict-free *parent* state an
-                incremental sweep starts from.  Enables event-driven change
-                tracking: a gate none of whose inputs changed relative to
-                the parent is skipped outright (its planes entry stays
-                ``None`` and readers fall back to the parent column), and a
-                gate whose result equals the parent's broadcast does not
-                wake its fanout.  Requires ``changed_slots``.
-            changed_slots: the source slots whose loaded planes may differ
+                incremental sweep starts from.  A ``None`` word reads as the
+                parent's broadcast ``base_sets[slot] * slot_mask(width)``.
+                Enables event-driven change tracking: a gate none of whose
+                inputs changed relative to the parent is skipped outright
+                (its word stays ``None``), and a gate whose result equals the
+                parent's broadcast does not wake its fanout.  Requires
+                ``changed_slots``.
+            changed_slots: the source slots whose loaded words may differ
                 from the parent column (the decision variable, re-coupled
                 state registers); the transitive wavefront is derived from
                 them.
 
         Returns:
-            The evaluated planes plus the per-slot conflict bookkeeping (the
+            The evaluated words plus the per-slot conflict bookkeeping (the
             packed counterpart of recording the first empty set during the
             reference propagation pass).
         """
         stem_moves = stem_moves or {}
         branch_moves = branch_moves or {}
         compiled = self.compiled
-        planes = source_planes
-        tables = self._tables
+        images = _SET_IMAGES[self.robust]
+        unary_inverts = _UNARY_INVERTS
+        core_of_op = _CORE_OPCODE
+        not_image = NOT_IMAGE
+        words = source_words
         fanin_flat = compiled.fanin_flat
         offsets = compiled.fanin_offsets
         outputs = compiled.outputs
         signal_names = compiled.signal_names
-        full = (1 << width) - 1
+        rep = slot_mask(width)
+        high = rep << 7
+        shifts = range(0, 8 * width, 8)
         conflict_mask = 0
         conflict_signals: Dict[int, str] = {}
 
-        has_branch_moves = bool(branch_moves)
-        has_stem_moves = bool(stem_moves)
         ops = compiled.ops
         indices = range(len(ops)) if gate_indices is None else gate_indices
-
-        # Per-slot cache of the nonzero (plane index, plane) entries.  Most
-        # possibility sets hold one to four values, so iterating only the
-        # occupied planes beats scanning all 8x8 plane pairs per gate; the
-        # scan that builds an entry list is paid once per slot per sweep and
-        # reused by every fanout read.  The cache lookups are inlined in the
-        # loop below — a helper call per fanin read costs more than the scan
-        # it saves.
-        nonzero: List[Optional[List[Tuple[int, int]]]] = [None] * len(planes)
-        branch_positions = frozenset(branch_moves) if has_branch_moves else frozenset()
+        branch_positions = frozenset(branch_moves)
 
         # Event-driven mode: gates are evaluated only when an input sits on
         # the change wavefront seeded by ``changed_slots``; everything else
-        # keeps its ``None`` planes entry (the parent column answers reads).
+        # keeps its ``None`` word (reads fall back to the parent column).
         tracking = base_sets is not None
         changed: Optional[bytearray] = None
         if tracking:
-            changed = bytearray(len(planes))
+            changed = bytearray(len(words))
             for slot in changed_slots or ():
                 changed[slot] = 1
-
-        def base_entries(slot: int) -> List[Tuple[int, int]]:
-            """Broadcast entries of an unchanged slot (the parent's value)."""
-            entries = []
-            remaining = base_sets[slot]
-            while remaining:
-                low = remaining & -remaining
-                entries.append((low.bit_length() - 1, full))
-                remaining ^= low
-            return entries
-
-        def source_of(slot: int) -> SetPlanes:
-            """Plane list of a fanin slot, materialising the parent broadcast."""
-            source = planes[slot]
-            if source is None:
-                source = [0] * NUM_PLANES
-                for i, p in base_entries(slot):
-                    source[i] = p
-            return source
-
-        def injected_entries(position: int) -> List[Tuple[int, int]]:
-            """Nonzero planes of one branch-injected (gate, pin) read."""
-            source = list(source_of(fanin_flat[position]))
-            for move in branch_moves[position]:
-                apply_move(source, move)
-            return [(i, p) for i, p in enumerate(source) if p]
 
         evaluated = 0
         for index in indices:
@@ -280,154 +254,66 @@ class PackedSetSimulator:
             end = offsets[index + 1]
 
             if tracking:
-                touched = False
                 for position in range(start, end):
                     if changed[fanin_flat[position]]:
-                        touched = True
                         break
-                if not touched:
+                else:
                     # No input on the wavefront: the parent's value stands.
                     continue
                 evaluated += 1
 
             op = ops[index]
-            arity = end - start
+            slot = fanin_flat[start]
+            a = words[slot]
+            if a is None:
+                a = base_sets[slot] * rep
+            if start in branch_positions:
+                a = apply_moves(a, branch_moves[start])
 
-            if arity == 1:
-                if start in branch_positions:
-                    source = [0] * NUM_PLANES
-                    for i, p in injected_entries(start):
-                        source[i] = p
-                elif tracking:
-                    source = source_of(fanin_flat[start])
+            if end - start == 1:
+                if unary_inverts[op]:
+                    acc = 0
+                    for shift in shifts:
+                        acc |= not_image[(a >> shift) & 255] << shift
                 else:
-                    source = planes[fanin_flat[start]]
-                if op == OP_NOT:
-                    acc = packed_not(source)
-                elif op == OP_BUF:
-                    acc = list(source)
-                else:
-                    base_table, last_table = tables[op]
-                    acc = (
-                        list(source) if base_table is last_table else packed_not(source)
-                    )
-            elif arity == 2:
-                # Two-input gates dominate; fuse over the occupied planes
-                # only.  The fold is inlined (rather than calling
-                # :func:`repro.algebra.packed.packed_pair` per step) to keep
-                # the hot loop free of per-gate function-call overhead; the
-                # final step's table carries any inverter permutation.
-                last_table = tables[op][1]
-                position_b = start + 1
-                if start in branch_positions:
-                    a_entries = injected_entries(start)
-                else:
-                    slot = fanin_flat[start]
-                    a_entries = nonzero[slot]
-                    if a_entries is None:
-                        source = planes[slot]
-                        a_entries = (
-                            base_entries(slot)
-                            if source is None
-                            else [(i, p) for i, p in enumerate(source) if p]
-                        )
-                        nonzero[slot] = a_entries
-                if position_b in branch_positions:
-                    b_entries = injected_entries(position_b)
-                else:
-                    slot = fanin_flat[position_b]
-                    b_entries = nonzero[slot]
-                    if b_entries is None:
-                        source = planes[slot]
-                        b_entries = (
-                            base_entries(slot)
-                            if source is None
-                            else [(i, p) for i, p in enumerate(source) if p]
-                        )
-                        nonzero[slot] = b_entries
-                acc = [0] * NUM_PLANES
-                if b_entries:
-                    for a_index, plane_a in a_entries:
-                        row = last_table[a_index]
-                        for b_index, plane_b in b_entries:
-                            both = plane_a & plane_b
-                            if both:
-                                acc[row[b_index]] |= both
+                    acc = a
             else:
-                base_table, last_table = tables[op]
-                if start in branch_positions:
-                    acc_entries = injected_entries(start)
-                else:
-                    slot = fanin_flat[start]
-                    acc_entries = nonzero[slot]
-                    if acc_entries is None:
-                        source = planes[slot]
-                        acc_entries = (
-                            base_entries(slot)
-                            if source is None
-                            else [(i, p) for i, p in enumerate(source) if p]
-                        )
-                        nonzero[slot] = acc_entries
-                final_step = arity - 1
-                for step in range(1, arity):
-                    table = last_table if step == final_step else base_table
-                    position = start + step
+                # Fold each slot over the core image, one lookup per slot
+                # and step; the last step's image carries any inverter.
+                image = images[core_of_op[op]]
+                last = end - 1
+                for position in range(start + 1, end):
+                    slot = fanin_flat[position]
+                    b = words[slot]
+                    if b is None:
+                        b = base_sets[slot] * rep
                     if position in branch_positions:
-                        nxt_entries = injected_entries(position)
-                    else:
-                        slot = fanin_flat[position]
-                        nxt_entries = nonzero[slot]
-                        if nxt_entries is None:
-                            source = planes[slot]
-                            nxt_entries = (
-                                base_entries(slot)
-                                if source is None
-                                else [(i, p) for i, p in enumerate(source) if p]
-                            )
-                            nonzero[slot] = nxt_entries
-                    folded = [0] * NUM_PLANES
-                    if nxt_entries:
-                        for a_index, plane_a in acc_entries:
-                            row = table[a_index]
-                            for b_index, plane_b in nxt_entries:
-                                both = plane_a & plane_b
-                                if both:
-                                    folded[row[b_index]] |= both
-                    if step == final_step:
-                        acc = folded
-                    else:
-                        acc_entries = [(i, p) for i, p in enumerate(folded) if p]
+                        b = apply_moves(b, branch_moves[position])
+                    if position == last:
+                        image = images[op]
+                    acc = 0
+                    for shift in shifts:
+                        acc |= image[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
+                    a = acc
 
             out = outputs[index]
-            if has_stem_moves:
-                moves = stem_moves.get(out)
-                if moves:
-                    for move in moves:
-                        apply_move(acc, move)
-            planes[out] = acc
-            nonzero[out] = None
-            if tracking:
-                # Wake the fanout only when the result actually left the
-                # parent's value (the wavefront dies where sets converge).
-                base_value = base_sets[out]
-                for value_index in range(NUM_PLANES):
-                    expected = full if (base_value >> value_index) & 1 else 0
-                    if acc[value_index] != expected:
-                        changed[out] = 1
-                        break
+            if stem_moves and out in stem_moves:
+                acc = apply_moves(acc, stem_moves[out])
+            words[out] = acc
+            if tracking and acc != base_sets[out] * rep:
+                # Wake the fanout only when the result left the parent's
+                # value (the wavefront dies where sets converge).
+                changed[out] = 1
 
-            live = (
-                acc[0] | acc[1] | acc[2] | acc[3]
-                | acc[4] | acc[5] | acc[6] | acc[7]
-            )
-            empty = full & ~live & ~conflict_mask
-            if empty:
-                conflict_mask |= empty
+            # Nonzero exactly when some slot's byte is zero; the per-slot
+            # scan then finds which.
+            if (acc - rep) & ~acc & high:
                 name = signal_names[out]
-                while empty:
-                    low = empty & -empty
-                    conflict_signals[low.bit_length() - 1] = name
-                    empty ^= low
+                for slot_index, shift in enumerate(shifts):
+                    bit = 1 << slot_index
+                    if not (acc >> shift) & 255 and not conflict_mask & bit:
+                        conflict_mask |= bit
+                        conflict_signals[slot_index] = name
 
         metrics = self.metrics
         if metrics.enabled:
@@ -442,7 +328,7 @@ class PackedSetSimulator:
                 metrics.inc("repro_wavefront_gates_evaluated_total", total)
 
         return PackedSetResult(
-            planes=planes,
+            words=words,
             width=width,
             conflict_mask=conflict_mask,
             conflict_signals=conflict_signals,

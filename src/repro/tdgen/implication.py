@@ -20,9 +20,9 @@ candidate.  The ``reference`` engine computes batch entries lazily with the
 interpreted oracles, so its cost profile is exactly the historical
 one-call-per-alternative behaviour; the ``packed`` engine evaluates the whole
 batch in one bit-parallel pass over the compiled netlist
-(:mod:`repro.algebra.packed_sets` for the eight-valued set planes,
+(:mod:`repro.algebra.packed_sets` for the eight-valued set words,
 :mod:`repro.fausim.packed_sim` for the three-valued planes), one candidate
-per pattern slot of the unbounded-width planes, and unpacks only the
+per pattern slot of the unbounded-width words, and unpacks only the
 candidates that are actually consumed.
 
 :func:`create_implication_engine` resolves its ``backend`` through the one
@@ -40,10 +40,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.algebra.packed import NUM_PLANES
-from repro.algebra.packed_sets import Move, PackedSetSimulator, apply_move
-from repro.algebra.sets import ValueSet
-from repro.algebra.values import DelayValue, PI_VALUES
+from repro.algebra.packed_sets import PackedSetSimulator, SetMove, apply_moves, slot_mask
+from repro.algebra.sets import PI_SET, ValueSet
+from repro.algebra.values import DelayValue
 from repro.circuit.gates import evaluate_gate
 from repro.circuit.netlist import Circuit, LineKind
 from repro.faults.model import GateDelayFault
@@ -540,19 +539,25 @@ class _LazyColumn(dict):
 
 
 class _PackedStates(CandidateStates):
-    """Packed candidate states: one set-propagation pass, lazy unpacking.
+    """Packed candidate states: one set-word propagation pass, lazy unpacking.
 
-    A *full* sweep fills every signal's planes.  An *incremental* sweep (one
-    started from a parent state) fills only the decision variable's influence
-    cone and keeps ``None`` plane entries elsewhere; reads outside the cone
-    fall back to the parent's per-slot column (``base_sets`` /
-    ``base_frame1``).
+    Each signal slot holds one set word (byte ``j`` is candidate ``j``'s
+    possibility set, see :mod:`repro.algebra.packed_sets`).  A *full* sweep
+    fills every signal's word.  An *incremental* sweep (one started from a
+    parent state) fills only the words it loaded or re-evaluated and keeps
+    ``None`` elsewhere; reads of a ``None`` word fall back to the parent's
+    per-slot column (``base_sets`` / ``base_frame1``).
+
+    :meth:`state` caches each slot's lazy columns, not the state itself: a
+    state points back here through its ``packed_handle``, so caching states
+    would close a reference cycle that only the cyclic garbage collector
+    could free.
     """
 
     def __init__(
         self,
         owner: "PackedImplicationEngine",
-        set_planes: List[Optional[List[int]]],
+        set_words: List[Optional[int]],
         frame1_planes: PackedPlanes,
         ppi_pair_sets: List[Dict[str, ValueSet]],
         conflict_signals: Dict[int, str],
@@ -564,7 +569,7 @@ class _PackedStates(CandidateStates):
     ) -> None:
         self._owner = owner
         self._compiled = owner.compiled
-        self._set_planes = set_planes
+        self._set_words = set_words
         self._frame1_planes = frame1_planes
         self._ppi_pair_sets = ppi_pair_sets
         self._conflict_signals = conflict_signals
@@ -573,7 +578,7 @@ class _PackedStates(CandidateStates):
         self._base_sets = base_sets
         self._base_frame1 = base_frame1
         self._frame1_slots = frame1_slots
-        self._cache: Dict[int, TwoFrameState] = {}
+        self._views: Dict[int, Tuple[_LazyColumn, _LazyColumn, ValueSet]] = {}
         self._set_columns: Dict[int, List[ValueSet]] = {}
         self._frame1_columns: Dict[int, List[Optional[int]]] = {}
 
@@ -586,29 +591,18 @@ class _PackedStates(CandidateStates):
         cached = self._set_columns.get(index)
         if cached is not None:
             return cached
-        bit = 1 << index
-        planes = self._set_planes
+        shift = 8 * index
+        words = self._set_words
         base = self._base_sets
         if base is not None:
-            # Incremental state: only the influence cone carries planes; the
+            # Incremental state: only re-evaluated slots carry words; the
             # remaining slots are the parent's column, copied wholesale.
             column = list(base)
-            for slot, signal_planes in enumerate(planes):
-                if signal_planes is None:
-                    continue
-                mask = 0
-                for value_index in range(NUM_PLANES):
-                    if signal_planes[value_index] & bit:
-                        mask |= 1 << value_index
-                column[slot] = mask
+            for slot, word in enumerate(words):
+                if word is not None:
+                    column[slot] = (word >> shift) & 255
         else:
-            column = [0] * len(planes)
-            for slot, signal_planes in enumerate(planes):
-                mask = 0
-                for value_index in range(NUM_PLANES):
-                    if signal_planes[value_index] & bit:
-                        mask |= 1 << value_index
-                column[slot] = mask
+            column = [(word >> shift) & 255 for word in words]
         self._set_columns[index] = column
         return column
 
@@ -638,27 +632,36 @@ class _PackedStates(CandidateStates):
 
     def state(self, index: int) -> TwoFrameState:
         """View pattern slot ``index`` as a (lazily unpacked) state."""
-        cached = self._cache.get(index)
-        if cached is not None:
-            return cached
+        view = self._views.get(index)
+        if view is None:
+            view = self._views[index] = self._view(index)
+        signal_sets, frame1, fault_line_set = view
+        return TwoFrameState(
+            signal_sets=signal_sets,
+            frame1=frame1,
+            fault_line_set=fault_line_set,
+            ppi_pair_sets=self._ppi_pair_sets[index],
+            conflict_signal=self._conflict_signals.get(index),
+            packed_handle=(self, index),
+        )
+
+    def _view(self, index: int) -> Tuple[_LazyColumn, _LazyColumn, ValueSet]:
+        """The lazy set and frame-1 columns of one slot, and its fault-line set."""
         compiled = self._compiled
-        planes = self._set_planes
+        words = self._set_words
         zero = self._frame1_planes.zero
         one = self._frame1_planes.one
         base_sets = self._base_sets
         base_frame1 = self._base_frame1
         frame1_slots = self._frame1_slots
         bit = 1 << index
+        shift = 8 * index
 
         def unpack_set(slot: int) -> ValueSet:
-            signal_planes = planes[slot]
-            if signal_planes is None:
+            word = words[slot]
+            if word is None:
                 return base_sets[slot]
-            mask = 0
-            for value_index in range(NUM_PLANES):
-                if signal_planes[value_index] & bit:
-                    mask |= 1 << value_index
-            return mask
+            return (word >> shift) & 255
 
         def unpack_frame1(slot: int) -> Optional[int]:
             if frame1_slots is not None and slot not in frame1_slots:
@@ -679,17 +682,7 @@ class _PackedStates(CandidateStates):
             fault_line_set = signal_sets[fault.line.signal]
         else:
             fault_line_set = _inject(signal_sets[fault.line.signal], fault.fault_type)
-
-        state = TwoFrameState(
-            signal_sets=signal_sets,
-            frame1=frame1,
-            fault_line_set=fault_line_set,
-            ppi_pair_sets=self._ppi_pair_sets[index],
-            conflict_signal=self._conflict_signals.get(index),
-            packed_handle=(self, index),
-        )
-        self._cache[index] = state
-        return state
+        return signal_sets, frame1, fault_line_set
 
 
 class _PackedPairFrames(CandidatePairFrames):
@@ -809,9 +802,10 @@ class _InfluenceCone(object):
     only in the variable's combinational fanout (``frame1_gates``); through
     the state-register coupling that can change the pair sets of
     ``affected_dffs``, and the test frame then changes only in the fanout of
-    the variable plus those PPIs (``pass2_gates``).  ``*_frontier`` are the
-    out-of-cone slots a cone gate reads — the only base columns an
-    incremental sweep has to broadcast into planes.
+    the variable plus those PPIs (``pass2_gates``).  ``frame1_frontier`` are
+    the out-of-cone slots a frame-1 cone gate reads — the only base columns
+    an incremental sweep has to broadcast into the three-valued planes (the
+    set pass reads the parent's column directly).
     """
 
     frame1_gates: Tuple[int, ...]
@@ -819,7 +813,6 @@ class _InfluenceCone(object):
     frame1_slots: frozenset
     affected_dffs: Tuple[int, ...]
     pass2_gates: Tuple[int, ...]
-    pass2_frontier: Tuple[int, ...]
 
 
 class PackedImplicationEngine(ImplicationEngine):
@@ -828,8 +821,8 @@ class PackedImplicationEngine(ImplicationEngine):
     Each pattern slot carries one independent candidate assignment; one pass
     over the compiled gate program implies the whole batch.  The initial
     (slow clock) frame runs in the two-plane three-valued encoding of
-    :mod:`repro.fausim.packed_sim`; the test frame runs in the eight-plane
-    *set* encoding of :mod:`repro.algebra.packed_sets` with the targeted
+    :mod:`repro.fausim.packed_sim`; the test frame runs on the *set words*
+    of :mod:`repro.algebra.packed_sets` with the targeted
     fault injected per the reference rules (stem output or single branch
     pin).  Results unpack lazily, so unexplored alternatives only ever cost
     their share of the shared pass.
@@ -960,7 +953,7 @@ class PackedImplicationEngine(ImplicationEngine):
         )
         pass2_sources = {var_slot}
         pass2_sources.update(self._dff_items[position][0] for position in affected_dffs)
-        pass2_gates, pass2_reached = closure(pass2_sources)
+        pass2_gates, _ = closure(pass2_sources)
 
         cone = _InfluenceCone(
             frame1_gates=tuple(frame1_gates),
@@ -968,31 +961,32 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_slots=frozenset(frame1_reached),
             affected_dffs=affected_dffs,
             pass2_gates=tuple(pass2_gates),
-            pass2_frontier=frontier(pass2_gates, pass2_reached),
         )
         self._cones[name] = cone
         return cone
 
     # ------------------------------------------------------------------ #
     def _fault_moves(
-        self, fault: Optional[GateDelayFault], full: int
-    ) -> Tuple[Optional[Tuple[int, Move]], Dict[int, List[Move]], Dict[int, List[Move]]]:
-        """Injection bookkeeping of one sweep.
+        self, fault: Optional[GateDelayFault], rep: int
+    ) -> Tuple[
+        Optional[Tuple[int, SetMove]], Dict[int, List[SetMove]], Dict[int, List[SetMove]]
+    ]:
+        """Injection bookkeeping of one sweep (every slot, ``rep`` wide).
 
         Returns the source-stem injection (slot + move) if the fault stem is
         a PI/PPI, the gate-stem move table and the branch-position move
         table — the packed mirror of the reference injection rules.
         """
-        stem_moves: Dict[int, List[Move]] = {}
-        branch_moves: Dict[int, List[Move]] = {}
-        source_stem: Optional[Tuple[int, Move]] = None
+        stem_moves: Dict[int, List[SetMove]] = {}
+        branch_moves: Dict[int, List[SetMove]] = {}
+        source_stem: Optional[Tuple[int, SetMove]] = None
         if fault is None:
             return source_stem, stem_moves, branch_moves
         compiled = self.compiled
-        move: Move = (
+        move: SetMove = (
             fault.fault_type.activation_value.index,
             fault.fault_type.fault_value.index,
-            full,
+            rep,
         )
         slot = compiled.slot_of.get(fault.line.signal)
         if fault.line.kind is LineKind.STEM:
@@ -1022,7 +1016,14 @@ class PackedImplicationEngine(ImplicationEngine):
         self, pi_values, ppi_initial, fault, candidates,
         parent: "_PackedStates", parent_index: int, kind: str, name: str,
     ) -> "_PackedStates":
-        """Candidate sweep restricted to one variable's influence cone."""
+        """Candidate sweep restricted to one variable's influence cone.
+
+        The initial frame re-runs the cone's three-valued pass; the test
+        frame runs an event-driven set-word pass over ``pass2_gates`` in
+        which every word left ``None`` — out-of-cone reads and skipped gates
+        alike — reads as the parent's column broadcast to every slot.  Only
+        the decision variable and the re-coupled state registers are loaded.
+        """
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
@@ -1055,28 +1056,14 @@ class PackedImplicationEngine(ImplicationEngine):
         self._logic.evaluate_planes(frame1_planes, cone.frame1_gates)
 
         # ---- test frame: cone-only set propagation ---------------------- #
-        source_stem, stem_moves, branch_moves = self._fault_moves(fault, full)
-        planes: List[Optional[List[int]]] = [None] * num_signals
-        for slot in cone.pass2_frontier:
-            broadcast = [0] * NUM_PLANES
-            remaining = base_sets[slot]
-            while remaining:
-                low = remaining & -remaining
-                broadcast[low.bit_length() - 1] = full
-                remaining ^= low
-            planes[slot] = broadcast
-
+        source_stem, stem_moves, branch_moves = self._fault_moves(fault, slot_mask(width))
+        words: List[Optional[int]] = [None] * num_signals
         if kind == "pi":
-            var_planes = [0] * NUM_PLANES
+            var_word = 0
             for slot_index, candidate in enumerate(candidates):
                 value = base_pi_value if candidate is None else candidate[2]
-                bit = 1 << slot_index
-                if value is not None:
-                    var_planes[value.index] |= bit
-                else:
-                    for pi_value in PI_VALUES:
-                        var_planes[pi_value.index] |= bit
-            planes[var_slot] = var_planes
+                var_word |= (PI_SET if value is None else value.mask) << (8 * slot_index)
+            words[var_slot] = var_word
 
         # State-register coupling for the affected flip-flops only; the
         # remaining pair sets are inherited from the parent column.
@@ -1089,7 +1076,7 @@ class PackedImplicationEngine(ImplicationEngine):
         frame1_one = frame1_planes.one
         for position in cone.affected_dffs:
             ppi_slot, data_slot, dff_name = self._dff_items[position]
-            dff_planes = [0] * NUM_PLANES
+            dff_word = 0
             in_cone = data_slot in frame1_slots
             base_initial = ppi_initial.get(dff_name)
             for slot_index in range(width):
@@ -1110,36 +1097,32 @@ class PackedImplicationEngine(ImplicationEngine):
                     final = base_frame1[data_slot]
                 pair_set = _PAIR_SET_TABLE[(initial, final)]
                 ppi_pair_sets[slot_index][dff_name] = pair_set
-                remaining = pair_set
-                while remaining:
-                    low = remaining & -remaining
-                    dff_planes[low.bit_length() - 1] |= bit
-                    remaining ^= low
-            planes[ppi_slot] = dff_planes
+                dff_word |= pair_set << (8 * slot_index)
+            words[ppi_slot] = dff_word
 
-        # Source-stem injection: only needed on planes this sweep reloads
+        # Source-stem injection: only needed on words this sweep reloads
         # (the parent's columns already carry the injection elsewhere).
         if source_stem is not None:
             stem_slot, move = source_stem
-            reloaded = planes[stem_slot]
+            reloaded = words[stem_slot]
             if reloaded is not None:
-                apply_move(reloaded, move)
+                words[stem_slot] = apply_moves(reloaded, (move,))
 
         # Event-driven sweep: only the decision variable and the re-coupled
         # state registers can differ from the parent column; gates whose
         # inputs stay off that wavefront are skipped and resolve to the
-        # parent via their ``None`` planes entry.
+        # parent via their ``None`` word.
         changed_slots = [var_slot]
         changed_slots.extend(
             self._dff_items[position][0] for position in cone.affected_dffs
         )
         result = self._sets.propagate(
-            planes, width, stem_moves, branch_moves, cone.pass2_gates,
+            words, width, stem_moves, branch_moves, cone.pass2_gates,
             base_sets=base_sets, changed_slots=changed_slots,
         )
         return _PackedStates(
             owner=self,
-            set_planes=result.planes,
+            set_words=result.words,
             frame1_planes=frame1_planes,
             ppi_pair_sets=ppi_pair_sets,
             conflict_signals=result.conflict_signals,
@@ -1221,35 +1204,17 @@ class PackedImplicationEngine(ImplicationEngine):
         frame1_planes = PackedPlanes(zero=zero, one=one, width=width)
         self._logic.evaluate_planes(frame1_planes)
 
-        # ---- source set planes ------------------------------------------- #
-        set_planes: List[List[int]] = [[0] * NUM_PLANES for _ in range(compiled.num_signals)]
+        # ---- source set words -------------------------------------------- #
+        rep = slot_mask(width)
+        set_words: List[Optional[int]] = [None] * compiled.num_signals
         for slot, name in self._pi_items:
             base = pi_values.get(name)
-            overrides = pi_overrides.get(name)
-            planes = set_planes[slot]
-            if overrides is None:
-                if base is not None:
-                    planes[base.index] = full
-                else:
-                    for value in PI_VALUES:
-                        planes[value.index] = full
-                continue
-            override_mask = 0
-            for slot_index, value in overrides:
-                bit = 1 << slot_index
-                override_mask |= bit
-                if value is not None:
-                    planes[value.index] |= bit
-                else:
-                    for pi_value in PI_VALUES:
-                        planes[pi_value.index] |= bit
-            rest = full & ~override_mask
-            if rest:
-                if base is not None:
-                    planes[base.index] |= rest
-                else:
-                    for pi_value in PI_VALUES:
-                        planes[pi_value.index] |= rest
+            word = (PI_SET if base is None else base.mask) * rep
+            for slot_index, value in pi_overrides.get(name, ()):
+                shift = 8 * slot_index
+                word &= ~(255 << shift)
+                word |= (PI_SET if value is None else value.mask) << shift
+            set_words[slot] = word
 
         # State-register coupling: the PPI pair set of every candidate is
         # derived from its own initial value and its own frame-1 PPO value.
@@ -1261,7 +1226,7 @@ class PackedImplicationEngine(ImplicationEngine):
             )
             data_zero = frame1_planes.zero[data_slot]
             data_one = frame1_planes.one[data_slot]
-            planes = set_planes[ppi_slot]
+            word = 0
             for slot_index in range(width):
                 initial = overrides.get(slot_index, base) if overrides else base
                 bit = 1 << slot_index
@@ -1273,23 +1238,20 @@ class PackedImplicationEngine(ImplicationEngine):
                     final = None
                 pair_set = _PAIR_SET_TABLE[(initial, final)]
                 ppi_pair_sets[slot_index][name] = pair_set
-                remaining = pair_set
-                while remaining:
-                    low = remaining & -remaining
-                    planes[low.bit_length() - 1] |= bit
-                    remaining ^= low
+                word |= pair_set << (8 * slot_index)
+            set_words[ppi_slot] = word
 
         # ---- fault injection moves ---------------------------------------- #
-        source_stem, stem_moves, branch_moves = self._fault_moves(fault, full)
+        source_stem, stem_moves, branch_moves = self._fault_moves(fault, rep)
         if source_stem is not None:
-            # PI / PPI stem: inject right at the loaded planes.
+            # PI / PPI stem: inject right at the loaded word.
             stem_slot, move = source_stem
-            apply_move(set_planes[stem_slot], move)
+            set_words[stem_slot] = apply_moves(set_words[stem_slot], (move,))
 
-        result = self._sets.propagate(set_planes, width, stem_moves, branch_moves)
+        result = self._sets.propagate(set_words, width, stem_moves, branch_moves)
         return _PackedStates(
             owner=self,
-            set_planes=result.planes,
+            set_words=result.words,
             frame1_planes=frame1_planes,
             ppi_pair_sets=ppi_pair_sets,
             conflict_signals=result.conflict_signals,

@@ -27,8 +27,9 @@ implication engine, and each engine builds its own kernels class: the
 walks over name-keyed states and frames as the differential-testing
 oracle; the ``packed`` engine's
 :class:`PackedSearchKernels` rerun them as compiled kernels over
-the flat arrays of :mod:`repro.fausim.compile` and the packed planes of
-:mod:`repro.algebra.packed_sets` / :mod:`repro.fausim.packed_sim` — the
+the flat arrays of :mod:`repro.fausim.compile`, the set words of
+:mod:`repro.algebra.packed_sets` and the planes of
+:mod:`repro.fausim.packed_sim` — the
 objective scan works on a state's extracted slot column, the backtraces are
 iterative worklists over the flat fanin arrays with memoised
 observability-distance weights (frontier ranking) and the memoised backward
