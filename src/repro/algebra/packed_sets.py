@@ -27,6 +27,13 @@ reference injection of :mod:`repro.tdgen.simulation`.  Each slot carries one
 independent candidate assignment — a decision alternative, a candidate
 frame, or a fault-free/faulty pair — and one pass over the gate program
 implies all of them.
+
+An *event-driven* pass starts from the columns of a conflict-free parent
+state and evaluates only what changed (selective trace): a ``pending`` byte
+per gate marks the fanout (``CompiledCircuit.fanout``) of every slot whose
+word left the parent's broadcast, one forward scan evaluates the marked
+gates, and every word it never writes stays ``None`` and reads as the
+parent's column.  The pass returns the slots it wrote.
 """
 
 from __future__ import annotations
@@ -146,12 +153,16 @@ class PackedSetResult:
             bit mask (bit ``j`` for slot ``j``).
         conflict_signals: first signal (in evaluation order) whose set became
             empty, per conflicted slot index.
+        written: the slots an event-driven sweep wrote (its seeds, then the
+            gates it evaluated, in program order); ``None`` for a full sweep,
+            which writes every slot.
     """
 
     words: List[Optional[SetWord]]
     width: int
     conflict_mask: int
     conflict_signals: Dict[int, str]
+    written: Optional[List[int]] = None
 
 
 class PackedSetSimulator:
@@ -177,9 +188,8 @@ class PackedSetSimulator:
         width: int,
         stem_moves: Optional[Mapping[int, Sequence[SetMove]]] = None,
         branch_moves: Optional[Mapping[int, Sequence[SetMove]]] = None,
-        gate_indices: Optional[Sequence[int]] = None,
         base_sets: Optional[Sequence[ValueSet]] = None,
-        changed_slots: Optional[Sequence[int]] = None,
+        changed_slots: Sequence[int] = (),
     ) -> PackedSetResult:
         """Run the gate program over pre-loaded source set words.
 
@@ -194,27 +204,24 @@ class PackedSetSimulator:
             branch_moves: injection moves keyed by flat fanin position,
                 applied to the set *read* at that one (gate, pin) only (a
                 fanout-branch fault — the stem keeps its fault-free set).
-            gate_indices: restrict the pass to these gate-program indices, in
-                ascending order (incremental cone evaluation); ``None`` runs
-                the full program.  Every fanin read outside the subset must
-                already hold a valid word (or ``None`` with ``base_sets``).
             base_sets: per-slot sets of the conflict-free *parent* state an
-                incremental sweep starts from.  A ``None`` word reads as the
-                parent's broadcast ``base_sets[slot] * slot_mask(width)``.
-                Enables event-driven change tracking: a gate none of whose
-                inputs changed relative to the parent is skipped outright
-                (its word stays ``None``), and a gate whose result equals the
-                parent's broadcast does not wake its fanout.  Requires
-                ``changed_slots``.
-            changed_slots: the source slots whose loaded words may differ
-                from the parent column (the decision variable, re-coupled
-                state registers); the transitive wavefront is derived from
-                them.
+                incremental sweep starts from; enables the event-driven mode.
+                A ``None`` word reads as the parent's broadcast
+                ``base_sets[slot] * slot_mask(width)``.  Only the gates in the
+                fanout of a slot whose word left that broadcast are
+                evaluated (the fanout marks of ``compiled.fanout``); every
+                other gate keeps its ``None`` word.
+            changed_slots: the source slots the caller loaded for an
+                event-driven sweep (the decision variable, re-coupled state
+                registers); each one whose word differs from the parent's
+                broadcast seeds the wavefront.
 
         Returns:
             The evaluated words plus the per-slot conflict bookkeeping (the
             packed counterpart of recording the first empty set during the
-            reference propagation pass).
+            reference propagation pass).  An event-driven sweep also lists
+            the slots it wrote: ``changed_slots``, then each evaluated gate
+            output.
         """
         stem_moves = stem_moves or {}
         branch_moves = branch_moves or {}
@@ -227,41 +234,38 @@ class PackedSetSimulator:
         fanin_flat = compiled.fanin_flat
         offsets = compiled.fanin_offsets
         outputs = compiled.outputs
+        fanout = compiled.fanout
         signal_names = compiled.signal_names
         rep = slot_mask(width)
         high = rep << 7
         shifts = range(0, 8 * width, 8)
         conflict_mask = 0
         conflict_signals: Dict[int, str] = {}
-
         ops = compiled.ops
-        indices = range(len(ops)) if gate_indices is None else gate_indices
         branch_positions = frozenset(branch_moves)
 
-        # Event-driven mode: gates are evaluated only when an input sits on
-        # the change wavefront seeded by ``changed_slots``; everything else
-        # keeps its ``None`` word (reads fall back to the parent column).
+        # ``pending[i]`` marks gate ``i`` for evaluation.  A full sweep marks
+        # every gate; an event-driven sweep marks the fanout of each seed that
+        # left the parent's value, and each evaluated gate marks its own
+        # fanout only when its result leaves it too (the wavefront dies where
+        # sets converge).  Fanout gates come later in program order, so one
+        # forward scan reaches every mark.
         tracking = base_sets is not None
-        changed: Optional[bytearray] = None
+        written: Optional[List[int]] = None
         if tracking:
-            changed = bytearray(len(words))
-            for slot in changed_slots or ():
-                changed[slot] = 1
+            pending = bytearray(len(ops))
+            written = list(changed_slots)
+            for slot in changed_slots:
+                if words[slot] != base_sets[slot] * rep:
+                    for gate in fanout[slot]:
+                        pending[gate] = 1
+        else:
+            pending = bytearray(b"\x01") * len(ops)
 
-        evaluated = 0
-        for index in indices:
+        index = pending.find(1)
+        while index >= 0:
             start = offsets[index]
             end = offsets[index + 1]
-
-            if tracking:
-                for position in range(start, end):
-                    if changed[fanin_flat[position]]:
-                        break
-                else:
-                    # No input on the wavefront: the parent's value stands.
-                    continue
-                evaluated += 1
-
             op = ops[index]
             slot = fanin_flat[start]
             a = words[slot]
@@ -300,10 +304,11 @@ class PackedSetSimulator:
             if stem_moves and out in stem_moves:
                 acc = apply_moves(acc, stem_moves[out])
             words[out] = acc
-            if tracking and acc != base_sets[out] * rep:
-                # Wake the fanout only when the result left the parent's
-                # value (the wavefront dies where sets converge).
-                changed[out] = 1
+            if tracking:
+                written.append(out)
+                if acc != base_sets[out] * rep:
+                    for gate in fanout[out]:
+                        pending[gate] = 1
 
             # Nonzero exactly when some slot's byte is zero; the per-slot
             # scan then finds which.
@@ -314,22 +319,19 @@ class PackedSetSimulator:
                     if not (acc >> shift) & 255 and not conflict_mask & bit:
                         conflict_mask |= bit
                         conflict_signals[slot_index] = name
+            index = pending.find(1, index + 1)
 
         metrics = self.metrics
         if metrics.enabled:
-            total = len(ops) if gate_indices is None else len(gate_indices)
-            if tracking:
-                metrics.inc("repro_wavefront_gates_evaluated_total", evaluated)
-                if total > evaluated:
-                    metrics.inc(
-                        "repro_wavefront_gates_skipped_total", total - evaluated
-                    )
-            else:
-                metrics.inc("repro_wavefront_gates_evaluated_total", total)
+            evaluated = len(written) - len(changed_slots) if tracking else len(ops)
+            metrics.inc("repro_wavefront_gates_evaluated_total", evaluated)
+            if len(ops) > evaluated:
+                metrics.inc("repro_wavefront_gates_skipped_total", len(ops) - evaluated)
 
         return PackedSetResult(
             words=words,
             width=width,
             conflict_mask=conflict_mask,
             conflict_signals=conflict_signals,
+            written=written,
         )

@@ -72,6 +72,9 @@ class CompiledCircuit:
         ops / outputs / fanin_offsets / fanin_flat: the gate program.
         gate_index_of: output slot -> index into the gate program (used by
             the fault-injecting evaluators to locate a faulted gate).
+        fanout: slot -> indices of the gates that read it, in program order
+            and listed once even when a gate reads the slot on two pins (the
+            event-driven sweeps wake exactly these gates).
     """
 
     circuit: Circuit
@@ -86,6 +89,7 @@ class CompiledCircuit:
     fanin_offsets: Tuple[int, ...]
     fanin_flat: Tuple[int, ...]
     gate_index_of: Dict[int, int]
+    fanout: Tuple[Tuple[int, ...], ...]
 
     @property
     def num_signals(self) -> int:
@@ -150,6 +154,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     outputs: List[int] = []
     fanin_offsets: List[int] = [0]
     fanin_flat: List[int] = []
+    fanout: List[Dict[int, None]] = [{} for _ in signal_names]
     for name in order:
         gate = circuit.gate(name)
         opcode = _OPCODES.get(gate.gate_type)
@@ -165,6 +170,8 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         outputs.append(slot_of[name])
         fanin_flat.extend(slot_of[source] for source in gate.fanin)
         fanin_offsets.append(len(fanin_flat))
+        for source in gate.fanin:
+            fanout[slot_of[source]][len(ops) - 1] = None
 
     compiled = CompiledCircuit(
         circuit=circuit,
@@ -179,6 +186,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         fanin_offsets=tuple(fanin_offsets),
         fanin_flat=tuple(fanin_flat),
         gate_index_of={slot: index for index, slot in enumerate(outputs)},
+        fanout=tuple(tuple(gates) for gates in fanout),
     )
     circuit._compiled_cache = compiled
     return compiled

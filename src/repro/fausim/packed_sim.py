@@ -57,7 +57,9 @@ class PackedPlanes:
 
     ``zero[slot]`` / ``one[slot]`` hold the 0-plane and 1-plane of the signal
     in that slot (see :class:`~repro.fausim.compile.CompiledCircuit` for the
-    slot layout); ``width`` is the number of valid pattern bits.
+    slot layout); ``width`` is the number of valid pattern bits.  The planes
+    of an event-driven pass (:meth:`PackedLogicSimulator.evaluate_planes`
+    with ``base_values``) hold ``None`` for slots it never touched.
     """
 
     zero: List[int]
@@ -110,46 +112,81 @@ class PackedLogicSimulator:
     # packed core
     # ------------------------------------------------------------------ #
     def evaluate_planes(
-        self, planes: PackedPlanes, gate_indices: "Sequence[int] | None" = None
-    ) -> None:
+        self,
+        planes: PackedPlanes,
+        base_values: "Sequence[Optional[int]] | None" = None,
+        changed_slots: Sequence[int] = (),
+    ) -> Optional[List[int]]:
         """Run the gate program in place on pre-loaded source planes.
 
         ``planes`` must carry the PI and PPI planes; every gate output plane
         is (re)computed.  This is the single hot loop of the backend.  A
         full-program pass runs the circuit's ``evaluate`` kernel once it has
-        tiered up (:mod:`repro.fausim.kernels`); a cone subset always runs
-        the interpreted loop below.
+        tiered up (:mod:`repro.fausim.kernels`); an event-driven pass always
+        runs the interpreted loop below.
 
         Args:
             planes: pre-loaded source planes, evaluated in place.
-            gate_indices: restrict the pass to these gate-program indices in
-                ascending order (incremental cone evaluation); ``None`` runs
-                the full program.  Fanin planes outside the subset must
-                already be valid.
+            base_values: the per-slot values (``None`` = X) of the parent
+                frame an incremental pass starts from; enables the
+                event-driven mode.  ``None`` plane entries read as the
+                parent's value broadcast to every pattern, and only the
+                gates in the fanout of a slot whose planes left that
+                broadcast are evaluated; the rest keep ``None`` entries
+                (a ``None`` read fills in the broadcast first).
+            changed_slots: the source slots the caller loaded for an
+                event-driven pass; each one that differs from the parent's
+                broadcast seeds the wavefront.
+
+        Returns:
+            ``None`` for a full pass.  An event-driven pass returns the slots
+            it wrote: ``changed_slots``, then each evaluated gate output.
         """
         zero = planes.zero
         one = planes.one
         mask = (1 << planes.width) - 1
         compiled = self.compiled
-        if self.metrics.enabled:
-            count = compiled.num_gates if gate_indices is None else len(gate_indices)
-            self.metrics.inc(
-                "repro_sim_gate_words_total", count * ((planes.width + 63) // 64)
-            )
-        if gate_indices is None:
+        ops = compiled.ops
+        tracking = base_values is not None
+        if not tracking:
+            if self.metrics.enabled:
+                self.metrics.inc(
+                    "repro_sim_gate_words_total",
+                    compiled.num_gates * ((planes.width + 63) // 64),
+                )
             kernel = self._kernels.select("evaluate", self.metrics)
             if kernel is not None:
                 kernel(zero, one, mask)
-                return
+                return None
         fanin_flat = compiled.fanin_flat
         offsets = compiled.fanin_offsets
         outputs = compiled.outputs
-        ops = compiled.ops
-        indices = range(len(ops)) if gate_indices is None else gate_indices
-        for index in indices:
+        fanout = compiled.fanout
+        written: Optional[List[int]] = None
+        if tracking:
+            # The same wavefront as the set sweep of
+            # :mod:`repro.algebra.packed_sets`: wake a gate's fanout only
+            # when its planes leave the parent's broadcast.
+            broadcast = {None: (0, 0), 0: (mask, 0), 1: (0, mask)}
+            pending = bytearray(len(ops))
+            written = list(changed_slots)
+            for slot in changed_slots:
+                if (zero[slot], one[slot]) != broadcast[base_values[slot]]:
+                    for gate in fanout[slot]:
+                        pending[gate] = 1
+        else:
+            pending = bytearray(b"\x01") * len(ops)
+
+        index = pending.find(1)
+        while index >= 0:
             op = ops[index]
             start = offsets[index]
             end = offsets[index + 1]
+            if tracking:
+                for position in range(start, end):
+                    slot = fanin_flat[position]
+                    if zero[slot] is None:
+                        zero[slot], one[slot] = broadcast[base_values[slot]]
             first = fanin_flat[start]
             if op <= OP_NAND:  # AND / NAND
                 acc_one = one[first]
@@ -189,6 +226,19 @@ class PackedLogicSimulator:
             out = outputs[index]
             zero[out] = acc_zero
             one[out] = acc_one
+            if tracking:
+                written.append(out)
+                if (acc_zero, acc_one) != broadcast[base_values[out]]:
+                    for gate in fanout[out]:
+                        pending[gate] = 1
+            index = pending.find(1, index + 1)
+
+        if tracking and self.metrics.enabled:
+            self.metrics.inc(
+                "repro_sim_gate_words_total",
+                (len(written) - len(changed_slots)) * ((planes.width + 63) // 64),
+            )
+        return written
 
     def evaluate_planes_forced(
         self,

@@ -44,8 +44,8 @@ METRIC_HELP: Dict[str, str] = {
     "repro_decisions_total": "TDgen decision-tree nodes opened.",
     "repro_backtracks_total": "Search backtracks by engine (tdgen/semilet).",
     "repro_implication_sweeps_total": "Forward implication sweeps by call site.",
-    "repro_wavefront_gates_evaluated_total": "Gates evaluated by event-driven set sweeps.",
-    "repro_wavefront_gates_skipped_total": "Gates skipped (off the change wavefront) by event-driven set sweeps.",
+    "repro_wavefront_gates_evaluated_total": "Gates evaluated by set sweeps.",
+    "repro_wavefront_gates_skipped_total": "Program gates an event-driven set sweep did not evaluate.",
     "repro_sim_gate_words_total": "Gate evaluations of the packed simulators, in 64-bit word units.",
     "repro_kernel_generate_seconds": "Straight-line kernel generation time per kernel; the count is the tier-ups.",
     "repro_tdsim_passes_total": "TDsim critical-path-tracing simulation passes.",

@@ -37,7 +37,6 @@ simulation, search-side implication and (through
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.algebra.packed_sets import PackedSetSimulator, SetMove, apply_moves, slot_mask
@@ -81,6 +80,34 @@ _PAIR_SET_TABLE: Dict[Tuple[Optional[int], Optional[int]], ValueSet] = {
     for initial in (None, 0, 1)
     for final in (None, 0, 1)
 }
+
+
+def _couple(
+    name: str,
+    initials: Sequence[Optional[int]],
+    data_zero: int,
+    data_one: int,
+    ppi_pair_sets: List[Dict[str, ValueSet]],
+) -> int:
+    """State-register coupling of one flip-flop, one candidate per slot.
+
+    Candidate ``j``'s PPI pair set follows from its initial value
+    ``initials[j]`` and its frame-1 PPO value (bit ``j`` of the data planes);
+    it is recorded in ``ppi_pair_sets[j]`` and returned as a set word.
+    """
+    word = 0
+    for slot_index, initial in enumerate(initials):
+        bit = 1 << slot_index
+        if data_one & bit:
+            final: Optional[int] = 1
+        elif data_zero & bit:
+            final = 0
+        else:
+            final = None
+        pair_set = _PAIR_SET_TABLE[(initial, final)]
+        ppi_pair_sets[slot_index][name] = pair_set
+        word |= pair_set << (8 * slot_index)
+    return word
 
 
 class CandidateStates:
@@ -215,8 +242,9 @@ class ImplicationEngine:
             base: the implication of the *base assignment*, if the caller
                 already holds it (the parent decision's state).  Engines may
                 use it to evaluate the batch incrementally — the packed
-                engine re-propagates only the decision variable's influence
-                cone — and must produce bit-identical results either way.
+                engine evaluates only the gates the decision variable's
+                change reaches — and must produce bit-identical results
+                either way.
         """
         raise NotImplementedError
 
@@ -542,11 +570,14 @@ class _PackedStates(CandidateStates):
     """Packed candidate states: one set-word propagation pass, lazy unpacking.
 
     Each signal slot holds one set word (byte ``j`` is candidate ``j``'s
-    possibility set, see :mod:`repro.algebra.packed_sets`).  A *full* sweep
-    fills every signal's word.  An *incremental* sweep (one started from a
-    parent state) fills only the words it loaded or re-evaluated and keeps
-    ``None`` elsewhere; reads of a ``None`` word fall back to the parent's
-    per-slot column (``base_sets`` / ``base_frame1``).
+    possibility set, see :mod:`repro.algebra.packed_sets`) and one pair of
+    initial-frame planes.  A *full* sweep fills every slot.  An *incremental*
+    sweep (one started from a parent state) writes only the slots its
+    wavefronts reached, listed in ``set_written`` / ``frame1_written``; every
+    other word is ``None`` and every other plane entry ``None`` or the
+    parent's broadcast, and reads of them fall back to the parent's per-slot
+    column (``base_sets`` / ``base_frame1``).  The columns of a slot are the
+    parent's columns with the written slots overwritten.
 
     :meth:`state` caches each slot's lazy columns, not the state itself: a
     state points back here through its ``packed_handle``, so caching states
@@ -565,7 +596,8 @@ class _PackedStates(CandidateStates):
         width: int,
         base_sets: Optional[List[ValueSet]] = None,
         base_frame1: Optional[List[Optional[int]]] = None,
-        frame1_slots: Optional[frozenset] = None,
+        set_written: Sequence[int] = (),
+        frame1_written: Sequence[int] = (),
     ) -> None:
         self._owner = owner
         self._compiled = owner.compiled
@@ -577,7 +609,8 @@ class _PackedStates(CandidateStates):
         self._width = width
         self._base_sets = base_sets
         self._base_frame1 = base_frame1
-        self._frame1_slots = frame1_slots
+        self._set_written = set_written
+        self._frame1_written = frame1_written
         self._views: Dict[int, Tuple[_LazyColumn, _LazyColumn, ValueSet]] = {}
         self._set_columns: Dict[int, List[ValueSet]] = {}
         self._frame1_columns: Dict[int, List[Optional[int]]] = {}
@@ -593,16 +626,12 @@ class _PackedStates(CandidateStates):
             return cached
         shift = 8 * index
         words = self._set_words
-        base = self._base_sets
-        if base is not None:
-            # Incremental state: only re-evaluated slots carry words; the
-            # remaining slots are the parent's column, copied wholesale.
-            column = list(base)
-            for slot, word in enumerate(words):
-                if word is not None:
-                    column[slot] = (word >> shift) & 255
-        else:
+        if self._base_sets is None:
             column = [(word >> shift) & 255 for word in words]
+        else:
+            column = list(self._base_sets)
+            for slot in self._set_written:
+                column[slot] = (words[slot] >> shift) & 255
         self._set_columns[index] = column
         return column
 
@@ -614,18 +643,18 @@ class _PackedStates(CandidateStates):
         bit = 1 << index
         zero = self._frame1_planes.zero
         one = self._frame1_planes.one
-        if self._frame1_slots is None:
+        if self._base_frame1 is None:
             column: List[Optional[int]] = [None] * len(zero)
-            slots = range(len(zero))
+            slots: Sequence[int] = range(len(zero))
         else:
             column = list(self._base_frame1)
-            slots = self._frame1_slots
+            slots = self._frame1_written
         for slot in slots:
             if one[slot] & bit:
                 column[slot] = 1
             elif zero[slot] & bit:
                 column[slot] = 0
-            elif self._frame1_slots is not None:
+            else:
                 column[slot] = None
         self._frame1_columns[index] = column
         return column
@@ -653,7 +682,6 @@ class _PackedStates(CandidateStates):
         one = self._frame1_planes.one
         base_sets = self._base_sets
         base_frame1 = self._base_frame1
-        frame1_slots = self._frame1_slots
         bit = 1 << index
         shift = 8 * index
 
@@ -664,9 +692,10 @@ class _PackedStates(CandidateStates):
             return (word >> shift) & 255
 
         def unpack_frame1(slot: int) -> Optional[int]:
-            if frame1_slots is not None and slot not in frame1_slots:
+            plane = one[slot]
+            if plane is None:
                 return base_frame1[slot]
-            if one[slot] & bit:
+            if plane & bit:
                 return 1
             if zero[slot] & bit:
                 return 0
@@ -794,27 +823,6 @@ class _PackedFrames(CandidateFrames):
         return values
 
 
-@dataclasses.dataclass(frozen=True)
-class _InfluenceCone(object):
-    """Static influence cone of one decision variable.
-
-    Assigning a PI pair or a PPI initial value can change the initial frame
-    only in the variable's combinational fanout (``frame1_gates``); through
-    the state-register coupling that can change the pair sets of
-    ``affected_dffs``, and the test frame then changes only in the fanout of
-    the variable plus those PPIs (``pass2_gates``).  ``frame1_frontier`` are
-    the out-of-cone slots a frame-1 cone gate reads — the only base columns
-    an incremental sweep has to broadcast into the three-valued planes (the
-    set pass reads the parent's column directly).
-    """
-
-    frame1_gates: Tuple[int, ...]
-    frame1_frontier: Tuple[int, ...]
-    frame1_slots: frozenset
-    affected_dffs: Tuple[int, ...]
-    pass2_gates: Tuple[int, ...]
-
-
 class PackedImplicationEngine(ImplicationEngine):
     """Bit-parallel implication on the compiled netlist.
 
@@ -829,9 +837,9 @@ class PackedImplicationEngine(ImplicationEngine):
 
     When the caller provides the base assignment's own implication (the
     parent decision's state), a candidate sweep over a single decision
-    variable runs *incrementally*: only the variable's statically computed
-    influence cone (:class:`_InfluenceCone`) is re-evaluated, and every
-    other signal resolves to the parent's column.
+    variable runs *incrementally*: both frames follow the fanout marks of
+    the slots that leave the parent's value, and every other signal resolves
+    to the parent's column.
     """
 
     name = PACKED_BACKEND
@@ -856,7 +864,12 @@ class PackedImplicationEngine(ImplicationEngine):
             (compiled.slot_of[dff.name], compiled.slot_of[dff.fanin[0]], dff.name)
             for dff in circuit.flip_flops
         ]
-        self._cones: Dict[str, _InfluenceCone] = {}
+        #: Slot -> positions of the flip-flops whose pair set reads it: those
+        #: that latch it, and the flip-flop whose PPI it is.
+        self._dffs_at: Dict[int, List[int]] = {}
+        for position, (ppi_slot, data_slot, _) in enumerate(self._dff_items):
+            self._dffs_at.setdefault(data_slot, []).append(position)
+            self._dffs_at.setdefault(ppi_slot, []).append(position)
 
     def set_metrics(self, metrics: object, site: str) -> None:
         """Attach a metrics registry and forward it to the internal simulators."""
@@ -912,60 +925,6 @@ class PackedImplicationEngine(ImplicationEngine):
         )
 
     # ------------------------------------------------------------------ #
-    def _cone(self, name: str) -> _InfluenceCone:
-        """The (cached) static influence cone of one decision variable."""
-        cached = self._cones.get(name)
-        if cached is not None:
-            return cached
-        compiled = self.compiled
-        offsets = compiled.fanin_offsets
-        fanin_flat = compiled.fanin_flat
-        outputs = compiled.outputs
-        var_slot = compiled.slot_of[name]
-
-        def closure(source_slots: set) -> Tuple[List[int], set]:
-            """Gate indices (in program order) reachable from the sources."""
-            reached = set(source_slots)
-            gates: List[int] = []
-            for index in range(len(compiled.ops)):
-                for position in range(offsets[index], offsets[index + 1]):
-                    if fanin_flat[position] in reached:
-                        gates.append(index)
-                        reached.add(outputs[index])
-                        break
-            return gates, reached
-
-        def frontier(gates: List[int], reached: set) -> Tuple[int, ...]:
-            """Out-of-cone slots the cone gates read."""
-            outside = set()
-            for index in gates:
-                for position in range(offsets[index], offsets[index + 1]):
-                    slot = fanin_flat[position]
-                    if slot not in reached:
-                        outside.add(slot)
-            return tuple(sorted(outside))
-
-        frame1_gates, frame1_reached = closure({var_slot})
-        affected_dffs = tuple(
-            position
-            for position, (ppi_slot, data_slot, _) in enumerate(self._dff_items)
-            if data_slot in frame1_reached or ppi_slot == var_slot
-        )
-        pass2_sources = {var_slot}
-        pass2_sources.update(self._dff_items[position][0] for position in affected_dffs)
-        pass2_gates, _ = closure(pass2_sources)
-
-        cone = _InfluenceCone(
-            frame1_gates=tuple(frame1_gates),
-            frame1_frontier=frontier(frame1_gates, frame1_reached),
-            frame1_slots=frozenset(frame1_reached),
-            affected_dffs=affected_dffs,
-            pass2_gates=tuple(pass2_gates),
-        )
-        self._cones[name] = cone
-        return cone
-
-    # ------------------------------------------------------------------ #
     def _fault_moves(
         self, fault: Optional[GateDelayFault], rep: int
     ) -> Tuple[
@@ -1016,89 +975,82 @@ class PackedImplicationEngine(ImplicationEngine):
         self, pi_values, ppi_initial, fault, candidates,
         parent: "_PackedStates", parent_index: int, kind: str, name: str,
     ) -> "_PackedStates":
-        """Candidate sweep restricted to one variable's influence cone.
+        """Candidate sweep driven by the wavefront of one decision variable.
 
-        The initial frame re-runs the cone's three-valued pass; the test
-        frame runs an event-driven set-word pass over ``pass2_gates`` in
-        which every word left ``None`` — out-of-cone reads and skipped gates
-        alike — reads as the parent's column broadcast to every slot.  Only
-        the decision variable and the re-coupled state registers are loaded.
+        Both frames run event-driven from the parent's columns: a gate is
+        evaluated only when one of its inputs left the parent's value, and
+        every word or plane entry the wavefront never reaches reads as the
+        parent's column broadcast to every slot.  The initial frame starts
+        from the decision variable; the test frame from the variable (a PI)
+        and the flip-flops re-coupled because their PPO value (or, for a PPI
+        variable, their initial value) was written in the initial frame —
+        the only pair sets that can differ from the parent's.
         """
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
-        cone = self._cone(name)
         base_sets = parent.column_sets(parent_index)
         base_frame1 = parent.column_frame1(parent_index)
         var_slot = compiled.slot_of[name]
         num_signals = compiled.num_signals
 
-        # ---- initial frame: cone-only three-valued pass ----------------- #
-        zero = [0] * num_signals
-        one = [0] * num_signals
-        for slot in cone.frame1_frontier:
-            value = base_frame1[slot]
-            if value == 1:
-                one[slot] = full
-            elif value == 0:
-                zero[slot] = full
-        base_pi_value = pi_values.get(name) if kind == "pi" else ppi_initial.get(name)
+        # ---- initial frame: wavefront from the decision variable -------- #
+        var_zero = var_one = var_word = 0
+        base_value = pi_values.get(name) if kind == "pi" else ppi_initial.get(name)
         for slot_index, candidate in enumerate(candidates):
-            value = base_pi_value if candidate is None else candidate[2]
-            initial = (
-                value.initial if kind == "pi" and value is not None else value
-            )
-            if initial == 1:
-                one[var_slot] |= 1 << slot_index
-            elif initial == 0:
-                zero[var_slot] |= 1 << slot_index
+            value = base_value if candidate is None else candidate[2]
+            if kind == "pi":
+                var_word |= (PI_SET if value is None else value.mask) << (8 * slot_index)
+                value = None if value is None else value.initial
+            if value == 1:
+                var_one |= 1 << slot_index
+            elif value == 0:
+                var_zero |= 1 << slot_index
+        zero: List[Optional[int]] = [None] * num_signals
+        one: List[Optional[int]] = [None] * num_signals
+        zero[var_slot] = var_zero
+        one[var_slot] = var_one
         frame1_planes = PackedPlanes(zero=zero, one=one, width=width)
-        self._logic.evaluate_planes(frame1_planes, cone.frame1_gates)
+        frame1_written = self._logic.evaluate_planes(
+            frame1_planes, base_frame1, (var_slot,)
+        )
 
-        # ---- test frame: cone-only set propagation ---------------------- #
+        # ---- test frame: wavefront from the variable and re-coupled DFFs - #
         source_stem, stem_moves, branch_moves = self._fault_moves(fault, slot_mask(width))
         words: List[Optional[int]] = [None] * num_signals
+        changed_slots: List[int] = []
         if kind == "pi":
-            var_word = 0
-            for slot_index, candidate in enumerate(candidates):
-                value = base_pi_value if candidate is None else candidate[2]
-                var_word |= (PI_SET if value is None else value.mask) << (8 * slot_index)
             words[var_slot] = var_word
+            changed_slots.append(var_slot)
 
-        # State-register coupling for the affected flip-flops only; the
-        # remaining pair sets are inherited from the parent column.
+        # State-register coupling for the flip-flops whose pair set reads a
+        # written initial-frame slot; every other pair set is the parent's.
         base_pairs = parent._ppi_pair_sets[parent_index]
         ppi_pair_sets: List[Dict[str, ValueSet]] = [
             dict(base_pairs) for _ in range(width)
         ]
-        frame1_slots = cone.frame1_slots
-        frame1_zero = frame1_planes.zero
-        frame1_one = frame1_planes.one
-        for position in cone.affected_dffs:
+        dffs_at = self._dffs_at
+        recoupled = {
+            position
+            for slot in frame1_written
+            for position in dffs_at.get(slot, ())
+        }
+        for position in recoupled:
             ppi_slot, data_slot, dff_name = self._dff_items[position]
-            dff_word = 0
-            in_cone = data_slot in frame1_slots
-            base_initial = ppi_initial.get(dff_name)
-            for slot_index in range(width):
-                bit = 1 << slot_index
-                if kind == "ppi" and dff_name == name:
-                    candidate = candidates[slot_index]
-                    initial = base_initial if candidate is None else candidate[2]
-                else:
-                    initial = base_initial
-                if in_cone:
-                    if frame1_one[data_slot] & bit:
-                        final: Optional[int] = 1
-                    elif frame1_zero[data_slot] & bit:
-                        final = 0
-                    else:
-                        final = None
-                else:
-                    final = base_frame1[data_slot]
-                pair_set = _PAIR_SET_TABLE[(initial, final)]
-                ppi_pair_sets[slot_index][dff_name] = pair_set
-                dff_word |= pair_set << (8 * slot_index)
-            words[ppi_slot] = dff_word
+            if one[data_slot] is None:
+                # A PPI variable whose PPO the wavefront did not reach: the
+                # parent's value, broadcast (as a gate input would read it).
+                final = base_frame1[data_slot]
+                zero[data_slot] = full if final == 0 else 0
+                one[data_slot] = full if final == 1 else 0
+            initial = ppi_initial.get(dff_name)
+            initials = [initial] * width
+            if dff_name == name:
+                initials = [initial if c is None else c[2] for c in candidates]
+            words[ppi_slot] = _couple(
+                dff_name, initials, zero[data_slot], one[data_slot], ppi_pair_sets
+            )
+            changed_slots.append(ppi_slot)
 
         # Source-stem injection: only needed on words this sweep reloads
         # (the parent's columns already carry the injection elsewhere).
@@ -1108,16 +1060,8 @@ class PackedImplicationEngine(ImplicationEngine):
             if reloaded is not None:
                 words[stem_slot] = apply_moves(reloaded, (move,))
 
-        # Event-driven sweep: only the decision variable and the re-coupled
-        # state registers can differ from the parent column; gates whose
-        # inputs stay off that wavefront are skipped and resolve to the
-        # parent via their ``None`` word.
-        changed_slots = [var_slot]
-        changed_slots.extend(
-            self._dff_items[position][0] for position in cone.affected_dffs
-        )
         result = self._sets.propagate(
-            words, width, stem_moves, branch_moves, cone.pass2_gates,
+            words, width, stem_moves, branch_moves,
             base_sets=base_sets, changed_slots=changed_slots,
         )
         return _PackedStates(
@@ -1130,7 +1074,8 @@ class PackedImplicationEngine(ImplicationEngine):
             width=width,
             base_sets=base_sets,
             base_frame1=base_frame1,
-            frame1_slots=frame1_slots,
+            set_written=result.written,
+            frame1_written=frame1_written,
         )
 
     def _implicate_full(self, pi_values, ppi_initial, fault, candidates) -> _PackedStates:
@@ -1220,26 +1165,13 @@ class PackedImplicationEngine(ImplicationEngine):
         # derived from its own initial value and its own frame-1 PPO value.
         ppi_pair_sets: List[Dict[str, ValueSet]] = [{} for _ in range(width)]
         for ppi_slot, data_slot, name in self._dff_items:
-            base = ppi_initial.get(name)
-            overrides = dict(
-                (slot_index, value) for slot_index, value in ppi_overrides.get(name, ())
+            initials = [ppi_initial.get(name)] * width
+            for slot_index, value in ppi_overrides.get(name, ()):
+                initials[slot_index] = value
+            set_words[ppi_slot] = _couple(
+                name, initials, frame1_planes.zero[data_slot],
+                frame1_planes.one[data_slot], ppi_pair_sets,
             )
-            data_zero = frame1_planes.zero[data_slot]
-            data_one = frame1_planes.one[data_slot]
-            word = 0
-            for slot_index in range(width):
-                initial = overrides.get(slot_index, base) if overrides else base
-                bit = 1 << slot_index
-                if data_one & bit:
-                    final: Optional[int] = 1
-                elif data_zero & bit:
-                    final = 0
-                else:
-                    final = None
-                pair_set = _PAIR_SET_TABLE[(initial, final)]
-                ppi_pair_sets[slot_index][name] = pair_set
-                word |= pair_set << (8 * slot_index)
-            set_words[ppi_slot] = word
 
         # ---- fault injection moves ---------------------------------------- #
         source_stem, stem_moves, branch_moves = self._fault_moves(fault, rep)

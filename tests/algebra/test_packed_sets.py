@@ -250,3 +250,19 @@ def test_event_driven_sweep_matches_full_sweep(seed):
                 word = base_sets[slot] * full
             assert word == expected.words[slot], (seed, width, compiled.signal_names[slot])
         assert result.conflict_signals == expected.conflict_signals
+        # The sweep lists exactly the slots it wrote: the seeds, then the
+        # gates it evaluated in program order.
+        assert result.written[: len(changed)] == changed
+        gates = result.written[len(changed):]
+        assert gates == sorted(set(gates))
+        assert set(result.written) == {
+            slot for slot, word in enumerate(result.words) if word is not None
+        }
+
+        # A seed that keeps the parent's set wakes no gate.
+        unchanged: List[Optional[int]] = [None] * compiled.num_signals
+        unchanged[changed[0]] = base_sets[changed[0]] * full
+        quiet = simulator.propagate(
+            unchanged, width, base_sets=base_sets, changed_slots=changed[:1]
+        )
+        assert quiet.written == changed[:1]

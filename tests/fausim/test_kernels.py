@@ -145,8 +145,11 @@ def test_tier_up_waits_for_the_pass_threshold(monkeypatch):
     for _ in range(2):
         simulator.evaluate_planes(_copy(source))
         assert "evaluate" not in kernels_for(compiled).generated
-    # Cone subsets always run interpreted and do not count as passes.
-    simulator.evaluate_planes(_copy(source), gate_indices=[0])
+    # Event-driven passes always run interpreted and do not count as passes.
+    written = simulator.evaluate_planes(
+        _copy(source), [None] * compiled.num_signals, compiled.pi_slots
+    )
+    assert written[: len(compiled.pi_slots)] == list(compiled.pi_slots)
     assert kernels_for(compiled).passes["evaluate"] == 2
     simulator.evaluate_planes(_copy(source))
     assert "evaluate" in kernels_for(compiled).generated

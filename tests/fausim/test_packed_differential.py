@@ -24,7 +24,8 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.fausim.fault_sim import PropagationFaultSimulator
 from repro.fausim.logic_sim import LogicSimulator, simulate_sequence
-from repro.fausim.packed_sim import PackedLogicSimulator
+from repro.fausim.compile import compile_circuit
+from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes
 
 #: Seeds of the random-circuit population; the acceptance bar is >= 50.
 SEEDS = list(range(60))
@@ -108,6 +109,64 @@ def test_combinational_bit_exact(seed):
     for vector, state, got in zip(vectors, states, results):
         want = reference.combinational(vector, state)
         assert got == want, f"seed {seed}: mismatch for {vector} / {state}"
+
+
+@pytest.mark.parametrize("seed", SEEDS[::2])
+def test_fanout_table_lists_each_reading_gate_once(seed):
+    """``compiled.fanout[slot]``: the reading gates, in program order, once each."""
+    compiled = compile_circuit(random_circuit(seed))
+    for slot in range(compiled.num_signals):
+        readers = [
+            index
+            for index in range(compiled.num_gates)
+            if slot in compiled.fanin_flat[
+                compiled.fanin_offsets[index]:compiled.fanin_offsets[index + 1]
+            ]
+        ]
+        assert compiled.fanout[slot] == tuple(readers)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_event_driven_pass_matches_full_pass(seed):
+    """An event-driven pass from a parent frame equals a full pass.
+
+    Entries the pass never writes stay ``None`` and stand for the parent's
+    value broadcast; it writes the changed source, then gates in program
+    order.
+    """
+    circuit = random_circuit(seed)
+    rng = random.Random(3000 + seed)
+    packed = PackedLogicSimulator(circuit)
+    compiled = packed.compiled
+    sources = compiled.pi_slots + compiled.ppi_slots
+    parent = packed.load_planes(
+        [random_vector(rng, circuit.primary_inputs)], [random_state(rng, circuit)]
+    )
+    packed.evaluate_planes(parent)
+    base = [parent.value(slot, 0) for slot in range(compiled.num_signals)]
+    width = 5
+    mask = (1 << width) - 1
+    slot = rng.choice(sources)
+    zero = [0 if value != 0 else mask for value in base]
+    one = [0 if value != 1 else mask for value in base]
+    zero[slot] = rng.getrandbits(width)
+    one[slot] = rng.getrandbits(width) & ~zero[slot]
+    expected = PackedPlanes(zero=list(zero), one=list(one), width=width)
+    packed.evaluate_planes(expected)
+
+    sparse_zero: List[Optional[int]] = [None] * compiled.num_signals
+    sparse_one: List[Optional[int]] = [None] * compiled.num_signals
+    sparse_zero[slot], sparse_one[slot] = zero[slot], one[slot]
+    sparse = PackedPlanes(zero=sparse_zero, one=sparse_one, width=width)
+    written = packed.evaluate_planes(sparse, base, (slot,))
+    assert written[0] == slot and written[1:] == sorted(set(written[1:]))
+    for other in range(compiled.num_signals):
+        if sparse.zero[other] is None:
+            want = (mask if base[other] == 0 else 0, mask if base[other] == 1 else 0)
+            assert (expected.zero[other], expected.one[other]) == want, (seed, other)
+        else:
+            assert sparse.zero[other] == expected.zero[other], (seed, other)
+            assert sparse.one[other] == expected.one[other], (seed, other)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

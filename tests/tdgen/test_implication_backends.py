@@ -21,6 +21,7 @@ from typing import Dict, Optional
 import pytest
 
 from repro.algebra.values import DelayValue, PI_VALUES
+from repro.circuit.netlist import LineKind
 from repro.core.flow import SequentialDelayATPG
 from repro.data import load_circuit
 from repro.faults.model import enumerate_delay_faults, sample_faults
@@ -199,6 +200,50 @@ def test_incremental_chain_bit_exact(seed):
             ppi_initial[name] = domain[pick]
         reference_state = want.state(pick)
         packed_state = got.state(pick)
+
+
+@pytest.mark.parametrize("seed", list(range(12)))
+def test_incremental_delta_columns_match_full_sweep(seed):
+    """An incremental sweep's columns equal a full sweep's, slot for slot.
+
+    The incremental sweep writes only the slots its wavefronts reach and
+    reads every other one from the parent's columns; ``column_sets`` and
+    ``column_frame1`` of each candidate, the coupled pair sets and the
+    conflict signals must still equal those of ``_implicate_full`` on the
+    same assignment — for PI and PPI variables, with a stem fault, a branch
+    fault and no fault.
+    """
+    circuit = random_circuit(seed)
+    packed = create_implication_engine(circuit, "packed")
+    rng = random.Random(4321 + seed)
+    faults = enumerate_delay_faults(circuit)
+    stems = [fault for fault in faults if fault.line.kind is LineKind.STEM]
+    branches = [fault for fault in faults if fault.line.kind is not LineKind.STEM]
+    for fault in [None, rng.choice(stems)] + ([rng.choice(branches)] if branches else []):
+        for attempt in range(20):
+            pi_values, ppi_initial = _partial_assignment(rng, circuit, density=0.5)
+            parent = packed.implicate(pi_values, ppi_initial, fault)
+            if parent.conflict_signal is None:
+                break
+        else:
+            continue
+        variables = [("pi", pi) for pi in circuit.primary_inputs] + [
+            ("ppi", ppi) for ppi in circuit.pseudo_primary_inputs
+        ]
+        for kind, name in rng.sample(variables, min(6, len(variables))):
+            domain = list(PI_VALUES) if kind == "pi" else [0, 1]
+            candidates = [(kind, name, value) for value in domain] + [None]
+            incremental = packed._try_incremental(
+                pi_values, ppi_initial, fault, candidates, parent
+            )
+            assert incremental is not None, "the sweep must take the incremental path"
+            full = packed._implicate_full(pi_values, ppi_initial, fault, candidates)
+            message = f"seed {seed} fault {fault} var {name}"
+            for index in range(len(candidates)):
+                assert incremental.column_sets(index) == full.column_sets(index), message
+                assert incremental.column_frame1(index) == full.column_frame1(index), message
+            assert incremental._ppi_pair_sets == full._ppi_pair_sets, message
+            assert incremental._conflict_signals == full._conflict_signals, message
 
 
 # --------------------------------------------------------------------------- #
