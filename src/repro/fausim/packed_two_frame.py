@@ -21,9 +21,19 @@ injections in a single pass over the compiled gate program
    ``_inject`` does — at the stem output for stem faults, at the single
    faulted gate input for branch faults.
 
+A pass given ``base=`` (a full width-1 good-machine pass over the same
+pattern) is *event-driven*: it reuses the base's initial frame, and its
+test frame evaluates only the gates a fault effect reaches.  The injection
+sites seed a ``pending`` byte per gate, a forward ``bytearray.find`` scan
+evaluates the pending gates in program order, and a gate marks its fanout
+only when its planes leave the base value broadcast to every slot — the
+wavefront of :mod:`repro.algebra.packed_sets`.  A full pass is the same
+loop with every gate pending.  TDsim runs its stem analyses and PPO
+confirmations this way.
+
 The differential harness in ``tests/fausim/test_packed_two_frame.py`` checks
 the per-slot values signal for signal against the reference interpreter over
-seeded random circuits and s27.
+seeded random circuits and s27, and event-driven passes against full ones.
 """
 
 from __future__ import annotations
@@ -70,31 +80,66 @@ class PackedTwoFrameResult:
 
     Attributes:
         compiled: the compiled circuit the planes are laid out over.
-        planes: per signal slot, the eight one-hot value planes.
+        planes: per signal slot, the eight one-hot value planes.  An
+            event-driven pass leaves ``None`` at every signal its wavefront
+            did not reach; such an entry reads as the base value broadcast to
+            every slot.
         width: number of valid pattern slots (= number of injections).
         frame1: settled binary value of every signal in the initial frame
             (shared by all slots — the initial frame is fault free).
+        base: the good-machine result an event-driven pass started from;
+            ``None`` for a full pass.
     """
 
     compiled: CompiledCircuit
-    planes: List[List[int]]
+    planes: List[Optional[List[int]]]
     width: int
     frame1: Dict[str, int]
+    base: Optional["PackedTwoFrameResult"] = None
+    _indices: Optional[List[int]] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def value_indices(self) -> List[int]:
+        """Value index of every signal in pattern slot 0, by signal slot.
+
+        Memoised: an event-driven pass reads its base's good machine through
+        this view.
+        """
+        if self._indices is None:
+            self._indices = [
+                next(index for index, plane in enumerate(planes) if plane & 1)
+                for planes in self.planes
+            ]
+        return self._indices
 
     def value(self, signal: str, pattern: int) -> DelayValue:
         """The algebra value of ``signal`` in pattern slot ``pattern``."""
         bit = 1 << pattern
-        for index, plane in enumerate(self.planes[self.compiled.slot_of[signal]]):
-            if plane & bit:
-                return ALL_VALUES[index]
+        slot = self.compiled.slot_of[signal]
+        planes = self.planes[slot]
+        if planes is None:
+            if bit >> self.width == 0:
+                return ALL_VALUES[self.base.value_indices()[slot]]
+        else:
+            for index, plane in enumerate(planes):
+                if plane & bit:
+                    return ALL_VALUES[index]
         raise ValueError(f"signal {signal!r} has no value in pattern {pattern}")
 
     def values_for_pattern(self, pattern: int) -> Dict[str, DelayValue]:
         """Every signal's value in one pattern slot (one machine's view)."""
         bit = 1 << pattern
+        inside = bit >> self.width == 0
+        base = self.base.value_indices() if self.base is not None else None
         values: Dict[str, DelayValue] = {}
         for slot, name in enumerate(self.compiled.signal_names):
-            for index, plane in enumerate(self.planes[slot]):
+            planes = self.planes[slot]
+            if planes is None:
+                if inside:
+                    values[name] = ALL_VALUES[base[slot]]
+                continue
+            for index, plane in enumerate(planes):
                 if plane & bit:
                     values[name] = ALL_VALUES[index]
                     break
@@ -103,6 +148,8 @@ class PackedTwoFrameResult:
     def fault_effect_mask(self, signal: str) -> int:
         """Pattern bits in which ``signal`` carries a fault effect (Rc/Fc)."""
         planes = self.planes[self.compiled.slot_of[signal]]
+        if planes is None:
+            return 0  # the wavefront did not reach it: the good value
         mask = 0
         for index, value in enumerate(ALL_VALUES):
             if value.fault:
@@ -216,31 +263,68 @@ class PackedTwoFrameSimulator:
         pi_values: Mapping[str, Optional[DelayValue]],
         ppi_initial: Mapping[str, Optional[int]],
         faults: Sequence[Optional[GateDelayFault]] = (None,),
+        base: Optional[PackedTwoFrameResult] = None,
     ) -> PackedTwoFrameResult:
         """Run the two local time frames with one fault injection per slot.
+
+        A full pass evaluates every gate.  With ``base`` the pass is
+        event-driven: it reuses the base's initial frame, seeds a wavefront
+        at the injection sites (the fanout of a PI/PPI stem, the gate driving
+        a gate stem, the sink of a branch) and evaluates a gate only when one
+        of its inputs left the base value; a gate wakes its fanout only when
+        its planes leave that value broadcast to every slot.  Signals the
+        wavefront did not reach keep ``None`` plane entries.
 
         Args:
             pi_values: complete pair value per primary input.
             ppi_initial: complete initial-frame value per pseudo primary input.
             faults: the injection of each pattern slot; ``None`` slots carry
                 the fault-free (good) machine.
+            base: the result of a full width-1 good-machine pass over the
+                same pattern, or ``None`` for a full pass.
 
         Returns:
             The packed planes of every signal plus the shared initial frame.
         """
         if not faults:
             raise ValueError("need at least one pattern slot")
+        if base is not None and (base.width != 1 or base.base is not None):
+            raise ValueError("base must be a full width-1 good-machine pass")
         compiled = self.compiled
+        ops = compiled.ops
+        fanout = compiled.fanout
         width = len(faults)
         broadcast = (1 << width) - 1
-        frame1_values = self._frame1(pi_values, ppi_initial)
-        frame1 = {
-            name: frame1_values[slot]
-            for slot, name in enumerate(compiled.signal_names)
-        }
+        # filled[v]: the planes of value index v broadcast to every slot.
+        filled = [
+            tuple(broadcast if plane == index else 0 for plane in range(NUM_PLANES))
+            for index in range(NUM_PLANES)
+        ]
+        planes: List[Optional[List[int]]] = [None] * compiled.num_signals
+        if base is None:
+            indices = None
+            pending = bytearray(b"\x01") * len(ops)
+            frame1_values = self._frame1(pi_values, ppi_initial)
+            frame1 = {
+                name: frame1_values[slot]
+                for slot, name in enumerate(compiled.signal_names)
+            }
+            for slot, name in zip(compiled.pi_slots, self.circuit.primary_inputs):
+                planes[slot] = list(filled[pi_values[name].index])
+            for position, (slot, name) in enumerate(
+                zip(compiled.ppi_slots, self.circuit.pseudo_primary_inputs)
+            ):
+                final = frame1_values[compiled.dff_data_slots[position]]
+                pair = value_from_pair(ppi_initial[name], final)
+                planes[slot] = list(filled[pair.index])
+        else:
+            indices = base.value_indices()
+            pending = bytearray(len(ops))
+            frame1 = base.frame1
 
         # Injection bookkeeping: stem moves keyed by signal slot, branch moves
         # keyed by flat fanin position (which pins a unique (gate, pin) pair).
+        # The gate that applies a move is pending from the start.
         stem_moves: Dict[int, List[Tuple[GateDelayFault, int]]] = {}
         branch_moves: Dict[int, List[Tuple[GateDelayFault, int]]] = {}
         gate_index_of = compiled.gate_index_of
@@ -252,6 +336,9 @@ class PackedTwoFrameSimulator:
             if fault.line.kind is LineKind.STEM:
                 if slot is not None:
                     stem_moves.setdefault(slot, []).append((fault, bit))
+                    driver = gate_index_of.get(slot)
+                    if driver is not None:
+                        pending[driver] = 1
             else:
                 sink_slot = compiled.slot_of.get(fault.line.sink)
                 sink_index = gate_index_of.get(sink_slot)
@@ -264,35 +351,38 @@ class PackedTwoFrameSimulator:
                 ):
                     continue  # pin does not exist / does not read the fault stem
                 branch_moves.setdefault(position, []).append((fault, bit))
+                pending[sink_index] = 1
 
-        # Source planes: each signal holds one value broadcast to every slot.
-        planes: List[List[int]] = [[0] * NUM_PLANES for _ in range(compiled.num_signals)]
-        for slot, name in zip(compiled.pi_slots, self.circuit.primary_inputs):
-            planes[slot][pi_values[name].index] = broadcast
-        for position, (slot, name) in enumerate(
-            zip(compiled.ppi_slots, self.circuit.pseudo_primary_inputs)
-        ):
-            final = frame1_values[compiled.dff_data_slots[position]]
-            pair = value_from_pair(ppi_initial[name], final)
-            planes[slot][pair.index] = broadcast
+        # Source stems (PI / PPI) are injected right at the loaded planes;
+        # gate stems are injected after the gate is evaluated below.
+        num_sources = len(compiled.pi_slots) + len(compiled.ppi_slots)
         for slot, moves in stem_moves.items():
-            # Source stems (PI / PPI) are injected right at the loaded planes;
-            # gate stems are injected after the gate is evaluated below.
-            if slot < len(compiled.pi_slots) + len(compiled.ppi_slots):
+            if slot < num_sources:
+                source = planes[slot]
+                if source is None:
+                    source = planes[slot] = list(filled[indices[slot]])
                 for fault, bit in moves:
-                    self._inject(planes[slot], fault, bit)
+                    self._inject(source, fault, bit)
+                if indices is not None and source[indices[slot]] != broadcast:
+                    for gate in fanout[slot]:
+                        pending[gate] = 1
 
         tables = self._tables
         fanin_flat = compiled.fanin_flat
         offsets = compiled.fanin_offsets
         outputs = compiled.outputs
-        for index, op in enumerate(compiled.ops):
+        evaluated = 0
+        index = pending.find(1)
+        while index >= 0:
             start = offsets[index]
             end = offsets[index + 1]
 
-            input_planes: List[List[int]] = []
+            input_planes: List[Sequence[int]] = []
             for position in range(start, end):
-                source = planes[fanin_flat[position]]
+                slot = fanin_flat[position]
+                source = planes[slot]
+                if source is None:
+                    source = filled[indices[slot]]
                 moves = branch_moves.get(position)
                 if moves is not None:
                     source = list(source)
@@ -300,6 +390,7 @@ class PackedTwoFrameSimulator:
                         self._inject(source, fault, bit)
                 input_planes.append(source)
 
+            op = ops[index]
             if op == OP_NOT:
                 acc = packed_not(input_planes[0])
             elif op == OP_BUF:
@@ -320,15 +411,22 @@ class PackedTwoFrameSimulator:
                 for fault, bit in moves:
                     self._inject(acc, fault, bit)
             planes[out] = acc
+            evaluated += 1
+            # Every slot holds exactly one value, so the planes equal the
+            # base broadcast exactly when the base value's plane is full.
+            if indices is not None and acc[indices[out]] != broadcast:
+                for gate in fanout[out]:
+                    pending[gate] = 1
+            index = pending.find(1, index + 1)
 
         if self.metrics.enabled:
-            # Frame 1 evaluates every gate once over a single binary word;
-            # frame 2 evaluates every gate over the injection batch, counted
-            # in 64-bit word units.
-            self.metrics.inc(
-                "repro_sim_gate_words_total",
-                len(compiled.ops) * (1 + (width + 63) // 64),
-            )
+            # The test frame counts the gates evaluated over the injection
+            # batch, in 64-bit word units; a full pass adds its initial
+            # frame, every gate once over a single binary word.
+            words = evaluated * ((width + 63) // 64)
+            if base is None:
+                words += len(ops)
+            self.metrics.inc("repro_sim_gate_words_total", words)
         return PackedTwoFrameResult(
-            compiled=compiled, planes=planes, width=width, frame1=frame1
+            compiled=compiled, planes=planes, width=width, frame1=frame1, base=base
         )

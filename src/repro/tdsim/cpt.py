@@ -17,15 +17,19 @@ one:
   on (paper section 5, last paragraph).
 
 With ``backend="packed"`` (the process default, see
-:mod:`repro.fausim.backends`) the exact injection simulations — the good
-machine pass, the per-stem analysis and the PPO confirmation checks — run on
-the compiled netlist through the fault-parallel eight-valued simulator
-(:mod:`repro.fausim.packed_two_frame`): both transition directions of a stem
-share one pass, and all PPO confirmation candidates of a pattern share
-another.  The remaining single-injection simulations (and the whole
-``backend="reference"`` oracle path of the differential test-suite) route
-through the shared implication engine (:mod:`repro.tdgen.implication`)
-instead of calling the interpreter directly.
+:mod:`repro.fausim.backends`) the exact injection simulations run on the
+compiled netlist through the fault-parallel eight-valued simulator
+(:mod:`repro.fausim.packed_two_frame`).  One full good-machine pass per
+pattern serves as the base of every other pass of that
+:meth:`DelayFaultSimulator.simulate` call: a stem analysis (both transition
+directions in one pass) and the PPO confirmation pass (all candidates in
+one) are event-driven and evaluate only the gates their fault effects
+reach.  Each stem is analysed once per call; every observation point that
+reaches it reads its verdict from the same pass.  The remaining
+single-injection simulations (and the whole ``backend="reference"`` oracle
+path of the differential test-suite) route through the shared implication
+engine (:mod:`repro.tdgen.implication`) instead of calling the interpreter
+directly.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from repro.algebra.values import DelayValue, F, R
 from repro.circuit.netlist import Circuit, Line, LineKind
 from repro.faults.model import DelayFaultType, GateDelayFault
 from repro.fausim.backends import create_two_frame_simulator, resolve_backend
-from repro.fausim.packed_two_frame import PackedTwoFrameSimulator
+from repro.fausim.packed_two_frame import PackedTwoFrameResult, PackedTwoFrameSimulator
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
@@ -120,17 +124,17 @@ class DelayFaultSimulator:
                 on; a fault credited through a PPO must not disturb them.
         """
         required_ppo_values = dict(required_ppo_values or {})
+        pi_values = dict(pi_values)
+        ppi_initial = dict(ppi_initial)
         if self.metrics.enabled:
             self.metrics.inc("repro_tdsim_passes_total")
         values: Dict[str, DelayValue]
+        good: Optional[PackedTwoFrameResult] = None
         if self._packed is not None:
-            values = self._packed.simulate(
-                dict(pi_values), dict(ppi_initial), (None,)
-            ).values_for_pattern(0)
+            good = self._packed.simulate(pi_values, ppi_initial, (None,))
+            values = good.values_for_pattern(0)
         else:
-            good_state = self._implication.implicate(
-                dict(pi_values), dict(ppi_initial), fault=None
-            )
+            good_state = self._implication.implicate(pi_values, ppi_initial, fault=None)
             values = {}
             for signal, value_set in good_state.signal_sets.items():
                 if not is_singleton(value_set):
@@ -150,10 +154,15 @@ class DelayFaultSimulator:
         ]
 
         detections: Dict[GateDelayFault, SimulatedDetection] = {}
+        # One injection pass per analysed stem, shared by every observation
+        # point (and both phases) of this pattern.
+        stem_passes: Dict[str, object] = {}
 
         # Phase A: CPT from primary outputs (no invalidation check needed).
         for po in po_points:
-            for line in self._trace(po, values, dict(pi_values), dict(ppi_initial)):
+            for line in self._trace(
+                po, values, pi_values, ppi_initial, good, stem_passes
+            ):
                 fault = self._fault_for(line, values)
                 if fault is not None and fault not in detections:
                     detections[fault] = SimulatedDetection(fault, po, through_ppo=False)
@@ -166,14 +175,16 @@ class DelayFaultSimulator:
         candidates: List[Tuple[GateDelayFault, str]] = []
         seen: Set[Tuple[GateDelayFault, str]] = set()
         for ppo in ppo_points:
-            for line in self._trace(ppo, values, dict(pi_values), dict(ppi_initial)):
+            for line in self._trace(
+                ppo, values, pi_values, ppi_initial, good, stem_passes
+            ):
                 fault = self._fault_for(line, values)
                 if fault is None or fault in detections or (fault, ppo) in seen:
                     continue
                 seen.add((fault, ppo))
                 candidates.append((fault, ppo))
         confirmed = self._confirm_candidates(
-            candidates, dict(pi_values), dict(ppi_initial), required_ppo_values
+            candidates, pi_values, ppi_initial, required_ppo_values, good
         )
         for (fault, ppo), passed in zip(candidates, confirmed):
             if passed and fault not in detections:
@@ -190,6 +201,8 @@ class DelayFaultSimulator:
         values: Dict[str, DelayValue],
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
+        good: Optional[PackedTwoFrameResult],
+        stem_passes: Dict[str, object],
     ) -> List[Line]:
         """Collect the critical lines feeding one observation point."""
         critical: List[Line] = []
@@ -223,7 +236,12 @@ class DelayFaultSimulator:
                     # stem exactly by injection.
                     critical.append(Line(source, LineKind.BRANCH, gate.name, pin))
                     if source not in visited_stems and self._stem_detected(
-                        source, observation_point, pi_values, ppi_initial
+                        source,
+                        observation_point,
+                        pi_values,
+                        ppi_initial,
+                        good,
+                        stem_passes,
                     ):
                         pending.append(source)
                 else:
@@ -248,40 +266,42 @@ class DelayFaultSimulator:
         observation_point: str,
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
+        good: Optional[PackedTwoFrameResult],
+        stem_passes: Dict[str, object],
     ) -> bool:
         """Exact stem analysis by injection simulation.
 
-        The packed backend simulates both transition directions of the stem in
-        one fault-parallel pass; the reference backend runs two interpreted
-        passes.
+        The first analysis of a stem in a call injects both of its transition
+        directions — one event-driven pass on ``good`` for the packed
+        backend, two interpreted passes for the reference backend — and
+        keeps the result in ``stem_passes``; later observation points read
+        their verdict from it.
         """
-        if self.metrics.enabled:
-            self.metrics.inc("repro_tdsim_stem_analyses_total")
-        if self._packed is not None:
-            result = self._packed.simulate(
-                pi_values,
-                ppi_initial,
-                (
-                    GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_RISE),
-                    GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_FALL),
-                ),
+        result = stem_passes.get(stem)
+        if result is None:
+            if self.metrics.enabled:
+                self.metrics.inc("repro_tdsim_stem_analyses_total")
+            faults = (
+                GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_RISE),
+                GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_FALL),
             )
+            if self._packed is not None:
+                result = self._packed.simulate(
+                    pi_values, ppi_initial, faults, base=good
+                )
+            else:
+                result = [
+                    self._implication.implicate(pi_values, ppi_initial, fault=fault)
+                    for fault in faults
+                ]
+            stem_passes[stem] = result
+        if self._packed is not None:
             return result.fault_effect_mask(observation_point) != 0
-        state = self._implication.implicate(
-            pi_values,
-            ppi_initial,
-            fault=GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_RISE),
-        )
-        observed = state.signal_sets.get(observation_point, 0)
-        if is_singleton(observed) and has_fault_value(observed):
-            return True
-        state = self._implication.implicate(
-            pi_values,
-            ppi_initial,
-            fault=GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_FALL),
-        )
-        observed = state.signal_sets.get(observation_point, 0)
-        return is_singleton(observed) and has_fault_value(observed)
+        for state in result:
+            observed = state.signal_sets.get(observation_point, 0)
+            if is_singleton(observed) and has_fault_value(observed):
+                return True
+        return False
 
     @staticmethod
     def _fault_for(line: Line, values: Dict[str, DelayValue]) -> Optional[GateDelayFault]:
@@ -302,11 +322,12 @@ class DelayFaultSimulator:
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
         required_ppo_values: Dict[str, int],
+        good: Optional[PackedTwoFrameResult],
     ) -> List[bool]:
         """Run the injection + invalidation check for every (fault, PPO) pair.
 
-        With the packed backend all injections share a single simulation
-        pass; the reference backend checks one candidate at a
+        With the packed backend all injections share a single event-driven
+        pass on ``good``; the reference backend checks one candidate at a
         time.  Both return one verdict per candidate, in order.
         """
         if not candidates:
@@ -323,7 +344,7 @@ class DelayFaultSimulator:
         verdicts: List[bool] = []
         slot_of = self._packed.compiled.slot_of
         result = self._packed.simulate(
-            pi_values, ppi_initial, [fault for fault, _ in candidates]
+            pi_values, ppi_initial, [fault for fault, _ in candidates], base=good
         )
         for pattern, (fault, ppo) in enumerate(candidates):
             passed = bool(result.fault_effect_mask(ppo) & (1 << pattern))

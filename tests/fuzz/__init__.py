@@ -1,9 +1,10 @@
 """Cross-backend differential fuzzing.
 
 The compiled ``packed`` backend must agree *bit for bit* with the
-``reference`` oracle at all four dispatch layers of the code base: good-machine simulation (:mod:`repro.fausim.backends`), forward
+``reference`` oracle at all five layers of the code base: good-machine simulation (:mod:`repro.fausim.backends`), forward
 implication (:mod:`repro.tdgen.implication`), compiled search kernels
-(:mod:`repro.tdgen.search`) and fault grading (:mod:`repro.core.verify`).
+(:mod:`repro.tdgen.search`), fault grading (:mod:`repro.core.verify`) and
+TDsim fault simulation (:mod:`repro.tdsim.cpt`).
 
 :mod:`tests.fuzz.harness` generates seeded random cases (circuit, fault
 site, vector sequences, partial assignments), checks the agreement across

@@ -6,10 +6,10 @@ rebuilds it through the public :class:`~repro.circuit.builder.CircuitBuilder`
 API), a random fault site, a batch of random three-valued vector sequences,
 and random partial assignments for the search-side layers.
 
-:func:`check_case` replays the case through **all four dispatch layers** —
+:func:`check_case` replays the case through **all five layers** —
 simulation (scalar clocking *and* the batched plane path), implication,
-search kernels and grading — once per registered backend, and returns every
-disagreement with the reference oracle.  :func:`shrink_case` greedily
+search kernels, grading and TDsim fault simulation — once per registered
+backend, and returns every disagreement with the reference oracle.  :func:`shrink_case` greedily
 minimises a failing case (drop sequences/frames/outputs/dead gates, X out
 assignments) while it keeps failing, and :func:`persist_case` writes the
 minimised case to ``tests/fuzz/corpus/`` so the regression replays forever.
@@ -28,6 +28,7 @@ import random
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.algebra.sets import single_value
 from repro.algebra.values import PI_VALUES, DelayValue
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
@@ -40,6 +41,8 @@ from repro.fausim.backends import available_backends, create_simulator
 from repro.fausim.logic_sim import simulate_sequence
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
+from repro.tdgen.simulation import simulate_two_frame
+from repro.tdsim.cpt import DelayFaultSimulator
 
 #: Where minimised failing cases are persisted; every file in here is
 #: replayed as a deterministic tier-1 regression by ``test_corpus.py``.
@@ -155,7 +158,7 @@ class CircuitSpec:
 # --------------------------------------------------------------------------- #
 @dataclasses.dataclass
 class FuzzCase:
-    """One serialisable differential check across all four dispatch layers.
+    """One serialisable differential check across all five layers.
 
     Attributes:
         seed: generation seed (kept for reproduction messages).
@@ -476,13 +479,74 @@ def _check_grading(case: FuzzCase, circuit: Circuit, failures: List[str]) -> Non
             )
 
 
+def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
+    """Layer 5: TDsim detections and their order, per backend.
+
+    The pattern is the case's implication-layer assignment with every
+    unassigned PI and PPI filled in.  The fill-ins, the observable PPOs and
+    the required PPO values (the good machine's captured value, sometimes
+    flipped so the invalidation check rejects) come from an RNG of their
+    own, so the other layers' inputs, every seed and every corpus file stay
+    as they were.
+    """
+    rng = random.Random(f"tdsim:{case.seed}")
+    pi_values: Dict[str, DelayValue] = {}
+    for pi in circuit.primary_inputs:
+        drawn = rng.choice(PI_VALUES)
+        name = case.pi_assignment.get(pi)
+        pi_values[pi] = _VALUE_OF_NAME[name] if name is not None else drawn
+    ppi_initial: Dict[str, int] = {}
+    for ppi in circuit.pseudo_primary_inputs:
+        drawn = rng.randint(0, 1)
+        value = case.ppi_initial.get(ppi)
+        ppi_initial[ppi] = value if value is not None else drawn
+    good = simulate_two_frame(
+        TDgenContext(circuit), pi_values, ppi_initial, robust=case.robust
+    )
+    observable_ppos: List[str] = []
+    required_ppo_values: Dict[str, int] = {}
+    for ppo in circuit.pseudo_primary_outputs:
+        observable = rng.random() < 0.7
+        required = rng.random() < 0.6
+        flip = rng.random() < 0.15
+        if observable:
+            observable_ppos.append(ppo)
+        if required:
+            final = single_value(good.signal_sets[ppo]).final
+            required_ppo_values[ppo] = final ^ flip
+
+    def detections(backend: str):
+        simulator = DelayFaultSimulator(circuit, robust=case.robust, backend=backend)
+        return [
+            (detection.fault, detection.observation_point, detection.through_ppo)
+            for detection in simulator.simulate(
+                pi_values,
+                ppi_initial,
+                observable_ppos=observable_ppos,
+                required_ppo_values=required_ppo_values,
+            )
+        ]
+
+    want = detections("reference")
+    for backend in available_backends():
+        if backend == "reference":
+            continue
+        got = detections(backend)
+        if got != want:
+            failures.append(
+                f"tdsim[{backend}]: detections differ "
+                f"({len(got)} vs {len(want)} reference)"
+            )
+
+
 def check_case(case: FuzzCase) -> List[str]:
-    """Replay ``case`` through all four layers; returns every disagreement."""
+    """Replay ``case`` through all five layers; returns every disagreement."""
     failures: List[str] = []
     circuit = case.circuit.build()
     _check_simulation(case, circuit, failures)
     _check_implication_and_kernels(case, circuit, failures)
     _check_grading(case, circuit, failures)
+    _check_tdsim(case, circuit, failures)
     return failures
 
 

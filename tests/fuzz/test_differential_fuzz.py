@@ -1,8 +1,8 @@
 """The seeded differential fuzz loop over all registered backends.
 
 Each seed deterministically generates one :class:`tests.fuzz.harness.FuzzCase`
-and replays it through all four dispatch layers (simulation, implication,
-search kernels, grading) under every registered backend, asserting bit-exact
+and replays it through all five layers (simulation, implication, search
+kernels, grading, TDsim) under every registered backend, asserting bit-exact
 agreement with the reference oracle.
 
 The default budget keeps the suite inside tier-1 time; the CI cron job (and
@@ -26,7 +26,7 @@ FUZZ_BUDGET = int(os.environ.get("REPRO_FUZZ_CASES", "40"))
 
 @pytest.mark.parametrize("seed", range(FUZZ_BUDGET))
 def test_backends_agree_on_fuzzed_case(seed):
-    """All four dispatch layers agree across backends on one fuzzed case."""
+    """All five layers agree across backends on one fuzzed case."""
     case = generate_case(seed)
     failures = check_case(case)
     if failures:
