@@ -740,13 +740,12 @@ class SequentialDelayATPG:
     def _simulate_sequence(self, sequence: TestSequence) -> List[GateDelayFault]:
         """FAUSIM + TDsim: every additional fault the sequence detects."""
         return simulate_sequence_detections(
-            self.circuit, self.context, self.fault_simulator, sequence, self.backend
+            self.circuit, self.fault_simulator, sequence, self.backend
         )
 
 
 def simulate_sequence_detections(
     circuit: Circuit,
-    context: TDgenContext,
     fault_simulator: DelayFaultSimulator,
     sequence: TestSequence,
     backend: Optional[str] = None,
@@ -754,7 +753,8 @@ def simulate_sequence_detections(
     """FAUSIM + TDsim detection pass for one fully specified test sequence.
 
     The exact eight-valued crediting rule of the deterministic flow: the
-    good-machine state after the fast frame feeds the propagation-phase
+    good-machine state after the fast frame (from TDsim's own good-machine
+    pass, computed once per call) feeds the propagation-phase
     observability analysis (FAUSIM), and the delay fault simulator (TDsim,
     critical path tracing) returns every fault the sequence robustly detects
     at a primary output or through an observable pseudo primary output.  The
@@ -764,9 +764,10 @@ def simulate_sequence_detections(
     (:mod:`repro.core.prefilter`), so both phases credit detections under the
     same rule.
     """
-    state = simulate_state_after_fast(
-        context, sequence.pi_pair_values, sequence.ppi_initial_values
+    good = fault_simulator.good_machine(
+        sequence.pi_pair_values, sequence.ppi_initial_values
     )
+    state = good.latched_state(circuit)
     observability = {}
     if sequence.propagation_vectors:
         fausim = PropagationFaultSimulator(
@@ -791,6 +792,7 @@ def simulate_sequence_detections(
         sequence.ppi_initial_values,
         observable_ppos=observable_ppos,
         required_ppo_values=required_ppo_values,
+        good=good,
     )
     return [detection.fault for detection in detections]
 
@@ -865,18 +867,3 @@ def run_campaign_loop(
             campaign.record(result, credit_fault_result(result, fault_list))
     campaign.finalize(fault_list.counts(), time.perf_counter() - started)
     return campaign
-
-
-def simulate_state_after_fast(
-    context: TDgenContext,
-    pi_pair_values: Dict[str, DelayValue],
-    ppi_initial_values: Dict[str, int],
-) -> SignalValues:
-    """Good-machine state latched at the end of the fast frame."""
-    from repro.tdgen.simulation import good_machine_values
-
-    values = good_machine_values(context, pi_pair_values, ppi_initial_values)
-    state: SignalValues = {}
-    for dff in context.circuit.flip_flops:
-        state[dff.name] = values[dff.fanin[0]].final
-    return state

@@ -301,7 +301,7 @@ class RandomPrefixEngine:
             return [], 0
         confirmed = set(
             simulate_sequence_detections(
-                self.circuit, self.context, self.fault_simulator, sequence, self.backend
+                self.circuit, self.fault_simulator, sequence, self.backend
             )
         )
         credited = [fault for fault in candidates if fault in confirmed]

@@ -1,10 +1,14 @@
 """Tiered straight-line kernels for the whole-program passes of a circuit.
 
 Two passes walk the entire gate program of a
-:class:`~repro.fausim.compile.CompiledCircuit` thousands of times per
-campaign: the full-program call of
+:class:`~repro.fausim.compile.CompiledCircuit` many times per campaign: the
+full-program call of
 :meth:`~repro.fausim.packed_sim.PackedLogicSimulator.evaluate_planes`, and
-the pair analysis of each SEMILET candidate batch (:func:`pair_analysis`).
+the pair analysis of each SEMILET frame search's root batch
+(:func:`pair_analysis`).  A SEMILET decision batch runs neither: it is one
+event-driven, interpreted pass from its parent candidate
+(:func:`pair_wavefront`), which evaluates only the gates the decision
+reaches.
 Interpreting the flat opcode table costs an opcode dispatch per gate and a
 loop per pin.  Generated Python source, in which every gate is a few bitwise
 operations on local variables, removes both.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.fausim.compile import (
     OP_AND,
@@ -80,6 +84,73 @@ class PairAnalysis:
     potential: List[int]
     provable: List[int]
     frontier: List[Tuple[int, int]]
+
+
+#: The plane bits of a pair code (see :class:`PairColumns`); 0 is X/X.
+PAIR_PLANES = 0b001111
+#: The potential-difference bit of a pair code.
+PAIR_POTENTIAL = 0b010000
+#: The provable-difference bit of a pair code.
+PAIR_PROVABLE = 0b100000
+
+
+class PairColumns(NamedTuple):
+    """One candidate of a pair-frame batch: one pair code per signal slot.
+
+    A pair code holds all the search reads of one slot in six bits: bits 0
+    and 1 are the good and faulty machine's zero-plane bits, bits 2 and 3
+    their one-plane bits, bit 4 the potential and bit 5 the provable
+    difference of :class:`PairAnalysis`.  A candidate's columns are the base
+    of the event-driven pass of its child decision (:func:`pair_wavefront`).
+
+    Attributes:
+        codes: the pair code of every slot.
+        frontier: the gate indices of the candidate's D-frontier, in
+            gate-program order.
+    """
+
+    codes: List[int]
+    frontier: List[int]
+
+
+class PairWave(NamedTuple):
+    """What one event-driven pair pass wrote (see :func:`pair_wavefront`).
+
+    A *pair word* holds one slot of a batch ``W`` pattern slots wide: the
+    zero plane in bits ``0..W-1``, the one plane in bits ``W..2W-1``, and
+    from bit ``2W`` on, candidate ``i``'s potential bit at ``2W + 2i`` and
+    its provable bit at ``2W + 2i + 1``.
+
+    Attributes:
+        words: the pair word of every slot the pass wrote or read; ``None``
+            for a slot it did not reach, which keeps the base candidate's
+            code (a slot it only read holds that code's broadcast).
+        written: the written slots: the loaded source, then each evaluated
+            gate's output in gate-program order.
+        frontier: ``(gate index, mask)`` of the batch's D-frontier, as in
+            :class:`PairAnalysis`.
+    """
+
+    words: List[Optional[int]]
+    written: List[int]
+    frontier: List[Tuple[int, int]]
+
+
+#: Width -> the pair word of each pair code broadcast to every candidate.
+_PAIR_BROADCASTS: Dict[int, List[int]] = {}
+
+
+def pair_broadcast(width: int) -> List[int]:
+    """The pair word of each of the 64 pair codes, in every candidate of a batch."""
+    table = _PAIR_BROADCASTS.get(width)
+    if table is None:
+        good = ((1 << width) - 1) // 3
+        table = [
+            ((code & 3) | ((code & 12) << (width - 2)) | ((code >> 4) << 2 * width)) * good
+            for code in range(64)
+        ]
+        _PAIR_BROADCASTS[width] = table
+    return table
 
 
 class CircuitKernels:
@@ -158,21 +229,152 @@ def pair_analysis(
     provable = [0] * compiled.num_signals
     frontier: List[Tuple[int, int]] = []
     for slot in compiled.ppi_slots:
-        held = one[slot]
-        defined = zero[slot] | held
-        defined_good = defined & good
-        defined_faulty = (defined >> 1) & good
-        differs = defined_good & defined_faulty & (held ^ (held >> 1))
-        provable[slot] = differs
-        # A binary/X mix could differ; an X/X pair is the same unknown in
-        # both machines, never a difference source.
-        potential[slot] = differs | (defined_good ^ defined_faulty)
+        potential[slot], provable[slot] = _ppi_columns(zero[slot], one[slot], good)
     kernel = kernels_for(compiled).select("pair_analysis", metrics)
     if kernel is None:
         _pair_gates_cold(compiled, zero, one, good, potential, provable, frontier)
     else:
         kernel(zero, one, good, potential, provable, frontier)
     return PairAnalysis(potential=potential, provable=provable, frontier=frontier)
+
+
+def _ppi_columns(held_zero: int, held: int, good: int) -> Tuple[int, int]:
+    """Potential and provable masks of a pseudo primary input's pair planes."""
+    defined = held_zero | held
+    defined_good = defined & good
+    defined_faulty = (defined >> 1) & good
+    differs = defined_good & defined_faulty & (held ^ (held >> 1))
+    # A binary/X mix could differ; an X/X pair is the same unknown in both
+    # machines, never a difference source.
+    return differs | (defined_good ^ defined_faulty), differs
+
+
+def pair_wavefront(
+    compiled: CompiledCircuit,
+    base: PairColumns,
+    slot: int,
+    held_zero: int,
+    held: int,
+    width: int,
+    metrics,
+) -> PairWave:
+    """Evaluate a pair-frame batch event-driven from one parent candidate.
+
+    The batch differs from the parent candidate ``base`` in one source slot,
+    whose planes the caller loaded (``held_zero``/``held``, ``width`` pattern
+    slots).  Every other slot reads as the parent's pair code broadcast to
+    each candidate (:func:`pair_broadcast`).  A gate is evaluated -- planes,
+    potential and provable bits in one step, exactly as a full
+    ``evaluate_planes`` pass plus :func:`pair_analysis` compute them -- only
+    when a fanin's pair word left that broadcast, so the wavefront stops
+    where planes and both difference bits converge.  A PI's difference bits
+    are 0; a PPI's follow from its planes.  The D-frontier is the parent's
+    entries for the gates not evaluated, merged in program order with the
+    evaluated gates' entries.
+
+    The counter ``repro_sim_gate_words_total`` counts only the evaluated
+    gates.  This loop is interpreted; full passes run :func:`pair_analysis`.
+    """
+    mask = (1 << width) - 1
+    good = mask // 3
+    shift = 2 * width
+    table = pair_broadcast(width)
+    codes = base.codes
+    fanout = compiled.fanout
+    offsets = compiled.fanin_offsets
+    fanin_flat = compiled.fanin_flat
+    outputs = compiled.outputs
+    ops = compiled.ops
+    word = held_zero | (held << width)
+    if slot >= len(compiled.pi_slots):
+        potential, provable = _ppi_columns(held_zero, held, good)
+        word |= (potential | (provable << 1)) << shift
+    words: List[Optional[int]] = [None] * compiled.num_signals
+    words[slot] = word
+    written = [slot]
+    pending = bytearray(compiled.num_gates)
+    if word != table[codes[slot]]:
+        for gate in fanout[slot]:
+            pending[gate] = 1
+    frontier: List[Tuple[int, int]] = []
+    find = pending.find
+    append = written.append
+    index = find(1)
+    while index >= 0:
+        start = offsets[index]
+        end = offsets[index + 1]
+        op = ops[index]
+        # AND-fold and OR-fold of the fanin words: the planes of every
+        # gate type but XOR/XNOR, and (OR) the fanins' difference bits.
+        fold_and = -1
+        fold_or = 0
+        if op <= OP_NOR:  # AND / NAND / OR / NOR
+            for source in fanin_flat[start:end]:
+                word = words[source]
+                if word is None:
+                    word = words[source] = table[codes[source]]
+                fold_and &= word
+                fold_or |= word
+            if op <= OP_NAND:
+                held = (fold_and >> width) & mask
+                held_zero = fold_or & mask
+            else:
+                held = (fold_or >> width) & mask
+                held_zero = fold_and & mask
+            if op == OP_NAND or op == OP_NOR:
+                held_zero, held = held, held_zero
+        elif op == OP_NOT or op == OP_BUF:
+            source = fanin_flat[start]
+            word = words[source]
+            if word is None:
+                word = words[source] = table[codes[source]]
+            fold_or = word
+            held_zero = word & mask
+            held = (word >> width) & mask
+            if op == OP_NOT:
+                held_zero, held = held, held_zero
+        else:  # XOR / XNOR: parity of the 1-planes where every input is known
+            parity = 0
+            known = mask
+            for source in fanin_flat[start:end]:
+                word = words[source]
+                if word is None:
+                    word = words[source] = table[codes[source]]
+                fold_or |= word
+                parity ^= word
+                known &= word | (word >> width)
+            parity >>= width
+            held = parity & known
+            held_zero = ~parity & known & mask
+            if op == OP_XNOR:
+                held_zero, held = held, held_zero
+        # The pair analysis of the gate (the cold loop below, per gate).
+        reach = (fold_or >> shift) & good
+        differs = 0
+        if reach:
+            defined = held_zero | held
+            known = defined & (defined >> 1) & good  # binary in both machines
+            differs = known & (held ^ (held >> 1))
+            feed = (fold_or >> (shift + 1)) & good & ~known
+            reach = differs | (reach & ~known)
+            if feed:
+                frontier.append((index, feed))
+        out = outputs[index]
+        word = held_zero | (held << width) | ((reach | (differs << 1)) << shift)
+        words[out] = word
+        append(out)
+        if word != table[codes[out]]:
+            for gate in fanout[out]:
+                pending[gate] = 1
+        index = find(1, index + 1)
+    if metrics.enabled and len(written) > 1:
+        metrics.inc("repro_sim_gate_words_total", (len(written) - 1) * ((width + 63) // 64))
+    # The parent's frontier gates the pass did not evaluate stay on every
+    # candidate's frontier.
+    kept = [(gate, good) for gate in base.frontier if not pending[gate]]
+    if kept:
+        frontier = sorted(kept + frontier) if frontier else kept
+    return PairWave(words=words, written=written, frontier=frontier)
 
 
 def _pair_gates_cold(compiled, zero, one, good, potential, provable, frontier) -> None:

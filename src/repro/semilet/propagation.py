@@ -16,16 +16,18 @@ stop other than success; across frames it backtracks over the alternative
 pseudo primary outputs the difference was parked in.
 
 The pair simulation itself goes through the backend-dispatched implication
-engine (:mod:`repro.tdgen.implication`): when a frame decision is opened,
-both alternatives are submitted as one candidate batch, which the packed
-engine evaluates in a single word-parallel pass over the compiled netlist
-(good and faulty machine in adjacent pattern slots).  The per-decision search
-residue — classifying a frame against its goal's observation points (the
-X-path check) and the D-frontier decision backtrace — goes through the
-engine's search kernels (:mod:`repro.tdgen.search`), so the ``backend``
-choice also selects between the interpreted per-name walks (``reference``)
-and one word-parallel analysis pass per candidate batch over the packed
-planes (``packed``).
+engine (:mod:`repro.tdgen.implication`).  The root of a frame search (the
+empty assignment) is simulated once per frame and shared by all of its
+goals.  When a frame decision is opened, both alternatives are submitted as
+one candidate batch together with the current view; the packed engine
+evaluates it in one word-parallel, event-driven pass (good and faulty
+machine in adjacent pattern slots) that visits only the gates the decision
+variable reaches.  The per-decision search residue — classifying a frame
+against its goal's observation points (the X-path check) and the D-frontier
+decision backtrace — goes through the engine's search kernels
+(:mod:`repro.tdgen.search`), so the ``backend`` choice also selects between
+the interpreted per-name walks (``reference``) and reads of one candidate's
+packed pair codes (``packed``).
 """
 
 from __future__ import annotations
@@ -176,10 +178,19 @@ class PropagationEngine:
             return None
 
         first_frame_assignable = assignable if depth == 0 else set()
+        # Every goal of this frame starts from the same empty assignment, so
+        # one pair simulation of it is the root of each frame search.
+        root = self._implication.pair_frame_candidates(
+            {pi: None for pi in self.circuit.primary_inputs},
+            good_state, faulty_state,
+            {ppi: None for ppi in first_frame_assignable}, (None,),
+        )
+        if self.metrics.enabled:
+            self.metrics.inc("repro_implication_sweeps_total", site="propagation")
 
         # Goal 1: observe the difference at a primary output in this frame.
         solution = self._solve_frame(
-            good_state, faulty_state, goal="po", blocked_targets=set(),
+            root, good_state, faulty_state, goal="po", blocked_targets=set(),
             assignable=first_frame_assignable,
         )
         if solution is not None:
@@ -189,7 +200,7 @@ class PropagationEngine:
         blocked: Set[str] = set()
         for _ in range(FRAME_ALTERNATIVES):
             solution = self._solve_frame(
-                good_state, faulty_state, goal="ppo", blocked_targets=blocked,
+                root, good_state, faulty_state, goal="ppo", blocked_targets=blocked,
                 assignable=first_frame_assignable,
             )
             if solution is None:
@@ -219,6 +230,7 @@ class PropagationEngine:
     # ------------------------------------------------------------------ #
     def _solve_frame(
         self,
+        root: CandidatePairFrames,
         good_state: SignalValues,
         faulty_state: SignalValues,
         goal: str,
@@ -245,23 +257,22 @@ class PropagationEngine:
             )
 
         def imply(frames: CandidatePairFrames, cursor: int, assignment, name, values):
-            # Evaluate both values of the new decision in one batch.
+            # Evaluate both values of the new decision in one batch, from
+            # the current view (the packed engine only re-evaluates what the
+            # variable reaches).
             is_pi = assignment is pi_values
             batch = self._implication.pair_frame_candidates(
                 pi_values, good_state, faulty_state, free_ppi_values,
                 [(name, is_pi, value) for value in values],
+                base=(frames, cursor),
             )
             if self.metrics.enabled:
                 self.metrics.inc("repro_implication_sweeps_total", site="propagation")
             return batch
 
-        # Pair simulation of the empty assignment; later frames come from the
-        # decision nodes' candidate batches (one engine sweep per node).
-        root = self._implication.pair_frame_candidates(
-            pi_values, good_state, faulty_state, free_ppi_values, (None,)
-        )
-        if self.metrics.enabled:
-            self.metrics.inc("repro_implication_sweeps_total", site="propagation")
+        # ``root`` is the pair simulation of the empty assignment; later
+        # frames come from the decision nodes' candidate batches (one engine
+        # sweep per node).
         outcome = decision_search(
             root, classify, decide, imply, self.backtrack_limit, deadline=self._deadline
         )

@@ -53,7 +53,6 @@ from repro.fausim.compile import NetlistDelta, compile_circuit, diff_compiled
 from repro.obs.metrics import resolve_metrics
 from repro.orchestrate.journal import record_result
 from repro.store.store import CampaignStore
-from repro.tdgen.context import TDgenContext
 from repro.tdsim.cpt import DelayFaultSimulator
 
 
@@ -238,9 +237,8 @@ def plan_reuse(
     residue_gross_covered = regrade_residue(circuit, stored, kept_order, residue, backend)
 
     registry = resolve_metrics(metrics)
-    context = TDgenContext(circuit)
     fault_simulator = DelayFaultSimulator(
-        circuit, robust=config.robust, context=context, metrics=registry, backend=backend
+        circuit, robust=config.robust, metrics=registry, backend=backend
     )
     records: Dict[int, Dict[str, object]] = {}
     for index, fault in enumerate(universe):
@@ -255,7 +253,7 @@ def plan_reuse(
             # match the from-scratch run by construction.
             with registry.timed("repro_phase_seconds", phase="tdsim"):
                 detections = simulate_sequence_detections(
-                    circuit, context, fault_simulator, result.sequence, backend
+                    circuit, fault_simulator, result.sequence, backend
                 )
             record["detections"] = [detection.to_json() for detection in detections]
         records[index] = record

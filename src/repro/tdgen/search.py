@@ -34,9 +34,10 @@ objective scan works on a state's extracted slot column, the backtraces are
 iterative worklists over the flat fanin arrays with memoised
 observability-distance weights (frontier ranking) and the memoised backward
 implication of :mod:`repro.algebra.sets` as the controllability store, and
-the pair-frame queries read the one analysis pass of their candidate batch
-(:func:`repro.fausim.kernels.pair_analysis`: potential, provable-difference
-and D-frontier columns of every frame pair of the batch at once).
+the pair-frame queries read one candidate's pair codes
+(:class:`repro.fausim.kernels.PairColumns`: both machines' planes plus the
+potential- and provable-difference bits per slot, and the candidate's
+D-frontier gates).
 
 Both implementations are **bit-identical by contract** — same frontier
 order, same pin order, same value preferences — so one ``--backend`` choice
@@ -76,6 +77,7 @@ from repro.circuit.levelize import combinational_order
 from repro.circuit.netlist import LineKind
 from repro.faults.model import GateDelayFault
 from repro.fausim.compile import _OPCODES, OP_BUF, OP_NOT
+from repro.fausim.kernels import PAIR_PLANES, PAIR_POTENTIAL, PAIR_PROVABLE
 from repro.tdgen.simulation import (
     FAULT_MASK,
     TwoFrameState,
@@ -641,30 +643,28 @@ class ReferenceSearchKernels(SearchKernels):
 # packed kernels — compiled walks over flat arrays and packed planes
 # --------------------------------------------------------------------------- #
 class _PotentialView:
-    """Read-only name-keyed view of a packed potential-difference column.
+    """Read-only name-keyed view of one candidate's potential-difference bits.
 
-    Bit ``2 * index`` of ``planes[slot]`` carries candidate ``index``'s
-    potential for the signal in that slot (the good-machine bit position of
-    the pair encoding, so the column aligns with the pair planes it was
-    computed from).
+    ``codes[slot]`` is the candidate's pair code for the signal in that slot
+    (:class:`repro.fausim.kernels.PairColumns`); the view reads its
+    potential bit.
     """
 
-    __slots__ = ("_planes", "_slot_of", "_bit")
+    __slots__ = ("_codes", "_slot_of")
 
-    def __init__(self, planes: Sequence[int], slot_of: Mapping[str, int], index: int) -> None:
-        self._planes = planes
+    def __init__(self, codes: Sequence[int], slot_of: Mapping[str, int]) -> None:
+        self._codes = codes
         self._slot_of = slot_of
-        self._bit = 1 << (2 * index)
 
     def __getitem__(self, name: str) -> bool:
-        return bool(self._planes[self._slot_of[name]] & self._bit)
+        return bool(self._codes[self._slot_of[name]] & PAIR_POTENTIAL)
 
     def get(self, name: str, default: Optional[bool] = None) -> Optional[bool]:
         """Mapping-style read; ``default`` for signals outside the circuit."""
         slot = self._slot_of.get(name)
         if slot is None:
             return default
-        return bool(self._planes[slot] & self._bit)
+        return bool(self._codes[slot] & PAIR_POTENTIAL)
 
     def __contains__(self, name: str) -> bool:
         return name in self._slot_of
@@ -677,8 +677,9 @@ class PackedSearchKernels(SearchKernels):
     objective scan reads a packed state's extracted slot column (cached on
     the state, shared with the incremental implication sweeps), the
     backtraces walk ``fanin_flat`` with memoised observability-distance
-    ranks, and the pair-frame queries read the batch's pair analysis
-    (computed bit-parallel in one pass and cached on the batch).  Every
+    ranks, and the pair-frame queries read one candidate's pair codes
+    (:meth:`~repro.tdgen.implication._PackedPairFrames.columns`, O(1) per
+    slot on full and event-driven batches alike).  Every
     result is bit-identical to :class:`ReferenceSearchKernels` — same
     frontier order, same pin preferences — which the differential suite
     enforces.  The kernels read only the states and frames of their own
@@ -879,8 +880,8 @@ class PackedSearchKernels(SearchKernels):
 
     # -- SEMILET propagation --------------------------------------------- #
     def potential_difference(self, frames, index):
-        """The potential column of the batch's pair analysis."""
-        return _PotentialView(frames.pair_analysis().potential, self.compiled.slot_of, index)
+        """The candidate's potential column of the batch's pair analysis."""
+        return _PotentialView(frames.columns(index).codes, self.compiled.slot_of)
 
     def pair_frame_targets(self, goal, blocked_targets):
         """Target slots: the PO slots, or the PPO data slots left unblocked."""
@@ -891,41 +892,33 @@ class PackedSearchKernels(SearchKernels):
         )
 
     def classify_pair_frame(self, frames, index, targets):
-        """OR of the provable, then the potential column over the target slots."""
-        analysis = frames.pair_analysis()
-        bit = 1 << (2 * index)
-        provable = analysis.provable
+        """The provable, then the potential bit of the target slots."""
+        codes = frames.columns(index).codes
         for slot in targets:
-            if provable[slot] & bit:
+            if codes[slot] & PAIR_PROVABLE:
                 return "success"
-        potential = analysis.potential
         for slot in targets:
-            if potential[slot] & bit:
+            if codes[slot] & PAIR_POTENTIAL:
                 return "continue"
         return "conflict"
 
     def pair_frame_decision(self, frames, index, pi_values, free_ppi_values):
         """Backtrace from the candidate's D-frontier gates of the pair analysis."""
-        planes = frames.packed_planes()
-        zero = planes.zero
-        one = planes.one
-        good_bit = 1 << (2 * index)
-        both_bits = good_bit | (good_bit << 1)
+        columns = frames.columns(index)
+        codes = columns.codes
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat
 
-        for gate_index, mask in frames.pair_analysis().frontier:
-            if not mask & good_bit:
-                continue
+        for gate_index in columns.frontier:
             ctrl = self._controlling[gate_index]
             non_ctrl = 1 - ctrl if ctrl is not None else 1
             for position in range(offsets[gate_index], offsets[gate_index + 1]):
                 slot = fanin_flat[position]
-                if (zero[slot] | one[slot]) & both_bits:
+                if codes[slot] & PAIR_PLANES:
                     continue  # not an X/X pair
                 traced = self._pair_backtrace(
-                    slot, non_ctrl, zero, one, both_bits, pi_values, free_ppi_values
+                    slot, non_ctrl, codes, pi_values, free_ppi_values
                 )
                 if traced is not None:
                     return traced
@@ -942,9 +935,7 @@ class PackedSearchKernels(SearchKernels):
         self,
         slot: int,
         target: int,
-        zero: Sequence[int],
-        one: Sequence[int],
-        both_bits: int,
+        codes: Sequence[int],
         pi_values: Mapping[str, Optional[int]],
         free_ppi_values: Mapping[str, Optional[int]],
     ) -> Optional[Tuple[str, bool, int]]:
@@ -979,7 +970,7 @@ class PackedSearchKernels(SearchKernels):
             first_x = -1
             for position in range(start, end):
                 source = fanin_flat[position]
-                if not ((zero[source] | one[source]) & both_bits):
+                if not codes[source] & PAIR_PLANES:
                     first_x = source
                     break
             if first_x < 0:

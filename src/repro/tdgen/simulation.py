@@ -286,8 +286,10 @@ def good_machine_values(
     """Fully-specified fault-free two-frame simulation.
 
     All primary inputs and all pseudo primary input initial values must be
-    assigned; the result maps every signal to its single algebra value.  Used
-    by the delay fault simulator (TDsim) and by the flow's final validation.
+    assigned; the result maps every signal to its single algebra value.  The
+    program itself takes the good machine from TDsim
+    (:meth:`repro.tdsim.cpt.DelayFaultSimulator.good_machine`); this
+    interpreted form is the oracle the tests compare it against.
     """
     state = simulate_two_frame(context, pi_values, ppi_initial, fault=None, robust=robust)
     values: Dict[str, DelayValue] = {}

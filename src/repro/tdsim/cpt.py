@@ -25,7 +25,10 @@ pattern serves as the base of every other pass of that
 directions in one pass) and the PPO confirmation pass (all candidates in
 one) are event-driven and evaluate only the gates their fault effects
 reach.  Each stem is analysed once per call; every observation point that
-reaches it reads its verdict from the same pass.  The remaining
+reaches it reads its verdict from the same pass.  A caller that needs the
+good machine first (the crediting step of the flow reads the state latched
+after the fast frame from it) computes it with
+:meth:`DelayFaultSimulator.good_machine` and hands it to ``simulate``.  The remaining
 single-injection simulations (and the whole ``backend="reference"`` oracle
 path of the differential test-suite) route through the shared implication
 engine (:mod:`repro.tdgen.implication`) instead of calling the interpreter
@@ -35,7 +38,7 @@ directly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algebra.tables import evaluate_delay_gate
 from repro.algebra.values import DelayValue, F, R
@@ -47,6 +50,25 @@ from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
 from repro.algebra.sets import has_fault_value, is_singleton, single_value
+
+
+@dataclasses.dataclass
+class GoodMachine:
+    """The fault-free two-frame pass of one fully specified pattern.
+
+    Attributes:
+        values: the good-machine algebra value of every signal.
+        packed: the width-1 packed pass (the base of every event-driven
+            pass of a :meth:`DelayFaultSimulator.simulate` call), or ``None``
+            on the reference backend.
+    """
+
+    values: Dict[str, DelayValue]
+    packed: Optional[PackedTwoFrameResult] = None
+
+    def latched_state(self, circuit: Circuit) -> Dict[str, Optional[int]]:
+        """The state latched at the end of the fast frame (PPO final values)."""
+        return {dff.name: self.values[dff.fanin[0]].final for dff in circuit.flip_flops}
 
 
 @dataclasses.dataclass
@@ -104,12 +126,36 @@ class DelayFaultSimulator:
             self._packed.metrics = self.metrics
 
     # ------------------------------------------------------------------ #
+    def good_machine(
+        self, pi_values: Mapping[str, DelayValue], ppi_initial: Mapping[str, int]
+    ) -> GoodMachine:
+        """The fault-free pass of one fully specified pattern.
+
+        The packed backend runs one width-1 two-frame pass; the reference
+        backend implies the pattern with its implication engine.  Pass the
+        result to :meth:`simulate` as ``good`` to reuse it.
+        """
+        if self._packed is not None:
+            packed = self._packed.simulate(dict(pi_values), dict(ppi_initial), (None,))
+            return GoodMachine(packed.values_for_pattern(0), packed)
+        good_state = self._implication.implicate(pi_values, ppi_initial, fault=None)
+        values: Dict[str, DelayValue] = {}
+        for signal, value_set in good_state.signal_sets.items():
+            if not is_singleton(value_set):
+                raise ValueError(
+                    "fault simulation needs a fully specified pattern; "
+                    f"signal {signal!r} is not determined"
+                )
+            values[signal] = single_value(value_set)
+        return GoodMachine(values)
+
     def simulate(
         self,
         pi_values: Mapping[str, DelayValue],
         ppi_initial: Mapping[str, int],
         observable_ppos: Sequence[str] = (),
         required_ppo_values: Optional[Mapping[str, int]] = None,
+        good: Optional[GoodMachine] = None,
     ) -> List[SimulatedDetection]:
         """Return every gate delay fault robustly detected by the pattern.
 
@@ -122,27 +168,18 @@ class DelayFaultSimulator:
                 the invalidation check.
             required_ppo_values: PPO values that the propagation phase relied
                 on; a fault credited through a PPO must not disturb them.
+            good: :meth:`good_machine` of the same pattern, if the caller
+                already holds it.
         """
         required_ppo_values = dict(required_ppo_values or {})
         pi_values = dict(pi_values)
         ppi_initial = dict(ppi_initial)
         if self.metrics.enabled:
             self.metrics.inc("repro_tdsim_passes_total")
-        values: Dict[str, DelayValue]
-        good: Optional[PackedTwoFrameResult] = None
-        if self._packed is not None:
-            good = self._packed.simulate(pi_values, ppi_initial, (None,))
-            values = good.values_for_pattern(0)
-        else:
-            good_state = self._implication.implicate(pi_values, ppi_initial, fault=None)
-            values = {}
-            for signal, value_set in good_state.signal_sets.items():
-                if not is_singleton(value_set):
-                    raise ValueError(
-                        "fault simulation needs a fully specified pattern; "
-                        f"signal {signal!r} is not determined"
-                    )
-                values[signal] = single_value(value_set)
+        if good is None:
+            good = self.good_machine(pi_values, ppi_initial)
+        values = good.values
+        base = good.packed
 
         po_points = [
             po for po in self.circuit.primary_outputs if values[po].is_transition
@@ -161,7 +198,7 @@ class DelayFaultSimulator:
         # Phase A: CPT from primary outputs (no invalidation check needed).
         for po in po_points:
             for line in self._trace(
-                po, values, pi_values, ppi_initial, good, stem_passes
+                po, values, pi_values, ppi_initial, base, stem_passes
             ):
                 fault = self._fault_for(line, values)
                 if fault is not None and fault not in detections:
@@ -176,7 +213,7 @@ class DelayFaultSimulator:
         seen: Set[Tuple[GateDelayFault, str]] = set()
         for ppo in ppo_points:
             for line in self._trace(
-                ppo, values, pi_values, ppi_initial, good, stem_passes
+                ppo, values, pi_values, ppi_initial, base, stem_passes
             ):
                 fault = self._fault_for(line, values)
                 if fault is None or fault in detections or (fault, ppo) in seen:
@@ -184,7 +221,7 @@ class DelayFaultSimulator:
                 seen.add((fault, ppo))
                 candidates.append((fault, ppo))
         confirmed = self._confirm_candidates(
-            candidates, pi_values, ppi_initial, required_ppo_values, good
+            candidates, pi_values, ppi_initial, required_ppo_values, base
         )
         for (fault, ppo), passed in zip(candidates, confirmed):
             if passed and fault not in detections:

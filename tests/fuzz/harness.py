@@ -6,10 +6,11 @@ rebuilds it through the public :class:`~repro.circuit.builder.CircuitBuilder`
 API), a random fault site, a batch of random three-valued vector sequences,
 and random partial assignments for the search-side layers.
 
-:func:`check_case` replays the case through **all five layers** —
+:func:`check_case` replays the case through **all six layers** —
 simulation (scalar clocking *and* the batched plane path), implication,
-search kernels, grading and TDsim fault simulation — once per registered
-backend, and returns every disagreement with the reference oracle.  :func:`shrink_case` greedily
+search kernels, grading, TDsim fault simulation and SEMILET pair frames —
+once per registered backend, and returns every disagreement with the
+reference oracle.  :func:`shrink_case` greedily
 minimises a failing case (drop sequences/frames/outputs/dead gates, X out
 assignments) while it keeps failing, and :func:`persist_case` writes the
 minimised case to ``tests/fuzz/corpus/`` so the regression replays forever.
@@ -158,7 +159,7 @@ class CircuitSpec:
 # --------------------------------------------------------------------------- #
 @dataclasses.dataclass
 class FuzzCase:
-    """One serialisable differential check across all five layers.
+    """One serialisable differential check across all six layers.
 
     Attributes:
         seed: generation seed (kept for reproduction messages).
@@ -539,14 +540,94 @@ def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
             )
 
 
+def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
+    """Layer 6: SEMILET pair frames along a chained decision sequence.
+
+    Captured good/faulty states, the free PPIs, the goal and the decision
+    variables come from an RNG of their own (as in :func:`_check_tdsim`), so
+    every seed and corpus file replays the other layers unchanged.  Each
+    decision's batch is built from the previous view (``base=``), the way
+    the propagation PODEM chains them: event-driven on the packed backend,
+    from scratch on the reference one.  Every candidate's pairs, frame
+    class and D-frontier decision must agree.
+    """
+    rng = random.Random(f"pair:{case.seed}")
+    good: Dict[str, Optional[int]] = {}
+    faulty: Dict[str, Optional[int]] = {}
+    for ppi in circuit.pseudo_primary_inputs:
+        value = rng.choice([0, 1, None])
+        flip = rng.random() < 0.5
+        good[ppi] = value
+        faulty[ppi] = 1 - value if value is not None and flip else value
+    free = {ppi: None for ppi in circuit.pseudo_primary_inputs if rng.random() < 0.7}
+    goal = rng.choice(["po", "ppo"])
+    blocked = {ppi for ppi in circuit.pseudo_primary_inputs if rng.random() < 0.3}
+    variables = [(pi, True) for pi in circuit.primary_inputs]
+    variables += [(ppi, False) for ppi in free]
+    rng.shuffle(variables)
+    steps = []
+    for name, is_pi in variables[:8]:
+        # The search sets binary values; ``None`` (a free PPI falling back
+        # to the captured states) is part of the engine contract too.
+        values = rng.choice([[0, 1], [1, 0]] if is_pi else [[0, 1], [1, 0], [1, None, 0]])
+        steps.append((name, is_pi, values, rng.randrange(len(values))))
+
+    for backend in available_backends():
+        if backend == "reference":
+            continue
+        engines = [
+            create_implication_engine(circuit, name, robust=case.robust)
+            for name in ("reference", backend)
+        ]
+        kernels = [engine.search_kernels() for engine in engines]
+        targets = [kernel.pair_frame_targets(goal, blocked) for kernel in kernels]
+        pi_values = {pi: None for pi in circuit.primary_inputs}
+        free_values = dict(free)
+        views = [
+            (engine.pair_frame_candidates(pi_values, good, faulty, free_values, (None,)), 0)
+            for engine in engines
+        ]
+        for step, (name, is_pi, values, cursor) in enumerate(steps):
+            candidates = [(name, is_pi, value) for value in values]
+            batches = [
+                engine.pair_frame_candidates(
+                    pi_values, good, faulty, free_values, candidates, base=view
+                )
+                for engine, view in zip(engines, views)
+            ]
+            assignment = pi_values if is_pi else free_values
+            for index, value in enumerate(values):
+                assignment[name] = value
+                want, got = [
+                    (
+                        dict(batch.pairs(index).items()),
+                        kernel.classify_pair_frame(batch, index, target),
+                        kernel.pair_frame_decision(batch, index, pi_values, free_values),
+                    )
+                    for batch, kernel, target in zip(batches, kernels, targets)
+                ]
+                for label, want_part, got_part in zip(
+                    ("pairs", "classification", "decision"), want, got
+                ):
+                    if got_part != want_part:
+                        failures.append(
+                            f"pair frames[{backend}]: step {step} candidate {index} "
+                            f"{label} differs"
+                        )
+                        return
+            assignment[name] = values[cursor]
+            views = [(batch, cursor) for batch in batches]
+
+
 def check_case(case: FuzzCase) -> List[str]:
-    """Replay ``case`` through all five layers; returns every disagreement."""
+    """Replay ``case`` through all six layers; returns every disagreement."""
     failures: List[str] = []
     circuit = case.circuit.build()
     _check_simulation(case, circuit, failures)
     _check_implication_and_kernels(case, circuit, failures)
     _check_grading(case, circuit, failures)
     _check_tdsim(case, circuit, failures)
+    _check_pair_frames(case, circuit, failures)
     return failures
 
 

@@ -1,9 +1,9 @@
 """The seeded differential fuzz loop over all registered backends.
 
 Each seed deterministically generates one :class:`tests.fuzz.harness.FuzzCase`
-and replays it through all five layers (simulation, implication, search
-kernels, grading, TDsim) under every registered backend, asserting bit-exact
-agreement with the reference oracle.
+and replays it through all six layers (simulation, implication, search
+kernels, grading, TDsim, SEMILET pair frames) under every registered
+backend, asserting bit-exact agreement with the reference oracle.
 
 The default budget keeps the suite inside tier-1 time; the CI cron job (and
 anyone hunting) extends it via ``REPRO_FUZZ_CASES``.  A failing seed is
@@ -26,7 +26,7 @@ FUZZ_BUDGET = int(os.environ.get("REPRO_FUZZ_CASES", "40"))
 
 @pytest.mark.parametrize("seed", range(FUZZ_BUDGET))
 def test_backends_agree_on_fuzzed_case(seed):
-    """All five layers agree across backends on one fuzzed case."""
+    """All six layers agree across backends on one fuzzed case."""
     case = generate_case(seed)
     failures = check_case(case)
     if failures:
