@@ -8,7 +8,9 @@ verification of :mod:`repro.core.verify`.  It provides the classic
 
 Grading dispatches through the ``backend`` parameter (the shared
 :mod:`repro.fausim.backends` registry): the default ``packed`` backend
-grades one faulty machine per pattern slot, ``reference`` interprets.
+grades one faulty machine per pattern slot, ``reference`` interprets.  One
+grader is planned for the whole run; a detected fault only clears its lane
+of the live mask.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.core.randseq import random_test_sequence
 from repro.core.results import TestSequence
-from repro.core.verify import grade_test_sequence
-from repro.faults.model import FaultList, FaultStatus, GateDelayFault, enumerate_delay_faults
-from repro.fausim.backends import resolve_backend
+from repro.core.verify import create_grader
+from repro.faults.model import GateDelayFault, enumerate_delay_faults
+from repro.fausim.backends import create_simulator, resolve_backend
 
 
 @dataclasses.dataclass
@@ -85,39 +87,34 @@ class RandomSequenceATPG:
         with the gross-delay check (a detected gross delay fault is the
         necessary condition the deterministic flow also guarantees).
         """
-        fault_universe = list(faults) if faults is not None else enumerate_delay_faults(self.circuit)
-        fault_list = FaultList(fault_universe)
-        rng = random.Random(self.seed)
         start = time.perf_counter()
+        universe = faults if faults is not None else enumerate_delay_faults(self.circuit)
+        grader = create_grader(
+            create_simulator(self.circuit, self.backend), dict.fromkeys(universe)
+        )
+        total = len(grader.faults)
+        live = grader.all_lanes
+        rng = random.Random(self.seed)
         sequences_applied = 0
         pattern_count = 0
 
-        for _ in range(max_sequences):
-            if fault_list.coverage() >= target_coverage:
+        while live and sequences_applied < max_sequences:
+            if (total - live.bit_count()) / total >= target_coverage:
                 break
-            remaining = fault_list.untargeted()
-            if not remaining:
-                break
-            template_fault = remaining[0]
+            template_fault = grader.faults[(live & -live).bit_length() - 2]
             sequence = self._random_sequence(rng, template_fault)
             sequences_applied += 1
             pattern_count += sequence.pattern_count
             # One fault-parallel sweep grades the sequence against every
-            # still-undetected fault (packed backend: 63 faulty machines per
-            # word next to the shared good machine).
-            grades = grade_test_sequence(
-                self.circuit, sequence, remaining, backend=self.backend
-            )
-            detected: List[GateDelayFault] = [
-                grade.fault for grade in grades if grade.detected
-            ]
-            fault_list.mark_tested(detected)
+            # still-undetected fault (packed backend: one faulty machine per
+            # lane next to the shared good machine).
+            for _, _, lanes in grader.grade(sequence, live):
+                live &= ~lanes
 
-        counts = fault_list.counts()
         return RandomCampaignResult(
             circuit_name=self.circuit.name,
-            total_faults=counts["total"],
-            detected=counts[FaultStatus.TESTED.value],
+            total_faults=total,
+            detected=total - live.bit_count(),
             sequences_applied=sequences_applied,
             pattern_count=pattern_count,
             cpu_seconds=time.perf_counter() - start,

@@ -10,11 +10,13 @@ split on top of the repo's fault-parallel machinery:
    Every sequence's seed is derived from the campaign seed and the sequence
    index alone (:func:`derive_prefix_seed`), so a resumed prefix regenerates
    sequence ``k`` without replaying the RNG history of sequences ``0..k-1``.
-2. **Grade** each sequence against the entire *remaining* fault universe
-   word-parallel (:func:`repro.core.verify.grade_test_sequence`: the good
-   machine in slot 0, one gross-delay faulty machine per remaining word
-   slot).  The gross-delay grade is the cheap necessary condition — a
-   superset of what the eight-valued rule credits.
+2. **Grade** each sequence against the *remaining* fault universe
+   word-parallel through one grader planned once for the whole phase
+   (:func:`repro.core.verify.create_grader`: the good machine in slot 0, one
+   gross-delay faulty machine per universe lane, and a live-lane mask that
+   loses a fault's lane once it is credited).  The gross-delay grade is the
+   cheap necessary condition — a superset of what the eight-valued rule
+   credits.
 3. **Confirm** the candidates through the exact eight-valued TDsim/CPT pass
    (:func:`repro.core.flow.simulate_sequence_detections`), so a fault is
    credited to a random sequence under precisely the same robust-detection
@@ -31,7 +33,7 @@ keep the hybrid campaign bit-identical across worker counts and
 interrupt/resume cycles.  :class:`RandomPrefixEngine` accepts the usual
 ``backend`` parameter for its grading/confirmation simulators (``reference``
 or ``packed``); both are bit-identical by contract, so the choice is purely a
-wall-clock knob — ``packed`` grades the whole universe in one bit-parallel
+wall-clock knob — ``packed`` grades every live fault in one bit-parallel
 sweep per frame.
 """
 
@@ -50,7 +52,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.flow import simulate_sequence_detections
 from repro.core.randseq import random_test_sequence
 from repro.core.results import TestSequence
-from repro.core.verify import grade_test_sequence
+from repro.core.verify import create_grader, iter_lanes
 from repro.faults.model import GateDelayFault
 from repro.fausim.backends import create_simulator, resolve_backend
 from repro.obs.metrics import resolve_metrics
@@ -283,29 +285,31 @@ class RandomPrefixEngine:
     # ------------------------------------------------------------------ #
     # grading + confirmation
     # ------------------------------------------------------------------ #
-    def evaluate(
-        self, sequence: TestSequence, remaining: Sequence[GateDelayFault]
-    ) -> Tuple[List[GateDelayFault], int]:
+    def evaluate(self, grader, sequence: TestSequence, live: int) -> Tuple[int, int]:
         """Credit one sequence: word-parallel grade, then TDsim confirmation.
 
-        Returns ``(credited, candidates)``: the faults of ``remaining`` the
-        sequence detects under the eight-valued rule (in input order) and the
-        number of gross-delay candidates the cheap grade produced.  The
-        expensive TDsim pass runs only when the grade found candidates.
+        ``grader`` is the phase's :func:`~repro.core.verify.create_grader`
+        over the universe and ``live`` the lane mask of its remaining faults.
+        Returns ``(credited, candidates)``: the lane mask of the live faults
+        the sequence detects under the eight-valued rule and the number of
+        gross-delay candidates the cheap grade produced.  The expensive TDsim
+        pass runs only when the grade found candidates.
         """
-        grades = grade_test_sequence(
-            self.circuit, sequence, remaining, backend=self.backend
-        )
-        candidates = [grade.fault for grade in grades if grade.detected]
+        candidates = 0
+        for _, _, lanes in grader.grade(sequence, live):
+            candidates |= lanes
         if not candidates:
-            return [], 0
+            return 0, 0
         confirmed = set(
             simulate_sequence_detections(
                 self.circuit, self.fault_simulator, sequence, self.backend
             )
         )
-        credited = [fault for fault in candidates if fault in confirmed]
-        return credited, len(candidates)
+        credited = 0
+        for lane in iter_lanes(candidates):
+            if grader.faults[lane - 1] in confirmed:
+                credited |= 1 << lane
+        return credited, candidates.bit_count()
 
     # ------------------------------------------------------------------ #
     # the phase-A loop
@@ -334,30 +338,38 @@ class RandomPrefixEngine:
                 (replayed records are not re-emitted); the orchestrator
                 journals and streams them from here.
         """
-        remaining: List[GateDelayFault] = list(faults)
+        grader = create_grader(self._logic_simulator, faults)
+        live = grader.all_lanes
         records: List[PrefixRecord] = []
         detected: List[GateDelayFault] = []
         window: collections.deque = collections.deque(maxlen=self.config.window)
 
-        def apply(record: PrefixRecord) -> None:
-            nonlocal remaining
+        def apply(record: PrefixRecord, credited: int) -> None:
+            nonlocal live
+            if self.metrics.enabled:
+                self.metrics.inc("repro_prefix_faults_graded_total", live.bit_count())
+            live &= ~credited
             window.append(len(record.detections))
             records.append(record)
             count_prefix_record(self.metrics, record)
-            if record.detections:
-                detected.extend(record.detections)
-                dropped = set(record.detections)
-                remaining = [fault for fault in remaining if fault not in dropped]
+            detected.extend(record.detections)
 
+        if replay:
+            lanes_of: Dict[GateDelayFault, int] = {}
+            for lane, fault in enumerate(grader.faults, start=1):
+                lanes_of[fault] = lanes_of.get(fault, 0) | (1 << lane)
         for record in replay:
             if record.seq != len(records):
                 raise ValueError(
                     f"prefix records out of order: expected seq {len(records)}, "
                     f"got {record.seq}"
                 )
-            apply(record)
             if record.gate_words and self.metrics.enabled:
                 self.metrics.inc("repro_sim_gate_words_total", record.gate_words)
+            credited = 0
+            for fault in record.detections:
+                credited |= lanes_of.get(fault, 0)
+            apply(record, credited)
 
         def _finish(reason: str) -> PrefixOutcome:
             logger.info(
@@ -367,7 +379,7 @@ class RandomPrefixEngine:
             return PrefixOutcome(records, detected, reason)
 
         while True:
-            if not remaining:
+            if not live:
                 return _finish(STOP_EXHAUSTED)
             if len(records) >= self.config.budget:
                 return _finish(STOP_BUDGET)
@@ -380,17 +392,18 @@ class RandomPrefixEngine:
                 return _finish(STOP_DEADLINE)
 
             words = self.metrics.counter_value("repro_sim_gate_words_total")
-            sequence = self.generate_sequence(len(records), remaining[0])
-            credited, candidates = self.evaluate(sequence, remaining)
+            template = grader.faults[(live & -live).bit_length() - 2]
+            sequence = self.generate_sequence(len(records), template)
+            credited, candidates = self.evaluate(grader, sequence, live)
             words = self.metrics.counter_value("repro_sim_gate_words_total") - words
             record = PrefixRecord(
                 seq=len(records),
                 candidates=candidates,
-                detections=credited,
+                detections=grader.faults_of(credited),
                 sequence=sequence if credited else None,
                 gate_words=int(words) if self.metrics.enabled else None,
             )
-            apply(record)
+            apply(record, credited)
             if on_record is not None:
                 on_record(record)
 

@@ -11,7 +11,15 @@ A robust gate delay fault test must detect every fault size above the slack,
 in particular the gross one, so every sequence produced by the flow has to
 pass this check; the test-suite relies on it heavily.
 
-Two entry points share the machinery:
+All grading runs through a grader built once per fault universe by
+:func:`create_grader` for the simulator's ``backend``.  Universe fault ``j``
+owns lane ``j + 1`` of an integer mask (lane 0 is the good machine), and a
+grade takes the mask of the *live* lanes, so a caller whose fault list shrinks
+from sequence to sequence clears lanes instead of rebuilding lists.
+:class:`PackedGrader` runs every lane in one bit-parallel sweep per frame
+(Python work per injection site and per detection, not per fault);
+:class:`ReferenceGrader` replays each live lane with the scalar interpreter
+as the independent oracle.  Two entry points wrap a throw-away grader:
 
 :func:`verify_test_sequence`
     Replay one sequence against its own targeted fault and return the full
@@ -19,20 +27,14 @@ Two entry points share the machinery:
     output traces).
 
 :func:`grade_test_sequence`
-    Grade one sequence against *many* faults at once.  With the packed
-    backend the good machine occupies pattern slot 0 and one faulty machine
-    occupies each further slot of the unbounded-width planes, so a whole
-    fault list is graded in one bit-parallel sweep per frame instead of one
-    full interpreter replay per fault — this is what the random baseline
-    and the grading benchmarks run.  With the reference backend the faults are
-    replayed one at a time; the two paths are differentially tested to be
-    identical.
+    Grade one sequence against a fault list and return one
+    :class:`FaultGrade` per fault.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuit.gates import evaluate_gate
 from repro.circuit.levelize import combinational_order
@@ -42,6 +44,10 @@ from repro.faults.model import GateDelayFault
 from repro.fausim.backends import create_simulator
 from repro.fausim.logic_sim import SignalValues
 from repro.fausim.packed_sim import PackedLogicSimulator
+
+#: One first-detection event of :meth:`PackedGrader.grade`: the frame, the
+#: primary output, and the lane mask of the faults first detected there.
+Detection = Tuple[int, str, int]
 
 
 @dataclasses.dataclass
@@ -120,8 +126,12 @@ def _grade_scalar(
     sequence: TestSequence,
     fault: GateDelayFault,
     collect_traces: bool,
-) -> Tuple[FaultGrade, List[SignalValues], List[SignalValues]]:
-    """Replay the sequence against one fault with the scalar simulator."""
+) -> Tuple[Optional[Tuple[int, str]], List[SignalValues], List[SignalValues]]:
+    """Replay the sequence against one fault with the scalar simulator.
+
+    Returns the first detection as ``(frame, primary output)`` (``None`` when
+    the fault escapes) plus the good/faulty primary output traces.
+    """
     fast_index = sequence.clock_schedule.fast_frame_index
     vectors = sequence.vectors
 
@@ -159,187 +169,227 @@ def _grade_scalar(
                 good_po = good_frame.values[po]
                 faulty_po = faulty_values[po]
                 if good_po is not None and faulty_po is not None and good_po != faulty_po:
-                    grade = FaultGrade(
-                        fault=fault,
-                        detected=True,
-                        detection_frame=index,
-                        primary_output=po,
-                    )
-                    return grade, good_trace, faulty_trace
+                    return (index, po), good_trace, faulty_trace
 
         previous_good_frame = good_frame.values
         good_state = good_frame.next_state
         faulty_state = faulty_next
 
-    return FaultGrade(fault=fault, detected=False), good_trace, faulty_trace
+    return None, good_trace, faulty_trace
 
 
 # --------------------------------------------------------------------------- #
-# packed (fault-parallel) grading
+# universe-resident graders
 # --------------------------------------------------------------------------- #
-def _merge_force(
-    forces: Dict[int, Tuple[int, int, int]], key: int, bit: int, stale: Optional[int]
-) -> None:
-    """Accumulate one pattern bit's freeze into a ``(clear, z, o)`` triple."""
-    clear, set_zero, set_one = forces.get(key, (0, 0, 0))
-    clear |= bit
-    if stale == 0:
-        set_zero |= bit
-    elif stale == 1:
-        set_one |= bit
-    forces[key] = (clear, set_zero, set_one)
+def iter_lanes(lanes: int) -> Iterator[int]:
+    """The set lanes of a lane mask, lowest first (fault ``lane - 1``)."""
+    while lanes:
+        low = lanes & -lanes
+        yield low.bit_length() - 1
+        lanes ^= low
 
 
-def _build_forces(
-    simulator: PackedLogicSimulator,
-    faults: Sequence[GateDelayFault],
-    stale_values: Dict[str, Optional[int]],
-) -> Tuple[
-    List[Tuple[int, int, int, int]],
-    Dict[int, Tuple[int, int, int]],
-    Dict[int, Tuple[int, int, int]],
-]:
-    """Freeze each slot's fault line at its stale value (slot ``j`` = bit ``j+1``)."""
-    compiled = simulator.compiled
-    n_sources = len(compiled.pi_slots) + len(compiled.ppi_slots)
-    gate_index_of = compiled.gate_index_of
+class _Grader:
+    """State shared by both graders: the universe and its lane numbering."""
 
-    source_forces: Dict[int, Tuple[int, int, int]] = {}
-    gate_forces: Dict[int, Tuple[int, int, int]] = {}
-    branch_forces: Dict[int, Tuple[int, int, int]] = {}
-    for position, fault in enumerate(faults):
-        bit = 1 << (position + 1)
-        stale = stale_values.get(fault.line.signal)
-        slot = compiled.slot_of.get(fault.line.signal)
-        if fault.line.kind is LineKind.STEM:
+    def __init__(self, simulator, faults: Sequence[GateDelayFault]) -> None:
+        self.simulator = simulator
+        self.circuit: Circuit = simulator.circuit
+        self.faults: List[GateDelayFault] = list(faults)
+        #: Every universe lane: bits ``1 .. len(faults)``.
+        self.all_lanes = ((1 << len(self.faults)) - 1) << 1
+
+    def faults_of(self, lanes: int) -> List[GateDelayFault]:
+        """The universe faults of a lane mask, in universe order."""
+        return [self.faults[lane - 1] for lane in iter_lanes(lanes)]
+
+
+class PackedGrader(_Grader):
+    """Fault-parallel gross-delay grader planned once for a fault universe.
+
+    The plan groups the universe by injection site: a source slot (stem
+    fault on a primary or pseudo primary input), a gate output slot (stem
+    fault on a gate) or one gate pin (fanout branch fault).  Each site keeps
+    its stem slot and the lane mask of its faults, stored as its lowest lane
+    and a mask relative to it: a site's faults usually sit on neighbouring
+    lanes (a line's rising and falling fault), so the plan stays linear in
+    the universe size where whole-width masks would be quadratic.  A fault whose line is not in the compiled program (e.g. a
+    branch into a flip-flop's data pin) owns no site and is never detected.
+    """
+
+    def __init__(
+        self, simulator: PackedLogicSimulator, faults: Sequence[GateDelayFault]
+    ) -> None:
+        super().__init__(simulator, faults)
+        compiled = simulator.compiled
+        slot_of = compiled.slot_of
+        offsets = compiled.fanin_offsets
+        n_sources = len(compiled.pi_slots) + len(compiled.ppi_slots)
+        sites: Dict[Tuple[int, int], List[int]] = {}
+        for lane, fault in enumerate(self.faults, start=1):
+            slot = slot_of.get(fault.line.signal)
             if slot is None:
                 continue
-            if slot < n_sources:
-                _merge_force(source_forces, slot, bit, stale)
+            if fault.line.kind is LineKind.STEM:
+                site = (0 if slot < n_sources else 1, slot)
             else:
-                _merge_force(gate_forces, slot, bit, stale)
-        else:
-            sink_slot = compiled.slot_of.get(fault.line.sink)
-            sink_index = gate_index_of.get(sink_slot)
-            if sink_index is None or fault.line.pin is None:
-                continue  # sink is not a compiled gate (e.g. a DFF data pin)
-            flat = compiled.fanin_offsets[sink_index] + fault.line.pin
-            if (
-                flat >= compiled.fanin_offsets[sink_index + 1]
-                or compiled.fanin_flat[flat] != slot
-            ):
-                continue  # pin does not exist / does not read the fault stem
-            _merge_force(branch_forces, flat, bit, stale)
-    sources = [
-        (slot, clear, set_zero, set_one)
-        for slot, (clear, set_zero, set_one) in source_forces.items()
-    ]
-    return sources, gate_forces, branch_forces
-
-
-def _grade_packed(
-    circuit: Circuit,
-    simulator: PackedLogicSimulator,
-    sequence: TestSequence,
-    faults: Sequence[GateDelayFault],
-    collect_traces: bool = False,
-) -> Tuple[List[FaultGrade], List[SignalValues], List[SignalValues]]:
-    """Grade a batch of faults in lockstep: good machine in slot 0.
-
-    All machines are identical until the fast frame, so every slot shares the
-    broadcast primary inputs and the carried state planes; the fast frame
-    freezes slot ``j + 1``'s fault line at its stale value via
-    :meth:`~repro.fausim.packed_sim.PackedLogicSimulator.evaluate_planes_forced`,
-    and the later frames evolve each machine from its own latched state.
-    """
-    compiled = simulator.compiled
-    fast_index = sequence.clock_schedule.fast_frame_index
-    vectors = sequence.vectors
-    count = len(faults)
-    width = count + 1
-    stale_signals = {fault.line.signal for fault in faults}
-
-    ppis = circuit.pseudo_primary_inputs
-    state_zero = [0] * len(ppis)
-    state_one = [0] * len(ppis)
-    grades: Dict[int, FaultGrade] = {}
-    undetected = ((1 << count) - 1) << 1
-    good_trace: List[SignalValues] = []
-    faulty_trace: List[SignalValues] = []
-    stale_values: Dict[str, Optional[int]] = {}
-
-    for index, vector in enumerate(vectors):
-        planes = simulator.load_broadcast_planes(vector, state_zero, state_one, width)
-        zero = planes.zero
-        one = planes.one
-
-        if index == fast_index:
-            sources, gate_forces, branch_forces = _build_forces(
-                simulator, faults, stale_values
+                sink_index = compiled.gate_index_of.get(slot_of.get(fault.line.sink))
+                if sink_index is None or fault.line.pin is None:
+                    continue  # sink is not a compiled gate (e.g. a DFF data pin)
+                flat = offsets[sink_index] + fault.line.pin
+                if flat >= offsets[sink_index + 1] or compiled.fanin_flat[flat] != slot:
+                    continue  # pin does not exist / does not read the fault stem
+                site = (2, flat)
+            sites.setdefault(site, []).append(lane)
+        #: ``(kind, key, stem slot, lowest lane, relative mask)`` per site;
+        #: ``kind`` indexes the source / gate / branch force maps of
+        #: ``evaluate_planes_forced``.
+        self._sites: List[Tuple[int, int, int, int, int]] = [
+            (
+                kind,
+                key,
+                compiled.fanin_flat[key] if kind == 2 else key,
+                lanes[0],
+                sum(1 << (lane - lanes[0]) for lane in lanes),
             )
-            simulator.evaluate_planes_forced(planes, sources, gate_forces, branch_forces)
-        else:
-            simulator.evaluate_planes(planes)
+            for (kind, key), lanes in sites.items()
+        ]
+        self._po_slots = [(po, slot_of[po]) for po in self.circuit.primary_outputs]
 
-        if collect_traces:
-            good_values: SignalValues = {}
-            faulty_values: SignalValues = {}
-            for po in circuit.primary_outputs:
-                slot = compiled.slot_of[po]
-                good_values[po] = planes.value(slot, 0)
-                faulty_values[po] = planes.value(slot, 1) if count else planes.value(slot, 0)
-            good_trace.append(good_values)
-            faulty_trace.append(faulty_values)
+    def _forces(
+        self, zero: List[int], one: List[int], live: int
+    ) -> Tuple[Dict[int, Tuple[int, int, int]], ...]:
+        """Source, gate and branch forces freezing every live site at its
+        stem's stale value: bit 0 (the good machine) of ``zero``/``one``."""
+        forces: Tuple[Dict[int, Tuple[int, int, int]], ...] = ({}, {}, {})
+        for kind, key, stem, low, relative in self._sites:
+            lanes = (live >> low & relative) << low
+            if lanes:
+                forces[kind][key] = (
+                    lanes, lanes if zero[stem] & 1 else 0, lanes if one[stem] & 1 else 0
+                )
+        return forces
 
-        detected_everything = False
-        if index >= fast_index and undetected:
-            for po in circuit.primary_outputs:
-                slot = compiled.slot_of[po]
-                # A provable difference needs a binary faulty value on the
-                # opposite plane of the binary good value (slot 0).
-                if one[slot] & 1:
-                    diff = zero[slot]
-                elif zero[slot] & 1:
-                    diff = one[slot]
-                else:
-                    continue
-                fresh = diff & undetected
-                if not fresh:
-                    continue
-                undetected &= ~fresh
-                # Walk only the set bits: the word is as wide as the fault
-                # list, so probing every position would cost O(faults).
-                while fresh:
-                    low = fresh & -fresh
-                    position = low.bit_length() - 2
-                    grades[position] = FaultGrade(
-                        fault=faults[position],
-                        detected=True,
-                        detection_frame=index,
-                        primary_output=po,
-                    )
-                    fresh ^= low
-            detected_everything = not undetected
-        if detected_everything:
-            # Every fault (and the single-fault verification) stops at its
-            # first detection, exactly like the scalar replay.
-            break
+    def grade(
+        self,
+        sequence: TestSequence,
+        live: int,
+        traces: Optional[Tuple[List[SignalValues], List[SignalValues]]] = None,
+    ) -> List[Detection]:
+        """Grade the ``live`` lanes under one sequence, all in lockstep.
 
-        if index == fast_index - 1:
-            # The stale value of a fault line is its good-machine value in the
-            # frame right before the fast one.
-            stale_values = {
-                name: planes.value(compiled.slot_of[name], 0)
-                for name in stale_signals
-                if name in compiled.slot_of
-            }
-        state_zero, state_one = simulator.next_state_planes(planes)
+        All machines are identical until the fast frame, so every slot shares
+        the broadcast primary inputs and the carried state planes.  The fast
+        frame freezes each live site at its stem's stale value, the good value
+        of the frame before (X without one), via
+        :meth:`~repro.fausim.packed_sim.PackedLogicSimulator.evaluate_planes_forced`;
+        later frames evolve each machine from its own latched state.  A lane
+        stops at its first detection, like the scalar replay; dead lanes run
+        as copies of the good machine and are never reported.
 
-    results = [
-        grades.get(position, FaultGrade(fault=faults[position], detected=False))
-        for position in range(count)
-    ]
-    return results, good_trace, faulty_trace
+        Args:
+            sequence: the applied vectors with their slow/fast clock schedule.
+            live: lane mask of the faults to grade.
+            traces: optional ``(good, faulty)`` lists that receive each
+                frame's primary output values of the good machine and of the
+                lowest live lane.
+
+        Returns:
+            ``(frame, primary output, lanes)`` per first detection, in frame
+            order and primary output order within a frame.
+        """
+        live &= self.all_lanes
+        if not live and traces is None:
+            return []
+        simulator = self.simulator
+        fast_index = sequence.clock_schedule.fast_frame_index
+        width = len(self.faults) + 1
+        traced_lane = (live & -live).bit_length() - 1 if live else 0
+        state_zero = state_one = [0] * len(self.circuit.pseudo_primary_inputs)
+        if fast_index == 0:  # no frame before the fast one: every stale value is X
+            unknown = [0] * simulator.compiled.num_signals
+            forces = self._forces(unknown, unknown, live)
+        events: List[Detection] = []
+        undetected = live
+
+        for index, vector in enumerate(sequence.vectors):
+            planes = simulator.load_broadcast_planes(vector, state_zero, state_one, width)
+            zero = planes.zero
+            one = planes.one
+            if index == fast_index:
+                simulator.evaluate_planes_forced(planes, *forces)
+            else:
+                simulator.evaluate_planes(planes)
+
+            if traces is not None:
+                traces[0].append({po: planes.value(slot, 0) for po, slot in self._po_slots})
+                traces[1].append(
+                    {po: planes.value(slot, traced_lane) for po, slot in self._po_slots}
+                )
+
+            if index >= fast_index and undetected:
+                for po, slot in self._po_slots:
+                    # A provable difference needs a binary faulty value on the
+                    # opposite plane of the binary good value (slot 0).
+                    if one[slot] & 1:
+                        fresh = zero[slot] & undetected
+                    elif zero[slot] & 1:
+                        fresh = one[slot] & undetected
+                    else:
+                        continue
+                    if fresh:
+                        undetected ^= fresh
+                        events.append((index, po, fresh))
+                if not undetected:
+                    break
+
+            if index == fast_index - 1:
+                forces = self._forces(zero, one, live)
+            state_zero, state_one = simulator.next_state_planes(planes)
+        return events
+
+
+class ReferenceGrader(_Grader):
+    """The oracle grader: each live lane replayed alone by the interpreter."""
+
+    def __init__(self, simulator, faults: Sequence[GateDelayFault]) -> None:
+        super().__init__(simulator, faults)
+        self._order = combinational_order(self.circuit)
+        self._po_rank = {po: rank for rank, po in enumerate(self.circuit.primary_outputs)}
+
+    def grade(
+        self,
+        sequence: TestSequence,
+        live: int,
+        traces: Optional[Tuple[List[SignalValues], List[SignalValues]]] = None,
+    ) -> List[Detection]:
+        """Same contract as :meth:`PackedGrader.grade`, one replay per lane."""
+        first: Dict[Tuple[int, str], int] = {}
+        for lane in iter_lanes(live & self.all_lanes):
+            detection, good_trace, faulty_trace = _grade_scalar(
+                self.circuit, self.simulator, self._order, sequence,
+                self.faults[lane - 1], collect_traces=traces is not None,
+            )
+            if traces is not None:
+                traces[0].extend(good_trace)
+                traces[1].extend(faulty_trace)
+                traces = None
+            if detection is not None:
+                first[detection] = first.get(detection, 0) | (1 << lane)
+        return sorted(
+            ((frame, po, lanes) for (frame, po), lanes in first.items()),
+            key=lambda event: (event[0], self._po_rank[event[1]]),
+        )
+
+
+def create_grader(simulator, faults: Sequence[GateDelayFault]) -> _Grader:
+    """The grader of ``faults`` on ``simulator``: :class:`PackedGrader` for a
+    :class:`~repro.fausim.packed_sim.PackedLogicSimulator` (its gate words
+    count on the simulator's metrics registry), else :class:`ReferenceGrader`.
+    """
+    if isinstance(simulator, PackedLogicSimulator):
+        return PackedGrader(simulator, faults)
+    return ReferenceGrader(simulator, faults)
 
 
 # --------------------------------------------------------------------------- #
@@ -357,6 +407,8 @@ def grade_test_sequence(
     in ``faults`` is graded independently under the sequence's vectors and
     clock schedule.  Results come back in input order and are bit-exact
     across backends (the differential suite in ``tests/core`` enforces this).
+    A caller grading many sequences against a shrinking fault list keeps one
+    :func:`create_grader` and a live-lane mask instead.
 
     Args:
         circuit: circuit under test.
@@ -369,13 +421,15 @@ def grade_test_sequence(
     """
     if not faults:
         return []
-    simulator = create_simulator(circuit, backend)
-    if isinstance(simulator, PackedLogicSimulator):
-        return _grade_packed(circuit, simulator, sequence, list(faults))[0]
-    order = combinational_order(circuit)
+    grader = create_grader(create_simulator(circuit, backend), faults)
+    verdicts = {
+        lane: (frame, po)
+        for frame, po, lanes in grader.grade(sequence, grader.all_lanes)
+        for lane in iter_lanes(lanes)
+    }
     return [
-        _grade_scalar(circuit, simulator, order, sequence, fault, collect_traces=False)[0]
-        for fault in faults
+        FaultGrade(fault, lane in verdicts, *verdicts.get(lane, (None, None)))
+        for lane, fault in enumerate(grader.faults, start=1)
     ]
 
 
@@ -397,21 +451,8 @@ def verify_test_sequence(
     slots of one bit-parallel replay, the reference backend keeps the
     independent scalar second opinion.
     """
-    simulator = create_simulator(circuit, backend)
-    if isinstance(simulator, PackedLogicSimulator):
-        grades, good_trace, faulty_trace = _grade_packed(
-            circuit, simulator, sequence, [sequence.fault], collect_traces=True
-        )
-        grade = grades[0]
-    else:
-        order = combinational_order(circuit)
-        grade, good_trace, faulty_trace = _grade_scalar(
-            circuit, simulator, order, sequence, sequence.fault, collect_traces=True
-        )
-    return VerificationReport(
-        detected=grade.detected,
-        detection_frame=grade.detection_frame,
-        primary_output=grade.primary_output,
-        good_trace=good_trace,
-        faulty_trace=faulty_trace,
-    )
+    grader = create_grader(create_simulator(circuit, backend), [sequence.fault])
+    traces: Tuple[List[SignalValues], List[SignalValues]] = ([], [])
+    events = grader.grade(sequence, grader.all_lanes, traces)
+    frame, po, _ = events[0] if events else (None, None, 0)
+    return VerificationReport(bool(events), frame, po, *traces)

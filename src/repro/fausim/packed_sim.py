@@ -243,9 +243,9 @@ class PackedLogicSimulator:
     def evaluate_planes_forced(
         self,
         planes: PackedPlanes,
-        source_forces: Sequence[Tuple[int, int, int, int]] = (),
-        gate_forces: Optional[Dict[int, Tuple[int, int, int]]] = None,
-        branch_forces: Optional[Dict[int, Tuple[int, int, int]]] = None,
+        source_forces: Dict[int, Tuple[int, int, int]],
+        gate_forces: Dict[int, Tuple[int, int, int]],
+        branch_forces: Dict[int, Tuple[int, int, int]],
     ) -> None:
         """Run the gate program with per-pattern value forces.
 
@@ -259,9 +259,8 @@ class PackedLogicSimulator:
 
         Args:
             planes: pre-loaded source planes, evaluated in place.
-            source_forces: ``(slot, clear, set_zero, set_one)`` applied to
-                source (PI/PPI) planes before the pass — a stem fault on a
-                primary or pseudo primary input.
+            source_forces: source (PI/PPI) slot -> force, applied before the
+                pass — a stem fault on a primary or pseudo primary input.
             gate_forces: output-slot -> force, applied right after the gate is
                 evaluated so all downstream reads see the forced value — a
                 stem fault on a gate output.
@@ -269,11 +268,9 @@ class PackedLogicSimulator:
                 *read* at one (gate, pin) only — a fanout branch fault; the
                 stem itself keeps its computed value.
         """
-        gate_forces = gate_forces or {}
-        branch_forces = branch_forces or {}
         zero = planes.zero
         one = planes.one
-        for slot, clear, set_zero, set_one in source_forces:
+        for slot, (clear, set_zero, set_one) in source_forces.items():
             zero[slot] = (zero[slot] & ~clear) | set_zero
             one[slot] = (one[slot] & ~clear) | set_one
 

@@ -54,6 +54,7 @@ METRIC_HELP: Dict[str, str] = {
     "repro_prefix_sequences_total": "Random-prefix sequences generated and graded (Phase A).",
     "repro_prefix_candidates_total": "Gross-delay candidates produced by prefix grading.",
     "repro_prefix_detections_total": "Faults credited to the random prefix after TDsim confirmation.",
+    "repro_prefix_faults_graded_total": "Live faults graded by the random prefix, summed over its sequences.",
     "repro_phase_seconds": "Wall time per flow phase (campaign/prefix/tdgen/propagation/synchronization/tdsim/verify).",
     "repro_fault_seconds": "Wall-time distribution of per-fault targeting.",
     "repro_http_requests_total": "Service HTTP requests by route and status code.",

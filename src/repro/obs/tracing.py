@@ -203,5 +203,6 @@ def deterministic_counters(registry: MetricsRegistry) -> Dict[str, int]:
         "repro_prefix_sequences_total",
         "repro_prefix_candidates_total",
         "repro_prefix_detections_total",
+        "repro_prefix_faults_graded_total",
     )
     return {name: int(registry.counter_sum(name)) for name in names}

@@ -46,9 +46,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.circuit.netlist import Circuit
 from repro.core.flow import SequentialDelayATPG, simulate_sequence_detections
 from repro.core.results import CampaignResult
-from repro.core.verify import grade_test_sequence
+from repro.core.verify import create_grader
 from repro.faults.model import GateDelayFault, enumerate_delay_faults
-from repro.fausim.backends import resolve_backend
+from repro.fausim.backends import create_simulator, resolve_backend
 from repro.fausim.compile import NetlistDelta, compile_circuit, diff_compiled
 from repro.obs.metrics import resolve_metrics
 from repro.orchestrate.journal import record_result
@@ -185,16 +185,17 @@ def regrade_residue(
     """Word-parallel gross re-grade of stored sequences against the residue.
 
     Walks the stored sequences (in stored order) and grades each against the
-    still-uncovered residue faults with
-    :func:`~repro.core.verify.grade_test_sequence`, early-exiting once every
-    residue fault is covered.  Returns the number of residue faults at least
+    still-uncovered residue faults through one
+    :func:`~repro.core.verify.create_grader` over the residue (a covered fault
+    clears its lane of the live mask), early-exiting once every residue fault
+    is covered.  Returns the number of residue faults at least
     one stored sequence gross-detects — a coverage *upper bound* (gross
     grading over-approximates TDsim crediting), reported as a diagnostic.
     A sequence that no longer applies to the edited circuit (for example a
     vanished primary input) is skipped.
     """
-    uncovered = list(residue)
-    covered = 0
+    grader = create_grader(create_simulator(circuit, backend), residue)
+    uncovered = grader.all_lanes
     for fault_name in kept_order:
         if not uncovered:
             break
@@ -202,12 +203,12 @@ def regrade_residue(
         if sequence is None:
             continue
         try:
-            grades = grade_test_sequence(circuit, sequence, uncovered, backend=backend)
+            events = grader.grade(sequence, uncovered)
         except (KeyError, ValueError):
             continue
-        uncovered = [fault for fault, grade in zip(uncovered, grades) if not grade.detected]
-        covered = len(residue) - len(uncovered)
-    return covered
+        for _, _, lanes in events:
+            uncovered &= ~lanes
+    return len(grader.faults) - uncovered.bit_count()
 
 
 def plan_reuse(

@@ -1000,6 +1000,8 @@ class PackedSearchKernels(SearchKernels):
         fanin_flat = compiled.fanin_flat
         signal_names = compiled.signal_names
         ops = compiled.ops
+        controlling = self._controlling
+        parity = self._parity
         n_pi = self._n_pi
         n_sources = n_pi + self._n_ppi
         depth_bound = len(self.circuit.gates) + 1
@@ -1027,13 +1029,10 @@ class PackedSearchKernels(SearchKernels):
                     best_ppi = (name, False, desired)
                 continue
             gate_index = compiled.gate_index_of[slot]
-            gate_type = self._gate_types[gate_index]
             start = offsets[gate_index]
             end = offsets[gate_index + 1]
             if ops[gate_index] in (OP_NOT, OP_BUF):
-                stack.append(
-                    (fanin_flat[start], desired ^ inversion_parity(gate_type), depth + 1)
-                )
+                stack.append((fanin_flat[start], desired ^ parity[gate_index], depth + 1))
                 continue
             x_slots = [
                 fanin_flat[position]
@@ -1042,8 +1041,9 @@ class PackedSearchKernels(SearchKernels):
             ]
             if not x_slots:
                 continue
-            desired_core = desired ^ inversion_parity(gate_type)
-            if gate_type in (GateType.XOR, GateType.XNOR):
+            desired_core = desired ^ parity[gate_index]
+            ctrl = controlling[gate_index]
+            if ctrl is None:  # XOR / XNOR
                 known_parity = 0
                 for position in range(start, end):
                     source = fanin_flat[position]
@@ -1051,7 +1051,6 @@ class PackedSearchKernels(SearchKernels):
                         known_parity ^= 1
                 branch_target = desired_core ^ known_parity
             else:
-                ctrl = controlling_value(gate_type)
                 branch_target = ctrl if desired_core == ctrl else 1 - ctrl
             for source in reversed(x_slots):
                 stack.append((source, branch_target, depth + 1))

@@ -101,6 +101,26 @@ def test_random_baseline_is_reproducible(s27):
     assert first.pattern_count == second.pattern_count
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_random_baseline_backends_agree(s27, seed):
+    """The live-mask grading loop detects the same faults on both backends.
+
+    A coverage target makes the number of applied sequences depend on every
+    sequence's detections, so a grading difference shows in both counts.
+    """
+    runs = [
+        RandomSequenceATPG(s27, sequence_length=6, seed=seed, backend=backend).run(
+            max_sequences=40, target_coverage=0.5
+        )
+        for backend in ("reference", "packed")
+    ]
+    reference, packed = runs
+    assert reference.detected > 0
+    assert packed.detected == reference.detected
+    assert packed.sequences_applied == reference.sequences_applied
+    assert packed.pattern_count == reference.pattern_count
+
+
 def test_random_baseline_rejects_too_short_sequences(s27):
     with pytest.raises(ValueError):
         RandomSequenceATPG(s27, sequence_length=1)

@@ -5,7 +5,9 @@ pattern slot 0 and one gross-delay faulty machine in every remaining slot;
 the verdict, detection frame and detecting primary output of every fault must
 be identical to replaying the sequence against that fault alone with the
 reference interpreter (which is what ``verify_test_sequence`` has always
-done).
+done).  The universe-resident graders behind it are checked with random
+live-lane masks: only live lanes are ever reported, each at its reference
+verdict.
 """
 
 from __future__ import annotations
@@ -18,8 +20,16 @@ import pytest
 
 from repro.core.clocking import ClockSchedule
 from repro.core.results import TestSequence
-from repro.core.verify import grade_test_sequence, verify_test_sequence
+from repro.core.verify import (
+    PackedGrader,
+    ReferenceGrader,
+    create_grader,
+    grade_test_sequence,
+    iter_lanes,
+    verify_test_sequence,
+)
 from repro.faults.model import enumerate_delay_faults
+from repro.fausim.backends import create_simulator
 
 from tests.fausim.test_packed_differential import random_circuit
 
@@ -119,3 +129,57 @@ def test_grading_empty_fault_list(s27):
     sequence = random_sequence(rng, s27)
     assert grade_test_sequence(s27, sequence, [], backend="packed") == []
     assert grade_test_sequence(s27, sequence, [], backend="reference") == []
+
+
+# --------------------------------------------------------------------------- #
+# universe-resident graders with live-lane masks
+# --------------------------------------------------------------------------- #
+def _verdicts(events):
+    """Lane -> (frame, primary output); a lane reported twice fails."""
+    verdicts = {}
+    for frame, po, lanes in events:
+        for lane in iter_lanes(lanes):
+            assert lane not in verdicts, f"lane {lane} reported twice"
+            verdicts[lane] = (frame, po)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", range(0, 24))
+def test_live_mask_grading_matches_reference_sublist(seed):
+    """A packed grade of random live lanes equals grading the live sublist."""
+    circuit = random_circuit(seed)
+    rng = random.Random(6300 + seed)
+    faults = enumerate_delay_faults(circuit)
+    grader = create_grader(create_simulator(circuit, "packed"), faults)
+    oracle = create_grader(create_simulator(circuit, "reference"), faults)
+    assert isinstance(grader, PackedGrader) and isinstance(oracle, ReferenceGrader)
+    for _ in range(3):
+        sequence = random_sequence(rng, circuit)
+        live = 0
+        for lane in range(1, len(faults) + 1):
+            if rng.random() < 0.5:
+                live |= 1 << lane
+        events = grader.grade(sequence, live)
+        assert events == oracle.grade(sequence, live), f"seed {seed}"
+        verdicts = _verdicts(events)
+        assert set(verdicts) <= set(iter_lanes(live)), "a dead lane was reported"
+
+        lanes = list(iter_lanes(live))
+        sublist = [faults[lane - 1] for lane in lanes]
+        want = grade_test_sequence(circuit, sequence, sublist, backend="reference")
+        for lane, grade in zip(lanes, want):
+            got = verdicts.get(lane)
+            assert (got is not None) == grade.detected, f"seed {seed}: {grade.fault}"
+            if got is not None:
+                assert got == (grade.detection_frame, grade.primary_output)
+
+
+def test_grader_with_no_live_lanes_reports_nothing(s27):
+    rng = random.Random(44)
+    sequence = random_sequence(rng, s27)
+    faults = enumerate_delay_faults(s27)
+    for backend in ("packed", "reference"):
+        grader = create_grader(create_simulator(s27, backend), faults)
+        assert grader.grade(sequence, 0) == []
+        # lanes outside the universe are ignored
+        assert grader.grade(sequence, 1 | (1 << (len(faults) + 1))) == []

@@ -161,6 +161,29 @@ def test_backends_agree(s27):
     assert _journal_form(packed) == _journal_form(reference)
 
 
+def test_packed_prefix_plans_once_and_builds_no_fault_grades(s344_small, monkeypatch):
+    """One grading plan per phase; the live-lane loop makes no per-fault verdicts."""
+    from repro.core import verify
+
+    plans = []
+    original_init = verify.PackedGrader.__init__
+
+    def counting_init(self, simulator, faults):
+        plans.append(len(faults))
+        original_init(self, simulator, faults)
+
+    def no_grades(*args, **kwargs):
+        raise AssertionError("the prefix must not build FaultGrade objects")
+
+    monkeypatch.setattr(verify.PackedGrader, "__init__", counting_init)
+    monkeypatch.setattr(verify, "FaultGrade", no_grades)
+    config = PrefixConfig(budget=12, window=64, sequence_length=8, seed=0)
+    universe = enumerate_delay_faults(s344_small)
+    outcome = RandomPrefixEngine(s344_small, config, backend="packed").run(universe)
+    assert outcome.applied == 12 and outcome.detected
+    assert plans == [len(universe)]
+
+
 # --------------------------------------------------------------------------- #
 # serial hybrid flow
 # --------------------------------------------------------------------------- #

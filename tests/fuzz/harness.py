@@ -36,7 +36,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.core.clocking import ClockSchedule
 from repro.core.results import TestSequence
-from repro.core.verify import grade_test_sequence
+from repro.core.verify import create_grader, grade_test_sequence, iter_lanes
 from repro.faults.model import GateDelayFault, enumerate_delay_faults, sample_faults
 from repro.fausim.backends import available_backends, create_simulator
 from repro.fausim.logic_sim import simulate_sequence
@@ -456,7 +456,7 @@ def _grading_sequence(case: FuzzCase, faults: Sequence[GateDelayFault]) -> TestS
 
 
 def _check_grading(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
-    """Layer 4: fault grading verdicts, per backend."""
+    """Layer 4: fault grading verdicts, per backend, with and without a live mask."""
     faults = sample_faults(enumerate_delay_faults(circuit), case.max_faults)
     if not faults or len(case.sequences[0]) < 2:
         return
@@ -477,6 +477,30 @@ def _check_grading(case: FuzzCase, circuit: Circuit, failures: List[str]) -> Non
             failures.append(
                 f"grading[{backend}]: fault {faults[first]} verdict differs "
                 f"({got[first]} != {want[first]})"
+            )
+    # Once more through a universe-resident grader and a live-lane mask of
+    # its own RNG (the other layers' inputs and every corpus file stay as
+    # they were): a live lane gets its reference verdict, a dead one none.
+    rng = random.Random(f"grade:{case.seed}")
+    live = 0
+    for lane in range(1, len(faults) + 1):
+        if rng.random() < 0.5:
+            live |= 1 << lane
+    for backend in available_backends():
+        grader = create_grader(create_simulator(circuit, backend), faults)
+        got = [(False, None, None)] * len(faults)
+        for frame, po, lanes in grader.grade(sequence, live):
+            for lane in iter_lanes(lanes):
+                got[lane - 1] = (True, frame, po)
+        expected = [
+            verdict if live >> lane & 1 else (False, None, None)
+            for lane, verdict in enumerate(want, start=1)
+        ]
+        if got != expected:
+            first = next(index for index in range(len(want)) if got[index] != expected[index])
+            failures.append(
+                f"grading[{backend}, live mask]: fault {faults[first]} verdict differs "
+                f"({got[first]} != {expected[first]})"
             )
 
 
