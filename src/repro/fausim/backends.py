@@ -16,10 +16,10 @@ Two backends ship with the library:
 This is the one registry of the code base: fault simulation
 (:func:`create_simulator`, :func:`create_two_frame_simulator`), the
 search-side implication engines
-(:func:`repro.tdgen.implication.create_implication_engine`) and, through
-each engine, its search kernels all resolve a backend name here, so one
-choice — per call, via :func:`set_default_backend`, or via the CLI
-``--backend`` flag — governs the whole flow::
+(:func:`repro.tdgen.implication.create_implication_engine`) all resolve a
+backend name here, so one choice — per call, via
+:func:`set_default_backend`, or via the CLI ``--backend`` flag — governs
+the whole flow (the search kernels on top of the engines are one class)::
 
     simulator = create_simulator(circuit, backend="packed")
 

@@ -6,8 +6,8 @@ feedback and synchronisation) behind one object so that the FOGBUSTER flow in
 the TDgen / SEMILET coupling described in the paper.
 
 One ``backend`` parameter (the shared :mod:`repro.fausim.backends` names)
-is threaded into all three tasks, selecting their implication engines and
-search kernels together with the flow's fault simulation.
+is threaded into all three tasks, selecting their implication engines
+together with the flow's fault simulation.
 """
 
 from __future__ import annotations

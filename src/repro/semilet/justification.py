@@ -17,9 +17,8 @@ the backend-dispatched implication engine (:mod:`repro.tdgen.implication`):
 both alternatives of a decision are submitted as one candidate batch, which
 the packed engine evaluates in a single pass over the compiled netlist.  The
 backtrace itself goes through the engine's search kernels
-(:mod:`repro.tdgen.search`), so the ``backend`` choice selects between the
-interpreted recursion (``reference``) and the iterative worklist over the
-compiled flat arrays (``packed``).
+(:mod:`repro.tdgen.search`): an iterative worklist over the compiled flat
+arrays and the batch's frame planes, the same on both backends.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ machine in adjacent pattern slots) that visits only the gates the decision
 variable reaches.  The per-decision search residue — classifying a frame
 against its goal's observation points (the X-path check) and the D-frontier
 decision backtrace — goes through the engine's search kernels
-(:mod:`repro.tdgen.search`), so the ``backend`` choice also selects between
-the interpreted per-name walks (``reference``) and reads of one candidate's
-packed pair codes (``packed``).
+(:mod:`repro.tdgen.search`), which read one candidate's pair codes; the
+``reference`` engine builds those codes with interpreted per-name walks,
+the ``packed`` one with its bit-parallel pair analysis.
 """
 
 from __future__ import annotations
@@ -40,7 +40,11 @@ from repro.circuit.netlist import Circuit
 from repro.fausim.logic_sim import SignalValues
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.decide import Stop, decision_search
-from repro.tdgen.implication import CandidatePairFrames, create_implication_engine
+from repro.tdgen.implication import (
+    CandidatePairFrames,
+    _differs,
+    create_implication_engine,
+)
 
 #: How many alternative state bits a frame may park the difference in
 #: before the frame search gives up.
@@ -300,8 +304,3 @@ class PropagationEngine:
                 ppi: value for ppi, value in free_ppi_values.items() if value is not None
             },
         )
-
-
-def _differs(good_value: Optional[int], faulty_value: Optional[int]) -> bool:
-    """True when both machines have binary values that provably differ."""
-    return good_value is not None and faulty_value is not None and good_value != faulty_value

@@ -15,7 +15,7 @@ starting state — in particular from the all-unknown power-up state.
 
 Each frame's justification and the final forward validation dispatch
 through the ``backend`` parameter (the :mod:`repro.fausim.backends` names
-shared with the implication engines and search kernels; ``None`` selects
+shared with the implication engines; ``None`` selects
 the process default).
 """
 

@@ -15,9 +15,9 @@ frame value of the corresponding PPO) built into the forward implication.
 The package also hosts the two backend-dispatched layers shared with SEMILET
 and TDsim: the implication engines (:mod:`repro.tdgen.implication`) and the
 search kernels (:mod:`repro.tdgen.search` — objective selection, multiple
-backtrace, potential-difference scan).  Engines resolve their backend name
-through :mod:`repro.fausim.backends` and each builds its own kernels, so one
-``backend`` choice governs the whole flow.
+backtrace, the pair-frame queries).  Engines resolve their backend name
+through :mod:`repro.fausim.backends`, so one ``backend`` choice governs the
+whole flow; both engines feed the one kernels class.
 """
 
 from repro.tdgen.context import TDgenContext
@@ -28,18 +28,12 @@ from repro.tdgen.implication import (
     ReferenceImplicationEngine,
     create_implication_engine,
 )
-from repro.tdgen.search import (
-    PackedSearchKernels,
-    ReferenceSearchKernels,
-    SearchKernels,
-)
+from repro.tdgen.search import SearchKernels
 from repro.tdgen.result import LocalTest, LocalTestStatus
 from repro.tdgen.engine import TDgen
 
 __all__ = [
     "SearchKernels",
-    "ReferenceSearchKernels",
-    "PackedSearchKernels",
     "TDgenContext",
     "TwoFrameState",
     "simulate_two_frame",

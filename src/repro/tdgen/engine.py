@@ -13,9 +13,8 @@ sweep over the compiled netlist, and later backtracks to the node flip to an
 already-implied slot instead of re-running the forward pass.  The
 per-decision search residue — D-frontier objective selection and the
 multiple backtrace to an unassigned decision variable — goes through the
-engine's search kernels (:mod:`repro.tdgen.search`), so the ``backend``
-choice governs those walks too: ``packed`` scans the compiled slot column,
-``reference`` keeps the interpreted walks.  Because each decision node
+engine's search kernels (:mod:`repro.tdgen.search`), which scan the state's
+compiled slot column on both backends.  Because each decision node
 enumerates the complete domain of its variable, an exhausted search proves
 the fault robustly untestable in the combinational sense; any other stop
 (backtrack limit, deadline, decision bound) aborts the fault (Table 3's
@@ -318,7 +317,7 @@ class TDgen:
                 return (ppo, needed)
 
         # 3. Propagate: pick a D-frontier gate and set an off-path input via
-        #    the backend's search kernels (compiled scan on ``packed``).
+        #    the search kernels (a scan of the state's slot column).
         return self.search.propagation_objective(state, fault)
 
     def _fallback_decision(

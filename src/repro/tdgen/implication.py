@@ -17,19 +17,21 @@ Every evaluation comes in a scalar form and a *candidate batch* form: the
 batch takes the current partial assignment plus one override per candidate
 (a decision alternative, a candidate frame) and yields one result per
 candidate.  The ``reference`` engine computes batch entries lazily with the
-interpreted oracles, so its cost profile is exactly the historical
-one-call-per-alternative behaviour; the ``packed`` engine evaluates the whole
-batch in one bit-parallel pass over the compiled netlist
-(:mod:`repro.algebra.packed_sets` for the eight-valued set words,
+interpreted oracles, one call per consumed alternative; the ``packed``
+engine evaluates the whole batch in one bit-parallel pass over the compiled
+netlist (:mod:`repro.algebra.packed_sets` for the eight-valued set words,
 :mod:`repro.fausim.packed_sim` for the three-valued planes), one candidate
 per pattern slot of the unbounded-width words, and unpacks only the
-candidates that are actually consumed.
+candidates that are actually consumed.  Both engines' batches also expose
+their results in the compiled slot order — a state's slot column, a pair
+candidate's pair codes, a frame batch's planes — which is all the one
+:class:`~repro.tdgen.search.SearchKernels` class reads.
 
 :func:`create_implication_engine` resolves its ``backend`` through the one
 registry of :mod:`repro.fausim.backends`, and ``backend=None`` resolves to
 the same process-wide default, so one ``--backend`` choice governs fault
-simulation, search-side implication and (through
-:meth:`ImplicationEngine.search_kernels`) the search heuristics::
+simulation and the implication under the search heuristics
+(:meth:`ImplicationEngine.search_kernels`)::
 
     engine = create_implication_engine(circuit, backend="packed")
     state = engine.implicate(pi_values, ppi_initial, fault)
@@ -37,7 +39,8 @@ simulation, search-side implication and (through
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+import dataclasses
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.packed_sets import PackedSetSimulator, SetMove, apply_moves, slot_mask
 from repro.algebra.sets import PI_SET, ValueSet
@@ -49,6 +52,8 @@ from repro.fausim.backends import PACKED_BACKEND, resolve_backend
 from repro.fausim.compile import CompiledCircuit, compile_circuit
 from repro.fausim.kernels import (
     PAIR_PLANES,
+    PAIR_POTENTIAL,
+    PAIR_PROVABLE,
     PairAnalysis,
     PairColumns,
     PairWave,
@@ -60,7 +65,7 @@ from repro.fausim.logic_sim import LogicSimulator, SignalValues
 from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes
 from repro.obs.metrics import NULL_REGISTRY
 from repro.tdgen.context import TDgenContext
-from repro.tdgen.search import PackedSearchKernels, ReferenceSearchKernels, SearchKernels
+from repro.tdgen.search import SearchKernels
 from repro.tdgen.simulation import (
     TwoFrameState,
     _inject,
@@ -87,6 +92,22 @@ _PAIR_SET_TABLE: Dict[Tuple[Optional[int], Optional[int]], ValueSet] = {
     (initial, final): _ppi_pair_set(initial, final)
     for initial in (None, 0, 1)
     for final in (None, 0, 1)
+}
+
+
+#: ``(good, faulty)`` values of the plane bits of each pair code (see
+#: :class:`~repro.fausim.kernels.PairColumns`).
+_PAIR_OF_CODE: Tuple[PairValue, ...] = tuple(
+    (
+        1 if code & 4 else 0 if code & 1 else None,
+        1 if code & 8 else 0 if code & 2 else None,
+    )
+    for code in range(PAIR_PLANES + 1)
+)
+
+#: The pair code planes of each ``(good, faulty)`` value (the inverse above).
+_CODE_OF_PAIR: Dict[PairValue, int] = {
+    pair: code for code, pair in enumerate(_PAIR_OF_CODE) if code & 5 != 5 and code & 10 != 10
 }
 
 
@@ -119,13 +140,21 @@ def _couple(
 
 
 class CandidateStates:
-    """One two-frame implication result per candidate, possibly lazy."""
+    """One two-frame implication result per candidate, possibly lazy.
+
+    A state handed out by :meth:`state` carries ``(batch, index)`` as its
+    ``packed_handle``, so the search kernels can read its slot column.
+    """
 
     def __len__(self) -> int:
         raise NotImplementedError
 
     def state(self, index: int) -> TwoFrameState:
         """The :class:`TwoFrameState` of candidate ``index``."""
+        raise NotImplementedError
+
+    def column_sets(self, index: int) -> List[ValueSet]:
+        """Candidate ``index``'s possibility set per compiled signal slot."""
         raise NotImplementedError
 
 
@@ -139,6 +168,10 @@ class CandidatePairFrames:
         """The per-signal ``(good, faulty)`` values of candidate ``index``."""
         raise NotImplementedError
 
+    def columns(self, index: int) -> PairColumns:
+        """Candidate ``index``'s pair code per slot and its D-frontier gates."""
+        raise NotImplementedError
+
 
 class CandidateFrames:
     """One three-valued frame per candidate, possibly lazy."""
@@ -148,6 +181,10 @@ class CandidateFrames:
 
     def frame(self, index: int) -> SignalValues:
         """The per-signal three-valued frame of candidate ``index``."""
+        raise NotImplementedError
+
+    def packed_planes(self) -> PackedPlanes:
+        """Every candidate's frame as planes, candidate ``i`` in bit ``i``."""
         raise NotImplementedError
 
 
@@ -166,8 +203,6 @@ class ImplicationEngine:
     """
 
     name = "abstract"
-    #: The search kernels class matching this engine's planes.
-    kernels_class: Type[SearchKernels] = SearchKernels
     #: Metrics registry of the owning search engine (no-op by default).
     metrics = NULL_REGISTRY
     #: Sweep-counter label of the owning search engine ("" = unowned).
@@ -199,14 +234,16 @@ class ImplicationEngine:
         self.metrics_site = site
 
     def search_kernels(self) -> SearchKernels:
-        """The search kernels matching this engine's backend (cached).
+        """The search kernels bound to this engine (cached).
 
-        Objective selection, multiple backtrace and the potential-difference
-        scan read this engine's own states and frames, so the ``--backend``
-        choice governs the search heuristics too.
+        Every engine gets the same kernels class: objective selection,
+        multiple backtrace and the pair-frame queries read the slot columns,
+        pair codes and planes this engine's batches expose, so the
+        ``--backend`` choice governs the implication underneath the search
+        heuristics, never the heuristics themselves.
         """
         if self._search_kernels is None:
-            self._search_kernels = self.kernels_class(self)
+            self._search_kernels = SearchKernels(self)
         return self._search_kernels
 
     @property
@@ -318,8 +355,68 @@ class ImplicationEngine:
 # --------------------------------------------------------------------------- #
 # reference engine — the interpreted oracles, computed lazily per candidate
 # --------------------------------------------------------------------------- #
+def _differs(good_value: Optional[int], faulty_value: Optional[int]) -> bool:
+    """True when both machines have binary values that provably differ."""
+    return good_value is not None and faulty_value is not None and good_value != faulty_value
+
+
+def _potential_difference(
+    circuit: Circuit,
+    rows: Sequence[Tuple[str, Tuple[str, ...]]],
+    pairs: Mapping[str, PairValue],
+) -> Dict[str, bool]:
+    """Interpreted per-signal scan over the pair values of one frame.
+
+    Maps a signal to ``True`` when the good and the faulty machine could
+    still disagree on it (the propagation PODEM's X-path check).  ``rows``
+    are the ``(name, fanin)`` of the combinational gates in evaluation order.
+    """
+    potential: Dict[str, bool] = {}
+    for pi in circuit.primary_inputs:
+        potential[pi] = False
+    for ppi in circuit.pseudo_primary_inputs:
+        good_value, faulty_value = pairs[ppi]
+        if good_value is None or faulty_value is None:
+            potential[ppi] = good_value is not faulty_value and not (
+                good_value is None and faulty_value is None
+            )
+            # An X/X pair is the *same* unknown in both machines, never a
+            # difference source; a binary/X mix could be.
+            if good_value is None and faulty_value is None:
+                potential[ppi] = False
+        else:
+            potential[ppi] = good_value != faulty_value
+    for name, fanin in rows:
+        good_value, faulty_value = pairs[name]
+        if good_value is not None and faulty_value is not None:
+            potential[name] = good_value != faulty_value
+        else:
+            potential[name] = any(potential[s] for s in fanin)
+    return potential
+
+
+def _pair_d_frontier(
+    rows: Sequence[Tuple[str, Tuple[str, ...]]], pairs: Mapping[str, PairValue]
+) -> List[str]:
+    """Gates with a provably differing fanin but an output X in some machine."""
+    frontier = []
+    for name, fanin in rows:
+        good_value, faulty_value = pairs[name]
+        if good_value is not None and faulty_value is not None:
+            continue
+        if any(_differs(*pairs[s]) for s in fanin):
+            frontier.append(name)
+    return frontier
+
+
 class _LazyStates(CandidateStates):
-    """Reference candidate states: one interpreter run per consumed index."""
+    """Reference candidate states: one interpreter run per consumed index.
+
+    :meth:`state` caches each index's interpreter result, whose
+    ``packed_handle`` is unset, and hands out a copy that points back here;
+    caching the handed-out states would close a reference cycle, as in
+    :class:`_PackedStates`.
+    """
 
     def __init__(self, engine: "ReferenceImplicationEngine", pi_values, ppi_initial, fault, candidates):
         self._engine = engine
@@ -328,12 +425,26 @@ class _LazyStates(CandidateStates):
         self._fault = fault
         self._candidates = list(candidates)
         self._cache: Dict[int, TwoFrameState] = {}
+        self._columns: Dict[int, List[ValueSet]] = {}
 
     def __len__(self) -> int:
         return len(self._candidates)
 
     def state(self, index: int) -> TwoFrameState:
         """Simulate candidate ``index`` with the reference interpreter."""
+        return dataclasses.replace(self._simulate(index), packed_handle=(self, index))
+
+    def column_sets(self, index: int) -> List[ValueSet]:
+        """The interpreted ``signal_sets`` in compiled signal-slot order."""
+        cached = self._columns.get(index)
+        if cached is None:
+            signal_sets = self._simulate(index).signal_sets
+            cached = self._columns[index] = [
+                signal_sets[name] for name in self._engine.compiled.signal_names
+            ]
+        return cached
+
+    def _simulate(self, index: int) -> TwoFrameState:
         cached = self._cache.get(index)
         if cached is not None:
             return cached
@@ -355,7 +466,11 @@ class _LazyStates(CandidateStates):
 
 
 class _LazyPairFrames(CandidatePairFrames):
-    """Reference pair frames: one interpreted lock-step run per index."""
+    """Reference pair frames: one interpreted lock-step run per index.
+
+    :meth:`columns` builds the pair codes and the D-frontier from the
+    per-name walks above, independently of the packed pair analysis.
+    """
 
     def __init__(self, engine: "ReferenceImplicationEngine", pi_values, good_state, faulty_state, free_ppi_values, candidates):
         self._engine = engine
@@ -365,6 +480,7 @@ class _LazyPairFrames(CandidatePairFrames):
         self._free_ppi_values = dict(free_ppi_values)
         self._candidates = list(candidates)
         self._cache: Dict[int, Dict[str, PairValue]] = {}
+        self._columns: Dict[int, PairColumns] = {}
 
     def __len__(self) -> int:
         return len(self._candidates)
@@ -389,6 +505,29 @@ class _LazyPairFrames(CandidatePairFrames):
         self._cache[index] = pairs
         return pairs
 
+    def columns(self, index: int) -> PairColumns:
+        """Candidate ``index``'s pair codes and D-frontier, from the walks."""
+        cached = self._columns.get(index)
+        if cached is not None:
+            return cached
+        engine = self._engine
+        compiled = engine.compiled
+        rows = engine._rows()
+        pairs = self.pairs(index)
+        potential = _potential_difference(engine.circuit, rows, pairs)
+        codes = [
+            _CODE_OF_PAIR[pairs[name]]
+            | (PAIR_POTENTIAL if potential[name] else 0)
+            | (PAIR_PROVABLE if _differs(*pairs[name]) else 0)
+            for name in compiled.signal_names
+        ]
+        frontier = [
+            compiled.gate_index_of[compiled.slot_of[name]]
+            for name in _pair_d_frontier(rows, pairs)
+        ]
+        columns = self._columns[index] = PairColumns(codes, frontier)
+        return columns
+
 
 class _LazyFrames(CandidateFrames):
     """Reference frames: one interpreted combinational run per index."""
@@ -399,6 +538,7 @@ class _LazyFrames(CandidateFrames):
         self._ppi_values = dict(ppi_values)
         self._candidates = list(candidates)
         self._cache: Dict[int, SignalValues] = {}
+        self._planes: Optional[PackedPlanes] = None
 
     def __len__(self) -> int:
         return len(self._candidates)
@@ -423,18 +563,35 @@ class _LazyFrames(CandidateFrames):
         self._cache[index] = frame
         return frame
 
+    def packed_planes(self) -> PackedPlanes:
+        """Every candidate's interpreted frame packed into planes."""
+        if self._planes is None:
+            signal_names = self._engine.compiled.signal_names
+            zero = [0] * len(signal_names)
+            one = [0] * len(signal_names)
+            for index in range(len(self)):
+                frame = self.frame(index)
+                bit = 1 << index
+                for slot, name in enumerate(signal_names):
+                    value = frame.get(name)
+                    if value == 1:
+                        one[slot] |= bit
+                    elif value == 0:
+                        zero[slot] |= bit
+            self._planes = PackedPlanes(zero=zero, one=one, width=len(self))
+        return self._planes
+
 
 class ReferenceImplicationEngine(ImplicationEngine):
     """The interpreted oracles, kept bit-exact with the historical code paths.
 
     Candidate batches are lazy: a candidate that is never consumed (its
-    decision alternative was never flipped to) costs nothing, preserving the
-    cost profile of the one-call-per-alternative search loops this engine
-    replaces.
+    decision alternative was never flipped to) costs no implication.  The
+    batches expose their results in the compiled netlist's slot order
+    (:attr:`compiled`), the form the search kernels read.
     """
 
     name = "reference"
-    kernels_class = ReferenceSearchKernels
 
     def __init__(
         self,
@@ -444,6 +601,18 @@ class ReferenceImplicationEngine(ImplicationEngine):
     ) -> None:
         super().__init__(circuit, robust=robust, context=context)
         self._simulator = LogicSimulator(circuit)
+        self.compiled: CompiledCircuit = compile_circuit(circuit)
+        #: ``(name, fanin)`` per combinational gate in evaluation order,
+        #: built on first pair-frame use.
+        self._gate_rows: Optional[List[Tuple[str, Tuple[str, ...]]]] = None
+
+    def _rows(self) -> List[Tuple[str, Tuple[str, ...]]]:
+        if self._gate_rows is None:
+            self._gate_rows = [
+                (name, tuple(self.circuit.gate(name).fanin))
+                for name in self.context.order
+            ]
+        return self._gate_rows
 
     def implicate_candidates(
         self, pi_values, ppi_initial, fault, candidates, base=None
@@ -741,17 +910,6 @@ class _PackedStates(CandidateStates):
         return signal_sets, frame1, fault_line_set
 
 
-#: ``(good, faulty)`` values of the plane bits of each pair code (see
-#: :class:`~repro.fausim.kernels.PairColumns`).
-_PAIR_OF_CODE: Tuple[PairValue, ...] = tuple(
-    (
-        1 if code & 4 else 0 if code & 1 else None,
-        1 if code & 8 else 0 if code & 2 else None,
-    )
-    for code in range(PAIR_PLANES + 1)
-)
-
-
 class _PackedPairFrames(CandidatePairFrames):
     """Packed pair frames: good/faulty machines in adjacent pattern slots.
 
@@ -839,10 +997,10 @@ class _PackedPairFrames(CandidatePairFrames):
     def pair_analysis(self) -> PairAnalysis:
         """The batch's analysis columns, computed on first use and cached.
 
-        Bit ``2i`` of each column belongs to candidate ``i``; the potential
-        column is exactly the reference scan of
-        :meth:`repro.tdgen.search.ReferenceSearchKernels.potential_difference`,
-        evaluated bit-parallel for the whole batch.  An event-driven batch
+        Bit ``2i`` of each column belongs to candidate ``i``; the columns
+        are exactly the reference engine's per-name walks
+        (:func:`_potential_difference`, :func:`_pair_d_frontier`), evaluated
+        bit-parallel for the whole batch.  An event-driven batch
         fills its unwritten slots in from the parent's codes here (one step
         per slot); the search reads :meth:`columns` instead.
         """
@@ -883,7 +1041,7 @@ class _PackedFrames(CandidateFrames):
         return self._width
 
     def packed_planes(self) -> PackedPlanes:
-        """The underlying planes (read by the packed search kernels)."""
+        """The underlying planes (read by the search kernels)."""
         return self._planes
 
     def frame(self, index: int) -> SignalValues:
@@ -927,7 +1085,6 @@ class PackedImplicationEngine(ImplicationEngine):
     """
 
     name = PACKED_BACKEND
-    kernels_class = PackedSearchKernels
 
     def __init__(
         self,
@@ -983,7 +1140,8 @@ class PackedImplicationEngine(ImplicationEngine):
     ) -> Optional["_PackedStates"]:
         """Run the sweep incrementally off ``base`` when it is eligible.
 
-        Eligible means: the base state was produced by *this* engine for the
+        Eligible means: the base state was produced by *this* engine (not,
+        say, by a reference engine, whose states carry a handle too) for the
         *same* fault, it is conflict free, and every override targets one
         single decision variable (the shape the search loops produce).
         Returns ``None`` to fall back to a full sweep.
@@ -994,7 +1152,11 @@ class PackedImplicationEngine(ImplicationEngine):
         if handle is None:
             return None
         parent, parent_index = handle
-        if parent._owner is not self or parent._fault != fault:
+        if (
+            not isinstance(parent, _PackedStates)
+            or parent._owner is not self
+            or parent._fault != fault
+        ):
             return None
         variables = {
             (candidate[0], candidate[1])

@@ -74,11 +74,12 @@ class TwoFrameState:
             pass records it so :meth:`has_conflict` — invoked once per
             decision by :class:`repro.tdgen.engine.TDgen` — does not have to
             re-scan every signal set.
-        packed_handle: opaque backref set by the packed implication engine
-            (:mod:`repro.tdgen.implication`) so a follow-up candidate sweep
-            can start from this state's planes and re-evaluate only the
-            decision variable's influence cone.  Never compared and always
-            ``None`` for reference states.
+        packed_handle: ``(batch, index)`` backref set by the implication
+            engines (:mod:`repro.tdgen.implication`): the search kernels
+            read the state's slot column through it, and the packed engine
+            starts a follow-up candidate sweep from it, evaluating only the
+            gates the decision variable's change reaches.  Never compared;
+            ``None`` for a state built outside an engine batch.
     """
 
     signal_sets: Dict[str, ValueSet]
@@ -136,9 +137,8 @@ def branch_injected_input_sets(
     """The value sets a gate actually sees on its inputs, in pin order.
 
     Re-applies the branch-fault injection on the single faulted pin.  This is
-    the one shared definition of branch injection: the forward pass of
-    :func:`simulate_two_frame` and the engine-facing :func:`gate_input_sets`
-    (D-frontier, backtrace) both call it, so the two views cannot drift.
+    the one shared definition of branch injection in the interpreted
+    forward pass of :func:`simulate_two_frame`.
 
     Args:
         gate: the gate whose inputs are read (``repro.circuit`` gate object).
@@ -256,25 +256,6 @@ def simulate_two_frame(
         ppi_pair_sets=ppi_pair_sets,
         conflict_signal=conflict_signal,
     )
-
-
-def gate_input_sets(
-    state: TwoFrameState,
-    context: TDgenContext,
-    gate_name: str,
-    fault: Optional[GateDelayFault] = None,
-) -> Dict[int, ValueSet]:
-    """The value sets a gate actually sees on its input pins.
-
-    Delegates to :func:`branch_injected_input_sets` — the same helper the
-    forward pass uses — so the engine's D-frontier and backtrace reason about
-    exactly the sets the forward pass propagated.
-    """
-    gate = context.circuit.gate(gate_name)
-    input_sets = branch_injected_input_sets(
-        gate, state.signal_sets, fault, branch_fault_key(fault)
-    )
-    return dict(enumerate(input_sets))
 
 
 def good_machine_values(

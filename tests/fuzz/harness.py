@@ -10,7 +10,12 @@ and random partial assignments for the search-side layers.
 simulation (scalar clocking *and* the batched plane path), implication,
 search kernels, grading, TDsim fault simulation and SEMILET pair frames —
 once per registered backend, and returns every disagreement with the
-reference oracle.  :func:`shrink_case` greedily
+reference oracle.  Both engines feed the one search-kernels class, so the
+kernel layer compares what the kernels read — each state's slot column
+(``column_sets``), each pair candidate's pair codes and D-frontier
+(``columns``), the justification frame planes (``packed_planes``) — before
+the objectives, backtraces, classifications and decisions the kernels make
+from them; a failure names the column that diverged.  :func:`shrink_case` greedily
 minimises a failing case (drop sequences/frames/outputs/dead gates, X out
 assignments) while it keeps failing, and :func:`persist_case` writes the
 minimised case to ``tests/fuzz/corpus/`` so the regression replays forever.
@@ -322,10 +327,22 @@ def _check_simulation(case: FuzzCase, circuit: Circuit, failures: List[str]) -> 
                 break
 
 
+def _state_mismatch(got, want) -> Optional[str]:
+    """The first state field, or the slot column the kernels read, that differs."""
+    for field in _STATE_FIELDS:
+        if getattr(got, field) != getattr(want, field):
+            return field
+    got_batch, got_index = got.packed_handle
+    want_batch, want_index = want.packed_handle
+    if got_batch.column_sets(got_index) != want_batch.column_sets(want_index):
+        return "column_sets"
+    return None
+
+
 def _check_implication_and_kernels(
     case: FuzzCase, circuit: Circuit, failures: List[str]
 ) -> None:
-    """Layers 2+3: implication states, objectives, backtraces, per engine."""
+    """Layers 2+3: states and slot columns, frame planes, kernel choices."""
     context = TDgenContext(circuit)
     fault = _decode_fault(case, circuit)
     pi_values = _decode_pi_assignment(case, circuit)
@@ -365,48 +382,31 @@ def _check_implication_and_kernels(
 
     for name, engine in engines.items():
         got_state = engine.implicate(pi_values, ppi_initial, fault)
-        for field in _STATE_FIELDS:
-            if getattr(got_state, field) != getattr(want_state, field):
-                failures.append(f"implication[{name}]: {field} differs")
-                break
+        field = _state_mismatch(got_state, want_state)
+        if field is not None:
+            failures.append(f"implication[{name}]: {field} differs")
         got_batch = engine.implicate_candidates(
             pi_values, ppi_initial, fault, candidates
         )
-        for index in range(len(candidates)):
-            mismatch = [
-                field
-                for field in _STATE_FIELDS
-                if getattr(got_batch.state(index), field)
-                != getattr(want_batch.state(index), field)
-            ]
-            if mismatch:
-                failures.append(
-                    f"implication[{name}]: candidate {index} {mismatch[0]} differs"
-                )
-                break
-        # the incremental cone path, chained off the previous state like
-        # the TDgen search chains it (base= takes a different code path)
+        # the incremental path, chained off the previous state like the
+        # TDgen search chains it (base= takes a different code path)
         want_chained = oracle.implicate_candidates(
             pi_values, ppi_initial, fault, candidates, base=want_state
         )
         got_chained = engine.implicate_candidates(
             pi_values, ppi_initial, fault, candidates, base=got_state
         )
-        for index in range(len(candidates)):
-            mismatch = [
-                field
-                for field in _STATE_FIELDS
-                if getattr(got_chained.state(index), field)
-                != getattr(want_chained.state(index), field)
-            ]
-            if mismatch:
-                failures.append(
-                    f"implication[{name}]: chained candidate {index} "
-                    f"{mismatch[0]} differs"
-                )
-                break
+        for label, got_states, want_states in (
+            ("candidate", got_batch, want_batch),
+            ("chained candidate", got_chained, want_chained),
+        ):
+            for index in range(len(candidates)):
+                field = _state_mismatch(got_states.state(index), want_states.state(index))
+                if field is not None:
+                    failures.append(f"implication[{name}]: {label} {index} {field} differs")
+                    break
 
-        # layer 3: the search kernels resolved for this engine
+        # layer 3: the one kernels class over each engine's columns
         kernels = engine.search_kernels()
         if fault is not None and not want_state.has_conflict():
             want = oracle_kernels.propagation_objective(want_state, fault)
@@ -420,6 +420,11 @@ def _check_implication_and_kernels(
             ):
                 failures.append(f"kernels[{name}]: backtrace differs")
         got_just_frames = engine.frame_candidates(just_pi, just_ppi, (None,))
+        want_planes = want_just_frames.packed_planes()
+        got_planes = got_just_frames.packed_planes()
+        for plane in ("zero", "one"):
+            if list(getattr(got_planes, plane)) != list(getattr(want_planes, plane)):
+                failures.append(f"kernels[{name}]: justification {plane} plane differs")
         for signal in just_targets:
             for target in (0, 1):
                 want = oracle_kernels.justification_backtrace(
@@ -572,8 +577,8 @@ def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) ->
     every seed and corpus file replays the other layers unchanged.  Each
     decision's batch is built from the previous view (``base=``), the way
     the propagation PODEM chains them: event-driven on the packed backend,
-    from scratch on the reference one.  Every candidate's pairs, frame
-    class and D-frontier decision must agree.
+    from scratch on the reference one.  Every candidate's pairs, pair codes,
+    D-frontier gates, frame class and D-frontier decision must agree.
     """
     rng = random.Random(f"pair:{case.seed}")
     good: Dict[str, Optional[int]] = {}
@@ -625,13 +630,17 @@ def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) ->
                 want, got = [
                     (
                         dict(batch.pairs(index).items()),
+                        batch.columns(index).codes,
+                        batch.columns(index).frontier,
                         kernel.classify_pair_frame(batch, index, target),
                         kernel.pair_frame_decision(batch, index, pi_values, free_values),
                     )
                     for batch, kernel, target in zip(batches, kernels, targets)
                 ]
                 for label, want_part, got_part in zip(
-                    ("pairs", "classification", "decision"), want, got
+                    ("pairs", "pair codes", "D-frontier", "classification", "decision"),
+                    want,
+                    got,
                 ):
                     if got_part != want_part:
                         failures.append(

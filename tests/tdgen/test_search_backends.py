@@ -1,18 +1,23 @@
-"""Differential harness: packed search kernels vs the interpreted reference.
+"""Column oracle: what the search kernels read, reference engine vs packed.
 
-The packed kernels of :mod:`repro.tdgen.search` must be *bit-exact* against
-the interpreted walks they replace, query for query:
+Both implication engines feed the one :class:`repro.tdgen.search.SearchKernels`
+class.  The heuristics themselves have no ground truth; what the backends
+differ in is the implication the kernels read, and that must be *bit-exact*:
 
-* TDgen's D-frontier objective selection and eight-valued multiple
-  backtrace (over full and incremental packed states, stem and branch
-  faults, both robustness modes),
-* SEMILET propagation's potential-difference scan and pair-frame decision
-  backtrace,
-* SEMILET justification's controlling-value backtrace (the recursion vs the
-  iterative worklist),
-* the fold-image backward implication of :mod:`repro.algebra.sets` vs the
-  historical combination-enumerating oracle kept in
-  :func:`repro.tdgen.search.exhaustive_backward_input_sets`,
+* a two-frame state's slot column (``column_sets`` through
+  ``packed_handle``), on full and on chained incremental states, stem and
+  branch faults, both robustness modes;
+* a pair-frame candidate's pair codes and D-frontier (``columns``): the
+  reference engine builds them with the interpreted per-name walks, the
+  packed engine with the bit-parallel pair analysis (both tiers) or the
+  event-driven wavefront of a decision batch;
+* a justification batch's three-valued planes (``packed_planes``).
+
+Each test also runs the kernels over both engines' batches, so a column
+difference that changes a search decision names that decision too.  The
+fold-image backward implication of :mod:`repro.algebra.sets` is checked
+against the historical combination-enumerating oracle kept here
+(:func:`exhaustive_backward_input_sets`).
 
 Whole-campaign equivalence of the two backends is pinned in
 ``tests/tdgen/test_implication_backends.py``.  Any mismatch prints the
@@ -22,11 +27,13 @@ failing seed, so a reproduction is one ``random_circuit(seed)`` call away.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+import zlib
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.algebra.sets import FULL_SET, backward_input_sets
+from repro.algebra.sets import FULL_SET, ValueSet, backward_input_sets, contains, members
+from repro.algebra.tables import evaluate_delay_gate
 from repro.algebra.values import ALL_VALUES, DelayValue, PI_VALUES
 from repro.circuit.gates import GateType
 from repro.faults.model import enumerate_delay_faults
@@ -35,12 +42,7 @@ from repro.fausim.backends import available_backends
 from repro.fausim.kernels import kernels_for
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
-from repro.tdgen.search import (
-    PackedSearchKernels,
-    ReferenceSearchKernels,
-    _differs,
-    exhaustive_backward_input_sets,
-)
+from repro.tdgen.search import SearchKernels
 
 from tests.fausim.test_packed_differential import random_circuit
 
@@ -60,6 +62,12 @@ def _kernel_pairs(circuit, robust=True):
         (reference, reference.search_kernels()),
         (packed, packed.search_kernels()),
     )
+
+
+def _column_sets(state):
+    """The slot column a state's handle leads the kernels to."""
+    batch, index = state.packed_handle
+    return batch.column_sets(index)
 
 
 def _partial_assignment(rng, circuit, density=0.55):
@@ -85,26 +93,112 @@ def _random_states(rng, circuit):
 
 
 # --------------------------------------------------------------------------- #
+# the historical backward implication, enumerating input combinations
+# --------------------------------------------------------------------------- #
+_EXHAUSTIVE_BACKWARD_CACHE: Dict[Tuple, Tuple[ValueSet, ...]] = {}
+
+
+def exhaustive_backward_input_sets(
+    gate_type: GateType,
+    input_sets: Sequence[ValueSet],
+    output_set: ValueSet,
+    robust: bool = True,
+) -> List[ValueSet]:
+    """The historical combination-enumerating backward implication.
+
+    Must be bit-identical to :func:`repro.algebra.sets.backward_input_sets`,
+    but computed by enumerating input combinations the way the pre-kernel
+    search did: the correctness oracle of the fold-image implementation.
+    """
+    arity = len(input_sets)
+    if arity > 4:
+        # Sound no-pruning fallback, exactly as the shared implementation.
+        return list(input_sets)
+    key = (gate_type, robust, output_set, tuple(input_sets))
+    cached = _EXHAUSTIVE_BACKWARD_CACHE.get(key)
+    if cached is not None:
+        return list(cached)
+
+    if arity == 1:
+        allowed = 0
+        for value in members(input_sets[0]):
+            if contains(output_set, evaluate_delay_gate(gate_type, (value,), robust)):
+                allowed |= value.mask
+        result = [allowed]
+    else:
+        expanded = [members(value_set) for value_set in input_sets]
+
+        def exists_combination(position: int, candidate: DelayValue) -> bool:
+            def recurse(index: int, chosen: List[DelayValue]) -> bool:
+                if index == len(expanded):
+                    return contains(
+                        output_set, evaluate_delay_gate(gate_type, chosen, robust)
+                    )
+                if index == position:
+                    chosen.append(candidate)
+                    found = recurse(index + 1, chosen)
+                    chosen.pop()
+                    return found
+                for value in expanded[index]:
+                    chosen.append(value)
+                    if recurse(index + 1, chosen):
+                        chosen.pop()
+                        return True
+                    chosen.pop()
+                return False
+
+            return recurse(0, [])
+
+        result = []
+        for position in range(arity):
+            allowed = 0
+            for candidate in expanded[position]:
+                if exists_combination(position, candidate):
+                    allowed |= candidate.mask
+            result.append(allowed)
+    _EXHAUSTIVE_BACKWARD_CACHE[key] = tuple(result)
+    return result
+
+
+# --------------------------------------------------------------------------- #
 # registry and dispatch
 # --------------------------------------------------------------------------- #
 def test_registry_names():
-    """Every backend name yields the kernels of its own engine."""
+    """Every backend name yields the one kernels class."""
     circuit = random_circuit(0)
-    kernels = {
+    kernel_types = {
         type(create_implication_engine(circuit, name).search_kernels())
         for name in available_backends()
     }
-    assert kernels == {ReferenceSearchKernels, PackedSearchKernels}
+    assert kernel_types == {SearchKernels}
 
 
 def test_kernels_follow_engine_backend():
+    """Each engine's kernels are bound to it, read its netlist and are cached."""
     circuit = random_circuit(0)
     (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(circuit)
-    assert isinstance(reference_kernels, ReferenceSearchKernels)
-    assert isinstance(packed_kernels, PackedSearchKernels)
-    # Cached per engine.
+    assert reference_kernels.engine is reference
+    assert packed_kernels.engine is packed
+    assert reference.compiled is packed.compiled  # cached on the circuit
     assert reference.search_kernels() is reference_kernels
     assert packed.search_kernels() is packed_kernels
+
+
+def test_packed_engine_ignores_reference_base_state():
+    """A reference state as ``base`` falls back to a full packed sweep."""
+    circuit = random_circuit(3)
+    (reference, _), (packed, _) = _kernel_pairs(circuit)
+    fault = enumerate_delay_faults(circuit)[0]
+    pi_values = {pi: None for pi in circuit.primary_inputs}
+    ppi_initial = {ppi: None for ppi in circuit.pseudo_primary_inputs}
+    base = reference.implicate(pi_values, ppi_initial, fault)
+    name = circuit.primary_inputs[0]
+    candidates = [("pi", name, value) for value in PI_VALUES]
+    assert packed._try_incremental(pi_values, ppi_initial, fault, candidates, base) is None
+    got = packed.implicate_candidates(pi_values, ppi_initial, fault, candidates, base=base)
+    want = reference.implicate_candidates(pi_values, ppi_initial, fault, candidates)
+    for index in range(len(candidates)):
+        assert got.column_sets(index) == want.column_sets(index)
 
 
 # --------------------------------------------------------------------------- #
@@ -124,7 +218,8 @@ def test_kernels_follow_engine_backend():
 )
 def test_backward_input_sets_matches_exhaustive_oracle(gate_type, robust):
     """Random set combinations, arity 1-4, vs the combination enumeration."""
-    rng = random.Random(hash((gate_type.value, robust)) & 0xFFFF)
+    # crc32, not hash(): the draw must not depend on PYTHONHASHSEED.
+    rng = random.Random(zlib.crc32(f"{gate_type.value}:{robust}".encode()))
     for _ in range(150):
         arity = rng.randint(2, 4)
         input_sets = [rng.randint(0, FULL_SET) for _ in range(arity)]
@@ -160,16 +255,14 @@ def test_backward_input_sets_wide_gates_unpruned():
 
 
 # --------------------------------------------------------------------------- #
-# TDgen: objective selection and backtrace
+# TDgen: state slot columns, and the objective and backtrace over them
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("robust", [True, False])
 def test_objective_and_backtrace_bit_exact(seed, robust):
-    """Objective choice and backtrace agree on identical random states."""
+    """Full states: equal slot columns, so equal objectives and backtraces."""
     circuit = random_circuit(seed)
-    (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(
-        circuit, robust=robust
-    )
+    (reference, search), (packed, _) = _kernel_pairs(circuit, robust=robust)
     rng = random.Random(4321 + seed)
     faults = enumerate_delay_faults(circuit)
 
@@ -178,27 +271,24 @@ def test_objective_and_backtrace_bit_exact(seed, robust):
         fault = rng.choice(faults)
         reference_state = reference.implicate(pi_values, ppi_initial, fault)
         packed_state = packed.implicate(pi_values, ppi_initial, fault)
+        context = f"seed {seed} trial {trial}"
+        assert _column_sets(reference_state) == _column_sets(packed_state), context
         if reference_state.has_conflict():
             continue
-        want = reference_kernels.propagation_objective(reference_state, fault)
-        got = packed_kernels.propagation_objective(packed_state, fault)
-        assert got == want, f"seed {seed} trial {trial} objective differs"
+        want = search.propagation_objective(reference_state, fault)
+        assert search.propagation_objective(packed_state, fault) == want, context
         if want is None:
             continue
-        want_key = reference_kernels.backtrace(
-            reference_state, fault, want, pi_values, ppi_initial
-        )
-        got_key = packed_kernels.backtrace(
+        assert search.backtrace(
             packed_state, fault, want, pi_values, ppi_initial
-        )
-        assert got_key == want_key, f"seed {seed} trial {trial} backtrace differs"
+        ) == search.backtrace(reference_state, fault, want, pi_values, ppi_initial), context
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_objective_bit_exact_on_incremental_states(seed):
-    """Kernels agree on states produced by incremental candidate sweeps."""
+    """Chained incremental states: every candidate's slot column agrees."""
     circuit = random_circuit(seed)
-    (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(circuit)
+    (reference, search), (packed, _) = _kernel_pairs(circuit)
     rng = random.Random(777 + seed)
     faults = enumerate_delay_faults(circuit)
     fault = rng.choice(faults)
@@ -209,94 +299,111 @@ def test_objective_bit_exact_on_incremental_states(seed):
     packed_state = packed.implicate(pi_values, ppi_initial, fault)
 
     # Chain three decisions like TDgen does, comparing after each sweep.
-    for _ in range(3):
+    for step in range(3):
         free = [pi for pi in circuit.primary_inputs if pi_values[pi] is None]
         if not free or packed_state.has_conflict():
             break
         name = rng.choice(free)
         candidates = [("pi", name, value) for value in PI_VALUES]
         reference_states = reference.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates
+            pi_values, ppi_initial, fault, candidates, base=reference_state
         )
         packed_states = packed.implicate_candidates(
             pi_values, ppi_initial, fault, candidates, base=packed_state
         )
+        context = f"seed {seed} step {step}"
+        for index in range(len(candidates)):
+            assert reference_states.column_sets(index) == packed_states.column_sets(
+                index
+            ), f"{context} candidate {index}"
         slot = rng.randrange(len(candidates))
         pi_values[name] = candidates[slot][2]
         reference_state = reference_states.state(slot)
         packed_state = packed_states.state(slot)
+        assert _column_sets(reference_state) == _column_sets(packed_state), context
         if reference_state.has_conflict():
             assert packed_state.has_conflict()
             break
-        want = reference_kernels.propagation_objective(reference_state, fault)
-        got = packed_kernels.propagation_objective(packed_state, fault)
-        assert got == want, f"seed {seed} incremental objective differs"
+        want = search.propagation_objective(reference_state, fault)
+        assert search.propagation_objective(packed_state, fault) == want, context
         if want is not None:
-            assert packed_kernels.backtrace(
+            assert search.backtrace(
                 packed_state, fault, want, pi_values, ppi_initial
-            ) == reference_kernels.backtrace(
-                reference_state, fault, want, pi_values, ppi_initial
-            )
+            ) == search.backtrace(reference_state, fault, want, pi_values, ppi_initial)
 
 
 # --------------------------------------------------------------------------- #
-# SEMILET propagation: potential difference and pair decisions
+# SEMILET propagation: pair codes and D-frontier
 # --------------------------------------------------------------------------- #
+def _assert_pair_columns_equal(reference_frames, packed_frames, context):
+    """Every candidate's pair codes and D-frontier agree."""
+    for index in range(len(reference_frames)):
+        want = reference_frames.columns(index)
+        got = packed_frames.columns(index)
+        assert got.codes == want.codes, f"{context} candidate {index} codes"
+        assert got.frontier == want.frontier, f"{context} candidate {index} frontier"
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_potential_difference_bit_exact(seed):
-    """The word-parallel scan equals the interpreted scan on every signal."""
+    """Event-driven decision batches: equal pair codes and decisions.
+
+    The packed batch of each decision is built from the previous view
+    (``base=``), so it comes from the wavefront, not the full analysis.
+    """
     circuit = random_circuit(seed)
-    (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(circuit)
+    (reference, search), (packed, _) = _kernel_pairs(circuit)
     rng = random.Random(888 + seed)
+    event_driven = 0
 
     for trial in range(4):
         good, faulty = _random_states(rng, circuit)
-        pi_values = {
-            pi: (rng.randint(0, 1) if rng.random() < 0.5 else None)
-            for pi in circuit.primary_inputs
-        }
-        free = {
-            ppi: None
-            for ppi in circuit.pseudo_primary_inputs
-            if rng.random() < 0.4
-        }
-        decisions = [None]
-        if circuit.primary_inputs:
-            name = rng.choice(circuit.primary_inputs)
-            decisions = [(name, True, 0), (name, True, 1)]
-        reference_frames = reference.pair_frame_candidates(
-            pi_values, good, faulty, free, decisions
-        )
-        packed_frames = packed.pair_frame_candidates(
-            pi_values, good, faulty, free, decisions
-        )
-        for index in range(len(decisions)):
-            want = reference_kernels.potential_difference(reference_frames, index)
-            got = packed_kernels.potential_difference(packed_frames, index)
-            got_dict = {name: got[name] for name in want}
-            assert got_dict == want, f"seed {seed} trial {trial} potential differs"
-
-            want_key = reference_kernels.pair_frame_decision(
-                reference_frames, index, pi_values, free
-            )
-            got_key = packed_kernels.pair_frame_decision(
-                packed_frames, index, pi_values, free
-            )
-            assert got_key == want_key, f"seed {seed} trial {trial} decision differs"
+        pi_values = {pi: None for pi in circuit.primary_inputs}
+        free = {ppi: None for ppi in circuit.pseudo_primary_inputs if rng.random() < 0.6}
+        views = [
+            (engine.pair_frame_candidates(pi_values, good, faulty, free, (None,)), 0)
+            for engine in (reference, packed)
+        ]
+        variables = [(pi, True) for pi in circuit.primary_inputs]
+        variables += [(ppi, False) for ppi in free]
+        rng.shuffle(variables)
+        for step, (name, is_pi) in enumerate(variables[:5]):
+            values = [0, 1] if is_pi else rng.choice([[0, 1], [1, None, 0]])
+            candidates = [(name, is_pi, value) for value in values]
+            reference_frames, packed_frames = [
+                engine.pair_frame_candidates(
+                    pi_values, good, faulty, free, candidates, base=view
+                )
+                for engine, view in zip((reference, packed), views)
+            ]
+            event_driven += packed_frames._wave is not None
+            context = f"seed {seed} trial {trial} step {step}"
+            _assert_pair_columns_equal(reference_frames, packed_frames, context)
+            cursor = rng.randrange(len(values))
+            (pi_values if is_pi else free)[name] = values[cursor]
+            for index in range(len(values)):
+                assert search.pair_frame_decision(
+                    packed_frames, index, pi_values, free
+                ) == search.pair_frame_decision(
+                    reference_frames, index, pi_values, free
+                ), f"{context} candidate {index} decision"
+            views = [(reference_frames, cursor), (packed_frames, cursor)]
+    assert event_driven, "no decision batch took the event-driven path"
 
 
 @pytest.mark.parametrize("tier_up", [10**9, 0], ids=["cold", "generated"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pair_analysis_bit_exact(seed, tier_up, monkeypatch):
-    """Both tiers of the pair analysis equal the reference per-name walks.
+    """Root batches at both tiers: equal pair codes, frontier and classes.
 
-    Potential and provable difference per signal, the D-frontier per
-    candidate, and the frame classification for both goals.
+    The codes hold both machines' planes and the potential and provable
+    difference per slot; the packed batch takes them from the pair
+    analysis, the reference one from the per-name walks.
     """
     monkeypatch.setattr(kernels, "TIER_UP_PASSES", tier_up)
     monkeypatch.setattr(kernels, "CHUNK_GATES", 4)
     circuit = random_circuit(seed)
-    (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(circuit)
+    (reference, search), (packed, _) = _kernel_pairs(circuit)
     compiled = packed.compiled
     rng = random.Random(4242 + seed)
 
@@ -318,43 +425,29 @@ def test_pair_analysis_bit_exact(seed, tier_up, monkeypatch):
             pi_values, good, faulty, free, decisions
         )
         packed_frames = packed.pair_frame_candidates(pi_values, good, faulty, free, decisions)
-        analysis = packed_frames.pair_analysis()
+        context = f"seed {seed} trial {trial}"
+        _assert_pair_columns_equal(reference_frames, packed_frames, context)
         generated = "pair_analysis" in kernels_for(compiled).generated
         assert generated == (tier_up == 0)
         blocked = {ppi for ppi in circuit.pseudo_primary_inputs if rng.random() < 0.3}
-        context = f"seed {seed} trial {trial}"
         for index in range(len(decisions)):
-            bit = 1 << (2 * index)
-            pairs = reference_frames.pairs(index)
-            want = reference_kernels.potential_difference(reference_frames, index)
-            assert {
-                name: bool(analysis.potential[compiled.slot_of[name]] & bit) for name in want
-            } == want, context
-            assert {
-                name: bool(analysis.provable[slot] & bit)
-                for name, slot in compiled.slot_of.items()
-            } == {name: _differs(*pairs[name]) for name in compiled.slot_of}, context
-            assert [
-                compiled.signal_names[compiled.outputs[gate_index]]
-                for gate_index, mask in analysis.frontier
-                if mask & bit
-            ] == reference_kernels._pair_d_frontier(pairs), context
             for goal in ("po", "ppo"):
-                assert packed_kernels.classify_pair_frame(
-                    packed_frames, index, packed_kernels.pair_frame_targets(goal, blocked)
-                ) == reference_kernels.classify_pair_frame(
-                    reference_frames, index, reference_kernels.pair_frame_targets(goal, blocked)
+                targets = search.pair_frame_targets(goal, blocked)
+                assert search.classify_pair_frame(
+                    packed_frames, index, targets
+                ) == search.classify_pair_frame(
+                    reference_frames, index, targets
                 ), f"{context} goal {goal}"
 
 
 # --------------------------------------------------------------------------- #
-# SEMILET justification: controlling-value backtrace
+# SEMILET justification: frame planes and the controlling-value backtrace
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", SEEDS)
 def test_justification_backtrace_bit_exact(seed):
-    """The iterative worklist reproduces the recursion, node for node."""
+    """Equal frame planes, so the worklist backtrace lands on the same input."""
     circuit = random_circuit(seed)
-    (reference, reference_kernels), (packed, packed_kernels) = _kernel_pairs(circuit)
+    (reference, search), (packed, _) = _kernel_pairs(circuit)
     rng = random.Random(555 + seed)
     signals = [
         name
@@ -371,20 +464,30 @@ def test_justification_backtrace_bit_exact(seed):
             ppi: (rng.randint(0, 1) if rng.random() < 0.4 else None)
             for ppi in circuit.pseudo_primary_inputs
         }
-        reference_frames = reference.frame_candidates(pi_values, ppi_values, (None,))
-        packed_frames = packed.frame_candidates(pi_values, ppi_values, (None,))
+        candidates: List = [None]
+        if circuit.primary_inputs:
+            name = rng.choice(circuit.primary_inputs)
+            candidates = [(name, True, 0), (name, True, 1), None]
+        reference_frames = reference.frame_candidates(pi_values, ppi_values, candidates)
+        packed_frames = packed.frame_candidates(pi_values, ppi_values, candidates)
+        want_planes = reference_frames.packed_planes()
+        got_planes = packed_frames.packed_planes()
+        context = f"seed {seed} trial {trial}"
+        assert got_planes.width == want_planes.width, context
+        assert list(got_planes.zero) == list(want_planes.zero), f"{context} zero plane"
+        assert list(got_planes.one) == list(want_planes.one), f"{context} one plane"
         for signal in rng.sample(signals, min(4, len(signals))):
             for target in (0, 1):
                 for decide_ppis in (True, False):
-                    want = reference_kernels.justification_backtrace(
+                    want = search.justification_backtrace(
                         reference_frames, 0, signal, target,
                         pi_values, ppi_values, decide_ppis,
                     )
-                    got = packed_kernels.justification_backtrace(
+                    got = search.justification_backtrace(
                         packed_frames, 0, signal, target,
                         pi_values, ppi_values, decide_ppis,
                     )
                     assert got == want, (
-                        f"seed {seed} trial {trial} justification backtrace differs "
+                        f"{context} justification backtrace differs "
                         f"({signal} -> {target}, decide_ppis={decide_ppis})"
                     )

@@ -8,7 +8,8 @@ from repro.circuit.netlist import Line, LineKind
 from repro.faults.model import DelayFaultType, GateDelayFault
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.simulation import (
-    gate_input_sets,
+    branch_fault_key,
+    branch_injected_input_sets,
     good_machine_values,
     simulate_two_frame,
 )
@@ -57,9 +58,10 @@ def test_branch_fault_injection_only_affects_one_sink(s27):
     # The stem set itself is not fault carrying...
     assert not any(value.fault for value in members(state.signal_sets["G8"]))
     # ...but the faulted branch view is.
-    inputs_g15 = gate_input_sets(state, context, "G15", fault)
+    key = branch_fault_key(fault)
+    inputs_g15 = branch_injected_input_sets(s27.gate("G15"), state.signal_sets, fault, key)
     assert any(value.fault for value in members(inputs_g15[1]))
-    inputs_g16 = gate_input_sets(state, context, "G16", fault)
+    inputs_g16 = branch_injected_input_sets(s27.gate("G16"), state.signal_sets, fault, key)
     assert not any(value.fault for value in members(inputs_g16[1]))
 
 
