@@ -56,11 +56,6 @@ from repro.algebra.sets import (
     evaluate_gate_sets,
     backward_input_sets,
 )
-from repro.algebra.packed import (
-    evaluate_packed_delay_gate,
-    pack_delay_values,
-    unpack_delay_values,
-)
 from repro.algebra.packed_sets import PackedSetSimulator
 
 __all__ = [
@@ -92,8 +87,5 @@ __all__ = [
     "set_of",
     "evaluate_gate_sets",
     "backward_input_sets",
-    "evaluate_packed_delay_gate",
-    "pack_delay_values",
-    "unpack_delay_values",
     "PackedSetSimulator",
 ]

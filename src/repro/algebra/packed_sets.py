@@ -1,12 +1,12 @@
 """Set-word propagation of value *sets* on the compiled netlist.
 
-:mod:`repro.algebra.packed` evaluates one concrete eight-valued *value* per
-pattern slot; the search side of the flow (TDgen's forward implication,
-TDsim's reference fallbacks) instead propagates *sets of still-possible
-values* per signal.  This module packs those sets into one Python int per
-signal, a **set word**: byte ``j`` of the word holds pattern slot ``j``'s
-8-bit :data:`~repro.algebra.sets.ValueSet`.  A slot whose byte is zero
-carries the empty set (a conflict).
+The packed engine's eight-valued test frame — TDgen's forward implication
+and every TDsim pass alike — propagates *sets of still-possible values* per
+signal.  This module packs those sets into one Python int per signal, a
+**set word**: byte ``j`` of the word holds pattern slot ``j``'s 8-bit
+:data:`~repro.algebra.sets.ValueSet`.  A slot whose byte is zero carries the
+empty set (a conflict).  A fully specified pattern holds a singleton in
+every byte, so TDsim's concrete eight-valued simulation is the same sweep.
 
 Gates are evaluated one slot at a time through a memoised pairwise *set
 image*: ``image[(a << 8) | b]`` is :func:`repro.algebra.sets.evaluate_gate_sets`
@@ -26,14 +26,16 @@ applied at stem outputs and at single fanout-branch pins, mirroring the
 reference injection of :mod:`repro.tdgen.simulation`.  Each slot carries one
 independent candidate assignment — a decision alternative, a candidate
 frame, or a fault-free/faulty pair — and one pass over the gate program
-implies all of them.
+implies all of them.  TDsim's batches put one injected fault per slot
+(:meth:`repro.tdgen.implication.ImplicationEngine.implicate_faults`).
 
 An *event-driven* pass starts from the columns of a conflict-free parent
 state and evaluates only what changed (selective trace): a ``pending`` byte
 per gate marks the fanout (``CompiledCircuit.fanout``) of every slot whose
 word left the parent's broadcast, one forward scan evaluates the marked
 gates, and every word it never writes stays ``None`` and reads as the
-parent's column.  The pass returns the slots it wrote.
+parent's column.  Gates that apply an injection can be seeded directly.
+The pass returns the slots it wrote.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ class PackedSetSimulator:
         branch_moves: Optional[Mapping[int, Sequence[SetMove]]] = None,
         base_sets: Optional[Sequence[ValueSet]] = None,
         changed_slots: Sequence[int] = (),
+        seed_gates: Sequence[int] = (),
     ) -> PackedSetResult:
         """Run the gate program over pre-loaded source set words.
 
@@ -215,6 +218,10 @@ class PackedSetSimulator:
                 event-driven sweep (the decision variable, re-coupled state
                 registers); each one whose word differs from the parent's
                 broadcast seeds the wavefront.
+            seed_gates: gate indices an event-driven sweep evaluates even
+                though no input left the parent's value: the gates that
+                apply an injection (the gate whose output a stem move
+                converts, the sink of a branch move).
 
         Returns:
             The evaluated words plus the per-slot conflict bookkeeping (the
@@ -259,6 +266,8 @@ class PackedSetSimulator:
                 if words[slot] != base_sets[slot] * rep:
                     for gate in fanout[slot]:
                         pending[gate] = 1
+            for gate in seed_gates:
+                pending[gate] = 1
         else:
             pending = bytearray(b"\x01") * len(ops)
 

@@ -15,10 +15,9 @@ The third phase (delay fault critical path tracing in the fast frame) lives in
 Good-machine simulation runs on one of two backends (see
 :mod:`repro.fausim.backends`): the compiled bit-parallel ``packed``
 evaluator on unbounded-width integer planes (the process default) and the
-``reference`` per-gate interpreter (the differential-testing oracle).  The
-compiled substrate also hosts the eight-valued fault-parallel two-frame
-simulator (:mod:`repro.fausim.packed_two_frame`) that TDsim's exact
-injection checks run on.
+``reference`` per-gate interpreter (the differential-testing oracle).
+TDsim's eight-valued two-frame passes run on the implication engine's set
+words (:mod:`repro.tdgen.implication`), on the same compiled netlist.
 """
 
 from repro.fausim.logic_sim import (
@@ -31,20 +30,16 @@ from repro.fausim.fault_sim import PropagationFaultSimulator, PPOObservability
 from repro.fausim.backends import (
     available_backends,
     create_simulator,
-    create_two_frame_simulator,
     default_backend,
     resolve_backend,
     set_default_backend,
 )
 from repro.fausim.compile import CompiledCircuit, compile_circuit
 from repro.fausim.packed_sim import PackedLogicSimulator
-from repro.fausim.packed_two_frame import PackedTwoFrameResult, PackedTwoFrameSimulator
 
 __all__ = [
     "LogicSimulator",
     "PackedLogicSimulator",
-    "PackedTwoFrameSimulator",
-    "PackedTwoFrameResult",
     "CompiledCircuit",
     "compile_circuit",
     "simulate_combinational",
@@ -54,7 +49,6 @@ __all__ = [
     "PPOObservability",
     "available_backends",
     "create_simulator",
-    "create_two_frame_simulator",
     "default_backend",
     "resolve_backend",
     "set_default_backend",

@@ -13,13 +13,13 @@ Two backends ship with the library:
     integer, so one gate evaluation covers a whole pattern/fault/candidate
     batch in a single big-integer operation.
 
-This is the one registry of the code base: fault simulation
-(:func:`create_simulator`, :func:`create_two_frame_simulator`), the
-search-side implication engines
-(:func:`repro.tdgen.implication.create_implication_engine`) all resolve a
-backend name here, so one choice — per call, via
-:func:`set_default_backend`, or via the CLI ``--backend`` flag — governs
-the whole flow (the search kernels on top of the engines are one class)::
+This is the one registry of the code base: good-machine simulation
+(:func:`create_simulator`) and the implication engines
+(:func:`repro.tdgen.implication.create_implication_engine`), which TDgen,
+SEMILET and TDsim all run on, resolve a backend name here, so one choice —
+per call, via :func:`set_default_backend`, or via the CLI ``--backend``
+flag — governs the whole flow (the search kernels on top of the engines are
+one class)::
 
     simulator = create_simulator(circuit, backend="packed")
 
@@ -38,7 +38,6 @@ from typing import Dict, Tuple
 from repro.circuit.netlist import Circuit
 from repro.fausim.logic_sim import LogicSimulator
 from repro.fausim.packed_sim import PackedLogicSimulator
-from repro.fausim.packed_two_frame import PackedTwoFrameSimulator
 
 REFERENCE_BACKEND = "reference"
 PACKED_BACKEND = "packed"
@@ -87,17 +86,3 @@ def create_simulator(circuit: Circuit, backend: "str | None" = None):
     """Build a simulator for ``circuit`` using the selected backend."""
     return _SIMULATORS[resolve_backend(backend)](circuit)
 
-
-def create_two_frame_simulator(
-    circuit: Circuit, robust: bool = True, backend: "str | None" = None
-):
-    """Build the eight-valued fault-parallel two-frame simulator of a backend.
-
-    Returns ``None`` for the ``reference`` backend (its consumers route the
-    exact injection checks through the interpreted implication engine
-    instead); the ``packed`` backend runs a whole injection batch in one
-    pass.
-    """
-    if resolve_backend(backend) == PACKED_BACKEND:
-        return PackedTwoFrameSimulator(circuit, robust=robust)
-    return None

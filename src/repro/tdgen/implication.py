@@ -6,8 +6,10 @@ three forward evaluations the searching phases replay once per decision
 alternative:
 
 * **two-frame eight-valued set implication** — TDgen's
-  :func:`~repro.tdgen.simulation.simulate_two_frame` (also the reference
-  fallback of TDsim's exact injection checks),
+  :func:`~repro.tdgen.simulation.simulate_two_frame`, and with one injected
+  fault per candidate (:meth:`ImplicationEngine.implicate_faults`) every
+  TDsim pass: the good machine, the stem analyses and the PPO
+  confirmations,
 * **single-frame good/faulty pair simulation** — SEMILET's propagation
   PODEM (:mod:`repro.semilet.propagation`),
 * **single-frame three-valued simulation** — SEMILET's frame justification
@@ -40,6 +42,7 @@ simulation and the implication under the search heuristics
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.packed_sets import PackedSetSimulator, SetMove, apply_moves, slot_mask
@@ -293,6 +296,32 @@ class ImplicationEngine:
         """
         raise NotImplementedError
 
+    def implicate_faults(
+        self,
+        pi_values: Mapping[str, Optional[DelayValue]],
+        ppi_initial: Mapping[str, Optional[int]],
+        faults: Sequence[Optional[GateDelayFault]],
+        base: Optional[TwoFrameState] = None,
+    ) -> CandidateStates:
+        """Implication of one assignment with one injected fault per slot.
+
+        TDsim's batch: slot ``j`` carries ``faults[j]`` (``None`` is the good
+        machine), so one call answers a stem analysis (both transition
+        directions) or every PPO confirmation of a pattern.
+
+        Args:
+            pi_values: primary-input pair assignment.
+            ppi_initial: initial-frame PPI assignment.
+            faults: the injection of each slot.
+            base: the fault-free implication of the same assignment
+                (:meth:`implicate` with ``fault=None``), if the caller holds
+                it.  The packed engine then evaluates only the gates the
+                injections reach and raises ``ValueError`` for a state that
+                is not fault free or not its own; results are bit-identical
+                either way.
+        """
+        raise NotImplementedError
+
     # -- single-frame good/faulty pair simulation ------------------------ #
     def pair_frame(
         self,
@@ -418,11 +447,11 @@ class _LazyStates(CandidateStates):
     :class:`_PackedStates`.
     """
 
-    def __init__(self, engine: "ReferenceImplicationEngine", pi_values, ppi_initial, fault, candidates):
+    def __init__(self, engine: "ReferenceImplicationEngine", pi_values, ppi_initial, faults, candidates):
         self._engine = engine
         self._pi_values = dict(pi_values)
         self._ppi_initial = dict(ppi_initial)
-        self._fault = fault
+        self._faults = list(faults)
         self._candidates = list(candidates)
         self._cache: Dict[int, TwoFrameState] = {}
         self._columns: Dict[int, List[ValueSet]] = {}
@@ -458,7 +487,7 @@ class _LazyStates(CandidateStates):
             else:
                 ppi_initial[name] = value
         state = simulate_two_frame(
-            self._engine.context, pi_values, ppi_initial, self._fault,
+            self._engine.context, pi_values, ppi_initial, self._faults[index],
             robust=self._engine.robust,
         )
         self._cache[index] = state
@@ -622,7 +651,19 @@ class ReferenceImplicationEngine(ImplicationEngine):
         ``base`` is ignored: the reference engine always re-interprets a
         candidate from scratch, which is exactly the historical cost model.
         """
-        return _LazyStates(self, pi_values, ppi_initial, fault, candidates)
+        return _LazyStates(
+            self, pi_values, ppi_initial, [fault] * len(candidates), candidates
+        )
+
+    def implicate_faults(self, pi_values, ppi_initial, faults, base=None) -> CandidateStates:
+        """Lazy batch: one :func:`~repro.tdgen.simulation.simulate_two_frame`
+        run per consumed slot, with that slot's fault.
+
+        ``base`` is ignored, as in :meth:`implicate_candidates`.
+        """
+        if not faults:
+            raise ValueError("need at least one fault slot")
+        return _LazyStates(self, pi_values, ppi_initial, faults, [None] * len(faults))
 
     def pair_frame_candidates(
         self, pi_values, good_state, faulty_state, free_ppi_values, candidates, base=None
@@ -788,7 +829,7 @@ class _PackedStates(CandidateStates):
         frame1_planes: PackedPlanes,
         ppi_pair_sets: List[Dict[str, ValueSet]],
         conflict_signals: Dict[int, str],
-        fault: Optional[GateDelayFault],
+        faults: Sequence[Optional[GateDelayFault]],
         width: int,
         base_sets: Optional[List[ValueSet]] = None,
         base_frame1: Optional[List[Optional[int]]] = None,
@@ -801,7 +842,7 @@ class _PackedStates(CandidateStates):
         self._frame1_planes = frame1_planes
         self._ppi_pair_sets = ppi_pair_sets
         self._conflict_signals = conflict_signals
-        self._fault = fault
+        self._faults = faults
         self._width = width
         self._base_sets = base_sets
         self._base_frame1 = base_frame1
@@ -900,7 +941,7 @@ class _PackedStates(CandidateStates):
         signal_sets = _LazyColumn(compiled.slot_of, unpack_set)
         frame1 = _LazyColumn(compiled.slot_of, unpack_frame1)
 
-        fault = self._fault
+        fault = self._faults[index]
         if fault is None:
             fault_line_set = 0
         elif fault.line.kind is LineKind.STEM:
@@ -1133,7 +1174,10 @@ class PackedImplicationEngine(ImplicationEngine):
         )
         if incremental is not None:
             return incremental
-        return self._implicate_full(pi_values, ppi_initial, fault, candidates)
+        return self._implicate_full(
+            pi_values, ppi_initial, candidates, [fault] * len(candidates),
+            self._fault_moves(fault, slot_mask(len(candidates))),
+        )
 
     def _try_incremental(
         self, pi_values, ppi_initial, fault, candidates, base
@@ -1155,7 +1199,7 @@ class PackedImplicationEngine(ImplicationEngine):
         if (
             not isinstance(parent, _PackedStates)
             or parent._owner is not self
-            or parent._fault != fault
+            or parent._faults[parent_index] != fault
         ):
             return None
         variables = {
@@ -1175,34 +1219,37 @@ class PackedImplicationEngine(ImplicationEngine):
 
     # ------------------------------------------------------------------ #
     def _fault_moves(
-        self, fault: Optional[GateDelayFault], rep: int
-    ) -> Tuple[
-        Optional[Tuple[int, SetMove]], Dict[int, List[SetMove]], Dict[int, List[SetMove]]
-    ]:
-        """Injection bookkeeping of one sweep (every slot, ``rep`` wide).
+        self,
+        fault: Optional[GateDelayFault],
+        byte_mask: int,
+        moves: Optional[Tuple[Dict[int, List[SetMove]], ...]] = None,
+    ) -> Tuple[Dict[int, List[SetMove]], Dict[int, List[SetMove]], Dict[int, List[SetMove]]]:
+        """Add the injection of ``fault`` on the slots of ``byte_mask``.
 
-        Returns the source-stem injection (slot + move) if the fault stem is
-        a PI/PPI, the gate-stem move table and the branch-position move
-        table — the packed mirror of the reference injection rules.
+        ``moves`` is ``(source, stem, branch)``: source-stem moves keyed by
+        PI/PPI slot, gate-stem moves keyed by output slot and branch moves
+        keyed by flat fanin position — the packed mirror of the reference
+        injection rules.  A new triple is started when ``moves`` is
+        ``None``; the triple is returned.
         """
-        stem_moves: Dict[int, List[SetMove]] = {}
-        branch_moves: Dict[int, List[SetMove]] = {}
-        source_stem: Optional[Tuple[int, SetMove]] = None
+        if moves is None:
+            moves = ({}, {}, {})
         if fault is None:
-            return source_stem, stem_moves, branch_moves
+            return moves
+        source_moves, stem_moves, branch_moves = moves
         compiled = self.compiled
         move: SetMove = (
             fault.fault_type.activation_value.index,
             fault.fault_type.fault_value.index,
-            rep,
+            byte_mask,
         )
         slot = compiled.slot_of.get(fault.line.signal)
         if fault.line.kind is LineKind.STEM:
             if slot is not None:
                 if slot < len(compiled.pi_slots) + len(compiled.ppi_slots):
-                    source_stem = (slot, move)
+                    source_moves.setdefault(slot, []).append(move)
                 else:
-                    stem_moves[slot] = [move]
+                    stem_moves.setdefault(slot, []).append(move)
         else:
             sink_slot = compiled.slot_of.get(fault.line.sink)
             sink_index = compiled.gate_index_of.get(sink_slot)
@@ -1216,8 +1263,8 @@ class PackedImplicationEngine(ImplicationEngine):
                     position < compiled.fanin_offsets[sink_index + 1]
                     and compiled.fanin_flat[position] == slot
                 ):
-                    branch_moves[position] = [move]
-        return source_stem, stem_moves, branch_moves
+                    branch_moves.setdefault(position, []).append(move)
+        return moves
 
     # ------------------------------------------------------------------ #
     def _implicate_incremental(
@@ -1265,7 +1312,7 @@ class PackedImplicationEngine(ImplicationEngine):
         )
 
         # ---- test frame: wavefront from the variable and re-coupled DFFs - #
-        source_stem, stem_moves, branch_moves = self._fault_moves(fault, slot_mask(width))
+        source_moves, stem_moves, branch_moves = self._fault_moves(fault, slot_mask(width))
         words: List[Optional[int]] = [None] * num_signals
         changed_slots: List[int] = []
         if kind == "pi":
@@ -1303,11 +1350,10 @@ class PackedImplicationEngine(ImplicationEngine):
 
         # Source-stem injection: only needed on words this sweep reloads
         # (the parent's columns already carry the injection elsewhere).
-        if source_stem is not None:
-            stem_slot, move = source_stem
+        for stem_slot, moves in source_moves.items():
             reloaded = words[stem_slot]
             if reloaded is not None:
-                words[stem_slot] = apply_moves(reloaded, (move,))
+                words[stem_slot] = apply_moves(reloaded, moves)
 
         result = self._sets.propagate(
             words, width, stem_moves, branch_moves,
@@ -1319,7 +1365,7 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_planes=frame1_planes,
             ppi_pair_sets=ppi_pair_sets,
             conflict_signals=result.conflict_signals,
-            fault=fault,
+            faults=[fault] * width,
             width=width,
             base_sets=base_sets,
             base_frame1=base_frame1,
@@ -1327,8 +1373,14 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_written=frame1_written,
         )
 
-    def _implicate_full(self, pi_values, ppi_initial, fault, candidates) -> _PackedStates:
-        """Evaluate a batch of two-frame candidates over the whole netlist."""
+    def _implicate_full(
+        self, pi_values, ppi_initial, candidates, faults, moves
+    ) -> _PackedStates:
+        """Evaluate a batch of two-frame candidates over the whole netlist.
+
+        ``faults`` is each slot's injected fault and ``moves`` their
+        :meth:`_fault_moves` triple.
+        """
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
@@ -1423,11 +1475,10 @@ class PackedImplicationEngine(ImplicationEngine):
             )
 
         # ---- fault injection moves ---------------------------------------- #
-        source_stem, stem_moves, branch_moves = self._fault_moves(fault, rep)
-        if source_stem is not None:
+        source_moves, stem_moves, branch_moves = moves
+        for stem_slot, slot_moves in source_moves.items():
             # PI / PPI stem: inject right at the loaded word.
-            stem_slot, move = source_stem
-            set_words[stem_slot] = apply_moves(set_words[stem_slot], (move,))
+            set_words[stem_slot] = apply_moves(set_words[stem_slot], slot_moves)
 
         result = self._sets.propagate(set_words, width, stem_moves, branch_moves)
         return _PackedStates(
@@ -1436,8 +1487,68 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_planes=frame1_planes,
             ppi_pair_sets=ppi_pair_sets,
             conflict_signals=result.conflict_signals,
-            fault=fault,
+            faults=faults,
             width=width,
+        )
+
+    def implicate_faults(self, pi_values, ppi_initial, faults, base=None) -> CandidateStates:
+        """One set-word sweep with per-slot injection moves.
+
+        Without ``base`` the sweep is a full pass.  With it the sweep is
+        event-driven off the base's column: it reloads the injected source
+        stems, seeds the gates that apply an injection (the gate feeding a
+        gate stem, the sink of a branch) and evaluates only the gates whose
+        inputs leave the good value.  The initial frame is fault free, so
+        every slot reads the base's.
+        """
+        if not faults:
+            raise ValueError("need at least one fault slot")
+        width = len(faults)
+        moves = None
+        for slot_index, fault in enumerate(faults):
+            moves = self._fault_moves(fault, 1 << (8 * slot_index), moves)
+        if base is None:
+            return self._implicate_full(
+                pi_values, ppi_initial, (None,) * width, faults, moves
+            )
+        handle = base.packed_handle
+        parent, parent_index = handle if handle is not None else (None, 0)
+        if (
+            not isinstance(parent, _PackedStates)
+            or parent._owner is not self
+            or parent._faults[parent_index] is not None
+            or base.conflict_signal is not None
+        ):
+            raise ValueError("base must be a fault-free state of this engine")
+
+        compiled = self.compiled
+        source_moves, stem_moves, branch_moves = moves
+        base_sets = parent.column_sets(parent_index)
+        rep = slot_mask(width)
+        words: List[Optional[int]] = [None] * compiled.num_signals
+        for slot, slot_moves in source_moves.items():
+            words[slot] = apply_moves(base_sets[slot] * rep, slot_moves)
+        seeds = [compiled.gate_index_of[slot] for slot in stem_moves]
+        seeds += [
+            bisect_right(compiled.fanin_offsets, position) - 1
+            for position in branch_moves
+        ]
+        result = self._sets.propagate(
+            words, width, stem_moves, branch_moves,
+            base_sets=base_sets, changed_slots=list(source_moves), seed_gates=seeds,
+        )
+        unwritten: List[Optional[int]] = [None] * compiled.num_signals
+        return _PackedStates(
+            owner=self,
+            set_words=result.words,
+            frame1_planes=PackedPlanes(zero=unwritten, one=unwritten, width=width),
+            ppi_pair_sets=[parent._ppi_pair_sets[parent_index]] * width,
+            conflict_signals=result.conflict_signals,
+            faults=faults,
+            width=width,
+            base_sets=base_sets,
+            base_frame1=parent.column_frame1(parent_index),
+            set_written=result.written,
         )
 
     # ------------------------------------------------------------------ #

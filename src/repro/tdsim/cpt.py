@@ -16,23 +16,20 @@ one:
   disturb any pseudo primary output whose value the propagation phase relied
   on (paper section 5, last paragraph).
 
-With ``backend="packed"`` (the process default, see
-:mod:`repro.fausim.backends`) the exact injection simulations run on the
-compiled netlist through the fault-parallel eight-valued simulator
-(:mod:`repro.fausim.packed_two_frame`).  One full good-machine pass per
-pattern serves as the base of every other pass of that
-:meth:`DelayFaultSimulator.simulate` call: a stem analysis (both transition
-directions in one pass) and the PPO confirmation pass (all candidates in
-one) are event-driven and evaluate only the gates their fault effects
-reach.  Each stem is analysed once per call; every observation point that
-reaches it reads its verdict from the same pass.  A caller that needs the
+Every simulation runs through the implication engine the simulator holds
+(:mod:`repro.tdgen.implication`), so one code path serves both backends.
+The good machine is the engine's fault-free implication of the pattern;
+every stem analysis (both transition directions) and the PPO confirmation
+(all candidates) is one :meth:`~repro.tdgen.implication.ImplicationEngine.implicate_faults`
+batch on it, one injected fault per slot.  The packed engine (the process
+default) runs such a batch as one event-driven set-word sweep that
+evaluates only the gates the fault effects reach; the reference engine
+interprets one pass per consumed slot.  Each stem is analysed once per
+:meth:`DelayFaultSimulator.simulate` call; every observation point that
+reaches it reads its verdict from the same batch.  A caller that needs the
 good machine first (the crediting step of the flow reads the state latched
 after the fast frame from it) computes it with
-:meth:`DelayFaultSimulator.good_machine` and hands it to ``simulate``.  The remaining
-single-injection simulations (and the whole ``backend="reference"`` oracle
-path of the differential test-suite) route through the shared implication
-engine (:mod:`repro.tdgen.implication`) instead of calling the interpreter
-directly.
+:meth:`DelayFaultSimulator.good_machine` and hands it to ``simulate``.
 """
 
 from __future__ import annotations
@@ -40,16 +37,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.algebra.sets import ValueSet, has_fault_value, is_singleton
 from repro.algebra.tables import evaluate_delay_gate
-from repro.algebra.values import DelayValue, F, R
+from repro.algebra.values import ALL_VALUES, DelayValue, F, R
 from repro.circuit.netlist import Circuit, Line, LineKind
 from repro.faults.model import DelayFaultType, GateDelayFault
-from repro.fausim.backends import create_two_frame_simulator, resolve_backend
-from repro.fausim.packed_two_frame import PackedTwoFrameResult, PackedTwoFrameSimulator
+from repro.fausim.backends import resolve_backend
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
-from repro.tdgen.implication import create_implication_engine
-from repro.algebra.sets import has_fault_value, is_singleton, single_value
+from repro.tdgen.implication import CandidateStates, create_implication_engine
+from repro.tdgen.simulation import TwoFrameState
 
 
 @dataclasses.dataclass
@@ -58,13 +55,13 @@ class GoodMachine:
 
     Attributes:
         values: the good-machine algebra value of every signal.
-        packed: the width-1 packed pass (the base of every event-driven
-            pass of a :meth:`DelayFaultSimulator.simulate` call), or ``None``
-            on the reference backend.
+        state: the implication engine's fault-free state of the pattern (the
+            base of every injection batch of a
+            :meth:`DelayFaultSimulator.simulate` call).
     """
 
     values: Dict[str, DelayValue]
-    packed: Optional[PackedTwoFrameResult] = None
+    state: TwoFrameState
 
     def latched_state(self, circuit: Circuit) -> Dict[str, Optional[int]]:
         """The state latched at the end of the fast frame (PPO final values)."""
@@ -90,10 +87,10 @@ class DelayFaultSimulator:
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             (defaults to the no-op null registry); counts simulation passes,
             stem analyses and PPO confirmations.
-        backend: simulation backend name (see :mod:`repro.fausim.backends`);
-            ``"packed"`` routes the exact injection simulations through the
-            compiled fault-parallel evaluator, ``"reference"`` keeps the
-            interpreted set-propagation path.  ``None`` selects the process
+        backend: simulation backend name (see :mod:`repro.fausim.backends`)
+            of the implication engine every simulation runs on: ``"packed"``
+            sweeps set words on the compiled netlist, ``"reference"``
+            interprets the set propagation.  ``None`` selects the process
             default.
     """
 
@@ -110,20 +107,13 @@ class DelayFaultSimulator:
         self.context = context or TDgenContext(circuit)
         self.metrics = resolve_metrics(metrics)
         self.backend = resolve_backend(backend)
-        # The compiled backend gets a fault-parallel two-frame simulator, so
-        # a whole candidate batch is a single pass.
-        self._packed: Optional[PackedTwoFrameSimulator] = create_two_frame_simulator(
-            circuit, robust=robust, backend=self.backend
-        )
-        # All remaining single-injection simulations route through the
-        # backend-dispatched implication engine, so the reference path shares
-        # one forward-implication implementation with TDgen and SEMILET.
+        # Every simulation routes through the backend-dispatched implication
+        # engine, which shares one forward-implication implementation with
+        # TDgen and SEMILET.
         self._implication = create_implication_engine(
             circuit, backend=self.backend, robust=robust, context=self.context
         )
         self._implication.set_metrics(self.metrics, site="tdsim")
-        if self._packed is not None:
-            self._packed.metrics = self.metrics
 
     # ------------------------------------------------------------------ #
     def good_machine(
@@ -131,23 +121,20 @@ class DelayFaultSimulator:
     ) -> GoodMachine:
         """The fault-free pass of one fully specified pattern.
 
-        The packed backend runs one width-1 two-frame pass; the reference
-        backend implies the pattern with its implication engine.  Pass the
-        result to :meth:`simulate` as ``good`` to reuse it.
+        The implication engine implies the pattern; a signal left with more
+        than one possible value raises ``ValueError``.  Pass the result to
+        :meth:`simulate` as ``good`` to reuse it.
         """
-        if self._packed is not None:
-            packed = self._packed.simulate(dict(pi_values), dict(ppi_initial), (None,))
-            return GoodMachine(packed.values_for_pattern(0), packed)
-        good_state = self._implication.implicate(pi_values, ppi_initial, fault=None)
+        state = self._implication.implicate(pi_values, ppi_initial)
         values: Dict[str, DelayValue] = {}
-        for signal, value_set in good_state.signal_sets.items():
+        for signal, value_set in state.signal_sets.items():
             if not is_singleton(value_set):
                 raise ValueError(
                     "fault simulation needs a fully specified pattern; "
                     f"signal {signal!r} is not determined"
                 )
-            values[signal] = single_value(value_set)
-        return GoodMachine(values)
+            values[signal] = ALL_VALUES[value_set.bit_length() - 1]
+        return GoodMachine(values, state)
 
     def simulate(
         self,
@@ -179,7 +166,7 @@ class DelayFaultSimulator:
         if good is None:
             good = self.good_machine(pi_values, ppi_initial)
         values = good.values
-        base = good.packed
+        base = good.state
 
         po_points = [
             po for po in self.circuit.primary_outputs if values[po].is_transition
@@ -191,9 +178,9 @@ class DelayFaultSimulator:
         ]
 
         detections: Dict[GateDelayFault, SimulatedDetection] = {}
-        # One injection pass per analysed stem, shared by every observation
+        # One injection batch per analysed stem, shared by every observation
         # point (and both phases) of this pattern.
-        stem_passes: Dict[str, object] = {}
+        stem_passes: Dict[str, CandidateStates] = {}
 
         # Phase A: CPT from primary outputs (no invalidation check needed).
         for po in po_points:
@@ -206,9 +193,8 @@ class DelayFaultSimulator:
 
         # Phase B: CPT from observable pseudo primary outputs; every candidate
         # must survive the exact injection + invalidation check.  Candidates
-        # are collected first so the packed backend can confirm all of them
-        # in one simulation pass; crediting in collection order
-        # keeps the result identical to the one-by-one reference loop.
+        # are collected first and confirmed in one injection batch, credited
+        # in collection order.
         candidates: List[Tuple[GateDelayFault, str]] = []
         seen: Set[Tuple[GateDelayFault, str]] = set()
         for ppo in ppo_points:
@@ -238,8 +224,8 @@ class DelayFaultSimulator:
         values: Dict[str, DelayValue],
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
-        good: Optional[PackedTwoFrameResult],
-        stem_passes: Dict[str, object],
+        good: TwoFrameState,
+        stem_passes: Dict[str, CandidateStates],
     ) -> List[Line]:
         """Collect the critical lines feeding one observation point."""
         critical: List[Line] = []
@@ -303,39 +289,28 @@ class DelayFaultSimulator:
         observation_point: str,
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
-        good: Optional[PackedTwoFrameResult],
-        stem_passes: Dict[str, object],
+        good: TwoFrameState,
+        stem_passes: Dict[str, CandidateStates],
     ) -> bool:
         """Exact stem analysis by injection simulation.
 
         The first analysis of a stem in a call injects both of its transition
-        directions — one event-driven pass on ``good`` for the packed
-        backend, two interpreted passes for the reference backend — and
-        keeps the result in ``stem_passes``; later observation points read
-        their verdict from it.
+        directions in one batch on ``good`` and keeps it in ``stem_passes``;
+        later observation points read their verdict from it.
         """
-        result = stem_passes.get(stem)
-        if result is None:
+        batch = stem_passes.get(stem)
+        if batch is None:
             if self.metrics.enabled:
                 self.metrics.inc("repro_tdsim_stem_analyses_total")
             faults = (
                 GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_RISE),
                 GateDelayFault(Line(stem), DelayFaultType.SLOW_TO_FALL),
             )
-            if self._packed is not None:
-                result = self._packed.simulate(
-                    pi_values, ppi_initial, faults, base=good
-                )
-            else:
-                result = [
-                    self._implication.implicate(pi_values, ppi_initial, fault=fault)
-                    for fault in faults
-                ]
-            stem_passes[stem] = result
-        if self._packed is not None:
-            return result.fault_effect_mask(observation_point) != 0
-        for state in result:
-            observed = state.signal_sets.get(observation_point, 0)
+            batch = stem_passes[stem] = self._implication.implicate_faults(
+                pi_values, ppi_initial, faults, base=good
+            )
+        for index in range(len(batch)):
+            observed = batch.state(index).signal_sets.get(observation_point, 0)
             if is_singleton(observed) and has_fault_value(observed):
                 return True
         return False
@@ -359,70 +334,61 @@ class DelayFaultSimulator:
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
         required_ppo_values: Dict[str, int],
-        good: Optional[PackedTwoFrameResult],
+        good: TwoFrameState,
     ) -> List[bool]:
         """Run the injection + invalidation check for every (fault, PPO) pair.
 
-        With the packed backend all injections share a single event-driven
-        pass on ``good``; the reference backend checks one candidate at a
-        time.  Both return one verdict per candidate, in order.
+        All injections share one batch on ``good``; one verdict per
+        candidate, in order.  A candidate passes when its fault effect
+        reaches its PPO and disturbs no PPO value the propagation phase
+        depends on.
         """
         if not candidates:
             return []
         if self.metrics.enabled:
             self.metrics.inc("repro_tdsim_ppo_confirmations_total", len(candidates))
-        if self._packed is None:
-            return [
-                self._confirmed_through_ppo(
-                    fault, ppo, pi_values, ppi_initial, required_ppo_values
-                )
-                for fault, ppo in candidates
-            ]
-        verdicts: List[bool] = []
-        slot_of = self._packed.compiled.slot_of
-        result = self._packed.simulate(
+        batch = self._implication.implicate_faults(
             pi_values, ppi_initial, [fault for fault, _ in candidates], base=good
         )
-        for pattern, (fault, ppo) in enumerate(candidates):
-            passed = bool(result.fault_effect_mask(ppo) & (1 << pattern))
-            if passed:
-                # Invalidation check: the fault must not disturb any PPO
-                # value the propagation phase depends on.
-                for other_ppo, required in required_ppo_values.items():
-                    if other_ppo == ppo:
-                        continue
-                    if other_ppo not in slot_of:
-                        passed = False
-                        break
-                    value = result.value(other_ppo, pattern)
-                    if value.fault or value.final != required:
-                        passed = False
-                        break
-            verdicts.append(passed)
+        # The invalidation check reads every required PPO of every
+        # candidate, so the verdicts read slot columns, not state views:
+        # (PPO, slot, the sets that keep its value) per required PPO; a
+        # name that is no signal keeps nothing.
+        slot_of = self._implication.compiled.slot_of
+        required = [
+            (other, slot_of[other], _CAPTURES.get(value, 0)) if other in slot_of else (other, 0, 0)
+            for other, value in required_ppo_values.items()
+        ]
+        verdicts: List[bool] = []
+        for index, (_, ppo) in enumerate(candidates):
+            column = batch.column_sets(index)
+            observed = column[slot_of[ppo]]
+            verdicts.append(
+                is_singleton(observed)
+                and has_fault_value(observed)
+                and _keeps_required_ppos(column, ppo, required)
+            )
         return verdicts
 
-    def _confirmed_through_ppo(
-        self,
-        fault: GateDelayFault,
-        ppo: str,
-        pi_values: Dict[str, DelayValue],
-        ppi_initial: Dict[str, int],
-        required_ppo_values: Dict[str, int],
-    ) -> bool:
-        """Exact injection check: observed at the PPO and no state invalidation."""
-        state = self._implication.implicate(pi_values, ppi_initial, fault=fault)
-        observed = state.signal_sets.get(ppo, 0)
-        if not (is_singleton(observed) and has_fault_value(observed)):
-            return False
-        # Invalidation check: the fault must not disturb any PPO value the
-        # propagation phase depends on.
-        for other_ppo, required in required_ppo_values.items():
-            if other_ppo == ppo:
-                continue
-            value_set = state.signal_sets.get(other_ppo, 0)
-            if not is_singleton(value_set):
+
+#: Final value -> the fault-free values that capture it.
+_CAPTURES: Dict[int, ValueSet] = {
+    final: sum(value.mask for value in ALL_VALUES if not value.fault and value.final == final)
+    for final in (0, 1)
+}
+
+
+def _keeps_required_ppos(
+    column: Sequence[ValueSet], ppo: str, required: Sequence[Tuple[str, int, ValueSet]]
+) -> bool:
+    """Invalidation check: no PPO other than ``ppo`` leaves its required value.
+
+    ``required`` holds ``(PPO, slot, captures)``: the PPO keeps its value
+    when its set in ``column`` is one of the fault-free values ``captures``.
+    """
+    for other_ppo, slot, captures in required:
+        if other_ppo != ppo:
+            value_set = column[slot]
+            if not (is_singleton(value_set) and value_set & captures):
                 return False
-            value = single_value(value_set)
-            if value.fault or value.final != required:
-                return False
-        return True
+    return True

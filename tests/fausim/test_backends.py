@@ -93,11 +93,3 @@ def test_removed_backends_rejected(s27):
         with pytest.raises(ValueError, match="unknown simulation backend"):
             create_simulator(s27, name)
 
-
-def test_two_frame_factory_matches_tiers(s27):
-    from repro.fausim import PackedTwoFrameSimulator, create_two_frame_simulator
-
-    assert isinstance(
-        create_two_frame_simulator(s27, backend="packed"), PackedTwoFrameSimulator
-    )
-    assert create_two_frame_simulator(s27, backend="reference") is None

@@ -1,12 +1,16 @@
-"""Differential harness: packed eight-valued two-frame sim vs the reference.
+"""Differential harness: TDsim's injection batches, packed against reference.
 
-:class:`repro.fausim.packed_two_frame.PackedTwoFrameSimulator` must agree
-*signal for signal and slot for slot* with the reference interpreter
-(:func:`repro.tdgen.simulation.simulate_two_frame`) for every injected fault:
-stem and branch faults, robust and non-robust tables, PI/PPI stem injection
-and reconvergent circuits.  Random circuits come from the same seeded
-generator the three-valued differential harness uses.  An event-driven pass
-(``base=`` a good-machine pass) must read the same as a full pass.
+:meth:`repro.tdgen.implication.ImplicationEngine.implicate_faults` implies
+one fully specified two-pattern stimulus with one injected fault per slot.
+The packed engine's set-word sweep must agree *column by column and slot by
+slot* with the reference engine, which interprets
+:func:`repro.tdgen.simulation.simulate_two_frame` once per slot.  The
+batches cover every kind of slot: PI, PPI and gate stems, gate branches,
+branches into a flip-flop, pins that do not read the fault stem and
+good-machine (``None``) slots, under the robust and the non-robust tables,
+on seeded random circuits (the generator of the three-valued differential
+harness) and s27.  An event-driven batch (``base=`` the good machine) must
+read as a full pass.
 """
 
 from __future__ import annotations
@@ -16,17 +20,19 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.algebra.sets import is_singleton, single_value
+from repro.algebra.sets import has_fault_value, is_singleton, single_value
 from repro.algebra.values import DelayValue, PI_VALUES
-from repro.circuit.netlist import Circuit
-from repro.faults.model import GateDelayFault, enumerate_delay_faults
-from repro.fausim.packed_two_frame import PackedTwoFrameSimulator
-from repro.tdgen.context import TDgenContext
-from repro.tdgen.simulation import simulate_two_frame
+from repro.circuit.netlist import Circuit, Line, LineKind
+from repro.faults.model import DelayFaultType, GateDelayFault, enumerate_delay_faults
+from repro.tdgen.implication import create_implication_engine
+from repro.tdsim.cpt import DelayFaultSimulator
 
 from tests.fausim.test_packed_differential import random_circuit
 
 SEEDS = list(range(0, 40))
+
+#: The fields of a state that every engine must agree on.
+FIELDS = ("signal_sets", "frame1", "fault_line_set", "ppi_pair_sets", "conflict_signal")
 
 
 def full_pattern(rng: random.Random, circuit):
@@ -40,19 +46,30 @@ def full_pattern(rng: random.Random, circuit):
     return pi_values, ppi_initial
 
 
-def reference_values(
-    context: TDgenContext,
-    pi_values,
-    ppi_initial,
-    fault: Optional[GateDelayFault],
-    robust: bool,
-) -> Dict[str, DelayValue]:
-    state = simulate_two_frame(context, pi_values, ppi_initial, fault=fault, robust=robust)
-    values: Dict[str, DelayValue] = {}
-    for signal, value_set in state.signal_sets.items():
-        assert is_singleton(value_set), f"{signal} not determined"
-        values[signal] = single_value(value_set)
-    return values
+def engines(circuit: Circuit, robust: bool = True):
+    """The reference and the packed engine of one circuit."""
+    return tuple(
+        create_implication_engine(circuit, backend, robust=robust)
+        for backend in ("reference", "packed")
+    )
+
+
+def assert_same_slots(got, want, message: str = "") -> None:
+    """Two batches agree column by column and, as states, field by field."""
+    assert len(got) == len(want)
+    for index in range(len(want)):
+        assert got.column_sets(index) == want.column_sets(index), f"{message} slot {index}"
+        got_state, want_state = got.state(index), want.state(index)
+        for field in FIELDS:
+            assert getattr(got_state, field) == getattr(want_state, field), (
+                f"{message} slot {index} {field}"
+            )
+
+
+def carries_fault(batch, index: int, signal: str) -> bool:
+    """TDsim's verdict: ``signal`` surely carries ``Rc``/``Fc`` in slot ``index``."""
+    observed = batch.state(index).signal_sets.get(signal, 0)
+    return is_singleton(observed) and has_fault_value(observed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -60,8 +77,7 @@ def reference_values(
 def test_fault_slots_bit_exact(seed, robust):
     """Every injected fault slot equals a dedicated reference pass."""
     circuit = random_circuit(seed)
-    context = TDgenContext(circuit)
-    packed = PackedTwoFrameSimulator(circuit, robust=robust)
+    reference, packed = engines(circuit, robust)
     rng = random.Random(7000 + seed)
     pi_values, ppi_initial = full_pattern(rng, circuit)
 
@@ -69,108 +85,155 @@ def test_fault_slots_bit_exact(seed, robust):
     sample = rng.sample(universe, min(len(universe), 63))
     faults: List[Optional[GateDelayFault]] = [None] + sample
 
-    result = packed.simulate(pi_values, ppi_initial, faults)
-    for pattern, fault in enumerate(faults):
-        want = reference_values(context, pi_values, ppi_initial, fault, robust)
-        got = result.values_for_pattern(pattern)
-        assert got == want, f"seed {seed} fault {fault}"
+    want = reference.implicate_faults(pi_values, ppi_initial, faults)
+    for index in range(len(faults)):
+        for signal, value_set in want.state(index).signal_sets.items():
+            assert is_singleton(value_set), f"{signal} not determined"
+    good = packed.implicate(pi_values, ppi_initial)
+    for base in (None, good):
+        got = packed.implicate_faults(pi_values, ppi_initial, faults, base=base)
+        assert_same_slots(got, want, f"seed {seed} base {base is not None}")
 
 
 @pytest.mark.parametrize("seed", SEEDS[::4])
 def test_frame1_matches_reference(seed):
-    """The shared initial frame equals the reference three-valued pass."""
+    """Every slot's initial frame is the fault-free reference frame."""
     circuit = random_circuit(seed)
-    context = TDgenContext(circuit)
-    packed = PackedTwoFrameSimulator(circuit)
+    reference, packed = engines(circuit)
     rng = random.Random(8000 + seed)
     pi_values, ppi_initial = full_pattern(rng, circuit)
+    faults = [None] + rng.sample(enumerate_delay_faults(circuit), 3)
 
-    state = simulate_two_frame(context, pi_values, ppi_initial)
-    result = packed.simulate(pi_values, ppi_initial, (None,))
-    assert result.frame1 == state.frame1
+    want = reference.implicate(pi_values, ppi_initial).frame1
+    good = packed.implicate(pi_values, ppi_initial)
+    for base in (None, good):
+        batch = packed.implicate_faults(pi_values, ppi_initial, faults, base=base)
+        for index in range(len(faults)):
+            assert batch.state(index).frame1 == want
 
 
 def test_fault_effect_mask(s27):
-    """The aggregated Rc/Fc mask flags exactly the fault-carrying slots."""
-    packed = PackedTwoFrameSimulator(s27)
-    context = TDgenContext(s27)
+    """The slots TDsim reads a fault effect in at a PO match the reference."""
+    reference, packed = engines(s27)
     rng = random.Random(11)
     universe = enumerate_delay_faults(s27)
     for _ in range(20):
         pi_values, ppi_initial = full_pattern(rng, s27)
         faults = [None] + rng.sample(universe, 10)
-        result = packed.simulate(pi_values, ppi_initial, faults)
+        want = reference.implicate_faults(pi_values, ppi_initial, faults)
+        good = packed.implicate(pi_values, ppi_initial)
+        got = packed.implicate_faults(pi_values, ppi_initial, faults, base=good)
         for po in s27.primary_outputs:
-            mask = result.fault_effect_mask(po)
-            for pattern, fault in enumerate(faults):
-                want = reference_values(context, pi_values, ppi_initial, fault, True)
-                assert bool(mask & (1 << pattern)) == want[po].fault
+            for index in range(len(faults)):
+                assert carries_fault(got, index, po) == carries_fault(want, index, po)
+            assert not carries_fault(got, 0, po)
 
 
 def test_value_accessors(s27):
-    packed = PackedTwoFrameSimulator(s27)
+    """A slot's lazy state view reads its column, signal by signal."""
+    _, packed = engines(s27)
     rng = random.Random(12)
     pi_values, ppi_initial = full_pattern(rng, s27)
-    result = packed.simulate(pi_values, ppi_initial, (None,))
-    for signal, value in result.values_for_pattern(0).items():
-        assert result.value(signal, 0) is value
-    with pytest.raises(ValueError):
-        result.value(s27.primary_outputs[0], 5)  # slot beyond the width
+    faults = [None] + enumerate_delay_faults(s27)[:4]
+    good = packed.implicate(pi_values, ppi_initial)
+    batch = packed.implicate_faults(pi_values, ppi_initial, faults, base=good)
+    assert len(batch) == len(faults)
+    slot_of = packed.compiled.slot_of
+    for index in range(len(faults)):
+        state = batch.state(index)
+        column = batch.column_sets(index)
+        for signal, slot in slot_of.items():
+            assert state.signal_sets[signal] == column[slot]
+            assert state.definite_value(signal) is single_value(column[slot])
 
 
 def test_requires_fully_specified_pattern(s27):
-    packed = PackedTwoFrameSimulator(s27)
+    """TDsim's good machine rejects a partly specified pattern on both backends."""
     rng = random.Random(13)
     pi_values, ppi_initial = full_pattern(rng, s27)
     missing_pi = dict(pi_values)
     del missing_pi[s27.primary_inputs[0]]
-    with pytest.raises(ValueError, match="fully specified"):
-        packed.simulate(missing_pi, ppi_initial)
     missing_state = dict(ppi_initial)
     del missing_state[s27.pseudo_primary_inputs[0]]
-    with pytest.raises(ValueError, match="fully specified"):
-        packed.simulate(pi_values, missing_state)
+    for backend in ("reference", "packed"):
+        simulator = DelayFaultSimulator(s27, backend=backend)
+        with pytest.raises(ValueError, match="fully specified"):
+            simulator.good_machine(missing_pi, ppi_initial)
+        with pytest.raises(ValueError, match="fully specified"):
+            simulator.good_machine(pi_values, missing_state)
 
 
 def test_slot_count_validation(s27):
-    packed = PackedTwoFrameSimulator(s27)
     rng = random.Random(14)
     pi_values, ppi_initial = full_pattern(rng, s27)
-    with pytest.raises(ValueError):
-        packed.simulate(pi_values, ppi_initial, ())
-    # Any number of slots fits the unbounded-width planes.
-    assert packed.simulate(pi_values, ppi_initial, [None] * 100).width == 100
+    for engine in engines(s27):
+        with pytest.raises(ValueError):
+            engine.implicate_faults(pi_values, ppi_initial, ())
+    _, packed = engines(s27)
+    good = packed.implicate(pi_values, ppi_initial)
+    # Any number of slots fits the unbounded-width set words.
+    batch = packed.implicate_faults(pi_values, ppi_initial, [None] * 100, base=good)
+    assert len(batch) == 100
+    assert batch.column_sets(99) == good.packed_handle[0].column_sets(0)
 
 
 # --------------------------------------------------------------------------- #
-# event-driven (delta) passes against full passes
+# event-driven batches against full passes
 # --------------------------------------------------------------------------- #
 DELTA_SEEDS = list(range(0, 40, 3))
 
-#: Fault-site kinds an event-driven pass seeds its wavefront from differently.
-FAULT_KINDS = ("pi_stem", "ppi_stem", "gate_stem", "gate_branch", "dff_branch")
+#: Slot kinds an event-driven batch seeds its wavefront from differently.
+FAULT_KINDS = (
+    "pi_stem",
+    "ppi_stem",
+    "gate_stem",
+    "gate_branch",
+    "dff_branch",
+    "foreign_pin",
+    "good",
+)
 
 
-def fault_kind(circuit: Circuit, fault: GateDelayFault) -> str:
-    """Which of :data:`FAULT_KINDS` a fault's line is."""
+def fault_kind(circuit: Circuit, fault: Optional[GateDelayFault]) -> str:
+    """Which of :data:`FAULT_KINDS` a slot's fault is."""
+    if fault is None:
+        return "good"
     line = fault.line
     if line.is_branch:
-        return "dff_branch" if circuit.gates[line.sink].is_dff else "gate_branch"
+        sink = circuit.gates[line.sink]
+        if sink.is_dff:
+            return "dff_branch"
+        return "gate_branch" if sink.fanin[line.pin] == line.signal else "foreign_pin"
     if circuit.is_primary_input(line.signal):
         return "pi_stem"
     return "ppi_stem" if circuit.gates[line.signal].is_dff else "gate_stem"
 
 
-def delta_batches(rng: random.Random, circuit: Circuit):
-    """Injection batches of widths 1, 2 and 41 covering every fault kind.
+def foreign_pin_faults(circuit: Circuit) -> List[GateDelayFault]:
+    """Branch faults naming a gate pin that reads another signal.
 
-    Width 1 is one fault of each kind, width 2 both directions of one line
+    Neither engine injects them; a slot carrying one reads as the good
+    machine.
+    """
+    faults = []
+    for gate in circuit.gates.values():
+        if gate.is_dff or len(gate.fanin) < 2 or gate.fanin[0] == gate.fanin[1]:
+            continue
+        line = Line(gate.fanin[1], LineKind.BRANCH, gate.name, 0)
+        faults += [GateDelayFault(line, fault_type) for fault_type in DelayFaultType]
+    return faults
+
+
+def delta_batches(rng: random.Random, circuit: Circuit):
+    """Injection batches of widths 1, 2 and 41 covering every slot kind.
+
+    Width 1 is one slot of each kind, width 2 both directions of one line
     of each kind (the shape of a TDsim stem analysis), width 41 a random mix
     with good-machine slots.
     """
-    universe = enumerate_delay_faults(circuit)
-    by_kind: Dict[str, List[GateDelayFault]] = {kind: [] for kind in FAULT_KINDS}
-    for fault in universe:
+    pool = enumerate_delay_faults(circuit) + foreign_pin_faults(circuit) + [None]
+    by_kind: Dict[str, List[Optional[GateDelayFault]]] = {kind: [] for kind in FAULT_KINDS}
+    for fault in pool:
         by_kind[fault_kind(circuit, fault)].append(fault)
     batches: List[List[Optional[GateDelayFault]]] = []
     for faults in by_kind.values():
@@ -180,15 +243,17 @@ def delta_batches(rng: random.Random, circuit: Circuit):
             partner = [
                 other
                 for other in faults
-                if other.line == fault.line and other.fault_type is not fault.fault_type
+                if fault is not None
+                and other.line == fault.line
+                and other.fault_type is not fault.fault_type
             ]
-            batches.append([fault] + partner)
-    batches.append(rng.choices(universe + [None], k=41))
+            batches.append([fault] + (partner or [None]))
+    batches.append(rng.choices(pool, k=41))
     return batches
 
 
 def test_delta_batches_cover_every_fault_kind():
-    """The differential below sees every fault kind at every width."""
+    """The differential below sees every slot kind at every width."""
     seen = set()
     for seed in DELTA_SEEDS:
         circuit = random_circuit(seed)
@@ -196,67 +261,74 @@ def test_delta_batches_cover_every_fault_kind():
         full_pattern(rng, circuit)  # the differential draws its pattern first
         for faults in delta_batches(rng, circuit):
             for fault in faults:
-                if fault is not None:
-                    seen.add((fault_kind(circuit, fault), len(faults)))
+                seen.add((fault_kind(circuit, fault), len(faults)))
     assert seen >= {(kind, width) for kind in FAULT_KINDS for width in (1, 2, 41)}
 
 
 @pytest.mark.parametrize("seed", DELTA_SEEDS)
 @pytest.mark.parametrize("robust", [True, False])
 def test_event_driven_pass_matches_full_pass(seed, robust):
-    """Every slot of a pass on a good-machine base reads as the full pass."""
+    """Every slot of a batch on the good machine reads as the full pass."""
     circuit = random_circuit(seed)
-    packed = PackedTwoFrameSimulator(circuit, robust=robust)
+    reference, packed = engines(circuit, robust)
     rng = random.Random(9100 + seed)
     pi_values, ppi_initial = full_pattern(rng, circuit)
-    good = packed.simulate(pi_values, ppi_initial, (None,))
+    good = packed.implicate(pi_values, ppi_initial)
     observed = list(circuit.primary_outputs) + list(circuit.pseudo_primary_outputs)
 
     reached_less = False
     for faults in delta_batches(rng, circuit):
-        full = packed.simulate(pi_values, ppi_initial, faults)
-        delta = packed.simulate(pi_values, ppi_initial, faults, base=good)
-        assert delta.frame1 == full.frame1
-        reached_less |= None in delta.planes
-        for pattern in range(len(faults)):
-            assert delta.values_for_pattern(pattern) == full.values_for_pattern(
-                pattern
-            ), f"seed {seed} slot {pattern} fault {faults[pattern]}"
+        full = packed.implicate_faults(pi_values, ppi_initial, faults)
+        delta = packed.implicate_faults(pi_values, ppi_initial, faults, base=good)
+        message = f"seed {seed} faults {faults}"
+        assert_same_slots(delta, full, message)
+        reached_less |= None in delta._set_words
+        want = reference.implicate_faults(pi_values, ppi_initial, faults)
+        for index in range(len(faults)):
             for signal in observed:
-                assert delta.value(signal, pattern) is full.value(signal, pattern)
-        for signal in observed:
-            assert delta.fault_effect_mask(signal) == full.fault_effect_mask(signal)
-    assert reached_less, "no pass left a signal unreached"
+                assert carries_fault(delta, index, signal) == carries_fault(
+                    want, index, signal
+                ), message
+    assert reached_less, "no batch left a signal unreached"
 
 
 def test_dff_branch_fault_leaves_the_base_untouched(s27):
     """A branch into a flip-flop is not injected, so nothing is evaluated."""
-    packed = PackedTwoFrameSimulator(s27)
+    _, packed = engines(s27)
     rng = random.Random(15)
     pi_values, ppi_initial = full_pattern(rng, s27)
-    good = packed.simulate(pi_values, ppi_initial, (None,))
+    good = packed.implicate(pi_values, ppi_initial)
+    good_column = good.packed_handle[0].column_sets(0)
     faults = [
         fault
         for fault in enumerate_delay_faults(s27)
         if fault_kind(s27, fault) == "dff_branch"
     ]
     assert faults
-    delta = packed.simulate(pi_values, ppi_initial, faults, base=good)
-    assert delta.planes == [None] * len(delta.planes)
-    full = packed.simulate(pi_values, ppi_initial, faults)
-    for pattern in range(len(faults)):
-        assert delta.values_for_pattern(pattern) == good.values_for_pattern(0)
-        assert full.values_for_pattern(pattern) == good.values_for_pattern(0)
+    delta = packed.implicate_faults(pi_values, ppi_initial, faults, base=good)
+    assert delta._set_written == []
+    full = packed.implicate_faults(pi_values, ppi_initial, faults)
+    for index in range(len(faults)):
+        assert delta.column_sets(index) == good_column
+        assert full.column_sets(index) == good_column
 
 
-def test_base_must_be_a_full_single_slot_pass(s27):
-    packed = PackedTwoFrameSimulator(s27)
+def test_base_must_be_a_fault_free_state_of_the_engine(s27):
+    reference, packed = engines(s27)
     rng = random.Random(16)
     pi_values, ppi_initial = full_pattern(rng, s27)
-    wide = packed.simulate(pi_values, ppi_initial, (None, None))
-    with pytest.raises(ValueError, match="base"):
-        packed.simulate(pi_values, ppi_initial, (None,), base=wide)
-    good = packed.simulate(pi_values, ppi_initial, (None,))
-    delta = packed.simulate(pi_values, ppi_initial, (None,), base=good)
-    with pytest.raises(ValueError, match="base"):
-        packed.simulate(pi_values, ppi_initial, (None,), base=delta)
+    fault = enumerate_delay_faults(s27)[0]
+    faulty = packed.implicate(pi_values, ppi_initial, fault)
+    foreign = [
+        faulty,
+        engines(s27)[1].implicate(pi_values, ppi_initial),
+        reference.implicate(pi_values, ppi_initial),
+    ]
+    for base in foreign:
+        with pytest.raises(ValueError, match="base"):
+            packed.implicate_faults(pi_values, ppi_initial, (fault,), base=base)
+    # A good-machine slot of a batch is a base like the full pass.
+    good = packed.implicate(pi_values, ppi_initial)
+    batch = packed.implicate_faults(pi_values, ppi_initial, (fault, None), base=good)
+    chained = packed.implicate_faults(pi_values, ppi_initial, (fault,), base=batch.state(1))
+    assert chained.column_sets(0) == batch.column_sets(0)

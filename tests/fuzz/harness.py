@@ -510,14 +510,17 @@ def _check_grading(case: FuzzCase, circuit: Circuit, failures: List[str]) -> Non
 
 
 def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
-    """Layer 5: TDsim detections and their order, per backend.
+    """Layer 5: TDsim detections and their order, and its injection batches.
 
     The pattern is the case's implication-layer assignment with every
     unassigned PI and PPI filled in.  The fill-ins, the observable PPOs and
     the required PPO values (the good machine's captured value, sometimes
     flipped so the invalidation check rejects) come from an RNG of their
     own, so the other layers' inputs, every seed and every corpus file stay
-    as they were.
+    as they were.  Every injection batch the reference simulation drives
+    (stem analyses, PPO confirmations) and one batch of faults from a
+    further RNG are then compared slot column by slot column between the
+    engines; a failure names the signal that diverged.
     """
     rng = random.Random(f"tdsim:{case.seed}")
     pi_values: Dict[str, DelayValue] = {}
@@ -545,8 +548,17 @@ def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
             final = single_value(good.signal_sets[ppo]).final
             required_ppo_values[ppo] = final ^ flip
 
-    def detections(backend: str):
+    def detections(backend: str, driven: Optional[List[list]] = None):
         simulator = DelayFaultSimulator(circuit, robust=case.robust, backend=backend)
+        if driven is not None:
+            # Record every injection batch the simulation drives.
+            implicate_faults = simulator._implication.implicate_faults
+
+            def recording(pi, ppi, faults, base=None):
+                driven.append(list(faults))
+                return implicate_faults(pi, ppi, faults, base=base)
+
+            simulator._implication.implicate_faults = recording
         return [
             (detection.fault, detection.observation_point, detection.through_ppo)
             for detection in simulator.simulate(
@@ -557,7 +569,8 @@ def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
             )
         ]
 
-    want = detections("reference")
+    driven: List[list] = []
+    want = detections("reference", driven)
     for backend in available_backends():
         if backend == "reference":
             continue
@@ -567,6 +580,37 @@ def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
                 f"tdsim[{backend}]: detections differ "
                 f"({len(got)} vs {len(want)} reference)"
             )
+
+    # The injection batches themselves, column by column: every stem and
+    # candidate batch the simulation drove, plus one batch of faults drawn
+    # from an RNG of its own (every seed and corpus file replays the rest
+    # unchanged).  The packed batches run event-driven on the good machine.
+    batch_rng = random.Random(f"tdsim-batch:{case.seed}")
+    universe = enumerate_delay_faults(circuit)
+    driven.append([None] + batch_rng.sample(universe, min(len(universe), 8)))
+    oracle = create_implication_engine(circuit, "reference", robust=case.robust)
+    for backend in available_backends():
+        if backend == "reference":
+            continue
+        engine = create_implication_engine(circuit, backend, robust=case.robust)
+        good = engine.implicate(pi_values, ppi_initial)
+        for faults in driven:
+            want_batch = oracle.implicate_faults(pi_values, ppi_initial, faults)
+            got_batch = engine.implicate_faults(pi_values, ppi_initial, faults, base=good)
+            for index, fault in enumerate(faults):
+                want_column = want_batch.column_sets(index)
+                got_column = got_batch.column_sets(index)
+                if got_column != want_column:
+                    slot = next(
+                        slot
+                        for slot, value_set in enumerate(want_column)
+                        if got_column[slot] != value_set
+                    )
+                    failures.append(
+                        f"tdsim[{backend}]: injection batch slot {index} ({fault}) "
+                        f"differs at {engine.compiled.signal_names[slot]}"
+                    )
+                    return
 
 
 def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:

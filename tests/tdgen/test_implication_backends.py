@@ -237,7 +237,7 @@ def test_incremental_delta_columns_match_full_sweep(seed):
                 pi_values, ppi_initial, fault, candidates, parent
             )
             assert incremental is not None, "the sweep must take the incremental path"
-            full = packed._implicate_full(pi_values, ppi_initial, fault, candidates)
+            full = packed.implicate_candidates(pi_values, ppi_initial, fault, candidates)
             message = f"seed {seed} fault {fault} var {name}"
             for index in range(len(candidates)):
                 assert incremental.column_sets(index) == full.column_sets(index), message

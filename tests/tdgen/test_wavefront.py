@@ -63,7 +63,7 @@ def _sweep(setup, candidates):
         metrics.counter_value("repro_wavefront_gates_skipped_total"),
     )
     # Skipping gates never changes what the sweep implies.
-    full = engine._implicate_full(pi_values, ppi_initial, None, candidates)
+    full = engine.implicate_candidates(pi_values, ppi_initial, None, candidates)
     for index in range(len(candidates)):
         for field in FIELDS:
             assert getattr(states.state(index), field) == getattr(full.state(index), field)

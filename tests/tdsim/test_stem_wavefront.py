@@ -1,26 +1,31 @@
 """What one TDsim stem analysis costs: the gates its fault effect reaches.
 
-A stem analysis is an event-driven two-frame pass on the pattern's
-good-machine pass: it evaluates a gate only when one of its inputs left the
-good value, and skips the initial frame.  The circuit below has two disjoint
-cones, so the ``repro_sim_gate_words_total`` counter of a
-:class:`~repro.obs.metrics.MetricsRegistry` (64-bit word units; one word per
-gate at these widths) shows exactly which gates a pass evaluated.  Each stem
-is analysed once per :meth:`DelayFaultSimulator.simulate` call, however many
-observation points reach it.
+A stem analysis is an event-driven batch on the pattern's good machine
+(:meth:`~repro.tdgen.implication.ImplicationEngine.implicate_faults` with
+``base=``): it evaluates a gate only when one of its inputs left the good
+value, and skips the initial frame.  The circuit below has two disjoint
+cones, so the ``repro_wavefront_gates_evaluated_total`` counter of a
+:class:`~repro.obs.metrics.MetricsRegistry` shows exactly which gates a
+batch evaluated.  Each stem is analysed once per
+:meth:`DelayFaultSimulator.simulate` call, however many observation points
+reach it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algebra.sets import has_fault_value
 from repro.algebra.values import F, R, V0, V1
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Line
 from repro.faults.model import DelayFaultType, GateDelayFault
-from repro.fausim.packed_two_frame import PackedTwoFrameSimulator
 from repro.obs.metrics import MetricsRegistry
+from repro.tdgen.implication import create_implication_engine
 from repro.tdsim.cpt import DelayFaultSimulator
+
+EVALUATED = "repro_wavefront_gates_evaluated_total"
+GATE_WORDS = "repro_sim_gate_words_total"
 
 
 def _two_cones():
@@ -44,49 +49,61 @@ def _stem(signal):
     )
 
 
-def _words(simulator, metrics, pi_values, faults, base):
-    before = metrics.counter_value("repro_sim_gate_words_total")
-    result = simulator.simulate(pi_values, {"q": 0}, faults, base=base)
-    words = metrics.counter_value("repro_sim_gate_words_total") - before
-    # Skipping gates never changes what the pass computes.
-    full = simulator.simulate(pi_values, {"q": 0}, faults)
-    for pattern in range(len(faults)):
-        assert result.values_for_pattern(pattern) == full.values_for_pattern(pattern)
-    return words, result
+def _evaluated(engine, pi_values, faults, base):
+    metrics = engine.metrics
+    before = metrics.counter_value(EVALUATED)
+    batch = engine.implicate_faults(pi_values, {"q": 0}, faults, base=base)
+    evaluated = metrics.counter_value(EVALUATED) - before
+    # Skipping gates never changes what the batch computes.
+    full = engine.implicate_faults(pi_values, {"q": 0}, faults)
+    for index in range(len(faults)):
+        assert batch.column_sets(index) == full.column_sets(index)
+    return evaluated, batch
+
+
+def _fault_slots(batch, signal):
+    """The slots in which ``signal`` carries a fault effect, as a bit mask."""
+    return sum(
+        1 << index
+        for index in range(len(batch))
+        if has_fault_value(batch.state(index).signal_sets[signal])
+    )
 
 
 @pytest.fixture
-def simulator():
-    simulator = PackedTwoFrameSimulator(_two_cones())
-    simulator.metrics = MetricsRegistry()
-    return simulator
+def engine():
+    engine = create_implication_engine(_two_cones(), "packed")
+    engine.set_metrics(MetricsRegistry(), site="tdsim")
+    return engine
 
 
-def test_full_pass_counts_both_frames(simulator):
-    words, _ = _words(
-        simulator, simulator.metrics, {"a": R, "b": V0, "c": F, "d": V1}, (None,), None
-    )
-    assert words == 2 * simulator.compiled.num_gates
+def test_full_pass_counts_both_frames(engine):
+    metrics = engine.metrics
+    engine.implicate({"a": R, "b": V0, "c": F, "d": V1}, {"q": 0})
+    # The initial frame counts in gate words, the test frame in wavefront
+    # gates; a full pass evaluates every gate in each.
+    assert metrics.counter_value(GATE_WORDS) == engine.compiled.num_gates
+    assert metrics.counter_value(EVALUATED) == engine.compiled.num_gates
 
 
-def test_stem_blocked_at_its_first_gate_evaluates_that_gate(simulator):
+def test_stem_blocked_at_its_first_gate_evaluates_that_gate(engine):
     # b holds a stable 0, so AND(a, b) masks the transition on a.
     pi_values = {"a": R, "b": V0, "c": F, "d": V1}
-    good = simulator.simulate(pi_values, {"q": 0}, (None,))
-    words, result = _words(simulator, simulator.metrics, pi_values, _stem("a"), good)
-    assert words == 1
-    assert result.fault_effect_mask("g2") == 0
-    assert result.planes[simulator.compiled.slot_of["h2"]] is None
+    good = engine.implicate(pi_values, {"q": 0})
+    evaluated, batch = _evaluated(engine, pi_values, _stem("a"), good)
+    assert evaluated == 1
+    assert _fault_slots(batch, "g2") == 0
+    assert batch._set_words[engine.compiled.slot_of["h2"]] is None
 
 
-def test_stem_effect_evaluates_the_gates_it_reaches(simulator):
+def test_stem_effect_evaluates_the_gates_it_reaches(engine):
     pi_values = {"a": R, "b": V1, "c": F, "d": V1}
-    good = simulator.simulate(pi_values, {"q": 0}, (None,))
-    words, result = _words(simulator, simulator.metrics, pi_values, _stem("g1"), good)
-    assert words == 2  # g1 (the stem's driver) and g2
-    assert result.fault_effect_mask("g2") == 0b01
-    words, _ = _words(simulator, simulator.metrics, pi_values, (None, None), good)
-    assert words == 0
+    good = engine.implicate(pi_values, {"q": 0})
+    evaluated, batch = _evaluated(engine, pi_values, _stem("g1"), good)
+    assert evaluated == 2  # g1 (the gate of the stem) and g2
+    assert _fault_slots(batch, "g2") == 0b01
+    evaluated, _ = _evaluated(engine, pi_values, (None, None), good)
+    assert evaluated == 0
 
 
 def test_each_stem_is_analysed_once_per_pattern():
