@@ -18,6 +18,10 @@ touch a few thousand of the 65536 set pairs at most.  Multi-input gates fold
 each slot over the core image and take the last step through the image with
 the inverter pre-composed; ``NOT`` is a 256-entry permutation image.
 Emptiness propagates for free: the image of an empty set is empty.
+The sweep reads each gate as one tuple of a per-gate plan (:func:`set_plan`:
+fanin slots, images, output slot and its fanout) and unrolls the slot loop
+for widths 1, 2 and 4, the widths of TDgen's root sweeps and its PPI and PI
+decisions; a gate that applies an injection move takes one slow path.
 
 :class:`PackedSetSimulator` runs this evaluation over the flat gate program
 of :mod:`repro.fausim.compile`, with fault-injection *moves* (convert the
@@ -41,12 +45,14 @@ The pass returns the slots it wrote.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.packed import NOT_PERMUTATION, core_of, packed_table
 from repro.algebra.sets import ValueSet
 from repro.circuit.gates import GateType
 from repro.fausim.compile import _OPCODES, OP_NOT, CompiledCircuit
+from repro.fausim.kernels import kernels_for
 from repro.obs.metrics import NULL_REGISTRY
 
 #: Set word of one signal: byte ``j`` is slot ``j``'s possibility set.
@@ -143,6 +149,42 @@ for _gate_type, _opcode in _OPCODES.items():
             _SET_IMAGES[_robust][_opcode] = _SetImage(_core, _invert, _robust)
 
 
+#: One gate of a set plan (see :func:`set_plan`): ``(first, middle, final,
+#: core, last, out, fanout)``.
+SetStep = Tuple[int, Tuple[int, ...], int, Optional[object], Optional[object], int, Tuple[int, ...]]
+
+
+def set_plan(compiled: CompiledCircuit, robust: bool) -> Tuple[SetStep, ...]:
+    """The set sweep's per-gate plan of ``compiled`` in one robustness mode.
+
+    Per gate, in program order: the first fanin slot, the middle fanin slots,
+    the last fanin slot (``-1`` for a one-input gate), the core image the
+    middle pins fold through (``None`` for a one-input gate), the image of
+    the last step (which carries any inverter; for a one-input gate
+    :data:`NOT_IMAGE` or ``None`` for a buffer), the output slot and the
+    gates that read it.  Built on first use and kept on the circuit's
+    :func:`~repro.fausim.kernels.kernels_for` object, so a recompile drops
+    it and a pickle never carries it.
+    """
+    kernels = kernels_for(compiled)
+    key = ("sets", robust)
+    plan = kernels.plans.get(key)
+    if plan is None:
+        images = _SET_IMAGES[robust]
+        steps: List[SetStep] = []
+        for op, fanins, out, out_fanout in kernels.plane_plan():
+            if len(fanins) == 1:
+                last = NOT_IMAGE if _UNARY_INVERTS[op] else None
+                steps.append((fanins[0], (), -1, None, last, out, out_fanout))
+            else:
+                steps.append(
+                    (fanins[0], fanins[1:-1], fanins[-1],
+                     images[_CORE_OPCODE[op]], images[op], out, out_fanout)
+                )
+        plan = kernels.plans[key] = tuple(steps)
+    return plan
+
+
 @dataclasses.dataclass
 class PackedSetResult:
     """Outcome of one set-word propagation pass.
@@ -179,6 +221,8 @@ class PackedSetSimulator:
     #: Metrics registry counting wavefront gate evaluations/skips: at most
     #: two registry calls per sweep, never one per gate (no-op by default).
     metrics = NULL_REGISTRY
+    #: ``site`` label of those counters: the owning engine's metrics site.
+    metrics_site = ""
 
     def __init__(self, compiled: CompiledCircuit, robust: bool = True) -> None:
         self.compiled = compiled
@@ -233,23 +277,23 @@ class PackedSetSimulator:
         stem_moves = stem_moves or {}
         branch_moves = branch_moves or {}
         compiled = self.compiled
-        images = _SET_IMAGES[self.robust]
-        unary_inverts = _UNARY_INVERTS
-        core_of_op = _CORE_OPCODE
-        not_image = NOT_IMAGE
+        plan = set_plan(compiled, self.robust)
         words = source_words
-        fanin_flat = compiled.fanin_flat
-        offsets = compiled.fanin_offsets
-        outputs = compiled.outputs
         fanout = compiled.fanout
         signal_names = compiled.signal_names
+        num_gates = compiled.num_gates
         rep = slot_mask(width)
         high = rep << 7
         shifts = range(0, 8 * width, 8)
         conflict_mask = 0
         conflict_signals: Dict[int, str] = {}
-        ops = compiled.ops
-        branch_positions = frozenset(branch_moves)
+        # The gates that apply a move take the slow path (:meth:`_moved_gate`),
+        # so the planned path never looks a pin or an output up in the moves.
+        gate_index_of = compiled.gate_index_of
+        moved = {gate_index_of[slot] for slot in stem_moves if slot in gate_index_of}
+        moved.update(
+            bisect_right(compiled.fanin_offsets, position) - 1 for position in branch_moves
+        )
 
         # ``pending[i]`` marks gate ``i`` for evaluation.  A full sweep marks
         # every gate; an event-driven sweep marks the fanout of each seed that
@@ -260,7 +304,7 @@ class PackedSetSimulator:
         tracking = base_sets is not None
         written: Optional[List[int]] = None
         if tracking:
-            pending = bytearray(len(ops))
+            pending = bytearray(num_gates)
             written = list(changed_slots)
             for slot in changed_slots:
                 if words[slot] != base_sets[slot] * rep:
@@ -269,54 +313,81 @@ class PackedSetSimulator:
             for gate in seed_gates:
                 pending[gate] = 1
         else:
-            pending = bytearray(b"\x01") * len(ops)
+            pending = bytearray(b"\x01") * num_gates
 
-        index = pending.find(1)
+        find = pending.find
+        index = find(1)
         while index >= 0:
-            start = offsets[index]
-            end = offsets[index + 1]
-            op = ops[index]
-            slot = fanin_flat[start]
-            a = words[slot]
-            if a is None:
-                a = base_sets[slot] * rep
-            if start in branch_positions:
-                a = apply_moves(a, branch_moves[start])
-
-            if end - start == 1:
-                if unary_inverts[op]:
-                    acc = 0
-                    for shift in shifts:
-                        acc |= not_image[(a >> shift) & 255] << shift
-                else:
-                    acc = a
+            first, middle, final, core, last, out, out_fanout = plan[index]
+            if index in moved:
+                acc = self._moved_gate(
+                    index, words, base_sets, rep, shifts, stem_moves, branch_moves
+                )
             else:
-                # Fold each slot over the core image, one lookup per slot
-                # and step; the last step's image carries any inverter.
-                image = images[core_of_op[op]]
-                last = end - 1
-                for position in range(start + 1, end):
-                    slot = fanin_flat[position]
-                    b = words[slot]
+                a = words[first]
+                if a is None:
+                    a = base_sets[first] * rep
+                if core is None:
+                    # One input: a buffer (no image) or an inverting
+                    # permutation image.
+                    if last is None:
+                        acc = a
+                    elif width == 1:
+                        acc = last[a]
+                    elif width == 2:
+                        acc = last[a & 255] | last[a >> 8] << 8
+                    elif width == 4:
+                        acc = (
+                            last[a & 255]
+                            | last[(a >> 8) & 255] << 8
+                            | last[(a >> 16) & 255] << 16
+                            | last[a >> 24] << 24
+                        )
+                    else:
+                        acc = 0
+                        for shift in shifts:
+                            acc |= last[(a >> shift) & 255] << shift
+                else:
+                    # Fold the pins in order (the non-robust XOR image is not
+                    # associative): one core-image lookup per slot and step,
+                    # the last step through the image that carries any
+                    # inverter.  Words hold exactly ``width`` bytes, so the
+                    # unrolled widths need no mask on their top byte.
+                    for slot in middle:
+                        b = words[slot]
+                        if b is None:
+                            b = base_sets[slot] * rep
+                        acc = 0
+                        for shift in shifts:
+                            acc |= core[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
+                        a = acc
+                    b = words[final]
                     if b is None:
-                        b = base_sets[slot] * rep
-                    if position in branch_positions:
-                        b = apply_moves(b, branch_moves[position])
-                    if position == last:
-                        image = images[op]
-                    acc = 0
-                    for shift in shifts:
-                        acc |= image[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
-                    a = acc
+                        b = base_sets[final] * rep
+                    if width == 1:
+                        acc = last[(a << 8) | b]
+                    elif width == 2:
+                        acc = (
+                            last[((a & 255) << 8) | (b & 255)]
+                            | last[(a & 0xFF00) | (b >> 8)] << 8
+                        )
+                    elif width == 4:
+                        acc = (
+                            last[((a & 255) << 8) | (b & 255)]
+                            | last[(a & 0xFF00) | ((b >> 8) & 255)] << 8
+                            | last[((a >> 8) & 0xFF00) | ((b >> 16) & 255)] << 16
+                            | last[((a >> 16) & 0xFF00) | (b >> 24)] << 24
+                        )
+                    else:
+                        acc = 0
+                        for shift in shifts:
+                            acc |= last[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
 
-            out = outputs[index]
-            if stem_moves and out in stem_moves:
-                acc = apply_moves(acc, stem_moves[out])
             words[out] = acc
             if tracking:
                 written.append(out)
                 if acc != base_sets[out] * rep:
-                    for gate in fanout[out]:
+                    for gate in out_fanout:
                         pending[gate] = 1
 
             # Nonzero exactly when some slot's byte is zero; the per-slot
@@ -328,14 +399,17 @@ class PackedSetSimulator:
                     if not (acc >> shift) & 255 and not conflict_mask & bit:
                         conflict_mask |= bit
                         conflict_signals[slot_index] = name
-            index = pending.find(1, index + 1)
+            index = find(1, index + 1)
 
         metrics = self.metrics
         if metrics.enabled:
-            evaluated = len(written) - len(changed_slots) if tracking else len(ops)
-            metrics.inc("repro_wavefront_gates_evaluated_total", evaluated)
-            if len(ops) > evaluated:
-                metrics.inc("repro_wavefront_gates_skipped_total", len(ops) - evaluated)
+            site = self.metrics_site
+            evaluated = len(written) - len(changed_slots) if tracking else num_gates
+            metrics.inc("repro_wavefront_gates_evaluated_total", evaluated, site=site)
+            if num_gates > evaluated:
+                metrics.inc(
+                    "repro_wavefront_gates_skipped_total", num_gates - evaluated, site=site
+                )
 
         return PackedSetResult(
             words=words,
@@ -344,3 +418,53 @@ class PackedSetSimulator:
             conflict_signals=conflict_signals,
             written=written,
         )
+
+    def _moved_gate(
+        self,
+        index: int,
+        words: List[Optional[SetWord]],
+        base_sets: Optional[Sequence[ValueSet]],
+        rep: int,
+        shifts: range,
+        stem_moves: Mapping[int, Sequence[SetMove]],
+        branch_moves: Mapping[int, Sequence[SetMove]],
+    ) -> SetWord:
+        """Evaluate one gate that applies an injection move.
+
+        The unplanned fold of :meth:`propagate`: each pin's read takes its
+        branch moves, and the output takes its stem moves.
+        """
+        compiled = self.compiled
+        images = _SET_IMAGES[self.robust]
+        fanin_flat = compiled.fanin_flat
+        start = compiled.fanin_offsets[index]
+        end = compiled.fanin_offsets[index + 1]
+        op = compiled.ops[index]
+        image = images[_CORE_OPCODE[op]]
+        acc = 0
+        for position in range(start, end):
+            slot = fanin_flat[position]
+            b = words[slot]
+            if b is None:
+                b = base_sets[slot] * rep
+            moves = branch_moves.get(position)
+            if moves:
+                b = apply_moves(b, moves)
+            if position == start:
+                acc = b
+                continue
+            if position == end - 1:
+                image = images[op]
+            a = acc
+            acc = 0
+            for shift in shifts:
+                acc |= image[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
+        if end - start == 1 and _UNARY_INVERTS[op]:
+            a = acc
+            acc = 0
+            for shift in shifts:
+                acc |= NOT_IMAGE[(a >> shift) & 255] << shift
+        moves = stem_moves.get(compiled.outputs[index])
+        if moves:
+            acc = apply_moves(acc, moves)
+        return acc

@@ -27,8 +27,13 @@ never pays for code generation.  Both tiers compute the same integers, which
 ``tests/fausim/test_kernels.py`` checks against each other and against the
 reference oracles.
 
-The kernels of a circuit live in a :class:`CircuitKernels` object attached to
-its compiled form *outside* the pickled state (see
+The event-driven passes stay interpreted, but read a *per-gate plan*
+instead of the flat arrays: one tuple per gate holding what its evaluation
+needs (:meth:`CircuitKernels.plane_plan`, and the set-image plan of
+:mod:`repro.algebra.packed_sets`), built once per circuit on first use.
+
+The kernels and plans of a circuit live in a :class:`CircuitKernels` object
+attached to its compiled form *outside* the pickled state (see
 :meth:`~repro.fausim.compile.CompiledCircuit.__getstate__`): ``spawn``
 workers and the service cache never pickle generated code, each process tiers
 up on its own, and a structural edit (which recompiles the circuit) starts
@@ -153,23 +158,50 @@ def pair_broadcast(width: int) -> List[int]:
     return table
 
 
+#: One gate of a :meth:`CircuitKernels.plane_plan`: its opcode, fanin slots
+#: in pin order, output slot and the gates that read the output.
+PlaneStep = Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]
+
+
 class CircuitKernels:
-    """The tiered kernels of one compiled circuit.
+    """The tiered kernels and the per-gate plans of one compiled circuit.
 
     Threads that share a circuit (the service's warmed-circuit cache) need
     no lock here: a lost pass count only delays the tier-up, and two
-    threads that tier up at once build equivalent kernels.
+    threads that tier up at once build equivalent kernels (or plans).
 
     Attributes:
         compiled: the circuit the kernels are generated from.
         passes: cold passes run so far, per kernel name.
         generated: the generated kernel per name, once it has tiered up.
+        plans: the per-gate plans built so far, by name: ``"planes"``
+            (:meth:`plane_plan`) and the set plans of
+            :func:`repro.algebra.packed_sets.set_plan`.
     """
 
     def __init__(self, compiled: CompiledCircuit) -> None:
         self.compiled = compiled
         self.passes: Dict[str, int] = {name: 0 for name in _GENERATORS}
         self.generated: Dict[str, Callable] = {}
+        self.plans: Dict[object, tuple] = {}
+
+    def plane_plan(self) -> Tuple[PlaneStep, ...]:
+        """Per gate, in program order: ``(op, fanins, out, fanout of out)``.
+
+        The event-driven passes read one tuple per woken gate instead of
+        four flat arrays and a fanin slice.  Built on first use.
+        """
+        plan = self.plans.get("planes")
+        if plan is None:
+            compiled = self.compiled
+            offsets = compiled.fanin_offsets
+            fanin_flat = compiled.fanin_flat
+            fanout = compiled.fanout
+            plan = self.plans["planes"] = tuple(
+                (op, fanin_flat[offsets[index]:offsets[index + 1]], out, fanout[out])
+                for index, (op, out) in enumerate(zip(compiled.ops, compiled.outputs))
+            )
+        return plan
 
     def select(self, name: str, metrics) -> Optional[Callable]:
         """The generated kernel ``name``, or ``None`` to run this pass cold.

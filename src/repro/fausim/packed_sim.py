@@ -123,7 +123,9 @@ class PackedLogicSimulator:
         is (re)computed.  This is the single hot loop of the backend.  A
         full-program pass runs the circuit's ``evaluate`` kernel once it has
         tiered up (:mod:`repro.fausim.kernels`); an event-driven pass always
-        runs the interpreted loop below.
+        runs the interpreted loop below, which reads one tuple of the
+        circuit's per-gate plan (:meth:`~repro.fausim.kernels.CircuitKernels.plane_plan`)
+        per evaluated gate.
 
         Args:
             planes: pre-loaded source planes, evaluated in place.
@@ -158,15 +160,13 @@ class PackedLogicSimulator:
             if kernel is not None:
                 kernel(zero, one, mask)
                 return None
-        fanin_flat = compiled.fanin_flat
-        offsets = compiled.fanin_offsets
-        outputs = compiled.outputs
-        fanout = compiled.fanout
+        plan = self._kernels.plane_plan()
         written: Optional[List[int]] = None
         if tracking:
             # The same wavefront as the set sweep of
             # :mod:`repro.algebra.packed_sets`: wake a gate's fanout only
             # when its planes leave the parent's broadcast.
+            fanout = compiled.fanout
             broadcast = {None: (0, 0), 0: (mask, 0), 1: (0, mask)}
             pending = bytearray(len(ops))
             written = list(changed_slots)
@@ -177,61 +177,54 @@ class PackedLogicSimulator:
         else:
             pending = bytearray(b"\x01") * len(ops)
 
-        index = pending.find(1)
+        find = pending.find
+        index = find(1)
         while index >= 0:
-            op = ops[index]
-            start = offsets[index]
-            end = offsets[index + 1]
+            op, fanins, out, out_fanout = plan[index]
             if tracking:
-                for position in range(start, end):
-                    slot = fanin_flat[position]
+                for slot in fanins:
                     if zero[slot] is None:
                         zero[slot], one[slot] = broadcast[base_values[slot]]
-            first = fanin_flat[start]
             if op <= OP_NAND:  # AND / NAND
-                acc_one = one[first]
-                acc_zero = zero[first]
-                for position in range(start + 1, end):
-                    slot = fanin_flat[position]
+                acc_one = -1
+                acc_zero = 0
+                for slot in fanins:
                     acc_one &= one[slot]
                     acc_zero |= zero[slot]
                 if op == OP_NAND:
                     acc_zero, acc_one = acc_one, acc_zero
             elif op <= OP_NOR:  # OR / NOR
-                acc_one = one[first]
-                acc_zero = zero[first]
-                for position in range(start + 1, end):
-                    slot = fanin_flat[position]
+                acc_one = 0
+                acc_zero = -1
+                for slot in fanins:
                     acc_one |= one[slot]
                     acc_zero &= zero[slot]
                 if op == OP_NOR:
                     acc_zero, acc_one = acc_one, acc_zero
             elif op == OP_NOT:
-                acc_zero = one[first]
-                acc_one = zero[first]
+                acc_zero = one[fanins[0]]
+                acc_one = zero[fanins[0]]
             elif op == OP_BUF:
-                acc_zero = zero[first]
-                acc_one = one[first]
+                acc_zero = zero[fanins[0]]
+                acc_one = one[fanins[0]]
             else:  # XOR / XNOR
-                parity = one[first]
-                known = zero[first] | one[first]
-                for position in range(start + 1, end):
-                    slot = fanin_flat[position]
+                parity = 0
+                known = -1
+                for slot in fanins:
                     parity ^= one[slot]
                     known &= zero[slot] | one[slot]
                 acc_one = parity & known
                 acc_zero = ~parity & known & mask
                 if op == OP_XNOR:
                     acc_zero, acc_one = acc_one, acc_zero
-            out = outputs[index]
             zero[out] = acc_zero
             one[out] = acc_one
             if tracking:
                 written.append(out)
                 if (acc_zero, acc_one) != broadcast[base_values[out]]:
-                    for gate in fanout[out]:
+                    for gate in out_fanout:
                         pending[gate] = 1
-            index = pending.find(1, index + 1)
+            index = find(1, index + 1)
 
         if tracking and self.metrics.enabled:
             self.metrics.inc(

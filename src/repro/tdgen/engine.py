@@ -41,7 +41,7 @@ from repro.tdgen.context import TDgenContext
 from repro.tdgen.decide import Stop, decision_search
 from repro.tdgen.implication import CandidateStates, create_implication_engine
 from repro.tdgen.result import LocalTest, LocalTestStatus
-from repro.tdgen.simulation import TwoFrameState
+from repro.tdgen.simulation import FAULT_MASK, TwoFrameState
 
 _PI_VALUE_ORDER: Tuple[DelayValue, ...] = (V0, V1, R, F)
 
@@ -137,11 +137,14 @@ class TDgen:
         ppi_initial: Dict[str, Optional[int]] = {
             ppi: None for ppi in self.circuit.pseudo_primary_inputs
         }
+        observation_slots = self._observation_slots(
+            fault, blocked, allow_ppo_observation
+        )
 
         def classify(states: CandidateStates, cursor: int) -> str:
             return self._classify(
-                states.state(cursor), fault, constraints, blocked,
-                allow_ppo_observation, unreachable,
+                states.state(cursor), fault, constraints, observation_slots,
+                unreachable,
             )
 
         def decide(states: CandidateStates, cursor: int):
@@ -215,13 +218,29 @@ class TDgen:
             signals.extend(ppo for ppo in self._ppo_signals if ppo not in blocked)
         return signals
 
+    def _observation_slots(
+        self, fault: GateDelayFault, blocked: Set[str], allow_ppo_observation: bool
+    ) -> Tuple[int, ...]:
+        """The observation slots inside the fault's cone, once per search.
+
+        No observation point outside the cone
+        (:meth:`~repro.tdgen.search.SearchKernels.fault_cone`) can ever
+        carry a fault value, so the X-path and success checks skip them.
+        """
+        slot_of = self.search.compiled.slot_of
+        cone = self.search.fault_cone(fault).slots
+        slots = (
+            slot_of[signal]
+            for signal in self._observation_signals(blocked, allow_ppo_observation)
+        )
+        return tuple(dict.fromkeys(slot for slot in slots if slot in cone))
+
     def _classify(
         self,
         state: TwoFrameState,
         fault: GateDelayFault,
         constraints: Dict[str, int],
-        blocked: Set[str],
-        allow_ppo_observation: bool,
+        observation_slots: Sequence[int],
         blocked_states: List[Dict[str, int]],
     ) -> str:
         if state.has_conflict():
@@ -249,21 +268,20 @@ class TDgen:
             if not self._constraint_possible(state.signal_sets[ppo], value):
                 return "conflict"
 
-        observation = self._observation_signals(blocked, allow_ppo_observation)
         # X-path check: some observation point must still be able to carry the
-        # fault effect.
-        if not any(has_fault_value(state.signal_sets[signal]) for signal in observation):
+        # fault effect.  The checks read the state's slot column.
+        column = self.search.state_column(state)
+        possible = [
+            value_set
+            for value_set in (column[slot] for slot in observation_slots)
+            if value_set & FAULT_MASK
+        ]
+        if not possible:
             return "conflict"
 
         # Success: a guaranteed fault value at an observation point and all
         # constraints definitely satisfied.
-        observed = [
-            signal
-            for signal in observation
-            if is_singleton(state.signal_sets[signal])
-            and has_fault_value(state.signal_sets[signal])
-        ]
-        if observed:
+        if any(value_set & (value_set - 1) == 0 for value_set in possible):
             satisfied = all(
                 self._constraint_satisfied(state.signal_sets[ppo], value)
                 for ppo, value in constraints.items()

@@ -1160,6 +1160,7 @@ class PackedImplicationEngine(ImplicationEngine):
         """Attach a metrics registry and forward it to the internal simulators."""
         super().set_metrics(metrics, site)
         self._sets.metrics = metrics
+        self._sets.metrics_site = site
         self._logic.metrics = metrics
 
     # ------------------------------------------------------------------ #

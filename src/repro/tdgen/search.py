@@ -45,7 +45,7 @@ Kernels are obtained from an engine via
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.algebra.sets import ValueSet, backward_input_sets, members
 from repro.algebra.values import (
@@ -74,6 +74,30 @@ DecisionKey = Tuple[str, str]
 
 #: Opcode -> gate type, the inverse of the compiler's opcode map.
 _TYPE_OF_OP: Dict[int, GateType] = {op: gate_type for gate_type, op in _OPCODES.items()}
+
+
+class FaultCone(NamedTuple):
+    """The part of the test frame a fault value can reach.
+
+    A fault value (``Rc``/``Fc``) is created only by the injection move and
+    no gate table maps fault-free inputs to one, so outside the transitive
+    fanout of the injection site every possibility set is fault free.
+    Scans for fault values may be restricted to the cone exactly.
+
+    Attributes:
+        gates: gate-program indices in program order: the fanout of a stem
+            fault's slot, or a branch fault's sink gate, and everything
+            downstream of them.
+        slots: the signal slots that may hold a fault value: a stem fault's
+            own slot plus the outputs of ``gates``.
+        branch_position: the flat fanin position a branch fault injects at,
+            or ``None`` (a stem fault, or a branch into a flip-flop data pin,
+            which owns no injection and leaves the cone empty).
+    """
+
+    gates: Tuple[int, ...]
+    slots: FrozenSet[int]
+    branch_position: Optional[int]
 
 
 # --------------------------------------------------------------------------- #
@@ -163,6 +187,8 @@ class SearchKernels:
         self._controlling = [controlling_value(kind) for kind in self._gate_types]
         self._parity = [inversion_parity(kind) for kind in self._gate_types]
         self._rank_cache: Optional[List[int]] = None
+        #: ``(fault, cone)`` of the last :meth:`fault_cone` call.
+        self._cone_memo: Optional[Tuple[GateDelayFault, FaultCone]] = None
         #: (PPI name, PPO data slot) per flip-flop: the ``"ppo"`` goal targets.
         self._ppo_targets: Tuple[Tuple[str, int], ...] = tuple(
             (compiled.signal_names[ppi_slot], data_slot)
@@ -188,26 +214,60 @@ class SearchKernels:
         self._rank_cache = ranks
         return ranks
 
-    def _branch_info(self, fault: Optional[GateDelayFault]):
+    def _branch_info(self, fault: Optional[GateDelayFault]) -> Optional[int]:
         """Flat fanin position a branch fault injects at, or ``None``."""
         if fault is None or fault.line.kind is not LineKind.BRANCH:
             return None
+        return self.fault_cone(fault).branch_position
+
+    def fault_cone(self, fault: GateDelayFault) -> FaultCone:
+        """The :class:`FaultCone` of ``fault``.
+
+        The last fault's cone is memoised: one ``generate`` call asks for it
+        once per decision.  It is not kept per fault universe, whose memory
+        would grow as universe times cone.
+        """
+        memo = self._cone_memo
+        if memo is not None and (memo[0] is fault or memo[0] == fault):
+            return memo[1]
         compiled = self.compiled
+        fanout = compiled.fanout
+        outputs = compiled.outputs
+        pending = bytearray(compiled.num_gates)
+        slots: Set[int] = set()
+        branch_position = None
         slot = compiled.slot_of.get(fault.line.signal)
-        sink_slot = compiled.slot_of.get(fault.line.sink)
-        gate_index = compiled.gate_index_of.get(sink_slot)
-        if gate_index is None or fault.line.pin is None or fault.line.pin < 0:
-            return None
-        position = compiled.fanin_offsets[gate_index] + fault.line.pin
-        if (
-            position < compiled.fanin_offsets[gate_index + 1]
-            and compiled.fanin_flat[position] == slot
-        ):
-            return position
-        return None
+        if fault.line.kind is not LineKind.BRANCH:
+            if slot is not None:
+                slots.add(slot)
+                for gate in fanout[slot]:
+                    pending[gate] = 1
+        elif fault.line.pin is not None and fault.line.pin >= 0:
+            sink = compiled.gate_index_of.get(compiled.slot_of.get(fault.line.sink))
+            if sink is not None:
+                position = compiled.fanin_offsets[sink] + fault.line.pin
+                if (
+                    position < compiled.fanin_offsets[sink + 1]
+                    and compiled.fanin_flat[position] == slot
+                ):
+                    branch_position = position
+                    pending[sink] = 1
+        gates: List[int] = []
+        find = pending.find
+        index = find(1)
+        while index >= 0:
+            gates.append(index)
+            out = outputs[index]
+            slots.add(out)
+            for gate in fanout[out]:
+                pending[gate] = 1
+            index = find(1, index + 1)
+        cone = FaultCone(tuple(gates), frozenset(slots), branch_position)
+        self._cone_memo = (fault, cone)
+        return cone
 
     @staticmethod
-    def _state_column(state: TwoFrameState) -> List[ValueSet]:
+    def state_column(state: TwoFrameState) -> List[ValueSet]:
         """The slot column of possibility sets behind a state."""
         states, index = state.packed_handle
         return states.column_sets(index)
@@ -222,21 +282,24 @@ class SearchKernels:
         on an input but an undetermined output, ranks them by observability
         distance (primary outputs first, then pseudo primary outputs, ties
         by name), and returns the first satisfiable off-path input
-        objective.
+        objective.  Only the gates of the fault's cone
+        (:meth:`fault_cone`) can read a fault value, so only they are
+        scanned.
         """
-        column = self._state_column(state)
+        column = self.state_column(state)
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat
         outputs = compiled.outputs
         signal_names = compiled.signal_names
         ranks = self._ranks()
-        branch_position = self._branch_info(fault)
+        cone = self.fault_cone(fault)
+        branch_position = cone.branch_position
         fault_type = fault.fault_type if branch_position is not None else None
         fault_set = FAULT_MASK
 
         frontier: List[Tuple[int, str, int]] = []
-        for gate_index in range(len(outputs)):
+        for gate_index in cone.gates:
             out = outputs[gate_index]
             output_set = column[out]
             if not (output_set & fault_set):
@@ -310,7 +373,7 @@ class SearchKernels:
         each gate it descends into the first undetermined input whose
         backward-implied set still allows the desired value.
         """
-        column = self._state_column(state)
+        column = self.state_column(state)
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat

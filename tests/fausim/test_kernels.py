@@ -6,6 +6,12 @@ generated tier must compute the same integers as the interpreted cold tier
 and as the reference simulator, at every width and chunk boundary; a
 structural edit or a pickle round-trip must start over cold; and forcing
 every kernel to tier up at once must leave campaign results unchanged.
+
+The per-gate plans the interpreted event-driven passes read live on the same
+kernels object: the planned set sweep (with its unrolled widths and the slow
+path of the gates that apply a move) must equal a per-slot evaluation of the
+reference set algebra, and a plan must be rebuilt after an edit and never be
+pickled.
 """
 
 from __future__ import annotations
@@ -16,11 +22,14 @@ import random
 
 import pytest
 
+from repro.algebra.packed_sets import PackedSetSimulator, set_plan, slot_mask
+from repro.algebra.sets import evaluate_gate_sets
+from repro.algebra.values import ALL_VALUES, F, FC, R, RC
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.core.flow import SequentialDelayATPG
 from repro.fausim import kernels
-from repro.fausim.compile import compile_circuit
+from repro.fausim.compile import _OPCODES, compile_circuit
 from repro.fausim.kernels import kernels_for
 from repro.fausim.logic_sim import LogicSimulator
 from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes
@@ -184,6 +193,143 @@ def test_kernels_are_absent_after_a_pickle_round_trip(monkeypatch):
     again = _copy(source)
     PackedLogicSimulator(clone).evaluate_planes(again)
     assert (again.zero, again.one) == (evaluated.zero, evaluated.one)
+
+
+_GATE_TYPE_OF_OP = {op: gate_type for gate_type, op in _OPCODES.items()}
+
+
+def _inject_slot(value_set, move, slot_index):
+    """The reference injection of one move on one pattern slot."""
+    source, target, byte_mask = move
+    if (byte_mask >> (8 * slot_index)) & 1 and (value_set >> source) & 1:
+        return (value_set & ~(1 << source)) | (1 << target)
+    return value_set
+
+
+def _per_slot_sweep(compiled, sources, width, stem_moves, branch_moves, robust):
+    """Per pattern slot, every signal's set by the reference set algebra."""
+    columns = []
+    for slot_index in range(width):
+        column = list(sources[slot_index])
+        for index, op in enumerate(compiled.ops):
+            start, end = compiled.fanin_offsets[index], compiled.fanin_offsets[index + 1]
+            inputs = []
+            for position in range(start, end):
+                value_set = column[compiled.fanin_flat[position]]
+                for move in branch_moves.get(position, ()):
+                    value_set = _inject_slot(value_set, move, slot_index)
+                inputs.append(value_set)
+            value_set = evaluate_gate_sets(_GATE_TYPE_OF_OP[op], inputs, robust)
+            for move in stem_moves.get(compiled.outputs[index], ()):
+                value_set = _inject_slot(value_set, move, slot_index)
+            column[compiled.outputs[index]] = value_set
+        columns.append(column)
+    return columns
+
+
+def _random_moves(rng, compiled, width):
+    """A stem move on one gate output and a branch move on one fanin pin."""
+    byte_mask = sum(1 << (8 * j) for j in range(width) if rng.random() < 0.7)
+    rise = (R.index, RC.index, byte_mask)
+    fall = (F.index, FC.index, byte_mask ^ slot_mask(width))
+    stem_moves = {rng.choice(compiled.outputs): [rise]}
+    branch_moves = {rng.randrange(len(compiled.fanin_flat)): [fall, rise]}
+    return stem_moves, branch_moves
+
+
+@pytest.mark.parametrize("robust", [True, False], ids=["robust", "nonrobust"])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
+def test_planned_set_sweep_matches_the_per_slot_algebra(width, robust):
+    """Full and event-driven sweeps, with stem and branch moves, every width."""
+    fault_free = [value.mask for value in ALL_VALUES if not value.fault]
+    for seed in range(10):
+        circuit = random_circuit(seed)
+        compiled = compile_circuit(circuit)
+        rng = random.Random(seed * 100 + width)
+        sources = [[0] * compiled.num_signals for _ in range(width)]
+        for column in sources:
+            for slot in compiled.pi_slots + compiled.ppi_slots:
+                # Mostly definite values, some wider sets, a few conflicts.
+                roll = rng.random()
+                if roll < 0.05:
+                    column[slot] = 0
+                elif roll < 0.6:
+                    column[slot] = rng.choice(fault_free)
+                else:
+                    column[slot] = rng.randrange(1, 256)
+        stem_moves, branch_moves = _random_moves(rng, compiled, width)
+        want = _per_slot_sweep(compiled, sources, width, stem_moves, branch_moves, robust)
+        words = [
+            sum(sources[j][slot] << (8 * j) for j in range(width))
+            for slot in range(compiled.num_signals)
+        ]
+        simulator = PackedSetSimulator(compiled, robust=robust)
+        result = simulator.propagate(list(words), width, stem_moves, branch_moves)
+        for slot in range(compiled.num_signals):
+            got = [(result.words[slot] >> (8 * j)) & 255 for j in range(width)]
+            assert got == [want[j][slot] for j in range(width)], (seed, slot)
+        conflicted = [j for j in range(width) if 0 in want[j][len(compiled.pi_slots) + len(compiled.ppi_slots):]]
+        assert result.conflict_mask == sum(1 << j for j in conflicted), seed
+
+        # Event-driven from a parent without moves: one source changes, the
+        # gates that apply a move are seeded.
+        parent = _per_slot_sweep(compiled, sources[:1], 1, {}, {}, robust)[0]
+        rep = slot_mask(width)
+        changed = rng.choice(compiled.pi_slots + compiled.ppi_slots)
+        event_sources = [list(parent) for _ in range(width)]
+        for j in range(width):
+            event_sources[j][changed] = rng.choice(fault_free)
+        want = _per_slot_sweep(
+            compiled, event_sources, width, stem_moves, branch_moves, robust
+        )
+        loaded = [None] * compiled.num_signals
+        loaded[changed] = sum(event_sources[j][changed] << (8 * j) for j in range(width))
+        seeds = [compiled.gate_index_of[slot] for slot in stem_moves]
+        seeds += [
+            next(
+                index for index in range(compiled.num_gates)
+                if compiled.fanin_offsets[index] <= position < compiled.fanin_offsets[index + 1]
+            )
+            for position in branch_moves
+        ]
+        result = simulator.propagate(
+            loaded, width, stem_moves, branch_moves,
+            base_sets=parent, changed_slots=[changed], seed_gates=seeds,
+        )
+        for slot in range(compiled.num_signals):
+            word = result.words[slot]
+            if word is None:
+                word = parent[slot] * rep
+            got = [(word >> (8 * j)) & 255 for j in range(width)]
+            assert got == [want[j][slot] for j in range(width)], (seed, slot, "event")
+
+
+def test_set_plans_are_rebuilt_after_add_gate():
+    """An ECO edit recompiles the circuit; its plans are built anew."""
+    circuit = random_circuit(5)
+    compiled = compile_circuit(circuit)
+    plan = set_plan(compiled, True)
+    assert set_plan(compiled, True) is plan
+    assert set_plan(compiled, False) is not plan
+    circuit.add_gate("eco_obs", GateType.AND, list(circuit.primary_inputs[:2]))
+    circuit.add_output("eco_obs")
+    edited = compile_circuit(circuit)
+    assert edited is not compiled
+    assert kernels_for(edited).plans == {}
+    rebuilt = set_plan(edited, True)
+    assert len(rebuilt) == edited.num_gates == compiled.num_gates + 1
+    assert rebuilt[edited.gate_index_of[edited.slot_of["eco_obs"]]][5] == edited.slot_of["eco_obs"]
+
+
+def test_set_plans_are_absent_after_a_pickle_round_trip():
+    circuit = random_circuit(7)
+    compiled = compile_circuit(circuit)
+    set_plan(compiled, True)
+    kernels_for(compiled).plane_plan()
+    assert kernels_for(compiled).plans
+    clone = pickle.loads(pickle.dumps(compiled))
+    assert "_kernels" not in clone.__dict__
+    assert kernels_for(clone).plans == {}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 5])

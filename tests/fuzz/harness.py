@@ -47,7 +47,7 @@ from repro.fausim.backends import available_backends, create_simulator
 from repro.fausim.logic_sim import simulate_sequence
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
-from repro.tdgen.simulation import simulate_two_frame
+from repro.tdgen.simulation import FAULT_MASK, _inject, simulate_two_frame
 from repro.tdsim.cpt import DelayFaultSimulator
 
 #: Where minimised failing cases are persisted; every file in here is
@@ -408,11 +408,23 @@ def _check_implication_and_kernels(
 
         # layer 3: the one kernels class over each engine's columns
         kernels = engine.search_kernels()
+        if fault is not None:
+            for index in range(len(candidates)):
+                chained = got_chained.state(index)
+                if not chained.has_conflict() and kernels.propagation_objective(
+                    chained, fault
+                ) != full_scan_objective(kernels, chained, fault):
+                    failures.append(
+                        f"kernels[{name}]: cone objective {index} differs from the full scan"
+                    )
+                    break
         if fault is not None and not want_state.has_conflict():
             want = oracle_kernels.propagation_objective(want_state, fault)
             got = kernels.propagation_objective(got_state, fault)
             if got != want:
                 failures.append(f"kernels[{name}]: objective differs")
+            elif want != full_scan_objective(oracle_kernels, want_state, fault):
+                failures.append("kernels[reference]: cone objective differs from the full scan")
             elif want is not None and kernels.backtrace(
                 got_state, fault, want, pi_values, ppi_initial
             ) != oracle_kernels.backtrace(
@@ -437,6 +449,51 @@ def _check_implication_and_kernels(
                     failures.append(
                         f"kernels[{name}]: justification {signal}->{target} differs"
                     )
+
+
+def full_scan_objective(kernels, state, fault: GateDelayFault):
+    """The D-frontier objective of ``state``, scanning every gate.
+
+    The oracle of :meth:`~repro.tdgen.search.SearchKernels.propagation_objective`,
+    which scans only the fault's cone: it finds the injected branch pin
+    without the cone, tests every gate of the program for a definite fault
+    value on an input under an undetermined output, and ranks them the same
+    way.
+    """
+    compiled = kernels.compiled
+    column = kernels.state_column(state)
+    offsets = compiled.fanin_offsets
+    branch_position = None
+    if fault.line.is_branch:
+        sink = compiled.gate_index_of.get(compiled.slot_of.get(fault.line.sink))
+        if sink is not None and fault.line.pin is not None and fault.line.pin >= 0:
+            position = offsets[sink] + fault.line.pin
+            if (
+                position < offsets[sink + 1]
+                and compiled.fanin_flat[position] == compiled.slot_of[fault.line.signal]
+            ):
+                branch_position = position
+    ranks = kernels._ranks()
+    frontier = []
+    for gate_index, out in enumerate(compiled.outputs):
+        output_set = column[out]
+        if not output_set & FAULT_MASK or output_set & (output_set - 1) == 0:
+            continue
+        for position in range(offsets[gate_index], offsets[gate_index + 1]):
+            value_set = column[compiled.fanin_flat[position]]
+            if position == branch_position:
+                value_set = _inject(value_set, fault.fault_type)
+            if value_set & (value_set - 1) == 0 and value_set & FAULT_MASK:
+                frontier.append((ranks[out], compiled.signal_names[out], gate_index))
+                break
+    fault_type = fault.fault_type if branch_position is not None else None
+    for _, _, gate_index in sorted(frontier):
+        objective = kernels._off_path_objective(
+            column, gate_index, branch_position, fault_type
+        )
+        if objective is not None:
+            return objective
+    return None
 
 
 def _grading_sequence(case: FuzzCase, faults: Sequence[GateDelayFault]) -> TestSequence:

@@ -6,11 +6,12 @@ one of its inputs left the parent's value.  The circuit below has two
 disjoint cones, so the counters of the engine's metrics registry show
 exactly which gates a sweep touched:
 
-* ``repro_wavefront_gates_evaluated_total`` — test-frame (set word) gates;
+* ``repro_wavefront_gates_evaluated_total`` — test-frame (set word) gates,
+  read at the engine's ``site="tdgen"`` label;
 * ``repro_sim_gate_words_total`` — initial-frame (three-valued) gates, in
   64-bit word units (one word per gate at these widths);
 * ``repro_wavefront_gates_skipped_total`` — program gates the set sweep did
-  not evaluate.
+  not evaluate (same label).
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ def _sweep(setup, candidates):
         pi_values, ppi_initial, None, candidates, base=parent
     )
     counts = (
-        metrics.counter_value("repro_wavefront_gates_evaluated_total"),
+        metrics.counter_value("repro_wavefront_gates_evaluated_total", site="tdgen"),
         metrics.counter_value("repro_sim_gate_words_total"),
-        metrics.counter_value("repro_wavefront_gates_skipped_total"),
+        metrics.counter_value("repro_wavefront_gates_skipped_total", site="tdgen"),
     )
     # Skipping gates never changes what the sweep implies.
     full = engine.implicate_candidates(pi_values, ppi_initial, None, candidates)

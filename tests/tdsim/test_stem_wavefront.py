@@ -5,8 +5,8 @@ A stem analysis is an event-driven batch on the pattern's good machine
 ``base=``): it evaluates a gate only when one of its inputs left the good
 value, and skips the initial frame.  The circuit below has two disjoint
 cones, so the ``repro_wavefront_gates_evaluated_total`` counter of a
-:class:`~repro.obs.metrics.MetricsRegistry` shows exactly which gates a
-batch evaluated.  Each stem is analysed once per
+:class:`~repro.obs.metrics.MetricsRegistry`, read at the engine's
+``site="tdsim"`` label, shows exactly which gates a batch evaluated.  Each stem is analysed once per
 :meth:`DelayFaultSimulator.simulate` call, however many observation points
 reach it.
 """
@@ -51,9 +51,9 @@ def _stem(signal):
 
 def _evaluated(engine, pi_values, faults, base):
     metrics = engine.metrics
-    before = metrics.counter_value(EVALUATED)
+    before = metrics.counter_value(EVALUATED, site="tdsim")
     batch = engine.implicate_faults(pi_values, {"q": 0}, faults, base=base)
-    evaluated = metrics.counter_value(EVALUATED) - before
+    evaluated = metrics.counter_value(EVALUATED, site="tdsim") - before
     # Skipping gates never changes what the batch computes.
     full = engine.implicate_faults(pi_values, {"q": 0}, faults)
     for index in range(len(faults)):
@@ -83,7 +83,7 @@ def test_full_pass_counts_both_frames(engine):
     # The initial frame counts in gate words, the test frame in wavefront
     # gates; a full pass evaluates every gate in each.
     assert metrics.counter_value(GATE_WORDS) == engine.compiled.num_gates
-    assert metrics.counter_value(EVALUATED) == engine.compiled.num_gates
+    assert metrics.counter_value(EVALUATED, site="tdsim") == engine.compiled.num_gates
 
 
 def test_stem_blocked_at_its_first_gate_evaluates_that_gate(engine):
