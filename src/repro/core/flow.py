@@ -278,6 +278,7 @@ class SequentialDelayATPG:
             fill_value=self.fill_value,
             metrics=self.metrics,
             backend=self.backend,
+            context=self.context,
         )
         with self.metrics.timed("repro_phase_seconds", phase="prefix"):
             outcome = engine.run(

@@ -214,6 +214,8 @@ class RandomPrefixEngine:
         backend: simulation backend (see :mod:`repro.fausim.backends`) used
             for the word-parallel grading, the initialisation-state replay
             and the TDsim confirmation.
+        context: shared precomputed circuit data (built on demand); a
+            campaign passes its own, so the circuit is analysed once.
     """
 
     def __init__(
@@ -224,6 +226,7 @@ class RandomPrefixEngine:
         fill_value: int = 0,
         metrics: Optional[object] = None,
         backend: Optional[str] = None,
+        context: Optional[TDgenContext] = None,
     ) -> None:
         self.circuit = circuit
         self.config = config
@@ -231,7 +234,7 @@ class RandomPrefixEngine:
         self.fill_value = fill_value
         self.metrics = resolve_metrics(metrics)
         self.backend = resolve_backend(backend)
-        self.context = TDgenContext(circuit)
+        self.context = context or TDgenContext(circuit)
         self.fault_simulator = DelayFaultSimulator(
             circuit,
             robust=robust,

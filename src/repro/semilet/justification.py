@@ -24,10 +24,9 @@ arrays and the batch's frame planes, the same on both backends.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.fausim.logic_sim import SignalValues
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.decide import Stop, Variable, decision_search
 from repro.tdgen.implication import CandidateFrames, create_implication_engine
@@ -102,6 +101,9 @@ class FrameJustifier:
         """
         fixed_ppis = dict(fixed_ppis or {})
         fixed_pis = dict(fixed_pis or {})
+        slot_of = self._kernels.compiled.slot_of
+        # ``(signal, slot, required value)`` per objective.
+        targets = [(signal, slot_of[signal], value) for signal, value in objectives.items()]
         pi_values: Dict[str, Optional[int]] = {
             pi: fixed_pis.get(pi) for pi in self.circuit.primary_inputs
         }
@@ -110,10 +112,10 @@ class FrameJustifier:
         }
 
         def classify(frames: CandidateFrames, cursor: int) -> str:
-            return self._classify(frames.frame(cursor), objectives)
+            return self._classify(frames, cursor, targets)
 
         def decide(frames: CandidateFrames, cursor: int):
-            return self._next_decision(frames, cursor, objectives, pi_values, ppi_values)
+            return self._next_decision(frames, cursor, targets, pi_values, ppi_values)
 
         def imply(frames: CandidateFrames, cursor: int, assignment, name, values):
             # Evaluate both values of the new decision in one batch.
@@ -153,21 +155,26 @@ class FrameJustifier:
         )
 
     @staticmethod
-    def _classify(frame: SignalValues, objectives: Dict[str, int]) -> str:
+    def _classify(
+        frames: CandidateFrames, cursor: int, targets: Sequence[Tuple[str, int, int]]
+    ) -> str:
+        """Classify candidate ``cursor`` by its plane bits at the objective slots."""
+        planes = frames.packed_planes()
+        bit = 1 << cursor
         met = True
-        for signal, target in objectives.items():
-            value = frame[signal]
-            if value is None:
-                met = False
-            elif value != target:
+        for _, slot, target in targets:
+            if (planes.one if target else planes.zero)[slot] & bit:
+                continue
+            if (planes.zero if target else planes.one)[slot] & bit:
                 return "conflict"
+            met = False
         return "success" if met else "continue"
 
     def _next_decision(
         self,
         frames: CandidateFrames,
         cursor: int,
-        objectives: Dict[str, int],
+        targets: Sequence[Tuple[str, int, int]],
         pi_values: Dict[str, Optional[int]],
         ppi_values: Dict[str, Optional[int]],
     ) -> Optional[Variable]:
@@ -179,9 +186,10 @@ class FrameJustifier:
         become requirements on the previous time frame, so the reverse-time
         phases want as few of them as possible).
         """
-        frame = frames.frame(cursor)
-        for signal, target in objectives.items():
-            if frame[signal] is None:
+        planes = frames.packed_planes()
+        bit = 1 << cursor
+        for signal, slot, target in targets:
+            if not (planes.zero[slot] | planes.one[slot]) & bit:
                 traced = self._kernels.justification_backtrace(
                     frames, cursor, signal, target,
                     pi_values, ppi_values, self.decide_ppis,

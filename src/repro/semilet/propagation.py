@@ -40,7 +40,9 @@ from repro.circuit.netlist import Circuit
 from repro.fausim.logic_sim import SignalValues
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.decide import Stop, decision_search
+from repro.fausim.kernels import PAIR_PLANES
 from repro.tdgen.implication import (
+    _PAIR_OF_CODE,
     CandidatePairFrames,
     _differs,
     create_implication_engine,
@@ -282,17 +284,21 @@ class PropagationEngine:
         )
         if outcome.stop is not Stop.SUCCESS:
             return None
-        pairs = outcome.batch.pairs(outcome.cursor)
+        # The winning candidate's pair codes, read at the flip-flop data
+        # inputs (the next state) and at the primary outputs.
+        codes = outcome.batch.columns(outcome.cursor).codes
+        compiled = self._implication.compiled
         next_good = {}
         next_faulty = {}
-        for dff in self.circuit.flip_flops:
-            good_value, faulty_value = pairs[dff.fanin[0]]
-            next_good[dff.name] = good_value
-            next_faulty[dff.name] = faulty_value
+        for ppi_slot, data_slot in zip(compiled.ppi_slots, compiled.dff_data_slots):
+            good_value, faulty_value = _PAIR_OF_CODE[codes[data_slot] & PAIR_PLANES]
+            ppi = compiled.signal_names[ppi_slot]
+            next_good[ppi] = good_value
+            next_faulty[ppi] = faulty_value
         observed = None
         if goal == "po":
-            for po in self.circuit.primary_outputs:
-                if _differs(*pairs[po]):
+            for po, slot in zip(self.circuit.primary_outputs, compiled.po_slots):
+                if _differs(*_PAIR_OF_CODE[codes[slot] & PAIR_PLANES]):
                     observed = po
                     break
         return FrameSolution(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.circuit.levelize import combinational_order, levelize
+from repro.circuit.levelize import combinational_order
 from repro.circuit.netlist import Circuit
 
 
@@ -19,7 +19,6 @@ class TDgenContext:
     Attributes:
         circuit: the circuit the context was built for.
         order: combinational gates in topological evaluation order.
-        levels: level of every signal of the combinational block.
         distance_to_po: per signal, the minimum number of gates between the
             signal and a primary output (``None`` if no structural path).
         distance_to_observation: like ``distance_to_po`` but counting pseudo
@@ -29,7 +28,6 @@ class TDgenContext:
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
         self.order: List[str] = combinational_order(circuit)
-        self.levels: Dict[str, int] = levelize(circuit)
         self.distance_to_po: Dict[str, Optional[int]] = self._distances(pos_only=True)
         self.distance_to_observation: Dict[str, Optional[int]] = self._distances(pos_only=False)
 

@@ -13,12 +13,13 @@ sweep over the compiled netlist, and later backtracks to the node flip to an
 already-implied slot instead of re-running the forward pass.  The
 per-decision search residue — D-frontier objective selection and the
 multiple backtrace to an unassigned decision variable — goes through the
-engine's search kernels (:mod:`repro.tdgen.search`), which scan the state's
-compiled slot column on both backends.  Because each decision node
-enumerates the complete domain of its variable, an exhausted search proves
-the fault robustly untestable in the combinational sense; any other stop
-(backtrack limit, deadline, decision bound) aborts the fault (Table 3's
-"aborted" column).
+engine's search kernels (:mod:`repro.tdgen.search`).  The search addresses
+its current state as the ``(states, cursor)`` view of a candidate batch and
+reads it in the compiled slot order only, on both backends.  Because each
+decision node enumerates the complete domain of its variable, an exhausted
+search proves the fault robustly untestable in the combinational sense; any
+other stop (backtrack limit, deadline, decision bound) aborts the fault
+(Table 3's "aborted" column).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.tdgen.context import TDgenContext
 from repro.tdgen.decide import Stop, decision_search
 from repro.tdgen.implication import CandidateStates, create_implication_engine
 from repro.tdgen.result import LocalTest, LocalTestStatus
-from repro.tdgen.simulation import FAULT_MASK, TwoFrameState
+from repro.tdgen.simulation import FAULT_MASK
 
 _PI_VALUE_ORDER: Tuple[DelayValue, ...] = (V0, V1, R, F)
 
@@ -89,6 +90,9 @@ class TDgen:
         self.search = self.implication.search_kernels()
         self._ppo_signals = list(dict.fromkeys(circuit.pseudo_primary_outputs))
         self._po_signals = list(dict.fromkeys(circuit.primary_outputs))
+        self._slot_of = self.search.compiled.slot_of
+        #: ``(PPO, slot)`` per pseudo primary output, for the result.
+        self._ppo_slots = [(ppo, self._slot_of[ppo]) for ppo in self._ppo_signals]
 
     # ------------------------------------------------------------------ #
     # public API
@@ -128,7 +132,11 @@ class TDgen:
         and implication sweeps (one batch sweep per opened decision node
         plus the root sweep); the search itself is identical either way.
         """
-        constraints = dict(required_ppo_values or {})
+        # ``(slot, required value)`` per constraint PPO.
+        constraints = [
+            (self._slot_of[ppo], value)
+            for ppo, value in (required_ppo_values or {}).items()
+        ]
         blocked: Set[str] = set(blocked_observation)
         unreachable = [dict(state) for state in blocked_states if state]
         pi_values: Dict[str, Optional[DelayValue]] = {
@@ -137,23 +145,20 @@ class TDgen:
         ppi_initial: Dict[str, Optional[int]] = {
             ppi: None for ppi in self.circuit.pseudo_primary_inputs
         }
-        observation_slots = self._observation_slots(
-            fault, blocked, allow_ppo_observation
-        )
+        observation = self._observation_points(blocked, allow_ppo_observation)
+        observation_slots = self._observation_slots(fault, observation)
 
         def classify(states: CandidateStates, cursor: int) -> str:
             return self._classify(
-                states.state(cursor), fault, constraints, observation_slots,
-                unreachable,
+                states, cursor, fault, constraints, observation_slots, unreachable
             )
 
         def decide(states: CandidateStates, cursor: int):
-            state = states.state(cursor)
-            objective = self._objective(state, fault, constraints)
+            objective = self._objective(states, cursor, fault, constraints)
             decision_key, preferred = (None, None)
             if objective is not None:
                 decision_key, preferred = self.search.backtrace(
-                    state, fault, objective, pi_values, ppi_initial
+                    states, cursor, fault, objective, pi_values, ppi_initial
                 )
             if decision_key is None:
                 decision_key, preferred = self._fallback_decision(pi_values, ppi_initial)
@@ -166,14 +171,14 @@ class TDgen:
 
         def imply(states: CandidateStates, cursor: int, assignment, name, values):
             # Imply every value of the new decision variable in one batch.
-            # Passing the current state lets the packed engine run the sweep
+            # Passing the current view lets the packed engine run the sweep
             # incrementally over just the variable's influence cone instead
             # of the whole circuit.
             kind = "pi" if assignment is pi_values else "ppi"
             return self.implication.implicate_candidates(
                 pi_values, ppi_initial, fault,
                 [(kind, name, value) for value in values],
-                base=states.state(cursor),
+                base=(states, cursor),
             )
 
         # The implication of the empty assignment; every later state comes
@@ -185,8 +190,8 @@ class TDgen:
         )
         if outcome.stop is Stop.SUCCESS:
             result = self._build_result(
-                fault, outcome.batch.state(outcome.cursor), pi_values, ppi_initial,
-                blocked, allow_ppo_observation, outcome.backtracks, outcome.decisions,
+                fault, outcome.batch.column_sets(outcome.cursor), pi_values,
+                ppi_initial, observation, outcome.backtracks, outcome.decisions,
             )
         else:
             result = LocalTest(
@@ -210,16 +215,17 @@ class TDgen:
     # ------------------------------------------------------------------ #
     # classification of a simulation state
     # ------------------------------------------------------------------ #
-    def _observation_signals(
+    def _observation_points(
         self, blocked: Set[str], allow_ppo_observation: bool
-    ) -> List[str]:
+    ) -> List[Tuple[str, int]]:
+        """``(signal, slot)`` of every unblocked observation point, POs first."""
         signals = [po for po in self._po_signals if po not in blocked]
         if allow_ppo_observation:
             signals.extend(ppo for ppo in self._ppo_signals if ppo not in blocked)
-        return signals
+        return [(signal, self._slot_of[signal]) for signal in signals]
 
     def _observation_slots(
-        self, fault: GateDelayFault, blocked: Set[str], allow_ppo_observation: bool
+        self, fault: GateDelayFault, observation: Sequence[Tuple[str, int]]
     ) -> Tuple[int, ...]:
         """The observation slots inside the fault's cone, once per search.
 
@@ -227,50 +233,49 @@ class TDgen:
         (:meth:`~repro.tdgen.search.SearchKernels.fault_cone`) can ever
         carry a fault value, so the X-path and success checks skip them.
         """
-        slot_of = self.search.compiled.slot_of
         cone = self.search.fault_cone(fault).slots
-        slots = (
-            slot_of[signal]
-            for signal in self._observation_signals(blocked, allow_ppo_observation)
-        )
-        return tuple(dict.fromkeys(slot for slot in slots if slot in cone))
+        return tuple(dict.fromkeys(slot for _, slot in observation if slot in cone))
 
     def _classify(
         self,
-        state: TwoFrameState,
+        states: CandidateStates,
+        cursor: int,
         fault: GateDelayFault,
-        constraints: Dict[str, int],
+        constraints: Sequence[Tuple[int, int]],
         observation_slots: Sequence[int],
         blocked_states: List[Dict[str, int]],
     ) -> str:
-        if state.has_conflict():
+        if states.conflict_signal(cursor) is not None:
             return "conflict"
 
         # Blocked (unsynchronisable) initial states: if the current decisions
         # already pin the state to one of them, force a backtrack.
-        for blocked_state in blocked_states:
-            if all(
-                is_singleton(state.ppi_pair_sets.get(ppi, 0))
-                and single_value(state.ppi_pair_sets[ppi]).initial == value
-                for ppi, value in blocked_state.items()
-            ):
-                return "conflict"
+        if blocked_states:
+            ppi_pair_sets = states.ppi_pair_sets(cursor)
+            for blocked_state in blocked_states:
+                if all(
+                    is_singleton(ppi_pair_sets.get(ppi, 0))
+                    and single_value(ppi_pair_sets[ppi]).initial == value
+                    for ppi, value in blocked_state.items()
+                ):
+                    return "conflict"
 
         # Activation check: the fault-carrying value must still be possible at
         # the fault line.
-        if not contains(state.fault_line_set, fault.fault_value):
+        if not contains(states.fault_line_set(cursor), fault.fault_value):
             return "conflict"
 
         # Constraint feasibility: every required PPO value must still be able
         # to settle to the requested value (robust mode additionally demands a
-        # clean steady waveform, see section 6 of the paper).
-        for ppo, value in constraints.items():
-            if not self._constraint_possible(state.signal_sets[ppo], value):
+        # clean steady waveform, see section 6 of the paper).  The checks
+        # read the candidate's slot column.
+        column = states.column_sets(cursor)
+        for slot, value in constraints:
+            if not self._constraint_possible(column[slot], value):
                 return "conflict"
 
         # X-path check: some observation point must still be able to carry the
-        # fault effect.  The checks read the state's slot column.
-        column = self.search.state_column(state)
+        # fault effect.
         possible = [
             value_set
             for value_set in (column[slot] for slot in observation_slots)
@@ -283,8 +288,8 @@ class TDgen:
         # constraints definitely satisfied.
         if any(value_set & (value_set - 1) == 0 for value_set in possible):
             satisfied = all(
-                self._constraint_satisfied(state.signal_sets[ppo], value)
-                for ppo, value in constraints.items()
+                self._constraint_satisfied(column[slot], value)
+                for slot, value in constraints
             )
             if satisfied:
                 return "success"
@@ -315,28 +320,30 @@ class TDgen:
     # ------------------------------------------------------------------ #
     def _objective(
         self,
-        state: TwoFrameState,
+        states: CandidateStates,
+        cursor: int,
         fault: GateDelayFault,
-        constraints: Dict[str, int],
+        constraints: Sequence[Tuple[int, int]],
     ) -> Optional[Tuple[str, DelayValue]]:
         # 1. Activate the fault: drive the fault site to the provoking transition.
+        fault_line_set = states.fault_line_set(cursor)
         if not (
-            is_singleton(state.fault_line_set)
-            and contains(state.fault_line_set, fault.fault_value)
+            is_singleton(fault_line_set) and contains(fault_line_set, fault.fault_value)
         ):
             return (fault.line.signal, fault.activation_value)
 
         # 2. Satisfy outstanding justification constraints (propagation
         #    justification requirements coming back from SEMILET).
-        for ppo, value in constraints.items():
+        column = states.column_sets(cursor)
+        for slot, value in constraints:
             needed = V0 if value == 0 else V1
-            value_set = state.signal_sets[ppo]
+            value_set = column[slot]
             if not (is_singleton(value_set) and contains(value_set, needed)):
-                return (ppo, needed)
+                return (self.search.compiled.signal_names[slot], needed)
 
         # 3. Propagate: pick a D-frontier gate and set an off-path input via
-        #    the search kernels (a scan of the state's slot column).
-        return self.search.propagation_objective(state, fault)
+        #    the search kernels (a scan of the candidate's slot column).
+        return self.search.propagation_objective(states, cursor, fault)
 
     def _fallback_decision(
         self,
@@ -357,20 +364,18 @@ class TDgen:
     def _build_result(
         self,
         fault: GateDelayFault,
-        state: TwoFrameState,
+        column: Sequence[ValueSet],
         pi_values: Dict[str, Optional[DelayValue]],
         ppi_initial: Dict[str, Optional[int]],
-        blocked: Set[str],
-        allow_ppo_observation: bool,
+        observation: Sequence[Tuple[str, int]],
         backtracks: int,
         decisions: int,
     ) -> LocalTest:
-        observation = self._observation_signals(blocked, allow_ppo_observation)
+        """The local test of a successful search, read off its slot column."""
         observed = [
             signal
-            for signal in observation
-            if is_singleton(state.signal_sets[signal])
-            and has_fault_value(state.signal_sets[signal])
+            for signal, slot in observation
+            if is_singleton(column[slot]) and has_fault_value(column[slot])
         ]
         po_set = set(self._po_signals)
         observed_pos = [signal for signal in observed if signal in po_set]
@@ -378,8 +383,8 @@ class TDgen:
 
         ppo_final_values: Dict[str, Optional[int]] = {}
         ppo_fault_effects: Dict[str, DelayValue] = {}
-        for ppo in self._ppo_signals:
-            value_set = state.signal_sets[ppo]
+        for ppo, slot in self._ppo_slots:
+            value_set = column[slot]
             if is_singleton(value_set):
                 value = single_value(value_set)
                 if value.fault:

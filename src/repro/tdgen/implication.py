@@ -24,10 +24,12 @@ engine evaluates the whole batch in one bit-parallel pass over the compiled
 netlist (:mod:`repro.algebra.packed_sets` for the eight-valued set words,
 :mod:`repro.fausim.packed_sim` for the three-valued planes), one candidate
 per pattern slot of the unbounded-width words, and unpacks only the
-candidates that are actually consumed.  Both engines' batches also expose
-their results in the compiled slot order — a state's slot column, a pair
-candidate's pair codes, a frame batch's planes — which is all the one
-:class:`~repro.tdgen.search.SearchKernels` class reads.
+candidates that are actually consumed.  Both engines' batches expose their
+results in one form only, the compiled slot order — a state's slot columns,
+a pair candidate's pair codes, a frame batch's planes — which is what the
+searches and the one :class:`~repro.tdgen.search.SearchKernels` class read.
+A search addresses one candidate as the view ``(batch, cursor)`` and hands
+that view back as the ``base`` of the next batch.
 
 :func:`create_implication_engine` resolves its ``backend`` through the one
 registry of :mod:`repro.fausim.backends`, and ``backend=None`` resolves to
@@ -36,14 +38,14 @@ simulation and the implication under the search heuristics
 (:meth:`ImplicationEngine.search_kernels`)::
 
     engine = create_implication_engine(circuit, backend="packed")
-    state = engine.implicate(pi_values, ppi_initial, fault)
+    states = engine.implicate_candidates(pi_values, ppi_initial, fault, (None,))
+    column = states.column_sets(0)
 """
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_right
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.packed_sets import PackedSetSimulator, SetMove, apply_moves, slot_mask
 from repro.algebra.sets import PI_SET, ValueSet
@@ -142,22 +144,56 @@ def _couple(
     return word
 
 
+#: Source name -> the ``(candidate, value)`` pairs overriding its base value.
+Overrides = Dict[str, List[Tuple[int, object]]]
+
+
+def _frame_overrides(candidates: Sequence[FrameCandidate]) -> Tuple[Overrides, Overrides]:
+    """The overrides of the PIs and of the PPIs in a batch of frame candidates."""
+    pi_overrides: Overrides = {}
+    ppi_overrides: Overrides = {}
+    for slot_index, candidate in enumerate(candidates):
+        if candidate is not None:
+            name, is_pi, value = candidate
+            target = pi_overrides if is_pi else ppi_overrides
+            target.setdefault(name, []).append((slot_index, value))
+    return pi_overrides, ppi_overrides
+
+
 class CandidateStates:
     """One two-frame implication result per candidate, possibly lazy.
 
-    A state handed out by :meth:`state` carries ``(batch, index)`` as its
-    ``packed_handle``, so the search kernels can read its slot column.
+    Every accessor reads candidate ``index`` in the slot order of the
+    engine's ``compiled`` netlist; a search holds a candidate as the view
+    ``(batch, index)``.
     """
 
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def state(self, index: int) -> TwoFrameState:
-        """The :class:`TwoFrameState` of candidate ``index``."""
+    def column_sets(self, index: int) -> List[ValueSet]:
+        """Candidate ``index``'s possibility set per compiled signal slot.
+
+        For a fault on a signal *stem* the slot holds the post-injection
+        set; for a *branch* fault the stem keeps its fault-free set and only
+        the faulted gate input sees the injected one.
+        """
         raise NotImplementedError
 
-    def column_sets(self, index: int) -> List[ValueSet]:
-        """Candidate ``index``'s possibility set per compiled signal slot."""
+    def column_frame1(self, index: int) -> List[Optional[int]]:
+        """Candidate ``index``'s settled initial-frame value per signal slot."""
+        raise NotImplementedError
+
+    def fault_line_set(self, index: int) -> ValueSet:
+        """The set on candidate ``index``'s fault line after injection (0 unfaulted)."""
+        raise NotImplementedError
+
+    def ppi_pair_sets(self, index: int) -> Dict[str, ValueSet]:
+        """The coupled source set of every pseudo primary input of candidate ``index``."""
+        raise NotImplementedError
+
+    def conflict_signal(self, index: int) -> Optional[str]:
+        """The first signal whose set became empty in candidate ``index``, or ``None``."""
         raise NotImplementedError
 
 
@@ -165,10 +201,6 @@ class CandidatePairFrames:
     """One good/faulty pair frame per candidate, possibly lazy."""
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def pairs(self, index: int) -> Dict[str, PairValue]:
-        """The per-signal ``(good, faulty)`` values of candidate ``index``."""
         raise NotImplementedError
 
     def columns(self, index: int) -> PairColumns:
@@ -180,10 +212,6 @@ class CandidateFrames:
     """One three-valued frame per candidate, possibly lazy."""
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def frame(self, index: int) -> SignalValues:
-        """The per-signal three-valued frame of candidate ``index``."""
         raise NotImplementedError
 
     def packed_planes(self) -> PackedPlanes:
@@ -262,22 +290,13 @@ class ImplicationEngine:
         return self._context
 
     # -- two-frame eight-valued set implication ------------------------- #
-    def implicate(
-        self,
-        pi_values: Mapping[str, Optional[DelayValue]],
-        ppi_initial: Mapping[str, Optional[int]],
-        fault: Optional[GateDelayFault] = None,
-    ) -> TwoFrameState:
-        """Forward implication of the two local time frames (one assignment)."""
-        return self.implicate_candidates(pi_values, ppi_initial, fault, (None,)).state(0)
-
     def implicate_candidates(
         self,
         pi_values: Mapping[str, Optional[DelayValue]],
         ppi_initial: Mapping[str, Optional[int]],
         fault: Optional[GateDelayFault],
         candidates: Sequence[TwoFrameCandidate],
-        base: Optional[TwoFrameState] = None,
+        base: Optional[Tuple[CandidateStates, int]] = None,
     ) -> CandidateStates:
         """Implication of the base assignment under one override per candidate.
 
@@ -287,12 +306,12 @@ class ImplicationEngine:
             fault: the targeted fault shared by every candidate.
             candidates: one ``(kind, name, value)`` override per pattern slot
                 (``None`` entries evaluate the base assignment itself).
-            base: the implication of the *base assignment*, if the caller
-                already holds it (the parent decision's state).  Engines may
-                use it to evaluate the batch incrementally — the packed
-                engine evaluates only the gates the decision variable's
-                change reaches — and must produce bit-identical results
-                either way.
+            base: the ``(states, cursor)`` view of the *base assignment's*
+                implication, if the caller holds it (the parent decision's
+                view).  Engines may use it to evaluate the batch
+                incrementally — the packed engine evaluates only the gates
+                the decision variable's change reaches — and must produce
+                bit-identical results either way.
         """
         raise NotImplementedError
 
@@ -301,7 +320,7 @@ class ImplicationEngine:
         pi_values: Mapping[str, Optional[DelayValue]],
         ppi_initial: Mapping[str, Optional[int]],
         faults: Sequence[Optional[GateDelayFault]],
-        base: Optional[TwoFrameState] = None,
+        base: Optional[Tuple[CandidateStates, int]] = None,
     ) -> CandidateStates:
         """Implication of one assignment with one injected fault per slot.
 
@@ -313,28 +332,15 @@ class ImplicationEngine:
             pi_values: primary-input pair assignment.
             ppi_initial: initial-frame PPI assignment.
             faults: the injection of each slot.
-            base: the fault-free implication of the same assignment
-                (:meth:`implicate` with ``fault=None``), if the caller holds
-                it.  The packed engine then evaluates only the gates the
-                injections reach and raises ``ValueError`` for a state that
-                is not fault free or not its own; results are bit-identical
-                either way.
+            base: the ``(batch, index)`` view of the fault-free implication
+                of the same assignment, if the caller holds it.  The packed
+                engine then evaluates only the gates the injections reach
+                and raises ``ValueError`` for a view that is not fault free
+                or not its own; results are bit-identical either way.
         """
         raise NotImplementedError
 
     # -- single-frame good/faulty pair simulation ------------------------ #
-    def pair_frame(
-        self,
-        pi_values: Mapping[str, Optional[int]],
-        good_state: SignalValues,
-        faulty_state: SignalValues,
-        free_ppi_values: Mapping[str, Optional[int]],
-    ) -> Dict[str, PairValue]:
-        """Good and faulty machine of one frame in lock step (one assignment)."""
-        return self.pair_frame_candidates(
-            pi_values, good_state, faulty_state, free_ppi_values, (None,)
-        ).pairs(0)
-
     def pair_frame_candidates(
         self,
         pi_values: Mapping[str, Optional[int]],
@@ -363,14 +369,6 @@ class ImplicationEngine:
         raise NotImplementedError
 
     # -- single-frame three-valued simulation ---------------------------- #
-    def frame(
-        self,
-        pi_values: Mapping[str, Optional[int]],
-        ppi_values: Mapping[str, Optional[int]],
-    ) -> SignalValues:
-        """Three-valued evaluation of one combinational frame (one assignment)."""
-        return self.frame_candidates(pi_values, ppi_values, (None,)).frame(0)
-
     def frame_candidates(
         self,
         pi_values: Mapping[str, Optional[int]],
@@ -441,10 +439,9 @@ def _pair_d_frontier(
 class _LazyStates(CandidateStates):
     """Reference candidate states: one interpreter run per consumed index.
 
-    :meth:`state` caches each index's interpreter result, whose
-    ``packed_handle`` is unset, and hands out a copy that points back here;
-    caching the handed-out states would close a reference cycle, as in
-    :class:`_PackedStates`.
+    Every accessor derives from the cached
+    :func:`~repro.tdgen.simulation.simulate_two_frame` result of its index,
+    re-indexed by the compiled signal names.
     """
 
     def __init__(self, engine: "ReferenceImplicationEngine", pi_values, ppi_initial, faults, candidates):
@@ -459,10 +456,6 @@ class _LazyStates(CandidateStates):
     def __len__(self) -> int:
         return len(self._candidates)
 
-    def state(self, index: int) -> TwoFrameState:
-        """Simulate candidate ``index`` with the reference interpreter."""
-        return dataclasses.replace(self._simulate(index), packed_handle=(self, index))
-
     def column_sets(self, index: int) -> List[ValueSet]:
         """The interpreted ``signal_sets`` in compiled signal-slot order."""
         cached = self._columns.get(index)
@@ -472,6 +465,23 @@ class _LazyStates(CandidateStates):
                 signal_sets[name] for name in self._engine.compiled.signal_names
             ]
         return cached
+
+    def column_frame1(self, index: int) -> List[Optional[int]]:
+        """The interpreted ``frame1`` in compiled signal-slot order."""
+        frame1 = self._simulate(index).frame1
+        return [frame1[name] for name in self._engine.compiled.signal_names]
+
+    def fault_line_set(self, index: int) -> ValueSet:
+        """The interpreted ``fault_line_set``."""
+        return self._simulate(index).fault_line_set
+
+    def ppi_pair_sets(self, index: int) -> Dict[str, ValueSet]:
+        """The interpreted ``ppi_pair_sets``."""
+        return self._simulate(index).ppi_pair_sets
+
+    def conflict_signal(self, index: int) -> Optional[str]:
+        """The interpreted ``conflict_signal``."""
+        return self._simulate(index).conflict_signal
 
     def _simulate(self, index: int) -> TwoFrameState:
         cached = self._cache.get(index)
@@ -498,7 +508,8 @@ class _LazyPairFrames(CandidatePairFrames):
     """Reference pair frames: one interpreted lock-step run per index.
 
     :meth:`columns` builds the pair codes and the D-frontier from the
-    per-name walks above, independently of the packed pair analysis.
+    per-name pairs of :meth:`_pairs` and the walks above, independently of
+    the packed pair analysis.
     """
 
     def __init__(self, engine: "ReferenceImplicationEngine", pi_values, good_state, faulty_state, free_ppi_values, candidates):
@@ -514,7 +525,7 @@ class _LazyPairFrames(CandidatePairFrames):
     def __len__(self) -> int:
         return len(self._candidates)
 
-    def pairs(self, index: int) -> Dict[str, PairValue]:
+    def _pairs(self, index: int) -> Dict[str, PairValue]:
         """Simulate candidate ``index`` with the interpreted pair loop."""
         cached = self._cache.get(index)
         if cached is not None:
@@ -542,7 +553,7 @@ class _LazyPairFrames(CandidatePairFrames):
         engine = self._engine
         compiled = engine.compiled
         rows = engine._rows()
-        pairs = self.pairs(index)
+        pairs = self._pairs(index)
         potential = _potential_difference(engine.circuit, rows, pairs)
         codes = [
             _CODE_OF_PAIR[pairs[name]]
@@ -559,7 +570,10 @@ class _LazyPairFrames(CandidatePairFrames):
 
 
 class _LazyFrames(CandidateFrames):
-    """Reference frames: one interpreted combinational run per index."""
+    """Reference frames: one interpreted combinational run per index.
+
+    :meth:`packed_planes` packs the per-name frames of :meth:`_frame`.
+    """
 
     def __init__(self, engine: "ReferenceImplicationEngine", pi_values, ppi_values, candidates):
         self._engine = engine
@@ -572,7 +586,7 @@ class _LazyFrames(CandidateFrames):
     def __len__(self) -> int:
         return len(self._candidates)
 
-    def frame(self, index: int) -> SignalValues:
+    def _frame(self, index: int) -> SignalValues:
         """Simulate candidate ``index`` with the reference logic simulator."""
         cached = self._cache.get(index)
         if cached is not None:
@@ -599,7 +613,7 @@ class _LazyFrames(CandidateFrames):
             zero = [0] * len(signal_names)
             one = [0] * len(signal_names)
             for index in range(len(self)):
-                frame = self.frame(index)
+                frame = self._frame(index)
                 bit = 1 << index
                 for slot, name in enumerate(signal_names):
                     value = frame.get(name)
@@ -719,107 +733,19 @@ class ReferenceImplicationEngine(ImplicationEngine):
 # --------------------------------------------------------------------------- #
 # packed engine — one candidate per pattern slot on the compiled netlist
 # --------------------------------------------------------------------------- #
-class _LazyColumn(dict):
-    """Per-signal dict view of one pattern slot, unpacked on first access.
-
-    A conflict-classified decision alternative only ever reads a handful of
-    signals (the fault line, the observation points), so unpacking all of a
-    state's columns eagerly would waste most of the packed engine's win.
-    This dict subclass unpacks a signal's column the first time it is
-    indexed; bulk views (iteration, ``items``, ``copy``, equality,
-    pickling) materialise every signal first so those behave like the eager
-    dict.  One caveat: ``dict(lazy_column)`` bypasses every subclass hook
-    (CPython copies the underlying storage directly) and must not be used —
-    call :meth:`copy` instead for a plain-dict snapshot.
-    """
-
-    def __init__(self, slot_of: Mapping[str, int], unpack: Callable[[int], object]) -> None:
-        super().__init__()
-        self._slot_of = slot_of
-        self._unpack = unpack
-
-    def __missing__(self, name: str):
-        value = self._unpack(self._slot_of[name])
-        self[name] = value
-        return value
-
-    def get(self, name, default=None):
-        """Mapping ``get`` that unpacks missing-but-known signals."""
-        try:
-            return self[name]
-        except KeyError:
-            return default
-
-    def __contains__(self, name) -> bool:
-        return name in self._slot_of
-
-    def _materialize(self) -> None:
-        missing = len(self._slot_of) - super().__len__()
-        if missing:
-            unpack = self._unpack
-            for name, slot in self._slot_of.items():
-                if not super().__contains__(name):
-                    self[name] = unpack(slot)
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def __iter__(self):
-        self._materialize()
-        return super().__iter__()
-
-    def keys(self):
-        """All signal names (materialises the remaining columns)."""
-        self._materialize()
-        return super().keys()
-
-    def values(self):
-        """All signal values (materialises the remaining columns)."""
-        self._materialize()
-        return super().values()
-
-    def items(self):
-        """All (signal, value) pairs (materialises the remaining columns)."""
-        self._materialize()
-        return super().items()
-
-    def __eq__(self, other) -> bool:
-        self._materialize()
-        return dict(self) == other
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
-    def copy(self):
-        """A plain, fully materialised dict copy."""
-        self._materialize()
-        return dict(self)
-
-    def __reduce__(self):
-        # Pickling (and copy.copy) must see the materialised mapping, not
-        # the unpicklable unpack closure.
-        return (dict, (self.copy(),))
-
-    __hash__ = None
-
-
 class _PackedStates(CandidateStates):
     """Packed candidate states: one set-word propagation pass, lazy unpacking.
 
     Each signal slot holds one set word (byte ``j`` is candidate ``j``'s
     possibility set, see :mod:`repro.algebra.packed_sets`) and one pair of
     initial-frame planes.  A *full* sweep fills every slot.  An *incremental*
-    sweep (one started from a parent state) writes only the slots its
+    sweep (one started from a parent view) writes only the slots its
     wavefronts reached, listed in ``set_written`` / ``frame1_written``; every
     other word is ``None`` and every other plane entry ``None`` or the
     parent's broadcast, and reads of them fall back to the parent's per-slot
     column (``base_sets`` / ``base_frame1``).  The columns of a slot are the
-    parent's columns with the written slots overwritten.
-
-    :meth:`state` caches each slot's lazy columns, not the state itself: a
-    state points back here through its ``packed_handle``, so caching states
-    would close a reference cycle that only the cyclic garbage collector
-    could free.
+    parent's columns with the written slots overwritten; each is unpacked on
+    first use and cached.
     """
 
     def __init__(
@@ -848,7 +774,6 @@ class _PackedStates(CandidateStates):
         self._base_frame1 = base_frame1
         self._set_written = set_written
         self._frame1_written = frame1_written
-        self._views: Dict[int, Tuple[_LazyColumn, _LazyColumn, ValueSet]] = {}
         self._set_columns: Dict[int, List[ValueSet]] = {}
         self._frame1_columns: Dict[int, List[Optional[int]]] = {}
 
@@ -896,59 +821,25 @@ class _PackedStates(CandidateStates):
         self._frame1_columns[index] = column
         return column
 
-    def state(self, index: int) -> TwoFrameState:
-        """View pattern slot ``index`` as a (lazily unpacked) state."""
-        view = self._views.get(index)
-        if view is None:
-            view = self._views[index] = self._view(index)
-        signal_sets, frame1, fault_line_set = view
-        return TwoFrameState(
-            signal_sets=signal_sets,
-            frame1=frame1,
-            fault_line_set=fault_line_set,
-            ppi_pair_sets=self._ppi_pair_sets[index],
-            conflict_signal=self._conflict_signals.get(index),
-            packed_handle=(self, index),
-        )
-
-    def _view(self, index: int) -> Tuple[_LazyColumn, _LazyColumn, ValueSet]:
-        """The lazy set and frame-1 columns of one slot, and its fault-line set."""
-        compiled = self._compiled
-        words = self._set_words
-        zero = self._frame1_planes.zero
-        one = self._frame1_planes.one
-        base_sets = self._base_sets
-        base_frame1 = self._base_frame1
-        bit = 1 << index
-        shift = 8 * index
-
-        def unpack_set(slot: int) -> ValueSet:
-            word = words[slot]
-            if word is None:
-                return base_sets[slot]
-            return (word >> shift) & 255
-
-        def unpack_frame1(slot: int) -> Optional[int]:
-            plane = one[slot]
-            if plane is None:
-                return base_frame1[slot]
-            if plane & bit:
-                return 1
-            if zero[slot] & bit:
-                return 0
-            return None
-
-        signal_sets = _LazyColumn(compiled.slot_of, unpack_set)
-        frame1 = _LazyColumn(compiled.slot_of, unpack_frame1)
-
+    def fault_line_set(self, index: int) -> ValueSet:
+        """The fault line's set of one slot, read from its set word."""
         fault = self._faults[index]
         if fault is None:
-            fault_line_set = 0
-        elif fault.line.kind is LineKind.STEM:
-            fault_line_set = signal_sets[fault.line.signal]
-        else:
-            fault_line_set = _inject(signal_sets[fault.line.signal], fault.fault_type)
-        return signal_sets, frame1, fault_line_set
+            return 0
+        slot = self._compiled.slot_of[fault.line.signal]
+        word = self._set_words[slot]
+        value_set = self._base_sets[slot] if word is None else (word >> (8 * index)) & 255
+        if fault.line.kind is LineKind.STEM:
+            return value_set
+        return _inject(value_set, fault.fault_type)
+
+    def ppi_pair_sets(self, index: int) -> Dict[str, ValueSet]:
+        """The coupled PPI source sets of one slot."""
+        return self._ppi_pair_sets[index]
+
+    def conflict_signal(self, index: int) -> Optional[str]:
+        """The first emptied signal of one slot, recorded by the sweep."""
+        return self._conflict_signals.get(index)
 
 
 class _PackedPairFrames(CandidatePairFrames):
@@ -1027,14 +918,6 @@ class _PackedPairFrames(CandidatePairFrames):
         self._columns[index] = columns
         return columns
 
-    def pairs(self, index: int) -> Dict[str, PairValue]:
-        """View candidate ``index`` (slots ``2i`` / ``2i + 1``) as lazy pairs."""
-        codes = self.columns(index).codes
-        return _LazyColumn(
-            self._owner.compiled.slot_of,
-            lambda slot: _PAIR_OF_CODE[codes[slot] & PAIR_PLANES],
-        )
-
     def pair_analysis(self) -> PairAnalysis:
         """The batch's analysis columns, computed on first use and cached.
 
@@ -1072,38 +955,16 @@ class _PackedPairFrames(CandidatePairFrames):
 class _PackedFrames(CandidateFrames):
     """Packed three-valued frames: one candidate per pattern slot."""
 
-    def __init__(self, compiled: CompiledCircuit, planes: PackedPlanes, width: int) -> None:
-        self._compiled = compiled
+    def __init__(self, planes: PackedPlanes, width: int) -> None:
         self._planes = planes
         self._width = width
-        self._cache: Dict[int, SignalValues] = {}
 
     def __len__(self) -> int:
         return self._width
 
     def packed_planes(self) -> PackedPlanes:
-        """The underlying planes (read by the search kernels)."""
+        """The underlying planes (read by the searches and their kernels)."""
         return self._planes
-
-    def frame(self, index: int) -> SignalValues:
-        """View pattern slot ``index`` as a lazily unpacked per-signal dict."""
-        cached = self._cache.get(index)
-        if cached is not None:
-            return cached
-        zero = self._planes.zero
-        one = self._planes.one
-        bit = 1 << index
-
-        def unpack_value(slot: int) -> Optional[int]:
-            if one[slot] & bit:
-                return 1
-            if zero[slot] & bit:
-                return 0
-            return None
-
-        values = _LazyColumn(self._compiled.slot_of, unpack_value)
-        self._cache[index] = values
-        return values
 
 
 class PackedImplicationEngine(ImplicationEngine):
@@ -1118,8 +979,8 @@ class PackedImplicationEngine(ImplicationEngine):
     pin).  Results unpack lazily, so unexplored alternatives only ever cost
     their share of the shared pass.
 
-    When the caller provides the base assignment's own implication (the
-    parent decision's state, or for a pair frame the parent view), a
+    When the caller provides the ``(batch, cursor)`` view of the base
+    assignment's own implication (the parent decision's view), a
     candidate sweep over a single decision variable runs *incrementally*:
     it follows the fanout marks of the slots that leave the parent's value,
     and every other signal resolves to the parent's column.
@@ -1145,6 +1006,9 @@ class PackedImplicationEngine(ImplicationEngine):
         self._dff_items: List[Tuple[int, int, str]] = [
             (compiled.slot_of[dff.name], compiled.slot_of[dff.fanin[0]], dff.name)
             for dff in circuit.flip_flops
+        ]
+        self._ppi_items: List[Tuple[int, str]] = [
+            (ppi_slot, name) for ppi_slot, _, name in self._dff_items
         ]
         #: Slot -> positions of the flip-flops whose pair set reads it: those
         #: that latch it, and the flip-flop whose PPI it is.
@@ -1185,22 +1049,20 @@ class PackedImplicationEngine(ImplicationEngine):
     ) -> Optional["_PackedStates"]:
         """Run the sweep incrementally off ``base`` when it is eligible.
 
-        Eligible means: the base state was produced by *this* engine (not,
-        say, by a reference engine, whose states carry a handle too) for the
-        *same* fault, it is conflict free, and every override targets one
-        single decision variable (the shape the search loops produce).
-        Returns ``None`` to fall back to a full sweep.
+        Eligible means: the base view is a candidate of a batch *this*
+        engine built (not, say, a reference engine's batch) for the *same*
+        fault, it is conflict free, and every override targets one single
+        decision variable (the shape the search loops produce).  Returns
+        ``None`` to fall back to a full sweep.
         """
-        if base is None or base.conflict_signal is not None:
+        if base is None:
             return None
-        handle = base.packed_handle
-        if handle is None:
-            return None
-        parent, parent_index = handle
+        parent, parent_index = base
         if (
             not isinstance(parent, _PackedStates)
             or parent._owner is not self
             or parent._faults[parent_index] != fault
+            or parent.conflict_signal(parent_index) is not None
         ):
             return None
         variables = {
@@ -1384,10 +1246,9 @@ class PackedImplicationEngine(ImplicationEngine):
         """
         compiled = self.compiled
         width = len(candidates)
-        full = (1 << width) - 1
 
-        pi_overrides: Dict[str, List[Tuple[int, object]]] = {}
-        ppi_overrides: Dict[str, List[Tuple[int, object]]] = {}
+        pi_overrides: Overrides = {}
+        ppi_overrides: Overrides = {}
         for slot_index, candidate in enumerate(candidates):
             if candidate is None:
                 continue
@@ -1396,59 +1257,24 @@ class PackedImplicationEngine(ImplicationEngine):
             target.setdefault(name, []).append((slot_index, value))
 
         # ---- pass 1: three-valued initial frame, all candidates at once --- #
-        zero = [0] * compiled.num_signals
-        one = [0] * compiled.num_signals
-        for slot, name in self._pi_items:
-            base = pi_values.get(name)
-            overrides = pi_overrides.get(name)
-            if overrides is None:
-                if base is not None:
-                    if base.initial:
-                        one[slot] = full
-                    else:
-                        zero[slot] = full
-                continue
-            override_mask = 0
-            for slot_index, value in overrides:
-                bit = 1 << slot_index
-                override_mask |= bit
-                if value is not None:
-                    if value.initial:
-                        one[slot] |= bit
-                    else:
-                        zero[slot] |= bit
-            if base is not None:
-                rest = full & ~override_mask
-                if base.initial:
-                    one[slot] |= rest
-                else:
-                    zero[slot] |= rest
-        for ppi_slot, _, name in self._dff_items:
-            base = ppi_initial.get(name)
-            overrides = ppi_overrides.get(name)
-            if overrides is None:
-                if base is not None:
-                    if base:
-                        one[ppi_slot] = full
-                    else:
-                        zero[ppi_slot] = full
-                continue
-            override_mask = 0
-            for slot_index, value in overrides:
-                bit = 1 << slot_index
-                override_mask |= bit
-                if value is not None:
-                    if value:
-                        one[ppi_slot] |= bit
-                    else:
-                        zero[ppi_slot] |= bit
-            if base is not None:
-                rest = full & ~override_mask
-                if base:
-                    one[ppi_slot] |= rest
-                else:
-                    zero[ppi_slot] |= rest
-        frame1_planes = PackedPlanes(zero=zero, one=one, width=width)
+        pi_initial = {
+            name: None if value is None else value.initial
+            for name, value in pi_values.items()
+        }
+        pi_initial_overrides = {
+            name: [
+                (slot_index, None if value is None else value.initial)
+                for slot_index, value in overrides
+            ]
+            for name, overrides in pi_overrides.items()
+        }
+        frame1_planes = self._source_planes(
+            (
+                (pi_initial, pi_initial_overrides, self._pi_items),
+                (ppi_initial, ppi_overrides, self._ppi_items),
+            ),
+            width,
+        )
         self._logic.evaluate_planes(frame1_planes)
 
         # ---- source set words -------------------------------------------- #
@@ -1512,15 +1338,14 @@ class PackedImplicationEngine(ImplicationEngine):
             return self._implicate_full(
                 pi_values, ppi_initial, (None,) * width, faults, moves
             )
-        handle = base.packed_handle
-        parent, parent_index = handle if handle is not None else (None, 0)
+        parent, parent_index = base
         if (
             not isinstance(parent, _PackedStates)
             or parent._owner is not self
             or parent._faults[parent_index] is not None
-            or base.conflict_signal is not None
+            or parent.conflict_signal(parent_index) is not None
         ):
-            raise ValueError("base must be a fault-free state of this engine")
+            raise ValueError("base must be a fault-free view of this engine")
 
         compiled = self.compiled
         source_moves, stem_moves, branch_moves = moves
@@ -1578,14 +1403,7 @@ class PackedImplicationEngine(ImplicationEngine):
         zero = [0] * compiled.num_signals
         one = [0] * compiled.num_signals
 
-        pi_overrides: Dict[str, List[Tuple[int, Optional[int]]]] = {}
-        ppi_overrides: Dict[str, List[Tuple[int, Optional[int]]]] = {}
-        for slot_index, candidate in enumerate(candidates):
-            if candidate is None:
-                continue
-            name, is_pi, value = candidate
-            target = pi_overrides if is_pi else ppi_overrides
-            target.setdefault(name, []).append((slot_index, value))
+        pi_overrides, ppi_overrides = _frame_overrides(candidates)
 
         for slot, name in self._pi_items:
             base = pi_values.get(name)
@@ -1748,29 +1566,19 @@ class PackedImplicationEngine(ImplicationEngine):
         return frames
 
     # ------------------------------------------------------------------ #
-    def frame_candidates(self, pi_values, ppi_values, candidates) -> CandidateFrames:
-        """One packed three-valued pass, one candidate per pattern slot."""
-        if not candidates:
-            raise ValueError("need at least one candidate")
-        compiled = self.compiled
-        width = len(candidates)
+    def _source_planes(self, sources, width: int) -> PackedPlanes:
+        """Three-valued planes with every PI and PPI loaded, one candidate per bit.
+
+        ``sources`` holds one ``(base values, overrides, items)`` triple per
+        source kind: ``items`` lists its ``(slot, name)``, ``base values``
+        maps a name to 0, 1 or ``None`` (X) and ``overrides`` maps a name to
+        the ``(candidate, value)`` pairs that replace its base value.  Gate
+        slots are left at X, ready for :meth:`PackedLogicSimulator.evaluate_planes`.
+        """
         full = (1 << width) - 1
-        zero = [0] * compiled.num_signals
-        one = [0] * compiled.num_signals
-
-        pi_overrides: Dict[str, List[Tuple[int, Optional[int]]]] = {}
-        ppi_overrides: Dict[str, List[Tuple[int, Optional[int]]]] = {}
-        for slot_index, candidate in enumerate(candidates):
-            if candidate is None:
-                continue
-            name, is_pi, value = candidate
-            target = pi_overrides if is_pi else ppi_overrides
-            target.setdefault(name, []).append((slot_index, value))
-
-        for base_values, overrides_map, items in (
-            (pi_values, pi_overrides, self._pi_items),
-            (ppi_values, ppi_overrides, [(slot, name) for slot, _, name in self._dff_items]),
-        ):
+        zero = [0] * self.compiled.num_signals
+        one = [0] * self.compiled.num_signals
+        for base_values, overrides_map, items in sources:
             for slot, name in items:
                 base = base_values.get(name)
                 overrides = overrides_map.get(name)
@@ -1794,10 +1602,24 @@ class PackedImplicationEngine(ImplicationEngine):
                         one[slot] |= rest
                     elif base == 0:
                         zero[slot] |= rest
+        return PackedPlanes(zero=zero, one=one, width=width)
 
-        planes = PackedPlanes(zero=zero, one=one, width=width)
+    # ------------------------------------------------------------------ #
+    def frame_candidates(self, pi_values, ppi_values, candidates) -> CandidateFrames:
+        """One packed three-valued pass, one candidate per pattern slot."""
+        if not candidates:
+            raise ValueError("need at least one candidate")
+        pi_overrides, ppi_overrides = _frame_overrides(candidates)
+        width = len(candidates)
+        planes = self._source_planes(
+            (
+                (pi_values, pi_overrides, self._pi_items),
+                (ppi_values, ppi_overrides, self._ppi_items),
+            ),
+            width,
+        )
         self._logic.evaluate_planes(planes)
-        return _PackedFrames(compiled, planes, width)
+        return _PackedFrames(planes, width)
 
 
 def create_implication_engine(

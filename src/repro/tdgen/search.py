@@ -22,9 +22,9 @@ implications:
 
 One :class:`SearchKernels` class serves both implication engines.  Its
 walks run over the flat arrays of :mod:`repro.fausim.compile` and read what
-an engine's candidate batches expose: a state's slot column of possibility
-sets (``column_sets``, reached through ``state.packed_handle``), one
-pair-frame candidate's pair codes
+an engine's candidate batches expose, addressed as the search's
+``(batch, cursor)`` view: a two-frame candidate's slot column of
+possibility sets (``column_sets``), one pair-frame candidate's pair codes
 (:class:`repro.fausim.kernels.PairColumns`: both machines' planes plus the
 potential- and provable-difference bits per slot, and the candidate's
 D-frontier gates) and a justification batch's three-valued planes
@@ -64,7 +64,7 @@ from repro.circuit.netlist import LineKind
 from repro.faults.model import GateDelayFault
 from repro.fausim.compile import _OPCODES, OP_BUF, OP_NOT
 from repro.fausim.kernels import PAIR_PLANES, PAIR_POTENTIAL, PAIR_PROVABLE
-from repro.tdgen.simulation import FAULT_MASK, TwoFrameState, _inject
+from repro.tdgen.simulation import FAULT_MASK, _inject
 
 #: A TDgen objective: drive ``signal`` towards ``value``.
 Objective = Tuple[str, DelayValue]
@@ -158,9 +158,9 @@ class SearchKernels:
     One instance is bound to one implication engine (and therefore one
     circuit and one robustness mode); the searching phases obtain it via
     :meth:`repro.tdgen.implication.ImplicationEngine.search_kernels`.  The
-    queries run on integer slots instead of name-keyed dictionaries: the
-    objective scan and the eight-valued backtrace read a state's slot column
-    (``column_sets`` of the batch behind ``state.packed_handle``, cached on
+    queries take the search's ``(batch, cursor)`` view and run on integer
+    slots: the objective scan and the eight-valued backtrace read the
+    candidate's slot column (``column_sets`` of a two-frame batch, cached on
     the batch), the backtraces walk ``fanin_flat`` with memoised
     observability-distance ranks, the pair-frame queries read one
     candidate's pair codes (``columns`` of a pair-frame batch) and the
@@ -266,27 +266,22 @@ class SearchKernels:
         self._cone_memo = (fault, cone)
         return cone
 
-    @staticmethod
-    def state_column(state: TwoFrameState) -> List[ValueSet]:
-        """The slot column of possibility sets behind a state."""
-        states, index = state.packed_handle
-        return states.column_sets(index)
-
     # -- TDgen ----------------------------------------------------------- #
     def propagation_objective(
-        self, state: TwoFrameState, fault: GateDelayFault
+        self, states, cursor: int, fault: GateDelayFault
     ) -> Optional[Objective]:
         """Pick a D-frontier propagation objective (step 3 of TDgen).
 
-        Scans the state's slot column for gates with a definite fault value
-        on an input but an undetermined output, ranks them by observability
-        distance (primary outputs first, then pseudo primary outputs, ties
-        by name), and returns the first satisfiable off-path input
-        objective.  Only the gates of the fault's cone
+        ``states`` is a two-frame batch of the engine, ``cursor`` the
+        candidate.  Scans the candidate's slot column for gates with a
+        definite fault value on an input but an undetermined output, ranks
+        them by observability distance (primary outputs first, then pseudo
+        primary outputs, ties by name), and returns the first satisfiable
+        off-path input objective.  Only the gates of the fault's cone
         (:meth:`fault_cone`) can read a fault value, so only they are
         scanned.
         """
-        column = self.state_column(state)
+        column = states.column_sets(cursor)
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat
@@ -361,7 +356,8 @@ class SearchKernels:
 
     def backtrace(
         self,
-        state: TwoFrameState,
+        states,
+        cursor: int,
         fault: Optional[GateDelayFault],
         objective: Objective,
         pi_values: Mapping[str, Optional[DelayValue]],
@@ -369,11 +365,12 @@ class SearchKernels:
     ) -> Tuple[Optional[DecisionKey], Optional[object]]:
         """Map a TDgen objective back to an unassigned decision variable.
 
-        An eight-valued multiple backtrace over the flat fanin arrays: at
-        each gate it descends into the first undetermined input whose
-        backward-implied set still allows the desired value.
+        An eight-valued multiple backtrace over the flat fanin arrays and
+        the slot column of candidate ``cursor`` of the two-frame batch
+        ``states``: at each gate it descends into the first undetermined
+        input whose backward-implied set still allows the desired value.
         """
-        column = self.state_column(state)
+        column = states.column_sets(cursor)
         compiled = self.compiled
         offsets = compiled.fanin_offsets
         fanin_flat = compiled.fanin_flat

@@ -57,7 +57,13 @@ FAULT_MASK: ValueSet = set_of(RC, FC)
 
 @dataclasses.dataclass
 class TwoFrameState:
-    """Result of one forward implication pass.
+    """Result of one interpreted forward implication pass, keyed by signal name.
+
+    The form :func:`simulate_two_frame` returns: the reference implication
+    engine's oracle and the tests' ground truth.  The searches never see it;
+    they read an engine's candidate batches in the compiled slot order
+    (:class:`repro.tdgen.implication.CandidateStates`), whose reference
+    batches derive every accessor from this result.
 
     Attributes:
         signal_sets: per-signal set of possible algebra values.  For a fault on
@@ -71,15 +77,8 @@ class TwoFrameState:
         ppi_pair_sets: the source sets used for the pseudo primary inputs.
         conflict_signal: first signal (in evaluation order) whose possibility
             set became empty during the propagation pass, or ``None``.  The
-            pass records it so :meth:`has_conflict` — invoked once per
-            decision by :class:`repro.tdgen.engine.TDgen` — does not have to
+            pass records it so :meth:`has_conflict` does not have to
             re-scan every signal set.
-        packed_handle: ``(batch, index)`` backref set by the implication
-            engines (:mod:`repro.tdgen.implication`): the search kernels
-            read the state's slot column through it, and the packed engine
-            starts a follow-up candidate sweep from it, evaluating only the
-            gates the decision variable's change reaches.  Never compared;
-            ``None`` for a state built outside an engine batch.
     """
 
     signal_sets: Dict[str, ValueSet]
@@ -87,9 +86,6 @@ class TwoFrameState:
     fault_line_set: ValueSet
     ppi_pair_sets: Dict[str, ValueSet]
     conflict_signal: Optional[str] = None
-    packed_handle: Optional[object] = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
 
     def definite_value(self, signal: str) -> Optional[DelayValue]:
         """The value of a signal if it is fully determined, else ``None``."""

@@ -46,7 +46,6 @@ from repro.fausim.backends import resolve_backend
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import CandidateStates, create_implication_engine
-from repro.tdgen.simulation import TwoFrameState
 
 
 @dataclasses.dataclass
@@ -55,13 +54,13 @@ class GoodMachine:
 
     Attributes:
         values: the good-machine algebra value of every signal.
-        state: the implication engine's fault-free state of the pattern (the
-            base of every injection batch of a
-            :meth:`DelayFaultSimulator.simulate` call).
+        view: the ``(batch, index)`` view of the implication engine's
+            fault-free implication of the pattern (the base of every
+            injection batch of a :meth:`DelayFaultSimulator.simulate` call).
     """
 
     values: Dict[str, DelayValue]
-    state: TwoFrameState
+    view: Tuple[CandidateStates, int]
 
     def latched_state(self, circuit: Circuit) -> Dict[str, Optional[int]]:
         """The state latched at the end of the fast frame (PPO final values)."""
@@ -125,16 +124,20 @@ class DelayFaultSimulator:
         than one possible value raises ``ValueError``.  Pass the result to
         :meth:`simulate` as ``good`` to reuse it.
         """
-        state = self._implication.implicate(pi_values, ppi_initial)
+        states = self._implication.implicate_candidates(
+            pi_values, ppi_initial, None, (None,)
+        )
         values: Dict[str, DelayValue] = {}
-        for signal, value_set in state.signal_sets.items():
+        for signal, value_set in zip(
+            self._implication.compiled.signal_names, states.column_sets(0)
+        ):
             if not is_singleton(value_set):
                 raise ValueError(
                     "fault simulation needs a fully specified pattern; "
                     f"signal {signal!r} is not determined"
                 )
             values[signal] = ALL_VALUES[value_set.bit_length() - 1]
-        return GoodMachine(values, state)
+        return GoodMachine(values, (states, 0))
 
     def simulate(
         self,
@@ -166,7 +169,7 @@ class DelayFaultSimulator:
         if good is None:
             good = self.good_machine(pi_values, ppi_initial)
         values = good.values
-        base = good.state
+        base = good.view
 
         po_points = [
             po for po in self.circuit.primary_outputs if values[po].is_transition
@@ -224,7 +227,7 @@ class DelayFaultSimulator:
         values: Dict[str, DelayValue],
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
-        good: TwoFrameState,
+        good: Tuple[CandidateStates, int],
         stem_passes: Dict[str, CandidateStates],
     ) -> List[Line]:
         """Collect the critical lines feeding one observation point."""
@@ -289,14 +292,15 @@ class DelayFaultSimulator:
         observation_point: str,
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
-        good: TwoFrameState,
+        good: Tuple[CandidateStates, int],
         stem_passes: Dict[str, CandidateStates],
     ) -> bool:
         """Exact stem analysis by injection simulation.
 
         The first analysis of a stem in a call injects both of its transition
-        directions in one batch on ``good`` and keeps it in ``stem_passes``;
-        later observation points read their verdict from it.
+        directions in one batch on the good machine's view ``good`` and
+        keeps it in ``stem_passes``; later observation points read their
+        verdict from it.
         """
         batch = stem_passes.get(stem)
         if batch is None:
@@ -309,8 +313,9 @@ class DelayFaultSimulator:
             batch = stem_passes[stem] = self._implication.implicate_faults(
                 pi_values, ppi_initial, faults, base=good
             )
+        slot = self._implication.compiled.slot_of[observation_point]
         for index in range(len(batch)):
-            observed = batch.state(index).signal_sets.get(observation_point, 0)
+            observed = batch.column_sets(index)[slot]
             if is_singleton(observed) and has_fault_value(observed):
                 return True
         return False
@@ -334,12 +339,12 @@ class DelayFaultSimulator:
         pi_values: Dict[str, DelayValue],
         ppi_initial: Dict[str, int],
         required_ppo_values: Dict[str, int],
-        good: TwoFrameState,
+        good: Tuple[CandidateStates, int],
     ) -> List[bool]:
         """Run the injection + invalidation check for every (fault, PPO) pair.
 
-        All injections share one batch on ``good``; one verdict per
-        candidate, in order.  A candidate passes when its fault effect
+        All injections share one batch on the good machine's view ``good``;
+        one verdict per candidate, in order.  A candidate passes when its fault effect
         reaches its PPO and disturbs no PPO value the propagation phase
         depends on.
         """
@@ -351,9 +356,8 @@ class DelayFaultSimulator:
             pi_values, ppi_initial, [fault for fault, _ in candidates], base=good
         )
         # The invalidation check reads every required PPO of every
-        # candidate, so the verdicts read slot columns, not state views:
-        # (PPO, slot, the sets that keep its value) per required PPO; a
-        # name that is no signal keeps nothing.
+        # candidate in its slot column: (PPO, slot, the sets that keep its
+        # value) per required PPO; a name that is no signal keeps nothing.
         slot_of = self._implication.compiled.slot_of
         required = [
             (other, slot_of[other], _CAPTURES.get(value, 0)) if other in slot_of else (other, 0, 0)

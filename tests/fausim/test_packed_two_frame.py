@@ -9,8 +9,9 @@ batches cover every kind of slot: PI, PPI and gate stems, gate branches,
 branches into a flip-flop, pins that do not read the fault stem and
 good-machine (``None``) slots, under the robust and the non-robust tables,
 on seeded random circuits (the generator of the three-valued differential
-harness) and s27.  An event-driven batch (``base=`` the good machine) must
-read as a full pass.
+harness) and s27.  An event-driven batch (``base=`` the good machine's
+view) must read as a full pass.  Batches are compared through their five
+per-candidate accessors.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.algebra.sets import has_fault_value, is_singleton, single_value
+from repro.algebra.sets import has_fault_value, is_singleton
 from repro.algebra.values import DelayValue, PI_VALUES
 from repro.circuit.netlist import Circuit, Line, LineKind
 from repro.faults.model import DelayFaultType, GateDelayFault, enumerate_delay_faults
+from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
+from repro.tdgen.simulation import _inject, simulate_two_frame
 from repro.tdsim.cpt import DelayFaultSimulator
 
 from tests.fausim.test_packed_differential import random_circuit
+from tests.fuzz.harness import implicate, state_mismatch
 
 SEEDS = list(range(0, 40))
-
-#: The fields of a state that every engine must agree on.
-FIELDS = ("signal_sets", "frame1", "fault_line_set", "ppi_pair_sets", "conflict_signal")
 
 
 def full_pattern(rng: random.Random, circuit):
@@ -55,20 +56,16 @@ def engines(circuit: Circuit, robust: bool = True):
 
 
 def assert_same_slots(got, want, message: str = "") -> None:
-    """Two batches agree column by column and, as states, field by field."""
+    """Two batches agree slot by slot on every per-candidate accessor."""
     assert len(got) == len(want)
     for index in range(len(want)):
-        assert got.column_sets(index) == want.column_sets(index), f"{message} slot {index}"
-        got_state, want_state = got.state(index), want.state(index)
-        for field in FIELDS:
-            assert getattr(got_state, field) == getattr(want_state, field), (
-                f"{message} slot {index} {field}"
-            )
+        field = state_mismatch((got, index), (want, index))
+        assert field is None, f"{message} slot {index} {field}"
 
 
-def carries_fault(batch, index: int, signal: str) -> bool:
-    """TDsim's verdict: ``signal`` surely carries ``Rc``/``Fc`` in slot ``index``."""
-    observed = batch.state(index).signal_sets.get(signal, 0)
+def carries_fault(batch, index: int, slot: int) -> bool:
+    """TDsim's verdict: signal ``slot`` surely carries ``Rc``/``Fc`` in candidate ``index``."""
+    observed = batch.column_sets(index)[slot]
     return is_singleton(observed) and has_fault_value(observed)
 
 
@@ -87,9 +84,9 @@ def test_fault_slots_bit_exact(seed, robust):
 
     want = reference.implicate_faults(pi_values, ppi_initial, faults)
     for index in range(len(faults)):
-        for signal, value_set in want.state(index).signal_sets.items():
-            assert is_singleton(value_set), f"{signal} not determined"
-    good = packed.implicate(pi_values, ppi_initial)
+        for slot, value_set in enumerate(want.column_sets(index)):
+            assert is_singleton(value_set), f"slot {slot} not determined"
+    good = implicate(packed, pi_values, ppi_initial)
     for base in (None, good):
         got = packed.implicate_faults(pi_values, ppi_initial, faults, base=base)
         assert_same_slots(got, want, f"seed {seed} base {base is not None}")
@@ -104,12 +101,13 @@ def test_frame1_matches_reference(seed):
     pi_values, ppi_initial = full_pattern(rng, circuit)
     faults = [None] + rng.sample(enumerate_delay_faults(circuit), 3)
 
-    want = reference.implicate(pi_values, ppi_initial).frame1
-    good = packed.implicate(pi_values, ppi_initial)
+    want_batch, want_index = implicate(reference, pi_values, ppi_initial)
+    want = want_batch.column_frame1(want_index)
+    good = implicate(packed, pi_values, ppi_initial)
     for base in (None, good):
         batch = packed.implicate_faults(pi_values, ppi_initial, faults, base=base)
         for index in range(len(faults)):
-            assert batch.state(index).frame1 == want
+            assert batch.column_frame1(index) == want
 
 
 def test_fault_effect_mask(s27):
@@ -121,30 +119,88 @@ def test_fault_effect_mask(s27):
         pi_values, ppi_initial = full_pattern(rng, s27)
         faults = [None] + rng.sample(universe, 10)
         want = reference.implicate_faults(pi_values, ppi_initial, faults)
-        good = packed.implicate(pi_values, ppi_initial)
+        good = implicate(packed, pi_values, ppi_initial)
         got = packed.implicate_faults(pi_values, ppi_initial, faults, base=good)
-        for po in s27.primary_outputs:
+        for slot in packed.compiled.po_slots:
             for index in range(len(faults)):
-                assert carries_fault(got, index, po) == carries_fault(want, index, po)
-            assert not carries_fault(got, 0, po)
+                assert carries_fault(got, index, slot) == carries_fault(want, index, slot)
+            assert not carries_fault(got, 0, slot)
 
 
 def test_value_accessors(s27):
-    """A slot's lazy state view reads its column, signal by signal."""
+    """A packed slot's accessors read its column.
+
+    The fault line set is the column at the fault line (injected for a
+    branch fault), every coupled PPI set is the column at its PPI (unless
+    the slot's fault sits on that PPI), and a fully specified pattern has
+    no conflict.
+    """
     _, packed = engines(s27)
     rng = random.Random(12)
     pi_values, ppi_initial = full_pattern(rng, s27)
-    faults = [None] + enumerate_delay_faults(s27)[:4]
-    good = packed.implicate(pi_values, ppi_initial)
-    batch = packed.implicate_faults(pi_values, ppi_initial, faults, base=good)
-    assert len(batch) == len(faults)
+    faults = [None] + enumerate_delay_faults(s27)
+    good = implicate(packed, pi_values, ppi_initial)
     slot_of = packed.compiled.slot_of
-    for index in range(len(faults)):
-        state = batch.state(index)
-        column = batch.column_sets(index)
-        for signal, slot in slot_of.items():
-            assert state.signal_sets[signal] == column[slot]
-            assert state.definite_value(signal) is single_value(column[slot])
+    for base in (None, good):
+        batch = packed.implicate_faults(pi_values, ppi_initial, faults, base=base)
+        assert len(batch) == len(faults)
+        for index, fault in enumerate(faults):
+            column = batch.column_sets(index)
+            if fault is None:
+                assert batch.fault_line_set(index) == 0
+            else:
+                line_set = column[slot_of[fault.line.signal]]
+                if fault.line.is_branch:
+                    line_set = _inject(line_set, fault.fault_type)
+                assert batch.fault_line_set(index) == line_set, fault
+            for ppi, pair_set in batch.ppi_pair_sets(index).items():
+                if fault is None or fault.line.signal != ppi:
+                    assert column[slot_of[ppi]] == pair_set, (fault, ppi)
+            assert batch.conflict_signal(index) is None
+
+
+def test_reference_accessors_are_the_interpreted_oracle(s27):
+    """The reference accessors are the interpreted oracle, re-indexed by slot.
+
+    ``column_sets``/``column_frame1`` of a reference batch must be exactly
+    :func:`~repro.tdgen.simulation.simulate_two_frame`'s ``signal_sets`` and
+    ``frame1`` listed in ``compiled.signal_names`` order, and the other
+    accessors its fields: the reference engine stays an oracle independent
+    of the compiled sweeps.
+    """
+    reference, packed = engines(s27)
+    rng = random.Random(12)
+    universe = enumerate_delay_faults(s27)
+    signal_names = reference.compiled.signal_names
+    assert sorted(signal_names) == sorted(
+        simulate_two_frame(TDgenContext(s27), {}, {}).signal_sets
+    )
+    for _ in range(5):
+        pi_values, ppi_initial = _partial_pattern(rng, s27)
+        faults = [None] + rng.sample(universe, 4)
+        batch = reference.implicate_faults(pi_values, ppi_initial, faults)
+        assert len(batch) == len(faults)
+        for index, fault in enumerate(faults):
+            want = simulate_two_frame(reference.context, pi_values, ppi_initial, fault)
+            assert batch.column_sets(index) == [
+                want.signal_sets[name] for name in signal_names
+            ]
+            assert batch.column_frame1(index) == [want.frame1[name] for name in signal_names]
+            assert batch.fault_line_set(index) == want.fault_line_set
+            assert batch.ppi_pair_sets(index) == want.ppi_pair_sets
+            assert batch.conflict_signal(index) == want.conflict_signal
+        # The packed batch reads the same through the same accessors.
+        assert_same_slots(packed.implicate_faults(pi_values, ppi_initial, faults), batch)
+
+
+def _partial_pattern(rng: random.Random, circuit):
+    """A random two-pattern stimulus with some inputs left unassigned."""
+    pi_values, ppi_initial = full_pattern(rng, circuit)
+    for name in rng.sample(sorted(pi_values), len(pi_values) // 2):
+        pi_values[name] = None
+    for name in rng.sample(sorted(ppi_initial), len(ppi_initial) // 2):
+        ppi_initial[name] = None
+    return pi_values, ppi_initial
 
 
 def test_requires_fully_specified_pattern(s27):
@@ -170,11 +226,11 @@ def test_slot_count_validation(s27):
         with pytest.raises(ValueError):
             engine.implicate_faults(pi_values, ppi_initial, ())
     _, packed = engines(s27)
-    good = packed.implicate(pi_values, ppi_initial)
+    good = implicate(packed, pi_values, ppi_initial)
     # Any number of slots fits the unbounded-width set words.
     batch = packed.implicate_faults(pi_values, ppi_initial, [None] * 100, base=good)
     assert len(batch) == 100
-    assert batch.column_sets(99) == good.packed_handle[0].column_sets(0)
+    assert batch.column_sets(99) == good[0].column_sets(0)
 
 
 # --------------------------------------------------------------------------- #
@@ -273,8 +329,12 @@ def test_event_driven_pass_matches_full_pass(seed, robust):
     reference, packed = engines(circuit, robust)
     rng = random.Random(9100 + seed)
     pi_values, ppi_initial = full_pattern(rng, circuit)
-    good = packed.implicate(pi_values, ppi_initial)
-    observed = list(circuit.primary_outputs) + list(circuit.pseudo_primary_outputs)
+    good = implicate(packed, pi_values, ppi_initial)
+    slot_of = packed.compiled.slot_of
+    observed = [
+        slot_of[signal]
+        for signal in list(circuit.primary_outputs) + list(circuit.pseudo_primary_outputs)
+    ]
 
     reached_less = False
     for faults in delta_batches(rng, circuit):
@@ -285,9 +345,9 @@ def test_event_driven_pass_matches_full_pass(seed, robust):
         reached_less |= None in delta._set_words
         want = reference.implicate_faults(pi_values, ppi_initial, faults)
         for index in range(len(faults)):
-            for signal in observed:
-                assert carries_fault(delta, index, signal) == carries_fault(
-                    want, index, signal
+            for slot in observed:
+                assert carries_fault(delta, index, slot) == carries_fault(
+                    want, index, slot
                 ), message
     assert reached_less, "no batch left a signal unreached"
 
@@ -297,8 +357,8 @@ def test_dff_branch_fault_leaves_the_base_untouched(s27):
     _, packed = engines(s27)
     rng = random.Random(15)
     pi_values, ppi_initial = full_pattern(rng, s27)
-    good = packed.implicate(pi_values, ppi_initial)
-    good_column = good.packed_handle[0].column_sets(0)
+    good = implicate(packed, pi_values, ppi_initial)
+    good_column = good[0].column_sets(0)
     faults = [
         fault
         for fault in enumerate_delay_faults(s27)
@@ -318,17 +378,17 @@ def test_base_must_be_a_fault_free_state_of_the_engine(s27):
     rng = random.Random(16)
     pi_values, ppi_initial = full_pattern(rng, s27)
     fault = enumerate_delay_faults(s27)[0]
-    faulty = packed.implicate(pi_values, ppi_initial, fault)
+    faulty = implicate(packed, pi_values, ppi_initial, fault)
     foreign = [
         faulty,
-        engines(s27)[1].implicate(pi_values, ppi_initial),
-        reference.implicate(pi_values, ppi_initial),
+        implicate(engines(s27)[1], pi_values, ppi_initial),
+        implicate(reference, pi_values, ppi_initial),
     ]
     for base in foreign:
         with pytest.raises(ValueError, match="base"):
             packed.implicate_faults(pi_values, ppi_initial, (fault,), base=base)
     # A good-machine slot of a batch is a base like the full pass.
-    good = packed.implicate(pi_values, ppi_initial)
+    good = implicate(packed, pi_values, ppi_initial)
     batch = packed.implicate_faults(pi_values, ppi_initial, (fault, None), base=good)
-    chained = packed.implicate_faults(pi_values, ppi_initial, (fault,), base=batch.state(1))
+    chained = packed.implicate_faults(pi_values, ppi_initial, (fault,), base=(batch, 1))
     assert chained.column_sets(0) == batch.column_sets(0)

@@ -11,8 +11,10 @@ simulation (scalar clocking *and* the batched plane path), implication,
 search kernels, grading, TDsim fault simulation and SEMILET pair frames —
 once per registered backend, and returns every disagreement with the
 reference oracle.  Both engines feed the one search-kernels class, so the
-kernel layer compares what the kernels read — each state's slot column
-(``column_sets``), each pair candidate's pair codes and D-frontier
+kernel layer compares what the kernels read — each two-frame candidate's
+slot columns and the rest of its accessors (``column_sets``,
+``column_frame1``, ``fault_line_set``, ``ppi_pair_sets``,
+``conflict_signal``), each pair candidate's pair codes and D-frontier
 (``columns``), the justification frame planes (``packed_planes``) — before
 the objectives, backtraces, classifications and decisions the kernels make
 from them; a failure names the column that diverged.  :func:`shrink_case` greedily
@@ -67,10 +69,10 @@ _MULTI_INPUT = (
 )
 _SINGLE_INPUT = (GateType.NOT, GateType.BUF)
 
-#: Implication-state fields the engines must agree on.
+#: The per-candidate accessors of a two-frame batch the engines must agree on.
 _STATE_FIELDS = (
-    "signal_sets",
-    "frame1",
+    "column_sets",
+    "column_frame1",
     "fault_line_set",
     "ppi_pair_sets",
     "conflict_signal",
@@ -327,16 +329,24 @@ def _check_simulation(case: FuzzCase, circuit: Circuit, failures: List[str]) -> 
                 break
 
 
-def _state_mismatch(got, want) -> Optional[str]:
-    """The first state field, or the slot column the kernels read, that differs."""
+def implicate(engine, pi_values, ppi_initial, fault=None):
+    """The ``(batch, 0)`` view of one assignment's two-frame implication."""
+    return engine.implicate_candidates(pi_values, ppi_initial, fault, (None,)), 0
+
+
+def state_mismatch(got, want) -> Optional[str]:
+    """The first accessor on which two ``(batch, index)`` views differ, or ``None``."""
+    (got_batch, got_index), (want_batch, want_index) = got, want
     for field in _STATE_FIELDS:
-        if getattr(got, field) != getattr(want, field):
+        if getattr(got_batch, field)(got_index) != getattr(want_batch, field)(want_index):
             return field
-    got_batch, got_index = got.packed_handle
-    want_batch, want_index = want.packed_handle
-    if got_batch.column_sets(got_index) != want_batch.column_sets(want_index):
-        return "column_sets"
     return None
+
+
+def has_conflict(view) -> bool:
+    """Whether the ``(batch, index)`` view's implication emptied some set."""
+    batch, index = view
+    return batch.conflict_signal(index) is not None
 
 
 def _check_implication_and_kernels(
@@ -360,7 +370,7 @@ def _check_implication_and_kernels(
     oracle = engines.pop("reference")
     oracle_kernels = oracle.search_kernels()
 
-    want_state = oracle.implicate(pi_values, ppi_initial, fault)
+    want_view = implicate(oracle, pi_values, ppi_initial, fault)
     free = [pi for pi, value in pi_values.items() if value is None][:2]
     candidates = [
         ("pi", name, value) for name in free for value in PI_VALUES
@@ -381,27 +391,27 @@ def _check_implication_and_kernels(
     ][:3]
 
     for name, engine in engines.items():
-        got_state = engine.implicate(pi_values, ppi_initial, fault)
-        field = _state_mismatch(got_state, want_state)
+        got_view = implicate(engine, pi_values, ppi_initial, fault)
+        field = state_mismatch(got_view, want_view)
         if field is not None:
             failures.append(f"implication[{name}]: {field} differs")
         got_batch = engine.implicate_candidates(
             pi_values, ppi_initial, fault, candidates
         )
-        # the incremental path, chained off the previous state like the
+        # the incremental path, chained off the previous view like the
         # TDgen search chains it (base= takes a different code path)
         want_chained = oracle.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates, base=want_state
+            pi_values, ppi_initial, fault, candidates, base=want_view
         )
         got_chained = engine.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates, base=got_state
+            pi_values, ppi_initial, fault, candidates, base=got_view
         )
         for label, got_states, want_states in (
             ("candidate", got_batch, want_batch),
             ("chained candidate", got_chained, want_chained),
         ):
             for index in range(len(candidates)):
-                field = _state_mismatch(got_states.state(index), want_states.state(index))
+                field = state_mismatch((got_states, index), (want_states, index))
                 if field is not None:
                     failures.append(f"implication[{name}]: {label} {index} {field} differs")
                     break
@@ -410,25 +420,25 @@ def _check_implication_and_kernels(
         kernels = engine.search_kernels()
         if fault is not None:
             for index in range(len(candidates)):
-                chained = got_chained.state(index)
-                if not chained.has_conflict() and kernels.propagation_objective(
-                    chained, fault
+                chained = (got_chained, index)
+                if not has_conflict(chained) and kernels.propagation_objective(
+                    *chained, fault
                 ) != full_scan_objective(kernels, chained, fault):
                     failures.append(
                         f"kernels[{name}]: cone objective {index} differs from the full scan"
                     )
                     break
-        if fault is not None and not want_state.has_conflict():
-            want = oracle_kernels.propagation_objective(want_state, fault)
-            got = kernels.propagation_objective(got_state, fault)
+        if fault is not None and not has_conflict(want_view):
+            want = oracle_kernels.propagation_objective(*want_view, fault)
+            got = kernels.propagation_objective(*got_view, fault)
             if got != want:
                 failures.append(f"kernels[{name}]: objective differs")
-            elif want != full_scan_objective(oracle_kernels, want_state, fault):
+            elif want != full_scan_objective(oracle_kernels, want_view, fault):
                 failures.append("kernels[reference]: cone objective differs from the full scan")
             elif want is not None and kernels.backtrace(
-                got_state, fault, want, pi_values, ppi_initial
+                *got_view, fault, want, pi_values, ppi_initial
             ) != oracle_kernels.backtrace(
-                want_state, fault, want, pi_values, ppi_initial
+                *want_view, fault, want, pi_values, ppi_initial
             ):
                 failures.append(f"kernels[{name}]: backtrace differs")
         got_just_frames = engine.frame_candidates(just_pi, just_ppi, (None,))
@@ -451,8 +461,8 @@ def _check_implication_and_kernels(
                     )
 
 
-def full_scan_objective(kernels, state, fault: GateDelayFault):
-    """The D-frontier objective of ``state``, scanning every gate.
+def full_scan_objective(kernels, view, fault: GateDelayFault):
+    """The D-frontier objective of the ``(batch, index)`` view, scanning every gate.
 
     The oracle of :meth:`~repro.tdgen.search.SearchKernels.propagation_objective`,
     which scans only the fault's cone: it finds the injected branch pin
@@ -461,7 +471,8 @@ def full_scan_objective(kernels, state, fault: GateDelayFault):
     way.
     """
     compiled = kernels.compiled
-    column = kernels.state_column(state)
+    batch, index = view
+    column = batch.column_sets(index)
     offsets = compiled.fanin_offsets
     branch_position = None
     if fault.line.is_branch:
@@ -650,7 +661,7 @@ def _check_tdsim(case: FuzzCase, circuit: Circuit, failures: List[str]) -> None:
         if backend == "reference":
             continue
         engine = create_implication_engine(circuit, backend, robust=case.robust)
-        good = engine.implicate(pi_values, ppi_initial)
+        good = implicate(engine, pi_values, ppi_initial)
         for faults in driven:
             want_batch = oracle.implicate_faults(pi_values, ppi_initial, faults)
             got_batch = engine.implicate_faults(pi_values, ppi_initial, faults, base=good)
@@ -678,8 +689,9 @@ def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) ->
     every seed and corpus file replays the other layers unchanged.  Each
     decision's batch is built from the previous view (``base=``), the way
     the propagation PODEM chains them: event-driven on the packed backend,
-    from scratch on the reference one.  Every candidate's pairs, pair codes,
-    D-frontier gates, frame class and D-frontier decision must agree.
+    from scratch on the reference one.  Every candidate's pair codes (both
+    machines' values and the difference bits), D-frontier gates, frame
+    class and D-frontier decision must agree.
     """
     rng = random.Random(f"pair:{case.seed}")
     good: Dict[str, Optional[int]] = {}
@@ -730,7 +742,6 @@ def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) ->
                 assignment[name] = value
                 want, got = [
                     (
-                        dict(batch.pairs(index).items()),
                         batch.columns(index).codes,
                         batch.columns(index).frontier,
                         kernel.classify_pair_frame(batch, index, target),
@@ -739,7 +750,7 @@ def _check_pair_frames(case: FuzzCase, circuit: Circuit, failures: List[str]) ->
                     for batch, kernel, target in zip(batches, kernels, targets)
                 ]
                 for label, want_part, got_part in zip(
-                    ("pairs", "pair codes", "D-frontier", "classification", "decision"),
+                    ("pair codes", "D-frontier", "classification", "decision"),
                     want,
                     got,
                 ):

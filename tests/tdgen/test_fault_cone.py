@@ -76,31 +76,35 @@ def test_source_sets_hold_no_fault_value():
 # --------------------------------------------------------------------------- #
 # the full-scan classification oracle
 # --------------------------------------------------------------------------- #
-def full_scan_classify(tdgen, state, fault, constraints, blocked, allow_ppo, unreachable):
-    """TDgen's classification with the X-path and success tests over every
-    observation signal, read by name (the scan the cone bounds)."""
-    if state.has_conflict():
+def full_scan_classify(tdgen, view, fault, constraints, blocked, allow_ppo, unreachable):
+    """TDgen's classification of the ``(batch, index)`` view with the X-path
+    and success tests over every observation slot (the scan the cone
+    bounds).  ``constraints`` holds ``(slot, required value)`` pairs."""
+    batch, index = view
+    if batch.conflict_signal(index) is not None:
         return "conflict"
+    ppi_pair_sets = batch.ppi_pair_sets(index)
     for blocked_state in unreachable:
         if all(
-            is_singleton(state.ppi_pair_sets.get(ppi, 0))
-            and single_value(state.ppi_pair_sets[ppi]).initial == value
+            is_singleton(ppi_pair_sets.get(ppi, 0))
+            and single_value(ppi_pair_sets[ppi]).initial == value
             for ppi, value in blocked_state.items()
         ):
             return "conflict"
-    if not state.fault_line_set & fault.fault_value.mask:
+    if not batch.fault_line_set(index) & fault.fault_value.mask:
         return "conflict"
-    for ppo, value in constraints.items():
-        if not tdgen._constraint_possible(state.signal_sets[ppo], value):
+    column = batch.column_sets(index)
+    for slot, value in constraints:
+        if not tdgen._constraint_possible(column[slot], value):
             return "conflict"
-    observation = tdgen._observation_signals(blocked, allow_ppo)
-    sets = [state.signal_sets[signal] for signal in observation]
+    observation = tdgen._observation_points(blocked, allow_ppo)
+    sets = [column[slot] for _, slot in observation]
     if not any(has_fault_value(value_set) for value_set in sets):
         return "conflict"
     if any(is_singleton(value_set) and has_fault_value(value_set) for value_set in sets):
         if all(
-            tdgen._constraint_satisfied(state.signal_sets[ppo], value)
-            for ppo, value in constraints.items()
+            tdgen._constraint_satisfied(column[slot], value)
+            for slot, value in constraints
         ):
             return "success"
     return "continue"
@@ -143,8 +147,8 @@ def _circuits(s27):
     return [s27, _observed_sources(), _reconvergent(), random_circuit(3), random_circuit(11)]
 
 
-def _decision_states(tdgen, fault, turn):
-    """The root state and a chain of decision batches, as TDgen opens them.
+def _decision_views(tdgen, fault, turn):
+    """The root view and a chain of decision batches' views, as TDgen opens them.
 
     Every primary input, then every pseudo primary input, is decided in
     turn; each batch holds all values of its variable and is implied off a
@@ -154,8 +158,8 @@ def _decision_states(tdgen, fault, turn):
     pi_values = {pi: None for pi in circuit.primary_inputs}
     ppi_initial = {ppi: None for ppi in circuit.pseudo_primary_inputs}
     engine = tdgen.implication
-    base = engine.implicate_candidates(pi_values, ppi_initial, fault, (None,)).state(0)
-    states = [base]
+    base = (engine.implicate_candidates(pi_values, ppi_initial, fault, (None,)), 0)
+    views = [base]
     decisions = [("pi", pi, PI_VALUES, pi_values) for pi in circuit.primary_inputs]
     decisions += [
         ("ppi", ppi, (0, 1), ppi_initial) for ppi in circuit.pseudo_primary_inputs
@@ -165,15 +169,16 @@ def _decision_states(tdgen, fault, turn):
             pi_values, ppi_initial, fault,
             [(kind, name, value) for value in domain], base=base,
         )
-        batch_states = [batch.state(index) for index in range(len(batch))]
-        states += batch_states
+        views += [(batch, index) for index in range(len(batch))]
         order = [(turn + step + offset) % len(domain) for offset in range(len(domain))]
-        chosen = next((index for index in order if not batch_states[index].has_conflict()), None)
+        chosen = next(
+            (index for index in order if batch.conflict_signal(index) is None), None
+        )
         if chosen is None:
             break
         assignment[name] = domain[chosen]
-        base = batch_states[chosen]
-    return states
+        base = (batch, chosen)
+    return views
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -186,10 +191,13 @@ def test_cone_scans_equal_full_scans_for_every_fault(s27, backend):
             cone = kernels.fault_cone(fault)
             allow_ppo = number % 3 != 2
             blocked = {circuit.primary_outputs[0]} if number % 4 == 1 else set()
-            slots = tdgen._observation_slots(fault, blocked, allow_ppo)
-            for state in _decision_states(tdgen, fault, number):
+            slots = tdgen._observation_slots(
+                fault, tdgen._observation_points(blocked, allow_ppo)
+            )
+            for view in _decision_views(tdgen, fault, number):
                 context = (circuit.name, backend, str(fault))
-                column = kernels.state_column(state)
+                batch, index = view
+                column = batch.column_sets(index)
                 # The invariant itself: nothing outside the cone holds a
                 # fault value.
                 assert all(
@@ -199,14 +207,14 @@ def test_cone_scans_equal_full_scans_for_every_fault(s27, backend):
                 ), (context, [signal_names[slot] for slot in range(len(column))
                               if column[slot] & FAULT_MASK])
                 assert tdgen._classify(
-                    state, fault, {}, slots, []
+                    batch, index, fault, [], slots, []
                 ) == full_scan_classify(
-                    tdgen, state, fault, {}, blocked, allow_ppo, []
+                    tdgen, view, fault, [], blocked, allow_ppo, []
                 ), context
-                if not state.has_conflict():
+                if batch.conflict_signal(index) is None:
                     assert kernels.propagation_objective(
-                        state, fault
-                    ) == full_scan_objective(kernels, state, fault), context
+                        batch, index, fault
+                    ) == full_scan_objective(kernels, view, fault), context
 
 
 def test_named_edge_cases():
@@ -227,7 +235,9 @@ def test_named_edge_cases():
     # observation slot of its stem fault.
     for source in ("a", "q"):
         fault = GateDelayFault(Line(source), str_)
-        assert slot_of[source] in tdgen._observation_slots(fault, set(), True)
+        assert slot_of[source] in tdgen._observation_slots(
+            fault, tdgen._observation_points(set(), True)
+        )
 
     # A branch into a flip-flop data pin owns no injection: the cone is empty
     # and no observation slot remains.
@@ -236,7 +246,9 @@ def test_named_edge_cases():
     cone = kernels.fault_cone(into_dff)
     assert cone.gates == () and cone.slots == frozenset()
     assert cone.branch_position is None
-    assert tdgen._observation_slots(into_dff, set(), True) == ()
+    assert tdgen._observation_slots(
+        into_dff, tdgen._observation_points(set(), True)
+    ) == ()
 
     # A branch into a gate: the sink gate and its fanout, not the stem.
     branch = GateDelayFault(Line("a", LineKind.BRANCH, "g", 0), str_)
@@ -265,16 +277,16 @@ def test_every_scan_of_a_search_equals_the_full_scan(s27, backend, monkeypatch):
         cone_objective = kernels.propagation_objective
         cone_classify = tdgen._classify
 
-        def objective(state, fault):
-            got = cone_objective(state, fault)
-            assert got == full_scan_objective(kernels, state, fault), str(fault)
+        def objective(states, cursor, fault):
+            got = cone_objective(states, cursor, fault)
+            assert got == full_scan_objective(kernels, (states, cursor), fault), str(fault)
             calls["objective"] += got is not None
             return got
 
-        def classify(state, fault, constraints, slots, unreachable):
-            got = cone_classify(state, fault, constraints, slots, unreachable)
+        def classify(states, cursor, fault, constraints, slots, unreachable):
+            got = cone_classify(states, cursor, fault, constraints, slots, unreachable)
             assert got == full_scan_classify(
-                tdgen, state, fault, constraints, set(), True, unreachable
+                tdgen, (states, cursor), fault, constraints, set(), True, unreachable
             ), str(fault)
             calls["classify"] += 1
             return got

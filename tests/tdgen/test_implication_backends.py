@@ -7,7 +7,10 @@ faults, PPI coupling, partial assignments), candidate batches, incremental
 cone sweeps chained like the TDgen search chains them, SEMILET pair frames
 and three-valued justification frames — and whole campaigns must come out
 *identical* under both backends (same fault statuses, same sequences, same
-coverage).
+coverage).  Batches are compared in the one form they expose, the compiled
+slot order: a two-frame candidate's five accessors (its slot columns, fault
+line set, coupled PPI sets and conflict signal), a pair candidate's pair
+codes and D-frontier, a frame batch's planes.
 
 Any mismatch prints the failing seed, so a reproduction is one
 ``random_circuit(seed)`` call away.
@@ -30,16 +33,9 @@ from repro.tdgen.context import TDgenContext
 from repro.tdgen.implication import create_implication_engine
 
 from tests.fausim.test_packed_differential import random_circuit
+from tests.fuzz.harness import implicate, state_mismatch
 
 SEEDS = list(range(0, 24, 2))
-
-_STATE_FIELDS = (
-    "signal_sets",
-    "frame1",
-    "fault_line_set",
-    "ppi_pair_sets",
-    "conflict_signal",
-)
 
 
 def _engines(circuit, robust=True, context=None):
@@ -62,11 +58,10 @@ def _partial_assignment(rng, circuit, density=0.6):
     return pi_values, ppi_initial
 
 
-def _assert_states_equal(reference_state, packed_state, context_message):
-    for field in _STATE_FIELDS:
-        want = getattr(reference_state, field)
-        got = getattr(packed_state, field)
-        assert got == want, f"{context_message}: {field} differs"
+def _assert_views_equal(reference_view, packed_view, context_message):
+    """Two ``(batch, index)`` views agree on every per-candidate accessor."""
+    field = state_mismatch(packed_view, reference_view)
+    assert field is None, f"{context_message}: {field} differs"
 
 
 # --------------------------------------------------------------------------- #
@@ -121,9 +116,9 @@ def test_implicate_bit_exact(seed, robust):
     for trial in range(3):
         pi_values, ppi_initial = _partial_assignment(rng, circuit)
         fault = rng.choice(faults) if trial else None
-        want = reference.implicate(pi_values, ppi_initial, fault)
-        got = packed.implicate(pi_values, ppi_initial, fault)
-        _assert_states_equal(want, got, f"seed {seed} trial {trial} fault {fault}")
+        want = implicate(reference, pi_values, ppi_initial, fault)
+        got = implicate(packed, pi_values, ppi_initial, fault)
+        _assert_views_equal(want, got, f"seed {seed} trial {trial} fault {fault}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -146,8 +141,8 @@ def test_candidate_batches_bit_exact(seed):
     want = reference.implicate_candidates(pi_values, ppi_initial, fault, candidates)
     got = packed.implicate_candidates(pi_values, ppi_initial, fault, candidates)
     for index in range(len(candidates)):
-        _assert_states_equal(
-            want.state(index), got.state(index), f"seed {seed} candidate {index}"
+        _assert_views_equal(
+            (want, index), (got, index), f"seed {seed} candidate {index}"
         )
 
 
@@ -155,7 +150,7 @@ def test_candidate_batches_bit_exact(seed):
 def test_incremental_chain_bit_exact(seed):
     """Sweeps chained decision-by-decision, exactly as the search chains them.
 
-    Each sweep passes the previous state as ``base``, so the packed engine
+    Each sweep passes the previous view as ``base``, so the packed engine
     takes its incremental cone path; every candidate of every sweep must
     still match a from-scratch reference interpretation.
     """
@@ -171,8 +166,8 @@ def test_incremental_chain_bit_exact(seed):
     ppi_initial: Dict[str, Optional[int]] = {
         ppi: None for ppi in circuit.pseudo_primary_inputs
     }
-    reference_state = reference.implicate(pi_values, ppi_initial, fault)
-    packed_state = packed.implicate(pi_values, ppi_initial, fault)
+    reference_view = implicate(reference, pi_values, ppi_initial, fault)
+    packed_view = implicate(packed, pi_values, ppi_initial, fault)
 
     variables = [("pi", pi) for pi in circuit.primary_inputs] + [
         ("ppi", ppi) for ppi in circuit.pseudo_primary_inputs
@@ -183,14 +178,14 @@ def test_incremental_chain_bit_exact(seed):
         rng.shuffle(domain)
         candidates = [(kind, name, value) for value in domain]
         want = reference.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates, base=reference_state
+            pi_values, ppi_initial, fault, candidates, base=reference_view
         )
         got = packed.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates, base=packed_state
+            pi_values, ppi_initial, fault, candidates, base=packed_view
         )
         for index in range(len(candidates)):
-            _assert_states_equal(
-                want.state(index), got.state(index),
+            _assert_views_equal(
+                (want, index), (got, index),
                 f"seed {seed} var {name} candidate {index}",
             )
         pick = rng.randrange(len(domain))
@@ -198,8 +193,8 @@ def test_incremental_chain_bit_exact(seed):
             pi_values[name] = domain[pick]
         else:
             ppi_initial[name] = domain[pick]
-        reference_state = want.state(pick)
-        packed_state = got.state(pick)
+        reference_view = (want, pick)
+        packed_view = (got, pick)
 
 
 @pytest.mark.parametrize("seed", list(range(12)))
@@ -222,8 +217,8 @@ def test_incremental_delta_columns_match_full_sweep(seed):
     for fault in [None, rng.choice(stems)] + ([rng.choice(branches)] if branches else []):
         for attempt in range(20):
             pi_values, ppi_initial = _partial_assignment(rng, circuit, density=0.5)
-            parent = packed.implicate(pi_values, ppi_initial, fault)
-            if parent.conflict_signal is None:
+            parent = implicate(packed, pi_values, ppi_initial, fault)
+            if parent[0].conflict_signal(0) is None:
                 break
         else:
             continue
@@ -277,9 +272,9 @@ def test_pair_frames_bit_exact(seed):
             for ppi in circuit.pseudo_primary_inputs
             if rng.random() < 0.4
         }
-        want = reference.pair_frame(pi_values, good, faulty, free)
-        got = packed.pair_frame(pi_values, good, faulty, free)
-        assert got == want, f"seed {seed} trial {trial}"
+        want = reference.pair_frame_candidates(pi_values, good, faulty, free, (None,))
+        got = packed.pair_frame_candidates(pi_values, good, faulty, free, (None,))
+        assert got.columns(0) == want.columns(0), f"seed {seed} trial {trial}"
 
         candidates = []
         unassigned = [pi for pi, value in pi_values.items() if value is None]
@@ -297,7 +292,7 @@ def test_pair_frames_bit_exact(seed):
             pi_values, good, faulty, free, candidates
         )
         for index in range(len(candidates)):
-            assert got_batch.pairs(index) == want_batch.pairs(index), (
+            assert got_batch.columns(index) == want_batch.columns(index), (
                 f"seed {seed} trial {trial} candidate {index}"
             )
 
@@ -317,18 +312,19 @@ def test_justification_frames_bit_exact(seed):
         ppi_values = {
             ppi: rng.choice([0, 1, None]) for ppi in circuit.pseudo_primary_inputs
         }
-        assert packed.frame(pi_values, ppi_values) == reference.frame(
-            pi_values, ppi_values
-        ), f"seed {seed} trial {trial}"
-
         name = circuit.primary_inputs[0]
-        candidates = [None] + [(name, True, value) for value in (0, 1, None)]
-        want = reference.frame_candidates(pi_values, ppi_values, candidates)
-        got = packed.frame_candidates(pi_values, ppi_values, candidates)
-        for index in range(len(candidates)):
-            assert got.frame(index) == want.frame(index), (
-                f"seed {seed} trial {trial} candidate {index}"
+        for candidates in ((None,), [None] + [(name, True, value) for value in (0, 1, None)]):
+            want = reference.frame_candidates(pi_values, ppi_values, candidates)
+            got = packed.frame_candidates(pi_values, ppi_values, candidates)
+            assert _planes(got) == _planes(want), (
+                f"seed {seed} trial {trial} candidates {candidates}"
             )
+
+
+def _planes(frames):
+    """A frame batch's planes as comparable lists."""
+    planes = frames.packed_planes()
+    return list(planes.zero), list(planes.one), planes.width
 
 
 # --------------------------------------------------------------------------- #

@@ -4,9 +4,9 @@ Both implication engines feed the one :class:`repro.tdgen.search.SearchKernels`
 class.  The heuristics themselves have no ground truth; what the backends
 differ in is the implication the kernels read, and that must be *bit-exact*:
 
-* a two-frame state's slot column (``column_sets`` through
-  ``packed_handle``), on full and on chained incremental states, stem and
-  branch faults, both robustness modes;
+* a two-frame candidate's slot column (``column_sets`` of its
+  ``(batch, index)`` view), on full and on chained incremental batches,
+  stem and branch faults, both robustness modes;
 * a pair-frame candidate's pair codes and D-frontier (``columns``): the
   reference engine builds them with the interpreted per-name walks, the
   packed engine with the bit-parallel pair analysis (both tiers) or the
@@ -45,6 +45,7 @@ from repro.tdgen.implication import create_implication_engine
 from repro.tdgen.search import SearchKernels
 
 from tests.fausim.test_packed_differential import random_circuit
+from tests.fuzz.harness import has_conflict, implicate
 
 SEEDS = list(range(1, 25, 2))
 
@@ -64,9 +65,9 @@ def _kernel_pairs(circuit, robust=True):
     )
 
 
-def _column_sets(state):
-    """The slot column a state's handle leads the kernels to."""
-    batch, index = state.packed_handle
+def _column_sets(view):
+    """The slot column of a ``(batch, index)`` view."""
+    batch, index = view
     return batch.column_sets(index)
 
 
@@ -185,13 +186,13 @@ def test_kernels_follow_engine_backend():
 
 
 def test_packed_engine_ignores_reference_base_state():
-    """A reference state as ``base`` falls back to a full packed sweep."""
+    """A reference batch's view as ``base`` falls back to a full packed sweep."""
     circuit = random_circuit(3)
     (reference, _), (packed, _) = _kernel_pairs(circuit)
     fault = enumerate_delay_faults(circuit)[0]
     pi_values = {pi: None for pi in circuit.primary_inputs}
     ppi_initial = {ppi: None for ppi in circuit.pseudo_primary_inputs}
-    base = reference.implicate(pi_values, ppi_initial, fault)
+    base = implicate(reference, pi_values, ppi_initial, fault)
     name = circuit.primary_inputs[0]
     candidates = [("pi", name, value) for value in PI_VALUES]
     assert packed._try_incremental(pi_values, ppi_initial, fault, candidates, base) is None
@@ -269,24 +270,24 @@ def test_objective_and_backtrace_bit_exact(seed, robust):
     for trial in range(4):
         pi_values, ppi_initial = _partial_assignment(rng, circuit)
         fault = rng.choice(faults)
-        reference_state = reference.implicate(pi_values, ppi_initial, fault)
-        packed_state = packed.implicate(pi_values, ppi_initial, fault)
+        reference_view = implicate(reference, pi_values, ppi_initial, fault)
+        packed_view = implicate(packed, pi_values, ppi_initial, fault)
         context = f"seed {seed} trial {trial}"
-        assert _column_sets(reference_state) == _column_sets(packed_state), context
-        if reference_state.has_conflict():
+        assert _column_sets(reference_view) == _column_sets(packed_view), context
+        if has_conflict(reference_view):
             continue
-        want = search.propagation_objective(reference_state, fault)
-        assert search.propagation_objective(packed_state, fault) == want, context
+        want = search.propagation_objective(*reference_view, fault)
+        assert search.propagation_objective(*packed_view, fault) == want, context
         if want is None:
             continue
         assert search.backtrace(
-            packed_state, fault, want, pi_values, ppi_initial
-        ) == search.backtrace(reference_state, fault, want, pi_values, ppi_initial), context
+            *packed_view, fault, want, pi_values, ppi_initial
+        ) == search.backtrace(*reference_view, fault, want, pi_values, ppi_initial), context
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_objective_bit_exact_on_incremental_states(seed):
-    """Chained incremental states: every candidate's slot column agrees."""
+    """Chained incremental batches: every candidate's slot column agrees."""
     circuit = random_circuit(seed)
     (reference, search), (packed, _) = _kernel_pairs(circuit)
     rng = random.Random(777 + seed)
@@ -295,21 +296,21 @@ def test_objective_bit_exact_on_incremental_states(seed):
 
     pi_values = {pi: None for pi in circuit.primary_inputs}
     ppi_initial = {ppi: None for ppi in circuit.pseudo_primary_inputs}
-    reference_state = reference.implicate(pi_values, ppi_initial, fault)
-    packed_state = packed.implicate(pi_values, ppi_initial, fault)
+    reference_view = implicate(reference, pi_values, ppi_initial, fault)
+    packed_view = implicate(packed, pi_values, ppi_initial, fault)
 
     # Chain three decisions like TDgen does, comparing after each sweep.
     for step in range(3):
         free = [pi for pi in circuit.primary_inputs if pi_values[pi] is None]
-        if not free or packed_state.has_conflict():
+        if not free or has_conflict(packed_view):
             break
         name = rng.choice(free)
         candidates = [("pi", name, value) for value in PI_VALUES]
         reference_states = reference.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates, base=reference_state
+            pi_values, ppi_initial, fault, candidates, base=reference_view
         )
         packed_states = packed.implicate_candidates(
-            pi_values, ppi_initial, fault, candidates, base=packed_state
+            pi_values, ppi_initial, fault, candidates, base=packed_view
         )
         context = f"seed {seed} step {step}"
         for index in range(len(candidates)):
@@ -318,18 +319,18 @@ def test_objective_bit_exact_on_incremental_states(seed):
             ), f"{context} candidate {index}"
         slot = rng.randrange(len(candidates))
         pi_values[name] = candidates[slot][2]
-        reference_state = reference_states.state(slot)
-        packed_state = packed_states.state(slot)
-        assert _column_sets(reference_state) == _column_sets(packed_state), context
-        if reference_state.has_conflict():
-            assert packed_state.has_conflict()
+        reference_view = (reference_states, slot)
+        packed_view = (packed_states, slot)
+        assert _column_sets(reference_view) == _column_sets(packed_view), context
+        if has_conflict(reference_view):
+            assert has_conflict(packed_view)
             break
-        want = search.propagation_objective(reference_state, fault)
-        assert search.propagation_objective(packed_state, fault) == want, context
+        want = search.propagation_objective(*reference_view, fault)
+        assert search.propagation_objective(*packed_view, fault) == want, context
         if want is not None:
             assert search.backtrace(
-                packed_state, fault, want, pi_values, ppi_initial
-            ) == search.backtrace(reference_state, fault, want, pi_values, ppi_initial)
+                *packed_view, fault, want, pi_values, ppi_initial
+            ) == search.backtrace(*reference_view, fault, want, pi_values, ppi_initial)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """What one incremental TDgen sweep costs: the gates its wavefronts reach.
 
 An incremental sweep (a candidate batch over one decision variable, started
-from the parent decision's state) evaluates a gate in either frame only when
+from the parent decision's view) evaluates a gate in either frame only when
 one of its inputs left the parent's value.  The circuit below has two
 disjoint cones, so the counters of the engine's metrics registry show
 exactly which gates a sweep touched:
@@ -23,7 +23,7 @@ from repro.circuit.builder import CircuitBuilder
 from repro.obs.metrics import MetricsRegistry
 from repro.tdgen.implication import create_implication_engine
 
-FIELDS = ("signal_sets", "frame1", "fault_line_set", "ppi_pair_sets", "conflict_signal")
+from tests.fuzz.harness import implicate, state_mismatch
 
 
 def _two_cones():
@@ -47,7 +47,7 @@ def setup():
     # The parent holds b at a stable 0, so AND(a, b) is 0 whatever a is.
     pi_values = {"a": None, "b": V0, "c": None, "d": None}
     ppi_initial = {"q": None}
-    parent = engine.implicate(pi_values, ppi_initial)
+    parent = implicate(engine, pi_values, ppi_initial)
     metrics = MetricsRegistry()
     engine.set_metrics(metrics, "tdgen")
     return engine, pi_values, ppi_initial, parent, metrics
@@ -66,8 +66,7 @@ def _sweep(setup, candidates):
     # Skipping gates never changes what the sweep implies.
     full = engine.implicate_candidates(pi_values, ppi_initial, None, candidates)
     for index in range(len(candidates)):
-        for field in FIELDS:
-            assert getattr(states.state(index), field) == getattr(full.state(index), field)
+        assert state_mismatch((states, index), (full, index)) is None
     return counts
 
 

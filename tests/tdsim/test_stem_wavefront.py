@@ -24,6 +24,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.tdgen.implication import create_implication_engine
 from repro.tdsim.cpt import DelayFaultSimulator
 
+from tests.fuzz.harness import implicate
+
 EVALUATED = "repro_wavefront_gates_evaluated_total"
 GATE_WORDS = "repro_sim_gate_words_total"
 
@@ -61,12 +63,13 @@ def _evaluated(engine, pi_values, faults, base):
     return evaluated, batch
 
 
-def _fault_slots(batch, signal):
+def _fault_slots(engine, batch, signal):
     """The slots in which ``signal`` carries a fault effect, as a bit mask."""
+    slot = engine.compiled.slot_of[signal]
     return sum(
         1 << index
         for index in range(len(batch))
-        if has_fault_value(batch.state(index).signal_sets[signal])
+        if has_fault_value(batch.column_sets(index)[slot])
     )
 
 
@@ -79,7 +82,7 @@ def engine():
 
 def test_full_pass_counts_both_frames(engine):
     metrics = engine.metrics
-    engine.implicate({"a": R, "b": V0, "c": F, "d": V1}, {"q": 0})
+    implicate(engine, {"a": R, "b": V0, "c": F, "d": V1}, {"q": 0})
     # The initial frame counts in gate words, the test frame in wavefront
     # gates; a full pass evaluates every gate in each.
     assert metrics.counter_value(GATE_WORDS) == engine.compiled.num_gates
@@ -89,19 +92,19 @@ def test_full_pass_counts_both_frames(engine):
 def test_stem_blocked_at_its_first_gate_evaluates_that_gate(engine):
     # b holds a stable 0, so AND(a, b) masks the transition on a.
     pi_values = {"a": R, "b": V0, "c": F, "d": V1}
-    good = engine.implicate(pi_values, {"q": 0})
+    good = implicate(engine, pi_values, {"q": 0})
     evaluated, batch = _evaluated(engine, pi_values, _stem("a"), good)
     assert evaluated == 1
-    assert _fault_slots(batch, "g2") == 0
+    assert _fault_slots(engine, batch, "g2") == 0
     assert batch._set_words[engine.compiled.slot_of["h2"]] is None
 
 
 def test_stem_effect_evaluates_the_gates_it_reaches(engine):
     pi_values = {"a": R, "b": V1, "c": F, "d": V1}
-    good = engine.implicate(pi_values, {"q": 0})
+    good = implicate(engine, pi_values, {"q": 0})
     evaluated, batch = _evaluated(engine, pi_values, _stem("g1"), good)
     assert evaluated == 2  # g1 (the gate of the stem) and g2
-    assert _fault_slots(batch, "g2") == 0b01
+    assert _fault_slots(engine, batch, "g2") == 0b01
     evaluated, _ = _evaluated(engine, pi_values, (None, None), good)
     assert evaluated == 0
 
