@@ -8,20 +8,20 @@ signal.  This module packs those sets into one Python int per signal, a
 empty set (a conflict).  A fully specified pattern holds a singleton in
 every byte, so TDsim's concrete eight-valued simulation is the same sweep.
 
-Gates are evaluated one slot at a time through a memoised pairwise *set
-image*: ``image[(a << 8) | b]`` is :func:`repro.algebra.sets.evaluate_gate_sets`
-of the two input sets ``a`` and ``b`` (the union of the gate's table entry
-over every member pair).  The images are dict memos, one per (opcode,
-robust), shared by every simulator and filled from
-:func:`repro.algebra.packed.packed_table` on first use only — the searches
-touch a few thousand of the 65536 set pairs at most.  Multi-input gates fold
-each slot over the core image and take the last step through the image with
-the inverter pre-composed; ``NOT`` is a 256-entry permutation image.
-Emptiness propagates for free: the image of an empty set is empty.
-The sweep reads each gate as one tuple of a per-gate plan (:func:`set_plan`:
-fanin slots, images, output slot and its fanout) and unrolls the slot loop
-for widths 1, 2 and 4, the widths of TDgen's root sweeps and its PPI and PI
-decisions; a gate that applies an injection move takes one slow path.
+Each gate folds its pins in pin order through pairwise *set images*:
+``image[(a << 8) | b]`` is :func:`repro.algebra.sets.evaluate_gate_sets` of
+input sets ``a`` and ``b``, filled from :func:`repro.algebra.packed.packed_table`
+on first use (one dict per opcode and robustness mode, shared by every
+simulator).  Middle pins fold through the core image, the last step through
+the image with any inverter pre-composed; the inverter is a two-input image
+whose first operand is empty.  The image of an empty set is empty, so
+conflicts propagate for free.  Every step works on whole words through a
+*word-pair memo* per batch width keyed by ``(image index, word a, word b)``:
+one dict lookup per step, with the per-slot fold only on a miss.  Sweep
+inputs repeat heavily, so a memo cleared at :data:`MEMO_ENTRIES` entries
+answers most lookups in bounded memory.  The sweep reads each gate as one
+tuple of a per-gate plan (:func:`set_plan`); a gate that applies an
+injection move takes one slow path through the same memo.
 
 :class:`PackedSetSimulator` runs this evaluation over the flat gate program
 of :mod:`repro.fausim.compile`, with fault-injection *moves* (convert the
@@ -96,21 +96,27 @@ NOT_IMAGE: Tuple[ValueSet, ...] = tuple(
 )
 
 
+#: Every set image; an image's ``index`` (its position) tags its memo keys.
+_IMAGES: List["_SetImage"] = []
+
+
 class _SetImage(dict):
-    """Lazily filled pairwise set image of one gate opcode.
+    """Lazily filled pairwise set image of one gate opcode, or of the inverter.
 
     Keyed by ``(a << 8) | b`` for input sets ``a`` and ``b``; a missing key
     is computed once from the core gate's value-index table, with the
     inverter permutation applied after it for NAND/NOR/XNOR.
     """
 
-    __slots__ = ("core", "invert", "robust")
+    __slots__ = ("core", "invert", "robust", "index")
 
     def __init__(self, core: GateType, invert: bool, robust: bool) -> None:
         super().__init__()
         self.core = core
         self.invert = invert
         self.robust = robust
+        self.index = len(_IMAGES)
+        _IMAGES.append(self)
 
     def __missing__(self, key: int) -> ValueSet:
         table = packed_table(self.core, self.robust)
@@ -147,22 +153,64 @@ for _gate_type, _opcode in _OPCODES.items():
         _UNARY_INVERTS[_opcode] = _invert
         for _robust in (True, False):
             _SET_IMAGES[_robust][_opcode] = _SetImage(_core, _invert, _robust)
+#: The inverter as a two-input image whose first operand is empty, filled
+#: whole: the last (and only) step of a one-input inverting gate.
+_INVERTER = _SetImage(GateType.NOT, True, True)
+_INVERTER.update(enumerate(NOT_IMAGE))
+
+#: Entry count at which a word-pair memo is cleared, so no memo holds more.
+MEMO_ENTRIES = 8192
+
+
+class _WordMemo(dict):
+    """The set sweep's word-pair memo for one batch width ``w``.
+
+    Maps ``((image << 8w | a) << 8w) | b`` to the word whose byte ``j`` is
+    that image of bytes ``j`` of set words ``a`` and ``b``: one fold step on
+    every slot.  A miss folds slot by slot and first clears a memo that holds
+    :data:`MEMO_ENTRIES` entries; entries are pure functions of their keys.
+    """
+
+    __slots__ = ("bits", "mask", "shifts")
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.bits = 8 * width
+        self.mask = (1 << self.bits) - 1
+        self.shifts = range(0, self.bits, 8)
+
+    def __missing__(self, key: int) -> SetWord:
+        bits = self.bits
+        image = _IMAGES[key >> (2 * bits)]
+        a, b = (key >> bits) & self.mask, key & self.mask
+        result = 0
+        for shift in self.shifts:
+            result |= image[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
+        if len(self) >= MEMO_ENTRIES:
+            self.clear()
+        self[key] = result
+        return result
+
+
+#: Per batch width, the shared word-pair memo.  Module-level like the
+#: images: forked workers inherit it warm, and no pickle carries it.
+_WORD_MEMOS: Dict[int, _WordMemo] = {}
 
 
 #: One gate of a set plan (see :func:`set_plan`): ``(first, middle, final,
 #: core, last, out, fanout)``.
-SetStep = Tuple[int, Tuple[int, ...], int, Optional[object], Optional[object], int, Tuple[int, ...]]
+SetStep = Tuple[int, Tuple[int, ...], int, Optional[int], Optional[int], int, Tuple[int, ...]]
 
 
 def set_plan(compiled: CompiledCircuit, robust: bool) -> Tuple[SetStep, ...]:
     """The set sweep's per-gate plan of ``compiled`` in one robustness mode.
 
     Per gate, in program order: the first fanin slot, the middle fanin slots,
-    the last fanin slot (``-1`` for a one-input gate), the core image the
-    middle pins fold through (``None`` for a one-input gate), the image of
-    the last step (which carries any inverter; for a one-input gate
-    :data:`NOT_IMAGE` or ``None`` for a buffer), the output slot and the
-    gates that read it.  Built on first use and kept on the circuit's
+    the last fanin slot (``-1`` for a one-input gate), the index of the core
+    image the middle pins fold through (``None`` for a one-input gate), the
+    index of the image of the last step (which carries any inverter; for a
+    one-input gate the inverter's, or ``None`` for a buffer), the output slot
+    and the gates that read it.  Built on first use and kept on the circuit's
     :func:`~repro.fausim.kernels.kernels_for` object, so a recompile drops
     it and a pickle never carries it.
     """
@@ -174,12 +222,12 @@ def set_plan(compiled: CompiledCircuit, robust: bool) -> Tuple[SetStep, ...]:
         steps: List[SetStep] = []
         for op, fanins, out, out_fanout in kernels.plane_plan():
             if len(fanins) == 1:
-                last = NOT_IMAGE if _UNARY_INVERTS[op] else None
+                last = _INVERTER.index if _UNARY_INVERTS[op] else None
                 steps.append((fanins[0], (), -1, None, last, out, out_fanout))
             else:
                 steps.append(
                     (fanins[0], fanins[1:-1], fanins[-1],
-                     images[_CORE_OPCODE[op]], images[op], out, out_fanout)
+                     images[_CORE_OPCODE[op]].index, images[op].index, out, out_fanout)
                 )
         plan = kernels.plans[key] = tuple(steps)
     return plan
@@ -284,7 +332,8 @@ class PackedSetSimulator:
         num_gates = compiled.num_gates
         rep = slot_mask(width)
         high = rep << 7
-        shifts = range(0, 8 * width, 8)
+        memo = _WORD_MEMOS.get(width) or _WORD_MEMOS.setdefault(width, _WordMemo(width))
+        bits, pair_bits = memo.bits, 2 * memo.bits
         conflict_mask = 0
         conflict_signals: Dict[int, str] = {}
         # The gates that apply a move take the slow path (:meth:`_moved_gate`),
@@ -321,67 +370,29 @@ class PackedSetSimulator:
             first, middle, final, core, last, out, out_fanout = plan[index]
             if index in moved:
                 acc = self._moved_gate(
-                    index, words, base_sets, rep, shifts, stem_moves, branch_moves
+                    index, plan[index], words, base_sets, rep, memo, stem_moves, branch_moves
                 )
             else:
                 a = words[first]
                 if a is None:
                     a = base_sets[first] * rep
                 if core is None:
-                    # One input: a buffer (no image) or an inverting
-                    # permutation image.
-                    if last is None:
-                        acc = a
-                    elif width == 1:
-                        acc = last[a]
-                    elif width == 2:
-                        acc = last[a & 255] | last[a >> 8] << 8
-                    elif width == 4:
-                        acc = (
-                            last[a & 255]
-                            | last[(a >> 8) & 255] << 8
-                            | last[(a >> 16) & 255] << 16
-                            | last[a >> 24] << 24
-                        )
-                    else:
-                        acc = 0
-                        for shift in shifts:
-                            acc |= last[(a >> shift) & 255] << shift
+                    # One input: a buffer, or the inverter (empty first operand).
+                    acc = a if last is None else memo[(last << pair_bits) | a]
                 else:
                     # Fold the pins in order (the non-robust XOR image is not
-                    # associative): one core-image lookup per slot and step,
-                    # the last step through the image that carries any
-                    # inverter.  Words hold exactly ``width`` bytes, so the
-                    # unrolled widths need no mask on their top byte.
+                    # associative), one memo lookup per step: the middle pins
+                    # through the core image, the last step through the image
+                    # that carries any inverter.
                     for slot in middle:
                         b = words[slot]
                         if b is None:
                             b = base_sets[slot] * rep
-                        acc = 0
-                        for shift in shifts:
-                            acc |= core[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
-                        a = acc
+                        a = memo[((core << bits | a) << bits) | b]
                     b = words[final]
                     if b is None:
                         b = base_sets[final] * rep
-                    if width == 1:
-                        acc = last[(a << 8) | b]
-                    elif width == 2:
-                        acc = (
-                            last[((a & 255) << 8) | (b & 255)]
-                            | last[(a & 0xFF00) | (b >> 8)] << 8
-                        )
-                    elif width == 4:
-                        acc = (
-                            last[((a & 255) << 8) | (b & 255)]
-                            | last[(a & 0xFF00) | ((b >> 8) & 255)] << 8
-                            | last[((a >> 8) & 0xFF00) | ((b >> 16) & 255)] << 16
-                            | last[((a >> 16) & 0xFF00) | (b >> 24)] << 24
-                        )
-                    else:
-                        acc = 0
-                        for shift in shifts:
-                            acc |= last[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
+                    acc = memo[((last << bits | a) << bits) | b]
 
             words[out] = acc
             if tracking:
@@ -394,7 +405,7 @@ class PackedSetSimulator:
             # scan then finds which.
             if (acc - rep) & ~acc & high:
                 name = signal_names[out]
-                for slot_index, shift in enumerate(shifts):
+                for slot_index, shift in enumerate(memo.shifts):
                     bit = 1 << slot_index
                     if not (acc >> shift) & 255 and not conflict_mask & bit:
                         conflict_mask |= bit
@@ -422,49 +433,35 @@ class PackedSetSimulator:
     def _moved_gate(
         self,
         index: int,
+        step: SetStep,
         words: List[Optional[SetWord]],
         base_sets: Optional[Sequence[ValueSet]],
         rep: int,
-        shifts: range,
+        memo: _WordMemo,
         stem_moves: Mapping[int, Sequence[SetMove]],
         branch_moves: Mapping[int, Sequence[SetMove]],
     ) -> SetWord:
         """Evaluate one gate that applies an injection move.
 
-        The unplanned fold of :meth:`propagate`: each pin's read takes its
-        branch moves, and the output takes its stem moves.
+        The planned fold of :meth:`propagate` through the same memo, after
+        each pin's read takes its branch moves; the output takes its stem
+        moves.
         """
         compiled = self.compiled
-        images = _SET_IMAGES[self.robust]
-        fanin_flat = compiled.fanin_flat
-        start = compiled.fanin_offsets[index]
-        end = compiled.fanin_offsets[index + 1]
-        op = compiled.ops[index]
-        image = images[_CORE_OPCODE[op]]
-        acc = 0
-        for position in range(start, end):
-            slot = fanin_flat[position]
+        reads = []
+        for position in range(compiled.fanin_offsets[index], compiled.fanin_offsets[index + 1]):
+            slot = compiled.fanin_flat[position]
             b = words[slot]
             if b is None:
                 b = base_sets[slot] * rep
-            moves = branch_moves.get(position)
-            if moves:
-                b = apply_moves(b, moves)
-            if position == start:
-                acc = b
-                continue
-            if position == end - 1:
-                image = images[op]
-            a = acc
-            acc = 0
-            for shift in shifts:
-                acc |= image[(((a >> shift) & 255) << 8) | ((b >> shift) & 255)] << shift
-        if end - start == 1 and _UNARY_INVERTS[op]:
-            a = acc
-            acc = 0
-            for shift in shifts:
-                acc |= NOT_IMAGE[(a >> shift) & 255] << shift
-        moves = stem_moves.get(compiled.outputs[index])
-        if moves:
-            acc = apply_moves(acc, moves)
-        return acc
+            reads.append(apply_moves(b, branch_moves.get(position, ())))
+        _, _, _, core, last, out, _ = step
+        acc = reads[0]
+        if last is not None:
+            # A one-input gate's only step has an empty first operand.
+            acc, pins = (0, reads) if core is None else (acc, reads[1:])
+            bits = memo.bits
+            for b in pins[:-1]:
+                acc = memo[((core << bits | acc) << bits) | b]
+            acc = memo[((last << bits | acc) << bits) | pins[-1]]
+        return apply_moves(acc, stem_moves.get(out, ()))

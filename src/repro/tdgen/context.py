@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.circuit.levelize import combinational_order
 from repro.circuit.netlist import Circuit
+from repro.fausim.compile import compile_circuit
 
 
 class TDgenContext:
@@ -27,7 +27,9 @@ class TDgenContext:
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.order: List[str] = combinational_order(circuit)
+        # The compiled program (cached on the circuit) froze the same order.
+        compiled = compile_circuit(circuit)
+        self.order: List[str] = [compiled.signal_names[slot] for slot in compiled.outputs]
         self.distance_to_po: Dict[str, Optional[int]] = self._distances(pos_only=True)
         self.distance_to_observation: Dict[str, Optional[int]] = self._distances(pos_only=False)
 

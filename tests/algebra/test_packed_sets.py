@@ -6,16 +6,21 @@ must equal the interpreted set algebra — :func:`evaluate_gate_sets` for the
 gate images, the reference ``_inject`` for the injection moves, the first
 empty set in evaluation order for the conflict bookkeeping — and an
 event-driven sweep off a parent column must equal a full sweep.  Widths 9
-and 17 put slots past the 64-bit boundary of the words.
+and 17 put slots past the 64-bit boundary of the words.  The sweep's
+word-pair memo must stay inside its entry bound, and a word pair sent
+through two images must get each image's own result.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from typing import Dict, List, Optional, Sequence
 
 import pytest
 
+from repro.algebra import packed_sets
 from repro.algebra.packed_sets import PackedSetSimulator, apply_moves, slot_mask
 from repro.algebra.sets import FULL_SET, ValueSet, evaluate_gate_sets
 from repro.circuit.builder import CircuitBuilder
@@ -24,6 +29,7 @@ from repro.faults.model import DelayFaultType
 from repro.fausim.compile import compile_circuit
 from repro.tdgen.simulation import _inject
 
+from tests.fausim import test_kernels
 from tests.fausim.test_packed_differential import random_circuit
 
 WIDTHS = (1, 2, 4, 9, 17)
@@ -266,3 +272,115 @@ def test_event_driven_sweep_matches_full_sweep(seed):
             unchanged, width, base_sets=base_sets, changed_slots=changed[:1]
         )
         assert quiet.written == changed[:1]
+
+
+@pytest.mark.parametrize("robust", [True, False], ids=["robust", "nonrobust"])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
+def test_memo_bound_holds_and_a_cleared_memo_changes_no_result(width, robust, monkeypatch):
+    """The planned-sweep comparison, with a bound small enough to clear mid-sweep."""
+    bound = 5
+    monkeypatch.setattr(packed_sets, "MEMO_ENTRIES", bound)
+    monkeypatch.setattr(packed_sets, "_WORD_MEMOS", {})
+    sizes = []
+    missing = packed_sets._WordMemo.__missing__
+
+    def recording_missing(memo, key):
+        result = missing(memo, key)
+        sizes.append(len(memo))
+        return result
+
+    monkeypatch.setattr(packed_sets._WordMemo, "__missing__", recording_missing)
+    # Full and event-driven sweeps with stem and branch moves, every check
+    # of the per-slot comparison.
+    test_kernels.test_planned_set_sweep_matches_the_per_slot_algebra(width, robust)
+    assert max(sizes) == bound
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))
+    assert all(len(memo) <= bound for memo in packed_sets._WORD_MEMOS.values())
+
+
+def _two_input_gates():
+    builder = CircuitBuilder("pair")
+    a, b = builder.inputs(["a", "b"])
+    for gate_type in (GateType.AND, GateType.OR, GateType.XOR):
+        builder.gate(gate_type, gate_type.value, [a, b])
+        builder.output(gate_type.value)
+    builder.gate(GateType.NOT, "not_b", [b])
+    builder.output("not_b")
+    return compile_circuit(builder.build())
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_memo_keys_keep_images_apart(width, monkeypatch):
+    """One word pair through AND and OR, robust and non-robust XOR, the inverter.
+
+    Every gate reads the same two words from one memo, so a key that lost
+    its image index would hand one gate another's result.  Words with
+    zero high bytes and an all-empty first word (the inverter's own first
+    operand) are the pairs a short key would mix up.
+    """
+    monkeypatch.setattr(packed_sets, "_WORD_MEMOS", {})
+    compiled = _two_input_gates()
+    rng = random.Random(width)
+    pairs = [(_random_sets(rng, width), _random_sets(rng, width)) for _ in range(20)]
+    pairs += [([a[0]] + [0] * (width - 1), [b[0]] + [0] * (width - 1)) for a, b in pairs[:10]]
+    pairs += [([0] * width, b) for _, b in pairs[:10]]
+    xor_differs = False
+    # Robust again last: its XOR words are read back after the non-robust
+    # ones went into the same memo.
+    for robust in (True, False, True):
+        simulator = PackedSetSimulator(compiled, robust=robust)
+        for a, b in pairs:
+            words: List[Optional[int]] = [None] * compiled.num_signals
+            words[compiled.slot_of["a"]] = _word(a)
+            words[compiled.slot_of["b"]] = _word(b)
+            result = simulator.propagate(words, width)
+            for gate_type in (GateType.AND, GateType.OR, GateType.XOR):
+                got = _slots(result.words[compiled.slot_of[gate_type.value]], width)
+                assert got == [
+                    evaluate_gate_sets(gate_type, [x, y], robust) for x, y in zip(a, b)
+                ], (gate_type, robust, a, b)
+            got = _slots(result.words[compiled.slot_of["not_b"]], width)
+            assert got == [evaluate_gate_sets(GateType.NOT, [y], robust) for y in b]
+            xor_differs |= any(
+                evaluate_gate_sets(GateType.XOR, [x, y], True)
+                != evaluate_gate_sets(GateType.XOR, [x, y], False)
+                for x, y in zip(a, b)
+            )
+    # The two XOR images disagree on some pair, so sharing a key would show.
+    assert xor_differs
+
+
+def test_threads_sharing_a_clearing_memo_get_the_single_threaded_words(monkeypatch):
+    """Sweeps on more threads than cores share one memo that keeps clearing.
+
+    Entries are pure functions of their keys, so a clear by another thread
+    may only cost misses, never change a word.
+    """
+    monkeypatch.setattr(packed_sets, "MEMO_ENTRIES", 7)
+    monkeypatch.setattr(packed_sets, "_WORD_MEMOS", {})
+    jobs = []
+    for seed in range(4):
+        compiled = compile_circuit(random_circuit(seed))
+        columns = _source_columns(compiled, random.Random(seed), 4, empty_share=0.05)
+        expected = PackedSetSimulator(compiled).propagate(_load(compiled, columns), 4).words
+        jobs.append((compiled, columns, expected))
+    failures = []
+
+    def sweep(compiled, columns, expected):
+        simulator = PackedSetSimulator(compiled)
+        for _ in range(30):
+            if simulator.propagate(_load(compiled, columns), 4).words != expected:
+                failures.append(compiled)
+
+    threads = [threading.Thread(target=sweep, args=job) for job in jobs * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
